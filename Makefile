@@ -10,8 +10,8 @@ GOVULNCHECK_VERSION ?= v1.1.4
 # uploads it as a workflow artifact when the diff fails.
 DETERMINISM_OUT ?= determinism-out
 
-.PHONY: all fmt-check vet build test test-race staticcheck govulncheck \
-	bench-smoke ablation-smoke determinism bench-json bench-gate \
+.PHONY: all fmt-check vet build test bench-test test-race staticcheck \
+	govulncheck bench-smoke ablation-smoke determinism bench-json bench-gate \
 	bench-crosscheck profile ci
 
 all: ci
@@ -30,6 +30,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# bench/ is a module of its own (replace repro => ../), so the root
+# `go test ./...` never builds it; this runs its smoke, golden-check and
+# metric tests (about 2 s).
+bench-test:
+	$(GO) -C bench test ./...
 
 # The simulation is single-goroutine by design, but the race detector still
 # catches unsynchronised state sneaking into the event machinery.
@@ -161,4 +167,4 @@ profile:
 		> $(PROFILE_OUT)/fig16.txt
 	@echo "profiles written to $(PROFILE_OUT)/ (cpu.pprof, mem.pprof, mutex.pprof, block.pprof)"
 
-ci: fmt-check vet staticcheck govulncheck build test bench-smoke ablation-smoke determinism
+ci: fmt-check vet staticcheck govulncheck build test bench-test bench-smoke ablation-smoke determinism

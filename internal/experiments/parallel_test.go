@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/servers/prefork"
 )
@@ -65,25 +67,34 @@ func TestParallelMatchesSequentialWorkloads(t *testing.T) {
 }
 
 // TestParallelIneligibleFallsBack covers the configurations the sharded
-// engine refuses: they must run sequentially (Threads reported as 1) and
-// still complete correctly rather than panic.
+// engine refuses: they must run sequentially (Threads reported as 1), say
+// why in Fallback and Describe, and still complete correctly rather than
+// panic.
 func TestParallelIneligibleFallsBack(t *testing.T) {
 	rr := netsim.DefaultConfig()
 	rr.Shard = netsim.ShardRoundRobin
+	shortTW := netsim.DefaultConfig()
+	shortTW.TimeWait = core.Microsecond // far below the 100 µs lookahead
 	cases := []struct {
-		name string
-		spec RunSpec
+		name   string
+		spec   RunSpec
+		reason string
 	}{
 		{"round-robin", func() RunSpec {
 			s := DefaultSpec(PreforkKind(2), 400, 0)
 			s.Network = &rr
 			return s
-		}()},
+		}(), "round-robin listener sharding"},
 		{"handoff", func() RunSpec {
 			s := DefaultSpec(PreforkKind(2), 400, 0)
 			s.PreforkMode = prefork.ModeHandoff
 			return s
-		}()},
+		}(), "prefork handoff"},
+		{"short-timewait", func() RunSpec {
+			s := DefaultSpec(ServerThttpdEpoll, 400, 0)
+			s.Network = &shortTW
+			return s
+		}(), "TIME-WAIT below the lookahead"},
 	}
 	for _, c := range cases {
 		c.spec.Connections = 500
@@ -92,8 +103,20 @@ func TestParallelIneligibleFallsBack(t *testing.T) {
 		if res.Threads != 1 {
 			t.Errorf("%s: ineligible config ran with %d threads", c.name, res.Threads)
 		}
+		if res.Fallback != c.reason {
+			t.Errorf("%s: Fallback = %q, want %q", c.name, res.Fallback, c.reason)
+		}
+		if d := Describe(res); !strings.HasSuffix(d, "sequential: "+c.reason) {
+			t.Errorf("%s: Describe does not name the fallback: %s", c.name, d)
+		}
 		if res.Load.Issued != 500 {
 			t.Errorf("%s: issued %d connections, want 500", c.name, res.Load.Issued)
 		}
+	}
+	eligible := DefaultSpec(ServerThttpdEpoll, 400, 0)
+	eligible.Connections = 500
+	eligible.Threads = 2
+	if res := Run(eligible); res.Threads != 2 || res.Fallback != "" {
+		t.Errorf("eligible config: Threads = %d, Fallback = %q; want 2 and none", res.Threads, res.Fallback)
 	}
 }

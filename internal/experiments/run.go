@@ -292,7 +292,8 @@ type RunSpec struct {
 	// lookahead, and runs it on N goroutines. Figures are byte-identical
 	// across thread counts. Configurations the sharded engine cannot host
 	// (round-robin listener sharding, prefork handoff mode, a TIME-WAIT
-	// shorter than the lookahead window) silently run sequentially.
+	// shorter than the lookahead window) run sequentially instead, and
+	// RunResult.Fallback says why.
 	Threads int
 
 	// MaxVirtualTime caps the simulated run as a safety net; zero selects a
@@ -356,6 +357,10 @@ type RunResult struct {
 	// spec's request, downgraded to 1 when the configuration was ineligible
 	// for the sharded engine.
 	Threads int
+	// Fallback names why the sharded engine refused the spec's Threads
+	// request (round-robin listener sharding, prefork handoff, or a TIME-WAIT
+	// below the lookahead); empty when the run used the threads it asked for.
+	Fallback string
 }
 
 // benchServer is the control surface a family builder returns: server
@@ -682,7 +687,7 @@ func RunE(spec RunSpec) (RunResult, error) {
 		lcfg.Timeout = to
 	}
 
-	threads := parallelThreads(spec, rk, netCfg, lcfg)
+	threads, fallback := parallelThreads(spec, rk, netCfg, lcfg)
 	if threads > 1 {
 		// One lane per simulated CPU plus a driver lane for the load
 		// generator, the rng and the port/TIME-WAIT accounting; cross-lane
@@ -723,6 +728,7 @@ func RunE(spec RunSpec) (RunResult, error) {
 		PerCPUUtilization: k.Sched.Utilizations(k.Now()),
 		Workers:           1,
 		Threads:           threads,
+		Fallback:          fallback,
 	}
 	for _, u := range res.PerCPUUtilization {
 		// CPU.Utilization no longer clamps, so a ratio above 1 over the work
@@ -816,16 +822,17 @@ func minRTT(netCfg netsim.Config, lcfg loadgen.Config) core.Duration {
 }
 
 // parallelThreads resolves the spec's thread request against the sharded
-// engine's eligibility rules, returning 1 (sequential) when the configuration
-// cannot be parallelised: round-robin listener sharding mutates shared state
-// per connection, prefork handoff adopts connections across workers, and a
-// TIME-WAIT shorter than the lookahead window cannot defer port releases.
-func parallelThreads(spec RunSpec, rk resolvedKind, netCfg netsim.Config, lcfg loadgen.Config) int {
+// engine's eligibility rules. It returns 1 (sequential) and the reason when
+// the configuration cannot be parallelised: round-robin listener sharding
+// mutates shared state per connection, prefork handoff adopts connections
+// across workers, and a TIME-WAIT shorter than the lookahead window cannot
+// defer port releases.
+func parallelThreads(spec RunSpec, rk resolvedKind, netCfg netsim.Config, lcfg loadgen.Config) (threads int, fallback string) {
 	if spec.Threads < 2 {
-		return 1
+		return 1, ""
 	}
 	if netCfg.Shard == netsim.ShardRoundRobin {
-		return 1
+		return 1, "round-robin listener sharding"
 	}
 	if rk.family == "prefork" {
 		mode := spec.PreforkMode
@@ -833,7 +840,7 @@ func parallelThreads(spec RunSpec, rk resolvedKind, netCfg netsim.Config, lcfg l
 			mode = spec.PreforkConfig.Mode
 		}
 		if mode == prefork.ModeHandoff {
-			return 1
+			return 1, "prefork handoff"
 		}
 	}
 	tw := netCfg.TimeWait
@@ -841,13 +848,18 @@ func parallelThreads(spec RunSpec, rk resolvedKind, netCfg netsim.Config, lcfg l
 		tw = netsim.DefaultConfig().TimeWait
 	}
 	if tw < minRTT(netCfg, lcfg)/2 {
-		return 1
+		return 1, "TIME-WAIT below the lookahead"
 	}
-	return spec.Threads
+	return spec.Threads, ""
 }
 
-// Describe renders a short human-readable summary of one run.
+// Describe renders a short human-readable summary of one run, ending with the
+// reason for a sequential fallback when the sharded engine refused it.
 func Describe(r RunResult) string {
-	return fmt.Sprintf("%-15s %s cpu=%4.0f%% loops=%d mode=%s",
+	s := fmt.Sprintf("%-15s %s cpu=%4.0f%% loops=%d mode=%s",
 		r.Spec.Server, r.Load.String(), 100*r.CPUUtilization, r.EventLoops, r.FinalMode)
+	if r.Fallback != "" {
+		s += " sequential: " + r.Fallback
+	}
+	return s
 }

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/faults"
@@ -231,26 +230,15 @@ type Generator struct {
 	kaSize      int
 	closeSize   int
 
-	issued    int
-	resolved  int
-	completed int
-	replies   int
-	errors    int
-	retries   int
-	errorsBy  map[ErrorReason]int
+	issued  int
+	retries int
 
-	latenciesMs []float64
-	hist        metrics.LatencyHist
-	sampler     *metrics.RateSampler
-
-	// Parallel-run state. On a sharded simulator every connection's client
-	// callbacks execute on its home lane, so the bookkeeping above would be a
-	// data race; instead each lane accumulates into its own laneAcc (indexed
-	// by the connection's lane) and Result merges them. driverQ is lane 0,
-	// where the launch schedule, the rng and the port accounting live; on a
-	// sequential run it is the global-queue delegate and everything below
-	// collapses to the exact legacy behavior.
-	parallel bool
+	// The run's books: one laneAcc per simulator lane. Every connection's
+	// client callbacks execute on its home lane, so each lane books into its
+	// own accumulator (indexed by the connection's lane) and Result merges
+	// them; a sequential run is the 1-lane case. driverQ is lane 0, where the
+	// launch schedule, the rng and the port accounting live. psamples holds
+	// the closed reply-rate samples of a finished run (see mergedSamples).
 	driverQ  simkernel.Q
 	lanes    []laneAcc
 	psamples []float64
@@ -282,8 +270,8 @@ type Generator struct {
 }
 
 // laneAcc is one lane's share of the run bookkeeping: written only by
-// callbacks executing on that lane, read only in barrier serial sections or
-// after the run.
+// callbacks executing on that lane, read by other code only in barrier serial
+// sections or after the run.
 type laneAcc struct {
 	resolved      int
 	completed     int
@@ -390,8 +378,6 @@ func New(k *simkernel.Kernel, net *netsim.Network, cfg Config) *Generator {
 		request:        httpsim.FormatRequest(cfg.DocumentPath),
 		partialRequest: httpsim.FormatPartialRequest(cfg.DocumentPath),
 		expectedSize:   httpsim.ResponseSize(httpsim.StatusOK, cfg.DocumentSize),
-		errorsBy:       make(map[ErrorReason]int),
-		sampler:        metrics.NewRateSampler(cfg.SampleInterval),
 	}
 	g.reqsPerConn = cfg.RequestsPerConn
 	g.pipeDepth = cfg.PipelineDepth
@@ -402,12 +388,9 @@ func New(k *simkernel.Kernel, net *netsim.Network, cfg Config) *Generator {
 		g.closeSize = httpsim.ResponseSizeVersion(httpsim.StatusOK, cfg.DocumentSize, false)
 	}
 	g.driverQ = k.Sim.LaneQ(0)
-	if k.Sim.Sharded() && net.Parallel() {
-		g.parallel = true
-		g.lanes = make([]laneAcc, k.Sim.NumLanes())
-		for i := range g.lanes {
-			g.lanes[i].errorsBy = make(map[ErrorReason]int)
-		}
+	g.lanes = make([]laneAcc, k.Sim.NumLanes())
+	for i := range g.lanes {
+		g.lanes[i].errorsBy = make(map[ErrorReason]int)
 	}
 	return g
 }
@@ -419,15 +402,11 @@ func (g *Generator) OnDone(fn func(Result)) { g.onDone = fn }
 // Done reports whether the run has finished.
 func (g *Generator) Done() bool { return g.done }
 
-// Progress reports issued and resolved connection counts. On a parallel run
-// it is only meaningful between runs or after the engine stops.
+// Progress reports issued and resolved connection counts. On a multi-lane
+// run it is only meaningful between runs or after the engine stops.
 func (g *Generator) Progress() (issued, resolved int) {
-	resolved = g.resolved
-	if g.parallel {
-		resolved = 0
-		for i := range g.lanes {
-			resolved += g.lanes[i].resolved
-		}
+	for i := range g.lanes {
+		resolved += g.lanes[i].resolved
 	}
 	return g.issued, resolved
 }
@@ -439,10 +418,11 @@ func (g *Generator) Start(now core.Time) {
 		return
 	}
 	g.running = true
-	if g.parallel {
+	if len(g.lanes) > 1 {
 		// Completion cannot be detected inside a lane (no lane sees the
 		// others' resolution counts), so it is checked in the serial section
-		// of every barrier, where all lanes are quiescent.
+		// of every barrier, where all lanes are quiescent. A 1-lane run
+		// checks inside the resolving event instead (resolvedOne).
 		g.k.Sim.OnBarrier(g.checkDone)
 	}
 	switch g.cfg.Workload.Kind {
@@ -473,7 +453,6 @@ func (g *Generator) Start(now core.Time) {
 	// Measurement (reply-rate sampling, offered-rate accounting) begins when
 	// the benchmark load begins, not when the inactive population is set up.
 	g.started = at
-	g.sampler.Start(at)
 	switch g.cfg.Workload.Arrival {
 	case ArrivalFlashCrowd:
 		g.scheduleFlashCrowd(now, at)
@@ -593,33 +572,24 @@ func (g *Generator) launchOne(now core.Time) {
 	ac := &activeConn{gen: g, started: now, reqStart: now, lastProgress: now, rtt: rtt}
 	ac.conn = g.net.ConnectWith(now, netsim.ConnectOptions{RTT: rtt}, ac)
 	// httperf's client-side timeout, delivered on the connection's home lane
-	// (an ordinary global-queue event on a sequential run).
+	// (a plain same-lane event on a sequential run).
 	g.driverQ.Post(ac.conn.Q(), now.Add(g.cfg.Timeout), ac.onTimeout)
 }
 
 // recordCompletion books a successful reply. q is the resolving connection's
-// home lane — the executing lane for every resolution callback — so on a
-// parallel run the books are kept in that lane's accumulator.
+// home lane — the executing lane for every resolution callback — so the books
+// are kept in that lane's accumulator.
 func (g *Generator) recordCompletion(q simkernel.Q, started, now core.Time) {
-	if g.parallel {
-		ln := &g.lanes[q.LaneIndex()]
-		ln.completed++
-		ln.replies++
-		ln.resolved++
-		ln.bump(g.sampleIdx(now))
-		ln.latenciesMs = append(ln.latenciesMs, now.Sub(started).Milliseconds())
-		ln.hist.Observe(now.Sub(started))
-		ln.lastResolveAt = now
-		ln.lastRecordAt = now
-		return
-	}
-	g.completed++
-	g.replies++
-	g.resolved++
-	g.sampler.Record(now)
-	g.latenciesMs = append(g.latenciesMs, now.Sub(started).Milliseconds())
-	g.hist.Observe(now.Sub(started))
-	g.maybeFinish(now)
+	ln := &g.lanes[q.LaneIndex()]
+	ln.completed++
+	ln.replies++
+	ln.resolved++
+	ln.bump(g.sampleIdx(now))
+	ln.latenciesMs = append(ln.latenciesMs, now.Sub(started).Milliseconds())
+	ln.hist.Observe(now.Sub(started))
+	ln.lastResolveAt = now
+	ln.lastRecordAt = now
+	g.resolvedOne()
 }
 
 // recordReply books one completed keep-alive reply: the reply-rate sample and
@@ -627,34 +597,22 @@ func (g *Generator) recordCompletion(q simkernel.Q, started, now core.Time) {
 // reply's arrival on a pipelined stream). Connection resolution is booked
 // separately once the final reply lands.
 func (g *Generator) recordReply(q simkernel.Q, reqStart, now core.Time) {
-	if g.parallel {
-		ln := &g.lanes[q.LaneIndex()]
-		ln.replies++
-		ln.bump(g.sampleIdx(now))
-		ln.latenciesMs = append(ln.latenciesMs, now.Sub(reqStart).Milliseconds())
-		ln.hist.Observe(now.Sub(reqStart))
-		ln.lastRecordAt = now
-		return
-	}
-	g.replies++
-	g.sampler.Record(now)
-	g.latenciesMs = append(g.latenciesMs, now.Sub(reqStart).Milliseconds())
-	g.hist.Observe(now.Sub(reqStart))
+	ln := &g.lanes[q.LaneIndex()]
+	ln.replies++
+	ln.bump(g.sampleIdx(now))
+	ln.latenciesMs = append(ln.latenciesMs, now.Sub(reqStart).Milliseconds())
+	ln.hist.Observe(now.Sub(reqStart))
+	ln.lastRecordAt = now
 }
 
 // resolveKeepAlive books the end of a keep-alive connection whose final reply
 // recordReply already counted.
 func (g *Generator) resolveKeepAlive(q simkernel.Q, now core.Time) {
-	if g.parallel {
-		ln := &g.lanes[q.LaneIndex()]
-		ln.completed++
-		ln.resolved++
-		ln.lastResolveAt = now
-		return
-	}
-	g.completed++
-	g.resolved++
-	g.maybeFinish(now)
+	ln := &g.lanes[q.LaneIndex()]
+	ln.completed++
+	ln.resolved++
+	ln.lastResolveAt = now
+	g.resolvedOne()
 }
 
 // expectAfter is the cumulative response bytes a keep-alive client expects
@@ -669,18 +627,21 @@ func (g *Generator) expectAfter(k int) int {
 
 // recordError books a failed benchmark connection.
 func (g *Generator) recordError(q simkernel.Q, reason ErrorReason, now core.Time) {
-	if g.parallel {
-		ln := &g.lanes[q.LaneIndex()]
-		ln.errors++
-		ln.resolved++
-		ln.errorsBy[reason]++
-		ln.lastResolveAt = now
-		return
+	ln := &g.lanes[q.LaneIndex()]
+	ln.errors++
+	ln.resolved++
+	ln.errorsBy[reason]++
+	ln.lastResolveAt = now
+	g.resolvedOne()
+}
+
+// resolvedOne follows every connection resolution. A 1-lane run checks for
+// the end of the run right here, inside the resolving event, so the engine
+// stops at that very instant; a multi-lane run leaves it to the barrier hook.
+func (g *Generator) resolvedOne() {
+	if len(g.lanes) == 1 {
+		g.checkDone(0)
 	}
-	g.errors++
-	g.resolved++
-	g.errorsBy[reason]++
-	g.maybeFinish(now)
 }
 
 // sampleIdx maps a completion instant onto its sampling-interval index, with
@@ -694,8 +655,9 @@ func (g *Generator) sampleIdx(now core.Time) int {
 	return int(d / g.cfg.SampleInterval)
 }
 
-// checkDone is the parallel-run finish check, invoked in the serial section
-// of every barrier epoch while all lanes are quiescent.
+// checkDone completes the run once the full population has been issued and
+// every issued connection has resolved. A multi-lane run invokes it in the
+// serial section of every barrier epoch, while all lanes are quiescent.
 func (g *Generator) checkDone(core.Time) {
 	if g.done || g.issued < g.cfg.Connections {
 		return
@@ -712,86 +674,28 @@ func (g *Generator) checkDone(core.Time) {
 		return
 	}
 	g.done = true
-	// The sequential run finishes inside the last resolution event; the
-	// parallel run detects it a barrier later, so the recorded finish instant
-	// is pinned to that last resolution, not the barrier floor.
+	// A 1-lane run finishes inside the last resolution event; a multi-lane
+	// run detects it a barrier later, so the recorded finish instant is
+	// pinned to that last resolution, not the barrier floor.
 	g.finished = last
 	if g.onDone != nil {
 		g.onDone(g.Result())
 	}
 }
 
-// maybeFinish completes the run once every issued connection has resolved and
-// the full population has been issued.
-func (g *Generator) maybeFinish(now core.Time) {
-	if g.done || g.issued < g.cfg.Connections || g.resolved < g.issued {
-		return
-	}
-	g.done = true
-	g.finished = now
-	if g.onDone != nil {
-		g.onDone(g.Result())
-	}
-}
-
 // Result assembles the run summary. It may be called once Done is true (or at
-// any time for a partial view).
+// any time for a partial view). It merges the per-lane books: every merged
+// quantity is either an order-free reduction (counts, sorted percentiles,
+// histogram buckets) or reconstructed with metrics.RateSampler's exact
+// arithmetic, so a sharded run's figures are byte-identical to the 1-lane
+// run's.
 func (g *Generator) Result() Result {
-	if g.parallel {
-		return g.parallelResult()
-	}
-	end := g.finished
-	if end == 0 {
-		end = g.k.Now()
-	}
-	samples := append([]float64(nil), g.sampler.Samples()...)
-	if g.done {
-		samples = g.sampler.Finish(end)
-	}
-	res := Result{
-		Config:           g.cfg,
-		Started:          g.started,
-		Finished:         end,
-		Issued:           g.issued,
-		Completed:        g.completed,
-		Replies:          g.replies,
-		Errors:           g.errors,
-		Retries:          g.retries,
-		ErrorsBy:         copyReasons(g.errorsBy),
-		ReplyRateSamples: samples,
-		ReplyRate:        metrics.Summarize(samples),
-	}
-	if g.issued > 0 {
-		res.ErrorPercent = 100 * float64(g.errors) / float64(g.issued)
-	}
-	if elapsed := end.Sub(g.started); elapsed > 0 {
-		res.OfferedRate = float64(g.issued) / elapsed.Seconds()
-	}
-	if len(g.latenciesMs) > 0 {
-		res.MedianLatencyMs = metrics.Median(g.latenciesMs)
-		res.MeanLatencyMs = metrics.Summarize(g.latenciesMs).Mean
-		res.P90LatencyMs = metrics.Percentile(g.latenciesMs, 90)
-		sorted := append([]float64(nil), g.latenciesMs...)
-		sort.Float64s(sorted)
-		res.MaxLatencyMs = sorted[len(sorted)-1]
-	}
-	res.Latency = g.hist.Percentiles()
-	return res
-}
-
-// parallelResult merges the per-lane accumulators into the same summary the
-// sequential books would have produced: every merged quantity is either an
-// order-free reduction (counts, sorted percentiles, histogram buckets) or
-// reconstructed with the sequential sampler's exact arithmetic, so a sharded
-// run's figures are byte-identical to the single-threaded run's.
-func (g *Generator) parallelResult() Result {
 	end := g.finished
 	if end == 0 {
 		end = g.k.Now()
 	}
 	completed, replies, errors := 0, 0, 0
 	errorsBy := make(map[ErrorReason]int)
-	var lat []float64
 	var hist metrics.LatencyHist
 	var lastRecord core.Time
 	for i := range g.lanes {
@@ -802,7 +706,6 @@ func (g *Generator) parallelResult() Result {
 		for k, v := range ln.errorsBy {
 			errorsBy[k] += v
 		}
-		lat = append(lat, ln.latenciesMs...)
 		hist.Merge(&ln.hist)
 		if ln.lastRecordAt > lastRecord {
 			lastRecord = ln.lastRecordAt
@@ -836,25 +739,30 @@ func (g *Generator) parallelResult() Result {
 	if elapsed := end.Sub(g.started); elapsed > 0 {
 		res.OfferedRate = float64(g.issued) / elapsed.Seconds()
 	}
+	// A 1-lane run reads its lane's samples in place; only the multi-lane
+	// merge needs a concatenated copy.
+	lat := g.lanes[0].latenciesMs
+	if len(g.lanes) > 1 {
+		lat = nil
+		for i := range g.lanes {
+			lat = append(lat, g.lanes[i].latenciesMs...)
+		}
+	}
 	if len(lat) > 0 {
-		res.MedianLatencyMs = metrics.Median(lat)
 		res.MeanLatencyMs = metrics.Summarize(lat).Mean
-		res.P90LatencyMs = metrics.Percentile(lat, 90)
-		sorted := append([]float64(nil), lat...)
-		sort.Float64s(sorted)
-		res.MaxLatencyMs = sorted[len(sorted)-1]
+		q := metrics.Percentiles(lat, 50, 90, 100)
+		res.MedianLatencyMs, res.P90LatencyMs, res.MaxLatencyMs = q[0], q[1], q[2]
 	}
 	res.Latency = hist.Percentiles()
 	return res
 }
 
-// mergedSamples reconstructs the sequential RateSampler's output from the
-// merged per-interval completion counts: one sample per closed interval
-// (zero-count intervals included), and the trailing partial interval when it
-// is at least half an interval long and non-empty. The sequential sampler's
-// Finish appends that tail on every call and Result is invoked once by the
-// OnDone callback and once more by the harness, so the same one-tail-per-call
-// growth is reproduced here.
+// mergedSamples reproduces metrics.RateSampler's output from the merged
+// per-interval completion counts: one sample per closed interval (zero-count
+// intervals included), and the trailing partial interval when it is at least
+// half an interval long and non-empty. RateSampler.Finish appends that tail on
+// every call and Result is invoked once by the OnDone callback and once more
+// by the harness, so the same one-tail-per-call growth is reproduced here.
 func (g *Generator) mergedSamples(end, lastRecord core.Time, total func(int) int) []float64 {
 	interval := g.cfg.SampleInterval
 	if !g.done {
@@ -865,7 +773,7 @@ func (g *Generator) mergedSamples(end, lastRecord core.Time, total func(int) int
 		if closed < 0 {
 			closed = 0
 		}
-		out := make([]float64, 0, closed)
+		var out []float64
 		for k := 0; k < closed; k++ {
 			out = append(out, float64(total(k))/interval.Seconds())
 		}
@@ -886,18 +794,6 @@ func (g *Generator) mergedSamples(end, lastRecord core.Time, total func(int) int
 		g.psamples = append(g.psamples, float64(cur)/tail.Seconds())
 	}
 	return append([]float64(nil), g.psamples...)
-}
-
-// LatencyHistogram exposes the completed-connection latency histogram (for
-// tests and percentile tooling).
-func (g *Generator) LatencyHistogram() *metrics.LatencyHist { return &g.hist }
-
-func copyReasons(m map[ErrorReason]int) map[ErrorReason]int {
-	out := make(map[ErrorReason]int, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }
 
 // activeConn is one benchmark connection's client-side state machine. It

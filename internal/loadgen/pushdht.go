@@ -56,7 +56,6 @@ func (g *Generator) startPush(now core.Time) {
 	// procedure for its inactive load): deliveries the server initiates
 	// during the ramp are delivered but not booked.
 	g.started = at.Add(400 * core.Millisecond)
-	g.sampler.Start(g.started)
 }
 
 // launchMember opens one member connection from the driver lane.
@@ -203,7 +202,6 @@ func (g *Generator) startDHT(now core.Time) {
 	}
 
 	g.started = now
-	g.sampler.Start(now)
 	interval := core.Duration(float64(core.Second) / churn)
 	at := now
 	for i := 0; i < g.cfg.Connections; i++ {

@@ -58,12 +58,26 @@ func (s Summary) String() string {
 
 // Percentile returns the p-th percentile (0..100) of the samples using
 // nearest-rank interpolation. It returns 0 for an empty slice.
-func Percentile(samples []float64, p float64) float64 {
+func Percentile(samples []float64, p float64) float64 { return Percentiles(samples, p)[0] }
+
+// Percentiles returns Percentile(samples, p) for every p in ps, sorting one
+// copy of the samples for all of them.
+func Percentiles(samples []float64, ps ...float64) []float64 {
+	out := make([]float64, len(ps))
 	if len(samples) == 0 {
-		return 0
+		return out
 	}
 	sorted := append([]float64(nil), samples...)
 	sort.Float64s(sorted)
+	for i, p := range ps {
+		out[i] = nearestRank(sorted, p)
+	}
+	return out
+}
+
+// nearestRank reads the p-th percentile off a sorted, non-empty slice,
+// interpolating linearly between the two nearest ranks.
+func nearestRank(sorted []float64, p float64) float64 {
 	if p <= 0 {
 		return sorted[0]
 	}

@@ -53,6 +53,25 @@ func TestPercentileAndMedian(t *testing.T) {
 	}
 }
 
+// Percentiles answers several percentiles from one sorted copy of the
+// samples, clamping p to 0..100, and leaves its input unsorted.
+func TestPercentiles(t *testing.T) {
+	samples := []float64{7, 1, 10, 4, 3, 9, 2, 8, 6, 5}
+	want := []float64{1, 1, 3.25, 5.5, 9.1, 10, 10}
+	got := Percentiles(samples, -1, 0, 25, 50, 90, 100, 150)
+	for i := range want {
+		if !almost(got[i], want[i]) {
+			t.Fatalf("Percentiles = %v, want %v", got, want)
+		}
+	}
+	if samples[0] != 7 || samples[1] != 1 {
+		t.Fatal("Percentiles mutated its input")
+	}
+	if got := Percentiles(nil, 50, 90); len(got) != 2 || got[0] != 0 || got[1] != 0 {
+		t.Fatalf("empty Percentiles = %v", got)
+	}
+}
+
 func TestRateSampler(t *testing.T) {
 	r := NewRateSampler(core.Second)
 	r.Start(0)

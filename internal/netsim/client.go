@@ -98,8 +98,7 @@ type ClientConn struct {
 
 	// q is the lane every event of this connection — client-side callbacks
 	// included — executes on: the lane of the server process whose listener
-	// the connection hashes to (the global queue delegate on a sequential
-	// run). synQ is the same handle, kept separate only for the SYN of a
+	// the connection hashes to (the one lane of a sequential run). synQ is the same handle, kept separate only for the SYN of a
 	// connection that never establishes.
 	q    simkernel.Q
 	synQ simkernel.Q
@@ -186,7 +185,7 @@ func (c *ClientConn) State() ConnState { return c.state }
 func (c *ClientConn) Transport() Transport { return Stream }
 
 // Q returns the scheduling handle of the lane the connection is homed on (the
-// global-queue delegate on a sequential run). Client-side callbacks execute
+// one lane of a sequential run). Client-side callbacks execute
 // on this lane; callers scheduling follow-up work against the connection
 // (timeouts, think times) must target it.
 func (c *ClientConn) Q() simkernel.Q { return c.q }
@@ -511,7 +510,7 @@ func (n *Network) getEvt(src simkernel.Q) *connEvt {
 
 // schedule books a pooled delivery event at the given instant, from code
 // executing on src's lane, to execute on dst's lane. On a sequential run both
-// handles delegate to the global queue and this is exactly the old Sim.At.
+// handles are the one lane and this is a plain At.
 func (n *Network) schedule(src, dst simkernel.Q, at core.Time, kind evtKind, c *ClientConn, sc *ServerConn, count int, reason RefuseReason, data []byte) {
 	e := n.getEvt(src)
 	e.kind, e.c, e.sc, e.n, e.reason, e.data = kind, c, sc, count, reason, data

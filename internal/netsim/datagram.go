@@ -40,7 +40,7 @@ type Socket interface {
 	// Transport reports the socket family.
 	Transport() Transport
 	// Q returns the scheduling handle of the lane the socket's events
-	// execute on (the global-queue delegate on a sequential run).
+	// execute on (the one lane of a sequential run).
 	Q() simkernel.Q
 }
 

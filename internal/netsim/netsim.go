@@ -234,7 +234,7 @@ func New(k *simkernel.Kernel, cfg Config) *Network {
 // the experiment driver falls back to a sequential run for them instead.
 func (n *Network) Parallelize() {
 	sim := n.K.Sim
-	if !sim.Sharded() {
+	if sim.NumLanes() == 1 {
 		return
 	}
 	if n.Cfg.Shard == ShardRoundRobin {
@@ -369,10 +369,6 @@ func (n *Network) releasePort(now core.Time) {
 func (n *Network) connID() int64 {
 	n.nextConnID++
 	return n.nextConnID
-}
-
-func (n *Network) tracef(now core.Time, format string, args ...interface{}) {
-	n.K.Tracef(now, "net", format, args...)
 }
 
 // String summarises the configuration, mostly for experiment logs.

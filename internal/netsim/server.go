@@ -111,7 +111,7 @@ type ServerConn struct {
 	owner *simkernel.Proc // whose CPU receives this connection's interrupts
 
 	// q is the lane the connection is homed on (its listener owner's lane;
-	// the global-queue delegate on a sequential run). It matches the peer
+	// the one lane of a sequential run). It matches the peer
 	// ClientConn's home, so both endpoints of a connection execute on one
 	// lane.
 	q simkernel.Q

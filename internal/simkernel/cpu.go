@@ -15,8 +15,8 @@ import "repro/internal/core"
 type CPU struct {
 	sim *Simulator
 
-	// q is the scheduling handle completion events go through: the global
-	// queue on an unsharded simulator, the CPU's home lane on a sharded one
+	// q is the scheduling handle completion events go through: the one lane
+	// of an unsharded simulator, the CPU's home lane on a sharded one
 	// (assigned by Kernel.EnableParallel). Everything that runs "on" this CPU
 	// — batches, interrupts, their completions — executes on that lane.
 	q Q
@@ -36,7 +36,7 @@ type CPU struct {
 
 // NewCPU returns a CPU bound to the given simulator.
 func NewCPU(sim *Simulator) *CPU {
-	return &CPU{sim: sim, q: Q{s: sim}}
+	return &CPU{sim: sim, q: sim.LaneQ(0)}
 }
 
 // Q returns the CPU's scheduling handle (its home lane on a sharded run).

@@ -42,11 +42,23 @@ func (h *refHeap) Pop() interface{} {
 // same-time events (exercising the fast-path ring), near-time events, far
 // deadlines, and reschedules from inside callbacks — through both the
 // Simulator and the reference container/heap model, and requires the pop
-// order (including seq tie-breaks) to match exactly.
+// order (including seq tie-breaks) to match exactly. Every schedule runs
+// once through Simulator.At and once through the LaneQ(0) handle, which
+// must be the same queue.
 func TestSimulatorMatchesReferenceHeap(t *testing.T) {
+	for _, via := range []string{"Simulator.At", "LaneQ(0).At"} {
+		t.Run(via, func(t *testing.T) { matchReferenceHeap(t, via == "LaneQ(0).At") })
+	}
+}
+
+func matchReferenceHeap(t *testing.T, viaLane bool) {
 	for trial := 0; trial < 50; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial + 1)))
 		sim := NewSimulator()
+		at := sim.At
+		if viaLane {
+			at = sim.LaneQ(0).At
+		}
 
 		ref := refHeap{}
 		heap.Init(&ref)
@@ -56,16 +68,16 @@ func TestSimulatorMatchesReferenceHeap(t *testing.T) {
 
 		// schedule mirrors one event into both queues. fires record into got;
 		// the reference order is reconstructed by draining ref afterwards.
-		var schedule func(at core.Time)
+		var schedule func(when core.Time)
 		var scheduled int
-		schedule = func(at core.Time) {
+		schedule = func(when core.Time) {
 			scheduled++
 			refSeq++
 			seq := refSeq
-			heap.Push(&ref, &refEvent{at: at, seq: seq})
-			sim.At(at, func(now core.Time) {
-				if now != at {
-					t.Fatalf("trial %d: event %d fired at %v, scheduled for %v", trial, seq, now, at)
+			heap.Push(&ref, &refEvent{at: when, seq: seq})
+			at(when, func(now core.Time) {
+				if now != when {
+					t.Fatalf("trial %d: event %d fired at %v, scheduled for %v", trial, seq, now, when)
 				}
 				got = append(got, seq)
 				// Occasionally reschedule from inside the callback, including

@@ -52,7 +52,6 @@ type Kernel struct {
 	Sched *Scheduler
 	CPU   *CPU
 	Cost  *CostModel
-	Trace Tracer
 
 	// Faults is the deterministic fault-injection configuration every layer
 	// reads (netsim's socket calls, the interest engine's blocking waits). Its
@@ -81,7 +80,6 @@ func NewKernelSMP(cost *CostModel, ncpu int) *Kernel {
 		Sched: sched,
 		CPU:   sched.CPU(0),
 		Cost:  cost,
-		Trace: NopTracer{},
 	}
 }
 
@@ -118,13 +116,6 @@ func (k *Kernel) InterruptOn(cpu *CPU, now core.Time, cost core.Duration, done f
 		cpu = k.CPU
 	}
 	return cpu.Exec(now, cost, done)
-}
-
-// Tracef emits a trace record if tracing is enabled.
-func (k *Kernel) Tracef(now core.Time, component, format string, args ...interface{}) {
-	if k.Trace != nil {
-		k.Trace.Trace(now, component, format, args...)
-	}
 }
 
 // FD is an entry in a process's descriptor table. Gen identifies this
@@ -301,7 +292,7 @@ func (k *Kernel) NewProcOn(name string, cpu *CPU) *Proc {
 func (p *Proc) CPU() *CPU { return p.cpu }
 
 // Q returns the scheduling handle of the process's CPU: its home lane on a
-// sharded run, the global queue otherwise.
+// sharded run, the simulator's one lane otherwise.
 func (p *Proc) Q() Q { return p.cpu.q }
 
 // Now returns the process's current virtual time: its lane clock on a sharded

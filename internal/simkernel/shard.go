@@ -2,8 +2,8 @@ package simkernel
 
 // Sharded (parallel) execution engine: a conservative parallel discrete-event
 // core in the Chandy–Misra–Bryant style. The pending-event set is split across
-// a fixed number of lanes (shards), each with its own clock and its own copy
-// of sim.go's split queue (inline 4-ary heap + same-instant FIFO ring). Real
+// a fixed number of lanes (shards), each with its own clock and its own split
+// queue (sim.go's shardLane: inline 4-ary heap + same-instant FIFO ring). Real
 // goroutines execute lanes in parallel between barriers: in each epoch every
 // lane first drains its inbox rings, then executes events strictly below a
 // conservative horizon derived from the other lanes' earliest pending events
@@ -33,32 +33,10 @@ import (
 	"repro/internal/core"
 )
 
-type shardLane struct {
-	idx int
-	now core.Time
-	seq uint64
-
-	// heap + nowq duplicate the Simulator's split-queue idiom (see sim.go);
-	// the legacy single-queue path stays untouched so -threads 1 runs remain
-	// bit-identical to prior releases.
-	heap     []event
-	nowq     []event
-	nowqHead int
-
-	executed int64
-
-	next    core.Time // earliest pending instant, published at each barrier
-	horizon core.Time // exclusive execution bound for the current window
-}
-
-// farFuture is the sentinel "no pending event" instant (matching Run's
-// effectively-unbounded deadline in sim.go).
-const farFuture = core.Time(1<<62 - 1)
-
-// Q is a scheduling handle bound to one lane of a sharded simulator — or, on
-// an unsharded simulator, a thin delegate to the global queue. All simulation
-// code schedules through a Q so that the same source runs single-threaded and
-// sharded without modification. A Q is a small value; copy it freely.
+// Q is a scheduling handle bound to one lane of a simulator — the only lane of
+// a 1-lane run, or one shard of a sharded run. All simulation code schedules
+// through a Q so that the same source runs single-threaded and sharded
+// without modification. A Q is a small value; copy it freely.
 type Q struct {
 	s    *Simulator
 	lane *shardLane
@@ -67,35 +45,19 @@ type Q struct {
 // Sim returns the underlying simulator.
 func (q Q) Sim() *Simulator { return q.s }
 
-// Now returns the lane's virtual clock (the global clock when unsharded).
-// During a window a lane's clock is the timestamp of its currently executing
-// event, which may differ between lanes by up to the lookahead window.
-func (q Q) Now() core.Time {
-	if q.lane != nil {
-		return q.lane.now
-	}
-	return q.s.now
-}
+// Now returns the lane's virtual clock. During a window a lane's clock is the
+// timestamp of its currently executing event, which may differ between lanes
+// by up to the lookahead window.
+func (q Q) Now() core.Time { return q.lane.now }
 
 // LaneIndex reports which lane the handle is bound to (0 when unsharded).
-func (q Q) LaneIndex() int {
-	if q.lane != nil {
-		return q.lane.idx
-	}
-	return 0
-}
+func (q Q) LaneIndex() int { return q.lane.idx }
 
 // At schedules fn on this handle's lane at absolute instant t. It must only
 // be called from code executing on this lane (or during setup, before the
 // engine runs): lane queues are single-writer by construction. Cross-lane
 // scheduling goes through Post.
-func (q Q) At(t core.Time, fn func(now core.Time)) {
-	if q.lane != nil {
-		q.lane.at(t, fn)
-		return
-	}
-	q.s.At(t, fn)
-}
+func (q Q) At(t core.Time, fn func(now core.Time)) { q.lane.at(t, fn) }
 
 // After schedules fn d after the lane's current instant (negative d is zero).
 func (q Q) After(d core.Duration, fn func(now core.Time)) {
@@ -106,14 +68,14 @@ func (q Q) After(d core.Duration, fn func(now core.Time)) {
 }
 
 // Post schedules fn onto dst's lane at absolute instant t, from code executing
-// on q's lane. Same-lane (and unsharded) posts are ordinary At calls;
-// cross-lane posts are buffered in the (src,dst) ring and become visible at
-// the next barrier. t must be at least the sender's clock plus the engine's
+// on q's lane. Same-lane posts (every post of a 1-lane run) are ordinary At
+// calls; cross-lane posts are buffered in the (src,dst) ring and become
+// visible at the next barrier. t must be at least the sender's clock plus the engine's
 // lookahead — the invariant that makes conservative windows safe — and the
 // engine panics loudly on violations rather than corrupting the schedule.
 func (q Q) Post(dst Q, t core.Time, fn func(now core.Time)) {
-	if q.lane == nil || dst.lane == nil || q.lane == dst.lane {
-		dst.At(t, fn)
+	if q.lane == dst.lane {
+		dst.lane.at(t, fn)
 		return
 	}
 	sh := q.s.shard
@@ -187,14 +149,16 @@ type shardEngine struct {
 // EnableSharding splits the simulator into the given number of lanes executed
 // by the given number of worker goroutines, with the given lookahead (the
 // minimum latency of any cross-lane interaction; must be positive). It must
-// be called on a fresh simulator, before any event is scheduled. The lane
-// count — not the worker count — determines the schedule, so runs with
-// different worker counts over the same lane count are bit-identical.
+// be called on a fresh simulator, before any event is scheduled; the
+// simulator's own lane becomes lane 0, so handles taken from LaneQ(0) earlier
+// stay valid. The lane count — not the worker count — determines the
+// schedule, so runs with different worker counts over the same lane count are
+// bit-identical.
 func (s *Simulator) EnableSharding(lanes, workers int, lookahead core.Duration) {
 	if s.shard != nil {
 		panic("simkernel: EnableSharding called twice")
 	}
-	if s.now != 0 || len(s.heap) > 0 || len(s.nowq) > 0 {
+	if s.lane.now != 0 || s.lane.pending() > 0 {
 		panic("simkernel: EnableSharding on a simulator already in use")
 	}
 	if lookahead <= 0 {
@@ -216,14 +180,12 @@ func (s *Simulator) EnableSharding(lanes, workers int, lookahead core.Duration) 
 		lookahead: lookahead,
 		workers:   workers,
 	}
-	for i := range e.lanes {
+	e.lanes[0] = &s.lane
+	for i := 1; i < lanes; i++ {
 		e.lanes[i] = &shardLane{idx: i, next: farFuture}
 	}
 	s.shard = e
 }
-
-// Sharded reports whether the sharded engine is enabled.
-func (s *Simulator) Sharded() bool { return s.shard != nil }
 
 // NumLanes reports the lane count (1 on an unsharded simulator).
 func (s *Simulator) NumLanes() int {
@@ -242,11 +204,11 @@ func (s *Simulator) Lookahead() core.Duration {
 }
 
 // LaneQ returns the scheduling handle for lane i. On an unsharded simulator
-// every index returns the global-queue delegate, so callers can hold lane
+// every index returns the handle of its one lane, so callers can hold lane
 // handles unconditionally.
 func (s *Simulator) LaneQ(i int) Q {
 	if s.shard == nil {
-		return Q{s: s}
+		return Q{s: s, lane: &s.lane}
 	}
 	return Q{s: s, lane: s.shard.lanes[i]}
 }
@@ -264,7 +226,7 @@ func (s *Simulator) OnBarrier(fn func(now core.Time)) {
 	s.shard.hooks = append(s.shard.hooks, fn)
 }
 
-// laneNow returns the maximum lane clock: the instant of the globally last
+// maxLaneNow returns the maximum lane clock: the instant of the globally last
 // executed event.
 func (e *shardEngine) maxLaneNow() core.Time {
 	var t core.Time
@@ -278,7 +240,7 @@ func (e *shardEngine) maxLaneNow() core.Time {
 
 // run executes the epoch loop until the deadline, Stop, or queue exhaustion,
 // then folds lane counters back into the Simulator and returns the final
-// clock (mirroring RunUntil's contract).
+// clock (mirroring the 1-lane RunUntil's contract).
 func (e *shardEngine) run(deadline core.Time) core.Time {
 	e.deadline = deadline
 	e.exit = false
@@ -306,8 +268,7 @@ func (e *shardEngine) run(deadline core.Time) core.Time {
 		ln.executed = 0
 	}
 	e.s.Executed += total
-	e.s.now = e.exitNow
-	return e.s.now
+	return e.exitNow
 }
 
 // worker is one epoch-loop participant. Every epoch: drain inbox rings and
@@ -418,126 +379,20 @@ func (e *shardEngine) coordinate() {
 }
 
 // runWindow executes one lane's events strictly below its horizon (and not
-// past the run deadline), exactly as the legacy loop would: pop the (at, seq)
+// past the run deadline) with the 1-lane engine's pop: take the (at, seq)
 // minimum, advance the lane clock, dispatch.
 func (e *shardEngine) runWindow(ln *shardLane) {
-	h := ln.horizon
-	dl := e.deadline
+	bound := ln.horizon - 1
+	if e.deadline < bound {
+		bound = e.deadline
+	}
 	for {
-		t := ln.peekNext()
-		if t >= h || t > dl {
+		ev, ok := ln.pop(bound)
+		if !ok {
 			return
 		}
-		ev := ln.popMin()
 		ln.now = ev.at
 		ln.executed++
 		ev.fn(ev.at)
 	}
-}
-
-// --- lane-local split queue (duplicating sim.go's idiom; the legacy
-// single-queue code path is deliberately left untouched) ---
-
-// at schedules fn at absolute instant t on the lane.
-func (ln *shardLane) at(t core.Time, fn func(now core.Time)) {
-	if fn == nil {
-		panic("simkernel: At with nil callback")
-	}
-	if t < ln.now {
-		panic(fmt.Sprintf("simkernel: lane %d scheduling into the past (%v < %v)", ln.idx, t, ln.now))
-	}
-	ln.seq++
-	if t == ln.now {
-		ln.nowq = append(ln.nowq, event{at: t, seq: ln.seq, fn: fn})
-		return
-	}
-	ln.heapPush(event{at: t, seq: ln.seq, fn: fn})
-}
-
-// peekNext returns the earliest pending instant, or farFuture when empty.
-func (ln *shardLane) peekNext() core.Time {
-	t := farFuture
-	if len(ln.heap) > 0 {
-		t = ln.heap[0].at
-	}
-	if ln.nowqHead < len(ln.nowq) && ln.nowq[ln.nowqHead].at < t {
-		t = ln.nowq[ln.nowqHead].at
-	}
-	return t
-}
-
-// pending reports the number of queued events on the lane.
-func (ln *shardLane) pending() int { return len(ln.heap) + len(ln.nowq) - ln.nowqHead }
-
-// popMin removes and returns the (at, seq) minimum across heap and ring. The
-// caller guarantees the lane is non-empty.
-func (ln *shardLane) popMin() event {
-	useNowq := ln.nowqHead < len(ln.nowq)
-	if len(ln.heap) > 0 {
-		if !useNowq || eventBefore(&ln.heap[0], &ln.nowq[ln.nowqHead]) {
-			return ln.heapPop()
-		}
-	}
-	head := &ln.nowq[ln.nowqHead]
-	e := *head
-	*head = event{} // release the closure for the collector
-	ln.nowqHead++
-	if ln.nowqHead == len(ln.nowq) {
-		ln.nowq = ln.nowq[:0]
-		ln.nowqHead = 0
-	}
-	return e
-}
-
-// heapPush inserts e into the lane's 4-ary heap (see Simulator.heapPush).
-func (ln *shardLane) heapPush(e event) {
-	h := append(ln.heap, event{})
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) >> 2
-		if eventBefore(&h[p], &e) {
-			break
-		}
-		h[i] = h[p]
-		i = p
-	}
-	h[i] = e
-	ln.heap = h
-}
-
-// heapPop removes and returns the minimum (see Simulator.heapPop).
-func (ln *shardLane) heapPop() event {
-	h := ln.heap
-	min := h[0]
-	n := len(h) - 1
-	last := h[n]
-	h[n] = event{} // release the closure for the collector
-	h = h[:n]
-	if n > 0 {
-		i := 0
-		for {
-			c := 4*i + 1
-			if c >= n {
-				break
-			}
-			end := c + 4
-			if end > n {
-				end = n
-			}
-			m := c
-			for j := c + 1; j < end; j++ {
-				if eventBefore(&h[j], &h[m]) {
-					m = j
-				}
-			}
-			if eventBefore(&last, &h[m]) {
-				break
-			}
-			h[i] = h[m]
-			i = m
-		}
-		h[i] = last
-	}
-	ln.heap = h
-	return min
 }

@@ -1,6 +1,7 @@
 package simkernel
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -174,5 +175,62 @@ func TestSimulatorMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestLaneQAndSimulatorShareOneQueue: a sequential simulator is the 1-lane
+// engine, so Simulator.At and the LaneQ(0) handle feed one queue with one
+// sequence counter, and interleaved schedules run in a single (at, seq)
+// order.
+func TestLaneQAndSimulatorShareOneQueue(t *testing.T) {
+	s := NewSimulator()
+	q := s.LaneQ(0)
+	var order []string
+	rec := func(name string) func(core.Time) {
+		return func(core.Time) { order = append(order, name) }
+	}
+	s.At(core.Time(2*core.Microsecond), rec("s2a"))
+	q.At(core.Time(1*core.Microsecond), rec("q1"))
+	q.At(core.Time(2*core.Microsecond), rec("q2"))
+	s.At(core.Time(2*core.Microsecond), rec("s2b"))
+	s.At(core.Time(1*core.Microsecond), func(now core.Time) {
+		order = append(order, "s1")
+		// Same-instant events from both front ends land behind everything
+		// already queued for this instant, in call order.
+		q.At(now, rec("q1-now"))
+		s.At(now, rec("s1-now"))
+		q.After(core.Microsecond, rec("q2-after"))
+	})
+	s.Run()
+	want := []string{"q1", "s1", "q1-now", "s1-now", "s2a", "q2", "s2b", "q2-after"}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("order %v, want %v", order, want)
+	}
+	if q.Now() != s.Now() || s.Now() != core.Time(2*core.Microsecond) {
+		t.Fatalf("lane clock %v, simulator clock %v, want both at 2µs", q.Now(), s.Now())
+	}
+	if s.Executed != int64(len(want)) {
+		t.Fatalf("Executed = %d, want %d", s.Executed, len(want))
+	}
+}
+
+// TestRunUntilParksClockOnlyWithEventsLeft pins RunUntil's deadline rule: the
+// clock moves to the deadline only when events remain beyond it; a queue that
+// drains first leaves the clock at the last executed event.
+func TestRunUntilParksClockOnlyWithEventsLeft(t *testing.T) {
+	s := NewSimulator()
+	s.At(core.Time(core.Millisecond), func(core.Time) {})
+	if now := s.RunUntil(core.Time(5 * core.Millisecond)); now != core.Time(core.Millisecond) {
+		t.Fatalf("drained run left the clock at %v, want the last event's 1ms", now)
+	}
+	s.LaneQ(0).At(core.Time(9*core.Millisecond), func(core.Time) {})
+	if now := s.RunUntil(core.Time(5 * core.Millisecond)); now != core.Time(5*core.Millisecond) {
+		t.Fatalf("run with an event beyond the deadline left the clock at %v, want 5ms", now)
+	}
+	if s.LaneQ(0).Now() != s.Now() {
+		t.Fatalf("lane clock %v differs from simulator clock %v", s.LaneQ(0).Now(), s.Now())
+	}
+	if now := s.Run(); now != core.Time(9*core.Millisecond) || s.Pending() != 0 {
+		t.Fatalf("resume ended at %v with %d pending, want 9ms and none", now, s.Pending())
 	}
 }
