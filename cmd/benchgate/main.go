@@ -26,8 +26,8 @@
 //
 // Usage:
 //
-//	benchgate -emit BENCH_PR10.json         # refresh the baseline
-//	benchgate -baseline BENCH_PR10.json -candidate new.json
+//	benchgate -emit BENCH_PR14.json         # refresh the baseline
+//	benchgate -baseline BENCH_PR14.json -candidate new.json
 //	benchgate -crosscheck 4                 # parallel == sequential, bit for bit
 package main
 

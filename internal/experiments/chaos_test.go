@@ -40,17 +40,7 @@ func TestChaosRunsAreDeterministicAcrossThreads(t *testing.T) {
 		spec := DefaultSpec(c.server, 400, 251)
 		spec.Connections = 1500
 		c.mutate(&spec)
-		want := gatedMetrics(Run(spec))
-		for _, threads := range []int{2, 8} {
-			spec.Threads = threads
-			res := Run(spec)
-			if res.Threads != threads {
-				t.Errorf("%s threads=%d: engine fell back to %d threads", c.name, threads, res.Threads)
-			}
-			if got := gatedMetrics(res); got != want {
-				t.Errorf("%s threads=%d diverged from sequential:\nseq: %s\npar: %s", c.name, threads, want, got)
-			}
-		}
+		requireThreadIndependent(t, c.name, spec)
 	}
 }
 

@@ -156,17 +156,6 @@ func TestParallelMatchesSequentialMostlyIdle(t *testing.T) {
 	}
 	for _, spec := range specs {
 		spec.Seed = 1
-		want := gatedMetrics(Run(spec))
-		for _, threads := range []int{2, 8} {
-			spec.Threads = threads
-			res := Run(spec)
-			if res.Threads != threads {
-				t.Errorf("%s threads=%d: engine fell back to %d threads", spec.Server, threads, res.Threads)
-			}
-			if got := gatedMetrics(res); got != want {
-				t.Errorf("%s/%s threads=%d diverged from sequential:\nseq: %s\npar: %s",
-					spec.Server, spec.Workload, threads, want, got)
-			}
-		}
+		requireThreadIndependent(t, string(spec.Server)+"/"+spec.Workload, spec)
 	}
 }

@@ -291,7 +291,8 @@ type RunSpec struct {
 	// lane per simulated CPU plus a driver lane, synchronised by RTT
 	// lookahead, and runs it on N goroutines. Figures are byte-identical
 	// across thread counts. Configurations the sharded engine cannot host
-	// (round-robin listener sharding, prefork handoff mode, a TIME-WAIT
+	// (round-robin listener sharding, prefork handoff mode, multi-worker
+	// prefork on a backend that charges wakeups to CPU 0, a TIME-WAIT
 	// shorter than the lookahead window) run sequentially instead, and
 	// RunResult.Fallback says why.
 	Threads int
@@ -352,14 +353,18 @@ type RunResult struct {
 	PerWorkerServed   []int64
 	VirtualTime       core.Duration
 	EventLoops        int64
+	// Events is the number of simulated events the run executed: with wall
+	// time it splits a speed change into "more events" and "slower events".
+	Events int64
 
 	// Threads is the number of OS threads that actually drove the run: the
 	// spec's request, downgraded to 1 when the configuration was ineligible
 	// for the sharded engine.
 	Threads int
 	// Fallback names why the sharded engine refused the spec's Threads
-	// request (round-robin listener sharding, prefork handoff, or a TIME-WAIT
-	// below the lookahead); empty when the run used the threads it asked for.
+	// request (round-robin listener sharding, prefork handoff, SMP wakeup
+	// interrupts charged to CPU 0, or a TIME-WAIT below the lookahead); empty
+	// when the run used the threads it asked for.
 	Fallback string
 }
 
@@ -725,6 +730,7 @@ func RunE(spec RunSpec) (RunResult, error) {
 		Load:              gen.Result(),
 		Server:            srv.Stats(),
 		VirtualTime:       k.Now().Sub(0),
+		Events:            k.Sim.Executed,
 		PerCPUUtilization: k.Sched.Utilizations(k.Now()),
 		Workers:           1,
 		Threads:           threads,
@@ -825,8 +831,9 @@ func minRTT(netCfg netsim.Config, lcfg loadgen.Config) core.Duration {
 // engine's eligibility rules. It returns 1 (sequential) and the reason when
 // the configuration cannot be parallelised: round-robin listener sharding
 // mutates shared state per connection, prefork handoff adopts connections
-// across workers, and a TIME-WAIT shorter than the lookahead window cannot
-// defer port releases.
+// across workers, a multi-worker prefork on epoll, devpoll or rtsig charges
+// wakeup interrupts to CPU 0 from the other CPUs' lanes, and a TIME-WAIT
+// shorter than the lookahead window cannot defer port releases.
 func parallelThreads(spec RunSpec, rk resolvedKind, netCfg netsim.Config, lcfg loadgen.Config) (threads int, fallback string) {
 	if spec.Threads < 2 {
 		return 1, ""
@@ -842,6 +849,9 @@ func parallelThreads(spec RunSpec, rk resolvedKind, netCfg netsim.Config, lcfg l
 		if mode == prefork.ModeHandoff {
 			return 1, "prefork handoff"
 		}
+		if rk.workers > 1 && !steersInterrupts(rk.backend) {
+			return 1, "SMP wakeup interrupts charged to CPU 0"
+		}
 	}
 	tw := netCfg.TimeWait
 	if tw <= 0 {
@@ -853,11 +863,20 @@ func parallelThreads(spec RunSpec, rk resolvedKind, netCfg netsim.Config, lcfg l
 	return spec.Threads, ""
 }
 
+// steersInterrupts reports whether a backend's interrupt-context work stays on
+// the waiting process's own CPU. Stock poll charges none and compio posts
+// completions on the ring owner's CPU; epoll, devpoll and rtsig charge their
+// wakeup interrupts to CPU 0, which on a sharded SMP run is another lane's
+// CPU written from a worker's lane.
+func steersInterrupts(backend string) bool {
+	return backend == "poll" || backend == "compio"
+}
+
 // Describe renders a short human-readable summary of one run, ending with the
 // reason for a sequential fallback when the sharded engine refused it.
 func Describe(r RunResult) string {
-	s := fmt.Sprintf("%-15s %s cpu=%4.0f%% loops=%d mode=%s",
-		r.Spec.Server, r.Load.String(), 100*r.CPUUtilization, r.EventLoops, r.FinalMode)
+	s := fmt.Sprintf("%-15s %s cpu=%4.0f%% loops=%d events=%d mode=%s",
+		r.Spec.Server, r.Load.String(), 100*r.CPUUtilization, r.EventLoops, r.Events, r.FinalMode)
 	if r.Fallback != "" {
 		s += " sequential: " + r.Fallback
 	}

@@ -252,7 +252,6 @@ type Generator struct {
 	// on a parallel run; the driver lane only launches connections.
 	pushPayload int
 	pushMembers []*pushMember
-	pushByConn  map[*netsim.ClientConn]*pushMember
 	pushDone    int
 	pushClosing bool
 
@@ -467,14 +466,7 @@ func (g *Generator) Start(now core.Time) {
 // interval with uniform jitter.
 func (g *Generator) scheduleConstant(now, at core.Time) {
 	interval := core.Duration(float64(core.Second) / g.connRate())
-	for i := 0; i < g.cfg.Connections; i++ {
-		launch := at.Add(g.jitterFor(interval))
-		if launch < now {
-			launch = now
-		}
-		g.driverQ.At(launch, g.launchOne)
-		at = at.Add(interval)
-	}
+	g.driverQ.AtEach(g.steadyLaunches(now, at, interval), g.launchOne)
 }
 
 // scheduleFlashCrowd issues burst trains: BurstFactor times the configured
@@ -503,20 +495,18 @@ func (g *Generator) scheduleFlashCrowd(now, at core.Time) {
 	if quietRate < rate/100 {
 		quietRate = rate / 100
 	}
+	times := make([]core.Time, g.cfg.Connections)
 	offset := core.Duration(0)
-	for i := 0; i < g.cfg.Connections; i++ {
+	for i := range times {
 		r := burstRate
 		if offset%period >= burst {
 			r = quietRate
 		}
 		interval := core.Duration(float64(core.Second) / r)
-		launch := at.Add(offset).Add(g.jitterFor(interval))
-		if launch < now {
-			launch = now
-		}
-		g.driverQ.At(launch, g.launchOne)
+		times[i] = max(at.Add(offset).Add(g.jitterFor(interval)), now)
 		offset += interval
 	}
+	g.driverQ.AtEach(times, g.launchOne)
 }
 
 // schedulePareto draws inter-arrival gaps from a Pareto distribution with
@@ -530,13 +520,10 @@ func (g *Generator) schedulePareto(now, at core.Time) {
 	}
 	mean := 1 / g.connRate() // seconds
 	xm := mean * (alpha - 1) / alpha
+	times := make([]core.Time, g.cfg.Connections)
 	offset := core.Duration(0)
-	for i := 0; i < g.cfg.Connections; i++ {
-		launch := at.Add(offset)
-		if launch < now {
-			launch = now
-		}
-		g.driverQ.At(launch, g.launchOne)
+	for i := range times {
+		times[i] = max(at.Add(offset), now)
 		u := 1 - g.rng.Float64() // (0, 1]
 		gap := xm / math.Pow(u, 1/alpha)
 		if gap > 100*mean {
@@ -544,6 +531,19 @@ func (g *Generator) schedulePareto(now, at core.Time) {
 		}
 		offset += core.Duration(gap * float64(core.Second))
 	}
+	g.driverQ.AtEach(times, g.launchOne)
+}
+
+// steadyLaunches returns Config.Connections launch instants from at onward,
+// one per interval with uniform jitter and clamped to now: the schedule of
+// the constant arrival process, the push member ramp and the DHT peer joins.
+func (g *Generator) steadyLaunches(now, at core.Time, interval core.Duration) []core.Time {
+	times := make([]core.Time, g.cfg.Connections)
+	for i := range times {
+		times[i] = max(at.Add(g.jitterFor(interval)), now)
+		at = at.Add(interval)
+	}
+	return times
 }
 
 // connRate is the connection-launch rate: the configured request rate spread

@@ -39,23 +39,14 @@ func (g *Generator) startPush(now core.Time) {
 	if memberRate <= 0 {
 		memberRate = 50000
 	}
-	g.pushByConn = make(map[*netsim.ClientConn]*pushMember, g.cfg.Connections)
 	g.pushMembers = make([]*pushMember, 0, g.cfg.Connections)
 
 	interval := core.Duration(float64(core.Second) / memberRate)
-	at := now
-	for i := 0; i < g.cfg.Connections; i++ {
-		launch := at.Add(g.jitterFor(interval))
-		if launch < now {
-			launch = now
-		}
-		g.driverQ.At(launch, g.launchMember)
-		at = at.Add(interval)
-	}
+	g.driverQ.AtEach(g.steadyLaunches(now, now, interval), g.launchMember)
 	// Measurement begins once the population is established (the paper's
 	// procedure for its inactive load): deliveries the server initiates
 	// during the ramp are delivered but not booked.
-	g.started = at.Add(400 * core.Millisecond)
+	g.started = now.Add(core.Duration(g.cfg.Connections) * interval).Add(400 * core.Millisecond)
 }
 
 // launchMember opens one member connection from the driver lane.
@@ -71,7 +62,7 @@ func (g *Generator) launchMember(now core.Time) {
 // finishes arriving, so the measured latency spans eventlib arming, the write
 // (including any window jam and drain) and the wire.
 func (g *Generator) PushDeliver(now core.Time, sc *netsim.ServerConn) {
-	m := g.pushByConn[sc.Peer()]
+	m, _ := sc.Peer().Handler().(*pushMember)
 	if m == nil || m.resolved {
 		return
 	}
@@ -101,7 +92,6 @@ func (m *pushMember) Connected(now core.Time) {
 		g.resolveKeepAlive(m.conn.Q(), now)
 		return
 	}
-	g.pushByConn[m.conn] = m
 	g.pushMembers = append(g.pushMembers, m)
 	m.conn.Send(now, pushSubscribe)
 }
@@ -203,15 +193,7 @@ func (g *Generator) startDHT(now core.Time) {
 
 	g.started = now
 	interval := core.Duration(float64(core.Second) / churn)
-	at := now
-	for i := 0; i < g.cfg.Connections; i++ {
-		launch := at.Add(g.jitterFor(interval))
-		if launch < now {
-			launch = now
-		}
-		g.driverQ.At(launch, g.launchPeer)
-		at = at.Add(interval)
-	}
+	g.driverQ.AtEach(g.steadyLaunches(now, now, interval), g.launchPeer)
 }
 
 // launchPeer joins one peer from the driver lane.

@@ -190,6 +190,10 @@ func (c *ClientConn) Transport() Transport { return Stream }
 // (timeouts, think times) must target it.
 func (c *ClientConn) Q() simkernel.Q { return c.q }
 
+// Handler returns the ConnHandler the connection reports to, so a client
+// holding only the connection can reach its own per-connection state.
+func (c *ClientConn) Handler() ConnHandler { return c.h }
+
 // BytesReceived reports how many response bytes have arrived.
 func (c *ClientConn) BytesReceived() int { return c.bytesReceived }
 

@@ -3,7 +3,7 @@ package simkernel
 // Sharded (parallel) execution engine: a conservative parallel discrete-event
 // core in the Chandy–Misra–Bryant style. The pending-event set is split across
 // a fixed number of lanes (shards), each with its own clock and its own split
-// queue (sim.go's shardLane: inline 4-ary heap + same-instant FIFO ring). Real
+// queue (sim.go's shardLane: inline 4-ary heap + sorted FIFO runs). Real
 // goroutines execute lanes in parallel between barriers: in each epoch every
 // lane first drains its inbox rings, then executes events strictly below a
 // conservative horizon derived from the other lanes' earliest pending events
@@ -58,6 +58,18 @@ func (q Q) LaneIndex() int { return q.lane.idx }
 // engine runs): lane queues are single-writer by construction. Cross-lane
 // scheduling goes through Post.
 func (q Q) At(t core.Time, fn func(now core.Time)) { q.lane.at(t, fn) }
+
+// AtEach schedules fn at every instant in times on this handle's lane, firing
+// in exactly the order that len(times) At calls in slice order would: the
+// call reserves len(times) consecutive sequence numbers up front, so the
+// series' keys interleave with every other event's as those calls' keys
+// would. Only the next instant is queued at any moment, so a long launch
+// schedule costs the queue one event, not one per instant; Pending still
+// counts the rest. AtEach takes ownership of times and sorts it if it is not
+// sorted already; instants that tie call the same fn at the same time, so
+// which reserved number each one takes cannot be observed. Scheduling any
+// instant in the past panics, as At does.
+func (q Q) AtEach(times []core.Time, fn func(now core.Time)) { q.lane.atEach(times, fn) }
 
 // After schedules fn d after the lane's current instant (negative d is zero).
 func (q Q) After(d core.Duration, fn func(now core.Time)) {
@@ -318,7 +330,7 @@ func (e *shardEngine) drainLane(j int) {
 					r.at, j, ln.now))
 			}
 			ln.seq++
-			ln.heapPush(event{at: r.at, seq: ln.seq, fn: r.fn})
+			ln.push(event{at: r.at, seq: ln.seq, fn: r.fn})
 			r.fn = nil // release the closure for the collector
 		}
 		ring.recs = ring.recs[:0]

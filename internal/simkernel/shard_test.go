@@ -14,7 +14,7 @@ const testLookahead = 100 * core.Microsecond
 // runChainWorkload drives a deterministic cross-lane workload through a
 // sharded simulator: chains of events hop between lanes with pseudo-random
 // (but seed-determined) delays of at least the lookahead, occasionally
-// spawning same-instant local events to exercise the per-lane FIFO ring. It
+// spawning same-instant local events to exercise the per-lane sorted runs. It
 // returns the per-lane execution logs — the sequence of events each lane
 // dispatched, in order — and the lane-agnostic sorted multiset of all events.
 func runChainWorkload(t *testing.T, lanes, workers int) (perLane []string, multiset []string) {
@@ -42,7 +42,7 @@ func runChainWorkload(t *testing.T, lanes, workers int) (perLane []string, multi
 			rng = rng*6364136223846793005 + 1442695040888963407
 			delay := la + core.Duration((rng>>33)%uint64(3*la))
 			if (rng>>13)&7 == 0 {
-				// Same-instant local event: lands on the lane's FIFO ring.
+				// Same-instant local event: lands on one of the lane's sorted runs.
 				self.At(now, func(z core.Time) {
 					logs[lane] = append(logs[lane], fmt.Sprintf("c%d h%dz @%d", chain, hop, z))
 				})

@@ -7,7 +7,10 @@
 // There is one event engine. A simulator runs as a single lane (virtual
 // clock plus event queue); a sharded run (shard.go) splits the pending set
 // across several such lanes executed in parallel, and a sequential run is
-// simply the 1-lane case.
+// simply the 1-lane case. A lane's queue is a 4-ary heap beside a few sorted
+// FIFO runs, so the time-ordered streams that make up most of a run (same-
+// instant work, fixed-delay timeouts, launch schedules) never sift through
+// the heap; Q.AtEach feeds a whole launch schedule one instant at a time.
 //
 // The real paper measured a Linux 2.2.14 kernel on a 400 MHz AMD K6-2. A Go
 // library cannot reproduce that kernel interface directly, so this package
@@ -17,6 +20,7 @@ package simkernel
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 )
@@ -44,13 +48,18 @@ func eventBefore(a, b *event) bool {
 
 // lane is one event queue with its own virtual clock: the whole pending set
 // of a sequential run, or one shard of a sharded run (see shard.go). The
-// pending set is split between a hand-rolled inline-value 4-ary min-heap
-// (ordered by (at, seq)) and a same-instant FIFO ring: events scheduled for
-// exactly the lane's current instant — batch completions on an idle CPU,
-// immediate wakeups, deferred effects — skip the heap entirely. Both
-// structures reuse their backing storage across the run, so steady-state
-// scheduling performs no allocation at all. Pop order is the (at, seq)
-// minimum across both, bit-identical to a single binary heap.
+// pending set is split between a hand-rolled inline-value 4-ary min-heap and
+// a small fixed set of sorted FIFO runs, all ordered by (at, seq). Most of a
+// simulation's events arrive as interleaved streams that are each already in
+// time order — same-instant completions, fixed-delay client timeouts,
+// constant-RTT segment deliveries, a launch series — so an event is appended
+// to the run whose last event is the latest one still (at, seq)-before it,
+// and only an event no run can take sifts through the heap. Pop takes the
+// (at, seq) minimum over the heap root and the run heads. Every structure
+// reuses its backing storage across the run, so steady-state scheduling
+// performs no allocation. Because (at, seq) keys are unique, any exact
+// priority queue over them pops the same order: the split changes what a
+// schedule costs the host, never the order events fire in.
 type shardLane struct {
 	idx int
 	now core.Time
@@ -61,19 +70,35 @@ type shardLane struct {
 	// comparisons inside one or two cache lines of the inline event values.
 	heap []event
 
-	// nowq is the same-instant fast path: a FIFO ring (head index into a
-	// reused slice) of events whose scheduled time equalled the lane's clock
-	// at schedule time. The clock only moves forward and sequence numbers
-	// only grow, so the ring is always sorted by (at, seq) and its head is a
-	// valid candidate for the lane minimum.
-	nowq     []event
-	nowqHead int
+	// runs are the sorted FIFO runs; see push.
+	runs [numRuns]run
+
+	// deferred counts AtEach instants not yet queued (see series).
+	deferred int
 
 	executed int64
 
 	next    core.Time // earliest pending instant, published at each barrier
 	horizon core.Time // exclusive execution bound for the current window
 }
+
+// numRuns is the number of sorted runs beside each lane's heap: enough for
+// the streams a server run interleaves (same-instant work, segment
+// deliveries, timeouts, TIME-WAIT expiry, the launch series) with a spare,
+// few enough that scanning the run heads on every pop stays cheap.
+const numRuns = 8
+
+// run is one sorted FIFO run: ev[head:] in ascending (at, seq) order.
+type run struct {
+	ev   []event
+	head int
+}
+
+// compactMin is the consumed-prefix length from which a run that never
+// drains (a timeout stream always has the next timeouts queued) slides its
+// live events back to the front of the backing array, once they are at most
+// half of it, so the array stays bounded by twice the run's live length.
+const compactMin = 256
 
 // farFuture is the sentinel "no pending event" instant and Run's effectively
 // unbounded deadline.
@@ -85,61 +110,158 @@ func (ln *shardLane) at(t core.Time, fn func(now core.Time)) {
 	if fn == nil {
 		panic("simkernel: At with nil callback")
 	}
+	ln.checkPast(t)
+	ln.seq++
+	ln.push(event{at: t, seq: ln.seq, fn: fn})
+}
+
+// checkPast panics if t lies before the lane clock.
+func (ln *shardLane) checkPast(t core.Time) {
 	if t < ln.now {
 		panic(fmt.Sprintf("simkernel: lane %d scheduling into the past (%v < %v)", ln.idx, t, ln.now))
 	}
-	ln.seq++
-	if t == ln.now {
-		ln.nowq = append(ln.nowq, event{at: t, seq: ln.seq, fn: fn})
+}
+
+// push queues e: onto the run whose last event is the latest one still
+// (at, seq)-before e (an empty run qualifies, as a last resort), or onto the
+// heap when every run already ends after e. Choosing the latest qualifying
+// tail (best fit, as in patience sorting) keeps the runs with earlier tails
+// free for events that arrive later but fall due sooner — a same-instant
+// completion scheduled after a timeout, say — so each interleaved stream
+// keeps a run of its own.
+func (ln *shardLane) push(e event) {
+	best := -1
+	var bestTail *event
+	for i := range ln.runs {
+		r := &ln.runs[i]
+		if r.head == len(r.ev) {
+			if best < 0 {
+				best = i
+			}
+			continue
+		}
+		tail := &r.ev[len(r.ev)-1]
+		if eventBefore(tail, &e) && (bestTail == nil || eventBefore(bestTail, tail)) {
+			best, bestTail = i, tail
+		}
+	}
+	if best < 0 {
+		ln.heapPush(e)
 		return
 	}
-	ln.heapPush(event{at: t, seq: ln.seq, fn: fn})
+	ln.runs[best].ev = append(ln.runs[best].ev, e)
 }
 
 // peekNext returns the earliest pending instant, or farFuture when empty.
 func (ln *shardLane) peekNext() core.Time {
-	t := farFuture
-	if len(ln.heap) > 0 {
-		t = ln.heap[0].at
+	if m, _ := ln.min(); m != nil {
+		return m.at
 	}
-	if ln.nowqHead < len(ln.nowq) && ln.nowq[ln.nowqHead].at < t {
-		t = ln.nowq[ln.nowqHead].at
-	}
-	return t
+	return farFuture
 }
 
-// pending reports the number of queued events on the lane.
-func (ln *shardLane) pending() int { return len(ln.heap) + len(ln.nowq) - ln.nowqHead }
+// min locates the lane's (at, seq) minimum: the heap root or a run head. src
+// is the run index, or -1 for the heap; m is nil on an empty lane.
+func (ln *shardLane) min() (m *event, src int) {
+	src = -1
+	if len(ln.heap) > 0 {
+		m = &ln.heap[0]
+	}
+	for i := range ln.runs {
+		r := &ln.runs[i]
+		if r.head < len(r.ev) {
+			if h := &r.ev[r.head]; m == nil || eventBefore(h, m) {
+				m, src = h, i
+			}
+		}
+	}
+	return m, src
+}
+
+// pending reports the number of scheduled, not yet executed events on the
+// lane, including AtEach instants not yet queued.
+func (ln *shardLane) pending() int {
+	n := len(ln.heap) + ln.deferred
+	for i := range ln.runs {
+		n += len(ln.runs[i].ev) - ln.runs[i].head
+	}
+	return n
+}
 
 // pop removes and returns the lane's (at, seq) minimum if it lies at or before
 // bound; otherwise (or on an empty lane) ok is false and nothing changes. The
 // lane clock is the caller's to advance.
 func (ln *shardLane) pop(bound core.Time) (e event, ok bool) {
-	useNowq := ln.nowqHead < len(ln.nowq)
-	if len(ln.heap) > 0 {
-		if !useNowq || eventBefore(&ln.heap[0], &ln.nowq[ln.nowqHead]) {
-			if ln.heap[0].at > bound {
-				return event{}, false
-			}
-			return ln.heapPop(), true
-		}
-	}
-	if !useNowq {
+	m, src := ln.min()
+	if m == nil || m.at > bound {
 		return event{}, false
 	}
-	head := &ln.nowq[ln.nowqHead]
-	if head.at > bound {
-		return event{}, false
+	if src < 0 {
+		return ln.heapPop(), true
 	}
-	e = *head
-	*head = event{} // release the closure for the collector
-	ln.nowqHead++
-	if ln.nowqHead == len(ln.nowq) {
-		// Drained: rewind the ring so the backing array is reused.
-		ln.nowq = ln.nowq[:0]
-		ln.nowqHead = 0
+	r := &ln.runs[src]
+	e = *m
+	*m = event{} // release the closure for the collector
+	r.head++
+	switch {
+	case r.head == len(r.ev):
+		// Drained: rewind so the backing array is reused.
+		r.ev = r.ev[:0]
+		r.head = 0
+	case r.head >= compactMin && 2*r.head >= len(r.ev):
+		n := copy(r.ev, r.ev[r.head:])
+		clear(r.ev[n:]) // the moved events' old slots
+		r.ev = r.ev[:n]
+		r.head = 0
 	}
 	return e, true
+}
+
+// atEach schedules fn at every instant in times (see Q.AtEach).
+func (ln *shardLane) atEach(times []core.Time, fn func(now core.Time)) {
+	if fn == nil {
+		panic("simkernel: AtEach with nil callback")
+	}
+	if len(times) == 0 {
+		return
+	}
+	if !slices.IsSorted(times) {
+		slices.Sort(times)
+	}
+	ln.checkPast(times[0])
+	sr := &series{ln: ln, times: times, seq: ln.seq + 1, fn: fn}
+	sr.fire = sr.step
+	ln.seq += uint64(len(times))
+	ln.deferred += len(times) - 1
+	ln.push(event{at: times[0], seq: sr.seq, fn: sr.fire})
+}
+
+// series is an AtEach schedule: sorted instants whose sequence numbers were
+// reserved as one consecutive block, of which only the next is queued. Its
+// events take the block's numbers in time order, so the lane pops the same
+// order as with one At call per instant; only the host cost differs, since
+// the rest of the series never enters the queue.
+type series struct {
+	ln    *shardLane
+	times []core.Time
+	i     int    // index of the queued instant
+	seq   uint64 // sequence number of times[0]
+	fn    func(now core.Time)
+	fire  func(now core.Time) // step, bound once
+}
+
+// step runs one instant of the series, first queueing the next one so the
+// series stays visible to the lane's minimum (and its Pending count) while
+// fn executes.
+func (sr *series) step(now core.Time) {
+	sr.i++
+	if sr.i < len(sr.times) {
+		sr.ln.deferred--
+		sr.ln.push(event{at: sr.times[sr.i], seq: sr.seq + uint64(sr.i), fn: sr.fire})
+	} else {
+		sr.times = nil
+	}
+	sr.fn(now)
 }
 
 // heapPush inserts e, sifting the insertion hole up (moving parents down
