@@ -50,6 +50,35 @@ func requireThreadIndependent(t *testing.T, name string, spec RunSpec) {
 	}
 }
 
+// TestSequentialEventCounts pins the number of events a sequential run
+// executes for each launch schedule loadgen feeds through Q.AtEach (constant,
+// flash crowd, Pareto, push members, DHT peers). The counts were recorded
+// with the queue's previous layout, a heap plus a same-instant ring fed one
+// At call per launch: a change to how the queue stores events may change
+// what an event costs, never how many a run executes.
+func TestSequentialEventCounts(t *testing.T) {
+	mk := func(server ServerKind, workload string) RunSpec {
+		s := DefaultSpec(server, 400, 251)
+		s.Connections = 1500
+		s.Workload = workload
+		return s
+	}
+	for _, c := range []struct {
+		spec RunSpec
+		want int64
+	}{
+		{mk(ServerThttpdEpoll, ""), 24617},
+		{mk(ServerThttpdDevPoll, "flashcrowd"), 15218},
+		{mk(ServerThttpdDevPoll, "pareto"), 20105},
+		{RunSpec{Server: "push-epoll", Workload: "push", RequestRate: 1600, Connections: 1000, Seed: 1}, 5866},
+		{RunSpec{Server: "dht-epoll", Workload: "dhtchurn", RequestRate: 1000, Connections: 200, Seed: 1}, 7495},
+	} {
+		if got := Run(c.spec).Events; got != c.want {
+			t.Errorf("%s/%s: executed %d events, want %d", c.spec.Server, c.spec.Workload, got, c.want)
+		}
+	}
+}
+
 // TestParallelMatchesSequential pins the tentpole determinism claim: for every
 // server family, a sharded run produces byte-identical deterministic metrics
 // at any thread count, including the single-threaded legacy engine.
