@@ -68,7 +68,7 @@ bench-smoke:
 # all server families and both dual-mechanism switching paths, so
 # dispatch-loop regressions fail the workflow even when unit tests miss them.
 ablation-smoke:
-	$(GO) run ./cmd/sweep -ablation -connections 600 -quiet > /dev/null
+	$(GO) run ./cmd/benchfig -ablation -connections 600 -quiet > /dev/null
 
 # The simulation promises byte-identical output for identical inputs AND for
 # any kernel thread count; run one rate figure, one multi-worker scaling

@@ -10,7 +10,7 @@
 //
 // Reduced-size runs are used so `go test -bench=. -benchmem` finishes in
 // minutes; pass -figconns to scale up (the paper used 35000 connections per
-// point, cf. cmd/benchfig and cmd/sweep).
+// point, cf. cmd/benchfig).
 package repro
 
 import (
@@ -20,6 +20,7 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/loadgen"
 	"repro/internal/netsim"
 	"repro/internal/servers/httpcore"
 	"repro/internal/servers/prefork"
@@ -154,19 +155,22 @@ func BenchmarkExtThttpdCompioLoad501(b *testing.B) {
 // mmap response cache and sendfile write path. Connections counts offered
 // requests, so every variant serves the same request budget.
 func BenchmarkExtKeepAlive(b *testing.B) {
+	pipelined := loadgen.ClientProfile{
+		RequestsPerConn: experiments.KeepAliveRequests,
+		PipelineDepth:   experiments.KeepAliveRequests,
+	}
 	variants := []struct {
 		name string
 		spec experiments.RunSpec
 	}{
 		{"http10", experiments.RunSpec{}},
 		{"keepalive", experiments.RunSpec{
-			HTTP:            httpcore.Options{KeepAlive: true},
-			RequestsPerConn: experiments.KeepAliveRequests,
+			HTTP:   httpcore.Options{KeepAlive: true},
+			Client: loadgen.ClientProfile{RequestsPerConn: experiments.KeepAliveRequests},
 		}},
 		{"pipelined", experiments.RunSpec{
-			HTTP:            httpcore.Options{KeepAlive: true},
-			RequestsPerConn: experiments.KeepAliveRequests,
-			PipelineDepth:   experiments.KeepAliveRequests,
+			HTTP:   httpcore.Options{KeepAlive: true},
+			Client: pipelined,
 		}},
 		{"cached-sendfile", experiments.RunSpec{
 			HTTP: httpcore.Options{
@@ -174,8 +178,7 @@ func BenchmarkExtKeepAlive(b *testing.B) {
 				CacheKB:   64,
 				WriteMode: httpcore.WriteSendfile,
 			},
-			RequestsPerConn: experiments.KeepAliveRequests,
-			PipelineDepth:   experiments.KeepAliveRequests,
+			Client: pipelined,
 		}},
 	}
 	for _, v := range variants {

@@ -1,14 +1,17 @@
-// Command benchfig regenerates one of the paper's figures (4 through 14), an
-// extension figure (15+: epoll, prefork scaling) or an overload figure (19+:
-// reply rate and p99 latency past saturation under a named workload), by
-// sweeping the request rate (or worker count) for the figure's configuration
-// and printing the resulting data series as a text table.
+// Command benchfig regenerates the evaluation: the paper's figures (4-14),
+// the extension figures (15+: epoll, prefork scaling, overload workloads,
+// scale, keep-alive, mostly-idle and chaos) and the ablation studies described
+// in DESIGN.md. Each figure sweeps its axis (request rate, worker count, churn
+// rate or a fault knob) for every curve and prints the data series as a text
+// table, suitable for pasting into EXPERIMENTS.md.
 //
 // Usage:
 //
+//	benchfig                        # the default sweep: every figure that does not pin its own size
 //	benchfig -fig 8                 # quick, scaled-down run of Figure 8
+//	benchfig -fig 8,9,10            # a set of figures
 //	benchfig -fig 16                # extension: all four mechanisms incl. epoll
-//	benchfig -fig 17                # extension: prefork worker scaling
+//	benchfig -fig 17,18 -workers 1,2,4   # prefork worker scaling
 //	benchfig -fig 20                # overload: flash-crowd bursts, four mechanisms
 //	benchfig -fig 12 -workload slowloris  # re-run a paper figure under an adversarial workload
 //	benchfig -fig 19 -percentiles   # append the per-point latency percentile table
@@ -17,6 +20,8 @@
 //	benchfig -fig 10 -connections 35000   # the paper's full-size procedure
 //	benchfig -fig 37                # server push at 100k mostly-idle members
 //	benchfig -fig 39 -churn-rate 400      # datagram churn, custom join rate
+//	benchfig -ablation              # the ablation studies instead of figures
+//	benchfig -ablation-id hints     # one ablation
 //	benchfig -list                  # list available figures
 package main
 
@@ -36,17 +41,21 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "", "figure to regenerate (4..35 or fig04..fig35)")
+	figs := experiments.Figures()
+	first, last := figs[0].Number, figs[len(figs)-1].Number
+	fig := flag.String("fig", "", fmt.Sprintf("comma-separated figures to regenerate (%d..%d or fig%02d..fig%d; default: every figure that does not pin its own connection count)", first, last, first, last))
 	list := flag.Bool("list", false, "list available figures and exit")
-	connections := flag.Int("connections", 0, "benchmark connections per point (0 = the figure's own default: 4000 for most figures, 10000-30000 for the scale family, 100000-1000000 for the massive-scale family; paper: 35000)")
+	ablation := flag.Bool("ablation", false, "run the ablation studies instead of the figures")
+	ablationID := flag.String("ablation-id", "", "run a single ablation by id")
+	connections := flag.Int("connections", 0, "benchmark connections per point (0 = the figure's own default: 4000 for most figures and the ablations, 10000-30000 for the scale family, 100000-1000000 for the massive-scale family; paper: 35000)")
 	threads := flag.Int("threads", 1, "OS threads per simulated point (>=2 shards the event kernel; figures are byte-identical across thread counts)")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the sweep to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile (taken at exit) to this file")
 	mutexprofile := flag.String("mutexprofile", "", "write a pprof mutex-contention profile (taken at exit) to this file")
 	blockprofile := flag.String("blockprofile", "", "write a pprof blocking profile (taken at exit) to this file")
-	rates := flag.String("rates", "", "comma-separated request rates overriding the figure's sweep")
-	workers := flag.String("workers", "", "comma-separated worker counts overriding the scaling figures' 1,2,4,8 sweep")
-	backend := flag.String("backend", "", "re-run the figure's thttpd/hybrid/prefork curves on this eventlib backend (see -list-backends)")
+	rates := flag.String("rates", "", "comma-separated request rates overriding a rate figure's sweep (on other axes the first is the fixed offered rate)")
+	workers := flag.String("workers", "", "comma-separated worker counts overriding the scaling figures' 1,2,4,8 sweep and fig25's prefork curves")
+	backend := flag.String("backend", "", "re-run the figures' thttpd/hybrid/prefork/push/dht curves on this eventlib backend (see -list-backends)")
 	workload := flag.String("workload", "", "run every point under this loadgen workload (see -list-workloads)")
 	percentiles := flag.Bool("percentiles", false, "append the per-point latency percentile table (p50/p90/p99/p999, client and service side)")
 	keepalive := flag.Bool("keepalive", false, "serve every curve over HTTP/1.1 keep-alive connections (default 8 requests per connection; curves with their own persistent-connection config keep it)")
@@ -72,41 +81,8 @@ func main() {
 	retry := flag.Bool("retry", false, "clients retry failed connections with deterministic capped exponential backoff (3 attempts, 100ms base)")
 	flag.Parse()
 
-	faultCfg := faults.Config{
-		Seed:              *faultSeed,
-		EINTRRate:         *faultEINTR,
-		AcceptEAGAINRate:  *faultAcceptEAGAIN,
-		ReadEAGAINRate:    *faultReadEAGAIN,
-		WriteEAGAINRate:   *faultWriteEAGAIN,
-		FDLimit:           *faultFDLimit,
-		ResetRate:         *faultReset,
-		VanishRate:        *faultVanish,
-		OverflowStormRate: *faultOverflowStorm,
-	}
-
 	if *list {
-		for _, f := range experiments.AllFigures() {
-			fmt.Printf("%-6s %s\n", f.ID, f.Title)
-		}
-		for _, f := range experiments.WorkerFigures() {
-			fmt.Printf("%-6s %s\n", f.ID, f.Title)
-		}
-		for _, f := range experiments.OverloadFigures() {
-			fmt.Printf("%-6s %s\n", f.ID, f.Title)
-		}
-		for _, f := range experiments.KeepAliveFigures() {
-			fmt.Printf("%-6s %s\n", f.ID, f.Title)
-		}
-		for _, f := range experiments.ScaleFigures() {
-			fmt.Printf("%-6s %s\n", f.ID, f.Title)
-		}
-		for _, f := range experiments.MassiveScaleFigures() {
-			fmt.Printf("%-6s %s\n", f.ID, f.Title)
-		}
-		for _, f := range experiments.MostlyIdleFigures() {
-			fmt.Printf("%-6s %s\n", f.ID, f.Title)
-		}
-		for _, f := range experiments.ChaosFigures() {
+		for _, f := range figs {
 			fmt.Printf("%-6s %s\n", f.ID, f.Title)
 		}
 		return
@@ -123,19 +99,21 @@ func main() {
 	}
 	if *backend != "" {
 		if _, ok := eventlib.Lookup(*backend); !ok {
-			fmt.Fprintf(os.Stderr, "benchfig: %v\n", eventlib.UnknownBackendError(*backend))
-			os.Exit(2)
+			fail(eventlib.UnknownBackendError(*backend))
 		}
 	}
 	if *workload != "" {
 		if _, ok := loadgen.LookupWorkload(*workload); !ok {
-			fmt.Fprintf(os.Stderr, "benchfig: %v\n", loadgen.UnknownWorkloadError(*workload))
-			os.Exit(2)
+			fail(loadgen.UnknownWorkloadError(*workload))
 		}
 	}
-	if *fig == "" {
-		fmt.Fprintln(os.Stderr, "benchfig: -fig is required (use -list to see figures)")
-		os.Exit(2)
+	workerCounts, err := experiments.ParseWorkerCounts(*workers)
+	if err != nil {
+		fail(err)
+	}
+	mode, err := httpcore.ParseWriteMode(*writeMode)
+	if err != nil {
+		fail(err)
 	}
 
 	// With -quiet the progress callback stays nil everywhere, so nothing can
@@ -147,73 +125,90 @@ func main() {
 		}
 	}
 
-	workerCounts, err := experiments.ParseWorkerCounts(*workers)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchfig: %v\n", err)
-		os.Exit(2)
+	// Resolve the work before starting the profilers, so an input error
+	// cannot leave a truncated profile behind.
+	prof := profiling.Config{CPU: *cpuprofile, Mem: *memprofile, Mutex: *mutexprofile, Block: *blockprofile}
+	if *ablation || *ablationID != "" {
+		abls := experiments.Ablations(*connections)
+		if *ablationID != "" {
+			a, err := experiments.AblationByID(*ablationID, *connections)
+			if err != nil {
+				fail(err)
+			}
+			abls = []experiments.Ablation{a}
+		}
+		defer profiling.StartAll(prof)()
+		for _, a := range abls {
+			fmt.Println(experiments.FormatAblation(experiments.RunAblation(a, progress)))
+		}
+		return
 	}
 
-	mode, err := httpcore.ParseWriteMode(*writeMode)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchfig: %v\n", err)
-		os.Exit(2)
+	var selected []experiments.Figure
+	if *fig == "" {
+		// The default sweep skips the figures that pin their own connection
+		// count (the scale and mostly-idle families): at 10k-1M connections
+		// per point they would dominate it.
+		for _, f := range figs {
+			if !f.Pinned() {
+				selected = append(selected, f)
+			}
+		}
+	} else {
+		for _, id := range strings.Split(*fig, ",") {
+			f, err := experiments.FigureByID(id)
+			if err != nil {
+				fail(err)
+			}
+			selected = append(selected, f)
+		}
 	}
+
 	opts := experiments.SweepOptions{
-		Connections: *connections, Seed: *seed, Threads: *threads,
+		Connections: *connections, Workers: workerCounts, Seed: *seed, Threads: *threads,
 		Backend: *backend, Workload: *workload, Progress: progress,
 		KeepAlive: *keepalive, RequestsPerConn: *requestsPerConn,
 		PipelineDepth: *pipelineDepth, CacheKB: *cacheKB, WriteMode: mode,
-		Fanout: *fanout, ChurnRate: *churnRate,
-		Faults: faultCfg, Retry: *retry,
+		Fanout: *fanout, ChurnRate: *churnRate, Retry: *retry,
+		Faults: faults.Config{
+			Seed:              *faultSeed,
+			EINTRRate:         *faultEINTR,
+			AcceptEAGAINRate:  *faultAcceptEAGAIN,
+			ReadEAGAINRate:    *faultReadEAGAIN,
+			WriteEAGAINRate:   *faultWriteEAGAIN,
+			FDLimit:           *faultFDLimit,
+			ResetRate:         *faultReset,
+			VanishRate:        *faultVanish,
+			OverflowStormRate: *faultOverflowStorm,
+		},
 	}
 	if *rates != "" {
 		for _, part := range strings.Split(*rates, ",") {
 			v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "benchfig: bad rate %q: %v\n", part, err)
-				os.Exit(2)
+				fail(fmt.Errorf("bad rate %q: %v", part, err))
 			}
 			opts.Rates = append(opts.Rates, v)
 		}
 	}
 
-	// Resolve the figure before starting the profilers, so an input error
-	// cannot leave a truncated profile behind.
-	workerFig, isWorkerFig := experiments.WorkerFigureByID(*fig)
-	overloadFig, isOverloadFig := experiments.OverloadFigureByID(*fig)
-	figure, isFigure := experiments.FigureByID(*fig)
-	if !isWorkerFig && !isOverloadFig && !isFigure {
-		fmt.Fprintf(os.Stderr, "benchfig: unknown figure %q\n", *fig)
-		os.Exit(2)
+	defer profiling.StartAll(prof)()
+	// A single figure prints bare; a set follows every table with a blank
+	// line.
+	sep := ""
+	if len(selected) > 1 {
+		sep = "\n"
 	}
-
-	stopProfiles := profiling.StartAll(profiling.Config{
-		CPU: *cpuprofile, Mem: *memprofile,
-		Mutex: *mutexprofile, Block: *blockprofile,
-	})
-	defer stopProfiles()
-
-	switch {
-	case isWorkerFig:
-		res := experiments.RunWorkerFigure(workerFig, experiments.WorkerSweepOptions{
-			Connections: *connections, Workers: workerCounts,
-			Seed: *seed, Backend: *backend, Workload: *workload, Progress: progress,
-		})
-		fmt.Print(experiments.FormatWorkers(res))
+	for _, f := range selected {
+		res := experiments.RunFigure(f, opts)
+		fmt.Print(experiments.Format(res), sep)
 		if *percentiles {
-			fmt.Print(experiments.FormatPercentiles(res.Runs))
-		}
-	case isOverloadFig:
-		res := experiments.RunOverloadFigure(overloadFig.WithWorkerCounts(workerCounts), opts)
-		fmt.Print(experiments.FormatOverload(res))
-		if *percentiles {
-			fmt.Print(experiments.FormatPercentiles(res.Runs))
-		}
-	default:
-		res := experiments.RunFigure(figure, opts)
-		fmt.Print(experiments.Format(res))
-		if *percentiles {
-			fmt.Print(experiments.FormatPercentiles(res.Runs))
+			fmt.Print(experiments.FormatPercentiles(res.Runs), sep)
 		}
 	}
+}
+
+func fail(err error) {
+	fmt.Fprintf(os.Stderr, "benchfig: %v\n", err)
+	os.Exit(2)
 }

@@ -200,31 +200,29 @@ func points(connections int, seed int64) []struct {
 	// they serve the same budget as their HTTP/1.0 siblings above.
 	ka := httpcore.Options{KeepAlive: true}
 	kaHot := httpcore.Options{KeepAlive: true, CacheKB: 64, WriteMode: httpcore.WriteSendfile}
+	pipelined := loadgen.ClientProfile{
+		RequestsPerConn: experiments.KeepAliveRequests,
+		PipelineDepth:   experiments.KeepAliveRequests,
+	}
 	add("ext-keepalive-epoll-load501-rate1300", experiments.RunSpec{
 		Server: experiments.ServerThttpdEpoll, RequestRate: 1300, Inactive: 501,
-		HTTP: ka, RequestsPerConn: experiments.KeepAliveRequests,
+		HTTP: ka, Client: loadgen.ClientProfile{RequestsPerConn: experiments.KeepAliveRequests},
 	})
 	add("ext-pipelined-epoll-load501-rate1300", experiments.RunSpec{
 		Server: experiments.ServerThttpdEpoll, RequestRate: 1300, Inactive: 501,
-		HTTP: ka, RequestsPerConn: experiments.KeepAliveRequests,
-		PipelineDepth: experiments.KeepAliveRequests,
+		HTTP: ka, Client: pipelined,
 	})
 	add("ext-cached-sendfile-epoll-load501-rate1300", experiments.RunSpec{
 		Server: experiments.ServerThttpdEpoll, RequestRate: 1300, Inactive: 501,
-		HTTP: kaHot, RequestsPerConn: experiments.KeepAliveRequests,
-		PipelineDepth: experiments.KeepAliveRequests,
+		HTTP: kaHot, Client: pipelined,
 	})
 	add("scale-10000-epoll-keepalive-rate1000", experiments.RunSpec{
 		Server: experiments.ServerThttpdEpoll, RequestRate: 1000, Inactive: 251,
-		Connections: 10000,
-		HTTP:        ka, RequestsPerConn: experiments.KeepAliveRequests,
-		PipelineDepth: experiments.KeepAliveRequests,
+		Connections: 10000, HTTP: ka, Client: pipelined,
 	})
 	add("scale-100000-epoll-keepalive-rate1000", experiments.RunSpec{
 		Server: experiments.ServerThttpdEpoll, RequestRate: 1000, Inactive: 251,
-		Connections: 100000, Network: &massiveNet,
-		HTTP: ka, RequestsPerConn: experiments.KeepAliveRequests,
-		PipelineDepth: experiments.KeepAliveRequests,
+		Connections: 100000, Network: &massiveNet, HTTP: ka, Client: pipelined,
 	})
 
 	// The chaos points (figures 40-43): one per fault class, each on the

@@ -30,7 +30,7 @@ func run(label, backend string) loadgen.Result {
 	lcfg := loadgen.DefaultConfig(1000, 251)
 	lcfg.Connections = 3000
 	lcfg.SampleInterval = 500 * core.Millisecond
-	lcfg.Timeout = core.Second
+	lcfg.Profile.Timeout = core.Second
 	gen := loadgen.New(k, net, lcfg)
 	gen.OnDone(func(loadgen.Result) {
 		server.Stop()

@@ -35,10 +35,10 @@ type AblationResult struct {
 }
 
 // Ablations returns the ablation studies listed in DESIGN.md. connections
-// scales the per-variant run size (0 selects 3000).
+// scales the per-variant run size (0 selects 4000).
 func Ablations(connections int) []Ablation {
 	if connections <= 0 {
-		connections = 3000
+		connections = 4000
 	}
 	base := func(server ServerKind, rate float64, inactive int) RunSpec {
 		s := DefaultSpec(server, rate, inactive)
@@ -111,8 +111,8 @@ func Ablations(connections int) []Ablation {
 	keepalive := func(http httpcore.Options, reqs, depth int) RunSpec {
 		s := base(ServerThttpdEpoll, 1300, 501)
 		s.HTTP = http
-		s.RequestsPerConn = reqs
-		s.PipelineDepth = depth
+		s.Client.RequestsPerConn = reqs
+		s.Client.PipelineDepth = depth
 		return s
 	}
 	kaOn := httpcore.Options{KeepAlive: true}
@@ -270,14 +270,18 @@ func Ablations(connections int) []Ablation {
 	}
 }
 
-// AblationByID finds an ablation by identifier.
-func AblationByID(id string, connections int) (Ablation, bool) {
-	for _, a := range Ablations(connections) {
+// AblationByID finds an ablation by identifier, returning a listed-choices
+// error for an unknown id.
+func AblationByID(id string, connections int) (Ablation, error) {
+	abls := Ablations(connections)
+	ids := make([]string, len(abls))
+	for i, a := range abls {
 		if a.ID == id {
-			return a, true
+			return a, nil
 		}
+		ids[i] = a.ID
 	}
-	return Ablation{}, false
+	return Ablation{}, fmt.Errorf("experiments: unknown ablation %q (choices: %s)", id, strings.Join(ids, ", "))
 }
 
 // RunAblation executes every variant of an ablation.

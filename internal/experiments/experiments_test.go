@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/loadgen"
 	"repro/internal/servers/hybrid"
 )
 
@@ -237,29 +238,34 @@ func TestHybridSurvivesTinySignalQueueUnderOverload(t *testing.T) {
 
 func TestFigureDefinitionsCoverPaper(t *testing.T) {
 	figs := Figures()
-	if len(figs) != 11 {
-		t.Fatalf("figures = %d, want 11 (FIG 4 through FIG 14)", len(figs))
+	if len(figs) != 40 {
+		t.Fatalf("figures = %d, want 40 (FIG 4 through FIG 43)", len(figs))
 	}
-	seen := map[int]bool{}
-	for _, f := range figs {
-		if f.ID == "" || f.Title == "" || f.Paper == "" || len(f.Curves) == 0 || len(f.Rates) == 0 {
+	for i, f := range figs {
+		if f.Number != 4+i {
+			t.Fatalf("figure %d at position %d: the registry must run in number order", f.Number, i)
+		}
+		if f.ID == "" || f.Title == "" || f.Paper == "" || len(f.Curves) == 0 || len(f.X) == 0 {
 			t.Fatalf("incomplete figure: %+v", f)
 		}
-		seen[f.Number] = true
-	}
-	for n := 4; n <= 14; n++ {
-		if !seen[n] {
-			t.Fatalf("figure %d missing", n)
+		for _, c := range f.Curves {
+			if err := ValidateServerKind(c.Spec.Server); err != nil {
+				t.Fatalf("%s curve %q: %v", f.ID, c.Label, err)
+			}
+			if _, ok := loadgen.LookupWorkload(c.Spec.Workload); !ok {
+				t.Fatalf("%s curve %q names unknown workload %q", f.ID, c.Label, c.Spec.Workload)
+			}
 		}
 	}
-	if _, ok := FigureByID("fig10"); !ok {
-		t.Fatal("FigureByID(fig10) failed")
+	for _, id := range []string{"fig10", "14", " FIG16 ", "43"} {
+		if _, err := FigureByID(id); err != nil {
+			t.Fatalf("FigureByID(%q): %v", id, err)
+		}
 	}
-	if _, ok := FigureByID("14"); !ok {
-		t.Fatal("FigureByID(14) failed")
-	}
-	if _, ok := FigureByID("nope"); ok {
-		t.Fatal("FigureByID(nope) should fail")
+	for _, id := range []string{"nope", "99", "3", ""} {
+		if _, err := FigureByID(id); err == nil || !strings.Contains(err.Error(), "choices: 4..43") {
+			t.Fatalf("FigureByID(%q) error = %v, want the listed choices", id, err)
+		}
 	}
 	if len(ServerKinds()) != 27 {
 		t.Fatalf("ServerKinds = %d, want the paper's four plus the registry-derived extensions, the prefork sizes and the push/dht families", len(ServerKinds()))
@@ -301,13 +307,7 @@ func TestFigureDefinitionsCoverPaper(t *testing.T) {
 	if _, err := RetargetKind(ServerThttpdPoll, "kqueue"); err == nil {
 		t.Fatal("RetargetKind with an unknown backend should fail")
 	}
-	if len(ExtensionFigures()) == 0 || len(AllFigures()) != len(Figures())+len(ExtensionFigures()) {
-		t.Fatal("extension figures not wired into AllFigures")
-	}
-	if _, ok := FigureByID("fig16"); !ok {
-		t.Fatal("FigureByID(fig16) failed")
-	}
-	for _, m := range []MetricKind{MetricReplyRate, MetricErrorPercent, MetricMedianLatency, MetricKind(99)} {
+	for _, m := range []MetricKind{MetricReplyRate, MetricErrorPercent, MetricMedianLatency, MetricReplyP99, MetricReplyCPU, MetricKind(99)} {
 		if m.String() == "" {
 			t.Fatal("metric string empty")
 		}
@@ -315,7 +315,7 @@ func TestFigureDefinitionsCoverPaper(t *testing.T) {
 }
 
 func TestRunFigureAndFormat(t *testing.T) {
-	fig, _ := FigureByID("fig05")
+	fig := mustFigure(t, "fig05")
 	res := RunFigure(fig, SweepOptions{Connections: 800, Rates: []float64{600, 900}, Progress: t.Logf})
 	// One curve × (avg, min, max) series.
 	if len(res.Series) != 3 {
@@ -335,7 +335,7 @@ func TestRunFigureAndFormat(t *testing.T) {
 	}
 
 	// An error-percent figure produces one series per curve.
-	fig10, _ := FigureByID("fig10")
+	fig10 := mustFigure(t, "fig10")
 	res10 := RunFigure(fig10, SweepOptions{Connections: 600, Rates: []float64{900}})
 	if len(res10.Series) != len(fig10.Curves) {
 		t.Fatalf("fig10 series = %d", len(res10.Series))
@@ -355,6 +355,11 @@ func TestAblationDefinitionsAndRun(t *testing.T) {
 		if a.ID == "" || a.Title == "" || len(a.Variants) < 2 {
 			t.Fatalf("incomplete ablation %+v", a)
 		}
+		for _, v := range a.Variants {
+			if v.Spec.Connections != 4000 {
+				t.Fatalf("%s/%s: default size %d, want 4000", a.ID, v.Label, v.Spec.Connections)
+			}
+		}
 		ids[a.ID] = true
 	}
 	for _, want := range []string{"hints", "mmap", "sigtimedwait4", "hybrid-vs-phhttpd", "compio-batch", "compio-regbuf"} {
@@ -362,15 +367,15 @@ func TestAblationDefinitionsAndRun(t *testing.T) {
 			t.Fatalf("ablation %q missing", want)
 		}
 	}
-	if _, ok := AblationByID("hints", 0); !ok {
-		t.Fatal("AblationByID failed")
+	if _, err := AblationByID("hints", 0); err != nil {
+		t.Fatalf("AblationByID(hints): %v", err)
 	}
-	if _, ok := AblationByID("nope", 0); ok {
-		t.Fatal("AblationByID(nope) should fail")
+	if _, err := AblationByID("nope", 0); err == nil || !strings.Contains(err.Error(), "choices: hints, mmap") {
+		t.Fatalf("AblationByID(nope) error = %v, want the listed choices", err)
 	}
 
 	// Run the cheapest meaningful ablation end to end with a small size.
-	a, _ := AblationByID("hints", 800)
+	a := mustAblation(t, "hints", 800)
 	res := RunAblation(a, nil)
 	if len(res.Results) != 2 {
 		t.Fatalf("results = %d", len(res.Results))
@@ -393,10 +398,7 @@ func TestAblationDefinitionsAndRun(t *testing.T) {
 // compio and netsim unit tests; at the full-size 1300 req/s knee the effect
 // surfaces as a monotone median-latency improvement.)
 func TestCompioAblationEffects(t *testing.T) {
-	batch, ok := AblationByID("compio-batch", 800)
-	if !ok {
-		t.Fatal("compio-batch ablation missing")
-	}
+	batch := mustAblation(t, "compio-batch", 800)
 	shallow := Run(batch.Variants[0].Spec)                  // sq-1
 	deep := Run(batch.Variants[len(batch.Variants)-1].Spec) // sq-64
 	if shallow.CPUUtilization <= deep.CPUUtilization {
@@ -404,14 +406,29 @@ func TestCompioAblationEffects(t *testing.T) {
 			shallow.CPUUtilization, deep.CPUUtilization)
 	}
 
-	regbuf, ok := AblationByID("compio-regbuf", 800)
-	if !ok {
-		t.Fatal("compio-regbuf ablation missing")
-	}
+	regbuf := mustAblation(t, "compio-regbuf", 800)
 	registered := Run(regbuf.Variants[0].Spec)
 	unregistered := Run(regbuf.Variants[1].Spec)
 	if registered.CPUUtilization >= unregistered.CPUUtilization {
 		t.Fatalf("registered cpu %.4f should be below unregistered cpu %.4f: registered buffers skip the read copy",
 			registered.CPUUtilization, unregistered.CPUUtilization)
 	}
+}
+
+func mustFigure(t *testing.T, id string) Figure {
+	t.Helper()
+	f, err := FigureByID(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+func mustAblation(t *testing.T, id string, connections int) Ablation {
+	t.Helper()
+	a, err := AblationByID(id, connections)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
 }

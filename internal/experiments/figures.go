@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/faults"
@@ -10,14 +11,16 @@ import (
 	"repro/internal/servers/httpcore"
 )
 
-// MetricKind selects what a figure plots on its y axis.
+// MetricKind selects what a figure plots per curve.
 type MetricKind int
 
-// Metrics plotted by the paper's figures.
+// Metrics plotted by the figures.
 const (
-	MetricReplyRate     MetricKind = iota // average/min/max reply rate (FIGS 4-9, 11-13)
+	MetricReplyRate     MetricKind = iota // average/min/max reply rate (FIGS 4-9, 11-13, 15-16, 18)
 	MetricErrorPercent                    // percentage of failed connections (FIG 10)
 	MetricMedianLatency                   // median connection time in ms (FIG 14)
+	MetricReplyP99                        // average reply rate and p99 connection time (figs 19-43)
+	MetricReplyCPU                        // reply rate plus mean per-CPU utilisation (fig 17)
 )
 
 // String names the metric.
@@ -29,192 +32,148 @@ func (m MetricKind) String() string {
 		return "errors (percent)"
 	case MetricMedianLatency:
 		return "median connection time (ms)"
+	case MetricReplyP99:
+		return "reply rate and p99 connection time"
+	case MetricReplyCPU:
+		return "reply rate (replies/s) and mean per-CPU utilisation (percent)"
 	default:
 		return "unknown"
 	}
 }
 
-// Curve is one plotted configuration within a figure.
-type Curve struct {
-	Label    string
-	Server   ServerKind
-	Inactive int
-
-	// HTTP, RequestsPerConn and PipelineDepth give the curve its own
-	// persistent-connection configuration (the keep-alive figure family,
-	// figs 32-35); zero values select the HTTP/1.0 paths or the sweep-level
-	// overrides.
-	HTTP            httpcore.Options
-	RequestsPerConn int
-	PipelineDepth   int
+// column is one series a metric draws per curve: the suffix on the curve's
+// label and the value it takes from a run.
+type column struct {
+	suffix string
+	value  func(RunResult) float64
 }
 
-// Figure describes one of the paper's evaluation figures and how to
-// regenerate it.
+// columns lists the series the metric draws per curve, in table order.
+func (m MetricKind) columns() []column {
+	replyRange := []column{
+		{" (avg)", func(r RunResult) float64 { return r.Load.ReplyRate.Mean }},
+		{" (min)", func(r RunResult) float64 { return r.Load.ReplyRate.Min }},
+		{" (max)", func(r RunResult) float64 { return r.Load.ReplyRate.Max }},
+	}
+	switch m {
+	case MetricErrorPercent:
+		return []column{{"", func(r RunResult) float64 { return r.Load.ErrorPercent }}}
+	case MetricMedianLatency:
+		return []column{{"", func(r RunResult) float64 { return r.Load.MedianLatencyMs }}}
+	case MetricReplyP99:
+		return []column{
+			{" (reply avg)", func(r RunResult) float64 { return r.Load.ReplyRate.Mean }},
+			{" (p99 ms)", func(r RunResult) float64 { return r.Latency.P99 }},
+		}
+	case MetricReplyCPU:
+		return append(replyRange, column{" (cpu%)", func(r RunResult) float64 { return 100 * r.CPUUtilization }})
+	default:
+		return replyRange
+	}
+}
+
+// Axis is what a figure sweeps on its x axis; its value is the table's
+// x-column header. A rate axis sweeps the offered request rate. Every other
+// axis holds each curve's offered rate fixed and sweeps one knob: the prefork
+// worker count, the churn workload's peer join rate, or a fault-injection
+// knob.
+type Axis string
+
+// The figure axes.
+const (
+	AxisRate     Axis = "rate"     // offered request rate (req/s)
+	AxisWorkers  Axis = "workers"  // prefork worker count
+	AxisChurn    Axis = "churn"    // churn workload peer join rate (peers/s)
+	AxisReset    Axis = "reset"    // fraction of connections RST mid-exchange
+	AxisFDLimit  Axis = "fdlimit"  // per-process RLIMIT_NOFILE (0 = unlimited)
+	AxisEINTR    Axis = "eintr"    // probability a blocking wait is interrupted
+	AxisOverflow Axis = "overflow" // probability a signal/ring post is swallowed
+)
+
+// apply sets x on one point's spec.
+func (a Axis) apply(spec *RunSpec, x float64) {
+	switch a {
+	case AxisRate:
+		spec.RequestRate = x
+	case AxisWorkers:
+		rk, err := resolveKind(spec.Server)
+		if err != nil || rk.family != "prefork" {
+			panic(fmt.Sprintf("experiments: workers axis on non-prefork server %q", spec.Server))
+		}
+		spec.Server = preforkKind(int(x), rk.backend)
+	case AxisChurn:
+		spec.ChurnRate = x
+	case AxisReset:
+		spec.Faults.ResetRate = x
+	case AxisFDLimit:
+		spec.Faults.FDLimit = int(x)
+	case AxisEINTR:
+		spec.Faults.EINTRRate = x
+	case AxisOverflow:
+		spec.Faults.OverflowStormRate = x
+	default:
+		panic("experiments: unknown axis " + string(a))
+	}
+}
+
+// Curve is one plotted configuration within a figure: a label and the
+// template every point of the curve starts from. The figure's axis supplies
+// x; the sweep options supply the run size, seed and the command-line
+// overrides.
+type Curve struct {
+	Label string
+	Spec  RunSpec
+}
+
+// Figure describes one evaluation figure — the paper's (4-14) or an
+// extension (15-43) — and how to regenerate it.
 type Figure struct {
-	ID     string // "fig04" ... "fig14"
+	ID     string // "fig04" ... "fig43"
 	Number int
 	Title  string
-	// Paper summarises what the original figure showed, so EXPERIMENTS.md can
-	// compare shape against the reproduction.
+	// Paper summarises what the original figure showed (or, for extensions,
+	// what the figure is expected to show), so a reader can compare shape.
 	Paper  string
 	Metric MetricKind
-	Rates  []float64
+	Axis   Axis
+	// X is the axis values swept by default.
+	X      []float64
 	Curves []Curve
 }
 
-// DefaultRates is the request-rate sweep used by every figure (the paper's x
-// axis runs from 500 to 1100 requests per second).
-func DefaultRates() []float64 {
-	return []float64{500, 600, 700, 800, 900, 1000, 1100}
+// Pinned reports whether the figure sets its own per-point connection
+// count: the scale and mostly-idle families, too large for the default sweep.
+func (f Figure) Pinned() bool {
+	return len(f.Curves) > 0 && f.Curves[0].Spec.Connections > 0
 }
 
-// Figures returns the full set of figure definitions, in paper order.
-func Figures() []Figure {
-	rates := DefaultRates()
-	replyFig := func(num int, server ServerKind, inactive int, title, paper string) Figure {
-		return Figure{
-			ID:     fmt.Sprintf("fig%02d", num),
-			Number: num,
-			Title:  title,
-			Paper:  paper,
-			Metric: MetricReplyRate,
-			Rates:  rates,
-			Curves: []Curve{{Label: string(server), Server: server, Inactive: inactive}},
-		}
-	}
-	return []Figure{
-		replyFig(4, ServerThttpdPoll, 1,
-			"Stock thttpd with poll(), 1 inactive connection",
-			"Server performs well until a high enough request rate, then breaks down as processing latency exceeds the request rate."),
-		replyFig(5, ServerThttpdDevPoll, 1,
-			"thttpd with /dev/poll, 1 inactive connection",
-			"Performs well at all request rates; no point where processing latency exceeds request rate."),
-		replyFig(6, ServerThttpdPoll, 251,
-			"Stock thttpd with poll(), 251 inactive connections",
-			"Breaks down sooner as inactive-connection load increases; minimum response rates hit zero in several places."),
-		replyFig(7, ServerThttpdDevPoll, 251,
-			"thttpd with /dev/poll, 251 inactive connections",
-			"Performs almost as well as with no inactive connections."),
-		replyFig(8, ServerThttpdPoll, 501,
-			"Stock thttpd with poll(), 501 inactive connections",
-			"Latency due to inactive connections dominates at all request rates: poor performance and high error rates."),
-		replyFig(9, ServerThttpdDevPoll, 501,
-			"thttpd with /dev/poll, 501 inactive connections",
-			"Handles the high inactive load with ease; performance begins to break down only at extreme request rates."),
-		{
-			ID:     "fig10",
-			Number: 10,
-			Title:  "Connection error rate, stock poll() vs /dev/poll, 251 and 501 inactive connections",
-			Paper:  "Stock thttpd's error rate climbs toward ~60% of connections; thttpd with /dev/poll shows only sporadic errors (none at 251).",
-			Metric: MetricErrorPercent,
-			Rates:  rates,
-			Curves: []Curve{
-				{Label: "normal poll, load 251", Server: ServerThttpdPoll, Inactive: 251},
-				{Label: "devpoll, load 251", Server: ServerThttpdDevPoll, Inactive: 251},
-				{Label: "normal poll, load 501", Server: ServerThttpdPoll, Inactive: 501},
-				{Label: "devpoll, load 501", Server: ServerThttpdDevPoll, Inactive: 501},
-			},
-		},
-		replyFig(11, ServerPhhttpd, 1,
-			"phhttpd (RT signals), 1 inactive connection",
-			"Compares with the best servers at lower rates; very high request rates make it falter due to per-signal system-call overhead."),
-		replyFig(12, ServerPhhttpd, 251,
-			"phhttpd (RT signals), 251 inactive connections",
-			"Reaches its performance knee sooner; inactive connections unexpectedly increase the cost of handling active ones."),
-		replyFig(13, ServerPhhttpd, 501,
-			"phhttpd (RT signals), 501 inactive connections",
-			"Inactive-connection load affects throughput at all request rates; scales less well than thttpd with /dev/poll."),
-		{
-			ID:     "fig14",
-			Number: 14,
-			Title:  "Median connection time, 251 inactive connections",
-			Paper:  "phhttpd responds 1-3 ms faster than thttpd+/dev/poll up to ~900 req/s, then its median latency jumps past 120 ms while thttpd+/dev/poll stays steady; stock poll sits above both.",
-			Metric: MetricMedianLatency,
-			Rates:  rates,
-			Curves: []Curve{
-				{Label: "devpoll", Server: ServerThttpdDevPoll, Inactive: 251},
-				{Label: "normal poll", Server: ServerThttpdPoll, Inactive: 251},
-				{Label: "phhttpd", Server: ServerPhhttpd, Inactive: 251},
-			},
-		},
-	}
-}
-
-// ExtensionFigures returns figures that go beyond the paper: the epoll curves
-// the follow-up literature made the obvious next measurement. Extension
-// figures use numbers above the paper's 14 so identifiers stay unambiguous.
-func ExtensionFigures() []Figure {
-	rates := DefaultRates()
-	return []Figure{
-		{
-			ID:     "fig15",
-			Number: 15,
-			Title:  "Extension: thttpd with epoll (level-triggered), 501 inactive connections",
-			Paper:  "Not in the paper. epoll's O(ready) wait should match or beat /dev/poll under heavy inactive load.",
-			Metric: MetricReplyRate,
-			Rates:  rates,
-			Curves: []Curve{{Label: string(ServerThttpdEpoll), Server: ServerThttpdEpoll, Inactive: 501}},
-		},
-		{
-			ID:     "fig16",
-			Number: 16,
-			Title:  "Extension: event mechanisms compared at 501 inactive connections",
-			Paper:  "Not in the paper. Stock poll collapses, /dev/poll and both epoll modes sustain the load.",
-			Metric: MetricReplyRate,
-			Rates:  rates,
-			Curves: []Curve{
-				{Label: "normal poll", Server: ServerThttpdPoll, Inactive: 501},
-				{Label: "devpoll", Server: ServerThttpdDevPoll, Inactive: 501},
-				{Label: "epoll", Server: ServerThttpdEpoll, Inactive: 501},
-				{Label: "epoll-et", Server: ServerThttpdEpollET, Inactive: 501},
-			},
-		},
-	}
-}
-
-// AllFigures returns the paper's figures followed by the extension figures.
-func AllFigures() []Figure {
-	return append(Figures(), ExtensionFigures()...)
-}
-
-// FigureByID looks a figure up by its "fig04"-style identifier or by its bare
-// number ("4"), searching the paper's figures and the extensions.
-func FigureByID(id string) (Figure, bool) {
-	id = strings.ToLower(strings.TrimSpace(id))
-	for _, f := range AllFigures() {
-		if f.ID == id || fmt.Sprintf("%d", f.Number) == id {
-			return f, true
-		}
-	}
-	return Figure{}, false
-}
-
-// SweepOptions control how a figure is regenerated.
+// SweepOptions control how a figure is regenerated. Zero values keep the
+// figure's own configuration.
 type SweepOptions struct {
-	// Connections per point; zero selects 4000 (the scaled-down default). Use
-	// 35000 to reproduce the paper's full procedure.
+	// Connections per point; zero keeps the figure's own count (4000 unless
+	// the figure pins one). Use 35000 to reproduce the paper's procedure.
 	Connections int
-	// Rates overrides the figure's request-rate sweep (useful for quick runs).
+	// Rates overrides a rate axis's sweep; on any other axis its first value
+	// replaces the fixed offered rate.
 	Rates []float64
+	// Workers overrides a workers axis's sweep. On a rate figure with prefork
+	// curves it replaces those curves with one prefork curve per count.
+	Workers []int
 	// Backend, when non-empty, re-parameterises each curve's server onto the
-	// named eventlib backend (see RetargetKind): thttpd curves switch their
-	// event backend, hybrid curves their bulk poller. The name must be valid —
-	// callers validate it against the registry first.
+	// named eventlib backend (see RetargetKind). The name must be valid —
+	// callers validate it against the registry first; RunFigure panics
+	// otherwise.
 	Backend string
-	// Workload, when non-empty, re-runs every point under the named loadgen
-	// workload scenario (arrival process, background behavior, RTT mix). The
-	// name must be valid — callers validate it via loadgen.LookupWorkload
-	// first; Run panics on an unknown name, like Backend.
+	// Workload, when non-empty, runs every point under the named loadgen
+	// workload scenario instead of the figure's own. The name must be valid
+	// (loadgen.LookupWorkload); Run panics otherwise.
 	Workload string
-	// Seed for the load generator.
+	// Seed for the load generator; zero selects 1.
 	Seed int64
 	// KeepAlive, RequestsPerConn, PipelineDepth, CacheKB and WriteMode apply
 	// a persistent-connection configuration to every curve that does not
-	// carry its own (the -keepalive/-requests-per-conn/-pipeline-depth/
-	// -cache-kb/-write-mode flags). RequestsPerConn > 1 or PipelineDepth > 1
-	// implies KeepAlive; KeepAlive alone defaults to 8 requests per
-	// connection.
+	// carry its own. RequestsPerConn > 1 or PipelineDepth > 1 implies
+	// KeepAlive; KeepAlive alone defaults to 8 requests per connection.
 	KeepAlive       bool
 	RequestsPerConn int
 	PipelineDepth   int
@@ -222,19 +181,17 @@ type SweepOptions struct {
 	WriteMode       httpcore.WriteMode
 
 	// Fanout overrides the push workload's per-tick fan-out on push-* curves
-	// and ChurnRate the churn workload's join rate on dht-* curves (the
-	// -fanout and -churn-rate flags). Zero keeps the workload's own values; a
-	// figure's own churn axis (fig39) wins over ChurnRate.
+	// and ChurnRate the churn workload's join rate on dht-* curves. Zero
+	// keeps the workload's own values; a churn axis wins over ChurnRate.
 	Fanout    int
 	ChurnRate float64
 
-	// Faults applies a fault-injection configuration to every point (the
-	// -fault-* flags). A chaos figure's own base config and swept axis win
-	// over it; the zero value injects nothing.
+	// Faults applies a fault-injection configuration to every point; a
+	// fault axis sets its knob on top. The zero value injects nothing.
 	Faults faults.Config
 
 	// Retry enables the load generator's deterministic capped-exponential-
-	// backoff retry on every point (the -retry flag); off by default.
+	// backoff retry on every point; off by default.
 	Retry bool
 
 	// Threads is the number of OS threads driving each point's simulation;
@@ -249,103 +206,107 @@ type SweepOptions struct {
 // figure.
 type FigureResult struct {
 	Figure Figure
-	// Series holds one labelled series per plotted line. Reply-rate figures
-	// produce three series per curve (average, minimum, maximum), mirroring the
-	// error bars and min/max marks in the paper's graphs.
+	// Series holds the metric's columns for each curve in turn (for
+	// example average, minimum and maximum reply rate, mirroring the error
+	// bars and min/max marks in the paper's graphs).
 	Series []metrics.Series
-	// Runs holds the raw per-point results, keyed in sweep order.
+	// Runs holds the raw per-point results, curve by curve in sweep order.
 	Runs []RunResult
 }
 
-// RunFigure regenerates one figure by sweeping the request rate for each of
-// its curves.
+// RunFigure regenerates one figure: every curve's template, with the sweep
+// options applied, runs once per axis value.
 func RunFigure(fig Figure, opts SweepOptions) FigureResult {
-	rates := fig.Rates
-	if len(opts.Rates) > 0 {
-		rates = opts.Rates
-	}
-	connections := opts.Connections
-	if connections <= 0 {
-		connections = 4000
-	}
-	seed := opts.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	out := FigureResult{Figure: fig}
-	for _, curve := range fig.Curves {
-		if opts.Backend != "" {
-			kind, err := RetargetKind(curve.Server, opts.Backend)
-			if err != nil {
-				// The backend name is documented as caller-validated; running
-				// the wrong configuration while claiming the requested one
-				// would silently corrupt results, so fail loudly like Run.
-				panic(err)
-			}
-			if kind != curve.Server {
-				// The label must name what actually ran, not the figure's
-				// original mechanism.
-				if curve.Label == string(curve.Server) {
-					curve.Label = string(kind)
-				} else {
-					curve.Label += " [" + string(kind) + "]"
-				}
-				curve.Server = kind
-			}
+	xs := fig.X
+	curves := fig.Curves
+	switch {
+	case fig.Axis == AxisRate && len(opts.Rates) > 0:
+		xs = opts.Rates
+	case fig.Axis == AxisWorkers && len(opts.Workers) > 0:
+		xs = make([]float64, len(opts.Workers))
+		for i, n := range opts.Workers {
+			xs[i] = float64(n)
 		}
-		var avg, min, max, series metrics.Series
-		label := curve.Label
-		avg = metrics.Series{Label: label + " (avg)", XLabel: "request rate", YLabel: fig.Metric.String()}
-		min = metrics.Series{Label: label + " (min)", XLabel: "request rate", YLabel: fig.Metric.String()}
-		max = metrics.Series{Label: label + " (max)", XLabel: "request rate", YLabel: fig.Metric.String()}
-		series = metrics.Series{Label: label, XLabel: "request rate", YLabel: fig.Metric.String()}
-		for _, rate := range rates {
-			spec := RunSpec{
-				Server:      curve.Server,
-				RequestRate: rate,
-				Inactive:    curve.Inactive,
-				Connections: connections,
-				Seed:        seed,
-				Workload:    opts.Workload,
-				Threads:     opts.Threads,
-				Faults:      opts.Faults,
-			}
-			spec.Client.Retry = opts.Retry
-			applyHTTPSweep(&spec, curve, opts)
-			res := Run(spec)
+	}
+	if fig.Axis != AxisWorkers {
+		curves = withWorkerCounts(curves, opts.Workers)
+	}
+	cols := fig.Metric.columns()
+	out := FigureResult{Figure: fig}
+	for _, curve := range curves {
+		spec, label := sweepSpec(curve, fig.Axis, opts)
+		series := make([]metrics.Series, len(cols))
+		for i, c := range cols {
+			series[i] = metrics.Series{Label: label + c.suffix}
+		}
+		for _, x := range xs {
+			point := spec
+			fig.Axis.apply(&point, x)
+			res := Run(point)
 			out.Runs = append(out.Runs, res)
-			switch fig.Metric {
-			case MetricReplyRate:
-				avg.Append(rate, res.Load.ReplyRate.Mean)
-				min.Append(rate, res.Load.ReplyRate.Min)
-				max.Append(rate, res.Load.ReplyRate.Max)
-			case MetricErrorPercent:
-				series.Append(rate, res.Load.ErrorPercent)
-			case MetricMedianLatency:
-				series.Append(rate, res.Load.MedianLatencyMs)
+			for i, c := range cols {
+				series[i].Append(x, c.value(res))
 			}
 			if opts.Progress != nil {
-				opts.Progress("%s %s", fig.ID, Describe(res))
+				opts.Progress("%s %s=%g %s", fig.ID, fig.Axis, x, Describe(res))
 			}
 		}
-		if fig.Metric == MetricReplyRate {
-			out.Series = append(out.Series, avg, min, max)
-		} else {
-			out.Series = append(out.Series, series)
-		}
+		out.Series = append(out.Series, series...)
 	}
 	return out
 }
 
-// applyHTTPSweep fills a spec's persistent-connection fields from the curve
-// (the keep-alive figure family carries per-curve configurations) or, when
-// the curve has none, from the sweep-level flag overrides. A zero curve and
-// zero options leave the spec untouched — the historical HTTP/1.0 run.
-func applyHTTPSweep(spec *RunSpec, curve Curve, opts SweepOptions) {
-	if curve.HTTP != (httpcore.Options{}) || curve.RequestsPerConn > 0 {
-		spec.HTTP = curve.HTTP
-		spec.RequestsPerConn = curve.RequestsPerConn
-		spec.PipelineDepth = curve.PipelineDepth
+// sweepSpec applies the sweep options to a curve's template and returns the
+// spec and the label of what will actually run.
+func sweepSpec(curve Curve, axis Axis, opts SweepOptions) (RunSpec, string) {
+	spec, label := curve.Spec, curve.Label
+	if opts.Connections > 0 {
+		spec.Connections = opts.Connections
+	}
+	if axis != AxisRate && len(opts.Rates) > 0 {
+		spec.RequestRate = opts.Rates[0]
+	}
+	spec.Seed = opts.Seed
+	if spec.Seed == 0 {
+		spec.Seed = 1
+	}
+	if opts.Workload != "" {
+		spec.Workload = opts.Workload
+	}
+	spec.Threads = opts.Threads
+	spec.Faults = opts.Faults
+	spec.Client.Retry = opts.Retry
+	spec.FanoutSize = opts.Fanout
+	spec.ChurnRate = opts.ChurnRate
+	applyHTTPSweep(&spec, opts)
+	if opts.Backend != "" {
+		kind, err := RetargetKind(spec.Server, opts.Backend)
+		if err != nil {
+			// The backend name is documented as caller-validated; running
+			// the wrong configuration while claiming the requested one
+			// would silently corrupt results, so fail loudly like Run.
+			panic(err)
+		}
+		if kind != spec.Server {
+			// The label must name what actually ran: a label that was the
+			// server's name becomes the new name, any other gains the backend.
+			if label == string(spec.Server) {
+				label = string(kind)
+			} else {
+				label += " [" + opts.Backend + "]"
+			}
+			spec.Server = kind
+		}
+	}
+	return spec, label
+}
+
+// applyHTTPSweep fills a spec's persistent-connection fields from the sweep
+// options unless the curve's template carries its own configuration (the
+// keep-alive figure family). Zero options leave the spec untouched — the
+// historical HTTP/1.0 run.
+func applyHTTPSweep(spec *RunSpec, opts SweepOptions) {
+	if spec.HTTP != (httpcore.Options{}) || spec.Client.RequestsPerConn > 0 {
 		return
 	}
 	ka := opts.KeepAlive || opts.RequestsPerConn > 1 || opts.PipelineDepth > 1
@@ -355,50 +316,154 @@ func applyHTTPSweep(spec *RunSpec, curve Curve, opts SweepOptions) {
 	}
 	spec.HTTP = http
 	if ka {
-		spec.RequestsPerConn = opts.RequestsPerConn
-		if spec.RequestsPerConn <= 1 {
-			spec.RequestsPerConn = KeepAliveRequests
+		spec.Client.RequestsPerConn = opts.RequestsPerConn
+		if spec.Client.RequestsPerConn <= 1 {
+			spec.Client.RequestsPerConn = KeepAliveRequests
 		}
-		spec.PipelineDepth = opts.PipelineDepth
+		spec.Client.PipelineDepth = opts.PipelineDepth
 	}
 }
 
+// withWorkerCounts replaces a figure's curves by one prefork curve per
+// worker count, each a copy of the first prefork curve's template; curves
+// without a prefork server (and empty counts) pass through unchanged.
+func withWorkerCounts(curves []Curve, counts []int) []Curve {
+	if len(counts) == 0 {
+		return curves
+	}
+	for _, proto := range curves {
+		if !strings.HasPrefix(string(proto.Spec.Server), "prefork-") {
+			continue
+		}
+		out := make([]Curve, 0, len(counts))
+		for _, n := range counts {
+			c := proto
+			c.Label = fmt.Sprintf("prefork-%d", n)
+			c.Spec.Server = PreforkKind(n)
+			out = append(out, c)
+		}
+		return out
+	}
+	return curves
+}
+
 // Format renders a figure result as the aligned text table the command-line
-// tools print and EXPERIMENTS.md records.
+// tool prints and EXPERIMENTS.md records. The layout follows the figure: a
+// reply-and-p99 figure names its workload, states a pinned connection count
+// and uses 26-wide columns; a workers axis states its fixed offered load and
+// uses 28-wide columns; every other figure uses 22-wide columns.
 func Format(res FigureResult) string {
+	f := res.Figure
 	var b strings.Builder
-	fmt.Fprintf(&b, "FIGURE %d (%s): %s\n", res.Figure.Number, res.Figure.ID, res.Figure.Title)
-	fmt.Fprintf(&b, "paper: %s\n", res.Figure.Paper)
-	fmt.Fprintf(&b, "metric: %s\n", res.Figure.Metric)
+	fmt.Fprintf(&b, "FIGURE %d (%s): %s\n", f.Number, f.ID, f.Title)
+	fmt.Fprintf(&b, "paper: %s\n", f.Paper)
+	var first RunSpec
+	if len(res.Runs) > 0 {
+		first = res.Runs[0].Spec
+	} else if len(f.Curves) > 0 {
+		first = f.Curves[0].Spec
+	}
+	width := 22
+	switch {
+	case f.Metric == MetricReplyP99:
+		fmt.Fprintf(&b, "metric: %s vs offered load, workload %s\n", f.Metric, first.Workload)
+		if f.Pinned() && len(res.Runs) > 0 {
+			fmt.Fprintf(&b, "connections: %d per point\n", first.Connections)
+		}
+		width = 26
+	case f.Axis == AxisWorkers:
+		fmt.Fprintf(&b, "metric: %s vs workers at %.0f req/s, %d inactive\n",
+			MetricReplyRate, first.RequestRate, first.Inactive)
+		width = 28
+	default:
+		fmt.Fprintf(&b, "metric: %s\n", f.Metric)
+	}
+
+	// A label that would touch its neighbour widens every column.
+	longest := 0
+	for _, s := range res.Series {
+		longest = max(longest, len(s.Label))
+	}
+	if longest+1 > width {
+		width = longest + 2
+	}
 
 	// Collect the x values actually present.
-	xs := map[float64]bool{}
+	seen := map[float64]bool{}
 	for _, s := range res.Series {
 		for _, x := range s.X {
-			xs[x] = true
+			seen[x] = true
 		}
 	}
-	rates := make([]float64, 0, len(xs))
-	for x := range xs {
-		rates = append(rates, x)
+	xs := make([]float64, 0, len(seen))
+	for x := range seen {
+		xs = append(xs, x)
 	}
-	sort.Float64s(rates)
+	sort.Float64s(xs)
+	// Fault-rate axes carry fractional x values (a 0.02 reset rate); keep
+	// the whole-number format everywhere else.
+	xfmt := "%-12.0f"
+	for _, x := range xs {
+		if x != float64(int64(x)) {
+			xfmt = "%-12.2f"
+			break
+		}
+	}
 
-	fmt.Fprintf(&b, "%-12s", "rate")
+	fmt.Fprintf(&b, "%-12s", f.Axis)
 	for _, s := range res.Series {
-		fmt.Fprintf(&b, "%22s", s.Label)
+		fmt.Fprintf(&b, "%*s", width, s.Label)
 	}
 	b.WriteString("\n")
-	for _, rate := range rates {
-		fmt.Fprintf(&b, "%-12.0f", rate)
+	for _, x := range xs {
+		fmt.Fprintf(&b, xfmt, x)
 		for _, s := range res.Series {
-			if y, ok := s.YAt(rate); ok {
-				fmt.Fprintf(&b, "%22.1f", y)
+			if y, ok := s.YAt(x); ok {
+				fmt.Fprintf(&b, "%*.1f", width, y)
 			} else {
-				fmt.Fprintf(&b, "%22s", "-")
+				fmt.Fprintf(&b, "%*s", width, "-")
 			}
 		}
 		b.WriteString("\n")
 	}
 	return b.String()
+}
+
+// FormatPercentiles renders the per-point latency-percentile table the
+// -percentiles flag appends below a figure: the client-observed connection
+// distribution next to the server-side service distribution for every run.
+func FormatPercentiles(runs []RunResult) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-18s %6s %6s %10s | %9s %9s %9s %9s %9s | %9s %9s\n",
+		"server", "rate", "load", "workload",
+		"p50 ms", "p90 ms", "p99 ms", "p999 ms", "max ms", "svc p99", "svc p999")
+	for _, r := range runs {
+		wl := r.Spec.Workload
+		if wl == "" {
+			wl = "constant"
+		}
+		fmt.Fprintf(&b, "%-18s %6.0f %6d %10s | %9.2f %9.2f %9.2f %9.2f %9.2f | %9.2f %9.2f\n",
+			r.Spec.Server, r.Spec.RequestRate, r.Spec.Inactive, wl,
+			r.Latency.P50, r.Latency.P90, r.Latency.P99, r.Latency.P999, r.Latency.Max,
+			r.ServiceLatency.P99, r.ServiceLatency.P999)
+	}
+	return b.String()
+}
+
+// ParseWorkerCounts parses a comma-separated worker-count list ("1,2,4,8")
+// against the same bounds resolveKind enforces for prefork kinds. An empty
+// string returns nil (use the figure's default sweep).
+func ParseWorkerCounts(s string) ([]int, error) {
+	if strings.TrimSpace(s) == "" {
+		return nil, nil
+	}
+	var out []int
+	for _, part := range strings.Split(s, ",") {
+		v, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil || v < 1 || v > 64 {
+			return nil, fmt.Errorf("experiments: bad worker count %q (want 1..64)", part)
+		}
+		out = append(out, v)
+	}
+	return out, nil
 }

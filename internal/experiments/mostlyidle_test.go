@@ -90,47 +90,42 @@ func TestFamilyPairingRejected(t *testing.T) {
 // TestMostlyIdleFiguresRegistered pins figs 36-39 into the lookup path the
 // tools use.
 func TestMostlyIdleFiguresRegistered(t *testing.T) {
-	if n := len(MostlyIdleFigures()); n != 4 {
-		t.Fatalf("MostlyIdleFigures = %d figures, want 4", n)
-	}
 	for _, id := range []string{"fig36", "37", "fig38", "39"} {
-		fig, ok := OverloadFigureByID(id)
-		if !ok {
-			t.Fatalf("OverloadFigureByID(%q) failed", id)
-		}
-		if fig.Connections <= 0 {
+		fig := mustFigure(t, id)
+		if !fig.Pinned() {
 			t.Fatalf("%s has no pinned connection count; the default sweep would run it", fig.ID)
 		}
 		for _, c := range fig.Curves {
-			if err := ValidateServerKind(c.Server); err != nil {
+			if err := ValidateServerKind(c.Spec.Server); err != nil {
 				t.Fatalf("%s curve %q: %v", fig.ID, c.Label, err)
 			}
 		}
 	}
-	fig39, _ := OverloadFigureByID("fig39")
-	if len(fig39.Churn) == 0 || len(fig39.Rates) != 1 {
-		t.Fatalf("fig39 must sweep churn at one fixed rate: churn=%v rates=%v", fig39.Churn, fig39.Rates)
+	fig39 := mustFigure(t, "fig39")
+	if fig39.Axis != AxisChurn || len(fig39.X) == 0 || fig39.Curves[0].Spec.RequestRate != 2000 {
+		t.Fatalf("fig39 must sweep churn at one fixed rate: %+v", fig39)
 	}
 }
 
 // TestMostlyIdleFigureRunAndFormat regenerates a scaled-down fig36 and fig39
 // and checks the rendered tables carry the right axes.
 func TestMostlyIdleFigureRunAndFormat(t *testing.T) {
-	fig36, _ := OverloadFigureByID("fig36")
+	fig36 := mustFigure(t, "fig36")
 	fig36.Curves = fig36.Curves[:2] // poll and devpoll suffice
-	res := RunOverloadFigure(fig36, SweepOptions{Connections: 300, Rates: []float64{800}})
+	res := RunFigure(fig36, SweepOptions{Connections: 300, Rates: []float64{800}})
 	if len(res.Runs) != 2 || len(res.Series) != 4 {
 		t.Fatalf("fig36 runs=%d series=%d, want 2 runs / 4 series", len(res.Runs), len(res.Series))
 	}
-	out := FormatOverload(res)
-	if !strings.Contains(out, "rate") || !strings.Contains(out, "devpoll (reply avg)") {
+	out := Format(res)
+	if !strings.Contains(out, "rate") || !strings.Contains(out, "devpoll (reply avg)") ||
+		!strings.Contains(out, "connections: 300 per point") {
 		t.Fatalf("fig36 table missing expected columns:\n%s", out)
 	}
 
-	fig39, _ := OverloadFigureByID("fig39")
+	fig39 := mustFigure(t, "fig39")
 	fig39.Curves = fig39.Curves[:1]
-	fig39.Churn = []float64{100, 400}
-	res = RunOverloadFigure(fig39, SweepOptions{Connections: 200})
+	fig39.X = []float64{100, 400}
+	res = RunFigure(fig39, SweepOptions{Connections: 200})
 	if len(res.Runs) != 2 {
 		t.Fatalf("fig39 runs = %d, want one per churn value", len(res.Runs))
 	}
@@ -138,7 +133,7 @@ func TestMostlyIdleFigureRunAndFormat(t *testing.T) {
 		t.Fatalf("fig39 churn axis not applied: %v / %v",
 			res.Runs[0].Spec.ChurnRate, res.Runs[1].Spec.ChurnRate)
 	}
-	out = FormatOverload(res)
+	out = Format(res)
 	if !strings.Contains(out, "churn") {
 		t.Fatalf("fig39 table missing the churn axis header:\n%s", out)
 	}

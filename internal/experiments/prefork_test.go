@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/netsim"
 	"repro/internal/servers/prefork"
 )
@@ -143,35 +144,49 @@ func TestShardingPolicyAblation(t *testing.T) {
 }
 
 func TestWorkerFigureDefinitions(t *testing.T) {
-	figs := WorkerFigures()
-	if len(figs) != 2 {
-		t.Fatalf("worker figures = %d, want 2", len(figs))
-	}
-	for _, f := range figs {
-		if f.ID == "" || f.Title == "" || f.Paper == "" || len(f.Curves) == 0 || len(f.Workers) == 0 {
-			t.Fatalf("incomplete worker figure: %+v", f)
+	var workerFigs []Figure
+	for _, f := range Figures() {
+		if f.Axis == AxisWorkers {
+			workerFigs = append(workerFigs, f)
 		}
 	}
-	if _, ok := WorkerFigureByID("fig17"); !ok {
-		t.Fatal("WorkerFigureByID(fig17) failed")
+	if len(workerFigs) != 2 || workerFigs[0].ID != "fig17" || workerFigs[1].ID != "fig18" {
+		t.Fatalf("worker figures = %+v, want fig17 and fig18", workerFigs)
 	}
-	if _, ok := WorkerFigureByID("18"); !ok {
-		t.Fatal("WorkerFigureByID(18) failed")
-	}
-	if _, ok := WorkerFigureByID("fig04"); ok {
-		t.Fatal("WorkerFigureByID(fig04) should fail: it is a rate figure")
-	}
-	res := RunWorkerFigure(WorkerFigure{
+	fig := Figure{
 		ID: "figtest", Number: 99, Title: "t", Paper: "p",
-		Rate: 1500, Inactive: 1, Workers: []int{1, 2},
-		Curves:          []WorkerCurve{{Label: "c", Mode: prefork.ModeReuseport, Shard: netsim.ShardHash}},
-		PlotUtilization: true,
-	}, WorkerSweepOptions{Connections: 400})
+		Metric: MetricReplyCPU, Axis: AxisWorkers, X: []float64{1, 2},
+		Curves: []Curve{{Label: "c", Spec: RunSpec{Server: PreforkKind(1), RequestRate: 1500, Inactive: 1}}},
+	}
+	res := RunFigure(fig, SweepOptions{Connections: 400})
 	if len(res.Series) != 4 || len(res.Runs) != 2 {
 		t.Fatalf("series=%d runs=%d, want 4 and 2", len(res.Series), len(res.Runs))
 	}
-	text := FormatWorkers(res)
-	if !strings.Contains(text, "workers") || !strings.Contains(text, "c (avg)") {
-		t.Fatalf("FormatWorkers output malformed:\n%s", text)
+	if res.Runs[1].Spec.Server != PreforkKind(2) || res.Runs[1].Workers != 2 {
+		t.Fatalf("workers axis not applied: %s ran %d workers", res.Runs[1].Spec.Server, res.Runs[1].Workers)
+	}
+	text := Format(res)
+	if !strings.Contains(text, "workers") || !strings.Contains(text, "c (avg)") || !strings.Contains(text, "c (cpu%)") {
+		t.Fatalf("Format output malformed:\n%s", text)
+	}
+}
+
+// TestWorkerFigureHonoursSweepOptions pins that the worker-scaling figures
+// take the same per-point options as every other figure: a fault
+// configuration and keep-alive must change fig17's numbers.
+func TestWorkerFigureHonoursSweepOptions(t *testing.T) {
+	fig := mustFigure(t, "fig17")
+	base := SweepOptions{Connections: 600, Workers: []int{1, 2}}
+	chaos := base
+	chaos.Faults = faults.Config{Seed: 1, FDLimit: 300, ResetRate: 0.2}
+	chaos.KeepAlive = true
+	plain, faulted := RunFigure(fig, base), RunFigure(fig, chaos)
+	if Format(plain) == Format(faulted) {
+		t.Fatalf("fig17 ignored the fault and keep-alive options:\n%s", Format(faulted))
+	}
+	for _, r := range faulted.Runs {
+		if r.Spec.Faults.ResetRate != 0.2 || r.Spec.Client.RequestsPerConn != KeepAliveRequests {
+			t.Fatalf("%s: options not applied to the spec: %+v", r.Spec.Server, r.Spec)
+		}
 	}
 }

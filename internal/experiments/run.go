@@ -203,12 +203,17 @@ func RetargetKind(kind ServerKind, backend string) (ServerKind, error) {
 			return ServerKind("hybrid-" + backend), nil
 		}
 	case "prefork":
-		if backend == "epoll" {
-			return PreforkKind(rk.workers), nil
-		}
-		return ServerKind(fmt.Sprintf("prefork-%d-%s", rk.workers, backend)), nil
+		return preforkKind(rk.workers, backend), nil
 	}
 	return kind, nil
+}
+
+// preforkKind names the N-worker prefork server on the named backend.
+func preforkKind(workers int, backend string) ServerKind {
+	if backend == "epoll" {
+		return PreforkKind(workers)
+	}
+	return ServerKind(fmt.Sprintf("prefork-%d-%s", workers, backend))
 }
 
 // RunSpec describes one benchmark point: one server, one offered rate, one
@@ -220,8 +225,8 @@ type RunSpec struct {
 	// Connections is the number of benchmark connections (the paper uses
 	// 35000; the test and bench defaults scale this down, which preserves the
 	// curve shapes because the run is long enough to reach steady state).
-	// When RequestsPerConn > 1 it counts offered requests instead: the run
-	// launches Connections/RequestsPerConn persistent connections, so the
+	// When Client.RequestsPerConn > 1 it counts offered requests instead: the
+	// run launches Connections/RequestsPerConn persistent connections, so the
 	// total work and issue window match an HTTP/1.0 run of the same spec.
 	Connections int
 	Seed        int64
@@ -234,17 +239,11 @@ type RunSpec struct {
 	// pipelining budget, response cache, write path) for every family; the
 	// zero value is the historical one-request HTTP/1.0 server.
 	HTTP httpcore.Options
-	// RequestsPerConn makes each client connection issue N HTTP/1.1 requests
-	// (final one Connection: close); 0 or 1 keeps the HTTP/1.0 client.
+	// Client carries the per-client knobs (requests per connection, pipeline
+	// depth, patience, RTTs, jitter, retry) to loadgen.Config.Profile; its
+	// zero fields keep the generator's defaults. Client.RequestsPerConn > 1
+	// makes each connection issue that many HTTP/1.1 requests while
 	// RequestRate remains the request rate — connections launch at rate/N.
-	RequestsPerConn int
-	// PipelineDepth is how many requests the keep-alive client keeps
-	// outstanding; 0 or 1 is the serial request-response client.
-	PipelineDepth int
-	// Client carries the collapsed per-client knobs straight through to
-	// loadgen.Config.Profile; non-zero profile fields win over the flat
-	// RequestsPerConn/PipelineDepth fields above (which remain for
-	// compatibility with the figure definitions).
 	Client loadgen.ClientProfile
 
 	// FanoutSize overrides the push workload's per-tick fan-out (push-* server
@@ -632,14 +631,9 @@ func RunE(spec RunSpec) (RunResult, error) {
 	// total work and issue window all match the HTTP/1.0 curve of the same
 	// figure — the comparison isolates the per-connection costs (accept,
 	// interest-set registration, teardown) that persistence amortises. The
-	// profile's request count wins over the flat field, mirroring loadgen's
-	// merge; the non-request families have no request budget to normalise.
+	// non-request families have no request budget to normalise.
 	requests := spec.Connections
-	rpc := spec.RequestsPerConn
-	if spec.Client.RequestsPerConn > 0 {
-		rpc = spec.Client.RequestsPerConn
-	}
-	if workload.Kind == loadgen.KindRequest && rpc > 1 {
+	if rpc := spec.Client.RequestsPerConn; workload.Kind == loadgen.KindRequest && rpc > 1 {
 		spec.Connections = (spec.Connections + rpc - 1) / rpc
 	}
 	ncpu := rk.workers
@@ -664,9 +658,6 @@ func RunE(spec RunSpec) (RunResult, error) {
 	lcfg.Connections = spec.Connections
 	lcfg.Seed = spec.Seed
 	lcfg.Workload = workload
-	lcfg.RequestsPerConn = spec.RequestsPerConn
-	lcfg.PipelineDepth = spec.PipelineDepth
-	lcfg.Profile = spec.Client
 	// The work window is how long the run's traffic takes to offer: the issue
 	// window for the request family, the member ramp plus the delivery budget
 	// for push, the join window plus one peer's ping lifetime for churn. It
@@ -689,8 +680,20 @@ func RunE(spec RunSpec) (RunResult, error) {
 		if to < core.Second {
 			to = core.Second
 		}
-		lcfg.Timeout = to
+		lcfg.Profile.Timeout = to
 	}
+	// The spec's client knobs win; its zero fields keep the defaults above.
+	client := spec.Client
+	if client.Timeout == 0 {
+		client.Timeout = lcfg.Profile.Timeout
+	}
+	if client.InactiveRTT == 0 {
+		client.InactiveRTT = lcfg.Profile.InactiveRTT
+	}
+	if client.Jitter == 0 {
+		client.Jitter = lcfg.Profile.Jitter
+	}
+	lcfg.Profile = client
 
 	threads, fallback := parallelThreads(spec, rk, netCfg, lcfg)
 	if threads > 1 {
@@ -819,8 +822,8 @@ func minRTT(netCfg netsim.Config, lcfg loadgen.Config) core.Duration {
 			min = d
 		}
 	}
-	consider(lcfg.ActiveRTT)
-	consider(lcfg.InactiveRTT)
+	consider(lcfg.Profile.ActiveRTT)
+	consider(lcfg.Profile.InactiveRTT)
 	for _, band := range lcfg.Workload.RTTMix {
 		consider(band.RTT)
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -131,40 +132,42 @@ func TestStalledReadersHoldDescriptors(t *testing.T) {
 	}
 }
 
-// TestOverloadFigureDefinitionsAndRun: the overload family is well-formed
-// (unique ids, known workloads, four-mechanism curve sets) and a scaled-down
-// run of one figure produces a formatted table with both series per curve.
+// TestOverloadFigureDefinitionsAndRun: the per-workload overload figures
+// (19-24) are well-formed (one known workload each, the five-mechanism curve
+// set) and a scaled-down run of one figure produces a formatted table with
+// both series per curve.
 func TestOverloadFigureDefinitionsAndRun(t *testing.T) {
 	seen := map[string]bool{}
-	for _, f := range OverloadFigures() {
-		if seen[f.ID] {
-			t.Fatalf("duplicate overload figure id %s", f.ID)
+	for n := 19; n <= 24; n++ {
+		f := mustFigure(t, strconv.Itoa(n))
+		wl := f.Curves[0].Spec.Workload
+		if seen[wl] {
+			t.Fatalf("%s repeats workload %q", f.ID, wl)
 		}
-		seen[f.ID] = true
-		if _, ok := loadgen.LookupWorkload(f.Workload); !ok {
-			t.Fatalf("%s names unknown workload %q", f.ID, f.Workload)
-		}
-		if len(f.Rates) < 3 || len(f.Curves) < 3 {
+		seen[wl] = true
+		if f.Metric != MetricReplyP99 || f.Axis != AxisRate || len(f.X) < 3 || len(f.Curves) != 5 {
 			t.Fatalf("%s underspecified: %+v", f.ID, f)
 		}
-	}
-	if _, ok := OverloadFigureByID("19"); !ok {
-		t.Fatal("fig19 not found by number")
+		for _, c := range f.Curves {
+			if c.Spec.Workload != wl {
+				t.Fatalf("%s curve %q runs workload %q, want %q", f.ID, c.Label, c.Spec.Workload, wl)
+			}
+		}
 	}
 
-	fig, _ := OverloadFigureByID("fig20")
-	fig.Rates = []float64{500, 900}
+	fig := mustFigure(t, "fig20")
+	fig.X = []float64{500, 900}
 	fig.Curves = fig.Curves[:2]
-	res := RunOverloadFigure(fig, SweepOptions{Connections: 600, Seed: 1})
+	res := RunFigure(fig, SweepOptions{Connections: 600, Seed: 1})
 	if len(res.Series) != 4 { // reply + p99 per curve
 		t.Fatalf("series = %d, want 4", len(res.Series))
 	}
 	if len(res.Runs) != 4 {
 		t.Fatalf("runs = %d, want 4", len(res.Runs))
 	}
-	out := FormatOverload(res)
-	if !strings.Contains(out, "FIGURE 20") || !strings.Contains(out, "p99") {
-		t.Fatalf("FormatOverload output malformed:\n%s", out)
+	out := Format(res)
+	if !strings.Contains(out, "FIGURE 20") || !strings.Contains(out, "p99") || !strings.Contains(out, "workload flashcrowd") {
+		t.Fatalf("Format output malformed:\n%s", out)
 	}
 	pt := FormatPercentiles(res.Runs)
 	if !strings.Contains(pt, "p999 ms") || len(strings.Split(strings.TrimSpace(pt), "\n")) != 5 {

@@ -33,7 +33,7 @@ func TestKeepAliveClientServesAllRequests(t *testing.T) {
 	k, n, s := testbedHTTP(t, httpcore.Options{KeepAlive: true})
 	cfg := DefaultConfig(400, 0)
 	cfg.Connections = 50
-	cfg.RequestsPerConn = 4
+	cfg.Profile.RequestsPerConn = 4
 	cfg.SampleInterval = 200 * core.Millisecond
 	gen := New(k, n, cfg)
 	gen.OnDone(func(Result) { s.Stop(); k.Sim.Stop() })
@@ -64,8 +64,8 @@ func TestPipelinedClientKeepsDepthOutstanding(t *testing.T) {
 	k, n, s := testbedHTTP(t, httpcore.Options{KeepAlive: true})
 	cfg := DefaultConfig(400, 0)
 	cfg.Connections = 30
-	cfg.RequestsPerConn = 8
-	cfg.PipelineDepth = 4
+	cfg.Profile.RequestsPerConn = 8
+	cfg.Profile.PipelineDepth = 4
 	cfg.SampleInterval = 200 * core.Millisecond
 	gen := New(k, n, cfg)
 	gen.OnDone(func(Result) { s.Stop(); k.Sim.Stop() })
@@ -88,9 +88,9 @@ func TestKeepAliveWatchdogRollsWithProgress(t *testing.T) {
 	k, n, s := testbedHTTP(t, httpcore.Options{KeepAlive: true})
 	cfg := DefaultConfig(100, 0)
 	cfg.Connections = 5
-	cfg.RequestsPerConn = 6
-	cfg.Timeout = 100 * core.Millisecond
-	cfg.ActiveRTT = 60 * core.Millisecond // each serial round trip ≈60 ms; six exceed Timeout
+	cfg.Profile.RequestsPerConn = 6
+	cfg.Profile.Timeout = 100 * core.Millisecond
+	cfg.Profile.ActiveRTT = 60 * core.Millisecond // each serial round trip ≈60 ms; six exceed Timeout
 	cfg.SampleInterval = 100 * core.Millisecond
 	gen := New(k, n, cfg)
 	gen.OnDone(func(Result) { s.Stop(); k.Sim.Stop() })
@@ -110,7 +110,7 @@ func TestKeepAliveClientAgainstHTTP10Server(t *testing.T) {
 	k, n, s := testbedHTTP(t, httpcore.Options{})
 	cfg := DefaultConfig(200, 0)
 	cfg.Connections = 20
-	cfg.RequestsPerConn = 4
+	cfg.Profile.RequestsPerConn = 4
 	cfg.SampleInterval = 200 * core.Millisecond
 	gen := New(k, n, cfg)
 	gen.OnDone(func(Result) { s.Stop(); k.Sim.Stop() })
@@ -130,7 +130,7 @@ func TestKeepAliveLaunchRateSpreadsRequests(t *testing.T) {
 	k, n, _ := testbedHTTP(t, httpcore.Options{KeepAlive: true})
 	cfg := DefaultConfig(400, 0)
 	cfg.Connections = 40
-	cfg.RequestsPerConn = 4
+	cfg.Profile.RequestsPerConn = 4
 	gen := New(k, n, cfg)
 	if got := gen.connRate(); got != 100 {
 		t.Fatalf("connRate = %v, want 100", got)

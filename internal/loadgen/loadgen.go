@@ -36,12 +36,11 @@ const (
 )
 
 // ClientProfile bundles the per-connection client knobs — request count,
-// pipelining, patience and path latency — into one value a caller can pass
-// around whole. The zero value selects today's defaults exactly (one-request
-// HTTP/1.0 clients, serial dispatch, 5 s patience, network-default RTTs), and
-// a zero field inside a non-zero profile likewise defers to the default, so
-// profiles compose with DefaultConfig the way the individual fields always
-// have.
+// pipelining, patience, path latency, jitter and retry — into one value a
+// caller can pass around whole. New fills a zero field with its default
+// (one-request HTTP/1.0 clients, serial dispatch, 5 s patience,
+// network-default active RTT, 100 ms inactive RTT); DefaultConfig also sets
+// the paper's 0.2 jitter, which a zero Jitter turns off.
 type ClientProfile struct {
 	// RequestsPerConn is how many requests each benchmark connection issues
 	// (HTTP/1.1, the final one carrying Connection: close) before the
@@ -69,7 +68,7 @@ type ClientProfile struct {
 	// fails (refused, reset, truncated, timed out, out of ports) relaunches
 	// after a capped exponential backoff with seeded jitter instead of being
 	// booked as an error, until RetryMax attempts are exhausted. Off by
-	// default; the sweep tools gate it behind -retry. A retried connection
+	// default; benchfig gates it behind -retry. A retried connection
 	// keeps its original start time, so latency measures the full
 	// client-perceived wait, backoffs included.
 	Retry bool
@@ -98,44 +97,18 @@ type Config struct {
 	// DocumentSize is the expected body size, used to recognise a complete
 	// response (default 6 KB).
 	DocumentSize int
-	// Profile bundles the per-connection client knobs. Non-zero fields
-	// override the corresponding deprecated fields below; New normalises
-	// both views so either may be read after construction.
+	// Profile bundles the per-connection client knobs; New fills its zero
+	// fields with the defaults (DefaultConfig sets the paper's).
 	Profile ClientProfile
-	// Timeout aborts a connection that has not completed in this long.
-	//
-	// Deprecated: set Profile.Timeout.
-	Timeout core.Duration
-	// ActiveRTT is the round-trip time of benchmark connections.
-	//
-	// Deprecated: set Profile.ActiveRTT.
-	ActiveRTT core.Duration
-	// InactiveRTT is the round-trip time of the inactive clients.
-	//
-	// Deprecated: set Profile.InactiveRTT.
-	InactiveRTT core.Duration
 	// SampleInterval is the reply-rate sampling period (httperf uses 5 s).
 	SampleInterval core.Duration
 	// Seed drives the arrival jitter; runs with equal seeds are identical.
 	Seed int64
-	// Jitter is the fraction of the inter-arrival gap randomised (0..1).
-	//
-	// Deprecated: set Profile.Jitter.
-	Jitter float64
 	// Workload selects the traffic family, the arrival process, the
 	// background-population behavior and the client RTT distribution. The
 	// zero value is the paper's workload (constant arrivals, silent inactive
 	// clients, LAN).
 	Workload Workload
-	// RequestsPerConn is how many requests each benchmark connection issues.
-	//
-	// Deprecated: set Profile.RequestsPerConn.
-	RequestsPerConn int
-	// PipelineDepth is how many requests a keep-alive client keeps
-	// outstanding.
-	//
-	// Deprecated: set Profile.PipelineDepth.
-	PipelineDepth int
 }
 
 // DefaultConfig returns the paper's workload shape at the given request rate
@@ -147,11 +120,13 @@ func DefaultConfig(rate float64, inactive int) Config {
 		InactiveConnections: inactive,
 		DocumentPath:        httpsim.DefaultDocumentPath,
 		DocumentSize:        httpsim.DefaultDocumentSize,
-		Timeout:             5 * core.Second,
-		InactiveRTT:         100 * core.Millisecond,
-		SampleInterval:      5 * core.Second,
-		Seed:                1,
-		Jitter:              0.2,
+		Profile: ClientProfile{
+			Timeout:     5 * core.Second,
+			InactiveRTT: 100 * core.Millisecond,
+			Jitter:      0.2,
+		},
+		SampleInterval: 5 * core.Second,
+		Seed:           1,
 	}
 }
 
@@ -201,7 +176,7 @@ type Result struct {
 	OfferedRate float64
 }
 
-// String renders the one-line summary the sweep tool prints per point.
+// String renders the one-line summary benchfig prints per point.
 func (r Result) String() string {
 	return fmt.Sprintf("rate=%4.0f load=%3d reply(avg=%6.1f min=%6.1f max=%6.1f sd=%5.1f) err=%5.1f%% median=%6.2fms",
 		r.Config.RequestRate, r.Config.InactiveConnections,
@@ -294,29 +269,6 @@ func (ln *laneAcc) bump(idx int) {
 
 // New creates a generator for the given kernel, network and workload.
 func New(k *simkernel.Kernel, net *netsim.Network, cfg Config) *Generator {
-	// A profile's non-zero fields win over the deprecated flat fields; the
-	// merged values are then normalised in place and mirrored back into the
-	// profile so either view reads the effective configuration.
-	if p := cfg.Profile; p != (ClientProfile{}) {
-		if p.RequestsPerConn > 0 {
-			cfg.RequestsPerConn = p.RequestsPerConn
-		}
-		if p.PipelineDepth > 0 {
-			cfg.PipelineDepth = p.PipelineDepth
-		}
-		if p.Timeout > 0 {
-			cfg.Timeout = p.Timeout
-		}
-		if p.ActiveRTT > 0 {
-			cfg.ActiveRTT = p.ActiveRTT
-		}
-		if p.InactiveRTT > 0 {
-			cfg.InactiveRTT = p.InactiveRTT
-		}
-		if p.Jitter > 0 {
-			cfg.Jitter = p.Jitter
-		}
-	}
 	if cfg.Connections <= 0 {
 		cfg.Connections = 1
 	}
@@ -329,45 +281,35 @@ func New(k *simkernel.Kernel, net *netsim.Network, cfg Config) *Generator {
 	if cfg.DocumentSize <= 0 {
 		cfg.DocumentSize = httpsim.DefaultDocumentSize
 	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 5 * core.Second
+	p := &cfg.Profile
+	if p.Timeout <= 0 {
+		p.Timeout = 5 * core.Second
 	}
-	if cfg.Profile.Retry {
-		if cfg.Profile.RetryMax <= 0 {
-			cfg.Profile.RetryMax = 3
+	if p.Retry {
+		if p.RetryMax <= 0 {
+			p.RetryMax = 3
 		}
-		if cfg.Profile.RetryBase <= 0 {
-			cfg.Profile.RetryBase = 100 * core.Millisecond
+		if p.RetryBase <= 0 {
+			p.RetryBase = 100 * core.Millisecond
 		}
 	}
-	if cfg.InactiveRTT <= 0 {
-		cfg.InactiveRTT = 100 * core.Millisecond
+	if p.InactiveRTT <= 0 {
+		p.InactiveRTT = 100 * core.Millisecond
 	}
 	if cfg.SampleInterval <= 0 {
 		cfg.SampleInterval = 5 * core.Second
 	}
-	if cfg.Jitter < 0 {
-		cfg.Jitter = 0
+	if p.Jitter < 0 {
+		p.Jitter = 0
 	}
-	if cfg.Jitter > 1 {
-		cfg.Jitter = 1
+	if p.Jitter > 1 {
+		p.Jitter = 1
 	}
-	if cfg.RequestsPerConn < 1 {
-		cfg.RequestsPerConn = 1
+	if p.RequestsPerConn < 1 {
+		p.RequestsPerConn = 1
 	}
-	if cfg.PipelineDepth < 1 {
-		cfg.PipelineDepth = 1
-	}
-	cfg.Profile = ClientProfile{
-		RequestsPerConn: cfg.RequestsPerConn,
-		PipelineDepth:   cfg.PipelineDepth,
-		Timeout:         cfg.Timeout,
-		ActiveRTT:       cfg.ActiveRTT,
-		InactiveRTT:     cfg.InactiveRTT,
-		Jitter:          cfg.Jitter,
-		Retry:           cfg.Profile.Retry,
-		RetryMax:        cfg.Profile.RetryMax,
-		RetryBase:       cfg.Profile.RetryBase,
+	if p.PipelineDepth < 1 {
+		p.PipelineDepth = 1
 	}
 	g := &Generator{
 		k:              k,
@@ -378,8 +320,8 @@ func New(k *simkernel.Kernel, net *netsim.Network, cfg Config) *Generator {
 		partialRequest: httpsim.FormatPartialRequest(cfg.DocumentPath),
 		expectedSize:   httpsim.ResponseSize(httpsim.StatusOK, cfg.DocumentSize),
 	}
-	g.reqsPerConn = cfg.RequestsPerConn
-	g.pipeDepth = cfg.PipelineDepth
+	g.reqsPerConn = cfg.Profile.RequestsPerConn
+	g.pipeDepth = cfg.Profile.PipelineDepth
 	if g.reqsPerConn > 1 {
 		g.kaRequest = httpsim.FormatRequest11(cfg.DocumentPath, false)
 		g.kaFinal = httpsim.FormatRequest11(cfg.DocumentPath, true)
@@ -555,17 +497,17 @@ func (g *Generator) connRate() float64 {
 
 // jitterFor draws the uniform schedule jitter for one inter-arrival interval.
 func (g *Generator) jitterFor(interval core.Duration) core.Duration {
-	if g.cfg.Jitter <= 0 {
+	if g.cfg.Profile.Jitter <= 0 {
 		return 0
 	}
-	span := float64(interval) * g.cfg.Jitter
+	span := float64(interval) * g.cfg.Profile.Jitter
 	return core.Duration((g.rng.Float64() - 0.5) * span)
 }
 
 // launchOne starts a single benchmark connection.
 func (g *Generator) launchOne(now core.Time) {
 	g.issued++
-	rtt := g.cfg.ActiveRTT
+	rtt := g.cfg.Profile.ActiveRTT
 	if len(g.cfg.Workload.RTTMix) > 0 {
 		rtt = netsim.SampleRTT(g.cfg.Workload.RTTMix, g.rng.Float64())
 	}
@@ -573,7 +515,7 @@ func (g *Generator) launchOne(now core.Time) {
 	ac.conn = g.net.ConnectWith(now, netsim.ConnectOptions{RTT: rtt}, ac)
 	// httperf's client-side timeout, delivered on the connection's home lane
 	// (a plain same-lane event on a sequential run).
-	g.driverQ.Post(ac.conn.Q(), now.Add(g.cfg.Timeout), ac.onTimeout)
+	g.driverQ.Post(ac.conn.Q(), now.Add(g.cfg.Profile.Timeout), ac.onTimeout)
 }
 
 // recordCompletion books a successful reply. q is the resolving connection's
@@ -946,7 +888,7 @@ func (a *activeConn) relaunch(now core.Time) {
 	a.reqStart, a.lastProgress = now, now
 	a.conn = g.net.ConnectWith(now, netsim.ConnectOptions{RTT: a.rtt}, a)
 	attempt := a.attempt
-	g.driverQ.Post(a.conn.Q(), now.Add(g.cfg.Timeout), func(t core.Time) { a.timeout(attempt, t) })
+	g.driverQ.Post(a.conn.Q(), now.Add(g.cfg.Profile.Timeout), func(t core.Time) { a.timeout(attempt, t) })
 }
 
 func (a *activeConn) onTimeout(now core.Time) { a.timeout(0, now) }
@@ -962,7 +904,7 @@ func (a *activeConn) timeout(attempt int, now core.Time) {
 		// A keep-alive connection legitimately outlives one Timeout; the
 		// watchdog instead requires a reply every Timeout window, re-arming
 		// itself from the last instant of progress.
-		if deadline := a.lastProgress.Add(a.gen.cfg.Timeout); deadline > now {
+		if deadline := a.lastProgress.Add(a.gen.cfg.Profile.Timeout); deadline > now {
 			if attempt == 0 {
 				a.conn.Q().At(deadline, a.onTimeout)
 			} else {
@@ -995,7 +937,7 @@ func (ic *inactiveClient) open(now core.Time) {
 	if ic.gen.done {
 		return
 	}
-	opts := netsim.ConnectOptions{RTT: ic.gen.cfg.InactiveRTT}
+	opts := netsim.ConnectOptions{RTT: ic.gen.cfg.Profile.InactiveRTT}
 	if ic.kind == BackgroundStalledReader {
 		window := ic.gen.cfg.Workload.StallWindow
 		if window <= 0 {

@@ -53,7 +53,7 @@ func (g *Generator) startPush(now core.Time) {
 func (g *Generator) launchMember(now core.Time) {
 	g.issued++
 	m := &pushMember{gen: g}
-	m.conn = g.net.ConnectWith(now, netsim.ConnectOptions{RTT: g.cfg.ActiveRTT}, m)
+	m.conn = g.net.ConnectWith(now, netsim.ConnectOptions{RTT: g.cfg.Profile.ActiveRTT}, m)
 }
 
 // PushDeliver books a server-initiated delivery: the push server's OnDeliver
@@ -200,7 +200,7 @@ func (g *Generator) startDHT(now core.Time) {
 func (g *Generator) launchPeer(now core.Time) {
 	g.issued++
 	cp := &churnPeer{gen: g}
-	cp.peer = g.net.NewPeer(now, netsim.PeerOptions{RTT: g.cfg.ActiveRTT}, cp)
+	cp.peer = g.net.NewPeer(now, netsim.PeerOptions{RTT: g.cfg.Profile.ActiveRTT}, cp)
 }
 
 // churnPeer is one peer session: ping, await pong, repeat until the quota is
@@ -237,7 +237,7 @@ func (cp *churnPeer) ping(now core.Time) {
 	}
 	cp.peer.SendTo(now, to, g.dhtPingSize)
 	epoch := cp.epoch
-	cp.peer.Q().At(now.Add(g.cfg.Timeout), func(t core.Time) { cp.onPingTimeout(t, epoch) })
+	cp.peer.Q().At(now.Add(g.cfg.Profile.Timeout), func(t core.Time) { cp.onPingTimeout(t, epoch) })
 }
 
 // Datagram implements netsim.DgramHandler: a pong. The sender is the peer's
