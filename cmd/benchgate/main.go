@@ -6,12 +6,15 @@
 // writes one JSON entry per point: the simulated reply rate and p99
 // connection latency (bit-deterministic for a given seed and connection
 // count) plus the measured wall-clock cost (ns/op, noisy) and heap
-// allocation count (allocs_per_op, near-deterministic) of the run. In gate
+// allocation count (allocs_per_op, near-deterministic) of the run, and the
+// simulated events the run executed with the wall-clock ns per event, which
+// split a wall-clock move into "more events" and "slower events". In gate
 // mode it compares a candidate file against the committed baseline and exits
 // non-zero on regression: a reply rate more than -tolerance below the
 // baseline, a p99 more than -tolerance above it, an allocation count more
 // than -alloc-tolerance above it, or a ns/op more than -time-tolerance above
-// it. The simulated gates are tight because those numbers only move when
+// it; events and ns per event are informational and never gated. The
+// simulated gates are tight because those numbers only move when
 // the simulation's behavior moves; the allocation gate is nearly as tight
 // (the count is a property of the code path, not the machine); the
 // wall-clock gate is looser, and only meaningful when baseline and candidate
@@ -26,8 +29,8 @@
 //
 // Usage:
 //
-//	benchgate -emit BENCH_PR14.json         # refresh the baseline
-//	benchgate -baseline BENCH_PR14.json -candidate new.json
+//	benchgate -emit BENCH_PR16.json         # refresh the baseline
+//	benchgate -baseline BENCH_PR16.json -candidate new.json
 //	benchgate -crosscheck 4                 # parallel == sequential, bit for bit
 package main
 
@@ -35,6 +38,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"sort"
@@ -64,6 +68,12 @@ type Entry struct {
 	// a property of the executed code path, not of the machine, so the gate
 	// holds it to a tight tolerance even in CI.
 	AllocsPerOp int64 `json:"allocs_per_op"`
+	// Events is the number of simulated events the run executed and
+	// NsPerEvent the fastest run's ns/op divided by it. Neither is gated:
+	// the count differs between the sequential and the sharded engine, and
+	// ns per event is as noisy as ns/op.
+	Events     int64   `json:"events"`
+	NsPerEvent float64 `json:"ns_per_event"`
 }
 
 // File is the benchmark baseline schema.
@@ -282,10 +292,14 @@ func emit(path string, connections int, seed int64, threads int, quiet bool) err
 			Threads:     res.Threads,
 			NsPerOp:     best,
 			AllocsPerOp: bestAllocs,
+			Events:      res.Events,
+		}
+		if res.Events > 0 {
+			e.NsPerEvent = math.Round(float64(best)/float64(res.Events)*10) / 10
 		}
 		if !quiet {
-			fmt.Fprintf(os.Stderr, "%-40s %8.1f replies/s %8.2f p99-ms %12d ns/op %10d allocs/op %2d threads\n",
-				e.ID, e.RepliesPS, e.P99Ms, e.NsPerOp, e.AllocsPerOp, e.Threads)
+			fmt.Fprintf(os.Stderr, "%-40s %8.1f replies/s %8.2f p99-ms %12d ns/op %10d allocs/op %10d events %7.1f ns/event %2d threads\n",
+				e.ID, e.RepliesPS, e.P99Ms, e.NsPerOp, e.AllocsPerOp, e.Events, e.NsPerEvent, e.Threads)
 		}
 		f.Entries = append(f.Entries, e)
 	}

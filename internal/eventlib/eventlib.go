@@ -140,6 +140,11 @@ type Base struct {
 	buckets [][]*Event
 	spare   []*Event // recycled bucket backing storage
 
+	// free holds released events for NewEvent/NewTimer to reuse, so a server
+	// that releases each connection's event after Del allocates none per
+	// connection at steady state.
+	free []*Event
+
 	// The dispatch loop's per-iteration state and pre-bound callbacks: the
 	// wait completion, the dispatch batch body and its completion are the
 	// three hottest closures in the system, so they are created once here
@@ -339,15 +344,49 @@ func (b *Base) NewEvent(fd int, what What, cb Callback) *Event {
 	if fd < 0 {
 		what |= EvSignal
 	}
-	b.nextSeq++
-	return &Event{base: b, fd: fd, what: what, cb: cb, wheelLevel: wheelUnarmed, seq: b.nextSeq}
+	ev := b.alloc()
+	*ev = Event{base: b, fd: fd, what: what, cb: cb, wheelLevel: wheelUnarmed, seq: b.nextSeq}
+	return ev
 }
 
 // NewTimer creates a pure timer event: no descriptor, fired only by its
 // timeout. what may include EvPersist for a periodic timer.
 func (b *Base) NewTimer(what What, cb Callback) *Event {
+	ev := b.alloc()
+	*ev = Event{base: b, fd: -1, what: (what & EvPersist) | EvTimeout | EvSignal, timerOnly: true, cb: cb, wheelLevel: wheelUnarmed, seq: b.nextSeq}
+	return ev
+}
+
+// alloc takes the next creation sequence number and an event record: a
+// released one when the free list has any, a fresh one otherwise. The caller
+// overwrites every field.
+func (b *Base) alloc() *Event {
 	b.nextSeq++
-	return &Event{base: b, fd: -1, what: (what & EvPersist) | EvTimeout | EvSignal, timerOnly: true, cb: cb, wheelLevel: wheelUnarmed, seq: b.nextSeq}
+	if n := len(b.free); n > 0 {
+		ev := b.free[n-1]
+		b.free[n-1] = nil
+		b.free = b.free[:n-1]
+		return ev
+	}
+	return &Event{}
+}
+
+// Release hands a deleted event back to its base for reuse by a later
+// NewEvent or NewTimer. The caller gives up the handle: it must hold no other
+// reference and never touch the event again. An activation of the event still
+// queued in a priority bucket (a Del inside the same dispatch, or a lower
+// bucket waiting its turn) keeps the record out of the free list until the
+// drain has passed it, so a reused record is never reached through a stale
+// bucket entry. Releasing a pending event panics.
+func (ev *Event) Release() {
+	if ev.added {
+		panic("eventlib: Release of a pending event")
+	}
+	if ev.queued > 0 {
+		ev.released = true
+		return
+	}
+	ev.base.free = append(ev.base.free, ev)
 }
 
 // Dispatch starts the event loop. It returns immediately — the loop advances
@@ -515,6 +554,7 @@ func (b *Base) activate(ev *Event, what What) {
 		return
 	}
 	ev.activeWhat = what
+	ev.queued++
 	b.buckets[ev.priority] = append(b.buckets[ev.priority], ev)
 }
 
@@ -536,6 +576,10 @@ func (b *Base) processActive(now core.Time) {
 		b.spare = nil
 		for i := 0; i < len(queue); i++ {
 			ev := queue[i]
+			if ev.queued--; ev.queued == 0 && ev.released {
+				b.free = append(b.free, ev)
+				continue
+			}
 			if ev.activeWhat == 0 || !ev.added {
 				continue // deleted (or already dispatched) since activation
 			}
@@ -591,6 +635,11 @@ type Event struct {
 	gen uint64
 
 	activeWhat What
+
+	// queued counts the event's entries in the priority buckets; released
+	// marks a Release deferred until the last of them is drained.
+	queued   int
+	released bool
 }
 
 // FD returns the descriptor the event watches (negative for timers and signal

@@ -230,6 +230,63 @@ func TestDelFromInsideCallback(t *testing.T) {
 	}
 }
 
+// A released event is reused by the next NewEvent — but not while a queued
+// activation still points at it: the drain must pass the stale entry first,
+// so the new registration can never be fired through the old one.
+func TestReleaseWaitsForQueuedActivation(t *testing.T) {
+	env := simtest.NewEnv()
+	base := eventlib.NewWithPoller(env.K, env.P, stockpoll.New(env.K, env.P), eventlib.Config{})
+
+	fdA, fileA := env.NewFD(0)
+	fdB, fileB := env.NewFD(0)
+	var rec recorder
+	var evA, evB, evC *eventlib.Event
+	evA = base.NewEvent(fdA.Num, eventlib.EvRead|eventlib.EvPersist, func(fd int, what eventlib.What, now core.Time) {
+		rec.cb("A")(fd, what, now)
+		if evC != nil {
+			base.Stop()
+			return
+		}
+		// B is activated later in this same batch: release it and register
+		// a replacement on its descriptor.
+		_ = evB.Del()
+		evB.Release()
+		evC = base.NewEvent(fdB.Num, eventlib.EvRead|eventlib.EvPersist, rec.cb("C"))
+		if evC == evB {
+			t.Fatal("NewEvent reused a record still queued for this batch")
+		}
+		if err := evC.Add(0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	evB = base.NewEvent(fdB.Num, eventlib.EvRead|eventlib.EvPersist, rec.cb("B"))
+	if err := evA.Add(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := evB.Add(0); err != nil {
+		t.Fatal(err)
+	}
+	fileA.ReadyMask = core.POLLIN
+	fileB.ReadyMask = core.POLLIN
+	base.Dispatch()
+	env.Run()
+
+	if got := strings.Join(rec.labels, ","); got != "A,A,C" {
+		t.Fatalf("dispatch order = %s, want A,A,C (B deleted, C fired from the next wait)", got)
+	}
+	if ev := base.NewTimer(0, rec.cb("T")); ev != evB {
+		t.Fatal("the drained record was not reused")
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("releasing a pending event did not panic")
+			}
+		}()
+		evA.Release()
+	}()
+}
+
 func TestReAddOneShot(t *testing.T) {
 	env := simtest.NewEnv()
 	base := eventlib.NewWithPoller(env.K, env.P, stockpoll.New(env.K, env.P), eventlib.Config{})

@@ -257,7 +257,13 @@ type laneAcc struct {
 	counts        []int // completions per sampling interval, by interval index
 	lastResolveAt core.Time
 	lastRecordAt  core.Time
-	_             [64]byte // keep adjacent lanes off one cache line
+
+	// free holds activeConn records released on this lane (see
+	// activeConn.onTimeout); launches draw from the driver lane's list, and
+	// on a parallel run a barrier hook moves the other lanes' lists there.
+	free []*activeConn
+
+	_ [64]byte // keep adjacent lanes off one cache line
 }
 
 func (ln *laneAcc) bump(idx int) {
@@ -365,6 +371,7 @@ func (g *Generator) Start(now core.Time) {
 		// of every barrier, where all lanes are quiescent. A 1-lane run
 		// checks inside the resolving event instead (resolvedOne).
 		g.k.Sim.OnBarrier(g.checkDone)
+		g.k.Sim.OnBarrier(g.gatherFree)
 	}
 	switch g.cfg.Workload.Kind {
 	case KindPush:
@@ -511,11 +518,39 @@ func (g *Generator) launchOne(now core.Time) {
 	if len(g.cfg.Workload.RTTMix) > 0 {
 		rtt = netsim.SampleRTT(g.cfg.Workload.RTTMix, g.rng.Float64())
 	}
-	ac := &activeConn{gen: g, started: now, reqStart: now, lastProgress: now, rtt: rtt}
+	ac := g.newActive()
+	ac.started, ac.reqStart, ac.lastProgress, ac.rtt = now, now, now, rtt
 	ac.conn = g.net.ConnectWith(now, netsim.ConnectOptions{RTT: rtt}, ac)
 	// httperf's client-side timeout, delivered on the connection's home lane
 	// (a plain same-lane event on a sequential run).
-	g.driverQ.Post(ac.conn.Q(), now.Add(g.cfg.Profile.Timeout), ac.onTimeout)
+	g.driverQ.Post(ac.conn.Q(), now.Add(g.cfg.Profile.Timeout), ac.onTimeoutFn)
+}
+
+// newActive returns a zeroed activeConn: a released one from the driver
+// lane's free list, or a fresh one with its watchdog callback bound once.
+func (g *Generator) newActive() *activeConn {
+	ln := &g.lanes[0]
+	if n := len(ln.free); n > 0 {
+		a := ln.free[n-1]
+		ln.free[n-1] = nil
+		ln.free = ln.free[:n-1]
+		*a = activeConn{gen: g, onTimeoutFn: a.onTimeoutFn}
+		return a
+	}
+	a := &activeConn{gen: g}
+	a.onTimeoutFn = a.onTimeout
+	return a
+}
+
+// gatherFree runs in the serial section of every barrier of a parallel run:
+// it moves the activeConns released on connection lanes to the driver lane,
+// where launches reuse them.
+func (g *Generator) gatherFree(core.Time) {
+	for i := 1; i < len(g.lanes); i++ {
+		g.lanes[0].free = append(g.lanes[0].free, g.lanes[i].free...)
+		clear(g.lanes[i].free)
+		g.lanes[i].free = g.lanes[i].free[:0]
+	}
 }
 
 // recordCompletion books a successful reply. q is the resolving connection's
@@ -761,6 +796,9 @@ type activeConn struct {
 	replied      int
 	reqStart     core.Time
 	lastProgress core.Time
+
+	// onTimeoutFn is onTimeout bound once for the record's whole life.
+	onTimeoutFn func(now core.Time)
 }
 
 // Connected implements netsim.ConnHandler.
@@ -891,14 +929,30 @@ func (a *activeConn) relaunch(now core.Time) {
 	g.driverQ.Post(a.conn.Q(), now.Add(g.cfg.Profile.Timeout), func(t core.Time) { a.timeout(attempt, t) })
 }
 
-func (a *activeConn) onTimeout(now core.Time) { a.timeout(0, now) }
+// onTimeout is the first attempt's watchdog. An attempt-0 connection has
+// exactly one watchdog pending at any time (armed at launch, re-armed only by
+// its own firing), so a firing that does not re-arm is the last event that
+// can reach the record: the connection has resolved and closed, and no retry
+// is pending. It releases the connection to the network and the record to its
+// lane's free list there. A retried connection's records are left to the
+// collector — its watchdogs are spread over several attempts and lanes.
+func (a *activeConn) onTimeout(now core.Time) {
+	if a.timeout(0, now) || !a.resolved || a.attempt != 0 {
+		return
+	}
+	ln := &a.gen.lanes[a.conn.Q().LaneIndex()]
+	a.conn.Release()
+	a.conn = nil
+	ln.free = append(ln.free, a)
+}
 
 // timeout is the client-patience watchdog, stamped with the attempt it was
 // armed for: a watchdog armed for an attempt that has since failed and been
-// retried must not kill the retry's fresh connection early.
-func (a *activeConn) timeout(attempt int, now core.Time) {
+// retried must not kill the retry's fresh connection early. It reports whether
+// it re-armed itself.
+func (a *activeConn) timeout(attempt int, now core.Time) (rearmed bool) {
 	if a.resolved || attempt != a.attempt {
-		return
+		return false
 	}
 	if a.gen.reqsPerConn > 1 {
 		// A keep-alive connection legitimately outlives one Timeout; the
@@ -906,16 +960,17 @@ func (a *activeConn) timeout(attempt int, now core.Time) {
 		// itself from the last instant of progress.
 		if deadline := a.lastProgress.Add(a.gen.cfg.Profile.Timeout); deadline > now {
 			if attempt == 0 {
-				a.conn.Q().At(deadline, a.onTimeout)
+				a.conn.Q().At(deadline, a.onTimeoutFn)
 			} else {
 				a.conn.Q().At(deadline, func(t core.Time) { a.timeout(attempt, t) })
 			}
-			return
+			return true
 		}
 	}
 	a.resolved = true
 	a.conn.Close(now)
 	a.failOrRetry(now, ErrTimeout)
+	return false
 }
 
 // inactiveClient keeps one perpetually unserviceable connection open against

@@ -8,7 +8,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/core"
 )
@@ -60,38 +59,100 @@ func (s Summary) String() string {
 // nearest-rank interpolation. It returns 0 for an empty slice.
 func Percentile(samples []float64, p float64) float64 { return Percentiles(samples, p)[0] }
 
-// Percentiles returns Percentile(samples, p) for every p in ps, sorting one
-// copy of the samples for all of them.
+// Percentiles returns Percentile(samples, p) for every p in ps. Each requested
+// order statistic is found by selection on one copy of the samples (the
+// extremes by a linear scan), so a call costs a few linear passes instead of a
+// full sort; the values are exactly the ones a sorted copy would give.
 func Percentiles(samples []float64, ps ...float64) []float64 {
 	out := make([]float64, len(ps))
 	if len(samples) == 0 {
 		return out
 	}
-	sorted := append([]float64(nil), samples...)
-	sort.Float64s(sorted)
+	var work []float64 // selection reorders; the caller's slice stays untouched
 	for i, p := range ps {
-		out[i] = nearestRank(sorted, p)
+		if p <= 0 || p >= 100 || len(samples) == 1 {
+			out[i] = extreme(samples, p >= 100)
+			continue
+		}
+		if work == nil {
+			work = append([]float64(nil), samples...)
+		}
+		rank := p / 100 * float64(len(work)-1)
+		lo := int(math.Floor(rank))
+		hi := int(math.Ceil(rank))
+		v := selectRank(work, lo)
+		if lo == hi {
+			out[i] = v
+			continue
+		}
+		// selectRank left every element right of lo ordered at or above it,
+		// so rank lo+1 is the smallest of them.
+		frac := rank - float64(lo)
+		out[i] = v*(1-frac) + extreme(work[hi:], false)*frac
 	}
 	return out
 }
 
-// nearestRank reads the p-th percentile off a sorted, non-empty slice,
-// interpolating linearly between the two nearest ranks.
-func nearestRank(sorted []float64, p float64) float64 {
-	if p <= 0 {
-		return sorted[0]
+// sortLess is sort.Float64s's order: ascending, NaNs first. Selection uses it
+// so every order statistic matches the sorted copy's element at that rank.
+func sortLess(a, b float64) bool { return a < b || (a != a && b == b) }
+
+// extreme returns the largest or smallest element of a non-empty slice under
+// sortLess — the last or first element of its sorted copy.
+func extreme(s []float64, largest bool) float64 {
+	m := s[0]
+	for _, v := range s[1:] {
+		if largest && sortLess(m, v) || !largest && sortLess(v, m) {
+			m = v
+		}
 	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
+	return m
+}
+
+// selectRank reorders s so that s[k] holds the element a sort would place at
+// rank k, with no element ordered above it to its left and none below it to
+// its right, and returns it. It is quickselect with a median-of-three pivot
+// and a three-way partition, so runs of equal samples collapse in one pass.
+func selectRank(s []float64, k int) float64 {
+	lo, hi := 0, len(s) // the rank-k element lies in s[lo:hi]
+	for hi-lo > 1 {
+		a, b, c := s[lo], s[lo+(hi-lo)/2], s[hi-1]
+		if sortLess(b, a) {
+			a, b = b, a
+		}
+		if sortLess(c, b) {
+			b = c
+			if sortLess(b, a) {
+				b = a
+			}
+		}
+		pivot := b
+		// Dutch-flag partition: s[lo:lt] < pivot, s[lt:i] == pivot,
+		// s[gt:hi] > pivot.
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch v := s[i]; {
+			case sortLess(v, pivot):
+				s[lt], s[i] = v, s[lt]
+				lt++
+				i++
+			case sortLess(pivot, v):
+				gt--
+				s[gt], s[i] = v, s[gt]
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return s[k]
+		}
 	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return s[k]
 }
 
 // Median returns the 50th percentile.

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -69,6 +70,65 @@ func TestPercentiles(t *testing.T) {
 	}
 	if got := Percentiles(nil, 50, 90); len(got) != 2 || got[0] != 0 || got[1] != 0 {
 		t.Fatalf("empty Percentiles = %v", got)
+	}
+}
+
+// sortedPercentile is the sort-based reference Percentiles replaced: sort a
+// copy, then read the p-th percentile off it, interpolating linearly between
+// the two nearest ranks.
+func sortedPercentile(samples []float64, p float64) float64 {
+	sorted := append([]float64(nil), samples...)
+	sort.Float64s(sorted)
+	if p <= 0 {
+		return sorted[0]
+	}
+	if p >= 100 {
+		return sorted[len(sorted)-1]
+	}
+	rank := p / 100 * float64(len(sorted)-1)
+	lo := int(math.Floor(rank))
+	hi := int(math.Ceil(rank))
+	if lo == hi {
+		return sorted[lo]
+	}
+	frac := rank - float64(lo)
+	return sorted[lo]*(1-frac) + sorted[hi]*frac
+}
+
+// Selection must give bit-identical results to the sort-based reference on
+// random input, input dominated by duplicates, and a single element, at the
+// ranks the harness asks for and the two extremes.
+func TestPercentilesMatchSortReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	random := make([]float64, 10001)
+	for i := range random {
+		random[i] = rng.ExpFloat64() * 40
+	}
+	dups := make([]float64, 5000)
+	for i := range dups {
+		dups[i] = float64(rng.Intn(4))
+	}
+	sortedRun := make([]float64, 999)
+	for i := range sortedRun {
+		sortedRun[i] = float64(i / 3)
+	}
+	ps := []float64{0, 50, 90, 99.9, 100}
+	for name, in := range map[string][]float64{
+		"random": random, "duplicates": dups, "single": {3.5}, "sorted": sortedRun, "pair": {2, 1},
+	} {
+		orig := append([]float64(nil), in...)
+		got := Percentiles(in, ps...)
+		for i, p := range ps {
+			want := sortedPercentile(orig, p)
+			if math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Errorf("%s p%v: got %v, want %v", name, p, got[i], want)
+			}
+		}
+		for i := range in {
+			if in[i] != orig[i] {
+				t.Fatalf("%s: Percentiles mutated its input", name)
+			}
+		}
 	}
 }
 

@@ -92,9 +92,10 @@ type ConnectOptions struct {
 
 // ClientConn is the client-side endpoint of a simulated TCP connection.
 type ClientConn struct {
-	net *Network
-	ID  int64
-	rtt core.Duration
+	net  *Network
+	pair *connPair
+	ID   int64
+	rtt  core.Duration
 
 	// q is the lane every event of this connection — client-side callbacks
 	// included — executes on: the lane of the server process whose listener
@@ -118,13 +119,91 @@ type ClientConn struct {
 	// fate is the fault plane's verdict for this connection, fixed at connect
 	// time from the driver-assigned id (thread-count invariant); fateFired
 	// records that the trigger has been pulled, vanished that the peer went
-	// silent (its eventual Close releases the port without a FIN).
-	fate      faults.ConnFate
+	// silent (its eventual Close releases the port without a FIN). The two
+	// flags sit with the others above so the pair fits its size class.
 	fateFired bool
 	vanished  bool
+	fate      faults.ConnFate
 
 	// StartedAt is when Connect was called; loadgen uses it for latency.
 	StartedAt core.Time
+}
+
+// connPair holds both endpoints of one connection in a single allocation and
+// carries the bookkeeping that lets the pair be recycled for a later
+// connection. A pair returns to its lane's free list once three things hold:
+// both ends are closed (the server's descriptor closed, or the connection
+// never reached an accept queue; the client closed, refused or saw the peer
+// close), no scheduled connEvt still refers to it, and the client owner has
+// called Release. Pairs never released — the inactive population, push
+// members — are left to the collector.
+type connPair struct {
+	c  ClientConn
+	sc ServerConn
+
+	// inc is the incarnation: odd while the pair serves a connection, even
+	// while it waits in a free list. Every connEvt is stamped with it when
+	// scheduled and checked when it runs, so an event outliving its
+	// connection panics instead of acting on the pair's next connection.
+	inc uint32
+	// pending counts the scheduled connEvts that refer to the pair.
+	pending int32
+	// released records the client owner's Release.
+	released bool
+}
+
+// newPair returns a recycled pair from the driver lane's free list, or a
+// fresh one, stamped with a new (odd) incarnation.
+func (n *Network) newPair() *connPair {
+	var p *connPair
+	free := n.pairs[0]
+	if l := len(free); l > 0 {
+		p = free[l-1]
+		free[l-1] = nil
+		n.pairs[0] = free[:l-1]
+	} else {
+		p = &connPair{}
+	}
+	p.inc++
+	p.pending, p.released = 0, false
+	return p
+}
+
+// live panics unless the pair is serving a connection: the incarnation check
+// on a handle whose pair has gone back to a free list.
+func (p *connPair) live() {
+	if p.inc&1 == 0 {
+		panic("netsim: connection used after its pair was recycled")
+	}
+}
+
+// maybeRecycle returns the pair to the free list of its connection's lane
+// once it is released, closed at both ends and referenced by no scheduled
+// event.
+func (p *connPair) maybeRecycle() {
+	c := &p.c
+	if p.inc&1 == 0 || !p.released || p.pending > 0 ||
+		(c.state != StateClosed && c.state != StateRefused) ||
+		(c.server != nil && !p.sc.closedLocal) {
+		return
+	}
+	p.inc++
+	lane := c.q.LaneIndex()
+	c.net.pairs[lane] = append(c.net.pairs[lane], p)
+}
+
+// Release tells the network the owner is done with the connection and will
+// make no further call on it. The owner must only release a connection that
+// has closed on its side (Close, a refusal, or the peer's close), after which
+// no callback reaches it. The endpoint pair is recycled for a later
+// connection as soon as the server side is closed too and no delivery is in
+// flight, so the handle must not be used again. Call it from code executing
+// on the connection's own lane.
+func (c *ClientConn) Release() {
+	p := c.pair
+	p.live()
+	p.released = true
+	p.maybeRecycle()
 }
 
 // ConnectWith starts a connection attempt at virtual time now. The returned
@@ -140,8 +219,10 @@ func (n *Network) ConnectWith(now core.Time, opts ConnectOptions, h ConnHandler)
 	if rtt <= 0 {
 		rtt = n.Cfg.DefaultRTT
 	}
-	c := &ClientConn{
-		net: n, ID: n.connID(), rtt: rtt, h: h, state: StateConnecting,
+	p := n.newPair()
+	c := &p.c
+	*c = ClientConn{
+		net: n, pair: p, ID: n.connID(), rtt: rtt, h: h, state: StateConnecting,
 		StartedAt: now, recvWindow: opts.RecvWindow, stallReads: opts.StallReads,
 	}
 	c.q = n.driverQ
@@ -222,7 +303,8 @@ func (c *ClientConn) synArrive(t core.Time) {
 	reason := RefusedClosed
 	if l != nil {
 		// The client's receive window is advertised in the handshake.
-		sc := &ServerConn{net: n, ID: c.ID, rtt: c.rtt, peer: c, owner: l.owner,
+		sc := &c.pair.sc
+		*sc = ServerConn{net: n, ID: c.ID, rtt: c.rtt, peer: c, owner: l.owner,
 			q: c.synQ, sndWindow: c.recvWindow, sndAvail: c.recvWindow}
 		if l.deliverSYN(t, sc) {
 			c.server = sc
@@ -248,8 +330,10 @@ func (c *ClientConn) established(t core.Time) {
 // Send transmits request bytes toward the server at time now. Bytes arrive
 // after half an RTT plus the link transmission delay and are buffered on the
 // server connection until it reads them. The data slice is retained until
-// delivery and must not be mutated by the caller in the meantime.
+// the server has read it and must not be mutated by the caller in the
+// meantime.
 func (c *ClientConn) Send(now core.Time, data []byte) {
+	c.pair.live()
 	if c.state != StateEstablished && c.state != StateConnecting {
 		return
 	}
@@ -320,6 +404,7 @@ func (c *ClientConn) dataArriveServer(t core.Time, data []byte) {
 // Close closes the client end at time now; the FIN reaches the server half an
 // RTT later. The client's ephemeral port enters TIME-WAIT.
 func (c *ClientConn) Close(now core.Time) {
+	c.pair.live()
 	if c.closedLocal {
 		return
 	}
@@ -479,6 +564,8 @@ type connEvt struct {
 	lane   int
 	c      *ClientConn
 	sc     *ServerConn
+	pair   *connPair // the connection c or sc belongs to, nil for other kinds
+	inc    uint32    // pair's incarnation when the event was scheduled
 	n      int
 	reason RefuseReason
 	when   core.Time
@@ -519,7 +606,19 @@ func (n *Network) schedule(src, dst simkernel.Q, at core.Time, kind evtKind, c *
 	e := n.getEvt(src)
 	e.kind, e.c, e.sc, e.n, e.reason, e.data = kind, c, sc, count, reason, data
 	e.lane = dst.LaneIndex()
+	if c == nil {
+		c = sc.peer
+	}
+	e.hold(c.pair)
 	src.Post(dst, at, e.fn)
+}
+
+// hold stamps the event with its connection pair's incarnation and counts it
+// against the pair, which cannot be recycled while the event is pending.
+func (e *connEvt) hold(p *connPair) {
+	p.live()
+	p.pending++
+	e.pair, e.inc = p, p.inc
 }
 
 // defer_ books a pooled delivery event as a deferred batch effect of the
@@ -529,15 +628,22 @@ func (n *Network) defer_(p *simkernel.Proc, kind evtKind, sc *ServerConn, count 
 	e := n.getEvt(p.Q())
 	e.kind, e.sc, e.n = kind, sc, count
 	e.lane = p.Q().LaneIndex()
+	e.hold(sc.peer.pair)
 	p.Defer(e.fn)
 }
 
 // run dispatches the event and recycles its record. The fields are extracted
 // (and the record returned to the executing lane's pool) before the work
 // runs, because the work itself may schedule and thus re-issue this very
-// record.
+// record. A connection event first checks its incarnation stamp, and keeps
+// counting against its pair until the work is done, so a Release from inside
+// a callback cannot recycle the pair under the code still running on it.
 func (e *connEvt) run(t core.Time) {
 	net, kind, lane, c, sc, n, reason, when, data := e.net, e.kind, e.lane, e.c, e.sc, e.n, e.reason, e.when, e.data
+	p := e.pair
+	if p != nil && p.inc != e.inc {
+		panic("netsim: connection event outlived its connection: the pair was recycled")
+	}
 	switch kind {
 	case evtDgramToServer, evtDgramToPeer, evtDgramXmit, evtPeerStart:
 		// Datagram events keep their record through the dispatch (the
@@ -548,7 +654,7 @@ func (e *connEvt) run(t core.Time) {
 		net.pools[lane] = append(net.pools[lane], e)
 		return
 	}
-	e.c, e.sc, e.data = nil, nil, nil
+	e.c, e.sc, e.data, e.pair = nil, nil, nil, nil
 	net.pools[lane] = append(net.pools[lane], e)
 	switch kind {
 	case evtSYN:
@@ -605,5 +711,9 @@ func (e *connEvt) run(t core.Time) {
 		if sc.peer != nil {
 			sc.peer.schedulePeerClose(arrival)
 		}
+	}
+	if p != nil {
+		p.pending--
+		p.maybeRecycle()
 	}
 }

@@ -163,6 +163,12 @@ type Network struct {
 	// returned to the executing lane's, so each pool has a single writer.
 	pools [][]*connEvt
 
+	// pairs recycles connection endpoint pairs (see connPair), one free list
+	// per lane: a pair returns to the list of the lane its connection lives
+	// on, and ConnectWith draws from the driver lane's. On a parallel run a
+	// barrier hook moves the other lanes' lists onto the driver's.
+	pairs [][]*connPair
+
 	nextConnID int64
 
 	// Datagram-transport state (see datagram.go). All of it — the binding
@@ -206,6 +212,7 @@ func New(k *simkernel.Kernel, cfg Config) *Network {
 		K: k, Cfg: cfg,
 		lstats:        make([]Stats, 1),
 		pools:         make([][]*connEvt, 1),
+		pairs:         make([][]*connPair, 1),
 		driverQ:       k.Sim.LaneQ(0),
 		dgramBinds:    make(map[Addr]*dgramBind),
 		peerAddrs:     make(map[Addr]*Peer),
@@ -250,6 +257,19 @@ func (n *Network) Parallelize() {
 	n.dgramHome = n.driverQ
 	n.lstats = make([]Stats, sim.NumLanes())
 	n.pools = make([][]*connEvt, sim.NumLanes())
+	n.pairs = make([][]*connPair, sim.NumLanes())
+	sim.OnBarrier(n.gatherPairs)
+}
+
+// gatherPairs runs in the serial section of every barrier, with all lanes
+// quiescent: it hands the pairs recycled on connection lanes to the driver
+// lane, where ConnectWith reuses them.
+func (n *Network) gatherPairs(core.Time) {
+	for i := 1; i < len(n.pairs); i++ {
+		n.pairs[0] = append(n.pairs[0], n.pairs[i]...)
+		clear(n.pairs[i])
+		n.pairs[i] = n.pairs[i][:0]
+	}
 }
 
 // Parallel reports whether the network has been homed onto sharded lanes.

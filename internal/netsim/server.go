@@ -32,8 +32,12 @@ type Listener struct {
 	owner   *simkernel.Proc // the process that opened the socket (IRQ target)
 	backlog int
 
-	acceptQ []*ServerConn
-	closed  bool
+	// acceptQ[acceptHead:] is the pending FIFO. Pops advance the head and
+	// the dead prefix is compacted away (timewaitRing's discipline), so the
+	// backing array is reused instead of regrown on every connection.
+	acceptQ    []*ServerConn
+	acceptHead int
+	closed     bool
 
 	notifier simkernel.Notifier
 
@@ -46,7 +50,7 @@ func (l *Listener) Poll() core.EventMask {
 	if l.closed {
 		return core.POLLNVAL
 	}
-	if len(l.acceptQ) > 0 {
+	if l.Backlog() > 0 {
 		return core.POLLIN
 	}
 	return 0
@@ -59,14 +63,14 @@ func (l *Listener) SetNotifier(n simkernel.Notifier) { l.notifier = n }
 func (l *Listener) Close(now core.Time) {
 	l.closed = true
 	// Connections still in the accept queue are reset.
-	for _, c := range l.acceptQ {
+	for _, c := range l.acceptQ[l.acceptHead:] {
 		c.resetFromServer(now)
 	}
-	l.acceptQ = nil
+	l.acceptQ, l.acceptHead = nil, 0
 }
 
 // Backlog reports the current accept-queue depth.
-func (l *Listener) Backlog() int { return len(l.acceptQ) }
+func (l *Listener) Backlog() int { return len(l.acceptQ) - l.acceptHead }
 
 // notify wakes pollers/hints after the queue became non-empty.
 func (l *Listener) notify(now core.Time, mask core.EventMask) {
@@ -78,25 +82,36 @@ func (l *Listener) notify(now core.Time, mask core.EventMask) {
 // deliverSYN is called by the network when a client's SYN reaches the server.
 // It reports whether the connection was placed on the accept queue.
 func (l *Listener) deliverSYN(now core.Time, conn *ServerConn) bool {
-	if l.closed || len(l.acceptQ) >= l.backlog {
+	if l.closed || l.Backlog() >= l.backlog {
 		l.Overflows++
 		return false
 	}
 	conn.EstablishedAt = now
 	l.acceptQ = append(l.acceptQ, conn)
-	if len(l.acceptQ) == 1 {
+	if l.Backlog() == 1 {
 		l.notify(now, core.POLLIN)
 	}
 	return true
 }
 
-// pop removes the oldest pending connection.
+// pop removes the oldest pending connection. The popped slot is cleared so
+// the connection is not kept reachable through the dead prefix; the prefix is
+// dropped when the queue empties and compacted once it outweighs the live
+// suffix, which keeps pops O(1) amortised and the array at O(backlog).
 func (l *Listener) pop() (*ServerConn, bool) {
-	if len(l.acceptQ) == 0 {
+	if l.Backlog() == 0 {
 		return nil, false
 	}
-	c := l.acceptQ[0]
-	l.acceptQ = l.acceptQ[1:]
+	c := l.acceptQ[l.acceptHead]
+	l.acceptQ[l.acceptHead] = nil
+	l.acceptHead++
+	if l.acceptHead == len(l.acceptQ) {
+		l.acceptQ, l.acceptHead = l.acceptQ[:0], 0
+	} else if l.acceptHead > 64 && l.acceptHead*2 >= len(l.acceptQ) {
+		n := copy(l.acceptQ, l.acceptQ[l.acceptHead:])
+		clear(l.acceptQ[n:])
+		l.acceptQ, l.acceptHead = l.acceptQ[:n], 0
+	}
 	return c, true
 }
 
@@ -219,7 +234,14 @@ func (c *ServerConn) deliverData(now core.Time, data []byte) {
 	if c.closedLocal || len(data) == 0 {
 		return
 	}
-	c.rcvBuf = append(c.rcvBuf, data...)
+	if len(c.rcvBuf) == 0 {
+		// The common case — the server drained the previous segment — keeps
+		// the sender's bytes in place instead of copying them. The capacity
+		// is clipped so a later append never writes into the sender's array.
+		c.rcvBuf = data[:len(data):len(data)]
+	} else {
+		c.rcvBuf = append(c.rcvBuf, data...)
+	}
 	c.notify(now, core.POLLIN)
 }
 
@@ -552,13 +574,20 @@ func (a *SockAPI) Sendfile(fd *simkernel.FD, n int) int {
 // connection as complete.
 func (a *SockAPI) Close(fd *simkernel.FD) {
 	a.P.ChargeSyscall(a.K.Cost.SockClose)
+	if fd.Closed() {
+		// A stale handle: the connection behind it is gone, and its endpoint
+		// pair may already serve another connection. Nothing to FIN.
+		return
+	}
 	conn, isConn := fd.File().(*ServerConn)
 	_ = a.P.CloseFD(a.P.Now(), fd.Num)
 	if !isConn {
 		return
 	}
 	if conn.resetPeer {
-		// The peer already tore the connection down; there is no one to FIN.
+		// The peer already tore the connection down; there is no one to FIN,
+		// and with nothing in flight the pair may be recyclable right away.
+		conn.peer.pair.maybeRecycle()
 		return
 	}
 	a.Net.defer_(a.P, evtSrvClose, conn, 0)

@@ -44,6 +44,10 @@ type EventLoop struct {
 	sweep  *eventlib.Event
 	conns  []*eventlib.Event // fd-indexed; nil = no event registered
 
+	// connReadyFn is connReady bound once, so registering a connection's
+	// event does not build a fresh method value per connection.
+	connReadyFn eventlib.Callback
+
 	// connTimeout is the per-connection event timeout: the keep-alive idle
 	// deadline riding the base's timer wheel, re-armed automatically by every
 	// firing. Zero (HTTP/1.0 mode) registers events with no timeout.
@@ -91,6 +95,7 @@ func (h *Handler) Attach(base *eventlib.Base, lfd *simkernel.FD, cfg ServeConfig
 		cfg.SweepInterval = core.Second
 	}
 	loop := &EventLoop{h: h, base: base, cfg: cfg, lfd: lfd}
+	loop.connReadyFn = loop.connReady
 	if h.Opts.KeepAlive {
 		loop.connTimeout = h.Opts.KeepAliveIdle
 	}
@@ -211,7 +216,7 @@ func (l *EventLoop) connReady(fd int, what eventlib.What, now core.Time) {
 // openConn registers a persistent read event for a freshly accepted
 // connection; with keep-alive configured the event carries the idle timeout.
 func (l *EventLoop) openConn(fd int) {
-	ev := l.base.NewEvent(fd, eventlib.EvRead|eventlib.EvPersist, l.connReady)
+	ev := l.base.NewEvent(fd, eventlib.EvRead|eventlib.EvPersist, l.connReadyFn)
 	l.setConn(fd, ev)
 	_ = ev.Add(l.connTimeout)
 }
@@ -227,7 +232,8 @@ func (l *EventLoop) blockOnWrite(fd int) {
 		return
 	}
 	_ = ev.Del()
-	nev := l.base.NewEvent(fd, eventlib.EvRead|eventlib.EvWrite|eventlib.EvPersist, l.connReady)
+	ev.Release()
+	nev := l.base.NewEvent(fd, eventlib.EvRead|eventlib.EvWrite|eventlib.EvPersist, l.connReadyFn)
 	l.setConn(fd, nev)
 	_ = nev.Add(l.connTimeout)
 }
@@ -241,7 +247,8 @@ func (l *EventLoop) drainedConn(fd int) {
 		return
 	}
 	_ = ev.Del()
-	nev := l.base.NewEvent(fd, eventlib.EvRead|eventlib.EvPersist, l.connReady)
+	ev.Release()
+	nev := l.base.NewEvent(fd, eventlib.EvRead|eventlib.EvPersist, l.connReadyFn)
 	l.setConn(fd, nev)
 	_ = nev.Add(l.connTimeout)
 }
@@ -292,11 +299,13 @@ func (l *EventLoop) Rescan(now core.Time) {
 	}
 }
 
-// closeConn deletes the connection's event; a pending activation in the
-// current dispatch batch is discarded by eventlib's Del semantics.
+// closeConn deletes the connection's event and releases it to the base for
+// the next connection; a pending activation in the current dispatch batch is
+// discarded by eventlib's Del semantics.
 func (l *EventLoop) closeConn(fd int) {
 	if ev := l.ConnEvent(fd); ev != nil {
 		l.conns[fd] = nil
 		_ = ev.Del()
+		ev.Release()
 	}
 }

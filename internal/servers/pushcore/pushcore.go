@@ -102,6 +102,10 @@ type Server struct {
 	tick   *eventlib.Event
 	tickNo uint64
 
+	// connReadyFn is connReady bound once, so registering a connection's
+	// event does not build a fresh method value per connection.
+	connReadyFn eventlib.Callback
+
 	stats Stats
 
 	// OnDeliver, when non-nil, is called (inside the batch) for every push
@@ -145,6 +149,7 @@ func New(k *simkernel.Kernel, net *netsim.Network, cfg Config) *Server {
 		LoopCost:         k.Cost.ServerLoopOverhead,
 	})
 	s.edgeStyle = backend.EdgeStyle
+	s.connReadyFn = s.connReady
 	return s
 }
 
@@ -244,7 +249,7 @@ func (s *Server) onAcceptable(_ int, _ eventlib.What, now core.Time) {
 			c = &conn{}
 		}
 		c.fd, c.sc, c.idx, c.pending = fd, sc, -1, 0
-		c.ev = s.base.NewEvent(fd.Num, eventlib.EvRead|eventlib.EvPersist, s.connReady)
+		c.ev = s.base.NewEvent(fd.Num, eventlib.EvRead|eventlib.EvPersist, s.connReadyFn)
 		s.setConn(fd.Num, c)
 		_ = c.ev.Add(0)
 		if s.edgeStyle {
@@ -330,7 +335,8 @@ func (s *Server) push(now core.Time, c *conn) {
 	// Upgrade to read+write interest (one event per descriptor, so the read
 	// event is replaced — epoll_ctl(MOD) in a real server).
 	_ = c.ev.Del()
-	c.ev = s.base.NewEvent(c.fd.Num, eventlib.EvRead|eventlib.EvWrite|eventlib.EvPersist, s.connReady)
+	c.ev.Release()
+	c.ev = s.base.NewEvent(c.fd.Num, eventlib.EvRead|eventlib.EvWrite|eventlib.EvPersist, s.connReadyFn)
 	_ = c.ev.Add(0)
 }
 
@@ -347,7 +353,8 @@ func (s *Server) drain(now core.Time, c *conn) {
 		return
 	}
 	_ = c.ev.Del()
-	c.ev = s.base.NewEvent(c.fd.Num, eventlib.EvRead|eventlib.EvPersist, s.connReady)
+	c.ev.Release()
+	c.ev = s.base.NewEvent(c.fd.Num, eventlib.EvRead|eventlib.EvPersist, s.connReadyFn)
 	_ = c.ev.Add(0)
 }
 
@@ -358,6 +365,7 @@ func (s *Server) closeConn(c *conn) {
 	}
 	s.conns[c.fd.Num] = nil
 	_ = c.ev.Del()
+	c.ev.Release()
 	if c.idx >= 0 {
 		last := len(s.members) - 1
 		moved := s.members[last]

@@ -139,6 +139,10 @@ type FD struct {
 	file     File
 	watchers []Watcher
 	closed   bool
+
+	// inline backs watchers for the common single watcher (one mechanism per
+	// descriptor), so registering it allocates nothing beyond the FD.
+	inline [1]Watcher
 }
 
 // File returns the underlying open file.
@@ -170,6 +174,9 @@ func (fd *FD) AddWatcher(w Watcher) {
 		if existing == w {
 			return
 		}
+	}
+	if fd.watchers == nil {
+		fd.watchers = fd.inline[:0]
 	}
 	fd.watchers = append(fd.watchers, w)
 }
@@ -358,6 +365,7 @@ func (p *Proc) CloseFD(now core.Time, fd int) error {
 	}
 	e.closed = true
 	e.watchers = nil
+	e.inline[0] = nil
 	e.file.SetNotifier(nil)
 	e.file.Close(now)
 	return nil
