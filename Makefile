@@ -73,10 +73,10 @@ ablation-smoke:
 # The simulation promises byte-identical output for identical inputs AND for
 # any kernel thread count; run one rate figure, one multi-worker scaling
 # figure, one overload-workload figure, one server-push figure and one chaos
-# figure (fig 41: seeded fault injection is part of the promise) twice each
-# and diff, then re-run the rate, overload, push and chaos figures on the
-# sharded parallel kernel at -threads 2 and 8 and diff those against the
-# sequential output. Any map iteration,
+# figure (fig 41: seeded fault injection is part of the promise) twice each,
+# plus every ablation, and diff, then re-run the rate, overload, push and
+# chaos figures and the ablations on the sharded parallel kernel at -threads
+# 2 and 8 and diff those against the sequential output. Any map iteration,
 # wall-clock dependency or cross-shard ordering leak sneaking into the event
 # machinery fails this before it can corrupt a figure comparison. Outputs
 # stay in $(DETERMINISM_OUT) so CI can attach them to the failed workflow run.
@@ -104,6 +104,10 @@ determinism:
 	$(GO) run ./cmd/benchfig -fig 41 -connections 2000 -quiet > $(DETERMINISM_OUT)/fig41-b.txt
 	$(GO) run ./cmd/benchfig -fig 41 -connections 2000 -threads 2 -quiet > $(DETERMINISM_OUT)/fig41-t2.txt
 	$(GO) run ./cmd/benchfig -fig 41 -connections 2000 -threads 8 -quiet > $(DETERMINISM_OUT)/fig41-t8.txt
+	$(GO) run ./cmd/benchfig -ablation -connections 600 -quiet > $(DETERMINISM_OUT)/ablation-a.txt
+	$(GO) run ./cmd/benchfig -ablation -connections 600 -quiet > $(DETERMINISM_OUT)/ablation-b.txt
+	$(GO) run ./cmd/benchfig -ablation -connections 600 -threads 2 -quiet > $(DETERMINISM_OUT)/ablation-t2.txt
+	$(GO) run ./cmd/benchfig -ablation -connections 600 -threads 8 -quiet > $(DETERMINISM_OUT)/ablation-t8.txt
 	@diff $(DETERMINISM_OUT)/fig12-a.txt $(DETERMINISM_OUT)/fig12-b.txt \
 		&& diff $(DETERMINISM_OUT)/fig17-a.txt $(DETERMINISM_OUT)/fig17-b.txt \
 		&& diff $(DETERMINISM_OUT)/fig20-a.txt $(DETERMINISM_OUT)/fig20-b.txt \
@@ -120,6 +124,9 @@ determinism:
 		&& diff $(DETERMINISM_OUT)/fig41-a.txt $(DETERMINISM_OUT)/fig41-b.txt \
 		&& diff $(DETERMINISM_OUT)/fig41-a.txt $(DETERMINISM_OUT)/fig41-t2.txt \
 		&& diff $(DETERMINISM_OUT)/fig41-a.txt $(DETERMINISM_OUT)/fig41-t8.txt \
+		&& diff $(DETERMINISM_OUT)/ablation-a.txt $(DETERMINISM_OUT)/ablation-b.txt \
+		&& diff $(DETERMINISM_OUT)/ablation-a.txt $(DETERMINISM_OUT)/ablation-t2.txt \
+		&& diff $(DETERMINISM_OUT)/ablation-a.txt $(DETERMINISM_OUT)/ablation-t8.txt \
 		&& echo "determinism: OK (incl. -threads 2/8 matrix)"
 
 # Refresh the committed benchmark baseline: the key figure points' reply

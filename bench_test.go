@@ -28,20 +28,27 @@ import (
 
 var figConns = flag.Int("figconns", 2500, "benchmark connections per figure point in bench runs")
 
-// benchPoint runs one benchmark point per iteration and reports its metrics.
-func benchPoint(b *testing.B, server experiments.ServerKind, rate float64, inactive int) {
+// benchRun runs spec once per iteration, seeding iteration i with i+1, and
+// returns the last result for the caller to report.
+func benchRun(b *testing.B, spec experiments.RunSpec) experiments.RunResult {
 	b.Helper()
 	var last experiments.RunResult
 	for i := 0; i < b.N; i++ {
-		spec := experiments.RunSpec{
-			Server:      server,
-			RequestRate: rate,
-			Inactive:    inactive,
-			Connections: *figConns,
-			Seed:        int64(i + 1),
-		}
+		spec.Seed = int64(i + 1)
 		last = experiments.Run(spec)
 	}
+	return last
+}
+
+// benchPoint runs one benchmark point per iteration and reports its metrics.
+func benchPoint(b *testing.B, server experiments.ServerKind, rate float64, inactive int) {
+	b.Helper()
+	last := benchRun(b, experiments.RunSpec{
+		Server:      server,
+		RequestRate: rate,
+		Inactive:    inactive,
+		Connections: *figConns,
+	})
 	b.ReportMetric(last.Load.ReplyRate.Mean, "replies/s")
 	b.ReportMetric(last.Load.ErrorPercent, "err%")
 	b.ReportMetric(last.Load.MedianLatencyMs, "median-ms")
@@ -184,16 +191,12 @@ func BenchmarkExtKeepAlive(b *testing.B) {
 	for _, v := range variants {
 		v := v
 		b.Run(v.name, func(b *testing.B) {
-			var last experiments.RunResult
-			for i := 0; i < b.N; i++ {
-				spec := v.spec
-				spec.Server = experiments.ServerThttpdEpoll
-				spec.RequestRate = 1300
-				spec.Inactive = 501
-				spec.Connections = *figConns
-				spec.Seed = int64(i + 1)
-				last = experiments.Run(spec)
-			}
+			spec := v.spec
+			spec.Server = experiments.ServerThttpdEpoll
+			spec.RequestRate = 1300
+			spec.Inactive = 501
+			spec.Connections = *figConns
+			last := benchRun(b, spec)
 			b.ReportMetric(last.Load.ReplyRate.Mean, "replies/s")
 			b.ReportMetric(last.Load.ErrorPercent, "err%")
 			b.ReportMetric(last.Load.MedianLatencyMs, "median-ms")
@@ -213,18 +216,13 @@ func BenchmarkExtPreforkScaling(b *testing.B) {
 		for _, workers := range []int{1, 2, 4} {
 			workers := workers
 			b.Run(fmt.Sprintf("%s/workers=%d", mode, workers), func(b *testing.B) {
-				var last experiments.RunResult
-				for i := 0; i < b.N; i++ {
-					spec := experiments.RunSpec{
-						Server:      experiments.PreforkKind(workers),
-						RequestRate: 3000,
-						Inactive:    1500,
-						Connections: *figConns,
-						Seed:        int64(i + 1),
-						PreforkMode: mode,
-					}
-					last = experiments.Run(spec)
-				}
+				last := benchRun(b, experiments.RunSpec{
+					Server:      experiments.PreforkKind(workers),
+					RequestRate: 3000,
+					Inactive:    1500,
+					Connections: *figConns,
+					PreforkMode: mode,
+				})
 				b.ReportMetric(last.Load.ReplyRate.Mean, "replies/s")
 				b.ReportMetric(last.Load.ErrorPercent, "err%")
 				b.ReportMetric(100*last.CPUUtilization, "cpu%")
@@ -268,18 +266,13 @@ func BenchmarkExtWorkloads(b *testing.B) {
 		} {
 			server := server
 			b.Run(fmt.Sprintf("%s/%s", workload, server), func(b *testing.B) {
-				var last experiments.RunResult
-				for i := 0; i < b.N; i++ {
-					spec := experiments.RunSpec{
-						Server:      server,
-						RequestRate: 1000,
-						Inactive:    251,
-						Connections: *figConns,
-						Seed:        int64(i + 1),
-						Workload:    workload,
-					}
-					last = experiments.Run(spec)
-				}
+				last := benchRun(b, experiments.RunSpec{
+					Server:      server,
+					RequestRate: 1000,
+					Inactive:    251,
+					Connections: *figConns,
+					Workload:    workload,
+				})
 				b.ReportMetric(last.Load.ReplyRate.Mean, "replies/s")
 				b.ReportMetric(last.Load.ErrorPercent, "err%")
 				b.ReportMetric(last.Latency.P99, "p99-ms")
@@ -302,17 +295,12 @@ func BenchmarkExtScale(b *testing.B) {
 		} {
 			server := server
 			b.Run(fmt.Sprintf("conns=%d/%s", conns, server), func(b *testing.B) {
-				var last experiments.RunResult
-				for i := 0; i < b.N; i++ {
-					spec := experiments.RunSpec{
-						Server:      server,
-						RequestRate: 1000,
-						Inactive:    251,
-						Connections: conns,
-						Seed:        int64(i + 1),
-					}
-					last = experiments.Run(spec)
-				}
+				last := benchRun(b, experiments.RunSpec{
+					Server:      server,
+					RequestRate: 1000,
+					Inactive:    251,
+					Connections: conns,
+				})
 				b.ReportMetric(last.Load.ReplyRate.Mean, "replies/s")
 				b.ReportMetric(last.Load.ErrorPercent, "err%")
 				b.ReportMetric(last.Latency.P99, "p99-ms")
@@ -334,18 +322,14 @@ func BenchmarkExtMassiveScale(b *testing.B) {
 	netCfg := netsim.DefaultConfig()
 	netCfg.PortSpace = 2*100000 + 100000
 	b.Run("conns=100000/thttpd-epoll", func(b *testing.B) {
-		var last experiments.RunResult
-		for i := 0; i < b.N; i++ {
-			last = experiments.Run(experiments.RunSpec{
-				Server:      experiments.ServerThttpdEpoll,
-				RequestRate: 1000,
-				Inactive:    251,
-				Connections: 100000,
-				Threads:     runtime.NumCPU(),
-				Network:     &netCfg,
-				Seed:        int64(i + 1),
-			})
-		}
+		last := benchRun(b, experiments.RunSpec{
+			Server:      experiments.ServerThttpdEpoll,
+			RequestRate: 1000,
+			Inactive:    251,
+			Connections: 100000,
+			Threads:     runtime.NumCPU(),
+			Network:     &netCfg,
+		})
 		b.ReportMetric(last.Load.ReplyRate.Mean, "replies/s")
 		b.ReportMetric(last.Load.ErrorPercent, "err%")
 		b.ReportMetric(last.Latency.P99, "p99-ms")
@@ -353,20 +337,18 @@ func BenchmarkExtMassiveScale(b *testing.B) {
 	})
 }
 
-// Ablation benchmarks: one sub-benchmark per variant, so `-bench Ablation`
-// prints the design-choice comparisons from DESIGN.md.
+// Ablation benchmarks: one sub-benchmark per variant (an ablation figure's
+// curve), so `-bench Ablation` prints the design-choice comparisons from
+// DESIGN.md.
 func BenchmarkAblation(b *testing.B) {
-	for _, a := range experiments.Ablations(*figConns) {
+	for _, a := range experiments.Ablations() {
 		a := a
-		for _, v := range a.Variants {
+		for _, v := range a.Curves {
 			v := v
 			b.Run(a.ID+"/"+v.Label, func(b *testing.B) {
-				var last experiments.RunResult
-				for i := 0; i < b.N; i++ {
-					spec := v.Spec
-					spec.Seed = int64(i + 1)
-					last = experiments.Run(spec)
-				}
+				spec := v.Spec
+				spec.Connections = *figConns
+				last := benchRun(b, spec)
 				b.ReportMetric(last.Load.ReplyRate.Mean, "replies/s")
 				b.ReportMetric(last.Load.ErrorPercent, "err%")
 				b.ReportMetric(last.Load.MedianLatencyMs, "median-ms")
@@ -388,17 +370,12 @@ func BenchmarkMechanismWaitCost(b *testing.B) {
 		} {
 			server := server
 			b.Run(fmt.Sprintf("%s/idle=%d", server, inactive), func(b *testing.B) {
-				var last experiments.RunResult
-				for i := 0; i < b.N; i++ {
-					spec := experiments.RunSpec{
-						Server:      server,
-						RequestRate: 300, // light load: the wait path dominates
-						Inactive:    inactive,
-						Connections: 600,
-						Seed:        int64(i + 1),
-					}
-					last = experiments.Run(spec)
-				}
+				last := benchRun(b, experiments.RunSpec{
+					Server:      server,
+					RequestRate: 300, // light load: the wait path dominates
+					Inactive:    inactive,
+					Connections: 600,
+				})
 				perWait := float64(0)
 				if last.Primary.Waits > 0 {
 					perWait = float64(last.Primary.DriverPolls) / float64(last.Primary.Waits)

@@ -3,7 +3,9 @@
 // scale, keep-alive, mostly-idle and chaos) and the ablation studies described
 // in DESIGN.md. Each figure sweeps its axis (request rate, worker count, churn
 // rate or a fault knob) for every curve and prints the data series as a text
-// table, suitable for pasting into EXPERIMENTS.md.
+// table, suitable for pasting into EXPERIMENTS.md. An ablation is a figure
+// whose curves are its variants, each run once; it prints one row per
+// variant, and every sweep flag reaches it.
 //
 // Usage:
 //
@@ -21,8 +23,9 @@
 //	benchfig -fig 37                # server push at 100k mostly-idle members
 //	benchfig -fig 39 -churn-rate 400      # datagram churn, custom join rate
 //	benchfig -ablation              # the ablation studies instead of figures
-//	benchfig -ablation-id hints     # one ablation
-//	benchfig -list                  # list available figures
+//	benchfig -fig hints             # one ablation
+//	benchfig -fig hints -seed 2 -fault-reset 0.05   # an ablation under another seed and a fault
+//	benchfig -list                  # list available figures and ablations
 package main
 
 import (
@@ -43,10 +46,9 @@ import (
 func main() {
 	figs := experiments.Figures()
 	first, last := figs[0].Number, figs[len(figs)-1].Number
-	fig := flag.String("fig", "", fmt.Sprintf("comma-separated figures to regenerate (%d..%d or fig%02d..fig%d; default: every figure that does not pin its own connection count)", first, last, first, last))
-	list := flag.Bool("list", false, "list available figures and exit")
+	fig := flag.String("fig", "", fmt.Sprintf("comma-separated figures to regenerate (%d..%d, fig%02d..fig%d or an ablation id; default: every figure that does not pin its own connection count)", first, last, first, last))
+	list := flag.Bool("list", false, "list available figures and ablations and exit")
 	ablation := flag.Bool("ablation", false, "run the ablation studies instead of the figures")
-	ablationID := flag.String("ablation-id", "", "run a single ablation by id")
 	connections := flag.Int("connections", 0, "benchmark connections per point (0 = the figure's own default: 4000 for most figures and the ablations, 10000-30000 for the scale family, 100000-1000000 for the massive-scale family; paper: 35000)")
 	threads := flag.Int("threads", 1, "OS threads per simulated point (>=2 shards the event kernel; figures are byte-identical across thread counts)")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the sweep to this file")
@@ -82,7 +84,7 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		for _, f := range figs {
+		for _, f := range append(figs, experiments.Ablations()...) {
 			fmt.Printf("%-6s %s\n", f.ID, f.Title)
 		}
 		return
@@ -125,27 +127,11 @@ func main() {
 		}
 	}
 
-	// Resolve the work before starting the profilers, so an input error
-	// cannot leave a truncated profile behind.
-	prof := profiling.Config{CPU: *cpuprofile, Mem: *memprofile, Mutex: *mutexprofile, Block: *blockprofile}
-	if *ablation || *ablationID != "" {
-		abls := experiments.Ablations(*connections)
-		if *ablationID != "" {
-			a, err := experiments.AblationByID(*ablationID, *connections)
-			if err != nil {
-				fail(err)
-			}
-			abls = []experiments.Ablation{a}
-		}
-		defer profiling.StartAll(prof)()
-		for _, a := range abls {
-			fmt.Println(experiments.FormatAblation(experiments.RunAblation(a, progress)))
-		}
-		return
-	}
-
 	var selected []experiments.Figure
-	if *fig == "" {
+	switch {
+	case *ablation:
+		selected = experiments.Ablations()
+	case *fig == "":
 		// The default sweep skips the figures that pin their own connection
 		// count (the scale and mostly-idle families): at 10k-1M connections
 		// per point they would dominate it.
@@ -154,7 +140,7 @@ func main() {
 				selected = append(selected, f)
 			}
 		}
-	} else {
+	default:
 		for _, id := range strings.Split(*fig, ",") {
 			f, err := experiments.FigureByID(id)
 			if err != nil {
@@ -192,6 +178,14 @@ func main() {
 		}
 	}
 
+	// Resolve the work before starting the profilers, so an input error
+	// cannot leave a truncated profile behind.
+	for _, f := range selected {
+		if err := experiments.ValidateSweep(f, opts); err != nil {
+			fail(err)
+		}
+	}
+	prof := profiling.Config{CPU: *cpuprofile, Mem: *memprofile, Mutex: *mutexprofile, Block: *blockprofile}
 	defer profiling.StartAll(prof)()
 	// A single figure prints bare; a set follows every table with a blank
 	// line.

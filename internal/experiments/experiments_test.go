@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/loadgen"
 	"repro/internal/servers/hybrid"
 )
@@ -307,7 +308,7 @@ func TestFigureDefinitionsCoverPaper(t *testing.T) {
 	if _, err := RetargetKind(ServerThttpdPoll, "kqueue"); err == nil {
 		t.Fatal("RetargetKind with an unknown backend should fail")
 	}
-	for _, m := range []MetricKind{MetricReplyRate, MetricErrorPercent, MetricMedianLatency, MetricReplyP99, MetricReplyCPU, MetricKind(99)} {
+	for _, m := range []MetricKind{MetricReplyRate, MetricErrorPercent, MetricMedianLatency, MetricReplyP99, MetricReplyCPU, MetricVariants, MetricKind(99)} {
 		if m.String() == "" {
 			t.Fatal("metric string empty")
 		}
@@ -346,18 +347,18 @@ func TestRunFigureAndFormat(t *testing.T) {
 }
 
 func TestAblationDefinitionsAndRun(t *testing.T) {
-	abls := Ablations(0)
+	abls := Ablations()
 	if len(abls) < 5 {
 		t.Fatalf("ablations = %d", len(abls))
 	}
 	ids := map[string]bool{}
 	for _, a := range abls {
-		if a.ID == "" || a.Title == "" || len(a.Variants) < 2 {
+		if a.ID == "" || a.Title == "" || len(a.Curves) < 2 {
 			t.Fatalf("incomplete ablation %+v", a)
 		}
-		for _, v := range a.Variants {
-			if v.Spec.Connections != 4000 {
-				t.Fatalf("%s/%s: default size %d, want 4000", a.ID, v.Label, v.Spec.Connections)
+		for _, c := range a.Curves {
+			if c.Spec.Connections != 0 {
+				t.Fatalf("%s/%s pins %d connections; the sweep's count must apply", a.ID, c.Label, c.Spec.Connections)
 			}
 		}
 		ids[a.ID] = true
@@ -367,27 +368,87 @@ func TestAblationDefinitionsAndRun(t *testing.T) {
 			t.Fatalf("ablation %q missing", want)
 		}
 	}
-	if _, err := AblationByID("hints", 0); err != nil {
-		t.Fatalf("AblationByID(hints): %v", err)
-	}
-	if _, err := AblationByID("nope", 0); err == nil || !strings.Contains(err.Error(), "choices: hints, mmap") {
-		t.Fatalf("AblationByID(nope) error = %v, want the listed choices", err)
+	if _, err := FigureByID("nope"); err == nil || !strings.Contains(err.Error(), "choices: hints, mmap") {
+		t.Fatalf("FigureByID(nope) error = %v, want the listed ablation choices", err)
 	}
 
-	// Run the cheapest meaningful ablation end to end with a small size.
-	a := mustAblation(t, "hints", 800)
-	res := RunAblation(a, nil)
-	if len(res.Results) != 2 {
-		t.Fatalf("results = %d", len(res.Results))
+	// Run the cheapest meaningful ablation end to end at the default size.
+	res := RunFigure(mustFigure(t, "hints"), SweepOptions{})
+	if len(res.Runs) != 2 {
+		t.Fatalf("runs = %d", len(res.Runs))
+	}
+	for _, r := range res.Runs {
+		if r.Spec.Connections != 4000 {
+			t.Fatalf("%s ran %d connections, want the 4000 default", r.Spec.Server, r.Spec.Connections)
+		}
 	}
 	// Hints must reduce driver poll callbacks dramatically.
-	on, off := res.Results[0], res.Results[1]
+	on, off := res.Runs[0], res.Runs[1]
 	if on.Primary.DriverPolls*5 > off.Primary.DriverPolls {
 		t.Fatalf("hints-on driver polls (%d) should be far below hints-off (%d)",
 			on.Primary.DriverPolls, off.Primary.DriverPolls)
 	}
-	if !strings.Contains(FormatAblation(res), "hints") {
-		t.Fatal("FormatAblation output missing id")
+	if !strings.Contains(Format(res), "ABLATION hints") {
+		t.Fatal("ablation table missing id")
+	}
+}
+
+// TestAblationHonoursSweepOptions pins that the sweep options reach an
+// ablation: a different load-generator seed and a fault plane each change
+// the hints table, while the thread count, which never moves a figure, does
+// not.
+func TestAblationHonoursSweepOptions(t *testing.T) {
+	hints := mustFigure(t, "hints")
+	table := func(opts SweepOptions) string {
+		opts.Connections = 400
+		return Format(RunFigure(hints, opts))
+	}
+	base := table(SweepOptions{})
+	if table(SweepOptions{Seed: 2}) == base {
+		t.Error("seed 2 left the hints table unchanged")
+	}
+	if table(SweepOptions{Faults: faults.Config{Seed: 1, ResetRate: 0.3}}) == base {
+		t.Error("a 30% reset rate left the hints table unchanged")
+	}
+	if got := table(SweepOptions{Threads: 2}); got != base {
+		t.Errorf("2 threads changed the hints table\ngot:\n%s\nwant:\n%s", got, base)
+	}
+}
+
+// TestSweepRejectsDroppedMechanismOptions pins that a backend retarget which
+// would run a curve without its /dev/poll or completion-ring options fails,
+// naming the figure, the curve and the option, instead of printing rows
+// labelled with a configuration that never ran.
+func TestSweepRejectsDroppedMechanismOptions(t *testing.T) {
+	cases := []struct {
+		fig, backend string
+		want         []string // substrings of the error; none means valid
+	}{
+		{"hints", "epoll", []string{"hints", `"hints-off"`, "DevPollOptions"}},
+		{"compio-batch", "epoll", []string{"compio-batch", `"sq-1"`, "CompioOptions"}},
+		{"compio-regbuf", "devpoll", []string{"compio-regbuf", `"registered"`, "CompioOptions"}},
+		{"compio-batch", "compio", nil},
+		{"hints", "devpoll", nil},
+		{"hybrid-threshold", "epoll", nil},
+		{"16", "epoll", nil},
+	}
+	for _, c := range cases {
+		err := ValidateSweep(mustFigure(t, c.fig), SweepOptions{Backend: c.backend})
+		if c.want == nil {
+			if err != nil {
+				t.Errorf("%s on %s: %v", c.fig, c.backend, err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("%s on %s: no error, want one naming %v", c.fig, c.backend, c.want)
+			continue
+		}
+		for _, w := range c.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("%s on %s: error %q does not name %s", c.fig, c.backend, err, w)
+			}
+		}
 	}
 }
 
@@ -398,17 +459,18 @@ func TestAblationDefinitionsAndRun(t *testing.T) {
 // compio and netsim unit tests; at the full-size 1300 req/s knee the effect
 // surfaces as a monotone median-latency improvement.)
 func TestCompioAblationEffects(t *testing.T) {
-	batch := mustAblation(t, "compio-batch", 800)
-	shallow := Run(batch.Variants[0].Spec)                  // sq-1
-	deep := Run(batch.Variants[len(batch.Variants)-1].Spec) // sq-64
+	small := SweepOptions{Connections: 800}
+	batch := mustFigure(t, "compio-batch")
+	batch.Curves = []Curve{batch.Curves[0], batch.Curves[len(batch.Curves)-1]} // sq-1, sq-64
+	runs := RunFigure(batch, small).Runs
+	shallow, deep := runs[0], runs[1]
 	if shallow.CPUUtilization <= deep.CPUUtilization {
 		t.Fatalf("sq-1 cpu %.4f should exceed sq-64 cpu %.4f: batching amortises the Enter syscall",
 			shallow.CPUUtilization, deep.CPUUtilization)
 	}
 
-	regbuf := mustAblation(t, "compio-regbuf", 800)
-	registered := Run(regbuf.Variants[0].Spec)
-	unregistered := Run(regbuf.Variants[1].Spec)
+	runs = RunFigure(mustFigure(t, "compio-regbuf"), small).Runs
+	registered, unregistered := runs[0], runs[1]
 	if registered.CPUUtilization >= unregistered.CPUUtilization {
 		t.Fatalf("registered cpu %.4f should be below unregistered cpu %.4f: registered buffers skip the read copy",
 			registered.CPUUtilization, unregistered.CPUUtilization)
@@ -422,13 +484,4 @@ func mustFigure(t *testing.T, id string) Figure {
 		t.Fatal(err)
 	}
 	return f
-}
-
-func mustAblation(t *testing.T, id string, connections int) Ablation {
-	t.Helper()
-	a, err := AblationByID(id, connections)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return a
 }

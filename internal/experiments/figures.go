@@ -21,6 +21,7 @@ const (
 	MetricMedianLatency                   // median connection time in ms (FIG 14)
 	MetricReplyP99                        // average reply rate and p99 connection time (figs 19-43)
 	MetricReplyCPU                        // reply rate plus mean per-CPU utilisation (fig 17)
+	MetricVariants                        // one row per variant: reply rate, errors, median, cpu, loops, mode (ablations)
 )
 
 // String names the metric.
@@ -36,6 +37,8 @@ func (m MetricKind) String() string {
 		return "reply rate and p99 connection time"
 	case MetricReplyCPU:
 		return "reply rate (replies/s) and mean per-CPU utilisation (percent)"
+	case MetricVariants:
+		return "reply rate, errors, median connection time, cpu, loops and mode per variant"
 	default:
 		return "unknown"
 	}
@@ -58,6 +61,10 @@ func (m MetricKind) columns() []column {
 	switch m {
 	case MetricErrorPercent:
 		return []column{{"", func(r RunResult) float64 { return r.Load.ErrorPercent }}}
+	case MetricVariants:
+		// One series per variant carries its label; formatVariants reads the
+		// rest of the row from the run itself.
+		return []column{{"", func(r RunResult) float64 { return r.Load.ReplyRate.Mean }}}
 	case MetricMedianLatency:
 		return []column{{"", func(r RunResult) float64 { return r.Load.MedianLatencyMs }}}
 	case MetricReplyP99:
@@ -76,7 +83,8 @@ func (m MetricKind) columns() []column {
 // x-column header. A rate axis sweeps the offered request rate. Every other
 // axis holds each curve's offered rate fixed and sweeps one knob: the prefork
 // worker count, the churn workload's peer join rate, or a fault-injection
-// knob.
+// knob. The variant axis is categorical: each curve is one configuration of
+// an ablation and runs at a single point.
 type Axis string
 
 // The figure axes.
@@ -88,6 +96,7 @@ const (
 	AxisFDLimit  Axis = "fdlimit"  // per-process RLIMIT_NOFILE (0 = unlimited)
 	AxisEINTR    Axis = "eintr"    // probability a blocking wait is interrupted
 	AxisOverflow Axis = "overflow" // probability a signal/ring post is swallowed
+	AxisVariant  Axis = "variant"  // the curves themselves: one point per curve
 )
 
 // apply sets x on one point's spec.
@@ -111,6 +120,8 @@ func (a Axis) apply(spec *RunSpec, x float64) {
 		spec.Faults.EINTRRate = x
 	case AxisOverflow:
 		spec.Faults.OverflowStormRate = x
+	case AxisVariant:
+		// The curve's template is the whole configuration.
 	default:
 		panic("experiments: unknown axis " + string(a))
 	}
@@ -125,11 +136,11 @@ type Curve struct {
 	Spec  RunSpec
 }
 
-// Figure describes one evaluation figure — the paper's (4-14) or an
-// extension (15-43) — and how to regenerate it.
+// Figure describes one evaluation figure — the paper's (4-14), an extension
+// (15-43) or an ablation — and how to regenerate it.
 type Figure struct {
-	ID     string // "fig04" ... "fig43"
-	Number int
+	ID     string // "fig04" ... "fig43", or an ablation's id ("hints")
+	Number int    // zero for an ablation
 	Title  string
 	// Paper summarises what the original figure showed (or, for extensions,
 	// what the figure is expected to show), so a reader can compare shape.
@@ -160,9 +171,9 @@ type SweepOptions struct {
 	// curves it replaces those curves with one prefork curve per count.
 	Workers []int
 	// Backend, when non-empty, re-parameterises each curve's server onto the
-	// named eventlib backend (see RetargetKind). The name must be valid —
-	// callers validate it against the registry first; RunFigure panics
-	// otherwise.
+	// named eventlib backend (see RetargetKind). The name must be valid and
+	// the retarget must keep every curve's mechanism options — callers check
+	// with ValidateSweep first; RunFigure panics otherwise.
 	Backend string
 	// Workload, when non-empty, runs every point under the named loadgen
 	// workload scenario instead of the figure's own. The name must be valid
@@ -215,8 +226,53 @@ type FigureResult struct {
 }
 
 // RunFigure regenerates one figure: every curve's template, with the sweep
-// options applied, runs once per axis value.
+// options applied, runs once per axis value. It panics on the error
+// ValidateSweep reports.
 func RunFigure(fig Figure, opts SweepOptions) FigureResult {
+	xs, curves, err := plan(fig, opts)
+	if err != nil {
+		panic(err)
+	}
+	cols := fig.Metric.columns()
+	out := FigureResult{Figure: fig}
+	for _, c := range curves {
+		series := make([]metrics.Series, len(cols))
+		for i, col := range cols {
+			series[i] = metrics.Series{Label: c.Label + col.suffix}
+		}
+		for _, x := range xs {
+			point := c.Spec
+			fig.Axis.apply(&point, x)
+			res := Run(point)
+			out.Runs = append(out.Runs, res)
+			for i, col := range cols {
+				series[i].Append(x, col.value(res))
+			}
+			if opts.Progress != nil {
+				at := fmt.Sprintf("%s=%g", fig.Axis, x)
+				if fig.Axis == AxisVariant {
+					at = "variant=" + c.Label
+				}
+				opts.Progress("%s %s %s", fig.ID, at, Describe(res))
+			}
+		}
+		out.Series = append(out.Series, series...)
+	}
+	return out
+}
+
+// ValidateSweep reports whether the sweep options can run every curve of
+// fig, returning an error naming the figure and the curve otherwise: an
+// unknown backend, or a retarget that would drop the curve's mechanism
+// options. Command-line tools call it before RunFigure.
+func ValidateSweep(fig Figure, opts SweepOptions) error {
+	_, _, err := plan(fig, opts)
+	return err
+}
+
+// plan applies the sweep options to a figure: the axis values and the curves
+// (label and spec) that will actually run.
+func plan(fig Figure, opts SweepOptions) ([]float64, []Curve, error) {
 	xs := fig.X
 	curves := fig.Curves
 	switch {
@@ -231,34 +287,20 @@ func RunFigure(fig Figure, opts SweepOptions) FigureResult {
 	if fig.Axis != AxisWorkers {
 		curves = withWorkerCounts(curves, opts.Workers)
 	}
-	cols := fig.Metric.columns()
-	out := FigureResult{Figure: fig}
-	for _, curve := range curves {
-		spec, label := sweepSpec(curve, fig.Axis, opts)
-		series := make([]metrics.Series, len(cols))
-		for i, c := range cols {
-			series[i] = metrics.Series{Label: label + c.suffix}
+	out := make([]Curve, len(curves))
+	for i, c := range curves {
+		spec, label, err := sweepSpec(c, fig.Axis, opts)
+		if err != nil {
+			return nil, nil, fmt.Errorf("experiments: figure %s, curve %q: %w", fig.ID, c.Label, err)
 		}
-		for _, x := range xs {
-			point := spec
-			fig.Axis.apply(&point, x)
-			res := Run(point)
-			out.Runs = append(out.Runs, res)
-			for i, c := range cols {
-				series[i].Append(x, c.value(res))
-			}
-			if opts.Progress != nil {
-				opts.Progress("%s %s=%g %s", fig.ID, fig.Axis, x, Describe(res))
-			}
-		}
-		out.Series = append(out.Series, series...)
+		out[i] = Curve{Label: label, Spec: spec}
 	}
-	return out
+	return xs, out, nil
 }
 
 // sweepSpec applies the sweep options to a curve's template and returns the
 // spec and the label of what will actually run.
-func sweepSpec(curve Curve, axis Axis, opts SweepOptions) (RunSpec, string) {
+func sweepSpec(curve Curve, axis Axis, opts SweepOptions) (RunSpec, string, error) {
 	spec, label := curve.Spec, curve.Label
 	if opts.Connections > 0 {
 		spec.Connections = opts.Connections
@@ -282,12 +324,20 @@ func sweepSpec(curve Curve, axis Axis, opts SweepOptions) (RunSpec, string) {
 	if opts.Backend != "" {
 		kind, err := RetargetKind(spec.Server, opts.Backend)
 		if err != nil {
-			// The backend name is documented as caller-validated; running
-			// the wrong configuration while claiming the requested one
-			// would silently corrupt results, so fail loudly like Run.
-			panic(err)
+			return spec, label, err
 		}
 		if kind != spec.Server {
+			// Run applies DevPollOptions and CompioOptions only on their own
+			// backend; running without them while the label still names the
+			// variant would report a configuration that never ran. kind came
+			// from RetargetKind, so it resolves.
+			rk, _ := resolveKind(kind)
+			if spec.DevPollOptions != nil && rk.backend != "devpoll" {
+				return spec, label, fmt.Errorf("backend %s drops the curve's DevPollOptions", opts.Backend)
+			}
+			if spec.CompioOptions != nil && rk.backend != "compio" {
+				return spec, label, fmt.Errorf("backend %s drops the curve's CompioOptions", opts.Backend)
+			}
 			// The label must name what actually ran: a label that was the
 			// server's name becomes the new name, any other gains the backend.
 			if label == string(spec.Server) {
@@ -298,7 +348,7 @@ func sweepSpec(curve Curve, axis Axis, opts SweepOptions) (RunSpec, string) {
 			spec.Server = kind
 		}
 	}
-	return spec, label
+	return spec, label, nil
 }
 
 // applyHTTPSweep fills a spec's persistent-connection fields from the sweep
@@ -351,9 +401,13 @@ func withWorkerCounts(curves []Curve, counts []int) []Curve {
 // tool prints and EXPERIMENTS.md records. The layout follows the figure: a
 // reply-and-p99 figure names its workload, states a pinned connection count
 // and uses 26-wide columns; a workers axis states its fixed offered load and
-// uses 28-wide columns; every other figure uses 22-wide columns.
+// uses 28-wide columns; every other figure uses 22-wide columns. An ablation
+// prints one row per variant instead.
 func Format(res FigureResult) string {
 	f := res.Figure
+	if f.Metric == MetricVariants {
+		return formatVariants(res)
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "FIGURE %d (%s): %s\n", f.Number, f.ID, f.Title)
 	fmt.Fprintf(&b, "paper: %s\n", f.Paper)
@@ -425,6 +479,22 @@ func Format(res FigureResult) string {
 			}
 		}
 		b.WriteString("\n")
+	}
+	return b.String()
+}
+
+// formatVariants renders an ablation: its id, title and description, then
+// one row per variant.
+func formatVariants(res FigureResult) string {
+	f := res.Figure
+	var b strings.Builder
+	fmt.Fprintf(&b, "ABLATION %s: %s\n%s\n", f.ID, f.Title, f.Paper)
+	fmt.Fprintf(&b, "%-18s %10s %8s %10s %8s %10s %12s\n",
+		"variant", "reply/s", "err%", "median ms", "cpu%", "loops", "mode")
+	for i, r := range res.Runs {
+		fmt.Fprintf(&b, "%-18s %10.1f %8.1f %10.2f %8.0f %10d %12s\n",
+			res.Series[i].Label, r.Load.ReplyRate.Mean, r.Load.ErrorPercent, r.Load.MedianLatencyMs,
+			100*r.CPUUtilization, r.EventLoops, r.FinalMode)
 	}
 	return b.String()
 }

@@ -6,12 +6,13 @@ import (
 	"testing"
 )
 
-// TestFormatGolden pins the rendered table bytes of four small figures, one
+// TestFormatGolden pins the rendered table bytes of five small figures, one
 // per layout: a reply-rate figure, an errors figure, a fault-axis figure with
-// fractional x values and a workers-axis figure. The golden files are the
-// `benchfig -quiet` output of the same sweeps taken before the figure types
-// were unified (so the options mirror benchfig's defaults); a change to the runner or the formatter that moves a byte
-// fails here.
+// fractional x values, a workers-axis figure and an ablation. The golden
+// files are the `benchfig -quiet` output of the same sweeps taken before the
+// figure types were unified (so the options mirror benchfig's defaults; the
+// ablation's drops the blank line its own printer appended); a change to the
+// runner or the formatter that moves a byte fails here.
 func TestFormatGolden(t *testing.T) {
 	cases := []struct {
 		golden string
@@ -22,6 +23,7 @@ func TestFormatGolden(t *testing.T) {
 		{"errors-fig10", "10", SweepOptions{Connections: 400, Rates: []float64{1000, 1100}}},
 		{"fault-fig40", "40", SweepOptions{Connections: 300}},
 		{"workers-fig17", "17", SweepOptions{Connections: 3000, Workers: []int{1, 2}}},
+		{"variant-hints", "hints", SweepOptions{Connections: 400}},
 	}
 	for _, c := range cases {
 		c.opts.Faults.Seed = 1 // benchfig's -fault-seed default

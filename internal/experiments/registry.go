@@ -416,8 +416,9 @@ func Figures() []Figure {
 	}
 }
 
-// FigureByID looks a figure up by its "fig04"-style identifier or by its bare
-// number ("4"), returning a listed-choices error for an unknown id.
+// FigureByID looks a figure up by its "fig04"-style identifier, by its bare
+// number ("4") or by an ablation's id ("hints"), returning a listed-choices
+// error for an unknown id.
 func FigureByID(id string) (Figure, error) {
 	key := strings.ToLower(strings.TrimSpace(id))
 	figs := Figures()
@@ -426,6 +427,14 @@ func FigureByID(id string) (Figure, error) {
 			return f, nil
 		}
 	}
-	return Figure{}, fmt.Errorf("experiments: unknown figure %q (choices: %d..%d or fig%02d..fig%d)",
-		id, figs[0].Number, figs[len(figs)-1].Number, figs[0].Number, figs[len(figs)-1].Number)
+	var ablations []string
+	for _, a := range Ablations() {
+		if a.ID == key {
+			return a, nil
+		}
+		ablations = append(ablations, a.ID)
+	}
+	return Figure{}, fmt.Errorf("experiments: unknown figure %q (choices: %d..%d or fig%02d..fig%d; ablation choices: %s)",
+		id, figs[0].Number, figs[len(figs)-1].Number, figs[0].Number, figs[len(figs)-1].Number,
+		strings.Join(ablations, ", "))
 }

@@ -1,8 +1,9 @@
 // Package experiments ties the substrate together into the paper's
 // evaluation: it builds a simulated testbed (kernel, network, one of the
 // servers, the httperf-like load generator), runs one benchmark point, and
-// provides the figure definitions and sweep drivers that regenerate every
-// figure of the paper plus the ablation studies described in DESIGN.md.
+// provides the figure definitions and the one sweep driver that regenerates
+// every figure of the paper, the extensions and the ablation studies
+// described in DESIGN.md (figures whose curves are the variants).
 package experiments
 
 import (
@@ -13,7 +14,6 @@ import (
 	"repro/internal/compio"
 	"repro/internal/core"
 	"repro/internal/devpoll"
-	"repro/internal/epoll"
 	"repro/internal/eventlib"
 	"repro/internal/faults"
 	"repro/internal/loadgen"
@@ -261,14 +261,10 @@ type RunSpec struct {
 	// every fault-free figure byte-identical.
 	Faults faults.Config
 
-	// Cost optionally overrides the calibrated cost model (ablations).
-	Cost *simkernel.CostModel
 	// Network optionally overrides the testbed configuration.
 	Network *netsim.Config
 	// DevPollOptions overrides /dev/poll options for thttpd-devpoll and hybrid.
 	DevPollOptions *devpoll.Options
-	// EpollOptions overrides epoll options for the epoll server kinds.
-	EpollOptions *epoll.Options
 	// CompioOptions overrides completion-ring options for the compio server
 	// kinds (SQ batch size and registered-buffer ablations).
 	CompioOptions *compio.Options
@@ -279,9 +275,6 @@ type RunSpec struct {
 	// PreforkMode selects the prefork accept-distribution architecture
 	// (reuseport by default; handoff for the single-acceptor comparison).
 	PreforkMode prefork.Mode
-	// PreforkConfig optionally overrides the prefork configuration wholesale;
-	// Workers and Backend still come from the ServerKind.
-	PreforkConfig *prefork.Config
 	// RTQueueLimit overrides the RT signal queue limit (phhttpd, hybrid).
 	RTQueueLimit int
 
@@ -505,14 +498,8 @@ func buildServer(spec RunSpec, wl loadgen.Workload, rk resolvedKind, k *simkerne
 		return dhtRun{dhtnode.New(k, net, cfg)}
 	case "prefork":
 		cfg := prefork.DefaultConfig(rk.workers)
-		if spec.PreforkConfig != nil {
-			cfg = *spec.PreforkConfig
-		}
-		cfg.Workers = rk.workers
 		cfg.Backend = rk.backend
-		if spec.PreforkConfig == nil {
-			cfg.Mode = spec.PreforkMode
-		}
+		cfg.Mode = spec.PreforkMode
 		applyHTTP(&cfg.HTTP, spec)
 		return preforkRun{prefork.New(k, net, cfg)}
 	case "phhttpd":
@@ -534,12 +521,6 @@ func buildServer(spec RunSpec, wl loadgen.Workload, rk resolvedKind, k *simkerne
 		switch {
 		case rk.backend == "" || rk.backend == "devpoll":
 			// /dev/poll bulk poller from cfg.DevPoll.
-		case spec.EpollOptions != nil && strings.HasPrefix(rk.backend, "epoll"):
-			opts := *spec.EpollOptions
-			opts.EdgeTriggered = rk.backend == "epoll-et"
-			cfg.Bulk = func(k *simkernel.Kernel, p *simkernel.Proc) core.Poller {
-				return epoll.Open(k, p, opts)
-			}
 		case spec.CompioOptions != nil && rk.backend == "compio":
 			opts := *spec.CompioOptions
 			cfg.Bulk = func(k *simkernel.Kernel, p *simkernel.Proc) core.Poller {
@@ -562,12 +543,6 @@ func buildServer(spec RunSpec, wl loadgen.Workload, rk resolvedKind, k *simkerne
 			cfg.OpenPoller = func(k *simkernel.Kernel, p *simkernel.Proc) core.Poller {
 				return devpoll.Open(k, p, opts)
 			}
-		case spec.EpollOptions != nil && strings.HasPrefix(rk.backend, "epoll"):
-			opts := *spec.EpollOptions
-			opts.EdgeTriggered = rk.backend == "epoll-et"
-			cfg.OpenPoller = func(k *simkernel.Kernel, p *simkernel.Proc) core.Poller {
-				return epoll.Open(k, p, opts)
-			}
 		case spec.CompioOptions != nil && rk.backend == "compio":
 			opts := *spec.CompioOptions
 			cfg.OpenPoller = func(k *simkernel.Kernel, p *simkernel.Proc) core.Poller {
@@ -581,7 +556,7 @@ func buildServer(spec RunSpec, wl loadgen.Workload, rk resolvedKind, k *simkerne
 
 // applyHTTP copies the spec's persistent-connection options into a server
 // configuration. A zero spec.HTTP leaves the configuration's own value alone,
-// so wholesale config overrides (PreforkConfig, HybridConfig) keep theirs.
+// so a wholesale HybridConfig override keeps its own.
 func applyHTTP(dst *httpcore.Options, spec RunSpec) {
 	if spec.HTTP != (httpcore.Options{}) {
 		*dst = spec.HTTP
@@ -640,7 +615,7 @@ func RunE(spec RunSpec) (RunResult, error) {
 	if ncpu < 1 {
 		ncpu = 1
 	}
-	k := simkernel.NewKernelSMP(spec.Cost, ncpu)
+	k := simkernel.NewKernelSMP(nil, ncpu)
 	k.Faults = spec.Faults
 	netCfg := netsim.DefaultConfig()
 	if spec.Network != nil {
@@ -845,11 +820,7 @@ func parallelThreads(spec RunSpec, rk resolvedKind, netCfg netsim.Config, lcfg l
 		return 1, "round-robin listener sharding"
 	}
 	if rk.family == "prefork" {
-		mode := spec.PreforkMode
-		if spec.PreforkConfig != nil {
-			mode = spec.PreforkConfig.Mode
-		}
-		if mode == prefork.ModeHandoff {
+		if spec.PreforkMode == prefork.ModeHandoff {
 			return 1, "prefork handoff"
 		}
 		if rk.workers > 1 && !steersInterrupts(rk.backend) {
