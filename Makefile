@@ -56,13 +56,13 @@ govulncheck:
 		echo "govulncheck not on PATH; skipping (CI installs golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION))"; \
 	fi
 
-# One fast benchmark iteration per figure family — paper figures, extension
-# figures, the overload/adversarial workloads, the scale family's
-# 10000-connection point and the massive-scale family's 100k-connection point
-# (on the sharded parallel kernel with one thread per host core) — exercising
-# the benchmark plumbing end to end without the full sweep.
+# One fast benchmark iteration per figure family — paper figures 4 and 5,
+# epoll (figure 15) and compio at 501 inactive, the keep-alive hot path,
+# poll in the overload figure, the slow-loris workload, and the gated
+# scale points at their own 10000 and 100000 connections — exercising the
+# benchmark plumbing end to end without the full sweep.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'Fig04|Fig05|ExtThttpdEpollLoad501|ExtThttpdCompioLoad501|ExtKeepAlive|ExtOverloadKnee/thttpd-poll|ExtWorkloads/slowloris|ExtScale/conns=10000|ExtMassiveScale' -benchtime 1x -figconns 800 .
+	$(GO) test -run '^$$' -bench 'Figure/fig0[45]/|Figure/fig15/|Point/ext-compio-load501|Figure/keepalive/|Point/ext-cached-sendfile|Figure/fig19/normal_poll/rate=(700|1300)$$|Figure/fig22/(normal_poll|devpoll)/rate=1000$$|Point/scale-10000-(poll|epoll)-rate|Point/scale-100000-epoll-rate' -benchtime 1x -figconns 800 .
 
 # Every ablation at a small connection count: a fast end-to-end pass through
 # all server families and both dual-mechanism switching paths, so

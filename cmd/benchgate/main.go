@@ -1,16 +1,17 @@
 // Command benchgate records and gates the repository's benchmark trajectory.
 //
-// In emit mode it runs the key figure benchmarks — representative points of
-// the paper's figures, the extension figures, one overload point per
-// workload scenario and the scale family's 10k-100k-connection points — and
-// writes one JSON entry per point: the simulated reply rate and p99
-// connection latency (bit-deterministic for a given seed and connection
-// count) plus the measured wall-clock cost (ns/op, noisy) and heap
-// allocation count (allocs_per_op, near-deterministic) of the run, and the
-// simulated events the run executed with the wall-clock ns per event, which
-// split a wall-clock move into "more events" and "slower events". In gate
-// mode it compares a candidate file against the committed baseline and exits
-// non-zero on regression: a reply rate more than -tolerance below the
+// In emit mode it runs the gated point table, experiments.BenchPoints —
+// representative points of the paper's figures, the extension figures, one
+// overload point per workload scenario and the scale family's
+// 10k-100k-connection points, each named by the figure that draws it where
+// one does — and writes one JSON entry per point: the simulated reply rate
+// and p99 connection latency (bit-deterministic for a given seed and
+// connection count) plus the measured wall-clock cost (ns/op, noisy) and
+// heap allocation count (allocs_per_op, near-deterministic) of the run, and
+// the simulated events the run executed with the wall-clock ns per event,
+// which split a wall-clock move into "more events" and "slower events". In
+// gate mode it compares a candidate file against the committed baseline and
+// exits non-zero on regression: a reply rate more than -tolerance below the
 // baseline, a p99 more than -tolerance above it, an allocation count more
 // than -alloc-tolerance above it, or a ns/op more than -time-tolerance above
 // it; events and ns per event are informational and never gated. The
@@ -45,10 +46,6 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/faults"
-	"repro/internal/loadgen"
-	"repro/internal/netsim"
-	"repro/internal/servers/httpcore"
 )
 
 // Entry is one gated benchmark point.
@@ -84,186 +81,22 @@ type File struct {
 	Entries     []Entry `json:"entries"`
 }
 
-// points returns the gated benchmark set: the id names the figure point, the
-// spec runs it. The set mirrors bench_test.go's key benchmarks at a size that
-// keeps the whole emit run under a minute.
-func points(connections int, seed int64) []struct {
-	id   string
-	spec experiments.RunSpec
-} {
-	var out []struct {
-		id   string
-		spec experiments.RunSpec
+// sized fills in a gated point's run size and seed: a point that pins no
+// connection count runs at connections.
+func sized(spec experiments.RunSpec, connections int, seed int64) experiments.RunSpec {
+	if spec.Connections == 0 {
+		spec.Connections = connections
 	}
-	add := func(id string, spec experiments.RunSpec) {
-		if spec.Connections == 0 {
-			spec.Connections = connections
-		}
-		spec.Seed = seed
-		out = append(out, struct {
-			id   string
-			spec experiments.RunSpec
-		}{id, spec})
-	}
-
-	// The paper's figure families: each mechanism at its heaviest inactive
-	// load, mid-sweep rate (the knee region is where regressions show).
-	for _, p := range []struct {
-		name     string
-		server   experiments.ServerKind
-		inactive int
-	}{
-		{"fig08-poll-load501", experiments.ServerThttpdPoll, 501},
-		{"fig09-devpoll-load501", experiments.ServerThttpdDevPoll, 501},
-		{"fig13-phhttpd-load501", experiments.ServerPhhttpd, 501},
-		{"ext-hybrid-load501", experiments.ServerHybrid, 501},
-		{"ext-epoll-load501", experiments.ServerThttpdEpoll, 501},
-		{"ext-epoll-et-load501", experiments.ServerThttpdEpollET, 501},
-		{"ext-compio-load501", experiments.ServerThttpdCompio, 501},
-	} {
-		add(p.name+"-rate1000", experiments.RunSpec{
-			Server: p.server, RequestRate: 1000, Inactive: p.inactive,
-		})
-	}
-
-	// Prefork worker scaling (figure 17): the multi-CPU speedup.
-	for _, workers := range []int{1, 2, 4} {
-		add(fmt.Sprintf("ext-prefork%d-rate3000", workers), experiments.RunSpec{
-			Server: experiments.PreforkKind(workers), RequestRate: 3000, Inactive: 500,
-		})
-	}
-
-	// The scale family (figures 26-28): the 10k/20k/30k-connection points on
-	// the cheapest sustaining mechanism, plus the collapsing baseline at 10k.
-	// These pin their own connection counts — the count is the point.
-	for _, conns := range []int{10000, 20000, 30000} {
-		add(fmt.Sprintf("scale-%d-epoll-rate1000", conns), experiments.RunSpec{
-			Server: experiments.ServerThttpdEpoll, RequestRate: 1000, Inactive: 251,
-			Connections: conns,
-		})
-	}
-	add("scale-10000-poll-rate1000", experiments.RunSpec{
-		Server: experiments.ServerThttpdPoll, RequestRate: 1000, Inactive: 251,
-		Connections: 10000,
-	})
-	add("scale-10000-compio-rate1000", experiments.RunSpec{
-		Server: experiments.ServerThttpdCompio, RequestRate: 1000, Inactive: 251,
-		Connections: 10000,
-	})
-
-	// The massive-scale anchor (figures 29-31): the 100k-connection point on
-	// the cheapest sustaining mechanism. TIME-WAIT holds rate x 61s of ports
-	// at this size, so the point widens the port space the way the
-	// massive-scale figures themselves do.
-	massiveNet := netsim.DefaultConfig()
-	massiveNet.PortSpace = 2*100000 + 100000
-	add("scale-100000-epoll-rate1000", experiments.RunSpec{
-		Server: experiments.ServerThttpdEpoll, RequestRate: 1000, Inactive: 251,
-		Connections: 100000, Network: &massiveNet,
-	})
-	add("scale-100000-compio-rate1000", experiments.RunSpec{
-		Server: experiments.ServerThttpdCompio, RequestRate: 1000, Inactive: 251,
-		Connections: 100000, Network: &massiveNet,
-	})
-
-	// One overload point per workload scenario (figures 19-24), past the
-	// knee, where the latency distribution carries the signal. Most run on
-	// devpoll; the stalled-reader scenario runs on poll(), the mechanism that
-	// rescans the write-parked background entries every loop (on devpoll the
-	// jammed connections are invisible after their one pre-benchmark serve).
-	for _, w := range loadgen.Workloads() {
-		// The push and dhtchurn workloads drive their own server families;
-		// their gated points follow below.
-		if w.Kind != loadgen.KindRequest {
-			continue
-		}
-		server := experiments.ServerThttpdDevPoll
-		if w.Name == "stalled" {
-			server = experiments.ServerThttpdPoll
-		}
-		add(fmt.Sprintf("overload-%s-%s-rate1300", w.Name, server), experiments.RunSpec{
-			Server: server, RequestRate: 1300, Inactive: 251,
-			Workload: w.Name,
-		})
-	}
-
-	// The mostly-idle families (figures 36-39): the push daemon fanning out
-	// over a 100k-member interest set of which well under 5% are active per
-	// tick (the figure-37 acceptance point), and the datagram node at its
-	// churn knee. Both pin their own connection counts — the idle population
-	// is the point — and the push entry widens the port space like the other
-	// 100k anchors.
-	add("push-100k-idle-epoll-rate1000", experiments.RunSpec{
-		Server: "push-epoll", Workload: "push", RequestRate: 1000,
-		Connections: 100000, Network: &massiveNet,
-	})
-	add("dhtchurn-knee-epoll-rate2000", experiments.RunSpec{
-		Server: "dht-epoll", Workload: "dhtchurn", RequestRate: 2000,
-		Connections: 4000,
-	})
-
-	// The persistent-connection hot path (figure-32 family): the epoll knee
-	// point with the axes turned on one at a time — serial keep-alive,
-	// pipelined keep-alive, and pipelined keep-alive with the response cache
-	// and sendfile write path — plus pipelined keep-alive at the 10k and 100k
-	// scale anchors. Connections counts offered requests for these points, so
-	// they serve the same budget as their HTTP/1.0 siblings above.
-	ka := httpcore.Options{KeepAlive: true}
-	kaHot := httpcore.Options{KeepAlive: true, CacheKB: 64, WriteMode: httpcore.WriteSendfile}
-	pipelined := loadgen.ClientProfile{
-		RequestsPerConn: experiments.KeepAliveRequests,
-		PipelineDepth:   experiments.KeepAliveRequests,
-	}
-	add("ext-keepalive-epoll-load501-rate1300", experiments.RunSpec{
-		Server: experiments.ServerThttpdEpoll, RequestRate: 1300, Inactive: 501,
-		HTTP: ka, Client: loadgen.ClientProfile{RequestsPerConn: experiments.KeepAliveRequests},
-	})
-	add("ext-pipelined-epoll-load501-rate1300", experiments.RunSpec{
-		Server: experiments.ServerThttpdEpoll, RequestRate: 1300, Inactive: 501,
-		HTTP: ka, Client: pipelined,
-	})
-	add("ext-cached-sendfile-epoll-load501-rate1300", experiments.RunSpec{
-		Server: experiments.ServerThttpdEpoll, RequestRate: 1300, Inactive: 501,
-		HTTP: kaHot, Client: pipelined,
-	})
-	add("scale-10000-epoll-keepalive-rate1000", experiments.RunSpec{
-		Server: experiments.ServerThttpdEpoll, RequestRate: 1000, Inactive: 251,
-		Connections: 10000, HTTP: ka, Client: pipelined,
-	})
-	add("scale-100000-epoll-keepalive-rate1000", experiments.RunSpec{
-		Server: experiments.ServerThttpdEpoll, RequestRate: 1000, Inactive: 251,
-		Connections: 100000, Network: &massiveNet, HTTP: ka, Client: pipelined,
-	})
-
-	// The chaos points (figures 40-43): one per fault class, each on the
-	// mechanism whose degradation path it exercises. Fault decisions are
-	// seeded hashes, so these metrics are exactly as bit-deterministic as the
-	// healthy points; a change in injection pricing, EMFILE shedding, EINTR
-	// restart or overflow recovery moves them where nothing else does.
-	add("chaos-reset-epoll-rate1000", experiments.RunSpec{
-		Server: experiments.ServerThttpdEpoll, RequestRate: 1000, Inactive: 251,
-		Faults: faults.Config{Seed: 3, ResetRate: 0.1, VanishRate: 0.02},
-	})
-	add("chaos-emfile-poll-rate1000", experiments.RunSpec{
-		Server: experiments.ServerThttpdPoll, RequestRate: 1000, Inactive: 251,
-		Faults: faults.Config{Seed: 3, FDLimit: 280},
-	})
-	add("chaos-eintr-devpoll-rate1000", experiments.RunSpec{
-		Server: experiments.ServerThttpdDevPoll, RequestRate: 1000, Inactive: 251,
-		Faults: faults.Config{Seed: 3, EINTRRate: 0.4},
-	})
-	add("chaos-overflow-compio-rate1000", experiments.RunSpec{
-		Server: experiments.ServerThttpdCompio, RequestRate: 1000, Inactive: 251,
-		Faults: faults.Config{Seed: 3, OverflowStormRate: 0.1},
-	})
-	return out
+	spec.Seed = seed
+	return spec
 }
 
 // emit runs every gated point and writes the baseline file.
 func emit(path string, connections int, seed int64, threads int, quiet bool) error {
 	f := File{Schema: 2, Connections: connections, Seed: seed}
-	for _, p := range points(connections, seed) {
-		p.spec.Threads = threads
+	for _, p := range experiments.BenchPoints() {
+		spec := sized(p.Spec, connections, seed)
+		spec.Threads = threads
 		// Three timed runs, keeping the fastest (and fewest allocations):
 		// the first pass pays cache warmup, and the gate wants the run's
 		// cost, not the machine's mood.
@@ -274,7 +107,7 @@ func emit(path string, connections int, seed int64, threads int, quiet bool) err
 		for i := 0; i < 3; i++ {
 			runtime.ReadMemStats(&msBefore)
 			start := time.Now()
-			res = experiments.Run(p.spec)
+			res = experiments.Run(spec)
 			ns := time.Since(start).Nanoseconds()
 			runtime.ReadMemStats(&msAfter)
 			if ns < best {
@@ -285,7 +118,7 @@ func emit(path string, connections int, seed int64, threads int, quiet bool) err
 			}
 		}
 		e := Entry{
-			ID:          p.id,
+			ID:          p.ID,
 			RepliesPS:   res.Load.ReplyRate.Mean,
 			P99Ms:       res.Latency.P99,
 			ErrPct:      res.Load.ErrorPercent,
@@ -318,10 +151,10 @@ func emit(path string, connections int, seed int64, threads int, quiet bool) err
 // kernel's contract is exact equality, so any difference at all is a bug.
 func crosscheck(threads, connections int, seed int64, quiet bool) int {
 	mismatches := 0
-	for _, p := range points(connections, seed) {
-		seq := p.spec
+	for _, p := range experiments.BenchPoints() {
+		seq := sized(p.Spec, connections, seed)
 		seq.Threads = 1
-		par := p.spec
+		par := seq
 		par.Threads = threads
 		sres := experiments.Run(seq)
 		pres := experiments.Run(par)
@@ -331,7 +164,7 @@ func crosscheck(threads, connections int, seed int64, quiet bool) int {
 			mismatches++
 			fmt.Printf("FAIL %-40s threads=%d diverged from threads=1: "+
 				"replies %v vs %v, p99-ms %v vs %v, err%% %v vs %v\n",
-				p.id, pres.Threads,
+				p.ID, pres.Threads,
 				pres.Load.ReplyRate.Mean, sres.Load.ReplyRate.Mean,
 				pres.Latency.P99, sres.Latency.P99,
 				pres.Load.ErrorPercent, sres.Load.ErrorPercent)
@@ -339,7 +172,7 @@ func crosscheck(threads, connections int, seed int64, quiet bool) int {
 		}
 		if !quiet {
 			fmt.Printf("ok   %-40s threads=%d == threads=1  %8.1f replies/s %7.2f p99-ms\n",
-				p.id, pres.Threads, pres.Load.ReplyRate.Mean, pres.Latency.P99)
+				p.ID, pres.Threads, pres.Load.ReplyRate.Mean, pres.Latency.P99)
 		}
 	}
 	return mismatches
@@ -439,6 +272,10 @@ func main() {
 	quiet := flag.Bool("quiet", false, "suppress per-point progress output on stderr")
 	flag.Parse()
 
+	if *connections < 1 {
+		fmt.Fprintf(os.Stderr, "benchgate: bad -connections %d (want > 0)\n", *connections)
+		os.Exit(2)
+	}
 	switch {
 	case *crosscheckN > 1:
 		if n := crosscheck(*crosscheckN, *connections, *seed, *quiet); n > 0 {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -415,38 +416,49 @@ func TestAblationHonoursSweepOptions(t *testing.T) {
 	}
 }
 
-// TestSweepRejectsDroppedMechanismOptions pins that a backend retarget which
-// would run a curve without its /dev/poll or completion-ring options fails,
-// naming the figure, the curve and the option, instead of printing rows
-// labelled with a configuration that never ran.
+// TestSweepRejectsDroppedMechanismOptions pins that sweep options which
+// cannot run as asked fail instead of printing rows labelled with a
+// configuration that never ran: a backend retarget that would drop a curve's
+// /dev/poll or completion-ring options (naming the figure, the curve and the
+// option), and a rate or connection count Run would silently replace
+// (naming the value).
 func TestSweepRejectsDroppedMechanismOptions(t *testing.T) {
 	cases := []struct {
-		fig, backend string
-		want         []string // substrings of the error; none means valid
+		fig  string
+		opts SweepOptions
+		want []string // substrings of the error; none means valid
 	}{
-		{"hints", "epoll", []string{"hints", `"hints-off"`, "DevPollOptions"}},
-		{"compio-batch", "epoll", []string{"compio-batch", `"sq-1"`, "CompioOptions"}},
-		{"compio-regbuf", "devpoll", []string{"compio-regbuf", `"registered"`, "CompioOptions"}},
-		{"compio-batch", "compio", nil},
-		{"hints", "devpoll", nil},
-		{"hybrid-threshold", "epoll", nil},
-		{"16", "epoll", nil},
+		{"hints", SweepOptions{Backend: "epoll"}, []string{"hints", `"hints-off"`, "DevPollOptions"}},
+		{"compio-batch", SweepOptions{Backend: "epoll"}, []string{"compio-batch", `"sq-1"`, "CompioOptions"}},
+		{"compio-regbuf", SweepOptions{Backend: "devpoll"}, []string{"compio-regbuf", `"registered"`, "CompioOptions"}},
+		{"compio-batch", SweepOptions{Backend: "compio"}, nil},
+		{"hints", SweepOptions{Backend: "devpoll"}, nil},
+		{"hybrid-threshold", SweepOptions{Backend: "epoll"}, nil},
+		{"16", SweepOptions{Backend: "epoll"}, nil},
+		{"8", SweepOptions{Rates: []float64{-5}}, []string{"fig08", "rate -5"}},
+		{"8", SweepOptions{Rates: []float64{600, 0}}, []string{"fig08", "rate 0"}},
+		{"8", SweepOptions{Rates: []float64{math.NaN()}}, []string{"fig08", "rate NaN"}},
+		{"8", SweepOptions{Rates: []float64{math.Inf(1)}}, []string{"fig08", "rate +Inf"}},
+		{"40", SweepOptions{Rates: []float64{-900}}, []string{"fig40", "rate -900"}},
+		{"8", SweepOptions{Connections: -5}, []string{"fig08", "connection count -5"}},
+		{"hints", SweepOptions{Connections: -1}, []string{"hints", "connection count -1"}},
+		{"8", SweepOptions{Rates: []float64{600, 1e6}, Connections: 1}, nil},
 	}
 	for _, c := range cases {
-		err := ValidateSweep(mustFigure(t, c.fig), SweepOptions{Backend: c.backend})
+		err := ValidateSweep(mustFigure(t, c.fig), c.opts)
 		if c.want == nil {
 			if err != nil {
-				t.Errorf("%s on %s: %v", c.fig, c.backend, err)
+				t.Errorf("%s with %+v: %v", c.fig, c.opts, err)
 			}
 			continue
 		}
 		if err == nil {
-			t.Errorf("%s on %s: no error, want one naming %v", c.fig, c.backend, c.want)
+			t.Errorf("%s with %+v: no error, want one naming %v", c.fig, c.opts, c.want)
 			continue
 		}
 		for _, w := range c.want {
 			if !strings.Contains(err.Error(), w) {
-				t.Errorf("%s on %s: error %q does not name %s", c.fig, c.backend, err, w)
+				t.Errorf("%s with %+v: error %q does not name %s", c.fig, c.opts, err, w)
 			}
 		}
 	}

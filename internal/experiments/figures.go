@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -225,77 +226,98 @@ type FigureResult struct {
 	Runs []RunResult
 }
 
-// RunFigure regenerates one figure: every curve's template, with the sweep
-// options applied, runs once per axis value. It panics on the error
-// ValidateSweep reports.
-func RunFigure(fig Figure, opts SweepOptions) FigureResult {
-	xs, curves, err := plan(fig, opts)
-	if err != nil {
-		panic(err)
-	}
-	cols := fig.Metric.columns()
-	out := FigureResult{Figure: fig}
-	for _, c := range curves {
-		series := make([]metrics.Series, len(cols))
-		for i, col := range cols {
-			series[i] = metrics.Series{Label: c.Label + col.suffix}
-		}
-		for _, x := range xs {
-			point := c.Spec
-			fig.Axis.apply(&point, x)
-			res := Run(point)
-			out.Runs = append(out.Runs, res)
-			for i, col := range cols {
-				series[i].Append(x, col.value(res))
-			}
-			if opts.Progress != nil {
-				at := fmt.Sprintf("%s=%g", fig.Axis, x)
-				if fig.Axis == AxisVariant {
-					at = "variant=" + c.Label
-				}
-				opts.Progress("%s %s %s", fig.ID, at, Describe(res))
-			}
-		}
-		out.Series = append(out.Series, series...)
-	}
-	return out
+// Point is one run a figure draws: the label of its curve as run, its x
+// value and the spec that runs it.
+type Point struct {
+	Curve string
+	X     float64
+	Spec  RunSpec
+	curve int // the curve's position, which groups its series
 }
 
-// ValidateSweep reports whether the sweep options can run every curve of
-// fig, returning an error naming the figure and the curve otherwise: an
-// unknown backend, or a retarget that would drop the curve's mechanism
-// options. Command-line tools call it before RunFigure.
-func ValidateSweep(fig Figure, opts SweepOptions) error {
-	_, _, err := plan(fig, opts)
-	return err
-}
-
-// plan applies the sweep options to a figure: the axis values and the curves
-// (label and spec) that will actually run.
-func plan(fig Figure, opts SweepOptions) ([]float64, []Curve, error) {
-	xs := fig.X
-	curves := fig.Curves
+// Points returns every point the figure runs under the sweep options, curve
+// by curve in sweep order. It returns an error naming the figure (and the
+// curve, where one is at fault) for a rate that is not finite and positive,
+// a negative connection count, an unknown backend, or a retarget that would
+// drop a curve's mechanism options.
+func (f Figure) Points(opts SweepOptions) ([]Point, error) {
+	if opts.Connections < 0 {
+		return nil, fmt.Errorf("experiments: figure %s: bad connection count %d (want > 0, or 0 for the figure's own)", f.ID, opts.Connections)
+	}
+	for _, r := range opts.Rates {
+		if !(r > 0) || math.IsInf(r, 1) {
+			return nil, fmt.Errorf("experiments: figure %s: bad rate %g (want a finite rate > 0)", f.ID, r)
+		}
+	}
+	xs := f.X
+	curves := f.Curves
 	switch {
-	case fig.Axis == AxisRate && len(opts.Rates) > 0:
+	case f.Axis == AxisRate && len(opts.Rates) > 0:
 		xs = opts.Rates
-	case fig.Axis == AxisWorkers && len(opts.Workers) > 0:
+	case f.Axis == AxisWorkers && len(opts.Workers) > 0:
 		xs = make([]float64, len(opts.Workers))
 		for i, n := range opts.Workers {
 			xs[i] = float64(n)
 		}
 	}
-	if fig.Axis != AxisWorkers {
+	if f.Axis != AxisWorkers {
 		curves = withWorkerCounts(curves, opts.Workers)
 	}
-	out := make([]Curve, len(curves))
+	out := make([]Point, 0, len(curves)*len(xs))
 	for i, c := range curves {
-		spec, label, err := sweepSpec(c, fig.Axis, opts)
+		spec, label, err := sweepSpec(c, f.Axis, opts)
 		if err != nil {
-			return nil, nil, fmt.Errorf("experiments: figure %s, curve %q: %w", fig.ID, c.Label, err)
+			return nil, fmt.Errorf("experiments: figure %s, curve %q: %w", f.ID, c.Label, err)
 		}
-		out[i] = Curve{Label: label, Spec: spec}
+		for _, x := range xs {
+			p := Point{Curve: label, X: x, Spec: spec, curve: i}
+			f.Axis.apply(&p.Spec, x)
+			out = append(out, p)
+		}
 	}
-	return xs, out, nil
+	return out, nil
+}
+
+// RunFigure regenerates one figure: it runs every point Points returns and
+// draws the metric's columns for each curve in turn. It panics on the error
+// Points reports.
+func RunFigure(fig Figure, opts SweepOptions) FigureResult {
+	points, err := fig.Points(opts)
+	if err != nil {
+		panic(err)
+	}
+	cols := fig.Metric.columns()
+	out := FigureResult{Figure: fig}
+	first := 0 // index of the current curve's first series
+	for i, p := range points {
+		if i == 0 || p.curve != points[i-1].curve {
+			first = len(out.Series)
+			for _, col := range cols {
+				out.Series = append(out.Series, metrics.Series{Label: p.Curve + col.suffix})
+			}
+		}
+		res := Run(p.Spec)
+		out.Runs = append(out.Runs, res)
+		for j, col := range cols {
+			out.Series[first+j].Append(p.X, col.value(res))
+		}
+		if opts.Progress != nil {
+			at := fmt.Sprintf("%s=%g", fig.Axis, p.X)
+			if fig.Axis == AxisVariant {
+				at = "variant=" + p.Curve
+			}
+			opts.Progress("%s %s %s", fig.ID, at, Describe(res))
+		}
+	}
+	return out
+}
+
+// ValidateSweep reports whether the sweep options can run every point of
+// fig: the error Points returns. Command-line tools call it before
+// RunFigure.
+func ValidateSweep(fig Figure, opts SweepOptions) error {
+	_, err := fig.Points(opts)
+	return err
 }
 
 // sweepSpec applies the sweep options to a curve's template and returns the
