@@ -71,12 +71,15 @@ ablation-smoke:
 	$(GO) run ./cmd/benchfig -ablation -connections 600 -quiet > /dev/null
 
 # The simulation promises byte-identical output for identical inputs AND for
-# any kernel thread count; run one rate figure, one multi-worker scaling
-# figure, one overload-workload figure, one server-push figure and one chaos
-# figure (fig 41: seeded fault injection is part of the promise) twice each,
-# plus every ablation, and diff, then re-run the rate, overload, push and
-# chaos figures and the ablations on the sharded parallel kernel at -threads
-# 2 and 8 and diff those against the sequential output. Any map iteration,
+# any kernel thread count; run one rate figure, the two multi-worker figures
+# (at 2000 connections, so every worker count's run outlasts the sample
+# interval and prints non-zero rates), one overload-workload figure, one
+# server-push figure and one chaos figure (fig 41: seeded fault injection is
+# part of the promise) twice each, plus every ablation, and diff, then re-run
+# the rate, overload, push and chaos figures and the ablations on the sharded
+# parallel kernel at -threads 2 and 8 and diff those against the sequential
+# output. Fig 18 also runs at -threads 2: its round-robin sharding and
+# handoff curves must fall back to the sequential engine unchanged. Any map iteration,
 # wall-clock dependency or cross-shard ordering leak sneaking into the event
 # machinery fails this before it can corrupt a figure comparison. Outputs
 # stay in $(DETERMINISM_OUT) so CI can attach them to the failed workflow run.
@@ -84,8 +87,11 @@ determinism:
 	@rm -rf $(DETERMINISM_OUT) && mkdir -p $(DETERMINISM_OUT)
 	$(GO) run ./cmd/benchfig -fig 12 -connections 600 -quiet > $(DETERMINISM_OUT)/fig12-a.txt
 	$(GO) run ./cmd/benchfig -fig 12 -connections 600 -quiet > $(DETERMINISM_OUT)/fig12-b.txt
-	$(GO) run ./cmd/benchfig -fig 17 -connections 600 -workers 1,2,4 -quiet > $(DETERMINISM_OUT)/fig17-a.txt
-	$(GO) run ./cmd/benchfig -fig 17 -connections 600 -workers 1,2,4 -quiet > $(DETERMINISM_OUT)/fig17-b.txt
+	$(GO) run ./cmd/benchfig -fig 17 -connections 2000 -quiet > $(DETERMINISM_OUT)/fig17-a.txt
+	$(GO) run ./cmd/benchfig -fig 17 -connections 2000 -quiet > $(DETERMINISM_OUT)/fig17-b.txt
+	$(GO) run ./cmd/benchfig -fig 18 -connections 2000 -quiet > $(DETERMINISM_OUT)/fig18-a.txt
+	$(GO) run ./cmd/benchfig -fig 18 -connections 2000 -quiet > $(DETERMINISM_OUT)/fig18-b.txt
+	$(GO) run ./cmd/benchfig -fig 18 -connections 2000 -threads 2 -quiet > $(DETERMINISM_OUT)/fig18-t2.txt
 	$(GO) run ./cmd/benchfig -fig 20 -connections 600 -percentiles -quiet > $(DETERMINISM_OUT)/fig20-a.txt
 	$(GO) run ./cmd/benchfig -fig 20 -connections 600 -percentiles -quiet > $(DETERMINISM_OUT)/fig20-b.txt
 	$(GO) run ./cmd/benchfig -fig 33 -connections 600 -quiet > $(DETERMINISM_OUT)/fig33-a.txt
@@ -110,6 +116,8 @@ determinism:
 	$(GO) run ./cmd/benchfig -ablation -connections 600 -threads 8 -quiet > $(DETERMINISM_OUT)/ablation-t8.txt
 	@diff $(DETERMINISM_OUT)/fig12-a.txt $(DETERMINISM_OUT)/fig12-b.txt \
 		&& diff $(DETERMINISM_OUT)/fig17-a.txt $(DETERMINISM_OUT)/fig17-b.txt \
+		&& diff $(DETERMINISM_OUT)/fig18-a.txt $(DETERMINISM_OUT)/fig18-b.txt \
+		&& diff $(DETERMINISM_OUT)/fig18-a.txt $(DETERMINISM_OUT)/fig18-t2.txt \
 		&& diff $(DETERMINISM_OUT)/fig20-a.txt $(DETERMINISM_OUT)/fig20-b.txt \
 		&& diff $(DETERMINISM_OUT)/fig33-a.txt $(DETERMINISM_OUT)/fig33-b.txt \
 		&& diff $(DETERMINISM_OUT)/fig12-a.txt $(DETERMINISM_OUT)/fig12-t2.txt \

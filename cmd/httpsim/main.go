@@ -49,12 +49,18 @@ func main() {
 		PhhttpdBatchDequeue: *batchDequeue,
 		RTQueueLimit:        *queueLimit,
 	}
-	res := experiments.Run(spec)
+	res, err := experiments.RunE(spec)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "httpsim: %v\n", err)
+		os.Exit(2)
+	}
 	load := res.Load
 
-	fmt.Printf("server            %s (final mode %s)\n", spec.Server, res.FinalMode)
+	// res.Spec is the spec as run: a zero rate or connection count reads as
+	// the default that replaced it.
+	fmt.Printf("server            %s (final mode %s)\n", res.Spec.Server, res.FinalMode)
 	fmt.Printf("workload          rate=%.0f req/s, %d connections, %d inactive\n",
-		spec.RequestRate, spec.Connections, spec.Inactive)
+		res.Spec.RequestRate, res.Spec.Connections, res.Spec.Inactive)
 	fmt.Printf("virtual duration  %v   CPU utilisation %.0f%%   event loops %d\n",
 		res.VirtualTime, 100*res.CPUUtilization, res.EventLoops)
 	fmt.Printf("replies           %d of %d issued (%.1f%% errors)\n",

@@ -256,6 +256,21 @@ type Stats struct {
 	Interrupts     int64 // blocking waits interrupted by EINTR (fault injection)
 }
 
+// Add accumulates o into s, field by field.
+func (s *Stats) Add(o Stats) {
+	s.Waits += o.Waits
+	s.EventsReturned += o.EventsReturned
+	s.DriverPolls += o.DriverPolls
+	s.HintHits += o.HintHits
+	s.CacheHits += o.CacheHits
+	s.CopiedIn += o.CopiedIn
+	s.CopiedOut += o.CopiedOut
+	s.Overflows += o.Overflows
+	s.Enqueued += o.Enqueued
+	s.Dropped += o.Dropped
+	s.Interrupts += o.Interrupts
+}
+
 // StatsSource is implemented by mechanisms that expose their Stats.
 type StatsSource interface {
 	MechanismStats() Stats

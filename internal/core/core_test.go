@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -190,5 +191,24 @@ func TestMaskHasImpliesAnyProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// Stats.Add must sum every counter: a field it misses would vanish from a
+// multi-worker server's totals.
+func TestStatsAddCoversEveryField(t *testing.T) {
+	var one Stats
+	v := reflect.ValueOf(&one).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).SetInt(1)
+	}
+	var sum Stats
+	sum.Add(one)
+	sum.Add(one)
+	s := reflect.ValueOf(sum)
+	for i := 0; i < s.NumField(); i++ {
+		if got := s.Field(i).Int(); got != 2 {
+			t.Errorf("Add left %s = %d, want 2", s.Type().Field(i).Name, got)
+		}
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/compio"
+	"repro/internal/devpoll"
 	"repro/internal/faults"
 	"repro/internal/loadgen"
 	"repro/internal/servers/hybrid"
@@ -50,6 +52,50 @@ func TestRunDefaultsForZeroSpec(t *testing.T) {
 		MaxVirtualTime: 0})
 	if res.Load.Issued == 0 {
 		t.Fatal("defaults did not produce a run")
+	}
+}
+
+// TestRunERejectsBadSpecs pins that RunE refuses a spec it cannot run as
+// asked, naming the value, instead of substituting a default or running a
+// configuration other than the one requested: a rate that is not finite or
+// is negative, a negative connection or inactive count, and mechanism
+// options the kind would drop. Zero still selects the documented defaults.
+func TestRunERejectsBadSpecs(t *testing.T) {
+	devOpts, ringOpts := devpoll.DefaultOptions(), compio.DefaultOptions()
+	base := RunSpec{Server: ServerThttpdEpoll, RequestRate: 800, Connections: 200, Seed: 1}
+	with := func(f func(*RunSpec)) RunSpec {
+		s := base
+		f(&s)
+		return s
+	}
+	cases := []struct {
+		name string
+		spec RunSpec
+		want string // substring of the error; empty means the run succeeds
+	}{
+		{"negative rate", with(func(s *RunSpec) { s.RequestRate = -5 }), "rate -5"},
+		{"NaN rate", with(func(s *RunSpec) { s.RequestRate = math.NaN() }), "rate NaN"},
+		{"infinite rate", with(func(s *RunSpec) { s.RequestRate = math.Inf(1) }), "rate +Inf"},
+		{"negative connections", with(func(s *RunSpec) { s.Connections = -1 }), "connection count -1"},
+		{"negative inactive", with(func(s *RunSpec) { s.Inactive = -3 }), "inactive count -3"},
+		{"devpoll options on epoll", with(func(s *RunSpec) { s.DevPollOptions = &devOpts }), "DevPollOptions"},
+		{"compio options on hybrid", with(func(s *RunSpec) {
+			s.Server = "hybrid-compio"
+			s.CompioOptions = &ringOpts
+		}), "CompioOptions"},
+		{"zero rate keeps the default", with(func(s *RunSpec) { s.RequestRate = 0 }), ""},
+	}
+	for _, c := range cases {
+		res, err := RunE(c.spec)
+		if c.want == "" {
+			if err != nil || res.Load.Issued == 0 {
+				t.Errorf("%s: err=%v issued=%d, want a run", c.name, err, res.Load.Issued)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err=%v, want one naming %q", c.name, err, c.want)
+		}
 	}
 }
 

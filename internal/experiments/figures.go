@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -245,7 +244,7 @@ func (f Figure) Points(opts SweepOptions) ([]Point, error) {
 		return nil, fmt.Errorf("experiments: figure %s: bad connection count %d (want > 0, or 0 for the figure's own)", f.ID, opts.Connections)
 	}
 	for _, r := range opts.Rates {
-		if !(r > 0) || math.IsInf(r, 1) {
+		if !validRate(r) {
 			return nil, fmt.Errorf("experiments: figure %s: bad rate %g (want a finite rate > 0)", f.ID, r)
 		}
 	}
@@ -349,16 +348,12 @@ func sweepSpec(curve Curve, axis Axis, opts SweepOptions) (RunSpec, string, erro
 			return spec, label, err
 		}
 		if kind != spec.Server {
-			// Run applies DevPollOptions and CompioOptions only on their own
-			// backend; running without them while the label still names the
-			// variant would report a configuration that never ran. kind came
-			// from RetargetKind, so it resolves.
+			// Run rejects mechanism options the retargeted kind would drop;
+			// say so here, naming the figure and curve. kind came from
+			// RetargetKind, so it resolves.
 			rk, _ := resolveKind(kind)
-			if spec.DevPollOptions != nil && rk.backend != "devpoll" {
-				return spec, label, fmt.Errorf("backend %s drops the curve's DevPollOptions", opts.Backend)
-			}
-			if spec.CompioOptions != nil && rk.backend != "compio" {
-				return spec, label, fmt.Errorf("backend %s drops the curve's CompioOptions", opts.Backend)
+			if opt := droppedOption(spec, rk); opt != "" {
+				return spec, label, fmt.Errorf("backend %s drops the curve's %s", opts.Backend, opt)
 			}
 			// The label must name what actually ran: a label that was the
 			// server's name becomes the new name, any other gains the backend.

@@ -7,7 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/netsim"
-	"repro/internal/servers/prefork"
+	"repro/internal/servers/thttpd"
 )
 
 // gatedMetrics renders every deterministic metric the figure and gate tooling
@@ -133,7 +133,7 @@ func TestParallelIneligibleFallsBack(t *testing.T) {
 		}(), "round-robin listener sharding"},
 		{"handoff", func() RunSpec {
 			s := DefaultSpec(PreforkKind(2), 400, 0)
-			s.PreforkMode = prefork.ModeHandoff
+			s.PreforkMode = thttpd.ModeHandoff
 			return s
 		}(), "prefork handoff"},
 		{"smp-interrupts", DefaultSpec(PreforkKind(4), 400, 0), "SMP wakeup interrupts charged to CPU 0"},

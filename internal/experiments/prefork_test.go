@@ -5,13 +5,15 @@ package experiments
 // of multi-worker runs, and the scaling acceptance the figure claims.
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/devpoll"
 	"repro/internal/faults"
 	"repro/internal/netsim"
-	"repro/internal/servers/prefork"
+	"repro/internal/servers/thttpd"
 )
 
 func TestResolvePreforkKinds(t *testing.T) {
@@ -48,23 +50,64 @@ func TestResolvePreforkKinds(t *testing.T) {
 	}
 }
 
-// prefork-1 must degenerate to exactly the single-process thttpd model: same
-// load results, same server counters, same loop counts as thttpd on the same
-// backend — the conformance that guarantees figures 4-16 are untouched by the
-// scheduler.
+// prefork-1 must degenerate to exactly the single-process thttpd model on
+// every backend, with and without injected faults: same load results, server
+// counters, mechanism statistics, loop and event counts, service latency and
+// virtual time as thttpd on the same backend. Only FinalMode differs, and it
+// follows the kind's spelling.
 func TestPreforkOneWorkerMatchesThttpd(t *testing.T) {
-	for _, backend := range []string{"epoll", "poll"} {
-		a := Run(RunSpec{Server: ServerKind("prefork-1-" + backend), RequestRate: 1000, Inactive: 501, Connections: 1500, Seed: 1})
-		b := Run(RunSpec{Server: ServerKind("thttpd-" + backend), RequestRate: 1000, Inactive: 501, Connections: 1500, Seed: 1})
-		if !reflect.DeepEqual(a.Load, b.Load) {
-			t.Fatalf("[%s] prefork-1 load diverges from thttpd:\n%v\n%v", backend, a.Load, b.Load)
+	chaos := faults.Config{Seed: 1, EINTRRate: 0.2, ReadEAGAINRate: 0.05, ResetRate: 0.05}
+	for _, fc := range []faults.Config{{}, chaos} {
+		for _, backend := range []string{"poll", "devpoll", "epoll", "epoll-et", "rtsig", "compio"} {
+			matchOneWorker(t, backend, fc)
 		}
-		if !reflect.DeepEqual(a.Server, b.Server) {
-			t.Fatalf("[%s] prefork-1 server stats diverge: %+v vs %+v", backend, a.Server, b.Server)
-		}
-		if a.EventLoops != b.EventLoops || !reflect.DeepEqual(a.Primary, b.Primary) {
-			t.Fatalf("[%s] prefork-1 mechanism behaviour diverges: loops %d vs %d", backend, a.EventLoops, b.EventLoops)
-		}
+	}
+}
+
+// matchOneWorker compares prefork-1-<backend> with thttpd-<backend> under
+// one fault configuration.
+func matchOneWorker(t *testing.T, backend string, fc faults.Config) {
+	t.Helper()
+	at := fmt.Sprintf("[%s faults=%+v]", backend, fc)
+	a := Run(RunSpec{Server: ServerKind("prefork-1-" + backend), RequestRate: 1000, Inactive: 501, Connections: 1500, Seed: 1, Faults: fc})
+	b := Run(RunSpec{Server: ServerKind("thttpd-" + backend), RequestRate: 1000, Inactive: 501, Connections: 1500, Seed: 1, Faults: fc})
+	if fc.Seed != 0 && b.Server.Resets == 0 {
+		t.Fatalf("%s the fault plane reset nothing; the faulted comparison exercises nothing", at)
+	}
+	if !reflect.DeepEqual(a.Load, b.Load) {
+		t.Fatalf("%s prefork-1 load diverges from thttpd:\n%v\n%v", at, a.Load, b.Load)
+	}
+	if !reflect.DeepEqual(a.Server, b.Server) {
+		t.Fatalf("%s prefork-1 server stats diverge: %+v vs %+v", at, a.Server, b.Server)
+	}
+	if a.EventLoops != b.EventLoops || a.Events != b.Events || !reflect.DeepEqual(a.Primary, b.Primary) {
+		t.Fatalf("%s prefork-1 mechanism behaviour diverges: loops %d vs %d, events %d vs %d",
+			at, a.EventLoops, b.EventLoops, a.Events, b.Events)
+	}
+	if a.ServiceLatency != b.ServiceLatency || a.VirtualTime != b.VirtualTime {
+		t.Fatalf("%s prefork-1 timing diverges: %+v at %v vs %+v at %v",
+			at, a.ServiceLatency, a.VirtualTime, b.ServiceLatency, b.VirtualTime)
+	}
+	if want := "prefork-1/" + backend + "/reuseport"; a.FinalMode != want {
+		t.Fatalf("%s prefork-1 FinalMode = %q, want %q", at, a.FinalMode, want)
+	}
+	if b.FinalMode != backend {
+		t.Fatalf("%s thttpd FinalMode = %q, want the poller's name", at, b.FinalMode)
+	}
+}
+
+// Mechanism options reach every worker: the /dev/poll hint ablation applies
+// to a multi-worker server exactly as to the single process.
+func TestMechanismOptionsReachEveryWorker(t *testing.T) {
+	noHints := devpoll.DefaultOptions()
+	noHints.UseHints = false
+	spec := RunSpec{Server: "prefork-2-devpoll", RequestRate: 1000, Inactive: 251, Connections: 600, Seed: 1}
+	if hits := Run(spec).Primary.HintHits; hits == 0 {
+		t.Fatal("hinted /dev/poll recorded no hint hits; the test exercises nothing")
+	}
+	spec.DevPollOptions = &noHints
+	if hits := Run(spec).Primary.HintHits; hits != 0 {
+		t.Fatalf("hints-off workers recorded %d hint hits: the options did not reach them", hits)
 	}
 }
 
@@ -113,7 +156,7 @@ func TestWorkerScalingMeetsAcceptance(t *testing.T) {
 // single-acceptor handoff costing throughput against in-stack sharding at the
 // contended point.
 func TestShardingPolicyAblation(t *testing.T) {
-	point := func(mode prefork.Mode, shard netsim.ShardPolicy) RunResult {
+	point := func(mode thttpd.Mode, shard netsim.ShardPolicy) RunResult {
 		netCfg := netsim.DefaultConfig()
 		netCfg.Shard = shard
 		return Run(RunSpec{
@@ -126,9 +169,9 @@ func TestShardingPolicyAblation(t *testing.T) {
 			PreforkMode: mode,
 		})
 	}
-	hash := point(prefork.ModeReuseport, netsim.ShardHash)
-	rr := point(prefork.ModeReuseport, netsim.ShardRoundRobin)
-	handoff := point(prefork.ModeHandoff, netsim.ShardHash)
+	hash := point(thttpd.ModeReuseport, netsim.ShardHash)
+	rr := point(thttpd.ModeReuseport, netsim.ShardRoundRobin)
+	handoff := point(thttpd.ModeHandoff, netsim.ShardHash)
 	if handoff.Handoffs == 0 {
 		t.Fatal("handoff mode performed no handoffs")
 	}

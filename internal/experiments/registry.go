@@ -7,7 +7,7 @@ import (
 
 	"repro/internal/netsim"
 	"repro/internal/servers/httpcore"
-	"repro/internal/servers/prefork"
+	"repro/internal/servers/thttpd"
 )
 
 // KeepAliveRequests is the per-connection request count of the keep-alive
@@ -48,7 +48,7 @@ func mostlyIdleCurves(family string) []Curve {
 // accept-distribution architecture plus a listener sharding policy, offered
 // 3000 req/s against 1500 inactive connections; the workers axis sets the
 // worker count.
-func workerCurve(label string, mode prefork.Mode, shard netsim.ShardPolicy) Curve {
+func workerCurve(label string, mode thttpd.Mode, shard netsim.ShardPolicy) Curve {
 	netCfg := netsim.DefaultConfig()
 	netCfg.Shard = shard
 	return Curve{Label: label, Spec: RunSpec{
@@ -263,7 +263,7 @@ func Figures() []Figure {
 			Metric: MetricReplyCPU,
 			Axis:   AxisWorkers,
 			X:      workerCounts,
-			Curves: []Curve{workerCurve("reuseport-hash", prefork.ModeReuseport, netsim.ShardHash)},
+			Curves: []Curve{workerCurve("reuseport-hash", thttpd.ModeReuseport, netsim.ShardHash)},
 		},
 		{
 			ID:     "fig18",
@@ -276,9 +276,9 @@ func Figures() []Figure {
 			Axis:   AxisWorkers,
 			X:      workerCounts,
 			Curves: []Curve{
-				workerCurve("reuseport-hash", prefork.ModeReuseport, netsim.ShardHash),
-				workerCurve("reuseport-rr", prefork.ModeReuseport, netsim.ShardRoundRobin),
-				workerCurve("handoff", prefork.ModeHandoff, netsim.ShardHash),
+				workerCurve("reuseport-hash", thttpd.ModeReuseport, netsim.ShardHash),
+				workerCurve("reuseport-rr", thttpd.ModeReuseport, netsim.ShardRoundRobin),
+				workerCurve("handoff", thttpd.ModeHandoff, netsim.ShardHash),
 			},
 		},
 		p99Figure(19, "Overload: constant arrivals past saturation, 251 inactive connections",

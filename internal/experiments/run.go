@@ -8,6 +8,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -23,7 +24,6 @@ import (
 	"repro/internal/servers/httpcore"
 	"repro/internal/servers/hybrid"
 	"repro/internal/servers/phhttpd"
-	"repro/internal/servers/prefork"
 	"repro/internal/servers/pushcore"
 	"repro/internal/servers/thttpd"
 	"repro/internal/simkernel"
@@ -263,18 +263,20 @@ type RunSpec struct {
 
 	// Network optionally overrides the testbed configuration.
 	Network *netsim.Config
-	// DevPollOptions overrides /dev/poll options for thttpd-devpoll and hybrid.
+	// DevPollOptions overrides /dev/poll options and CompioOptions the
+	// completion-ring options (SQ batch size, registered buffers) for the
+	// thttpd family on that backend, at any worker count; RunE rejects them
+	// on any other kind (see droppedOption).
 	DevPollOptions *devpoll.Options
-	// CompioOptions overrides completion-ring options for the compio server
-	// kinds (SQ batch size and registered-buffer ablations).
-	CompioOptions *compio.Options
+	CompioOptions  *compio.Options
 	// PhhttpdBatchDequeue enables the sigtimedwait4 extension in phhttpd.
 	PhhttpdBatchDequeue bool
 	// HybridConfig optionally overrides the hybrid server configuration.
 	HybridConfig *hybrid.Config
-	// PreforkMode selects the prefork accept-distribution architecture
-	// (reuseport by default; handoff for the single-acceptor comparison).
-	PreforkMode prefork.Mode
+	// PreforkMode selects the thttpd family's accept-distribution
+	// architecture (reuseport by default; handoff for the single-acceptor
+	// comparison).
+	PreforkMode thttpd.Mode
 	// RTQueueLimit overrides the RT signal queue limit (phhttpd, hybrid).
 	RTQueueLimit int
 
@@ -369,15 +371,27 @@ type benchServer interface {
 	fill(res *RunResult)
 }
 
-type thttpdRun struct{ *thttpd.Server }
+// thttpdRun adapts the thttpd family. FinalMode follows the kind's
+// spelling: the poller's name for thttpd-*, "prefork-N/<backend>/<mode>" for
+// prefork-*.
+type thttpdRun struct {
+	*thttpd.Server
+	prefork bool
+}
 
 func (r thttpdRun) fill(res *RunResult) {
-	if src, ok := r.Poller().(core.StatsSource); ok {
-		res.Primary = src.MechanismStats()
-	}
+	cfg := r.Config()
+	res.Primary = r.MechanismStats()
 	res.EventLoops = r.Loops()
-	res.FinalMode = r.Poller().Name()
-	res.ServiceLatency = r.Handler().ServiceLatency.Percentiles()
+	res.FinalMode = r.Workers()[0].Poller().Name()
+	if r.prefork {
+		res.FinalMode = fmt.Sprintf("prefork-%d/%s/%s", cfg.Workers, cfg.Backend, cfg.Mode)
+	}
+	res.Workers = cfg.Workers
+	res.PerWorkerServed = r.PerWorkerServed()
+	res.Handoffs = r.Handoffs
+	merged := r.ServiceLatency()
+	res.ServiceLatency = merged.Percentiles()
 }
 
 type phhttpdRun struct{ *phhttpd.Server }
@@ -390,20 +404,6 @@ func (r phhttpdRun) fill(res *RunResult) {
 	res.Overflows = r.Overflows
 	res.Handoffs = r.Handoffs
 	res.ServiceLatency = r.Handler().ServiceLatency.Percentiles()
-}
-
-type preforkRun struct{ *prefork.Server }
-
-func (r preforkRun) fill(res *RunResult) {
-	res.Primary = r.MechanismStats()
-	res.EventLoops = r.Loops()
-	res.FinalMode = fmt.Sprintf("prefork-%d/%s/%s",
-		r.Config().Workers, r.Config().Backend, r.Config().Mode)
-	res.Workers = r.Config().Workers
-	res.PerWorkerServed = r.PerWorkerServed()
-	res.Handoffs = r.Handoffs
-	merged := r.ServiceLatency()
-	res.ServiceLatency = merged.Percentiles()
 }
 
 type hybridRun struct{ *hybrid.Server }
@@ -496,12 +496,6 @@ func buildServer(spec RunSpec, wl loadgen.Workload, rk resolvedKind, k *simkerne
 			cfg.PeerTimeout = wl.PeerTimeout
 		}
 		return dhtRun{dhtnode.New(k, net, cfg)}
-	case "prefork":
-		cfg := prefork.DefaultConfig(rk.workers)
-		cfg.Backend = rk.backend
-		cfg.Mode = spec.PreforkMode
-		applyHTTP(&cfg.HTTP, spec)
-		return preforkRun{prefork.New(k, net, cfg)}
 	case "phhttpd":
 		cfg := phhttpd.DefaultConfig()
 		cfg.BatchDequeue = spec.PhhttpdBatchDequeue
@@ -515,18 +509,7 @@ func buildServer(spec RunSpec, wl loadgen.Workload, rk resolvedKind, k *simkerne
 		if spec.HybridConfig != nil {
 			cfg = *spec.HybridConfig
 		}
-		if spec.DevPollOptions != nil {
-			cfg.DevPoll = *spec.DevPollOptions
-		}
-		switch {
-		case rk.backend == "" || rk.backend == "devpoll":
-			// /dev/poll bulk poller from cfg.DevPoll.
-		case spec.CompioOptions != nil && rk.backend == "compio":
-			opts := *spec.CompioOptions
-			cfg.Bulk = func(k *simkernel.Kernel, p *simkernel.Proc) core.Poller {
-				return compio.Open(k, p, opts)
-			}
-		default:
+		if rk.backend != "devpoll" {
 			cfg.BulkBackend = rk.backend
 		}
 		if spec.RTQueueLimit > 0 {
@@ -534,25 +517,51 @@ func buildServer(spec RunSpec, wl loadgen.Workload, rk resolvedKind, k *simkerne
 		}
 		applyHTTP(&cfg.HTTP, spec)
 		return hybridRun{hybrid.New(k, net, cfg)}
-	default: // thttpd
+	default: // the thttpd family: thttpd-* and prefork-*
 		cfg := thttpd.DefaultConfig()
+		cfg.Workers = rk.workers
+		cfg.Mode = spec.PreforkMode
 		cfg.Backend = rk.backend
+		// RunE has rejected mechanism options the backend would drop.
 		switch {
-		case spec.DevPollOptions != nil && rk.backend == "devpoll":
+		case spec.DevPollOptions != nil:
 			opts := *spec.DevPollOptions
 			cfg.OpenPoller = func(k *simkernel.Kernel, p *simkernel.Proc) core.Poller {
 				return devpoll.Open(k, p, opts)
 			}
-		case spec.CompioOptions != nil && rk.backend == "compio":
+		case spec.CompioOptions != nil:
 			opts := *spec.CompioOptions
 			cfg.OpenPoller = func(k *simkernel.Kernel, p *simkernel.Proc) core.Poller {
 				return compio.Open(k, p, opts)
 			}
 		}
 		applyHTTP(&cfg.HTTP, spec)
-		return thttpdRun{thttpd.New(k, net, cfg)}
+		return thttpdRun{thttpd.New(k, net, cfg), rk.family == "prefork"}
 	}
 }
+
+// thttpdFamily reports whether the kind runs the thttpd server: thttpd-* or
+// prefork-*.
+func (rk resolvedKind) thttpdFamily() bool {
+	return rk.family == "thttpd" || rk.family == "prefork"
+}
+
+// droppedOption names the first of the spec's mechanism options that the
+// kind would not apply, or returns "". Only the thttpd family honours them,
+// on their own backend and at any worker count: DevPollOptions on devpoll,
+// CompioOptions on compio.
+func droppedOption(spec RunSpec, rk resolvedKind) string {
+	switch {
+	case spec.DevPollOptions != nil && !(rk.thttpdFamily() && rk.backend == "devpoll"):
+		return "DevPollOptions"
+	case spec.CompioOptions != nil && !(rk.thttpdFamily() && rk.backend == "compio"):
+		return "CompioOptions"
+	}
+	return ""
+}
+
+// validRate reports whether r is a usable offered rate: finite and positive.
+func validRate(r float64) bool { return r > 0 && !math.IsInf(r, 1) }
 
 // applyHTTP copies the spec's persistent-connection options into a server
 // configuration. A zero spec.HTTP leaves the configuration's own value alone,
@@ -574,8 +583,11 @@ func Run(spec RunSpec) RunResult {
 	return res
 }
 
-// RunE executes one benchmark point, returning the registry's listed-choices
-// error for an unknown ServerKind.
+// RunE executes one benchmark point. It returns the registry's listed-choices
+// error for an unknown ServerKind, and an error naming the value for a spec
+// it cannot run as asked: a rate that is not finite or is negative, a
+// negative connection or inactive count, or mechanism options the kind
+// would drop. A zero rate or connection count selects the default.
 func RunE(spec RunSpec) (RunResult, error) {
 	rk, err := resolveKind(spec.Server)
 	if err != nil {
@@ -588,16 +600,28 @@ func RunE(spec RunSpec) (RunResult, error) {
 	if err := checkFamilyPairing(rk, workload); err != nil {
 		return RunResult{}, err
 	}
+	if opt := droppedOption(spec, rk); opt != "" {
+		return RunResult{}, fmt.Errorf("experiments: server kind %q does not apply RunSpec.%s (only the thttpd family on that mechanism's backend does)", spec.Server, opt)
+	}
+	if spec.RequestRate != 0 && !validRate(spec.RequestRate) {
+		return RunResult{}, fmt.Errorf("experiments: bad request rate %g (want a finite rate > 0, or 0 for the default)", spec.RequestRate)
+	}
+	if spec.Connections < 0 {
+		return RunResult{}, fmt.Errorf("experiments: bad connection count %d (want > 0, or 0 for the default)", spec.Connections)
+	}
+	if spec.Inactive < 0 {
+		return RunResult{}, fmt.Errorf("experiments: bad inactive count %d (want >= 0)", spec.Inactive)
+	}
 	if spec.FanoutSize > 0 {
 		workload.FanoutSize = spec.FanoutSize
 	}
 	if spec.ChurnRate > 0 {
 		workload.ChurnRate = spec.ChurnRate
 	}
-	if spec.Connections <= 0 {
+	if spec.Connections == 0 {
 		spec.Connections = 4000
 	}
-	if spec.RequestRate <= 0 {
+	if spec.RequestRate == 0 {
 		spec.RequestRate = 500
 	}
 	// Keep-alive runs hold the request budget constant: Connections counts
@@ -819,8 +843,8 @@ func parallelThreads(spec RunSpec, rk resolvedKind, netCfg netsim.Config, lcfg l
 	if netCfg.Shard == netsim.ShardRoundRobin {
 		return 1, "round-robin listener sharding"
 	}
-	if rk.family == "prefork" {
-		if spec.PreforkMode == prefork.ModeHandoff {
+	if rk.thttpdFamily() {
+		if spec.PreforkMode == thttpd.ModeHandoff {
 			return 1, "prefork handoff"
 		}
 		if rk.workers > 1 && !steersInterrupts(rk.backend) {

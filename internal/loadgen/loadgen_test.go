@@ -90,8 +90,8 @@ func TestInactiveConnectionsOccupyServerInterestSet(t *testing.T) {
 	if got := s.OpenConnections(); got != 40 {
 		t.Fatalf("server open connections = %d, want 40 inactive", got)
 	}
-	if s.Poller().Len() != 41 {
-		t.Fatalf("poller interests = %d, want 41", s.Poller().Len())
+	if s.Workers()[0].Poller().Len() != 41 {
+		t.Fatalf("poller interests = %d, want 41", s.Workers()[0].Poller().Len())
 	}
 	res := gen.Result()
 	if res.Completed != 100 {

@@ -154,6 +154,25 @@ type Stats struct {
 	AcceptBackoffs int64
 }
 
+// Add accumulates o into s, field by field.
+func (s *Stats) Add(o Stats) {
+	s.Accepted += o.Accepted
+	s.Served += o.Served
+	s.NotFound += o.NotFound
+	s.BadRequests += o.BadRequests
+	s.EOFCloses += o.EOFCloses
+	s.IdleCloses += o.IdleCloses
+	s.Closed += o.Closed
+	s.BytesSent += o.BytesSent
+	s.KeptAlive += o.KeptAlive
+	s.Pushed += o.Pushed
+	s.CacheHits += o.CacheHits
+	s.CacheMisses += o.CacheMisses
+	s.Resets += o.Resets
+	s.EmfileSheds += o.EmfileSheds
+	s.AcceptBackoffs += o.AcceptBackoffs
+}
+
 // Conn is the per-connection state a server keeps. Closed connections return
 // to a pool on the handler, and the embedded parser keeps its buffer and
 // header-map storage across reuses, so the accept path allocates nothing at
@@ -271,12 +290,10 @@ type Handler struct {
 	ServiceLatency metrics.LatencyHist
 }
 
-// NewHandler builds a handler with an empty connection table.
-func NewHandler(k *simkernel.Kernel, p *simkernel.Proc, api *netsim.SockAPI, content *httpsim.ContentStore) *Handler {
-	if content == nil {
-		content = httpsim.DefaultContentStore()
-	}
-	return &Handler{K: k, P: p, API: api, Content: content, Conns: make(map[int]*Conn)}
+// NewHandler builds a handler serving the default content store (the
+// paper's 6 KB index.html) with an empty connection table.
+func NewHandler(k *simkernel.Kernel, p *simkernel.Proc, api *netsim.SockAPI) *Handler {
+	return &Handler{K: k, P: p, API: api, Content: httpsim.DefaultContentStore(), Conns: make(map[int]*Conn)}
 }
 
 // SetOptions installs the persistent-connection options, building the

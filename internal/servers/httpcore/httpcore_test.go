@@ -1,6 +1,7 @@
 package httpcore
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -30,7 +31,7 @@ func newEnv(t *testing.T) *env {
 	p := k.NewProc("server")
 	api := netsim.NewSockAPI(k, p, n)
 	e := &env{k: k, net: n, p: p, api: api}
-	e.handler = NewHandler(k, p, api, nil)
+	e.handler = NewHandler(k, p, api)
 	e.handler.OnConnOpen = func(fd int) { e.opened = append(e.opened, fd) }
 	e.handler.OnConnClose = func(fd int) { e.closed = append(e.closed, fd) }
 	p.Batch(0, func() { e.lfd, _ = api.Listen() }, nil)
@@ -264,5 +265,24 @@ func TestCloseAllAndCloseConnIdempotent(t *testing.T) {
 	}
 	if len(e.closed) != 2 {
 		t.Fatalf("OnConnClose calls = %d", len(e.closed))
+	}
+}
+
+// Stats.Add must sum every counter: a field it misses would vanish from a
+// multi-worker server's totals.
+func TestStatsAddCoversEveryField(t *testing.T) {
+	var one Stats
+	v := reflect.ValueOf(&one).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).SetInt(1)
+	}
+	var sum Stats
+	sum.Add(one)
+	sum.Add(one)
+	s := reflect.ValueOf(sum)
+	for i := 0; i < s.NumField(); i++ {
+		if got := s.Field(i).Int(); got != 2 {
+			t.Errorf("Add left %s = %d, want 2", s.Type().Field(i).Name, got)
+		}
 	}
 }

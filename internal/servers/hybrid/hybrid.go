@@ -15,7 +15,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/devpoll"
 	"repro/internal/eventlib"
-	"repro/internal/httpsim"
 	"repro/internal/netsim"
 	"repro/internal/rtsig"
 	"repro/internal/servers/httpcore"
@@ -41,8 +40,6 @@ func (m Mode) String() string {
 
 // Config parameterises the hybrid server.
 type Config struct {
-	// Content is the static document tree; nil selects the default store.
-	Content *httpsim.ContentStore
 	// IdleTimeout closes connections with no activity for this long.
 	IdleTimeout core.Duration
 	// HTTP selects the persistent-connection features (keep-alive,
@@ -65,14 +62,11 @@ type Config struct {
 	// BatchDequeue enables sigtimedwait4-style batch dequeue in signal mode.
 	BatchDequeue bool
 	// BulkBackend names the eventlib backend used as the bulk poller in
-	// polling mode ("devpoll", "epoll", "epoll-et"); empty selects /dev/poll
-	// with the DevPoll options below.
+	// polling mode ("devpoll", "epoll", "epoll-et", "compio"); empty selects
+	// /dev/poll with the DevPoll options below.
 	BulkBackend string
-	// Bulk, when non-nil, overrides BulkBackend with a custom-configured bulk
-	// poller.
-	Bulk func(k *simkernel.Kernel, p *simkernel.Proc) core.Poller
-	// DevPoll configures the /dev/poll instance used when Bulk and BulkBackend
-	// are unset.
+	// DevPoll configures the /dev/poll instance used when BulkBackend is
+	// unset.
 	DevPoll devpoll.Options
 	// MaxEventsPerWait caps events per bulk-poller wait.
 	MaxEventsPerWait int
@@ -150,16 +144,13 @@ func New(k *simkernel.Kernel, net *netsim.Network, cfg Config) *Server {
 	api := netsim.NewSockAPI(k, p, net)
 	s := &Server{K: k, Net: net, P: p, cfg: cfg, api: api, mode: ModeSignal}
 	s.rtq = rtsig.New(k, p, rtsig.Options{QueueLimit: cfg.QueueLimit, Signo: core.SIGRTMIN, BatchDequeue: cfg.BatchDequeue})
-	switch {
-	case cfg.Bulk != nil:
-		s.dp = cfg.Bulk(k, p)
-	case cfg.BulkBackend != "":
+	if cfg.BulkBackend != "" {
 		poller, _, err := eventlib.OpenBackend(k, p, cfg.BulkBackend)
 		if err != nil {
 			panic("hybrid: " + err.Error())
 		}
 		s.dp = poller
-	default:
+	} else {
 		s.dp = devpoll.Open(k, p, cfg.DevPoll)
 	}
 	// Both interest sets are kept up to date on every connection open/close
@@ -170,7 +161,7 @@ func New(k *simkernel.Kernel, net *netsim.Network, cfg Config) *Server {
 		AfterDispatch:    s.evaluateSwitch,
 	})
 	s.base.AttachPoller(s.dp)
-	s.handler = httpcore.NewHandler(k, p, api, cfg.Content)
+	s.handler = httpcore.NewHandler(k, p, api)
 	s.handler.IdleTimeout = cfg.IdleTimeout
 	s.handler.SetOptions(cfg.HTTP)
 	return s
@@ -258,7 +249,7 @@ func (s *Server) Handler() *httpcore.Handler { return s.handler }
 func (s *Server) SignalQueue() *rtsig.Queue { return s.rtq }
 
 // DevPollSet exposes the bulk poller — /dev/poll by default, or whatever
-// Config.Bulk/BulkBackend selected (for tests and experiments).
+// Config.BulkBackend selected (for tests and experiments).
 func (s *Server) DevPollSet() core.Poller { return s.dp }
 
 // Base exposes the event base (for tests).

@@ -19,7 +19,6 @@ package phhttpd
 import (
 	"repro/internal/core"
 	"repro/internal/eventlib"
-	"repro/internal/httpsim"
 	"repro/internal/netsim"
 	"repro/internal/rtsig"
 	"repro/internal/servers/httpcore"
@@ -46,8 +45,6 @@ func (m Mode) String() string {
 
 // Config parameterises a phhttpd instance.
 type Config struct {
-	// Content is the static document tree; nil selects the default store.
-	Content *httpsim.ContentStore
 	// IdleTimeout closes connections with no activity for this long.
 	IdleTimeout core.Duration
 	// HTTP selects the persistent-connection features (keep-alive,
@@ -144,7 +141,7 @@ func New(k *simkernel.Kernel, net *netsim.Network, cfg Config) *Server {
 		MaxEventsPerWait: cfg.MaxEventsPerWait,
 	})
 	s.base.AttachPoller(s.pollset)
-	s.handler = httpcore.NewHandler(k, p, api, cfg.Content)
+	s.handler = httpcore.NewHandler(k, p, api)
 	s.handler.IdleTimeout = cfg.IdleTimeout
 	s.handler.SetOptions(cfg.HTTP)
 	return s

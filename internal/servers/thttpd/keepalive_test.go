@@ -62,7 +62,7 @@ func TestKeepAlivePipelinedEndToEnd(t *testing.T) {
 		t.Fatalf("open connections = %d", s.OpenConnections())
 	}
 	// One latency observation per request, not per connection.
-	if got := s.Handler().ServiceLatency.Count(); got != 9 {
+	if got := s.Workers()[0].Handler().ServiceLatency.Count(); got != 9 {
 		t.Fatalf("latency observations = %d", got)
 	}
 }

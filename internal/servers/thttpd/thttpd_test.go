@@ -1,6 +1,7 @@
 package thttpd
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -60,15 +61,15 @@ func TestServesRequestsOnStockPoll(t *testing.T) {
 	if probes[1].bytes != httpsim.ResponseSize(httpsim.StatusOK, 512) {
 		t.Fatalf("probe1 = %+v", probes[1])
 	}
-	if s.Poller().Name() != "poll" {
-		t.Fatalf("poller = %s", s.Poller().Name())
+	if s.Workers()[0].Poller().Name() != "poll" {
+		t.Fatalf("poller = %s", s.Workers()[0].Poller().Name())
 	}
 	if s.OpenConnections() != 0 {
 		t.Fatalf("open connections = %d", s.OpenConnections())
 	}
 	// The listener stays registered; served connections were removed.
-	if s.Poller().Len() != 1 {
-		t.Fatalf("poller interests = %d", s.Poller().Len())
+	if s.Workers()[0].Poller().Len() != 1 {
+		t.Fatalf("poller interests = %d", s.Workers()[0].Poller().Len())
 	}
 }
 
@@ -80,10 +81,10 @@ func TestServesRequestsOnDevPoll(t *testing.T) {
 	if s.Stats().Served != 1 || !p.closed {
 		t.Fatalf("served=%d probe=%+v", s.Stats().Served, p)
 	}
-	if s.Poller().Name() != "devpoll" {
-		t.Fatalf("poller = %s", s.Poller().Name())
+	if s.Workers()[0].Poller().Name() != "devpoll" {
+		t.Fatalf("poller = %s", s.Workers()[0].Poller().Name())
 	}
-	st := s.Poller().(core.StatsSource).MechanismStats()
+	st := s.Workers()[0].Poller().(core.StatsSource).MechanismStats()
 	if st.Waits == 0 || st.EventsReturned == 0 {
 		t.Fatalf("mechanism stats = %+v", st)
 	}
@@ -96,8 +97,8 @@ func TestDefaultConfigFallbacks(t *testing.T) {
 	if s.cfg.MaxEventsPerWait <= 0 || s.cfg.WaitTimeout <= 0 {
 		t.Fatalf("config fallbacks not applied: %+v", s.cfg)
 	}
-	if s.Poller().Name() != "poll" {
-		t.Fatalf("default mechanism = %s", s.Poller().Name())
+	if s.Workers()[0].Poller().Name() != "poll" {
+		t.Fatalf("default mechanism = %s", s.Workers()[0].Poller().Name())
 	}
 	// Start is idempotent.
 	s.Start()
@@ -179,37 +180,46 @@ func TestManyConcurrentConnections(t *testing.T) {
 // overflow sentinel triggers a queue flush plus a full rescan (accept drain +
 // one read per open connection), because the dropped signals will never be
 // re-delivered. Without that recovery the server wedges and serves nothing
-// after the first overflow.
+// after the first overflow. Each worker recovers its own queue; the custom
+// poller's edge-style delivery comes from its registry name.
 func TestRtsigBackendRecoversFromOverflow(t *testing.T) {
-	k := simkernel.NewKernel(nil)
-	n := netsim.New(k, netsim.DefaultConfig())
-	cfg := DefaultConfig()
-	cfg.OpenPoller = func(k *simkernel.Kernel, p *simkernel.Proc) core.Poller {
-		return rtsig.New(k, p, rtsig.Options{QueueLimit: 4})
-	}
-	cfg.EdgeStyle = true
-	s := New(k, n, cfg)
-	s.Start()
-	k.Sim.RunUntil(core.Time(10 * core.Millisecond))
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			k := simkernel.NewKernelSMP(nil, workers)
+			n := netsim.New(k, netsim.DefaultConfig())
+			cfg := DefaultConfig()
+			cfg.Workers = workers
+			cfg.OpenPoller = func(k *simkernel.Kernel, p *simkernel.Proc) core.Poller {
+				return rtsig.New(k, p, rtsig.Options{QueueLimit: 4})
+			}
+			s := New(k, n, cfg)
+			s.Start()
+			k.Sim.RunUntil(core.Time(10 * core.Millisecond))
 
-	const conns = 30
-	probes := make([]*probe, conns)
-	for i := range probes {
-		probes[i] = get(k, n, "/index.html")
-	}
-	k.Sim.RunUntil(core.Time(20 * core.Second))
-	s.Stop()
+			const conns = 30
+			probes := make([]*probe, conns)
+			for i := range probes {
+				probes[i] = get(k, n, "/index.html")
+			}
+			k.Sim.RunUntil(core.Time(20 * core.Second))
+			s.Stop()
 
-	q := s.Poller().(*rtsig.Queue)
-	if q.MechanismStats().Overflows == 0 {
-		t.Fatal("burst never overflowed the 4-entry queue; the test exercises nothing")
-	}
-	if got := s.Stats().Served; got != conns {
-		t.Fatalf("served = %d, want %d despite queue overflows", got, conns)
-	}
-	for i, p := range probes {
-		if !p.closed {
-			t.Fatalf("probe %d incomplete after overflow recovery", i)
-		}
+			for _, w := range s.Workers() {
+				if !w.edgeStyle {
+					t.Fatalf("worker %d did not read its rtsig poller as edge-style", w.Index)
+				}
+				if w.Poller().(*rtsig.Queue).MechanismStats().Overflows == 0 {
+					t.Fatalf("burst never overflowed worker %d's 4-entry queue; the test exercises nothing", w.Index)
+				}
+			}
+			if got := s.Stats().Served; got != conns {
+				t.Fatalf("served = %d, want %d despite queue overflows", got, conns)
+			}
+			for i, p := range probes {
+				if !p.closed {
+					t.Fatalf("probe %d incomplete after overflow recovery", i)
+				}
+			}
+		})
 	}
 }

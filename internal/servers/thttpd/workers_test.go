@@ -1,4 +1,4 @@
-package prefork_test
+package thttpd
 
 import (
 	"reflect"
@@ -6,21 +6,23 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/netsim"
-	"repro/internal/servers/prefork"
 	"repro/internal/simkernel"
 	"repro/internal/simtest"
 )
 
-// startServer builds an n-worker server on a fresh SMP kernel and network.
-func startServer(t *testing.T, n int, mode prefork.Mode, shard netsim.ShardPolicy) (*simkernel.Kernel, *netsim.Network, *prefork.Server) {
+// startWorkers builds an n-worker server on epoll on a fresh SMP kernel and
+// network.
+func startWorkers(t *testing.T, n int, mode Mode, shard netsim.ShardPolicy) (*simkernel.Kernel, *netsim.Network, *Server) {
 	t.Helper()
 	k := simkernel.NewKernelSMP(nil, n)
 	cfg := netsim.DefaultConfig()
 	cfg.Shard = shard
 	net := netsim.New(k, cfg)
-	pc := prefork.DefaultConfig(n)
-	pc.Mode = mode
-	s := prefork.New(k, net, pc)
+	sc := DefaultConfig()
+	sc.Workers = n
+	sc.Mode = mode
+	sc.Backend = "epoll"
+	s := New(k, net, sc)
 	s.Start()
 	// Execute the start batches; a full Run would never return, since the
 	// dispatch loops re-arm their wait timeouts forever.
@@ -46,7 +48,7 @@ func drive(k *simkernel.Kernel, net *netsim.Network, count int) int {
 }
 
 func TestReuseportRegistersOneListenerPerWorker(t *testing.T) {
-	k, net, s := startServer(t, 4, prefork.ModeReuseport, netsim.ShardHash)
+	k, net, s := startWorkers(t, 4, ModeReuseport, netsim.ShardHash)
 	if got := len(net.Listeners()); got != 4 {
 		t.Fatalf("listeners = %d, want 4", got)
 	}
@@ -69,7 +71,7 @@ func TestReuseportRegistersOneListenerPerWorker(t *testing.T) {
 }
 
 func TestHandoffSingleListenerDealsRoundRobin(t *testing.T) {
-	k, net, s := startServer(t, 4, prefork.ModeHandoff, netsim.ShardHash)
+	k, net, s := startWorkers(t, 4, ModeHandoff, netsim.ShardHash)
 	if got := len(net.Listeners()); got != 1 {
 		t.Fatalf("listeners = %d, want 1 (single acceptor)", got)
 	}
@@ -91,7 +93,7 @@ func TestHandoffSingleListenerDealsRoundRobin(t *testing.T) {
 // Workers on distinct CPUs must all do work; the kernel's other CPUs see the
 // traffic their worker owns.
 func TestWorkersSpreadAcrossCPUs(t *testing.T) {
-	k, net, s := startServer(t, 2, prefork.ModeReuseport, netsim.ShardHash)
+	k, net, s := startWorkers(t, 2, ModeReuseport, netsim.ShardHash)
 	if drive(k, net, 30) != 30 {
 		t.Fatal("not all requests completed")
 	}
@@ -112,7 +114,7 @@ func TestPreforkDeterminism(t *testing.T) {
 		Now       core.Time
 	}
 	run := func() outcome {
-		k, net, s := startServer(t, 4, prefork.ModeReuseport, netsim.ShardHash)
+		k, net, s := startWorkers(t, 4, ModeReuseport, netsim.ShardHash)
 		completed := drive(k, net, 50)
 		s.Stop()
 		k.Sim.RunUntil(k.Now().Add(5 * core.Second))
