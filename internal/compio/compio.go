@@ -370,7 +370,8 @@ func (c *Compio) collect(firstPass bool, max int, buf []core.Event) []core.Event
 	events := buf
 	c.cq.Scan(func(fd int, pending core.EventMask, gen uint64) (keep bool) {
 		if len(events) >= max {
-			// Reap capacity reached: the rest stays in the ring.
+			// Reap capacity reached: the rest stays in the ring, unvisited.
+			c.cq.Stop()
 			return true
 		}
 		e := c.table.Lookup(fd)

@@ -222,6 +222,8 @@ func (ep *Epoll) primeReadiness(e *interest.Entry) {
 // collect performs one epoll_wait pass: it walks the ready list only, never
 // the interest set — the O(ready) scan that distinguishes epoll from both
 // stock poll (O(registered) always) and /dev/poll (O(registered) hint checks).
+// The walk ends once max events are collected, so a backlog longer than the
+// result buffer costs the host nothing until a later wait reaches it.
 func (ep *Epoll) collect(firstPass bool, max int, buf []core.Event) []core.Event {
 	cost := ep.k.Cost
 	ep.stats.Waits++
@@ -233,7 +235,9 @@ func (ep *Epoll) collect(firstPass bool, max int, buf []core.Event) []core.Event
 	events := buf
 	ep.ready.Scan(func(fd int, pending core.EventMask, gen uint64) (keep bool) {
 		if len(events) >= max {
-			// Result buffer full: leave the rest queued for the next wait.
+			// Result buffer full: end the walk, leaving this entry and the
+			// rest queued, untouched, for the next wait.
+			ep.ready.Stop()
 			return true
 		}
 		e := ep.table.Lookup(fd)

@@ -1,8 +1,10 @@
 package epoll
 
 import (
+	"slices"
 	"testing"
 
+	"repro/internal/compio"
 	"repro/internal/core"
 	"repro/internal/simtest"
 )
@@ -218,28 +220,84 @@ func TestWaitBlocksUntilReadiness(t *testing.T) {
 	}
 }
 
+// A wait returns at most max events and leaves the rest queued, untouched, in
+// arrival order. Level-triggered entries stay queued after delivery, so the
+// next wait re-validates all of them; the edge-style mechanisms (epoll-ET and
+// compio) hand a backlog of three times max out over three waits.
 func TestMaxEventsCapsDeliveryAndKeepsRemainder(t *testing.T) {
-	env := simtest.NewEnv()
-	ep := open(env, DefaultOptions())
-	env.P.Batch(0, func() {
-		for i := 0; i < 10; i++ {
-			fd, _ := env.NewFD(core.POLLIN)
-			must(t, ep.Add(fd.Num, core.POLLIN))
+	t.Run("epoll", func(t *testing.T) {
+		env := simtest.NewEnv()
+		ep := open(env, DefaultOptions())
+		env.P.Batch(0, func() {
+			for i := 0; i < 10; i++ {
+				fd, _ := env.NewFD(core.POLLIN)
+				must(t, ep.Add(fd.Num, core.POLLIN))
+			}
+		}, nil)
+		env.Run()
+		var col simtest.Collector
+		ep.Wait(4, core.Forever, col.Handler())
+		env.Run()
+		if len(col.Events) != 4 {
+			t.Fatalf("events = %d, want 4", len(col.Events))
 		}
-	}, nil)
-	env.Run()
-	var col simtest.Collector
-	ep.Wait(4, core.Forever, col.Handler())
-	env.Run()
-	if len(col.Events) != 4 {
-		t.Fatalf("events = %d, want 4", len(col.Events))
-	}
-	// The remaining six are still queued and arrive on the next wait.
-	var col2 simtest.Collector
-	ep.Wait(0, 0, col2.Handler())
-	env.Run()
-	if len(col2.Events) != 10 {
-		t.Fatalf("second wait events = %d, want all 10 still ready (LT)", len(col2.Events))
+		// The remaining six are still queued and arrive on the next wait.
+		var col2 simtest.Collector
+		ep.Wait(0, 0, col2.Handler())
+		env.Run()
+		if len(col2.Events) != 10 {
+			t.Fatalf("second wait events = %d, want all 10 still ready (LT)", len(col2.Events))
+		}
+		// Ten registration-time checks, four re-validations by the capped
+		// wait and ten by the second: the capped wait polls nothing past max.
+		if got := ep.MechanismStats().DriverPolls; got != 24 {
+			t.Fatalf("DriverPolls = %d, want 24", got)
+		}
+	})
+	for _, tc := range []struct {
+		name string
+		open func(*simtest.Env) core.Poller
+	}{
+		{"epoll-et", func(env *simtest.Env) core.Poller { return open(env, Options{EdgeTriggered: true}) }},
+		{"compio", func(env *simtest.Env) core.Poller { return compio.Open(env.K, env.P, compio.DefaultOptions()) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const max = 4
+			env := simtest.NewEnv()
+			pl := tc.open(env)
+			var files []*simtest.FakeFile
+			var fds []int
+			env.P.Batch(0, func() {
+				for i := 0; i < 3*max; i++ {
+					fd, file := env.NewFD(0)
+					must(t, pl.Add(fd.Num, core.POLLIN))
+					files, fds = append(files, file), append(fds, fd.Num)
+				}
+			}, nil)
+			env.Run()
+			// Readiness arrives in reverse descriptor order, so arrival
+			// order and descriptor order differ.
+			var want []int
+			for i := len(files) - 1; i >= 0; i-- {
+				files[i].SetReady(env.K.Now(), core.POLLIN)
+				want = append(want, fds[i])
+			}
+			env.Run()
+			for w := 0; w < 3; w++ {
+				var col simtest.Collector
+				pl.Wait(max, 0, col.Handler())
+				env.Run()
+				if got, exp := col.FDNums(), want[w*max:(w+1)*max]; !slices.Equal(got, exp) {
+					t.Fatalf("wait %d returned %v, want %v", w, got, exp)
+				}
+			}
+			var col simtest.Collector
+			pl.Wait(max, 0, col.Handler())
+			env.Run()
+			if len(col.Events) != 0 {
+				t.Fatalf("fourth wait returned %v, want nothing", col.FDNums())
+			}
+		})
 	}
 }
 

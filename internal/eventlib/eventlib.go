@@ -142,8 +142,10 @@ type Base struct {
 
 	// free holds released events for NewEvent/NewTimer to reuse, so a server
 	// that releases each connection's event after Del allocates none per
-	// connection at steady state.
+	// connection at steady state. Fresh records come from the slab, so the events
+	// a server holds for the whole run cost one allocation per chunk.
 	free []*Event
+	slab core.Slab[Event]
 
 	// The dispatch loop's per-iteration state and pre-bound callbacks: the
 	// wait completion, the dispatch batch body and its completion are the
@@ -358,8 +360,8 @@ func (b *Base) NewTimer(what What, cb Callback) *Event {
 }
 
 // alloc takes the next creation sequence number and an event record: a
-// released one when the free list has any, a fresh one otherwise. The caller
-// overwrites every field.
+// released one when the free list has any, a fresh one from the slab
+// otherwise. The caller overwrites every field.
 func (b *Base) alloc() *Event {
 	b.nextSeq++
 	if n := len(b.free); n > 0 {
@@ -368,7 +370,7 @@ func (b *Base) alloc() *Event {
 		b.free = b.free[:n-1]
 		return ev
 	}
-	return &Event{}
+	return b.slab.New()
 }
 
 // Release hands a deleted event back to its base for reuse by a later

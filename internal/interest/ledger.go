@@ -39,6 +39,7 @@ type Ledger struct {
 	head  int32
 	tail  int32
 	count int
+	stop  bool // set by Stop during a Scan
 }
 
 // NewLedger returns an empty readiness ledger.
@@ -152,9 +153,13 @@ func (l *Ledger) Reset() {
 // Scan visits the marked descriptors in arrival order. fn returns whether the
 // descriptor should stay marked: a level-triggered consumer keeps descriptors
 // that remain ready, an edge-triggered one drops each mark as it is delivered.
-// fn must not call Mark or Clear during the scan.
+// fn may call Stop to end the walk once the descriptor it is visiting is
+// settled, so a consumer whose result buffer is full pays nothing for the
+// unvisited suffix, which keeps its arrival order, masks and generations. fn
+// must not call Mark or Clear during the scan.
 func (l *Ledger) Scan(fn func(fd int, mask core.EventMask, gen uint64) (keep bool)) {
-	for id := l.head; id != none; {
+	l.stop = false
+	for id := l.head; id != none && !l.stop; {
 		n := &l.nodes[id]
 		next := n.next
 		if !fn(n.fd, n.mask, n.gen) {
@@ -163,6 +168,10 @@ func (l *Ledger) Scan(fn func(fd int, mask core.EventMask, gen uint64) (keep boo
 		id = next
 	}
 }
+
+// Stop ends the Scan in progress after the current fn call returns. Outside
+// a Scan it has no effect.
+func (l *Ledger) Stop() { l.stop = true }
 
 // unlink removes a node from the list and the slot table, recycling its id.
 func (l *Ledger) unlink(id int32) {

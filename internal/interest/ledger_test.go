@@ -1,6 +1,7 @@
 package interest
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -57,6 +58,50 @@ func TestLedgerScanOrderAndKeepSemantics(t *testing.T) {
 	}
 	if l.Len() != 0 {
 		t.Fatalf("ledger should be drained, len=%d", l.Len())
+	}
+}
+
+// A scan that fn stops after k visits leaves the unvisited suffix exactly as
+// it was: same arrival order, masks and generations.
+func TestLedgerScanStopLeavesSuffixUntouched(t *testing.T) {
+	l := NewLedger()
+	order := []int{6, 2, 9, 4, 7, 1, 8}
+	mask := func(fd int) core.EventMask {
+		if fd%2 == 0 {
+			return core.POLLIN
+		}
+		return core.POLLIN | core.POLLOUT
+	}
+	for _, fd := range order {
+		l.Mark(fd, mask(fd), uint64(100+fd))
+	}
+	const k = 3
+	calls := 0
+	l.Scan(func(fd int, m core.EventMask, gen uint64) bool {
+		calls++
+		if calls == k {
+			l.Stop()
+		}
+		return false
+	})
+	if calls != k {
+		t.Fatalf("fn called %d times, want %d", calls, k)
+	}
+	if l.Len() != len(order)-k {
+		t.Fatalf("Len = %d, want %d", l.Len(), len(order)-k)
+	}
+	// A Stop outside a scan does not cut the next one short.
+	l.Stop()
+	var rest []int
+	l.Scan(func(fd int, m core.EventMask, gen uint64) bool {
+		if m != mask(fd) || gen != uint64(100+fd) {
+			t.Errorf("fd %d: mask %v gen %d, want %v gen %d", fd, m, gen, mask(fd), 100+fd)
+		}
+		rest = append(rest, fd)
+		return true
+	})
+	if want := order[k:]; !slices.Equal(rest, want) {
+		t.Fatalf("suffix = %v, want %v", rest, want)
 	}
 }
 

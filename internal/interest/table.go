@@ -52,13 +52,15 @@ type Entry struct {
 // Iteration (Each, ForEach, FDs) runs in insertion order, which keeps
 // simulation runs deterministic and lets stock poll reuse the table as its
 // ordered pollfd array. Deleted entries return to an internal pool, making
-// Set/Upsert allocation-free at steady state.
+// Set/Upsert allocation-free at steady state; fresh entries are carved from a
+// slab, so a large held interest set costs one allocation per chunk.
 type Table struct {
 	slots []*Entry // fd-indexed; nil = not registered
 	head  *Entry
 	tail  *Entry
 	count int
 	pool  *Entry // recycled entries, linked through next
+	slab  core.Slab[Entry]
 
 	// vbuckets is the bucket count the paper's hash table would have: it
 	// doubles whenever the average chain length reaches two and never
@@ -127,7 +129,8 @@ func (t *Table) Upsert(fd int) (*Entry, bool) {
 		t.pool = e.next
 		*e = Entry{FD: fd}
 	} else {
-		e = &Entry{FD: fd}
+		e = t.slab.New()
+		e.FD = fd
 	}
 	for fd >= len(t.slots) {
 		t.slots = append(t.slots, nil)

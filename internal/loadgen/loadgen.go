@@ -224,9 +224,11 @@ type Generator struct {
 	// Push-family state (KindPush). The member registry and the delivery
 	// budget are owned by the push server's lane — every member's home lane,
 	// since they all hash to the one listener — so they stay single-writer
-	// on a parallel run; the driver lane only launches connections.
+	// on a parallel run; the driver lane only launches connections, carving
+	// each member from memberSlab, which no other lane touches.
 	pushPayload int
 	pushMembers []*pushMember
+	memberSlab  core.Slab[pushMember]
 	pushDone    int
 	pushClosing bool
 

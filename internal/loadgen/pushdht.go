@@ -52,7 +52,8 @@ func (g *Generator) startPush(now core.Time) {
 // launchMember opens one member connection from the driver lane.
 func (g *Generator) launchMember(now core.Time) {
 	g.issued++
-	m := &pushMember{gen: g}
+	m := g.memberSlab.New()
+	m.gen = g
 	m.conn = g.net.ConnectWith(now, netsim.ConnectOptions{RTT: g.cfg.Profile.ActiveRTT}, m)
 }
 
@@ -125,7 +126,9 @@ func (m *pushMember) Data(now core.Time, n int) {
 	for len(m.pending) > 0 && m.received >= g.pushPayload {
 		m.received -= g.pushPayload
 		anchor := m.pending[0]
-		m.pending = m.pending[1:]
+		// Shift within the backing array so the next PushDeliver reuses it;
+		// at most a few deliveries to one member overlap.
+		m.pending = m.pending[:copy(m.pending, m.pending[1:])]
 		if anchor < g.started {
 			continue // warmup delivery: the population was still ramping
 		}

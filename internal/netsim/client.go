@@ -153,7 +153,7 @@ type connPair struct {
 }
 
 // newPair returns a recycled pair from the driver lane's free list, or a
-// fresh one, stamped with a new (odd) incarnation.
+// fresh one from the slab, stamped with a new (odd) incarnation.
 func (n *Network) newPair() *connPair {
 	var p *connPair
 	free := n.pairs[0]
@@ -162,7 +162,7 @@ func (n *Network) newPair() *connPair {
 		free[l-1] = nil
 		n.pairs[0] = free[:l-1]
 	} else {
-		p = &connPair{}
+		p = n.pairSlab.New()
 	}
 	p.inc++
 	p.pending, p.released = 0, false
@@ -583,9 +583,9 @@ type connEvt struct {
 }
 
 // getEvt pops a recycled delivery record from the scheduling lane's pool (or
-// allocates one with its callback bound) — the single home of the pool
-// discipline. Records return to the executing lane's pool, so every pool has
-// exactly one touching goroutine per epoch.
+// carves one from that lane's slab and binds its callback) — the single home
+// of the pool discipline. Records return to the executing lane's pool, so
+// every pool and slab has exactly one touching goroutine per epoch.
 func (n *Network) getEvt(src simkernel.Q) *connEvt {
 	pool := n.pools[src.LaneIndex()]
 	if l := len(pool); l > 0 {
@@ -594,7 +594,8 @@ func (n *Network) getEvt(src simkernel.Q) *connEvt {
 		n.pools[src.LaneIndex()] = pool[:l-1]
 		return e
 	}
-	e := &connEvt{net: n}
+	e := n.evtSlabs[src.LaneIndex()].New()
+	e.net = n
 	e.fn = e.run
 	return e
 }

@@ -161,13 +161,19 @@ type Network struct {
 	// pools recycles the scheduled-delivery records of client.go, one pool
 	// per lane: a record is taken from the scheduling lane's pool and
 	// returned to the executing lane's, so each pool has a single writer.
-	pools [][]*connEvt
+	// evtSlabs, one per lane too, carve the records a lane's pool lacks.
+	pools    [][]*connEvt
+	evtSlabs []core.Slab[connEvt]
 
 	// pairs recycles connection endpoint pairs (see connPair), one free list
 	// per lane: a pair returns to the list of the lane its connection lives
 	// on, and ConnectWith draws from the driver lane's. On a parallel run a
-	// barrier hook moves the other lanes' lists onto the driver's.
-	pairs [][]*connPair
+	// barrier hook moves the other lanes' lists onto the driver's. Fresh
+	// pairs come from pairSlab, which only the driver lane touches: pairs
+	// that are never released (push members, the inactive population) then
+	// cost one allocation per chunk.
+	pairs    [][]*connPair
+	pairSlab core.Slab[connPair]
 
 	nextConnID int64
 
@@ -212,6 +218,7 @@ func New(k *simkernel.Kernel, cfg Config) *Network {
 		K: k, Cfg: cfg,
 		lstats:        make([]Stats, 1),
 		pools:         make([][]*connEvt, 1),
+		evtSlabs:      make([]core.Slab[connEvt], 1),
 		pairs:         make([][]*connPair, 1),
 		driverQ:       k.Sim.LaneQ(0),
 		dgramBinds:    make(map[Addr]*dgramBind),
@@ -257,6 +264,7 @@ func (n *Network) Parallelize() {
 	n.dgramHome = n.driverQ
 	n.lstats = make([]Stats, sim.NumLanes())
 	n.pools = make([][]*connEvt, sim.NumLanes())
+	n.evtSlabs = make([]core.Slab[connEvt], sim.NumLanes())
 	n.pairs = make([][]*connPair, sim.NumLanes())
 	sim.OnBarrier(n.gatherPairs)
 }

@@ -98,6 +98,7 @@ type Server struct {
 	conns   []*conn // fd-indexed; nil = closed
 	members []int   // fd numbers of subscribed members
 	free    []*conn
+	slab    core.Slab[conn] // fresh conns: members are held for the whole run
 
 	tick   *eventlib.Event
 	tickNo uint64
@@ -246,7 +247,7 @@ func (s *Server) onAcceptable(_ int, _ eventlib.What, now core.Time) {
 			s.free[n-1] = nil
 			s.free = s.free[:n-1]
 		} else {
-			c = &conn{}
+			c = s.slab.New()
 		}
 		c.fd, c.sc, c.idx, c.pending = fd, sc, -1, 0
 		c.ev = s.base.NewEvent(fd.Num, eventlib.EvRead|eventlib.EvPersist, s.connReadyFn)

@@ -236,6 +236,9 @@ type Proc struct {
 	nfds    int    // open descriptors
 	freeFD  int    // lowest descriptor number that may be unused
 	nextGen uint64 // generation counter stamped onto installed descriptors
+	// fdSlab carves new descriptor entries. An FD is never reissued (a stale
+	// interest entry must keep seeing its POLLNVAL), so there is no free list.
+	fdSlab core.Slab[FD]
 
 	inBatch   bool
 	batchCost core.Duration
@@ -319,7 +322,8 @@ func (p *Proc) Install(f File) *FD {
 	}
 	p.freeFD = num + 1
 	p.nextGen++
-	fd := &FD{Num: num, Gen: p.nextGen, Proc: p, file: f}
+	fd := p.fdSlab.New()
+	*fd = FD{Num: num, Gen: p.nextGen, Proc: p, file: f}
 	for num >= len(p.fds) {
 		p.fds = append(p.fds, nil)
 	}
