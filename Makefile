@@ -141,7 +141,7 @@ determinism:
 # rates, p99 latencies and ns/op. Run this (and commit the result) in any PR
 # that intentionally moves performance.
 bench-json:
-	$(GO) run ./cmd/benchgate -emit BENCH_PR20.json
+	$(GO) run ./cmd/benchgate -emit BENCH_PR21.json
 
 # Gate the working tree against the committed baseline: emit a fresh
 # candidate and fail on >5% regression in any simulated metric (reply rate,
@@ -153,7 +153,7 @@ TIME_TOLERANCE ?= 1.0
 bench-gate:
 	@tmp=$$(mktemp); \
 	$(GO) run ./cmd/benchgate -emit $$tmp -quiet && \
-	$(GO) run ./cmd/benchgate -baseline BENCH_PR20.json -candidate $$tmp -time-tolerance $(TIME_TOLERANCE); \
+	$(GO) run ./cmd/benchgate -baseline BENCH_PR21.json -candidate $$tmp -time-tolerance $(TIME_TOLERANCE); \
 	status=$$?; rm -f $$tmp; exit $$status
 
 # Zero-tolerance parallel determinism gate on the benchmark set: every gated

@@ -30,8 +30,8 @@
 //
 // Usage:
 //
-//	benchgate -emit BENCH_PR20.json         # refresh the baseline
-//	benchgate -baseline BENCH_PR20.json -candidate new.json
+//	benchgate -emit BENCH_PR21.json         # refresh the baseline
+//	benchgate -baseline BENCH_PR21.json -candidate new.json
 //	benchgate -crosscheck 4                 # parallel == sequential, bit for bit
 package main
 

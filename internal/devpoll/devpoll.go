@@ -17,6 +17,16 @@
 // The kernel-resident interest table, the hint ledger and the blocking-wait
 // state machine all come from the shared engine in internal/interest; this
 // package contributes only the /dev/poll semantics and cost charges.
+//
+// The simulated DP_POLL scan is O(registered): every interest costs a hint
+// check (with hints) or a driver poll (without). The host's scan is
+// O(candidates): it visits, in table order, only the entries a host-only
+// ledger names — written since the last scan, notified by their driver,
+// closed, not attached to their open descriptor, or holding a cached result
+// that indicated readiness — and charges each per-interest term once, scaled
+// by its count. Every other entry is unhinted, and since every readiness gain
+// is announced by a driver notification (DESIGN.md §6) it would poll as not
+// ready, so skipping it changes no event, counter or charge.
 package devpoll
 
 import (
@@ -58,10 +68,21 @@ type DevPoll struct {
 	table  *interest.Table  // kernel-resident interest set; Entry.File is the driver backmap
 	hinted *interest.Ledger // descriptors whose driver posted a hint since the last scan
 	cache  []cachedPoll     // last result returned by the driver poll, fd-indexed
+	// cand names the entries the next scan must visit on the host. It is
+	// separate from hinted, whose Mark result decides HintPost charges.
+	cand *interest.Ledger
 
 	mmapDone bool
 
 	eng interest.Engine
+
+	// Per-scan state of visit, bound once so a scan allocates nothing.
+	visitFn    func(e *interest.Entry) bool
+	scanMax    int
+	scanReady  []core.Event
+	visited    int
+	hintChecks int
+	drvPolls   int
 
 	stats  core.Stats
 	closed bool
@@ -80,7 +101,9 @@ func Open(k *simkernel.Kernel, p *simkernel.Proc, opts Options) *DevPoll {
 		opts:   opts,
 		table:  interest.NewTable(),
 		hinted: interest.NewLedger(),
+		cand:   interest.NewLedger(),
 	}
+	d.visitFn = d.visit
 	d.eng = interest.Engine{
 		Name:    "devpoll",
 		K:       k,
@@ -161,6 +184,7 @@ func (d *DevPoll) Update(changes []core.PollFD) error {
 			continue
 		}
 		e, isNew := d.table.Upsert(ch.FD)
+		d.cand.Mark(ch.FD, 0, 0)
 		if d.opts.SolarisOR && !isNew {
 			e.Events |= ch.Events
 		} else {
@@ -193,6 +217,7 @@ func (d *DevPoll) removeLocked(fd int) {
 	}
 	d.table.Delete(fd)
 	d.hinted.Clear(fd)
+	d.cand.Clear(fd)
 	if fd < len(d.cache) {
 		d.cache[fd] = cachedPoll{}
 	}
@@ -255,9 +280,11 @@ func (d *DevPoll) Wait(max int, timeout core.Duration, handler func(events []cor
 	d.eng.Wait(max, timeout, handler)
 }
 
-// collect performs one DP_POLL pass: it walks the kernel-resident interest
-// table, consulting the hint ledger and the cached results to decide which
-// descriptors need the expensive driver poll callback.
+// collect performs one DP_POLL pass over the kernel-resident interest table,
+// consulting the hint ledger and the cached results to decide which
+// descriptors need the expensive driver poll callback. Only the candidate
+// entries are visited on the host; every other entry costs what the walk
+// would charge an unhinted, not-ready interest.
 func (d *DevPoll) collect(firstPass bool, max int, buf []core.Event) []core.Event {
 	cost := d.k.Cost
 	d.stats.Waits++
@@ -275,37 +302,21 @@ func (d *DevPoll) collect(firstPass bool, max int, buf []core.Event) []core.Even
 	// The backmap lock is taken for reading once per scan.
 	d.p.Charge(cost.BackmapLock)
 
-	ready := buf
-	d.table.Each(func(e *interest.Entry) {
-		fd, want := e.FD, e.Events
-		entry, ok := d.p.Get(fd)
-		if !ok {
-			ready = interest.AppendEvent(ready, max, core.Event{FD: fd, Ready: core.POLLNVAL})
-			return
-		}
-		cached, hasCache := d.cacheGet(fd)
-		needDriver := d.hinted.Ready(fd) || !d.opts.UseHints
-		if !needDriver && hasCache && cached.Any(want|core.POLLERR|core.POLLHUP) {
-			// A cached result that indicated readiness must be re-validated
-			// every time; there is no ready→not-ready hint.
-			needDriver = true
-			d.stats.CacheHits++
-		}
-		if !needDriver {
-			// The hint system lets us skip the driver entirely.
-			d.p.Charge(cost.HintCheck)
-			d.stats.HintHits++
-			return
-		}
-		revents := entry.DriverPoll()
-		d.stats.DriverPolls++
-		d.cachePut(fd, revents)
-		d.hinted.Clear(fd)
-		revents &= want | core.POLLERR | core.POLLHUP | core.POLLNVAL
-		if revents != 0 {
-			ready = interest.AppendEvent(ready, max, core.Event{FD: fd, Ready: revents, Gen: entry.Gen})
-		}
-	})
+	d.scanMax, d.scanReady = max, buf
+	d.visited, d.hintChecks, d.drvPolls = 0, 0, 0
+	d.table.EachMarked(d.cand, d.visitFn)
+	ready := d.scanReady
+	d.scanReady = nil
+	if idle := d.table.Len() - d.visited; d.opts.UseHints {
+		// The hint system lets the scan skip the driver entirely.
+		d.hintChecks += idle
+		d.stats.HintHits += int64(idle)
+	} else {
+		d.drvPolls += idle
+		d.stats.DriverPolls += int64(idle)
+	}
+	d.p.Charge(cost.HintCheck * core.Duration(d.hintChecks))
+	d.p.Charge(cost.DriverPoll * core.Duration(d.drvPolls))
 
 	if len(ready) > 0 {
 		if !d.opts.UseMmap {
@@ -315,6 +326,44 @@ func (d *DevPoll) collect(firstPass bool, max int, buf []core.Event) []core.Even
 		d.stats.EventsReturned += int64(len(ready))
 	}
 	return ready
+}
+
+// visit examines one candidate entry exactly as the full DP_POLL walk would,
+// counting its charge, and reports whether it must stay a candidate: its
+// descriptor is not open or not the one the backmap is attached to (no hint
+// can arrive for it), or its driver result indicates readiness.
+func (d *DevPoll) visit(e *interest.Entry) bool {
+	d.visited++
+	fd, want := e.FD, e.Events
+	entry, ok := d.p.Get(fd)
+	if !ok {
+		d.scanReady = interest.AppendEvent(d.scanReady, d.scanMax, core.Event{FD: fd, Ready: core.POLLNVAL})
+		return true
+	}
+	cached, hasCache := d.cacheGet(fd)
+	needDriver := d.hinted.Ready(fd) || !d.opts.UseHints
+	if !needDriver && hasCache && cached.Any(want|core.POLLERR|core.POLLHUP) {
+		// A cached result that indicated readiness must be re-validated
+		// every time; there is no ready→not-ready hint.
+		needDriver = true
+		d.stats.CacheHits++
+	}
+	if !needDriver {
+		d.hintChecks++
+		d.stats.HintHits++
+		return entry != e.File
+	}
+	revents := entry.Poll()
+	d.drvPolls++
+	d.stats.DriverPolls++
+	d.cachePut(fd, revents)
+	d.hinted.Clear(fd)
+	revents &= want | core.POLLERR | core.POLLHUP | core.POLLNVAL
+	if revents == 0 {
+		return entry != e.File
+	}
+	d.scanReady = interest.AppendEvent(d.scanReady, d.scanMax, core.Event{FD: fd, Ready: revents, Gen: entry.Gen})
+	return true
 }
 
 // ReadinessChanged implements simkernel.Watcher: the device driver posts a
@@ -329,9 +378,15 @@ func (d *DevPoll) ReadinessChanged(now core.Time, fd *simkernel.FD, mask core.Ev
 			d.k.Interrupt(now, d.k.Cost.HintPost, nil)
 		}
 	}
+	d.cand.Mark(fd.Num, 0, 0)
 	d.eng.Wake()
 }
+
+// FDClosed implements simkernel.CloseWatcher: the next scan revisits the
+// entry, which then reports POLLNVAL.
+func (d *DevPoll) FDClosed(fd *simkernel.FD) { d.cand.Mark(fd.Num, 0, 0) }
 
 var _ core.Poller = (*DevPoll)(nil)
 var _ core.StatsSource = (*DevPoll)(nil)
 var _ simkernel.Watcher = (*DevPoll)(nil)
+var _ simkernel.CloseWatcher = (*DevPoll)(nil)

@@ -22,6 +22,10 @@
 package interest
 
 import (
+	"cmp"
+	"math"
+	"slices"
+
 	"repro/internal/core"
 	"repro/internal/simkernel"
 )
@@ -33,6 +37,7 @@ import (
 type Entry struct {
 	FD     int
 	Events core.EventMask
+	seq    uint32 // insertion sequence, EachMarked's order key; fills Events' padding
 	File   *simkernel.FD
 	Data   int64
 
@@ -49,9 +54,9 @@ type Entry struct {
 // still tracked (Buckets, AverageChain, Grows) so the ablations and tests
 // that observe the §3.1 growth policy see identical values.
 //
-// Iteration (Each, ForEach, FDs) runs in insertion order, which keeps
-// simulation runs deterministic and lets stock poll reuse the table as its
-// ordered pollfd array. Deleted entries return to an internal pool, making
+// Iteration (Each, ForEach, FDs, EachMarked) runs in insertion order, which
+// keeps simulation runs deterministic and lets stock poll reuse the table as
+// its ordered pollfd array. Deleted entries return to an internal pool, making
 // Set/Upsert allocation-free at steady state; fresh entries are carved from a
 // slab, so a large held interest set costs one allocation per chunk.
 type Table struct {
@@ -61,6 +66,8 @@ type Table struct {
 	count int
 	pool  *Entry // recycled entries, linked through next
 	slab  core.Slab[Entry]
+	seq   uint32   // last insertion sequence handed out
+	marks []*Entry // EachMarked's scratch list, reused across calls
 
 	// vbuckets is the bucket count the paper's hash table would have: it
 	// doubles whenever the average chain length reaches two and never
@@ -136,6 +143,11 @@ func (t *Table) Upsert(fd int) (*Entry, bool) {
 		t.slots = append(t.slots, nil)
 	}
 	t.slots[fd] = e
+	if t.seq == math.MaxUint32 {
+		t.renumber()
+	}
+	t.seq++
+	e.seq = t.seq
 	if t.tail == nil {
 		t.head, t.tail = e, e
 	} else {
@@ -149,6 +161,16 @@ func (t *Table) Upsert(fd int) (*Entry, bool) {
 		t.Grows++
 	}
 	return e, true
+}
+
+// renumber reassigns insertion sequences 1..Len in list order, so the
+// sequence counter can restart below its wrap point without reordering.
+func (t *Table) renumber() {
+	t.seq = 0
+	for e := t.head; e != nil; e = e.next {
+		t.seq++
+		e.seq = t.seq
+	}
 }
 
 // Set registers or replaces the interest mask for fd and reports whether the
@@ -189,6 +211,31 @@ func (t *Table) Each(fn func(e *Entry)) {
 	for e := t.head; e != nil; e = e.next {
 		fn(e)
 	}
+}
+
+// EachMarked visits, in insertion order, the entries whose descriptors are
+// marked in l, and clears the mark of every entry for which fn returns false.
+// Marks on descriptors without an entry are left untouched. It lets a
+// mechanism that owes a result in table order (stock poll's pollfd array,
+// /dev/poll's scan) visit only the entries a ledger names. fn must not Mark or
+// Clear l, nor add or remove table entries.
+func (t *Table) EachMarked(l *Ledger, fn func(e *Entry) (keep bool)) {
+	if l.count == 0 {
+		return
+	}
+	marks := t.marks[:0]
+	for id := l.head; id != none; id = l.nodes[id].next {
+		if e := t.Lookup(l.nodes[id].fd); e != nil {
+			marks = append(marks, e)
+		}
+	}
+	slices.SortFunc(marks, func(a, b *Entry) int { return cmp.Compare(a.seq, b.seq) })
+	for _, e := range marks {
+		if !fn(e) {
+			l.Clear(e.FD)
+		}
+	}
+	t.marks = marks[:0]
 }
 
 // ForEach visits every interest in insertion order. Iteration order is

@@ -1,9 +1,12 @@
 package interest
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/core"
 )
@@ -207,5 +210,98 @@ func TestTableMatchesModelProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Entry keeps its 48-byte layout: the insertion sequence lives in the padding
+// after Events.
+func TestEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(Entry{}); got != 48 {
+		t.Fatalf("unsafe.Sizeof(Entry{}) = %d, want 48", got)
+	}
+}
+
+// markedOrder returns the fds EachMarked visits, keeping the marks of the fds
+// in keep and dropping the rest.
+func markedOrder(tb *Table, l *Ledger, keep map[int]bool) []int {
+	var got []int
+	tb.EachMarked(l, func(e *Entry) bool {
+		got = append(got, e.FD)
+		return keep[e.FD]
+	})
+	return got
+}
+
+// EachMarked visits exactly the marked entries in insertion order, whether
+// few or all of them are marked, and clears the marks fn drops.
+func TestTableEachMarkedInsertionOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		tb := NewTable()
+		l := NewLedger()
+		for i := 0; i < 300; i++ {
+			fd := rng.Intn(400)
+			if rng.Intn(4) == 0 {
+				tb.Delete(fd)
+			} else {
+				tb.Set(fd, core.POLLIN)
+			}
+		}
+		share := []int{2, 50, 1000}[trial%3] // per mille marked
+		keep := map[int]bool{}
+		var want []int
+		for _, fd := range tb.FDs() {
+			if rng.Intn(1000) < share {
+				want = append(want, fd)
+				keep[fd] = rng.Intn(2) == 0
+			}
+		}
+		for _, i := range rng.Perm(len(want)) {
+			l.Mark(want[i], core.POLLIN, 0)
+		}
+		l.Mark(401, core.POLLIN, 0) // no entry: ignored, left marked
+		if got := markedOrder(tb, l, keep); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: visited %v, want %v", trial, got, want)
+		}
+		for _, fd := range want {
+			if l.Ready(fd) != keep[fd] {
+				t.Fatalf("trial %d: fd %d marked=%v after fn returned %v", trial, fd, l.Ready(fd), keep[fd])
+			}
+		}
+		if !l.Ready(401) {
+			t.Fatalf("trial %d: mark without an entry was dropped", trial)
+		}
+	}
+}
+
+// When the insertion sequence wraps, the table renumbers its entries in list
+// order, so EachMarked keeps insertion order across the wrap.
+func TestTableSequenceWrapKeepsOrder(t *testing.T) {
+	tb := NewTable()
+	l := NewLedger()
+	tb.seq = math.MaxUint32 - 3
+	var want []int
+	for i := 0; i < 120; i++ {
+		fd := (i * 13) % 211
+		tb.Set(fd, core.POLLIN)
+		want = append(want, fd)
+		if i == 10 {
+			tb.Delete(want[2])
+			want = append(want[:2], want[3:]...)
+		}
+	}
+	if tb.seq >= math.MaxUint32-3 {
+		t.Fatalf("sequence did not wrap: %d", tb.seq)
+	}
+	// Mark a few, in reverse, so EachMarked must reorder them.
+	marked := []int{want[0], want[5], want[20], want[len(want)-1]}
+	for i := len(marked) - 1; i >= 0; i-- {
+		l.Mark(marked[i], core.POLLIN, 0)
+	}
+	if got := markedOrder(tb, l, nil); !slices.Equal(got, marked) {
+		t.Fatalf("after wrap visited %v, want %v", got, marked)
+	}
+	if got := tb.FDs(); !slices.Equal(got, want) {
+		t.Fatalf("after wrap FDs = %v, want %v", got, want)
 	}
 }

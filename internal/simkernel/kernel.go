@@ -43,6 +43,16 @@ type Watcher interface {
 	ReadinessChanged(now core.Time, fd *FD, mask core.EventMask)
 }
 
+// CloseWatcher is an optional extension of Watcher for mechanisms that keep
+// host-side bookkeeping about the descriptors they watch: CloseFD calls
+// FDClosed on every registered watcher that implements it, before it drops
+// the watchers. Closing is not a readiness transition, so the hook must not
+// charge CPU time or wake a waiter; stock poll and /dev/poll use it only to
+// revisit the interest on their next scan, where it reports POLLNVAL.
+type CloseWatcher interface {
+	FDClosed(fd *FD)
+}
+
 // Kernel bundles the simulation clock, the server CPUs and the cost model.
 // All server-side packages share one Kernel per experiment. CPU is processor 0
 // — the whole machine on the paper's uniprocessor testbed, and the default
@@ -368,6 +378,11 @@ func (p *Proc) CloseFD(now core.Time, fd int) error {
 		p.freeFD = fd
 	}
 	e.closed = true
+	for _, w := range e.watchers {
+		if cw, ok := w.(CloseWatcher); ok {
+			cw.FDClosed(e)
+		}
+	}
 	e.watchers = nil
 	e.inline[0] = nil
 	e.file.SetNotifier(nil)

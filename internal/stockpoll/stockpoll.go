@@ -14,6 +14,15 @@
 // mechanisms use — but stock poll still charges the full per-call copy-in,
 // full-scan and copy-out costs, so the paper's figures are unchanged: the
 // refactor moves code, not costs.
+//
+// The simulated scan is O(registered); the host's is O(candidates). A scan
+// calls the driver only for the entries a host-only ledger names — added or
+// modified since the last scan, notified by their driver, ready or not open at
+// their last visit — in pollfd-array order, and charges DriverPoll once per
+// open descriptor as one count-scaled charge. Every other entry is attached
+// to its open descriptor and was not ready at its last visit; because every
+// readiness gain is announced by a driver notification (DESIGN.md §6), it
+// would poll as not ready, so skipping it changes no event, counter or charge.
 package stockpoll
 
 import (
@@ -30,12 +39,23 @@ type Poller struct {
 	p *simkernel.Proc
 
 	// table holds the interest set. Insertion-order iteration stands in for
-	// the application's pollfd array order; Entry.File caches the descriptor
-	// entries on whose wait queues a blocked poll() is sleeping.
+	// the application's pollfd array order; Entry.File is the descriptor
+	// whose wait queue the poller watches, from the scan that first resolves
+	// the entry until Remove or Close.
 	table *interest.Table
-	armed bool // watchers currently registered (poll() is blocked or about to)
+	// cand names the entries the next scan must visit (host-only
+	// bookkeeping, never charged): added or modified since the last scan,
+	// notified, closed, or ready or not open at their last visit.
+	cand  *interest.Ledger
+	armed bool // poll() is blocked or about to: readiness changes wake it
 
 	eng interest.Engine
+
+	// Per-scan state of visit, bound once so a scan allocates nothing.
+	visitFn   func(e *interest.Entry) bool
+	scanMax   int
+	scanReady []core.Event
+	notOpen   int
 
 	stats  core.Stats
 	closed bool
@@ -43,7 +63,8 @@ type Poller struct {
 
 // New creates a poll()-based poller for process p.
 func New(k *simkernel.Kernel, p *simkernel.Proc) *Poller {
-	pl := &Poller{k: k, p: p, table: interest.NewTable()}
+	pl := &Poller{k: k, p: p, table: interest.NewTable(), cand: interest.NewLedger()}
+	pl.visitFn = pl.visit
 	pl.eng = interest.Engine{
 		Name:    "stockpoll",
 		K:       k,
@@ -55,9 +76,9 @@ func New(k *simkernel.Kernel, p *simkernel.Proc) *Poller {
 			if firstPass {
 				pl.p.Charge(pl.k.Cost.WaitQueueOp.Scale(float64(pl.table.Len())))
 			}
-			pl.arm()
+			pl.armed = true
 		},
-		OnFinish: pl.disarm,
+		OnFinish: func() { pl.armed = false },
 		TimeoutTeardown: func() core.Duration {
 			return pl.k.Cost.WaitQueueOp.Scale(float64(pl.table.Len()))
 		},
@@ -80,6 +101,7 @@ func (pl *Poller) Add(fd int, events core.EventMask) error {
 		return core.ErrExists
 	}
 	pl.table.Set(fd, events)
+	pl.cand.Mark(fd, 0, 0)
 	return nil
 }
 
@@ -92,6 +114,7 @@ func (pl *Poller) Modify(fd int, events core.EventMask) error {
 		return core.ErrNotFound
 	}
 	pl.table.Set(fd, events)
+	pl.cand.Mark(fd, 0, 0)
 	return nil
 }
 
@@ -104,9 +127,10 @@ func (pl *Poller) Remove(fd int) error {
 	if e == nil {
 		return core.ErrNotFound
 	}
-	if pl.armed && e.File != nil {
+	if e.File != nil {
 		e.File.RemoveWatcher(pl)
 	}
+	pl.cand.Clear(fd)
 	pl.table.Delete(fd)
 	return nil
 }
@@ -129,7 +153,11 @@ func (pl *Poller) Close() error {
 	if pl.closed {
 		return core.ErrClosed
 	}
-	pl.disarm()
+	pl.table.Each(func(e *interest.Entry) {
+		if e.File != nil {
+			e.File.RemoveWatcher(pl)
+		}
+	})
 	pl.closed = true
 	pl.eng.Abort(pl.k.Now())
 	return nil
@@ -148,9 +176,10 @@ func (pl *Poller) Wait(max int, timeout core.Duration, handler func(events []cor
 	pl.eng.Wait(max, timeout, handler)
 }
 
-// collect performs one full pass over the pollfd array, charging the per-call
+// collect performs one pass over the pollfd array, charging the per-call
 // copy-in (first pass) or the wakeup and wait-queue teardown (rescan), then a
-// driver poll callback per descriptor, ready or not.
+// driver poll callback per open descriptor, ready or not. Only the candidate
+// entries are visited on the host; the rest poll as not ready.
 func (pl *Poller) collect(firstPass bool, max int, buf []core.Event) []core.Event {
 	pl.stats.Waits++
 	cost := pl.k.Cost
@@ -166,20 +195,14 @@ func (pl *Poller) collect(firstPass bool, max int, buf []core.Event) []core.Even
 		pl.p.Charge(cost.SchedWakeup)
 		pl.p.Charge(cost.WaitQueueOp.Scale(float64(n)))
 	}
-	ready := buf
-	pl.table.Each(func(e *interest.Entry) {
-		entry, ok := pl.p.Get(e.FD)
-		if !ok {
-			ready = interest.AppendEvent(ready, max, core.Event{FD: e.FD, Ready: core.POLLNVAL})
-			return
-		}
-		revents := entry.DriverPoll()
-		pl.stats.DriverPolls++
-		revents &= e.Events | core.POLLERR | core.POLLHUP | core.POLLNVAL
-		if revents != 0 {
-			ready = interest.AppendEvent(ready, max, core.Event{FD: e.FD, Ready: revents, Gen: entry.Gen})
-		}
-	})
+	pl.scanMax, pl.scanReady, pl.notOpen = max, buf, 0
+	pl.table.EachMarked(pl.cand, pl.visitFn)
+	ready := pl.scanReady
+	pl.scanReady = nil
+	// Every open descriptor's driver poll callback ran, candidate or not.
+	polled := n - pl.notOpen
+	pl.p.Charge(cost.DriverPoll * core.Duration(polled))
+	pl.stats.DriverPolls += int64(polled)
 	if len(ready) > 0 {
 		// Results are copied back to user space.
 		pl.p.Charge(cost.PollCopyOut.Scale(float64(len(ready))))
@@ -194,39 +217,44 @@ func (pl *Poller) collect(firstPass bool, max int, buf []core.Event) []core.Even
 	return ready
 }
 
-// arm registers the poller as a watcher on every descriptor in the interest
-// set, modelling the per-descriptor wait-queue entries poll() creates when it
-// blocks.
-func (pl *Poller) arm() {
-	pl.armed = true
-	pl.table.Each(func(e *interest.Entry) {
-		if entry, ok := pl.p.Get(e.FD); ok {
-			entry.AddWatcher(pl)
-			e.File = entry
-		}
-	})
-}
-
-// disarm removes all wait-queue entries.
-func (pl *Poller) disarm() {
-	if !pl.armed {
-		return
+// visit polls one candidate entry, attaching the poller to its descriptor's
+// wait queue on first sight, and reports whether the entry must stay a
+// candidate: its descriptor is not open, or it is ready.
+func (pl *Poller) visit(e *interest.Entry) bool {
+	f, ok := pl.p.Get(e.FD)
+	if !ok {
+		pl.notOpen++
+		pl.scanReady = interest.AppendEvent(pl.scanReady, pl.scanMax, core.Event{FD: e.FD, Ready: core.POLLNVAL})
+		return true
 	}
-	pl.armed = false
-	pl.table.Each(func(e *interest.Entry) {
-		if e.File != nil {
-			e.File.RemoveWatcher(pl)
-			e.File = nil
-		}
-	})
+	if e.File != f {
+		// First resolve, or the number was reopened: the old descriptor's
+		// close already dropped its watchers.
+		f.AddWatcher(pl)
+		e.File = f
+	}
+	revents := f.Poll() & (e.Events | core.POLLERR | core.POLLHUP | core.POLLNVAL)
+	if revents == 0 {
+		return false
+	}
+	pl.scanReady = interest.AppendEvent(pl.scanReady, pl.scanMax, core.Event{FD: e.FD, Ready: revents, Gen: f.Gen})
+	return true
 }
 
-// ReadinessChanged implements simkernel.Watcher: a driver woke one of the wait
-// queues poll() is sleeping on. The rescan batch begins immediately;
+// ReadinessChanged implements simkernel.Watcher: a driver announced a
+// readiness change on a watched descriptor. The entry is revisited by the
+// next scan; if poll() is blocked, the rescan batch begins immediately and
 // SchedWakeup is charged inside it.
 func (pl *Poller) ReadinessChanged(now core.Time, fd *simkernel.FD, mask core.EventMask) {
-	pl.eng.Wake()
+	pl.cand.Mark(fd.Num, 0, 0)
+	if pl.armed {
+		pl.eng.Wake()
+	}
 }
+
+// FDClosed implements simkernel.CloseWatcher: the next scan revisits the
+// entry, which then reports POLLNVAL (or resolves the reopened number).
+func (pl *Poller) FDClosed(fd *simkernel.FD) { pl.cand.Mark(fd.Num, 0, 0) }
 
 // SortEvents orders events by descriptor, which keeps golden outputs stable in
 // tests and examples.
@@ -237,3 +265,4 @@ func SortEvents(events []core.Event) {
 var _ core.Poller = (*Poller)(nil)
 var _ core.StatsSource = (*Poller)(nil)
 var _ simkernel.Watcher = (*Poller)(nil)
+var _ simkernel.CloseWatcher = (*Poller)(nil)

@@ -136,21 +136,36 @@ func TestWaitBlocksUntilReadinessThenRescans(t *testing.T) {
 	if col.At < core.Time(5*core.Millisecond) {
 		t.Fatalf("woke too early: %v", col.At)
 	}
-	// While blocked the poller must have been registered on the wait queue and
-	// removed afterwards.
-	if fd.Watchers() != 0 {
-		t.Fatalf("wait-queue entries leaked: %d", fd.Watchers())
-	}
 	st := pl.MechanismStats()
 	if st.Waits != 2 {
 		t.Fatalf("expected an initial scan plus a rescan, got %d", st.Waits)
+	}
+	assertNoWakeAfterWait(t, env, pl, file)
+	must(t, pl.Remove(fd.Num))
+	if fd.Watchers() != 0 {
+		t.Fatalf("Remove left %d watchers on the descriptor", fd.Watchers())
+	}
+}
+
+// assertNoWakeAfterWait checks that a completed wait left no wait queue
+// armed: a readiness change afterwards starts no scan and charges no CPU.
+func assertNoWakeAfterWait(t *testing.T, env *simtest.Env, pl *Poller, file *simtest.FakeFile) {
+	t.Helper()
+	waits, charged := pl.MechanismStats().Waits, env.P.TotalCharged
+	file.SetReady(env.K.Now(), file.ReadyMask|core.POLLIN)
+	env.Run()
+	if got := pl.MechanismStats().Waits; got != waits {
+		t.Fatalf("readiness after the wait returned started %d scans", got-waits)
+	}
+	if env.P.TotalCharged != charged {
+		t.Fatalf("readiness after the wait returned charged %v", env.P.TotalCharged-charged)
 	}
 }
 
 func TestWaitZeroTimeoutDoesNotBlock(t *testing.T) {
 	env := simtest.NewEnv()
 	pl := New(env.K, env.P)
-	fd, _ := env.NewFD(0)
+	fd, file := env.NewFD(0)
 	must(t, pl.Add(fd.Num, core.POLLIN))
 	var col simtest.Collector
 	pl.Wait(0, 0, col.Handler())
@@ -158,15 +173,13 @@ func TestWaitZeroTimeoutDoesNotBlock(t *testing.T) {
 	if col.Calls != 1 || len(col.Events) != 0 {
 		t.Fatalf("collector = %+v", col)
 	}
-	if fd.Watchers() != 0 {
-		t.Fatal("non-blocking poll should not join wait queues")
-	}
+	assertNoWakeAfterWait(t, env, pl, file)
 }
 
 func TestWaitTimeoutExpires(t *testing.T) {
 	env := simtest.NewEnv()
 	pl := New(env.K, env.P)
-	fd, _ := env.NewFD(0)
+	fd, file := env.NewFD(0)
 	must(t, pl.Add(fd.Num, core.POLLIN))
 	var col simtest.Collector
 	pl.Wait(0, 10*core.Millisecond, col.Handler())
@@ -177,9 +190,7 @@ func TestWaitTimeoutExpires(t *testing.T) {
 	if col.At < core.Time(10*core.Millisecond) {
 		t.Fatalf("timeout fired early: %v", col.At)
 	}
-	if fd.Watchers() != 0 {
-		t.Fatal("wait-queue entries leaked after timeout")
-	}
+	assertNoWakeAfterWait(t, env, pl, file)
 	// The poller is reusable afterwards.
 	var col2 simtest.Collector
 	pl.Wait(0, 0, col2.Handler())
@@ -304,6 +315,33 @@ func TestCostGrowsWithIdleInterestSet(t *testing.T) {
 	large := charge(510)
 	if large <= small*10 {
 		t.Fatalf("expected ~50x cost growth from 10 to 510 idle descriptors, got %v -> %v", small, large)
+	}
+}
+
+// A steady-state wait over 501 descriptors, one of them ready, allocates
+// nothing on the host.
+func TestSteadyStateWaitAllocatesNothing(t *testing.T) {
+	env := simtest.NewEnv()
+	pl := New(env.K, env.P)
+	for i := 0; i < 500; i++ {
+		fd, _ := env.NewFD(0)
+		must(t, pl.Add(fd.Num, core.POLLIN))
+	}
+	fd, file := env.NewFD(0)
+	must(t, pl.Add(fd.Num, core.POLLIN))
+	file.SetReady(env.K.Now(), core.POLLIN)
+	got := 0
+	handler := func(events []core.Event, _ core.Time) { got += len(events) }
+	wait := func() {
+		pl.Wait(1024, 0, handler)
+		env.Run()
+	}
+	wait() // warm-up: the candidate ledger and result buffers grow once
+	if allocs := testing.AllocsPerRun(100, wait); allocs != 0 {
+		t.Fatalf("steady-state wait allocates %.1f objects, want 0", allocs)
+	}
+	if runs := 1 + 100 + 1; got != runs {
+		t.Fatalf("delivered %d events in %d waits, want one per wait", got, runs)
 	}
 }
 
