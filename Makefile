@@ -12,7 +12,7 @@ DETERMINISM_OUT ?= determinism-out
 
 .PHONY: all fmt-check vet build test bench-test test-race staticcheck \
 	govulncheck bench-smoke ablation-smoke determinism bench-json bench-gate \
-	bench-crosscheck profile ci
+	bench-crosscheck profile figures-diff ci
 
 all: ci
 
@@ -163,6 +163,15 @@ bench-gate:
 # byte diffs.
 bench-crosscheck:
 	$(GO) run ./cmd/benchgate -crosscheck 4
+
+# Byte-identity check for a change that must not move a figure: build
+# cmd/benchfig at git revision BASE and in the working tree, run figures
+# 4..43 at 600 connections, the default sweep and -ablation on both, and name
+# the first differing table of each run that differs. Not part of `ci`: it
+# needs the repository history. Usage: make figures-diff BASE=<rev>
+figures-diff:
+	@test -n "$(BASE)" || { echo "usage: make figures-diff BASE=<rev>"; exit 2; }
+	GO=$(GO) scripts/figures-diff.sh $(BASE)
 
 # Profile the hot paths: regenerate a representative figure under the CPU,
 # heap, mutex-contention and blocking profilers — on the sharded parallel

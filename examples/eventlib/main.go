@@ -1,17 +1,19 @@
-// Eventlib: the callback API on a mixed read+timer workload, with priorities.
+// Eventlib: the callback API on a mixed read+timer workload.
 //
-// One EventBase (epoll backend, two priority buckets) multiplexes three kinds
-// of work, the composition the hand-rolled server loops could not express
-// without duplicating dispatch code:
+// One EventBase (epoll backend) multiplexes three kinds of work, the
+// composition the hand-rolled server loops could not express without
+// duplicating dispatch code:
 //
-//   - high-priority (bucket 0) read events on two client connections;
-//   - a low-priority (bucket 1) persistent housekeeping timer, which starves
-//     while high-priority I/O keeps arriving and runs the moment it quiets;
+//   - persistent read events on two client connections;
+//   - a persistent housekeeping timer every 15 ms, which keeps firing on
+//     schedule whether or not I/O arrives;
 //   - a one-shot watchdog timer that re-adds itself from inside its own
 //     callback, the libevent idiom for adaptive timers.
 //
-// Everything runs in virtual time on the simulated CPU, so the printout is
-// deterministic and the CPU cost of the event machinery itself is visible.
+// Each dispatch iteration runs the callbacks its wait made ready, then those of
+// its expired timers, before waiting again. Everything runs in virtual time on
+// the simulated CPU, so the printout is deterministic and the CPU cost of the
+// event machinery itself is visible.
 package main
 
 import (
@@ -31,13 +33,13 @@ func main() {
 	proc := k.NewProc("eventlib-demo")
 	api := netsim.NewSockAPI(k, proc, net)
 
-	base, err := eventlib.New(k, proc, eventlib.Config{Priorities: 2})
+	base, err := eventlib.New(k, proc, eventlib.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("event base on %q with 2 priority buckets\n", base.Poller().Name())
+	fmt.Printf("event base on %q\n", base.Poller().Name())
 
-	// Accept connections and give each a high-priority persistent read event.
+	// Accept connections and give each a persistent read event.
 	var lfd *simkernel.FD
 	reads := 0
 	proc.Batch(k.Now(), func() {
@@ -55,7 +57,7 @@ func main() {
 							data, eof := api.Read(fd, 0)
 							if len(data) > 0 {
 								reads++
-								fmt.Printf("at %v [pri0] fd %d: %d bytes\n", now, cfd, len(data))
+								fmt.Printf("at %v [read] fd %d: %d bytes\n", now, cfd, len(data))
 								api.Write(fd, 64)
 							}
 							if eof {
@@ -63,10 +65,6 @@ func main() {
 								api.Close(fd)
 							}
 						})
-					// Priority 0 (highest): connection I/O preempts housekeeping.
-					if err := ev.SetPriority(0); err != nil {
-						log.Fatal(err)
-					}
 					if err := ev.Add(0); err != nil {
 						log.Fatal(err)
 					}
@@ -77,13 +75,10 @@ func main() {
 		}
 	}, nil)
 
-	// Low-priority housekeeping: drained only when no higher bucket is active.
+	// Periodic housekeeping: a persistent timer re-arms itself on every firing.
 	housekeeping := base.NewTimer(eventlib.EvPersist, func(_ int, _ eventlib.What, now core.Time) {
-		fmt.Printf("at %v [pri1] housekeeping (%d reads so far)\n", now, reads)
+		fmt.Printf("at %v [housekeeping] %d reads so far\n", now, reads)
 	})
-	if err := housekeeping.SetPriority(1); err != nil {
-		log.Fatal(err)
-	}
 	if err := housekeeping.Add(15 * core.Millisecond); err != nil {
 		log.Fatal(err)
 	}

@@ -73,20 +73,20 @@ type Options struct {
 	// ring is full are dropped and raise the overflow flag; the next wait
 	// runs the recovery rescan.
 	CQSize int
-	// MaxEvents is the default reap capacity when Wait is called with
-	// max <= 0.
-	MaxEvents int
 	// RegisteredBuffers arms read interests into kernel-registered fixed
 	// buffers: one RingRegisterBuf charge at open, and every socket read on
 	// an armed descriptor skips the Cost.SockReadCopy component.
 	RegisteredBuffers bool
 }
 
+// MaxEvents is the reap capacity of a Wait called with max <= 0.
+const MaxEvents = 4096
+
 // DefaultOptions matches the /dev/poll and epoll configurations so
 // comparisons are fair: a 4096-entry CQ and result capacity, a 64-entry SQ,
 // and registered buffers on (the mechanism's headline configuration).
 func DefaultOptions() Options {
-	return Options{SQSize: 64, CQSize: 4096, MaxEvents: 4096, RegisteredBuffers: true}
+	return Options{SQSize: 64, CQSize: 4096, RegisteredBuffers: true}
 }
 
 // Compio is one ring pair: the user-side submission queue accumulator, the
@@ -127,9 +127,6 @@ func Open(k *simkernel.Kernel, p *simkernel.Proc, opts Options) *Compio {
 	}
 	if opts.CQSize <= 0 {
 		opts.CQSize = 4096
-	}
-	if opts.MaxEvents <= 0 {
-		opts.MaxEvents = 4096
 	}
 	c := &Compio{
 		k:     k,
@@ -282,7 +279,7 @@ func (c *Compio) Wait(max int, timeout core.Duration, handler func(events []core
 		return
 	}
 	if max <= 0 {
-		max = c.opts.MaxEvents
+		max = MaxEvents
 	}
 	c.eng.Wait(max, timeout, handler)
 }

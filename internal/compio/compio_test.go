@@ -22,7 +22,7 @@ func open(env *simtest.Env, opts Options) *Compio {
 
 func TestDefaults(t *testing.T) {
 	opts := DefaultOptions()
-	if opts.SQSize != 64 || opts.CQSize != 4096 || opts.MaxEvents != 4096 {
+	if opts.SQSize != 64 || opts.CQSize != 4096 {
 		t.Fatalf("DefaultOptions = %+v", opts)
 	}
 	if !opts.RegisteredBuffers {
@@ -30,7 +30,7 @@ func TestDefaults(t *testing.T) {
 	}
 	env := simtest.NewEnv()
 	c := open(env, Options{})
-	if o := c.Options(); o.SQSize != 64 || o.CQSize != 4096 || o.MaxEvents != 4096 {
+	if o := c.Options(); o.SQSize != 64 || o.CQSize != 4096 {
 		t.Fatalf("zero options not clamped: %+v", o)
 	}
 	if c.Name() != "compio" {

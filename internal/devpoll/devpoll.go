@@ -43,18 +43,17 @@ type Options struct {
 	UseHints bool
 	// UseMmap enables the shared result area of §3.3.
 	UseMmap bool
-	// SolarisOR selects Solaris semantics for re-writing an existing interest
-	// (the new events are OR'd in) instead of the paper's replace semantics.
-	SolarisOR bool
-	// ResultAreaSize is the capacity (in pollfd entries) of the mmap'd result
-	// area allocated with DP_ALLOC.
-	ResultAreaSize int
 }
+
+// ResultAreaSize is the capacity (in pollfd entries) of the mmap'd result
+// area allocated with DP_ALLOC, and the number of results a wait with no
+// positive max returns at most.
+const ResultAreaSize = 4096
 
 // DefaultOptions enables hints and the mmap result area, as in the paper's
 // measured configuration.
 func DefaultOptions() Options {
-	return Options{UseHints: true, UseMmap: true, SolarisOR: false, ResultAreaSize: 4096}
+	return Options{UseHints: true, UseMmap: true}
 }
 
 // DevPoll is a /dev/poll instance: one open of the device, holding one
@@ -92,9 +91,6 @@ type DevPoll struct {
 // the mmap result area is enabled, the later DP_ALLOC/mmap setup (charged
 // lazily on the first DP_POLL).
 func Open(k *simkernel.Kernel, p *simkernel.Proc, opts Options) *DevPoll {
-	if opts.ResultAreaSize <= 0 {
-		opts.ResultAreaSize = 4096
-	}
 	d := &DevPoll{
 		k:      k,
 		p:      p,
@@ -141,7 +137,7 @@ func (d *DevPoll) Add(fd int, events core.EventMask) error {
 }
 
 // Modify implements core.Poller: re-writing an existing descriptor replaces
-// its interest (or ORs it under SolarisOR).
+// its interest (the paper's semantics; Solaris would OR the events in).
 func (d *DevPoll) Modify(fd int, events core.EventMask) error {
 	if d.closed {
 		return core.ErrClosed
@@ -185,11 +181,7 @@ func (d *DevPoll) Update(changes []core.PollFD) error {
 		}
 		e, isNew := d.table.Upsert(ch.FD)
 		d.cand.Mark(ch.FD, 0, 0)
-		if d.opts.SolarisOR && !isNew {
-			e.Events |= ch.Events
-		} else {
-			e.Events = ch.Events
-		}
+		e.Events = ch.Events
 		if isNew {
 			// Establish the driver backmap for hints and prime the descriptor
 			// so its current state is examined on the next DP_POLL even though
@@ -272,10 +264,10 @@ func (d *DevPoll) Wait(max int, timeout core.Duration, handler func(events []cor
 		return
 	}
 	if max <= 0 {
-		max = d.opts.ResultAreaSize
+		max = ResultAreaSize
 	}
-	if d.opts.UseMmap && max > d.opts.ResultAreaSize {
-		max = d.opts.ResultAreaSize
+	if d.opts.UseMmap && max > ResultAreaSize {
+		max = ResultAreaSize
 	}
 	d.eng.Wait(max, timeout, handler)
 }

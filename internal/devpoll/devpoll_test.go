@@ -19,7 +19,7 @@ func must(t *testing.T, err error) {
 
 func TestDefaultOptions(t *testing.T) {
 	o := DefaultOptions()
-	if !o.UseHints || !o.UseMmap || o.SolarisOR || o.ResultAreaSize <= 0 {
+	if !o.UseHints || !o.UseMmap {
 		t.Fatalf("unexpected defaults: %+v", o)
 	}
 }
@@ -86,7 +86,7 @@ func TestPollRemoveFlagDeletesInterest(t *testing.T) {
 	env.Run()
 }
 
-func TestModifyReplacesInterestByDefaultAndORsInSolarisMode(t *testing.T) {
+func TestModifyReplacesInterest(t *testing.T) {
 	env := simtest.NewEnv()
 	d := open(env, DefaultOptions())
 	fd, _ := env.NewFD(0)
@@ -97,20 +97,6 @@ func TestModifyReplacesInterestByDefaultAndORsInSolarisMode(t *testing.T) {
 	env.Run()
 	if ev, _ := d.Table().Get(fd.Num); ev != core.POLLOUT {
 		t.Fatalf("replace semantics: got %v", ev)
-	}
-
-	env2 := simtest.NewEnv()
-	opts := DefaultOptions()
-	opts.SolarisOR = true
-	d2 := open(env2, opts)
-	fd2, _ := env2.NewFD(0)
-	env2.P.Batch(0, func() {
-		must(t, d2.Add(fd2.Num, core.POLLIN))
-		must(t, d2.Modify(fd2.Num, core.POLLOUT))
-	}, nil)
-	env2.Run()
-	if ev, _ := d2.Table().Get(fd2.Num); ev != core.POLLIN|core.POLLOUT {
-		t.Fatalf("Solaris OR semantics: got %v", ev)
 	}
 }
 
@@ -352,21 +338,19 @@ func TestWaitTimeout(t *testing.T) {
 
 func TestResultAreaCapsEvents(t *testing.T) {
 	env := simtest.NewEnv()
-	opts := DefaultOptions()
-	opts.ResultAreaSize = 3
-	d := open(env, opts)
+	d := open(env, DefaultOptions())
 	env.P.Batch(0, func() {
-		for i := 0; i < 10; i++ {
+		for i := 0; i < ResultAreaSize+3; i++ {
 			fd, _ := env.NewFD(core.POLLIN)
 			must(t, d.Add(fd.Num, core.POLLIN))
 		}
 	}, nil)
 	env.Run()
 	var col simtest.Collector
-	d.Wait(100, core.Forever, col.Handler())
+	d.Wait(2*ResultAreaSize, core.Forever, col.Handler())
 	env.Run()
-	if len(col.Events) != 3 {
-		t.Fatalf("events = %d, want the result-area cap of 3", len(col.Events))
+	if len(col.Events) != ResultAreaSize {
+		t.Fatalf("events = %d, want the result-area cap of %d", len(col.Events), ResultAreaSize)
 	}
 }
 

@@ -37,15 +37,16 @@ type Options struct {
 	// EdgeTriggered selects EPOLLET semantics for every registered descriptor
 	// (the simulation applies one trigger mode per instance).
 	EdgeTriggered bool
-	// MaxEvents is the default result capacity when Wait is called with
-	// max <= 0, mirroring the maxevents argument of epoll_wait.
-	MaxEvents int
 }
 
-// DefaultOptions selects level-triggered delivery with a 4096-event result
-// buffer, matching the /dev/poll result area so comparisons are fair.
+// MaxEvents is the result capacity of a Wait called with max <= 0 (the
+// maxevents argument of epoll_wait), matching the /dev/poll result area so
+// comparisons are fair.
+const MaxEvents = 4096
+
+// DefaultOptions selects level-triggered delivery.
 func DefaultOptions() Options {
-	return Options{EdgeTriggered: false, MaxEvents: 4096}
+	return Options{EdgeTriggered: false}
 }
 
 // Epoll is one epoll instance: the kernel-resident interest set plus the
@@ -66,9 +67,6 @@ type Epoll struct {
 
 // Open creates an epoll instance for process p, mirroring epoll_create(2).
 func Open(k *simkernel.Kernel, p *simkernel.Proc, opts Options) *Epoll {
-	if opts.MaxEvents <= 0 {
-		opts.MaxEvents = 4096
-	}
 	ep := &Epoll{
 		k:     k,
 		p:     p,
@@ -200,7 +198,7 @@ func (ep *Epoll) Wait(max int, timeout core.Duration, handler func(events []core
 		return
 	}
 	if max <= 0 {
-		max = ep.opts.MaxEvents
+		max = MaxEvents
 	}
 	ep.eng.Wait(max, timeout, handler)
 }

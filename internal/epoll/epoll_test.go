@@ -28,9 +28,6 @@ func TestNamesAndDefaults(t *testing.T) {
 	if et.Name() != "epoll-et" {
 		t.Fatalf("ET Name = %q", et.Name())
 	}
-	if et.Options().MaxEvents <= 0 {
-		t.Fatalf("MaxEvents default missing: %+v", et.Options())
-	}
 	if DefaultOptions().EdgeTriggered {
 		t.Fatal("default must be level-triggered")
 	}

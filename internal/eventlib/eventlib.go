@@ -7,14 +7,15 @@
 // inside a process batch so every dispatch still charges the calibrated cost
 // model.
 //
-// Event handles carry read/write/timeout interest, persistent versus one-shot
-// semantics, and a priority; active events are queued into priority buckets and
-// the highest-priority bucket is drained first (priority 0 is the highest, as
-// in libevent). Teardown is deterministic: deleting an event from inside a
-// callback — including a callback for a different event activated in the same
-// batch — guarantees the deleted event's callback never runs again, and
-// closing the base while a wait is pending completes the wait instead of
-// stranding it.
+// Event handles carry read/write/timeout interest and persistent versus
+// one-shot semantics. Each dispatch iteration queues the events its wait and
+// its expired timers activated — readiness first, then timers — and runs every
+// callback in that order before the next wait; there are no priorities, so no
+// event waits behind another for a later iteration. Teardown is
+// deterministic: deleting an event from inside a callback — including a
+// callback for a different event activated in the same batch — guarantees
+// the deleted event's callback never runs again, and closing the base while a
+// wait is pending completes the wait instead of stranding it.
 //
 // The package deliberately mirrors libevent's shape (event_base / event /
 // event_add / event_del / dispatch) so that one server runs unchanged over
@@ -94,11 +95,6 @@ type Config struct {
 	// deliver; zero selects 1024. Mechanisms with stricter semantics (the RT
 	// signal queue dequeues one siginfo per sigwaitinfo call) clamp further.
 	MaxEventsPerWait int
-	// Priorities is the number of priority buckets (zero selects 1). Priority
-	// 0 is the highest; each dispatch iteration drains only the
-	// highest-priority non-empty bucket, so a steady stream of high-priority
-	// activations starves lower buckets, exactly as in libevent.
-	Priorities int
 	// LoopCost is charged to the process once per dispatch iteration — the
 	// per-loop bookkeeping a real server performs (thttpd charges its timer
 	// list scan and fdwatch setup here). Zero charges nothing.
@@ -109,13 +105,13 @@ type Config struct {
 	// signals deliver events, which is what makes its mode switch nearly free.
 	MirrorInterest bool
 	// AfterDispatch, when non-nil, runs inside the dispatch batch after the
-	// bucket drain with the number of readiness events the poller delivered in
+	// callbacks with the number of readiness events the poller delivered in
 	// this iteration. The hybrid server evaluates its mode-switch policy here.
 	AfterDispatch func(delivered int, now core.Time)
 }
 
 // Base is the event loop: one active poller (plus optional attached pollers),
-// the timer heap, the active-event priority buckets, and the dispatch state.
+// the timer heap, the active-event queue, and the dispatch state.
 type Base struct {
 	K *simkernel.Kernel
 	P *simkernel.Proc
@@ -137,8 +133,9 @@ type Base struct {
 	timers  timerWheel
 	nextSeq uint64
 
-	buckets [][]*Event
-	spare   []*Event // recycled bucket backing storage
+	// activeq holds the current iteration's activations in order; it is
+	// drained completely before the next wait, and its backing array reused.
+	activeq []*Event
 
 	// free holds released events for NewEvent/NewTimer to reuse, so a server
 	// that releases each connection's event after Del allocates none per
@@ -185,15 +182,11 @@ func NewWithPoller(k *simkernel.Kernel, p *simkernel.Proc, poller core.Poller, c
 	if cfg.MaxEventsPerWait <= 0 {
 		cfg.MaxEventsPerWait = 1024
 	}
-	if cfg.Priorities <= 0 {
-		cfg.Priorities = 1
-	}
 	b := &Base{
 		K:       k,
 		P:       p,
 		cfg:     cfg,
 		pollers: []core.Poller{poller},
-		buckets: make([][]*Event, cfg.Priorities),
 	}
 	b.onWaitFn = b.onWait
 	b.dispatchFn = b.dispatchBatch
@@ -376,10 +369,10 @@ func (b *Base) alloc() *Event {
 // Release hands a deleted event back to its base for reuse by a later
 // NewEvent or NewTimer. The caller gives up the handle: it must hold no other
 // reference and never touch the event again. An activation of the event still
-// queued in a priority bucket (a Del inside the same dispatch, or a lower
-// bucket waiting its turn) keeps the record out of the free list until the
-// drain has passed it, so a reused record is never reached through a stale
-// bucket entry. Releasing a pending event panics.
+// queued for the current drain (a Del inside the same dispatch) keeps the
+// record out of the free list until the drain has passed it, so a reused
+// record is never reached through a stale queue entry. Releasing a pending
+// event panics.
 func (ev *Event) Release() {
 	if ev.added {
 		panic("eventlib: Release of a pending event")
@@ -447,7 +440,7 @@ func (b *Base) loop() {
 		b.running = false
 		return
 	}
-	if b.evCount == 0 && b.timers.Len() == 0 && !b.anyActive() {
+	if b.evCount == 0 && b.timers.Len() == 0 {
 		// Nothing can ever fire: the natural exit of event_base_dispatch.
 		b.running = false
 		return
@@ -455,24 +448,10 @@ func (b *Base) loop() {
 	b.Poller().Wait(b.cfg.MaxEventsPerWait, b.nextTimeout(), b.onWaitFn)
 }
 
-// anyActive reports whether any bucket still holds activations from a
-// previous iteration (lower-priority events waiting their turn).
-func (b *Base) anyActive() bool {
-	for _, q := range b.buckets {
-		if len(q) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // nextTimeout derives the poll timeout from the timer heap: zero (never
-// block) when activations are still queued or a deadline has passed, the time
-// to the earliest deadline otherwise, Forever with no timers armed.
+// block) when a deadline has passed, the time to the earliest deadline
+// otherwise, Forever with no timers armed.
 func (b *Base) nextTimeout() core.Duration {
-	if b.anyActive() {
-		return 0
-	}
 	min, ok := b.timers.MinDeadline()
 	if !ok {
 		return core.Forever
@@ -545,7 +524,7 @@ func (b *Base) dispatchDone(core.Time) {
 	b.loop()
 }
 
-// activate queues ev into its priority bucket, or folds the new conditions
+// activate queues ev for this iteration's drain, or folds the new conditions
 // into an activation already queued.
 func (b *Base) activate(ev *Event, what What) {
 	if what == 0 {
@@ -557,64 +536,48 @@ func (b *Base) activate(ev *Event, what What) {
 	}
 	ev.activeWhat = what
 	ev.queued++
-	b.buckets[ev.priority] = append(b.buckets[ev.priority], ev)
+	b.activeq = append(b.activeq, ev)
 }
 
-// processActive drains the highest-priority non-empty bucket, invoking
-// callbacks in activation order. Lower buckets wait for later iterations —
-// the starvation semantics libevent documents. Events deleted between
-// activation and their turn (by an earlier callback in the same bucket) are
-// skipped.
+// processActive invokes the queued callbacks in activation order and empties
+// the queue. Events deleted between activation and their turn (by an earlier
+// callback in the same drain) are skipped.
 func (b *Base) processActive(now core.Time) {
-	for pri := range b.buckets {
-		if len(b.buckets[pri]) == 0 {
+	queue := b.activeq
+	for i := 0; i < len(queue); i++ {
+		ev := queue[i]
+		queue[i] = nil // release the handle for the collector
+		if ev.queued--; ev.queued == 0 && ev.released {
+			b.free = append(b.free, ev)
 			continue
 		}
-		queue := b.buckets[pri]
-		// Swap in the spare backing array instead of nil so activations from
-		// inside the callbacks append without reallocating; the drained queue
-		// becomes the next spare.
-		b.buckets[pri] = b.spare[:0]
-		b.spare = nil
-		for i := 0; i < len(queue); i++ {
-			ev := queue[i]
-			if ev.queued--; ev.queued == 0 && ev.released {
-				b.free = append(b.free, ev)
-				continue
-			}
-			if ev.activeWhat == 0 || !ev.added {
-				continue // deleted (or already dispatched) since activation
-			}
-			what := ev.activeWhat
-			ev.activeWhat = 0
-			if ev.what&EvPersist == 0 {
-				// One-shot: deleted before the callback runs, so the callback
-				// may re-Add it.
-				_ = ev.Del()
-			} else if ev.timeout > 0 {
-				// A persistent event's timeout re-arms on every firing,
-				// whether by I/O or by expiry.
-				ev.schedule(now.Add(ev.timeout))
-			}
-			ev.cb(ev.fd, what, now)
+		if ev.activeWhat == 0 || !ev.added {
+			continue // deleted (or already dispatched) since activation
 		}
-		for i := range queue {
-			queue[i] = nil // release the handles for the collector
+		what := ev.activeWhat
+		ev.activeWhat = 0
+		if ev.what&EvPersist == 0 {
+			// One-shot: deleted before the callback runs, so the callback
+			// may re-Add it.
+			_ = ev.Del()
+		} else if ev.timeout > 0 {
+			// A persistent event's timeout re-arms on every firing,
+			// whether by I/O or by expiry.
+			ev.schedule(now.Add(ev.timeout))
 		}
-		b.spare = queue[:0]
-		return
+		ev.cb(ev.fd, what, now)
 	}
+	b.activeq = queue[:0]
 }
 
 // Event is one registration: a descriptor (or pure timer), the conditions of
-// interest, a callback, and a priority. Handles are created by Base.NewEvent /
+// interest, and a callback. Handles are created by Base.NewEvent /
 // Base.NewTimer and armed with Add.
 type Event struct {
 	base      *Base
 	fd        int
 	what      What
 	cb        Callback
-	priority  int
 	timerOnly bool
 	seq       uint64
 
@@ -638,7 +601,7 @@ type Event struct {
 
 	activeWhat What
 
-	// queued counts the event's entries in the priority buckets; released
+	// queued counts the event's entries in the active queue; released
 	// marks a Release deferred until the last of them is drained.
 	queued   int
 	released bool
@@ -650,23 +613,6 @@ func (ev *Event) FD() int { return ev.fd }
 
 // Pending reports whether the event is added.
 func (ev *Event) Pending() bool { return ev.added }
-
-// Priority returns the event's priority bucket.
-func (ev *Event) Priority() int { return ev.priority }
-
-// SetPriority assigns the event to a bucket (0 is highest). It must be called
-// while the event is not active; priorities outside the base's configured
-// range are an error.
-func (ev *Event) SetPriority(pri int) error {
-	if pri < 0 || pri >= len(ev.base.buckets) {
-		return fmt.Errorf("eventlib: priority %d outside [0,%d)", pri, len(ev.base.buckets))
-	}
-	if ev.activeWhat != 0 {
-		return fmt.Errorf("eventlib: SetPriority on an active event")
-	}
-	ev.priority = pri
-	return nil
-}
 
 // interestMask translates the event's conditions into a poller interest mask.
 func (ev *Event) interestMask() core.EventMask {

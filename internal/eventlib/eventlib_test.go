@@ -1,7 +1,7 @@
 package eventlib_test
 
 // Tests for the hard edges of the event API: timer-only dispatch, deleting an
-// event from inside a callback, priority starvation ordering, re-adding a
+// event from inside a callback, re-adding a
 // one-shot event, close-while-pending, and the interest bookkeeping behind
 // Activate/MirrorInterest that the dual-mechanism servers rely on.
 
@@ -324,63 +324,6 @@ func TestReAddOneShot(t *testing.T) {
 	}
 	if ev.Pending() {
 		t.Fatal("event pending after final fire without re-add")
-	}
-}
-
-func TestPriorityStarvationOrdering(t *testing.T) {
-	env := simtest.NewEnv()
-	base := eventlib.NewWithPoller(env.K, env.P, stockpoll.New(env.K, env.P), eventlib.Config{Priorities: 3})
-
-	// Three permanently readable descriptors at priorities 0, 1 and 2. Each
-	// iteration drains only the highest-priority non-empty bucket, so as long
-	// as the priority-0 event keeps firing the others starve; deleting it lets
-	// the next bucket through, in priority order.
-	var rec recorder
-	evs := make([]*eventlib.Event, 3)
-	fires := 0
-	policy := func() {
-		fires++
-		switch fires {
-		case 5:
-			_ = evs[0].Del()
-		case 7:
-			_ = evs[1].Del()
-		case 8:
-			base.Stop()
-		}
-	}
-	// Register in the order low, high, mid so dispatch order is decided by
-	// priority, not registration.
-	for i, pri := range []int{2, 0, 1} {
-		fd, _ := env.NewFD(core.POLLIN)
-		label := []string{"low", "high", "mid"}[i]
-		ev := base.NewEvent(fd.Num, eventlib.EvRead|eventlib.EvPersist, func(fd int, what eventlib.What, now core.Time) {
-			rec.cb(label)(fd, what, now)
-			policy()
-		})
-		if err := ev.SetPriority(pri); err != nil {
-			t.Fatal(err)
-		}
-		if err := ev.Add(0); err != nil {
-			t.Fatal(err)
-		}
-		evs[pri] = ev
-	}
-	if err := evs[0].SetPriority(5); err == nil {
-		t.Fatal("out-of-range priority should fail")
-	}
-
-	base.Dispatch()
-	env.Run()
-
-	want := []string{"high", "high", "high", "high", "high", "mid", "mid", "low"}
-	if len(rec.labels) != len(want) {
-		t.Fatalf("labels = %v, want %v", rec.labels, want)
-	}
-	for i := range want {
-		if rec.labels[i] != want[i] {
-			t.Fatalf("dispatch order = %v, want %v", rec.labels, want)
-		}
 	}
 }
 

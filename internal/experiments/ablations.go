@@ -39,6 +39,11 @@ func Ablations() []Figure {
 	noHints.UseHints = false
 	noMmap := devpoll.DefaultOptions()
 	noMmap.UseMmap = false
+	// The hybrid studies run under the slow-loris background: its 501
+	// trickling descriptors keep the RT signal queue deep enough for the
+	// hybrid to switch mechanisms, which on the constant workload it never
+	// does at these rates.
+	loris := func(c Curve) Curve { return with(c, func(s *RunSpec) { s.Workload = "slowloris" }) }
 	earlyCfg := hybrid.DefaultConfig()
 	earlyCfg.HighWater = 32
 	lateCfg := hybrid.DefaultConfig()
@@ -105,10 +110,10 @@ func Ablations() []Figure {
 			with(variant("limit-128", ServerPhhttpd, 1000, 501), func(s *RunSpec) { s.RTQueueLimit = 128 }),
 			with(variant("limit-4096", ServerPhhttpd, 1000, 501), func(s *RunSpec) { s.RTQueueLimit = 4096 })),
 		ablation("hybrid-threshold",
-			"Hybrid crossover threshold: early vs at-queue-limit (1000 req/s, 501 inactive)",
-			"Evaluates the crossover-point question of §4 using the hybrid server the paper could not build.",
-			with(variant("switch-early", ServerHybrid, 1000, 501), func(s *RunSpec) { s.HybridConfig = &earlyCfg }),
-			with(variant("switch-at-limit", ServerHybrid, 1000, 501), func(s *RunSpec) { s.HybridConfig = &lateCfg })),
+			"Hybrid crossover threshold: early vs at-queue-limit (slowloris, 1000 req/s, 501 inactive)",
+			"Evaluates the crossover-point question of §4 using the hybrid server the paper could not build: a 32-deep threshold switches to /dev/poll, one at the queue limit stays on RT signals.",
+			loris(with(variant("switch-early", ServerHybrid, 1000, 501), func(s *RunSpec) { s.HybridConfig = &earlyCfg })),
+			loris(with(variant("switch-at-limit", ServerHybrid, 1000, 501), func(s *RunSpec) { s.HybridConfig = &lateCfg }))),
 		ablation("hybrid-vs-phhttpd",
 			"Hybrid server vs phhttpd under overload (1000 req/s, 501 inactive)",
 			"Tests §6's claim that maintaining kernel interest state concurrently with RT signal activity makes mode switching cheap.",
@@ -133,10 +138,10 @@ func Ablations() []Figure {
 			"Isolates copy avoidance: fixed pre-pinned buffers skip exactly the per-read user-space copy charge (Cost.SockReadCopy), the mmap-result-area argument of §3.3 applied to data instead of events. The batch configuration is held fixed.",
 			compioCopy("registered", true), compioCopy("unregistered", false)),
 		ablation("hybrid-bulk-mechanism",
-			"Hybrid bulk poller: /dev/poll vs epoll (1000 req/s, 501 inactive)",
-			"Swaps the hybrid server's load-time mechanism, possible only because both maintain the shared kernel-resident interest set concurrently with RT signal activity.",
-			variant("bulk-devpoll", ServerHybrid, 1000, 501),
-			variant("bulk-epoll", ServerHybridEpoll, 1000, 501)),
+			"Hybrid bulk poller: /dev/poll vs epoll (slowloris, 1000 req/s, 501 inactive)",
+			"Swaps the hybrid server's load-time mechanism, possible only because both maintain the shared kernel-resident interest set concurrently with RT signal activity. Both variants switch to their bulk poller.",
+			loris(variant("bulk-devpoll", ServerHybrid, 1000, 501)),
+			loris(variant("bulk-epoll", ServerHybridEpoll, 1000, 501))),
 		ablation("keepalive",
 			"HTTP/1.0 close-per-request vs HTTP/1.1 keep-alive (epoll, 1300 req/s, 501 inactive)",
 			"The tentpole axis: eight requests per connection amortise the accept, the interest-set registration and the close. Serial keep-alive trades a sliver of reply rate for a much better median (each request waits a client round trip); pipelining the same eight requests recovers the rate and keeps the latency win.",

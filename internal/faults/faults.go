@@ -5,8 +5,7 @@
 // mid-response resets, silently vanishing peers).
 //
 // Every decision is a stateless splitmix64 hash of (seed, stream salt,
-// sequence), exactly the scheme netsim uses for datagram loss and reordering:
-// no generator state is shared between lanes, so a sharded run makes the same
+// sequence): no generator state is shared between lanes, so a sharded run makes the same
 // decisions as a sequential one as long as each decision is keyed by a value
 // that is itself thread-invariant (a lane-local sequence counter, a
 // driver-assigned connection id). The zero Config injects nothing, performs no

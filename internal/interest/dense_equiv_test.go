@@ -9,12 +9,10 @@ import (
 )
 
 // refTable is the hash-map reference model of the dense Table: a plain map
-// plus an insertion-order list and the §3.1 virtual-bucket trajectory.
+// plus an insertion-order list.
 type refTable struct {
 	entries map[int]*refEntry
 	order   []int // insertion order of live fds
-	buckets int
-	grows   int
 }
 
 type refEntry struct {
@@ -23,7 +21,7 @@ type refEntry struct {
 }
 
 func newRefTable() *refTable {
-	return &refTable{entries: map[int]*refEntry{}, buckets: initialBuckets}
+	return &refTable{entries: map[int]*refEntry{}}
 }
 
 func (r *refTable) upsert(fd int) (*refEntry, bool) {
@@ -33,10 +31,6 @@ func (r *refTable) upsert(fd int) (*refEntry, bool) {
 	e := &refEntry{}
 	r.entries[fd] = e
 	r.order = append(r.order, fd)
-	if float64(len(r.entries))/float64(r.buckets) >= 2 {
-		r.buckets *= 2
-		r.grows++
-	}
 	return e, true
 }
 
@@ -99,8 +93,7 @@ func (r *refLedger) clear(fd int) bool {
 // TestDenseTableMatchesMapModel drives randomized install/set/delete
 // sequences — with heavy fd reuse, as POSIX lowest-unused allocation
 // produces — through the dense Table and the map reference, comparing
-// membership, masks, insertion order and the modelled bucket trajectory
-// after every step.
+// membership, masks and insertion order after every step.
 func TestDenseTableMatchesMapModel(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial + 1)))
@@ -137,10 +130,6 @@ func TestDenseTableMatchesMapModel(t *testing.T) {
 
 			if dense.Len() != len(ref.entries) {
 				t.Fatalf("trial %d step %d: Len=%d, reference %d", trial, step, dense.Len(), len(ref.entries))
-			}
-			if dense.Buckets() != ref.buckets || dense.Grows != ref.grows {
-				t.Fatalf("trial %d step %d: buckets/grows %d/%d, reference %d/%d",
-					trial, step, dense.Buckets(), dense.Grows, ref.buckets, ref.grows)
 			}
 			if got := dense.FDs(); !reflect.DeepEqual(got, append([]int{}, ref.order...)) {
 				t.Fatalf("trial %d step %d: insertion order %v, reference %v", trial, step, got, ref.order)

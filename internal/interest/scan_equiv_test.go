@@ -228,11 +228,7 @@ func (d *refDevPoll) update(ch core.PollFD) error {
 		return nil
 	}
 	e, isNew := d.table.Upsert(ch.FD)
-	if d.opts.SolarisOR && !isNew {
-		e.Events |= ch.Events
-	} else {
-		e.Events = ch.Events
-	}
+	e.Events = ch.Events
 	if isNew {
 		var gen uint64
 		if entry, ok := d.p.Get(ch.FD); ok {
@@ -247,10 +243,10 @@ func (d *refDevPoll) update(ch core.PollFD) error {
 
 func (d *refDevPoll) Wait(max int, timeout core.Duration, handler func(events []core.Event, now core.Time)) {
 	if max <= 0 {
-		max = d.opts.ResultAreaSize
+		max = devpoll.ResultAreaSize
 	}
-	if d.opts.UseMmap && max > d.opts.ResultAreaSize {
-		max = d.opts.ResultAreaSize
+	if d.opts.UseMmap && max > devpoll.ResultAreaSize {
+		max = devpoll.ResultAreaSize
 	}
 	d.eng.Wait(max, timeout, handler)
 }
@@ -433,12 +429,6 @@ func randomScanOp(rng *rand.Rand, s *scanSide) scanOp {
 // TestScanMatchesFullWalkReference runs seeded random op sequences against
 // the candidate-visiting pollers and their full-walk references.
 func TestScanMatchesFullWalkReference(t *testing.T) {
-	devOpts := func(hints, solaris bool) devpoll.Options {
-		o := devpoll.DefaultOptions()
-		o.UseHints, o.SolarisOR = hints, solaris
-		o.UseMmap = !solaris // exercise the copy-out path too
-		return o
-	}
 	type variant struct {
 		name      string
 		ref, real func(env *simtest.Env) scanPoller
@@ -448,9 +438,9 @@ func TestScanMatchesFullWalkReference(t *testing.T) {
 		func(env *simtest.Env) scanPoller { return newRefStockPoll(env.K, env.P) },
 		func(env *simtest.Env) scanPoller { return stockpoll.New(env.K, env.P) }})
 	for _, hints := range []bool{true, false} {
-		for _, solaris := range []bool{false, true} {
-			o := devOpts(hints, solaris)
-			variants = append(variants, variant{fmt.Sprintf("devpoll/hints=%v/solaris=%v", hints, solaris),
+		for _, mmap := range []bool{true, false} {
+			o := devpoll.Options{UseHints: hints, UseMmap: mmap}
+			variants = append(variants, variant{fmt.Sprintf("devpoll/hints=%v/mmap=%v", hints, mmap),
 				func(env *simtest.Env) scanPoller { return newRefDevPoll(env.K, env.P, o) },
 				func(env *simtest.Env) scanPoller { return devpoll.Open(env.K, env.P, o) }})
 		}

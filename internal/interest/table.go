@@ -32,8 +32,8 @@ import (
 
 // Entry is one registered interest in the kernel-resident set. Events is the
 // requested interest mask; File caches the resolved descriptor-table entry
-// (nil until a mechanism resolves it); Data carries mechanism-specific
-// per-interest state (the RT signal number for rtsig, user data for epoll).
+// (nil until a mechanism resolves it); Data is spare mechanism-specific
+// per-interest state that no mechanism currently uses.
 type Entry struct {
 	FD     int
 	Events core.EventMask
@@ -48,11 +48,10 @@ type Entry struct {
 // The paper implements it as a chained hash table ("when the average bucket
 // size is two, the number of buckets in the hash table is doubled. The hash
 // table is never shrunk"); this reproduction stores entries in a dense
-// descriptor-indexed slice instead — PR 3's lowest-unused fd allocation keeps
+// descriptor-indexed slice instead — lowest-unused fd allocation keeps
 // descriptor numbers compact, so the slice is the cache-friendly,
-// allocation-free equivalent — while the paper's bucket-count trajectory is
-// still tracked (Buckets, AverageChain, Grows) so the ablations and tests
-// that observe the §3.1 growth policy see identical values.
+// allocation-free equivalent. No charge depends on the bucket count, so the
+// hash table's growth is not modelled.
 //
 // Iteration (Each, ForEach, FDs, EachMarked) runs in insertion order, which
 // keeps simulation runs deterministic and lets stock poll reuse the table as
@@ -68,38 +67,13 @@ type Table struct {
 	slab  core.Slab[Entry]
 	seq   uint32   // last insertion sequence handed out
 	marks []*Entry // EachMarked's scratch list, reused across calls
-
-	// vbuckets is the bucket count the paper's hash table would have: it
-	// doubles whenever the average chain length reaches two and never
-	// shrinks.
-	vbuckets int
-
-	// Grows counts bucket-doubling events, exposed for tests and ablations.
-	Grows int
 }
-
-// initialBuckets is the starting bucket count; the exact value only affects
-// how soon the first doubling happens.
-const initialBuckets = 8
 
 // NewTable returns an empty interest table.
-func NewTable() *Table {
-	return &Table{vbuckets: initialBuckets}
-}
+func NewTable() *Table { return &Table{} }
 
 // Len reports the number of registered interests.
 func (t *Table) Len() int { return t.count }
-
-// Buckets reports the bucket count of the §3.1 hash table this set models.
-func (t *Table) Buckets() int { return t.vbuckets }
-
-// AverageChain reports the average bucket occupancy of the modelled table.
-func (t *Table) AverageChain() float64 {
-	if t.vbuckets == 0 {
-		return 0
-	}
-	return float64(t.count) / float64(t.vbuckets)
-}
 
 // Lookup returns the entry registered for fd, or nil. The entry is owned by
 // the table: it is valid until the interest is deleted.
@@ -156,10 +130,6 @@ func (t *Table) Upsert(fd int) (*Entry, bool) {
 		t.tail = e
 	}
 	t.count++
-	if t.AverageChain() >= 2 {
-		t.vbuckets *= 2
-		t.Grows++
-	}
 	return e, true
 }
 
@@ -182,7 +152,7 @@ func (t *Table) Set(fd int, events core.EventMask) bool {
 }
 
 // Delete removes the interest for fd, reporting whether it was present. The
-// modelled hash table never shrinks; the entry's storage is recycled.
+// entry's storage is recycled.
 func (t *Table) Delete(fd int) bool {
 	e := t.Lookup(fd)
 	if e == nil {

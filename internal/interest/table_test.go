@@ -13,8 +13,8 @@ import (
 
 func TestTableSetGetDelete(t *testing.T) {
 	tb := NewTable()
-	if tb.Len() != 0 || tb.Buckets() != initialBuckets {
-		t.Fatalf("fresh table: len=%d buckets=%d", tb.Len(), tb.Buckets())
+	if tb.Len() != 0 {
+		t.Fatalf("fresh table: len=%d", tb.Len())
 	}
 	if !tb.Set(7, core.POLLIN) {
 		t.Fatal("first Set should report a new entry")
@@ -59,51 +59,8 @@ func TestTableUpsertPreservesFileAndData(t *testing.T) {
 	}
 }
 
-func TestTableGrowthDoublesBuckets(t *testing.T) {
-	tb := NewTable()
-	start := tb.Buckets()
-	for fd := 0; fd < start*2; fd++ {
-		tb.Set(fd, core.POLLIN)
-	}
-	if tb.Buckets() <= start {
-		t.Fatalf("buckets did not grow: %d", tb.Buckets())
-	}
-	// The paper's rule: double when the average chain reaches two; so after any
-	// insertion the average chain stays below two.
-	if tb.AverageChain() >= 2 {
-		t.Fatalf("average chain %.2f not kept below 2", tb.AverageChain())
-	}
-	if tb.Grows == 0 {
-		t.Fatal("Grows not counted")
-	}
-	// All entries survive rehashing.
-	for fd := 0; fd < start*2; fd++ {
-		if _, ok := tb.Get(fd); !ok {
-			t.Fatalf("fd %d lost during growth", fd)
-		}
-	}
-}
-
-func TestTableNeverShrinks(t *testing.T) {
-	tb := NewTable()
-	for fd := 0; fd < 1000; fd++ {
-		tb.Set(fd, core.POLLIN)
-	}
-	grown := tb.Buckets()
-	for fd := 0; fd < 1000; fd++ {
-		tb.Delete(fd)
-	}
-	if tb.Buckets() != grown {
-		t.Fatalf("table shrank from %d to %d buckets", grown, tb.Buckets())
-	}
-	if tb.Len() != 0 {
-		t.Fatalf("Len = %d", tb.Len())
-	}
-}
-
 func TestTableIteratesInInsertionOrder(t *testing.T) {
 	tb := NewTable()
-	// Enough entries to force growth, so rehashing is covered too.
 	var want []int
 	for i := 0; i < 40; i++ {
 		fd := (i * 13) % 97 // scattered, all distinct
@@ -160,7 +117,7 @@ func TestTableForEachAndFDs(t *testing.T) {
 }
 
 // Property: the table behaves exactly like a map under a random sequence of
-// set/delete operations, and the average chain length stays below two.
+// set/delete operations.
 func TestTableMatchesModelProperty(t *testing.T) {
 	f := func(seed int64, n uint16) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -187,9 +144,6 @@ func TestTableMatchesModelProperty(t *testing.T) {
 				delete(model, fd)
 			}
 			if tb.Len() != len(model) {
-				return false
-			}
-			if tb.Len() > 0 && tb.AverageChain() >= 2.0 {
 				return false
 			}
 		}

@@ -90,7 +90,8 @@ func TestKeepAliveWatchdogRollsWithProgress(t *testing.T) {
 	cfg.Connections = 5
 	cfg.Profile.RequestsPerConn = 6
 	cfg.Profile.Timeout = 100 * core.Millisecond
-	cfg.Profile.ActiveRTT = 60 * core.Millisecond // each serial round trip ≈60 ms; six exceed Timeout
+	// Each serial round trip ≈60 ms; six exceed Timeout.
+	cfg.Workload.RTTMix = []netsim.RTTBand{{Weight: 1, RTT: 60 * core.Millisecond}}
 	cfg.SampleInterval = 100 * core.Millisecond
 	gen := New(k, n, cfg)
 	gen.OnDone(func(Result) { s.Stop(); k.Sim.Stop() })

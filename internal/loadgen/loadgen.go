@@ -36,11 +36,12 @@ const (
 )
 
 // ClientProfile bundles the per-connection client knobs — request count,
-// pipelining, patience, path latency, jitter and retry — into one value a
-// caller can pass around whole. New fills a zero field with its default
-// (one-request HTTP/1.0 clients, serial dispatch, 5 s patience,
-// network-default active RTT, 100 ms inactive RTT); DefaultConfig also sets
-// the paper's 0.2 jitter, which a zero Jitter turns off.
+// pipelining, patience, inactive-client latency, jitter and retry — into one
+// value a caller can pass around whole. New fills a zero field with its
+// default (one-request HTTP/1.0 clients, serial dispatch, 5 s patience,
+// 100 ms inactive RTT); DefaultConfig also sets the paper's 0.2 jitter, which
+// a zero Jitter turns off. Benchmark connections use the network's LAN RTT
+// unless Workload.RTTMix draws one.
 type ClientProfile struct {
 	// RequestsPerConn is how many requests each benchmark connection issues
 	// (HTTP/1.1, the final one carrying Connection: close) before the
@@ -56,9 +57,6 @@ type ClientProfile struct {
 	// Timeout aborts a connection that has not completed in this long
 	// (httperf --timeout). Default 5 s.
 	Timeout core.Duration
-	// ActiveRTT is the round-trip time of benchmark connections (0 selects
-	// the network default, i.e. the LAN).
-	ActiveRTT core.Duration
 	// InactiveRTT is the round-trip time of the inactive clients (default
 	// 100 ms, a modem-like path).
 	InactiveRTT core.Duration
@@ -72,15 +70,16 @@ type ClientProfile struct {
 	// keeps its original start time, so latency measures the full
 	// client-perceived wait, backoffs included.
 	Retry bool
-	// RetryMax is how many retry attempts each connection gets beyond the
-	// original; zero with Retry set selects 3.
-	RetryMax int
-	// RetryBase is the backoff before the first retry; retry n waits
-	// RetryBase·2^(n-1), capped at 32·RetryBase, scaled by a deterministic
-	// per-(connection, attempt) jitter factor in [0.5, 1.5). Zero selects
-	// 100 ms.
-	RetryBase core.Duration
 }
+
+// The retry schedule: each connection gets RetryMax attempts beyond the
+// original, and retry n waits RetryBase·2^(n-1), capped at 32·RetryBase,
+// scaled by a deterministic per-(connection, attempt) jitter factor in
+// [0.5, 1.5).
+const (
+	RetryMax  = 3
+	RetryBase = 100 * core.Millisecond
+)
 
 // Config parameterises one benchmark run (one point in a figure).
 type Config struct {
@@ -92,11 +91,6 @@ type Config struct {
 	// InactiveConnections is the constant population of stalled, high-latency
 	// connections (the paper's loads of 1, 251 and 501).
 	InactiveConnections int
-	// DocumentPath is the requested URL (default /index.html, 6 KB).
-	DocumentPath string
-	// DocumentSize is the expected body size, used to recognise a complete
-	// response (default 6 KB).
-	DocumentSize int
 	// Profile bundles the per-connection client knobs; New fills its zero
 	// fields with the defaults (DefaultConfig sets the paper's).
 	Profile ClientProfile
@@ -118,8 +112,6 @@ func DefaultConfig(rate float64, inactive int) Config {
 		RequestRate:         rate,
 		Connections:         35000,
 		InactiveConnections: inactive,
-		DocumentPath:        httpsim.DefaultDocumentPath,
-		DocumentSize:        httpsim.DefaultDocumentSize,
 		Profile: ClientProfile{
 			Timeout:     5 * core.Second,
 			InactiveRTT: 100 * core.Millisecond,
@@ -283,23 +275,9 @@ func New(k *simkernel.Kernel, net *netsim.Network, cfg Config) *Generator {
 	if cfg.RequestRate <= 0 {
 		cfg.RequestRate = 1
 	}
-	if cfg.DocumentPath == "" {
-		cfg.DocumentPath = httpsim.DefaultDocumentPath
-	}
-	if cfg.DocumentSize <= 0 {
-		cfg.DocumentSize = httpsim.DefaultDocumentSize
-	}
 	p := &cfg.Profile
 	if p.Timeout <= 0 {
 		p.Timeout = 5 * core.Second
-	}
-	if p.Retry {
-		if p.RetryMax <= 0 {
-			p.RetryMax = 3
-		}
-		if p.RetryBase <= 0 {
-			p.RetryBase = 100 * core.Millisecond
-		}
 	}
 	if p.InactiveRTT <= 0 {
 		p.InactiveRTT = 100 * core.Millisecond
@@ -324,17 +302,17 @@ func New(k *simkernel.Kernel, net *netsim.Network, cfg Config) *Generator {
 		net:            net,
 		cfg:            cfg,
 		rng:            rand.New(rand.NewSource(cfg.Seed)),
-		request:        httpsim.FormatRequest(cfg.DocumentPath),
-		partialRequest: httpsim.FormatPartialRequest(cfg.DocumentPath),
-		expectedSize:   httpsim.ResponseSize(httpsim.StatusOK, cfg.DocumentSize),
+		request:        httpsim.FormatRequest(httpsim.DefaultDocumentPath),
+		partialRequest: httpsim.FormatPartialRequest(httpsim.DefaultDocumentPath),
+		expectedSize:   httpsim.ResponseSize(httpsim.StatusOK, httpsim.DefaultDocumentSize),
 	}
 	g.reqsPerConn = cfg.Profile.RequestsPerConn
 	g.pipeDepth = cfg.Profile.PipelineDepth
 	if g.reqsPerConn > 1 {
-		g.kaRequest = httpsim.FormatRequest11(cfg.DocumentPath, false)
-		g.kaFinal = httpsim.FormatRequest11(cfg.DocumentPath, true)
-		g.kaSize = httpsim.ResponseSizeVersion(httpsim.StatusOK, cfg.DocumentSize, true)
-		g.closeSize = httpsim.ResponseSizeVersion(httpsim.StatusOK, cfg.DocumentSize, false)
+		g.kaRequest = httpsim.FormatRequest11(httpsim.DefaultDocumentPath, false)
+		g.kaFinal = httpsim.FormatRequest11(httpsim.DefaultDocumentPath, true)
+		g.kaSize = httpsim.ResponseSizeVersion(httpsim.StatusOK, httpsim.DefaultDocumentSize, true)
+		g.closeSize = httpsim.ResponseSizeVersion(httpsim.StatusOK, httpsim.DefaultDocumentSize, false)
 	}
 	g.driverQ = k.Sim.LaneQ(0)
 	g.lanes = make([]laneAcc, k.Sim.NumLanes())
@@ -516,7 +494,7 @@ func (g *Generator) jitterFor(interval core.Duration) core.Duration {
 // launchOne starts a single benchmark connection.
 func (g *Generator) launchOne(now core.Time) {
 	g.issued++
-	rtt := g.cfg.Profile.ActiveRTT
+	var rtt core.Duration // the network's LAN RTT
 	if len(g.cfg.Workload.RTTMix) > 0 {
 		rtt = netsim.SampleRTT(g.cfg.Workload.RTTMix, g.rng.Float64())
 	}
@@ -900,14 +878,13 @@ func (a *activeConn) PeerClosed(now core.Time) {
 // inert during the backoff.
 func (a *activeConn) failOrRetry(now core.Time, reason ErrorReason) {
 	g := a.gen
-	p := &g.cfg.Profile
-	if !p.Retry || a.attempt >= p.RetryMax {
+	if !g.cfg.Profile.Retry || a.attempt >= RetryMax {
 		g.recordError(a.conn.Q(), reason, now)
 		return
 	}
 	a.attempt++
-	backoff := p.RetryBase << uint(a.attempt-1)
-	if lim := p.RetryBase << 5; backoff > lim {
+	backoff := RetryBase << uint(a.attempt-1)
+	if lim := RetryBase << 5; backoff > lim {
 		backoff = lim
 	}
 	backoff = core.Duration(float64(backoff) * faults.RetryJitter(uint64(g.cfg.Seed), a.conn.ID, a.attempt))

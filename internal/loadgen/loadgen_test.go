@@ -29,7 +29,7 @@ func TestDefaultConfig(t *testing.T) {
 	if cfg.RequestRate != 700 || cfg.InactiveConnections != 251 || cfg.Connections != 35000 {
 		t.Fatalf("cfg = %+v", cfg)
 	}
-	if cfg.DocumentSize != 6*1024 || cfg.Profile.Timeout != 5*core.Second {
+	if cfg.SampleInterval != 5*core.Second || cfg.Profile.Timeout != 5*core.Second {
 		t.Fatalf("cfg = %+v", cfg)
 	}
 }
@@ -219,7 +219,7 @@ func TestConfigSanitisation(t *testing.T) {
 	if gen.cfg.Profile.Jitter > 1 || gen.cfg.RequestRate <= 0 || gen.cfg.Connections <= 0 {
 		t.Fatalf("config not sanitised: %+v", gen.cfg)
 	}
-	if gen.cfg.DocumentPath == "" || gen.cfg.Profile.Timeout <= 0 || gen.cfg.SampleInterval <= 0 {
+	if gen.cfg.Profile.Timeout <= 0 || gen.cfg.SampleInterval <= 0 {
 		t.Fatalf("config not defaulted: %+v", gen.cfg)
 	}
 	// Start twice is harmless.

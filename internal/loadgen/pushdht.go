@@ -54,7 +54,7 @@ func (g *Generator) launchMember(now core.Time) {
 	g.issued++
 	m := g.memberSlab.New()
 	m.gen = g
-	m.conn = g.net.ConnectWith(now, netsim.ConnectOptions{RTT: g.cfg.Profile.ActiveRTT}, m)
+	m.conn = g.net.ConnectWith(now, netsim.ConnectOptions{}, m)
 }
 
 // PushDeliver books a server-initiated delivery: the push server's OnDeliver
@@ -203,7 +203,7 @@ func (g *Generator) startDHT(now core.Time) {
 func (g *Generator) launchPeer(now core.Time) {
 	g.issued++
 	cp := &churnPeer{gen: g}
-	cp.peer = g.net.NewPeer(now, netsim.PeerOptions{RTT: g.cfg.Profile.ActiveRTT}, cp)
+	cp.peer = g.net.NewPeer(now, netsim.PeerOptions{}, cp)
 }
 
 // churnPeer is one peer session: ping, await pong, repeat until the quota is

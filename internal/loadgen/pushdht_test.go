@@ -160,7 +160,7 @@ func TestProfileNormalisation(t *testing.T) {
 		t.Fatalf("defaults not filled: %+v", got)
 	}
 	bare := New(k, n, Config{Profile: ClientProfile{Retry: true}}).cfg.Profile
-	if bare.Timeout != 5*core.Second || bare.RequestsPerConn != 1 || bare.RetryMax != 3 || bare.Jitter != 0 {
+	if bare.Timeout != 5*core.Second || bare.RequestsPerConn != 1 || bare.Jitter != 0 {
 		t.Fatalf("zero profile not defaulted: %+v", bare)
 	}
 }

@@ -20,9 +20,6 @@ func TestRetryExhaustsBudgetWithoutServer(t *testing.T) {
 	cfg.Connections = 50
 	cfg.Profile.Retry = true
 	gen := New(k, n, cfg)
-	if gen.cfg.Profile.RetryMax != 3 || gen.cfg.Profile.RetryBase != 100*core.Millisecond {
-		t.Fatalf("retry defaults not applied: %+v", gen.cfg.Profile)
-	}
 	gen.OnDone(func(Result) { k.Sim.Stop() })
 	gen.Start(0)
 	k.Sim.RunUntil(core.Time(30 * core.Second))
@@ -89,7 +86,7 @@ func TestRetryRecoversInjectedResets(t *testing.T) {
 
 // A stale watchdog armed for a failed attempt must not kill the retry's
 // fresh connection: with a server that refuses the first wave (no listener
-// until 1s in), retried connections complete even though each still has the
+// until 300 ms in), retried connections complete even though each still has the
 // original attempt's timer pending when it relaunches.
 func TestRetryOutlivesStaleWatchdog(t *testing.T) {
 	k := simkernel.NewKernel(nil)
@@ -97,13 +94,12 @@ func TestRetryOutlivesStaleWatchdog(t *testing.T) {
 	scfg := thttpd.DefaultConfig()
 	scfg.Backend = "devpoll"
 	s := thttpd.New(k, n, scfg)
-	k.Sim.At(core.Time(core.Second), func(core.Time) { s.Start() })
+	k.Sim.At(core.Time(300*core.Millisecond), func(core.Time) { s.Start() })
 
 	cfg := DefaultConfig(200, 0)
 	cfg.Connections = 40
 	cfg.SampleInterval = 500 * core.Millisecond
 	cfg.Profile.Retry = true
-	cfg.Profile.RetryBase = 400 * core.Millisecond
 	gen := New(k, n, cfg)
 	gen.OnDone(func(Result) { s.Stop(); k.Sim.Stop() })
 	gen.Start(0)

@@ -149,7 +149,7 @@ type Workload struct {
 	StallWindow int
 
 	// RTTMix, when non-empty, draws each benchmark connection's RTT from the
-	// given bands instead of the network default (Config.ActiveRTT).
+	// given bands instead of the network's LAN RTT.
 	RTTMix []netsim.RTTBand
 
 	// Push-family knobs (KindPush). FanoutSize is how many members the

@@ -188,39 +188,6 @@ func TestRateSamplerPartialTail(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(1, 100)
-	latencies := []float64{0.5, 1.5, 2.5, 2.6, 3.5, 120}
-	for _, ms := range latencies {
-		h.Observe(core.Duration(ms * float64(core.Millisecond)))
-	}
-	if h.Count() != int64(len(latencies)) {
-		t.Fatalf("Count = %d", h.Count())
-	}
-	if mean := h.Mean(); math.Abs(mean-21.766) > 0.1 {
-		t.Fatalf("Mean = %v", mean)
-	}
-	med := h.Quantile(0.5)
-	if med < 2 || med > 3 {
-		t.Fatalf("median = %v", med)
-	}
-	// Out-of-range samples clamp into the last bucket.
-	if q := h.Quantile(1.0); q < 99 {
-		t.Fatalf("q100 = %v", q)
-	}
-	if q := h.Quantile(-1); q <= 0 {
-		t.Fatalf("q<0 = %v", q)
-	}
-	empty := NewHistogram(0, 0)
-	if empty.Quantile(0.5) != 0 || empty.Mean() != 0 {
-		t.Fatal("empty histogram not zero")
-	}
-	empty.Observe(-5 * core.Millisecond)
-	if empty.Count() != 1 {
-		t.Fatal("negative observation dropped")
-	}
-}
-
 func TestSeries(t *testing.T) {
 	s := &Series{Label: "devpoll", XLabel: "request rate", YLabel: "reply rate"}
 	s.Append(500, 499)

@@ -217,7 +217,7 @@ func (n *Network) ConnectWith(now core.Time, opts ConnectOptions, h ConnHandler)
 	}
 	rtt := opts.RTT
 	if rtt <= 0 {
-		rtt = n.Cfg.DefaultRTT
+		rtt = DefaultRTT
 	}
 	p := n.newPair()
 	c := &p.c

@@ -16,7 +16,8 @@ const (
 	// client side, Listener/ServerConn behind accept() on the server side.
 	Stream Transport = iota
 	// Datagram is connectionless UDP: OpenDatagram/SendTo/RecvFrom on the
-	// server side, Peer on the client side, loss and reorder on the wire.
+	// server side, Peer on the client side; the wire neither loses nor
+	// reorders.
 	Datagram
 )
 
@@ -166,8 +167,8 @@ func (s *DgramSock) deliver(now core.Time, from Addr, size int) {
 }
 
 // dgramHomeQ resolves the datagram home lane, claiming it for process p when
-// no datagram socket exists yet. All datagram state — bindings, peers, the
-// loss sequence — is single-writer on this lane; a second server process on a
+// no datagram socket exists yet. All datagram state — bindings and peers —
+// is single-writer on this lane; a second server process on a
 // different lane cannot join (that would split the writer), which mirrors
 // Parallelize's refusal of configurations whose semantics need global order.
 func (n *Network) dgramHomeQ(p *simkernel.Proc) simkernel.Q {
@@ -208,7 +209,7 @@ func (a *SockAPI) OpenDatagram(addr Addr) (*simkernel.FD, *DgramSock) {
 // SendTo queues one size-byte datagram toward the peer at to, charging the
 // per-datagram syscall and copy cost. Like stream writes, the externally
 // visible transmission is deferred to the current batch's completion instant;
-// routing, loss and reordering are resolved there. The return value reports
+// routing is resolved there. The return value reports
 // only that the local send succeeded — UDP gives no delivery feedback.
 func (a *SockAPI) SendTo(fd *simkernel.FD, to Addr, size int) bool {
 	a.P.ChargeSyscall(a.K.Cost.DgramSendCost(size))
@@ -292,7 +293,7 @@ func (p *Peer) RTT() core.Duration { return p.rtt }
 func (n *Network) NewPeer(now core.Time, opts PeerOptions, h DgramHandler) *Peer {
 	rtt := opts.RTT
 	if rtt <= 0 {
-		rtt = n.Cfg.DefaultRTT
+		rtt = DefaultRTT
 	}
 	p := &Peer{net: n, ID: n.connID(), rtt: rtt, h: h}
 	p.addr = Addr(-p.ID)
@@ -325,11 +326,7 @@ func (p *Peer) SendTo(now core.Time, to Addr, size int) {
 	n := p.net
 	st := n.statsAt(n.dgramHome)
 	st.DgramsSent++
-	delay, lost := n.dgramWire(size, p.rtt)
-	if lost {
-		st.DgramsDropped++
-		return
-	}
+	delay := n.dgramWire(size, p.rtt)
 	if b, okB := n.dgramBinds[to]; okB {
 		e := n.getEvt(n.dgramHome)
 		e.kind, e.ds, e.addr, e.n = evtDgramToServer, b.sock, p.addr, size
@@ -363,36 +360,10 @@ func (n *Network) scheduleDgramToPeer(at core.Time, p *Peer, from Addr, size int
 	n.dgramHome.Post(n.dgramHome, at, e.fn)
 }
 
-// splitmix64 is the 64-bit finalizer the loss/reorder decisions hash the send
-// sequence through: stateless, deterministic and independent of Go's RNG.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// dgramWire decides one datagram's fate on the wire — loss, and otherwise its
-// one-way delay (half an RTT plus serialisation, plus an extra half-RTT when
-// the reorder knob fires). It consumes one step of the home-lane loss
-// sequence, so the decisions are a pure function of send order.
-func (n *Network) dgramWire(size int, rtt core.Duration) (delay core.Duration, lost bool) {
-	delay = rtt/2 + n.TransmitDelay(size)
-	seq := n.dgramSeq
-	n.dgramSeq++
-	if n.Cfg.DgramLossRate > 0 {
-		u := float64(splitmix64(seq)>>11) / float64(1<<53)
-		if u < n.Cfg.DgramLossRate {
-			return 0, true
-		}
-	}
-	if n.Cfg.DgramReorderRate > 0 {
-		u := float64(splitmix64(seq^0xdeadbeefcafef00d)>>11) / float64(1<<53)
-		if u < n.Cfg.DgramReorderRate {
-			delay += rtt / 2
-		}
-	}
-	return delay, false
+// dgramWire is one datagram's one-way delay on the wire: half an RTT plus
+// serialisation. The LAN loses and reorders nothing.
+func (n *Network) dgramWire(size int, rtt core.Duration) core.Duration {
+	return rtt/2 + n.TransmitDelay(size)
 }
 
 // dispatchDgram routes a datagram-family pooled event (see connEvt.run).
@@ -443,27 +414,17 @@ func (e *connEvt) dgramXmit(t core.Time) {
 	st := n.statsAt(n.dgramHome)
 	st.DgramsSent++
 	if p, okP := n.peerAddrs[e.addr]; okP {
-		delay, lost := n.dgramWire(e.n, p.rtt)
-		if lost {
-			st.DgramsDropped++
-			return
-		}
-		n.scheduleDgramToPeer(t.Add(delay), p, s.addr, e.n)
+		n.scheduleDgramToPeer(t.Add(n.dgramWire(e.n, p.rtt)), p, s.addr, e.n)
 		return
 	}
 	if b, okB := n.dgramBinds[e.addr]; okB && b.sock != s {
 		// Server→server loopback between two bound sockets (a DHT node
 		// talking to a sibling service) travels the default LAN RTT.
-		delay, lost := n.dgramWire(e.n, n.Cfg.DefaultRTT)
-		if lost {
-			st.DgramsDropped++
-			return
-		}
 		e2 := n.getEvt(n.dgramHome)
 		e2.kind, e2.ds, e2.addr, e2.n = evtDgramToServer, b.sock, s.addr, e.n
 		e2.fdn, e2.gen = b.fdn, b.gen
 		e2.lane = n.dgramHome.LaneIndex()
-		n.dgramHome.Post(n.dgramHome, t.Add(delay), e2.fn)
+		n.dgramHome.Post(n.dgramHome, t.Add(n.dgramWire(e.n, DefaultRTT)), e2.fn)
 		return
 	}
 	st.DgramsDropped++

@@ -18,13 +18,17 @@ import (
 	"repro/internal/simkernel"
 )
 
-// Config describes the simulated testbed.
-type Config struct {
+// The testbed's fixed link: every run uses the paper's LAN.
+const (
 	// LinkBandwidthBps is the bandwidth of the Ethernet link in bits/second.
-	LinkBandwidthBps float64
+	LinkBandwidthBps = 100e6
 	// DefaultRTT is the round-trip time used for connections that do not
 	// specify their own (the LAN-attached httperf clients).
-	DefaultRTT core.Duration
+	DefaultRTT = 200 * core.Microsecond
+)
+
+// Config describes the simulated testbed.
+type Config struct {
 	// ListenBacklog bounds the server's accept queue; SYNs arriving when it is
 	// full are refused, which is one of the error sources Figure 10 counts.
 	ListenBacklog int
@@ -34,23 +38,11 @@ type Config struct {
 	// TimeWait is how long a client port stays unusable after its connection
 	// finishes (the paper's sixty seconds).
 	TimeWait core.Duration
-	// MaxServerFDs bounds the server process's descriptor table; 0 means
-	// unlimited. thttpd/phhttpd in the paper run with a large limit.
-	MaxServerFDs int
 	// Shard selects how new connections are distributed when several
 	// listeners share the port SO_REUSEPORT-style (a prefork server's
 	// workers). With a single listener the policy is irrelevant and the
 	// behaviour is exactly the paper's single accept queue.
 	Shard ShardPolicy
-	// DgramLossRate is the probability a datagram is dropped in flight
-	// (either direction). Losses are decided by a deterministic hash of a
-	// per-network send sequence, so identical runs lose identical datagrams.
-	// Zero (the default) loses nothing; stream traffic is never affected.
-	DgramLossRate float64
-	// DgramReorderRate is the probability a datagram is delayed by an extra
-	// half-RTT in flight, arriving behind datagrams sent after it. Decided by
-	// the same deterministic sequence hash as losses.
-	DgramReorderRate float64
 }
 
 // ShardPolicy distributes incoming connections across the listeners sharing
@@ -81,12 +73,9 @@ func (s ShardPolicy) String() string {
 // evaluation (100 Mbit/s switched Ethernet, LAN RTT, 60 s TIME-WAIT).
 func DefaultConfig() Config {
 	return Config{
-		LinkBandwidthBps: 100e6,
-		DefaultRTT:       200 * core.Microsecond,
-		ListenBacklog:    128,
-		PortSpace:        60000,
-		TimeWait:         60 * core.Second,
-		MaxServerFDs:     0,
+		ListenBacklog: 128,
+		PortSpace:     60000,
+		TimeWait:      60 * core.Second,
 	}
 }
 
@@ -104,7 +93,7 @@ type Stats struct {
 	ClientCloses    int64 // client-initiated closes
 	DgramsSent      int64 // datagrams handed to the network (both directions)
 	DgramsDelivered int64 // datagrams delivered to a live endpoint
-	DgramsDropped   int64 // datagrams lost in flight or unroutable
+	DgramsDropped   int64 // datagrams unroutable, to a closed peer or over a full queue
 	DgramsStale     int64 // datagrams discarded by the fd-generation check
 }
 
@@ -178,7 +167,7 @@ type Network struct {
 	nextConnID int64
 
 	// Datagram-transport state (see datagram.go). All of it — the binding
-	// table, the peer address table and the loss/reorder sequence — lives on
+	// table and the peer address table — lives on
 	// the datagram home lane (the lane of the process that opened the first
 	// datagram socket; the driver lane before any exists), so a parallel run
 	// needs no locking and matches the sequential engine event for event.
@@ -186,7 +175,6 @@ type Network struct {
 	peerAddrs     map[Addr]*Peer
 	dgramHome     simkernel.Q
 	dgramHomeSet  bool
-	dgramSeq      uint64
 	nextDgramAddr Addr
 
 	// Parallel-run state (see Parallelize). driverQ doubles as the global
@@ -199,12 +187,6 @@ type Network struct {
 
 // New creates a network bound to the given simulated kernel.
 func New(k *simkernel.Kernel, cfg Config) *Network {
-	if cfg.LinkBandwidthBps <= 0 {
-		cfg.LinkBandwidthBps = 100e6
-	}
-	if cfg.DefaultRTT <= 0 {
-		cfg.DefaultRTT = 200 * core.Microsecond
-	}
 	if cfg.ListenBacklog <= 0 {
 		cfg.ListenBacklog = 128
 	}
@@ -354,7 +336,7 @@ func (n *Network) TransmitDelay(size int) core.Duration {
 	if size <= 0 {
 		return 0
 	}
-	seconds := float64(size*8) / n.Cfg.LinkBandwidthBps
+	seconds := float64(size*8) / LinkBandwidthBps
 	return core.Duration(seconds * float64(core.Second))
 }
 
@@ -402,5 +384,5 @@ func (n *Network) connID() int64 {
 // String summarises the configuration, mostly for experiment logs.
 func (c Config) String() string {
 	return fmt.Sprintf("link=%.0fMbit/s rtt=%v backlog=%d ports=%d timewait=%v",
-		c.LinkBandwidthBps/1e6, c.DefaultRTT, c.ListenBacklog, c.PortSpace, c.TimeWait)
+		LinkBandwidthBps/1e6, DefaultRTT, c.ListenBacklog, c.PortSpace, c.TimeWait)
 }

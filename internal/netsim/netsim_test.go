@@ -25,7 +25,7 @@ func testbed(t *testing.T, cfg Config) (*simkernel.Kernel, *Network, *simkernel.
 
 func TestDefaultConfig(t *testing.T) {
 	cfg := DefaultConfig()
-	if cfg.LinkBandwidthBps != 100e6 || cfg.PortSpace != 60000 || cfg.TimeWait != 60*core.Second {
+	if cfg.ListenBacklog != 128 || cfg.PortSpace != 60000 || cfg.TimeWait != 60*core.Second {
 		t.Fatalf("unexpected defaults: %+v", cfg)
 	}
 	if cfg.String() == "" {
@@ -36,7 +36,7 @@ func TestDefaultConfig(t *testing.T) {
 func TestNewAppliesDefaults(t *testing.T) {
 	k := simkernel.NewKernel(nil)
 	n := New(k, Config{})
-	if n.Cfg.LinkBandwidthBps <= 0 || n.Cfg.DefaultRTT <= 0 || n.Cfg.ListenBacklog <= 0 || n.Cfg.PortSpace <= 0 {
+	if n.Cfg.ListenBacklog <= 0 || n.Cfg.PortSpace <= 0 {
 		t.Fatalf("defaults not applied: %+v", n.Cfg)
 	}
 }
@@ -353,31 +353,38 @@ func TestAcceptOnEmptyQueueAndWrongFD(t *testing.T) {
 	k.Sim.Run()
 }
 
-func TestMaxServerFDsResetsConnection(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MaxServerFDs = 1 // only the listener fits
-	k, n, p, api, lfd, _ := testbed(t, cfg)
+// TestFDLimitLeavesConnectionQueued: at the fault plane's descriptor limit
+// accept fails with EMFILE before dequeuing, so the pending connection stays
+// on the accept queue and is accepted once a descriptor frees up.
+func TestFDLimitLeavesConnectionQueued(t *testing.T) {
+	k, n, p, api, lfd, l := testbed(t, DefaultConfig())
+	k.Faults.FDLimit = 1 // only the listener fits
 
-	var reset bool
+	var refused bool
 	n.ConnectWith(k.Now(), ConnectOptions{}, &testHooks{
-		OnRefused: func(_ core.Time, r RefuseReason) {
-			if r == RefusedReset {
-				reset = true
-			}
-		},
+		OnRefused: func(core.Time, RefuseReason) { refused = true },
 	})
 	k.Sim.Run()
 	p.Batch(k.Now(), func() {
-		if _, _, err := api.Accept(lfd); err == nil {
-			t.Error("accept should fail at the descriptor limit")
+		if _, _, err := api.Accept(lfd); err != ErrMFile {
+			t.Errorf("accept at the limit: err = %v, want ErrMFile", err)
 		}
 	}, nil)
 	k.Sim.Run()
-	if !reset {
-		t.Fatal("client never saw the reset")
+	if api.EMFILECount != 1 || l.Backlog() != 1 || refused {
+		t.Fatalf("EMFILECount = %d, backlog = %d, refused = %v; want 1, 1, false",
+			api.EMFILECount, l.Backlog(), refused)
 	}
-	if api.EMFILECount != 1 {
-		t.Fatalf("EMFILECount = %d", api.EMFILECount)
+
+	k.Faults.FDLimit = 2
+	p.Batch(k.Now(), func() {
+		if _, _, err := api.Accept(lfd); err != nil {
+			t.Errorf("accept below the limit: %v", err)
+		}
+	}, nil)
+	k.Sim.Run()
+	if l.Backlog() != 0 {
+		t.Fatalf("backlog = %d after the accept", l.Backlog())
 	}
 }
 

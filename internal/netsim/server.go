@@ -351,10 +351,8 @@ func (a *SockAPI) Listen() (*simkernel.FD, *Listener) {
 // Accept pops one pending connection from the listener's queue, installing a
 // new descriptor for it. It fails with ErrAgain when the queue is empty (or
 // the fault plane injected a spurious EAGAIN, leaving the queue untouched) and
-// with ErrMFile when a descriptor limit is reached. Under the fault plane's
-// FDLimit the pending connection stays queued — the real syscall fails before
-// dequeuing — while the network-level MaxServerFDs keeps its historical
-// pop-and-reset semantics.
+// with ErrMFile when the fault plane's FDLimit is reached; the pending
+// connection then stays queued, as the real syscall fails before dequeuing.
 func (a *SockAPI) Accept(lfd *simkernel.FD) (fd *simkernel.FD, conn *ServerConn, err error) {
 	a.P.ChargeSyscall(a.K.Cost.Accept)
 	l, isListener := lfd.File().(*Listener)
@@ -374,11 +372,6 @@ func (a *SockAPI) Accept(lfd *simkernel.FD) (fd *simkernel.FD, conn *ServerConn,
 	c, ok := l.pop()
 	if !ok {
 		return nil, nil, ErrAgain
-	}
-	if a.Net.Cfg.MaxServerFDs > 0 && a.P.NumFDs() >= a.Net.Cfg.MaxServerFDs {
-		a.EMFILECount++
-		c.resetFromServer(a.P.Now())
-		return nil, nil, ErrMFile
 	}
 	c.accepted = true
 	c.owner = a.P
@@ -412,10 +405,8 @@ func (a *SockAPI) AcceptDetach(lfd *simkernel.FD) (conn *ServerConn, ok bool) {
 
 // Adopt installs a connection obtained from a sibling's AcceptDetach into this
 // process's descriptor table — the recvmsg side of descriptor passing. The
-// connection's interrupts are re-steered to the adopting worker's CPU. ok is
-// false when the adopting process is out of descriptors (the connection is
-// reset, as in Accept).
-func (a *SockAPI) Adopt(conn *ServerConn) (fd *simkernel.FD, ok bool) {
+// connection's interrupts are re-steered to the adopting worker's CPU.
+func (a *SockAPI) Adopt(conn *ServerConn) *simkernel.FD {
 	if a.Net.parallel {
 		// Adoption moves a connection between processes — and so between
 		// lanes — which would split its single-writer home. Handoff-mode
@@ -424,13 +415,8 @@ func (a *SockAPI) Adopt(conn *ServerConn) (fd *simkernel.FD, ok bool) {
 		panic("netsim: Adopt is not supported on a parallelized network")
 	}
 	a.P.ChargeSyscall(0) // recvmsg collecting the passed descriptor
-	if a.Net.Cfg.MaxServerFDs > 0 && a.P.NumFDs() >= a.Net.Cfg.MaxServerFDs {
-		a.EMFILECount++
-		conn.resetFromServer(a.P.Now())
-		return nil, false
-	}
 	conn.owner = a.P
-	return a.P.Install(conn), true
+	return a.P.Install(conn)
 }
 
 // Read consumes up to max buffered request bytes from the connection,

@@ -1,6 +1,7 @@
 // Package rtsig implements the POSIX Real-Time signal event-delivery model of
 // the paper (§2, §4): an application assigns a signal number to each open
-// descriptor with fcntl(fd, F_SETSIG, signum); the kernel appends a siginfo
+// descriptor with fcntl(fd, F_SETSIG, signum) — here always SIGRTMIN, as
+// phhttpd does, so the queue is one FIFO; the kernel appends a siginfo
 // carrying the descriptor and the band (event mask) to the process's RT signal
 // queue whenever a read, write or close completes; the application keeps the
 // signals masked and collects them one at a time with sigwaitinfo().
@@ -15,14 +16,12 @@
 // work), which the hybrid server and the ablation benchmarks exercise.
 //
 // The per-descriptor signal registrations live in the shared kernel-resident
-// interest table of internal/interest (Entry.Data carries the assigned signal
-// number), and sigwaitinfo's blocking behaviour runs on the shared wait
-// engine; only the signal queue itself is mechanism-specific.
+// interest table of internal/interest, and sigwaitinfo's blocking behaviour
+// runs on the shared wait engine; only the signal queue itself is
+// mechanism-specific.
 package rtsig
 
 import (
-	"sort"
-
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/interest"
@@ -45,9 +44,6 @@ var OverflowEvent = core.Event{FD: OverflowFD, Ready: core.POLLERR}
 type Options struct {
 	// QueueLimit is the maximum number of queued siginfo entries (default 1024).
 	QueueLimit int
-	// Signo is the RT signal number assigned by Add when the caller does not
-	// choose one per descriptor.
-	Signo int
 	// BatchDequeue enables the sigtimedwait4() extension: Wait(max>1) dequeues
 	// up to max events per system call instead of exactly one.
 	BatchDequeue bool
@@ -55,7 +51,7 @@ type Options struct {
 
 // DefaultOptions matches phhttpd's configuration on the paper's test kernel.
 func DefaultOptions() Options {
-	return Options{QueueLimit: DefaultQueueLimit, Signo: core.SIGRTMIN, BatchDequeue: false}
+	return Options{QueueLimit: DefaultQueueLimit, BatchDequeue: false}
 }
 
 // Queue is a process's RT signal queue plus its per-descriptor signal
@@ -67,12 +63,10 @@ type Queue struct {
 	opts Options
 
 	// registered holds the F_SETSIG assignments: Entry.Events is the mask of
-	// completions that raise a signal, Entry.Data the assigned signal number,
-	// Entry.File the descriptor whose fasync list we joined.
+	// completions that raise a signal, Entry.File the descriptor whose fasync
+	// list we joined.
 	registered *interest.Table
-	bySigno    map[int]*sigFIFO // pending siginfo, FIFO per signal number
-	signos     []int            // sorted signal numbers with pending entries
-	length     int
+	pending    sigFIFO // queued siginfo, oldest first
 
 	overflowed       bool
 	overflowReported bool
@@ -95,15 +89,11 @@ func New(k *simkernel.Kernel, p *simkernel.Proc, opts Options) *Queue {
 	if opts.QueueLimit <= 0 {
 		opts.QueueLimit = DefaultQueueLimit
 	}
-	if opts.Signo == 0 {
-		opts.Signo = core.SIGRTMIN
-	}
 	q := &Queue{
 		k:          k,
 		p:          p,
 		opts:       opts,
 		registered: interest.NewTable(),
-		bySigno:    make(map[int]*sigFIFO),
 	}
 	q.eng = interest.Engine{
 		Name:    "rtsig",
@@ -128,7 +118,7 @@ func (q *Queue) MechanismStats() core.Stats { return q.stats }
 
 // QueueLength reports the number of pending siginfo entries; the hybrid server
 // uses it as its load threshold (§4).
-func (q *Queue) QueueLength() int { return q.length }
+func (q *Queue) QueueLength() int { return q.pending.len() }
 
 // QueueLimit reports the configured maximum queue length.
 func (q *Queue) QueueLimit() int { return q.opts.QueueLimit }
@@ -136,23 +126,14 @@ func (q *Queue) QueueLimit() int { return q.opts.QueueLimit }
 // Overflowed reports whether the queue has overflowed since the last Recover.
 func (q *Queue) Overflowed() bool { return q.overflowed }
 
-// Add implements core.Poller by registering fd with the queue's default signal
-// number.
+// Add implements core.Poller by assigning SIGRTMIN to fd, mirroring
+// fcntl(fd, F_SETSIG, SIGRTMIN) plus F_SETOWN and O_ASYNC.
 func (q *Queue) Add(fd int, events core.EventMask) error {
-	return q.Register(fd, q.opts.Signo, events)
-}
-
-// Register assigns an explicit RT signal number to fd, mirroring
-// fcntl(fd, F_SETSIG, signo) plus F_SETOWN and O_ASYNC.
-func (q *Queue) Register(fd, signo int, events core.EventMask) error {
 	if q.closed {
 		return core.ErrClosed
 	}
 	if q.registered.Contains(fd) {
 		return core.ErrExists
-	}
-	if signo < core.SIGRTMIN || signo > core.SIGRTMAX {
-		signo = q.opts.Signo
 	}
 	entry, ok := q.p.Get(fd)
 	if !ok {
@@ -161,7 +142,6 @@ func (q *Queue) Register(fd, signo int, events core.EventMask) error {
 	q.p.ChargeSyscall(q.k.Cost.FcntlSetSig)
 	e, _ := q.registered.Upsert(fd)
 	e.Events = events
-	e.Data = int64(signo)
 	e.File = entry
 	entry.AddWatcher(q)
 	return nil
@@ -227,14 +207,10 @@ func (q *Queue) Close() error {
 // with a poll() over its descriptors to find any remaining activity.
 func (q *Queue) Recover() int {
 	q.p.ChargeSyscall(q.k.Cost.SigMaskChange)
-	flushed := q.length
-	// The flush keeps the per-signo ring storage: phhttpd recovers after
-	// every overflow, and reallocating the queue each time was measurable.
-	for _, f := range q.bySigno {
-		f.reset()
-	}
-	q.signos = q.signos[:0]
-	q.length = 0
+	flushed := q.pending.len()
+	// The flush keeps the ring storage: phhttpd recovers after every
+	// overflow, and reallocating the queue each time was measurable.
+	q.pending.reset()
 	q.overflowed = false
 	q.overflowReported = false
 	return flushed
@@ -274,11 +250,8 @@ func (q *Queue) collect(firstPass bool, max int, buf []core.Event) []core.Event 
 		return append(buf, OverflowEvent)
 	}
 	events := buf
-	for len(events) < max && q.length > 0 {
-		si, ok := q.pop()
-		if !ok {
-			break
-		}
+	for len(events) < max && !q.pending.empty() {
+		si := q.pending.pop()
 		if len(events) == 0 {
 			q.p.Charge(cost.SigDequeue)
 		} else {
@@ -290,19 +263,24 @@ func (q *Queue) collect(firstPass bool, max int, buf []core.Event) []core.Event 
 	return events
 }
 
-// sigFIFO is one signal number's pending siginfo queue: a ring over a reused
-// backing array, so the enqueue/dequeue churn of a saturated signal path
-// performs no allocation at steady state.
+// sigFIFO is the pending siginfo queue: a ring over a reused backing array,
+// so the enqueue/dequeue churn of a saturated signal path performs no
+// allocation at steady state.
 type sigFIFO struct {
 	buf  []core.Siginfo
 	head int
 }
 
+func (f *sigFIFO) len() int             { return len(f.buf) - f.head }
 func (f *sigFIFO) empty() bool          { return f.head >= len(f.buf) }
 func (f *sigFIFO) push(si core.Siginfo) { f.buf = append(f.buf, si) }
 func (f *sigFIFO) pop() core.Siginfo {
 	si := f.buf[f.head]
 	f.head++
+	if f.empty() {
+		f.reset()
+		return si
+	}
 	// Compact once the dead prefix outweighs the live suffix, so a queue
 	// that never fully drains (sustained overload) holds O(pending) memory,
 	// not O(total signals).
@@ -316,43 +294,6 @@ func (f *sigFIFO) pop() core.Siginfo {
 func (f *sigFIFO) reset() {
 	f.buf = f.buf[:0]
 	f.head = 0
-}
-
-// pop removes the oldest pending siginfo from the lowest pending signal
-// number: "Signals dequeue in order of their assigned signal number".
-func (q *Queue) pop() (core.Siginfo, bool) {
-	for len(q.signos) > 0 {
-		signo := q.signos[0]
-		f := q.bySigno[signo]
-		if f == nil || f.empty() {
-			q.signos = append(q.signos[:0], q.signos[1:]...)
-			continue
-		}
-		si := f.pop()
-		q.length--
-		if f.empty() {
-			f.reset()
-			q.signos = append(q.signos[:0], q.signos[1:]...)
-		}
-		return si, true
-	}
-	return core.Siginfo{}, false
-}
-
-// push appends a siginfo, keeping the per-signo FIFO and the sorted signo set.
-func (q *Queue) push(si core.Siginfo) {
-	f := q.bySigno[si.Signo]
-	if f == nil {
-		f = &sigFIFO{}
-		q.bySigno[si.Signo] = f
-	}
-	if f.empty() {
-		f.reset()
-		q.signos = append(q.signos, si.Signo)
-		sort.Ints(q.signos)
-	}
-	f.push(si)
-	q.length++
 }
 
 // ReadinessChanged implements simkernel.Watcher: an I/O completion on a
@@ -395,7 +336,7 @@ func (q *Queue) ReadinessChanged(now core.Time, fd *simkernel.FD, mask core.Even
 		}
 	}
 
-	if q.length >= q.opts.QueueLimit {
+	if q.pending.len() >= q.opts.QueueLimit {
 		q.stats.Dropped++
 		if !q.overflowed {
 			q.overflowed = true
@@ -407,7 +348,7 @@ func (q *Queue) ReadinessChanged(now core.Time, fd *simkernel.FD, mask core.Even
 		// to: the siginfo outlives a close of the descriptor (it "remains on
 		// the RT signal queue", §4), and by the time it is dequeued the number
 		// may name a different connection.
-		q.push(core.Siginfo{Signo: int(reg.Data), Band: mask, FD: fd.Num, Gen: fd.Gen})
+		q.pending.push(core.Siginfo{Signo: core.SIGRTMIN, Band: mask, FD: fd.Num, Gen: fd.Gen})
 		q.stats.Enqueued++
 	}
 

@@ -26,9 +26,6 @@ func TestDefaults(t *testing.T) {
 	if q.QueueLimit() != DefaultQueueLimit {
 		t.Fatalf("QueueLimit = %d", q.QueueLimit())
 	}
-	if q.Options().Signo != core.SIGRTMIN {
-		t.Fatalf("Signo = %d", q.Options().Signo)
-	}
 	o := DefaultOptions()
 	if o.QueueLimit != DefaultQueueLimit || o.BatchDequeue {
 		t.Fatalf("DefaultOptions = %+v", o)
@@ -57,8 +54,8 @@ func TestRegistrationLifecycle(t *testing.T) {
 	if err := q.Add(fd.Num, core.POLLIN); err != core.ErrExists {
 		t.Fatalf("duplicate Add: %v", err)
 	}
-	if err := q.Register(999, core.SIGRTMIN, core.POLLIN); err != core.ErrBadFD {
-		t.Fatalf("Register of unknown fd: %v", err)
+	if err := q.Add(999, core.POLLIN); err != core.ErrBadFD {
+		t.Fatalf("Add of unknown fd: %v", err)
 	}
 	env.P.Batch(env.K.Now(), func() {
 		must(t, q.Modify(fd.Num, core.POLLIN|core.POLLOUT))
@@ -164,23 +161,22 @@ func TestBatchDequeueCheaperPerEventThanSingle(t *testing.T) {
 	}
 }
 
-func TestDequeueOrderBySignalNumberThenFIFO(t *testing.T) {
+func TestDequeueOrderIsFIFO(t *testing.T) {
 	env := simtest.NewEnv()
 	q := newQueue(env, DefaultOptions())
-	fdHigh, fileHigh := env.NewFD(0)
-	fdLow, fileLow := env.NewFD(0)
+	fdA, fileA := env.NewFD(0)
+	fdB, fileB := env.NewFD(0)
 	env.P.Batch(0, func() {
-		must(t, q.Register(fdHigh.Num, core.SIGRTMIN+5, core.POLLIN))
-		must(t, q.Register(fdLow.Num, core.SIGRTMIN, core.POLLIN))
+		must(t, q.Add(fdA.Num, core.POLLIN))
+		must(t, q.Add(fdB.Num, core.POLLIN))
 	}, nil)
 	env.Run()
 
-	// The high-numbered signal is queued first, but the low-numbered one must
-	// be delivered first ("signals dequeue in order of their assigned signal
-	// number").
-	fileHigh.SetReady(env.K.Now(), core.POLLIN)
-	fileLow.SetReady(env.K.Now(), core.POLLIN)
-	fileHigh.SetReady(env.K.Now(), core.POLLHUP)
+	// Every descriptor carries SIGRTMIN, so siginfo dequeues in completion
+	// order across descriptors.
+	fileA.SetReady(env.K.Now(), core.POLLIN)
+	fileB.SetReady(env.K.Now(), core.POLLIN)
+	fileA.SetReady(env.K.Now(), core.POLLHUP)
 	env.Run()
 
 	var order []core.Event
@@ -191,14 +187,10 @@ func TestDequeueOrderBySignalNumberThenFIFO(t *testing.T) {
 	if len(order) != 3 {
 		t.Fatalf("order = %+v", order)
 	}
-	if order[0].FD != fdLow.Num {
-		t.Fatalf("lowest signal number must dequeue first: %+v", order)
-	}
-	if order[1].FD != fdHigh.Num || !order[1].Ready.Has(core.POLLIN) {
-		t.Fatalf("FIFO within a signal number violated: %+v", order)
-	}
-	if order[2].FD != fdHigh.Num || !order[2].Ready.Has(core.POLLHUP) {
-		t.Fatalf("FIFO within a signal number violated: %+v", order)
+	if order[0].FD != fdA.Num || !order[0].Ready.Has(core.POLLIN) ||
+		order[1].FD != fdB.Num ||
+		order[2].FD != fdA.Num || !order[2].Ready.Has(core.POLLHUP) {
+		t.Fatalf("dequeue order is not completion order: %+v", order)
 	}
 }
 
@@ -394,22 +386,6 @@ func TestCloseAndUseAfterClose(t *testing.T) {
 	q.Wait(1, core.Forever, col.Handler())
 	if col.Calls != 1 || col.Events != nil {
 		t.Fatalf("Wait after Close: %+v", col)
-	}
-}
-
-func TestInvalidSignalNumberFallsBackToDefault(t *testing.T) {
-	env := simtest.NewEnv()
-	q := newQueue(env, DefaultOptions())
-	fd, file := env.NewFD(0)
-	env.P.Batch(0, func() { must(t, q.Register(fd.Num, 5 /* not an RT signal */, core.POLLIN)) }, nil)
-	env.Run()
-	file.SetReady(env.K.Now(), core.POLLIN)
-	env.Run()
-	var col simtest.Collector
-	q.Wait(1, core.Forever, col.Handler())
-	env.Run()
-	if len(col.Events) != 1 {
-		t.Fatalf("events = %+v", col.Events)
 	}
 }
 

@@ -8,10 +8,11 @@
 // charges identical to the pre-keep-alive implementation. With
 // Options.KeepAlive the connection survives its responses: the parser advances
 // past each served request and retains pipelined bytes, one readable dispatch
-// drains at most PipelineBatch buffered requests (fairness), a blocked
-// response parks the pipeline on write interest until the window reopens, and
-// the per-connection request cap and keep-alive idle timeout bound the
-// connection's lifetime.
+// drains at most PipelineBatch buffered requests (fairness), and a blocked
+// response parks the pipeline on write interest until the window reopens. A
+// persistent connection ends at the client's Connection: close, at EOF, or at
+// the coarse idle sweep (Handler.IdleTimeout); no per-connection idle timer or
+// request cap applies.
 //
 // Handler.Attach (serve.go) wires this logic onto an eventlib.Base — the
 // listener's accept event, a persistent read event per connection, the
@@ -74,11 +75,10 @@ func ParseWriteMode(s string) (WriteMode, error) {
 	return WriteWritev, fmt.Errorf("httpcore: unknown write mode %q (want writev, copy or sendfile)", s)
 }
 
-// DefaultPipelineBatch bounds how many buffered pipelined requests one
-// readable dispatch serves when Options.PipelineBatch is zero: enough to
-// amortise the dispatch, small enough that one deep pipeline cannot starve
-// the other ready descriptors in the batch.
-const DefaultPipelineBatch = 4
+// PipelineBatch bounds how many buffered pipelined requests one readable
+// dispatch serves: enough to amortise the dispatch, small enough that one
+// deep pipeline cannot starve the other ready descriptors in the batch.
+const PipelineBatch = 4
 
 // Options bundles the persistent-connection features shared by every server
 // family. The zero value is the historical behaviour — HTTP/1.0, close after
@@ -90,19 +90,6 @@ type Options struct {
 	// default-persistent, HTTP/1.0 opt-in via Connection: keep-alive) instead
 	// of closing after every response.
 	KeepAlive bool
-	// MaxRequests caps how many requests one connection may serve before the
-	// server closes it (real thttpd's defense against connection hogging);
-	// zero means unlimited.
-	MaxRequests int
-	// KeepAliveIdle closes a persistent connection that stays idle between
-	// requests this long. It rides the per-connection event timeout on the
-	// eventlib timer wheel, so it costs one wheel entry per connection and
-	// re-arms automatically with each activity. Zero disables it (the coarse
-	// SweepIdle path still applies when IdleTimeout is set).
-	KeepAliveIdle core.Duration
-	// PipelineBatch bounds pipelined requests served per readable dispatch;
-	// zero selects DefaultPipelineBatch.
-	PipelineBatch int
 	// CacheKB sizes the mmap response cache in kilobytes; zero disables the
 	// cache and its charges entirely.
 	CacheKB int
@@ -297,22 +284,14 @@ func NewHandler(k *simkernel.Kernel, p *simkernel.Proc, api *netsim.SockAPI) *Ha
 }
 
 // SetOptions installs the persistent-connection options, building the
-// response cache when one is configured. Call it before Attach — the event
-// loop reads the keep-alive idle timeout at registration time.
+// response cache when one is configured. Call it before the first
+// connection is accepted.
 func (h *Handler) SetOptions(opts Options) {
 	h.Opts = opts
 	h.Cache = nil
 	if opts.CacheKB > 0 {
 		h.Cache = rcache.New(opts.CacheKB * 1024)
 	}
-}
-
-// pipelineBudget is the per-dispatch bound on buffered requests served.
-func (h *Handler) pipelineBudget() int {
-	if h.Opts.PipelineBatch > 0 {
-		return h.Opts.PipelineBatch
-	}
-	return DefaultPipelineBatch
 }
 
 // OpenConns returns the open connection descriptors in ascending order.
@@ -488,7 +467,7 @@ func (h *Handler) Continue(now core.Time, fd int) {
 // open with no response in flight.
 func (h *Handler) pump(now core.Time, c *Conn, data []byte) bool {
 	complete, err := c.Parser.Feed(data)
-	for budget := h.pipelineBudget(); ; budget-- {
+	for budget := PipelineBatch; ; budget-- {
 		if err != nil {
 			h.respondError(c, httpsim.StatusBadReq)
 			h.finishResponse(now, c, CloseBadRequest)
@@ -735,7 +714,7 @@ func (h *Handler) serve(c *Conn) (keep bool) {
 		h.respondError(c, httpsim.StatusNotFound)
 		return false
 	}
-	keep = h.persistAfter(c, req)
+	keep = h.persistAfter(req)
 	head := httpsim.ResponseSizeVersion(httpsim.StatusOK, size, keep) - size
 	h.chargeFileAccess(c, req.Path, size)
 	h.writeResponse(c, head, size)
@@ -744,16 +723,9 @@ func (h *Handler) serve(c *Conn) (keep bool) {
 }
 
 // persistAfter decides whether the connection survives the response being
-// served: keep-alive enabled, the per-connection cap not yet reached, and the
-// request negotiated persistence.
-func (h *Handler) persistAfter(c *Conn, req *httpsim.Request) bool {
-	if !h.Opts.KeepAlive {
-		return false
-	}
-	if h.Opts.MaxRequests > 0 && c.Requests+1 >= h.Opts.MaxRequests {
-		return false
-	}
-	return req.KeepAlive()
+// served: keep-alive enabled and the request negotiated persistence.
+func (h *Handler) persistAfter(req *httpsim.Request) bool {
+	return h.Opts.KeepAlive && req.KeepAlive()
 }
 
 // chargeFileAccess charges the document-access asymmetry of the response
@@ -813,21 +785,6 @@ func (h *Handler) writeResponse(c *Conn, head, body int) {
 	if c.pendingBody > c.PendingWrite {
 		c.pendingBody = c.PendingWrite
 	}
-}
-
-// CloseIdle closes a persistent connection whose keep-alive idle timeout
-// fired — unless work is outstanding: a response still draining, or request
-// bytes already buffered in the parser or on the socket (a request racing the
-// timeout wins, matching a real server that checks for input before closing).
-func (h *Handler) CloseIdle(now core.Time, fd int) {
-	c, ok := h.Conns[fd]
-	if !ok {
-		return
-	}
-	if c.PendingWrite > 0 || c.Parser.Buffered() > 0 || (c.SC != nil && c.SC.Buffered() > 0) {
-		return
-	}
-	h.closeConn(c, CloseIdle)
 }
 
 // CloseConn closes the connection for descriptor fd with the given reason, if

@@ -98,19 +98,20 @@ func TestPipelinedBatchServedFromOneReadable(t *testing.T) {
 
 func TestPipelineBudgetDefersRemainder(t *testing.T) {
 	e := newEnv(t)
-	e.handler.SetOptions(Options{KeepAlive: true, PipelineBatch: 2})
+	e.handler.SetOptions(Options{KeepAlive: true})
 	var deferred []int
 	e.handler.OnDeferred = func(fd int) { deferred = append(deferred, fd) }
 
+	const kept = 2 * PipelineBatch
 	var payload []byte
-	for i := 0; i < 4; i++ {
+	for i := 0; i < kept; i++ {
 		payload = append(payload, httpsim.FormatRequest11("/index.html", false)...)
 	}
 	payload = append(payload, httpsim.FormatRequest11("/index.html", true)...)
 	_, probe := e.connectAndSend(t, payload)
 	e.drive(t)
 
-	if st := e.handler.Stats; st.Served != 2 || st.Closed != 0 {
+	if st := e.handler.Stats; st.Served != PipelineBatch || st.Closed != 0 {
 		t.Fatalf("after first dispatch: %+v", st)
 	}
 	if len(deferred) != 1 {
@@ -121,7 +122,7 @@ func TestPipelineBudgetDefersRemainder(t *testing.T) {
 	// The continuation serves the next budget's worth and defers again.
 	e.p.Batch(e.k.Now(), func() { e.handler.Continue(e.k.Now(), fd) }, nil)
 	e.k.Sim.Run()
-	if st := e.handler.Stats; st.Served != 4 || st.Closed != 0 {
+	if st := e.handler.Stats; st.Served != kept || st.Closed != 0 {
 		t.Fatalf("after second dispatch: %+v", st)
 	}
 	if len(deferred) != 2 {
@@ -131,10 +132,10 @@ func TestPipelineBudgetDefersRemainder(t *testing.T) {
 	// The final continuation serves the close request and tears down.
 	e.p.Batch(e.k.Now(), func() { e.handler.Continue(e.k.Now(), fd) }, nil)
 	e.k.Sim.Run()
-	if st := e.handler.Stats; st.Served != 5 || st.KeptAlive != 4 || st.Closed != 1 {
+	if st := e.handler.Stats; st.Served != kept+1 || st.KeptAlive != kept || st.Closed != 1 {
 		t.Fatalf("final stats = %+v", st)
 	}
-	if want := 4*sizeKA + sizeClose; probe.bytes != want || !probe.closed {
+	if want := kept*sizeKA + sizeClose; probe.bytes != want || !probe.closed {
 		t.Fatalf("probe = %+v, want %d bytes", probe, want)
 	}
 }
@@ -225,65 +226,9 @@ func TestStalledWindowParksPipelineAndResumes(t *testing.T) {
 	}
 }
 
-func TestMaxRequestsCapClosesConnection(t *testing.T) {
-	e := newEnv(t)
-	e.handler.SetOptions(Options{KeepAlive: true, MaxRequests: 2})
-	var payload []byte
-	for i := 0; i < 3; i++ {
-		payload = append(payload, httpsim.FormatRequest11("/index.html", false)...)
-	}
-	_, probe := e.connectAndSend(t, payload)
-	e.drive(t)
-
-	// The second response reaches the cap: it goes out with Connection: close
-	// and the third buffered request is never served.
-	if st := e.handler.Stats; st.Served != 2 || st.KeptAlive != 1 || st.Closed != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if want := sizeKA + sizeClose; probe.bytes != want || !probe.closed {
-		t.Fatalf("probe = %+v, want %d bytes", probe, want)
-	}
-}
-
-func TestCloseIdleSparesBusyConnections(t *testing.T) {
-	e := newEnv(t)
-	e.handler.SetOptions(Options{KeepAlive: true})
-
-	// A connection with unread socket bytes is not idle: the request racing
-	// the timeout wins.
-	e.connectAndSend(t, httpsim.FormatRequest11("/index.html", false))
-	e.p.Batch(e.k.Now(), func() { e.handler.AcceptAll(e.k.Now(), e.lfd) }, nil)
-	e.k.Sim.Run()
-	fd := e.handler.OpenConns()[0]
-	e.p.Batch(e.k.Now(), func() { e.handler.CloseIdle(e.k.Now(), fd) }, nil)
-	e.k.Sim.Run()
-	if len(e.handler.Conns) != 1 || e.handler.Stats.IdleCloses != 0 {
-		t.Fatalf("busy connection closed: %+v", e.handler.Stats)
-	}
-
-	// Served and drained, the connection really is idle: the timeout closes it.
-	e.readable(t, fd)
-	if len(e.handler.Conns) != 1 {
-		t.Fatal("keep-alive connection should have survived the response")
-	}
-	e.p.Batch(e.k.Now(), func() { e.handler.CloseIdle(e.k.Now(), fd) }, nil)
-	e.k.Sim.Run()
-	if len(e.handler.Conns) != 0 || e.handler.Stats.IdleCloses != 1 {
-		t.Fatalf("idle close missing: %+v", e.handler.Stats)
-	}
-
-	// Unknown descriptors are ignored.
-	e.p.Batch(e.k.Now(), func() { e.handler.CloseIdle(e.k.Now(), fd) }, nil)
-	e.k.Sim.Run()
-	if e.handler.Stats.IdleCloses != 1 {
-		t.Fatalf("stale CloseIdle fired: %+v", e.handler.Stats)
-	}
-}
-
 // TestStaleEventsAfterKeepAliveCloseAreSafe: a keep-alive connection torn
 // down with a response still pending must not let stale readable/writable
-// events (or a stale CloseIdle) disturb a new connection reusing its pooled
-// record.
+// events disturb a new connection reusing its pooled record.
 func TestStaleEventsAfterKeepAliveCloseAreSafe(t *testing.T) {
 	e := newEnv(t)
 	e.handler.SetOptions(Options{KeepAlive: true})
@@ -322,7 +267,6 @@ func TestStaleEventsAfterKeepAliveCloseAreSafe(t *testing.T) {
 	e.p.Batch(e.k.Now(), func() {
 		e.handler.HandleWritable(e.k.Now(), stale)
 		e.handler.HandleReadable(e.k.Now(), stale)
-		e.handler.CloseIdle(e.k.Now(), stale)
 	}, nil)
 	e.k.Sim.Run()
 	if st := e.handler.Stats; st.Served != served || st.Closed != closed {

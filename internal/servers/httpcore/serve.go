@@ -48,11 +48,6 @@ type EventLoop struct {
 	// event does not build a fresh method value per connection.
 	connReadyFn eventlib.Callback
 
-	// connTimeout is the per-connection event timeout: the keep-alive idle
-	// deadline riding the base's timer wheel, re-armed automatically by every
-	// firing. Zero (HTTP/1.0 mode) registers events with no timeout.
-	connTimeout core.Duration
-
 	// resume / resumeQ / resumeSpare implement pipeline-budget continuations: a
 	// zero-delay one-shot timer drains the deferred descriptors in arrival
 	// order on the next dispatch, so one deep pipeline yields to the rest of
@@ -96,9 +91,6 @@ func (h *Handler) Attach(base *eventlib.Base, lfd *simkernel.FD, cfg ServeConfig
 	}
 	loop := &EventLoop{h: h, base: base, cfg: cfg, lfd: lfd}
 	loop.connReadyFn = loop.connReady
-	if h.Opts.KeepAlive {
-		loop.connTimeout = h.Opts.KeepAliveIdle
-	}
 
 	if lfd != nil {
 		loop.accept = base.NewEvent(lfd.Num, eventlib.EvRead|eventlib.EvPersist, loop.onAcceptable)
@@ -198,9 +190,7 @@ func (l *EventLoop) onAcceptRetry(_ int, _ eventlib.What, now core.Time) {
 
 // connReady is the shared per-connection callback. Write readiness is served
 // first — draining a blocked response may close the connection, after which
-// the read branch finds no state and does nothing. An expiry that coincides
-// with I/O readiness folds into the same invocation; readiness wins, and the
-// re-armed timeout covers the next idle period.
+// the read branch finds no state and does nothing.
 func (l *EventLoop) connReady(fd int, what eventlib.What, now core.Time) {
 	if what.Has(eventlib.EvWrite) {
 		l.h.HandleWritable(now, fd)
@@ -208,17 +198,14 @@ func (l *EventLoop) connReady(fd int, what eventlib.What, now core.Time) {
 	if what.Has(eventlib.EvRead) {
 		l.cfg.Read(now, fd)
 	}
-	if what.Has(eventlib.EvTimeout) && what&(eventlib.EvRead|eventlib.EvWrite) == 0 {
-		l.h.CloseIdle(now, fd)
-	}
 }
 
-// openConn registers a persistent read event for a freshly accepted
-// connection; with keep-alive configured the event carries the idle timeout.
+// openConn registers a persistent read event, with no timeout, for a freshly
+// accepted connection.
 func (l *EventLoop) openConn(fd int) {
 	ev := l.base.NewEvent(fd, eventlib.EvRead|eventlib.EvPersist, l.connReadyFn)
 	l.setConn(fd, ev)
-	_ = ev.Add(l.connTimeout)
+	_ = ev.Add(0)
 }
 
 // blockOnWrite upgrades a connection's event to read+write interest: the
@@ -235,7 +222,7 @@ func (l *EventLoop) blockOnWrite(fd int) {
 	ev.Release()
 	nev := l.base.NewEvent(fd, eventlib.EvRead|eventlib.EvWrite|eventlib.EvPersist, l.connReadyFn)
 	l.setConn(fd, nev)
-	_ = nev.Add(l.connTimeout)
+	_ = nev.Add(0)
 }
 
 // drainedConn is blockOnWrite's inverse: the parked response finished and the
@@ -250,7 +237,7 @@ func (l *EventLoop) drainedConn(fd int) {
 	ev.Release()
 	nev := l.base.NewEvent(fd, eventlib.EvRead|eventlib.EvPersist, l.connReadyFn)
 	l.setConn(fd, nev)
-	_ = nev.Add(l.connTimeout)
+	_ = nev.Add(0)
 }
 
 // deferConn queues fd's remaining pipelined requests for the next dispatch

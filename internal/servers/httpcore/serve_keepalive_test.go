@@ -3,7 +3,6 @@ package httpcore
 import (
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/eventlib"
 	"repro/internal/httpsim"
 )
@@ -26,82 +25,17 @@ func attachLoop(t *testing.T, e *env) *EventLoop {
 	return loop
 }
 
-// TestConnReadyTimeoutRacingRequest: when the keep-alive idle expiry and a
-// request's readability fold into one event activation, the request wins and
-// the connection survives; a pure expiry with no readiness closes it.
-func TestConnReadyTimeoutRacingRequest(t *testing.T) {
-	e := newEnv(t)
-	e.handler.SetOptions(Options{KeepAlive: true, KeepAliveIdle: core.Second})
-	loop := attachLoop(t, e)
-
-	_, probe := e.connectAndSend(t, httpsim.FormatRequest11("/index.html", false))
-	e.p.Batch(e.k.Now(), func() { e.handler.AcceptAll(e.k.Now(), e.lfd) }, nil)
-	e.k.Sim.Run()
-	fds := e.handler.OpenConns()
-	if len(fds) != 1 {
-		t.Fatalf("OpenConns = %v", fds)
-	}
-	fd := fds[0]
-	if ev := loop.ConnEvent(fd); ev == nil {
-		t.Fatal("no event registered for the accepted connection")
-	}
-
-	// Expiry and readability in the same activation: readiness is served,
-	// CloseIdle is skipped, the connection stays open for its next request.
-	e.p.Batch(e.k.Now(), func() {
-		loop.connReady(fd, eventlib.EvRead|eventlib.EvTimeout, e.k.Now())
-	}, nil)
-	e.k.Sim.Run()
-	if st := e.handler.Stats; st.Served != 1 || st.IdleCloses != 0 || st.Closed != 0 {
-		t.Fatalf("stats after folded event = %+v", st)
-	}
-	if probe.closed {
-		t.Fatal("connection closed despite the racing request")
-	}
-
-	// A pure expiry on the now-idle connection closes it.
-	e.p.Batch(e.k.Now(), func() {
-		loop.connReady(fd, eventlib.EvTimeout, e.k.Now())
-	}, nil)
-	e.k.Sim.Run()
-	if st := e.handler.Stats; st.IdleCloses != 1 || st.Closed != 1 {
-		t.Fatalf("stats after pure expiry = %+v", st)
-	}
-}
-
-// TestConnEventCarriesKeepAliveTimeout: with keep-alive configured the
-// per-connection event rides the timer wheel; without it the event has no
-// timeout, exactly as before.
-func TestConnEventCarriesKeepAliveTimeout(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		opts Options
-		want core.Duration
-	}{
-		{"keepalive", Options{KeepAlive: true, KeepAliveIdle: 2 * core.Second}, 2 * core.Second},
-		{"http10", Options{}, 0},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			e := newEnv(t)
-			e.handler.SetOptions(tc.opts)
-			loop := attachLoop(t, e)
-			if loop.connTimeout != tc.want {
-				t.Fatalf("connTimeout = %v, want %v", loop.connTimeout, tc.want)
-			}
-		})
-	}
-}
-
 // TestDeferredPipelineResumesThroughTimer: a deferral queues the descriptor
 // and arms the zero-delay resume timer; firing it continues the pipeline, and
 // a continuation that re-exhausts its budget re-defers onto a fresh queue.
 func TestDeferredPipelineResumesThroughTimer(t *testing.T) {
 	e := newEnv(t)
-	e.handler.SetOptions(Options{KeepAlive: true, PipelineBatch: 2})
+	e.handler.SetOptions(Options{KeepAlive: true})
 	loop := attachLoop(t, e)
 
+	const kept = 2 * PipelineBatch
 	var payload []byte
-	for i := 0; i < 4; i++ {
+	for i := 0; i < kept; i++ {
 		payload = append(payload, httpsim.FormatRequest11("/index.html", false)...)
 	}
 	payload = append(payload, httpsim.FormatRequest11("/index.html", true)...)
@@ -113,7 +47,7 @@ func TestDeferredPipelineResumesThroughTimer(t *testing.T) {
 	}, nil)
 	e.k.Sim.Run()
 
-	if st := e.handler.Stats; st.Served != 2 {
+	if st := e.handler.Stats; st.Served != PipelineBatch {
 		t.Fatalf("after first dispatch: %+v", st)
 	}
 	if len(loop.resumeQ) != 1 || loop.resume == nil || !loop.resume.Pending() {
@@ -123,7 +57,7 @@ func TestDeferredPipelineResumesThroughTimer(t *testing.T) {
 	// First firing serves the next budget's worth and re-defers the rest.
 	e.p.Batch(e.k.Now(), func() { loop.onResume(0, eventlib.EvTimeout, e.k.Now()) }, nil)
 	e.k.Sim.Run()
-	if st := e.handler.Stats; st.Served != 4 {
+	if st := e.handler.Stats; st.Served != kept {
 		t.Fatalf("after first resume: %+v", st)
 	}
 	if len(loop.resumeQ) != 1 {
@@ -133,13 +67,13 @@ func TestDeferredPipelineResumesThroughTimer(t *testing.T) {
 	// Second firing drains the pipeline; the close request ends it.
 	e.p.Batch(e.k.Now(), func() { loop.onResume(0, eventlib.EvTimeout, e.k.Now()) }, nil)
 	e.k.Sim.Run()
-	if st := e.handler.Stats; st.Served != 5 || st.Closed != 1 {
+	if st := e.handler.Stats; st.Served != kept+1 || st.Closed != 1 {
 		t.Fatalf("final stats = %+v", st)
 	}
 	if len(loop.resumeQ) != 0 {
 		t.Fatalf("resume queue not drained: %v", loop.resumeQ)
 	}
-	if want := 4*sizeKA + sizeClose; probe.bytes != want || !probe.closed {
+	if want := kept*sizeKA + sizeClose; probe.bytes != want || !probe.closed {
 		t.Fatalf("probe = %+v, want %d bytes", probe, want)
 	}
 }

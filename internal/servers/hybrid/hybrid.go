@@ -13,7 +13,6 @@ package hybrid
 
 import (
 	"repro/internal/core"
-	"repro/internal/devpoll"
 	"repro/internal/eventlib"
 	"repro/internal/netsim"
 	"repro/internal/rtsig"
@@ -53,38 +52,36 @@ type Config struct {
 	// forces a poll. Zero selects QueueLimit/2, a slightly earlier, safer
 	// crossover.
 	HighWater int
-	// LowWater is the queue length below which (together with small /dev/poll
-	// result sets) the server switches back to signal mode.
-	LowWater int
-	// ConsecutiveLow is how many consecutive light /dev/poll scans are required
-	// before switching back, to avoid oscillation.
-	ConsecutiveLow int
 	// BatchDequeue enables sigtimedwait4-style batch dequeue in signal mode.
 	BatchDequeue bool
 	// BulkBackend names the eventlib backend used as the bulk poller in
 	// polling mode ("devpoll", "epoll", "epoll-et", "compio"); empty selects
-	// /dev/poll with the DevPoll options below.
+	// "devpoll".
 	BulkBackend string
-	// DevPoll configures the /dev/poll instance used when BulkBackend is
-	// unset.
-	DevPoll devpoll.Options
 	// MaxEventsPerWait caps events per bulk-poller wait.
 	MaxEventsPerWait int
 	// WaitTimeout is the idle-sweep timer period bounding each wait.
 	WaitTimeout core.Duration
 }
 
+// The hysteresis on the way back to signal mode: ConsecutiveLow bulk scans in
+// a row must each deliver fewer than LowWater events, with fewer than
+// LowWater signals queued, before the server switches back; the last of them
+// must also find the queue empty. It keeps the mode from oscillating.
+const (
+	LowWater       = 8
+	ConsecutiveLow = 4
+)
+
 // DefaultConfig returns a hybrid configuration with the crossover at half the
-// RT queue limit and hysteresis on the way back down.
+// RT queue limit.
 func DefaultConfig() Config {
 	return Config{
 		IdleTimeout:      60 * core.Second,
 		QueueLimit:       rtsig.DefaultQueueLimit,
 		HighWater:        rtsig.DefaultQueueLimit / 2,
-		LowWater:         8,
-		ConsecutiveLow:   4,
 		BatchDequeue:     false,
-		DevPoll:          devpoll.DefaultOptions(),
+		BulkBackend:      "devpoll",
 		MaxEventsPerWait: 1024,
 		WaitTimeout:      core.Second,
 	}
@@ -125,34 +122,24 @@ func New(k *simkernel.Kernel, net *netsim.Network, cfg Config) *Server {
 	if cfg.HighWater <= 0 {
 		cfg.HighWater = cfg.QueueLimit / 2
 	}
-	if cfg.LowWater <= 0 {
-		cfg.LowWater = 8
-	}
-	if cfg.ConsecutiveLow <= 0 {
-		cfg.ConsecutiveLow = 4
-	}
 	if cfg.MaxEventsPerWait <= 0 {
 		cfg.MaxEventsPerWait = 1024
 	}
 	if cfg.WaitTimeout <= 0 {
 		cfg.WaitTimeout = core.Second
 	}
-	if cfg.DevPoll.ResultAreaSize == 0 {
-		cfg.DevPoll = devpoll.DefaultOptions()
+	if cfg.BulkBackend == "" {
+		cfg.BulkBackend = "devpoll"
 	}
 	p := k.NewProc("hybrid")
 	api := netsim.NewSockAPI(k, p, net)
 	s := &Server{K: k, Net: net, P: p, cfg: cfg, api: api, mode: ModeSignal}
-	s.rtq = rtsig.New(k, p, rtsig.Options{QueueLimit: cfg.QueueLimit, Signo: core.SIGRTMIN, BatchDequeue: cfg.BatchDequeue})
-	if cfg.BulkBackend != "" {
-		poller, _, err := eventlib.OpenBackend(k, p, cfg.BulkBackend)
-		if err != nil {
-			panic("hybrid: " + err.Error())
-		}
-		s.dp = poller
-	} else {
-		s.dp = devpoll.Open(k, p, cfg.DevPoll)
+	s.rtq = rtsig.New(k, p, rtsig.Options{QueueLimit: cfg.QueueLimit, BatchDequeue: cfg.BatchDequeue})
+	poller, _, err := eventlib.OpenBackend(k, p, cfg.BulkBackend)
+	if err != nil {
+		panic("hybrid: " + err.Error())
 	}
+	s.dp = poller
 	// Both interest sets are kept up to date on every connection open/close
 	// (MirrorInterest), which is what makes switching modes nearly free.
 	s.base = eventlib.NewWithPoller(k, p, s.rtq, eventlib.Config{
@@ -248,8 +235,8 @@ func (s *Server) Handler() *httpcore.Handler { return s.handler }
 // SignalQueue exposes the RT signal queue (for tests and experiments).
 func (s *Server) SignalQueue() *rtsig.Queue { return s.rtq }
 
-// DevPollSet exposes the bulk poller — /dev/poll by default, or whatever
-// Config.BulkBackend selected (for tests and experiments).
+// DevPollSet exposes the bulk poller Config.BulkBackend selected, /dev/poll
+// by default (for tests and experiments).
 func (s *Server) DevPollSet() core.Poller { return s.dp }
 
 // Base exposes the event base (for tests).
@@ -278,9 +265,9 @@ func (s *Server) evaluateSwitch(delivered int, now core.Time) {
 			s.switchMode(now, ModePolling)
 		}
 	case ModePolling:
-		if delivered < s.cfg.LowWater && s.rtq.QueueLength() < s.cfg.LowWater {
+		if delivered < LowWater && s.rtq.QueueLength() < LowWater {
 			s.lowRuns++
-			if s.lowRuns >= s.cfg.ConsecutiveLow && s.rtq.QueueLength() == 0 {
+			if s.lowRuns >= ConsecutiveLow && s.rtq.QueueLength() == 0 {
 				// Load has subsided and no signals are pending; clear the
 				// overflow flags and return to low-latency delivery. The
 				// empty-queue requirement makes the switch lossless: Recover

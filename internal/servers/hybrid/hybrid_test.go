@@ -39,7 +39,7 @@ func get(k *simkernel.Kernel, n *netsim.Network, path string) *probe {
 
 func TestDefaultsAndModeString(t *testing.T) {
 	cfg := DefaultConfig()
-	if cfg.HighWater <= 0 || cfg.LowWater <= 0 || cfg.ConsecutiveLow <= 0 {
+	if cfg.HighWater <= 0 || cfg.BulkBackend != "devpoll" {
 		t.Fatalf("defaults = %+v", cfg)
 	}
 	if ModeSignal.String() != "signal" || ModePolling.String() != "devpoll" {
@@ -50,6 +50,25 @@ func TestDefaultsAndModeString(t *testing.T) {
 	s := New(k, n, Config{})
 	if s.cfg.HighWater <= 0 || s.cfg.QueueLimit <= 0 || s.cfg.MaxEventsPerWait <= 0 {
 		t.Fatalf("fallbacks = %+v", s.cfg)
+	}
+	if s.DevPollSet().Name() != "devpoll" {
+		t.Fatalf("bulk poller = %q, want devpoll by default", s.DevPollSet().Name())
+	}
+}
+
+// In polling mode the server names its mode after the bulk poller, so a
+// hybrid built on epoll reports "epoll".
+func TestModeNameNamesTheBulkBackend(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.BulkBackend = "epoll"
+	k := simkernel.NewKernel(nil)
+	s := New(k, netsim.New(k, netsim.DefaultConfig()), cfg)
+	if s.ModeName() != "signal" {
+		t.Fatalf("mode name = %q before any switch", s.ModeName())
+	}
+	s.switchMode(0, ModePolling)
+	if s.ModeName() != "epoll" {
+		t.Fatalf("mode name = %q, want the epoll bulk poller by name", s.ModeName())
 	}
 }
 
@@ -96,8 +115,6 @@ func TestSwitchesToPollingUnderBurstAndBack(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.QueueLimit = 64
 	cfg.HighWater = 8
-	cfg.LowWater = 4
-	cfg.ConsecutiveLow = 2
 	k, n, s := start(t, cfg)
 
 	const burst = 80

@@ -53,8 +53,6 @@ type Config struct {
 	HTTP httpcore.Options
 	// QueueLimit is the RT signal queue maximum (default 1024).
 	QueueLimit int
-	// Signo is the RT signal number assigned to descriptors.
-	Signo int
 	// BatchDequeue enables the sigtimedwait4() extension (§6 future work); the
 	// faithful phhttpd configuration leaves it off.
 	BatchDequeue bool
@@ -64,14 +62,15 @@ type Config struct {
 	// MaxEventsPerWait caps events per wait in polling mode and, with
 	// BatchDequeue, per sigtimedwait4 call.
 	MaxEventsPerWait int
-	// PerConnOverhead is phhttpd's per-event bookkeeping cost per open
-	// connection: the experimental server walks its per-thread connection
-	// structures on every completion it handles. This is the term behind the
-	// paper's unexpected observation that "inactive connections appear to
-	// increase the overhead of handling active connections" (Figures 12, 13);
-	// the default is calibrated to reproduce those figures' shapes.
-	PerConnOverhead core.Duration
 }
+
+// PerConnOverhead is phhttpd's per-event bookkeeping cost per open
+// connection: the experimental server walks its per-thread connection
+// structures on every completion it handles. This is the term behind the
+// paper's unexpected observation that "inactive connections appear to
+// increase the overhead of handling active connections" (Figures 12, 13);
+// it is calibrated to reproduce those figures' shapes.
+const PerConnOverhead = 600 * core.Nanosecond
 
 // DefaultConfig matches the single-threaded phhttpd configuration of the
 // paper's Figures 11-13.
@@ -79,11 +78,9 @@ func DefaultConfig() Config {
 	return Config{
 		IdleTimeout:      60 * core.Second,
 		QueueLimit:       rtsig.DefaultQueueLimit,
-		Signo:            core.SIGRTMIN,
 		BatchDequeue:     false,
 		WaitTimeout:      core.Second,
 		MaxEventsPerWait: 1024,
-		PerConnOverhead:  600 * core.Nanosecond,
 	}
 }
 
@@ -115,9 +112,6 @@ func New(k *simkernel.Kernel, net *netsim.Network, cfg Config) *Server {
 	if cfg.QueueLimit <= 0 {
 		cfg.QueueLimit = rtsig.DefaultQueueLimit
 	}
-	if cfg.Signo == 0 {
-		cfg.Signo = core.SIGRTMIN
-	}
 	if cfg.WaitTimeout <= 0 {
 		cfg.WaitTimeout = core.Second
 	}
@@ -129,7 +123,6 @@ func New(k *simkernel.Kernel, net *netsim.Network, cfg Config) *Server {
 	s := &Server{K: k, Net: net, P: p, cfg: cfg, api: api, mode: ModeSignal}
 	s.rtq = rtsig.New(k, p, rtsig.Options{
 		QueueLimit:   cfg.QueueLimit,
-		Signo:        cfg.Signo,
 		BatchDequeue: cfg.BatchDequeue,
 	})
 	s.pollset = stockpoll.New(k, p)
@@ -215,9 +208,9 @@ func (s *Server) Loops() int64 { return s.base.Iterations() }
 // handleReadable wraps the shared HTTP engine with phhttpd's per-connection
 // bookkeeping cost: the experimental server walks structures proportional to
 // its open connection count whenever it handles activity on a descriptor (see
-// Config.PerConnOverhead and the paper's Figures 12-13 discussion).
+// PerConnOverhead and the paper's Figures 12-13 discussion).
 func (s *Server) handleReadable(now core.Time, fd int) {
-	s.P.Charge(s.cfg.PerConnOverhead.Scale(float64(len(s.handler.Conns))))
+	s.P.Charge(PerConnOverhead.Scale(float64(len(s.handler.Conns))))
 	s.handler.HandleReadable(now, fd)
 }
 

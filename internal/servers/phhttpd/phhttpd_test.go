@@ -42,14 +42,14 @@ func TestModeStringAndDefaults(t *testing.T) {
 		t.Fatal("mode strings wrong")
 	}
 	cfg := DefaultConfig()
-	if cfg.QueueLimit != 1024 || cfg.BatchDequeue || cfg.PerConnOverhead <= 0 {
+	if cfg.QueueLimit != 1024 || cfg.BatchDequeue {
 		t.Fatalf("defaults = %+v", cfg)
 	}
 	// Zero-value config gets sensible fallbacks.
 	k := simkernel.NewKernel(nil)
 	n := netsim.New(k, netsim.DefaultConfig())
 	s := New(k, n, Config{})
-	if s.cfg.QueueLimit <= 0 || s.cfg.Signo == 0 || s.cfg.MaxEventsPerWait <= 0 || s.cfg.WaitTimeout <= 0 {
+	if s.cfg.QueueLimit <= 0 || s.cfg.MaxEventsPerWait <= 0 || s.cfg.WaitTimeout <= 0 {
 		t.Fatalf("fallbacks = %+v", s.cfg)
 	}
 }

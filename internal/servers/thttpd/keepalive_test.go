@@ -68,10 +68,18 @@ func TestKeepAlivePipelinedEndToEnd(t *testing.T) {
 }
 
 // TestKeepAliveIdleTimeoutEndToEnd: a persistent connection that goes quiet
-// is closed by the per-connection wheel timeout, while one that keeps
-// issuing requests inside the idle window survives until its close request.
+// is closed by the idle sweep, while one that keeps issuing requests inside
+// the idle window survives until its close request.
 func TestKeepAliveIdleTimeoutEndToEnd(t *testing.T) {
-	k, n, s := startHTTP(t, httpcore.Options{KeepAlive: true, KeepAliveIdle: 500 * core.Millisecond})
+	k := simkernel.NewKernel(nil)
+	n := netsim.New(k, netsim.DefaultConfig())
+	cfg := DefaultConfig()
+	cfg.IdleTimeout = 500 * core.Millisecond
+	cfg.WaitTimeout = 100 * core.Millisecond // the sweep period
+	cfg.HTTP = httpcore.Options{KeepAlive: true}
+	s := New(k, n, cfg)
+	s.Start()
+	k.Sim.RunUntil(core.Time(10 * core.Millisecond))
 
 	quiet := &probe{}
 	qc := n.ConnectWith(k.Now(), netsim.ConnectOptions{}, &simtest.ConnHooks{
@@ -104,7 +112,7 @@ func TestKeepAliveIdleTimeoutEndToEnd(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 	if !quiet.closed {
-		t.Fatal("idle connection not closed by the keep-alive timeout")
+		t.Fatal("idle connection not closed by the idle sweep")
 	}
 	ka := httpsim.ResponseSizeVersion(httpsim.StatusOK, httpsim.DefaultDocumentSize, true)
 	cl := httpsim.ResponseSizeVersion(httpsim.StatusOK, httpsim.DefaultDocumentSize, false)

@@ -276,10 +276,7 @@ func (s *Server) acceptAndDeal(w0 *Worker, now core.Time) {
 		s.Handoffs++
 		w0.P.Defer(func(done core.Time) {
 			target.P.Batch(done, func() {
-				fd, ok := target.api.Adopt(conn)
-				if !ok {
-					return
-				}
+				fd := target.api.Adopt(conn)
 				target.handler.AdoptConn(done, fd, conn)
 				// Request data may have arrived before the registration
 				// existed; one unprompted read covers it, exactly like the
