@@ -167,7 +167,9 @@ bench-crosscheck:
 # Byte-identity check for a change that must not move a figure: build
 # cmd/benchfig at git revision BASE and in the working tree, run figures
 # 4..43 at 600 connections, the default sweep and -ablation on both, and name
-# the first differing table of each run that differs. Not part of `ci`: it
+# the first differing table of each run that differs; then run every
+# examples/* program at both revisions and name each whose stdout differs.
+# Not part of `ci`: it
 # needs the repository history. Usage: make figures-diff BASE=<rev>
 figures-diff:
 	@test -n "$(BASE)" || { echo "usage: make figures-diff BASE=<rev>"; exit 2; }

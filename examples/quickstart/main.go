@@ -83,7 +83,7 @@ func main() {
 	}, nil)
 
 	// A periodic timer shares the loop with the I/O events; the base derives
-	// its poll timeouts from the timer heap.
+	// its poll timeouts from its armed timers.
 	ticks := 0
 	tick := base.NewTimer(eventlib.EvPersist, func(_ int, _ eventlib.What, now core.Time) {
 		ticks++

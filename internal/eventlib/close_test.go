@@ -1,7 +1,7 @@
 package eventlib
 
 // White-box test for Base.Close's timer teardown. The loop used to read the
-// heap head and call Del, trusting Del to remove that exact element; progress
+// earliest timer and call Del, trusting Del to remove that exact element; progress
 // depended on an invariant Del does not promise (it early-returns for events
 // it considers not pending). The teardown now pops the head unconditionally,
 // so no state an event can reach — today's or a future Del early-return — can
@@ -40,19 +40,19 @@ func TestCloseDrainsTimerHeap(t *testing.T) {
 		t.Fatal(err)
 	}
 	if b.timers.Len() != 0 {
-		t.Fatalf("timer heap not drained: %d left", b.timers.Len())
+		t.Fatalf("timer list not drained: %d left", b.timers.Len())
 	}
 	for i, ev := range evs {
-		if ev.Pending() || ev.timerArmed() {
-			t.Fatalf("timer %d still armed after Close (pending=%v armed=%v)", i, ev.Pending(), ev.timerArmed())
+		if ev.Pending() || ev.armed {
+			t.Fatalf("timer %d still armed after Close (pending=%v armed=%v)", i, ev.Pending(), ev.armed)
 		}
 	}
 }
 
-// TestCloseTerminatesWhenDelWouldNoOp forces the exact hazard: a heaped timer
+// TestCloseTerminatesWhenDelWouldNoOp forces the exact hazard: an armed timer
 // whose added flag is already false makes Del a pure no-op, so a teardown
-// relying on Del for heap progress would spin forever. The unconditional pop
-// must still terminate and empty the heap.
+// relying on Del for progress would spin forever. The unconditional pop must
+// still terminate and empty the timer list.
 func TestCloseTerminatesWhenDelWouldNoOp(t *testing.T) {
 	b := closeTestBase(t)
 	ev := b.NewTimer(EvPersist, func(int, What, core.Time) {})
@@ -60,7 +60,7 @@ func TestCloseTerminatesWhenDelWouldNoOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Simulate the state a future Del early-return could leave behind: the
-	// event sits in the heap but Del will refuse to touch it.
+	// event sits in the timer list but Del will refuse to touch it.
 	ev.added = false
 
 	done := make(chan struct{})
@@ -71,9 +71,9 @@ func TestCloseTerminatesWhenDelWouldNoOp(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("Close did not terminate with a no-op Del event on the heap")
+		t.Fatal("Close did not terminate with a no-op Del event in the timer list")
 	}
 	if b.timers.Len() != 0 {
-		t.Fatalf("timer heap not drained: %d left", b.timers.Len())
+		t.Fatalf("timer list not drained: %d left", b.timers.Len())
 	}
 }

@@ -1,9 +1,9 @@
 // Package eventlib is the callback-driven event API the servers program
 // against — the programming model Provos extracted from this line of work into
 // libevent, recast over the simulated kernel. A Base owns one event-notification
-// mechanism (any core.Poller), a timer heap in virtual time, and the dispatch
-// loop every server used to hand-roll: it computes poll timeouts from the
-// armed timers, iterates readiness results, and invokes per-event callbacks
+// mechanism (any core.Poller), a sorted list of timers in virtual time, and the
+// dispatch loop every server used to hand-roll: it computes poll timeouts from
+// the armed timers, iterates readiness results, and invokes per-event callbacks
 // inside a process batch so every dispatch still charges the calibrated cost
 // model.
 //
@@ -86,15 +86,16 @@ func (w What) String() string {
 // event Add/Del are legal, a nested Dispatch is not.
 type Callback func(fd int, what What, now core.Time)
 
+// MaxEventsPerWait caps how many readiness events one poller wait may
+// deliver. Mechanisms with stricter semantics (the RT signal queue dequeues
+// one siginfo per sigwaitinfo call) clamp further.
+const MaxEventsPerWait = 1024
+
 // Config parameterises a Base.
 type Config struct {
 	// Backend names the registry backend New constructs ("" selects the
 	// highest-preference backend; see Backends). Ignored by NewWithPoller.
 	Backend string
-	// MaxEventsPerWait caps how many readiness events one poller wait may
-	// deliver; zero selects 1024. Mechanisms with stricter semantics (the RT
-	// signal queue dequeues one siginfo per sigwaitinfo call) clamp further.
-	MaxEventsPerWait int
 	// LoopCost is charged to the process once per dispatch iteration — the
 	// per-loop bookkeeping a real server performs (thttpd charges its timer
 	// list scan and fdwatch setup here). Zero charges nothing.
@@ -111,7 +112,7 @@ type Config struct {
 }
 
 // Base is the event loop: one active poller (plus optional attached pollers),
-// the timer heap, the active-event queue, and the dispatch state.
+// the armed timers, the active-event queue, and the dispatch state.
 type Base struct {
 	K *simkernel.Kernel
 	P *simkernel.Proc
@@ -130,7 +131,7 @@ type Base struct {
 	evs     []*Event
 	evNeg   map[int]*Event
 	evCount int
-	timers  timerWheel
+	timers  timerList
 	nextSeq uint64
 
 	// activeq holds the current iteration's activations in order; it is
@@ -179,9 +180,6 @@ func New(k *simkernel.Kernel, p *simkernel.Proc, cfg Config) (*Base, error) {
 // retains ownership: Close tears down the base's events but leaves the poller
 // open.
 func NewWithPoller(k *simkernel.Kernel, p *simkernel.Proc, poller core.Poller, cfg Config) *Base {
-	if cfg.MaxEventsPerWait <= 0 {
-		cfg.MaxEventsPerWait = 1024
-	}
 	b := &Base{
 		K:       k,
 		P:       p,
@@ -310,7 +308,7 @@ func (b *Base) NumEvents() int {
 	// Timers that are also in the fd table (I/O events with timeouts) must not
 	// be double-counted.
 	b.eachEvent(func(ev *Event) {
-		if ev.timerArmed() {
+		if ev.armed {
 			n--
 		}
 	})
@@ -340,7 +338,7 @@ func (b *Base) NewEvent(fd int, what What, cb Callback) *Event {
 		what |= EvSignal
 	}
 	ev := b.alloc()
-	*ev = Event{base: b, fd: fd, what: what, cb: cb, wheelLevel: wheelUnarmed, seq: b.nextSeq}
+	*ev = Event{base: b, fd: fd, what: what, cb: cb, seq: b.nextSeq}
 	return ev
 }
 
@@ -348,7 +346,7 @@ func (b *Base) NewEvent(fd int, what What, cb Callback) *Event {
 // timeout. what may include EvPersist for a periodic timer.
 func (b *Base) NewTimer(what What, cb Callback) *Event {
 	ev := b.alloc()
-	*ev = Event{base: b, fd: -1, what: (what & EvPersist) | EvTimeout | EvSignal, timerOnly: true, cb: cb, wheelLevel: wheelUnarmed, seq: b.nextSeq}
+	*ev = Event{base: b, fd: -1, what: (what & EvPersist) | EvTimeout | EvSignal, timerOnly: true, cb: cb, seq: b.nextSeq}
 	return ev
 }
 
@@ -419,10 +417,10 @@ func (b *Base) Close() error {
 		_ = ev.Del()
 	}
 	for b.timers.Len() > 0 {
-		// Pop unconditionally rather than trusting Del to remove the wheel
-		// minimum: Del is a no-op for events it considers not pending, and
+		// Pop unconditionally rather than trusting Del to remove the earliest
+		// timer: Del is a no-op for events it considers not pending, and
 		// relying on it for loop progress would turn Close into an infinite
-		// loop the moment any such event reached the wheel.
+		// loop the moment any such event was armed.
 		ev := b.timers.PopMin()
 		_ = ev.Del()
 	}
@@ -445,10 +443,10 @@ func (b *Base) loop() {
 		b.running = false
 		return
 	}
-	b.Poller().Wait(b.cfg.MaxEventsPerWait, b.nextTimeout(), b.onWaitFn)
+	b.Poller().Wait(MaxEventsPerWait, b.nextTimeout(), b.onWaitFn)
 }
 
-// nextTimeout derives the poll timeout from the timer heap: zero (never
+// nextTimeout derives the poll timeout from the armed timers: zero (never
 // block) when a deadline has passed, the time to the earliest deadline
 // otherwise, Forever with no timers armed.
 func (b *Base) nextTimeout() core.Duration {
@@ -574,23 +572,12 @@ func (b *Base) processActive(now core.Time) {
 // interest, and a callback. Handles are created by Base.NewEvent /
 // Base.NewTimer and armed with Add.
 type Event struct {
-	base      *Base
-	fd        int
-	what      What
-	cb        Callback
-	timerOnly bool
-	seq       uint64
-
-	added    bool
+	base     *Base
+	cb       Callback
+	fd       int
+	seq      uint64
 	timeout  core.Duration
 	deadline core.Time
-
-	// Timer-wheel linkage (intrusive doubly-linked slot lists; see wheel.go).
-	// wheelLevel is wheelUnarmed when the event holds no timer.
-	wheelPrev  *Event
-	wheelNext  *Event
-	wheelLevel int8
-	wheelSlot  uint8
 
 	// gen is the generation of the descriptor instance the event was armed
 	// for (simkernel.FD.Gen, captured at Add). Readiness reports carrying a
@@ -599,12 +586,17 @@ type Event struct {
 	// for descriptors the process does not hold.
 	gen uint64
 
-	activeWhat What
-
 	// queued counts the event's entries in the active queue; released
 	// marks a Release deferred until the last of them is drained.
 	queued   int
 	released bool
+
+	what      What
+	timerOnly bool
+	added     bool
+	// armed reports whether the event sits in the base's timer list.
+	armed      bool
+	activeWhat What
 }
 
 // FD returns the descriptor the event watches (negative for timers and signal
@@ -645,8 +637,8 @@ func (ev *Event) firedWhat(ready core.EventMask) What {
 }
 
 // Add arms the event: I/O interest is registered with the base's poller (all
-// attached pollers under MirrorInterest), and a positive timeout arms the
-// timer heap — EvTimeout fires if the conditions stay quiet that long. Zero
+// attached pollers under MirrorInterest), and a positive timeout arms a
+// timer — EvTimeout fires if the conditions stay quiet that long. Zero
 // (or Forever) means no timeout; pure timers require one. Re-adding a pending
 // event just re-arms its timeout.
 //
@@ -710,7 +702,7 @@ func (b *Base) registrationTargets() []core.Poller {
 	return []core.Poller{b.Poller()}
 }
 
-// schedule (re)arms the event's timer-wheel entry for the given deadline.
+// schedule (re)arms the event's timer for the given deadline.
 func (ev *Event) schedule(deadline core.Time) {
 	ev.base.timers.Schedule(ev, deadline)
 }
@@ -740,6 +732,3 @@ func (ev *Event) Del() error {
 	}
 	return nil
 }
-
-// The timer structure itself — a hierarchical timing wheel with exact
-// (deadline, seq) pop order — lives in wheel.go.

@@ -115,10 +115,10 @@ func Ablations() []Figure {
 			loris(with(variant("switch-early", ServerHybrid, 1000, 501), func(s *RunSpec) { s.HybridConfig = &earlyCfg })),
 			loris(with(variant("switch-at-limit", ServerHybrid, 1000, 501), func(s *RunSpec) { s.HybridConfig = &lateCfg }))),
 		ablation("hybrid-vs-phhttpd",
-			"Hybrid server vs phhttpd under overload (1000 req/s, 501 inactive)",
+			"Hybrid server vs phhttpd under overload (slowloris, 1000 req/s, 501 inactive)",
 			"Tests §6's claim that maintaining kernel interest state concurrently with RT signal activity makes mode switching cheap.",
-			variant("hybrid", ServerHybrid, 1000, 501),
-			variant("phhttpd", ServerPhhttpd, 1000, 501)),
+			loris(variant("hybrid", ServerHybrid, 1000, 501)),
+			loris(variant("phhttpd", ServerPhhttpd, 1000, 501))),
 		ablation("epoll-trigger-mode",
 			"epoll level-triggered vs edge-triggered (1000 req/s, 501 inactive)",
 			"Compares the two epoll delivery modes on the shared interest engine: LT re-validates ready descriptors with the driver, ET delivers each transition once without re-polling.",

@@ -438,8 +438,8 @@ func TestAblationDefinitionsAndRun(t *testing.T) {
 
 // TestEveryAblationDistinguishesItsVariants runs every ablation at the
 // default size: a study whose variants all print the same row measures
-// nothing. The two hybrid studies must also see the hybrid switch to its bulk
-// poller, or they never exercise what they compare.
+// nothing. The three hybrid studies must also see the hybrid switch to its
+// bulk poller, or they never exercise what they compare.
 func TestEveryAblationDistinguishesItsVariants(t *testing.T) {
 	for _, a := range Ablations() {
 		res := RunFigure(a, SweepOptions{})
@@ -452,7 +452,7 @@ func TestEveryAblationDistinguishesItsVariants(t *testing.T) {
 		if len(rows) < 2 {
 			t.Errorf("ablation %s: every variant prints the same row:\n%s", a.ID, Format(res))
 		}
-		if a.ID == "hybrid-threshold" || a.ID == "hybrid-bulk-mechanism" {
+		if a.ID == "hybrid-threshold" || a.ID == "hybrid-bulk-mechanism" || a.ID == "hybrid-vs-phhttpd" {
 			switched := false
 			for _, r := range res.Runs {
 				switched = switched || r.SwitchesToPoll > 0

@@ -101,7 +101,9 @@ func benchTable() []benchEntry {
 		drawn("fig08-poll-load501-rate1000", "fig08", "thttpd-poll", 1000),
 		drawn("fig09-devpoll-load501-rate1000", "fig09", "thttpd-devpoll", 1000),
 		drawn("fig13-phhttpd-load501-rate1000", "fig13", "phhttpd", 1000),
-		drawn("ext-hybrid-load501-rate1000", "hybrid-vs-phhttpd", "hybrid", 0),
+		// No figure draws the hybrid at 501 inactive on constant
+		// arrivals; its ablations run under slowloris.
+		explicit("ext-hybrid-load501-rate1000", RunSpec{Server: ServerHybrid, RequestRate: 1000, Inactive: 501}),
 		drawn("ext-epoll-load501-rate1000", "fig15", "thttpd-epoll", 1000),
 		drawn("ext-epoll-et-load501-rate1000", "fig16", "epoll-et", 1000),
 		// No figure runs compio at 501 inactive below 1300 req/s.

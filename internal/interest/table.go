@@ -32,14 +32,12 @@ import (
 
 // Entry is one registered interest in the kernel-resident set. Events is the
 // requested interest mask; File caches the resolved descriptor-table entry
-// (nil until a mechanism resolves it); Data is spare mechanism-specific
-// per-interest state that no mechanism currently uses.
+// (nil until a mechanism resolves it).
 type Entry struct {
 	FD     int
 	Events core.EventMask
 	seq    uint32 // insertion sequence, EachMarked's order key; fills Events' padding
 	File   *simkernel.FD
-	Data   int64
 
 	prev, next *Entry // insertion-order list; next doubles as the pool link
 }
@@ -144,7 +142,7 @@ func (t *Table) renumber() {
 }
 
 // Set registers or replaces the interest mask for fd and reports whether the
-// entry was newly created. File and Data of an existing entry are preserved.
+// entry was newly created. The File of an existing entry is preserved.
 func (t *Table) Set(fd int, events core.EventMask) bool {
 	e, isNew := t.Upsert(fd)
 	e.Events = events

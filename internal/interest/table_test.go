@@ -9,6 +9,7 @@ import (
 	"unsafe"
 
 	"repro/internal/core"
+	"repro/internal/simkernel"
 )
 
 func TestTableSetGetDelete(t *testing.T) {
@@ -42,19 +43,20 @@ func TestTableSetGetDelete(t *testing.T) {
 	}
 }
 
-func TestTableUpsertPreservesFileAndData(t *testing.T) {
+func TestTableUpsertPreservesFile(t *testing.T) {
 	tb := NewTable()
 	e, isNew := tb.Upsert(9)
 	if !isNew {
 		t.Fatal("Upsert of fresh fd should be new")
 	}
+	file := &simkernel.FD{Num: 9}
 	e.Events = core.POLLIN
-	e.Data = 42
+	e.File = file
 	if tb.Set(9, core.POLLOUT) {
 		t.Fatal("Set of existing fd reported new")
 	}
 	got := tb.Lookup(9)
-	if got == nil || got.Events != core.POLLOUT || got.Data != 42 {
+	if got == nil || got.Events != core.POLLOUT || got.File != file {
 		t.Fatalf("entry after Set = %+v", got)
 	}
 }
@@ -167,11 +169,11 @@ func TestTableMatchesModelProperty(t *testing.T) {
 	}
 }
 
-// Entry keeps its 48-byte layout: the insertion sequence lives in the padding
+// Entry keeps its 40-byte layout: the insertion sequence lives in the padding
 // after Events.
 func TestEntrySize(t *testing.T) {
-	if got := unsafe.Sizeof(Entry{}); got != 48 {
-		t.Fatalf("unsafe.Sizeof(Entry{}) = %d, want 48", got)
+	if got := unsafe.Sizeof(Entry{}); got != 40 {
+		t.Fatalf("unsafe.Sizeof(Entry{}) = %d, want 40", got)
 	}
 }
 

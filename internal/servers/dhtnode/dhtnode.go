@@ -36,19 +36,16 @@ type Config struct {
 	PeerTimeout core.Duration
 	// SweepInterval is the period of the expiry sweep timer.
 	SweepInterval core.Duration
-	// MaxEventsPerWait caps how many events one wait delivers.
-	MaxEventsPerWait int
 }
 
 // DefaultConfig returns a small-DHT shape: 64-byte pongs, 30-second peer
 // timeout swept every second, on stock poll.
 func DefaultConfig() Config {
 	return Config{
-		Backend:          "poll",
-		PongSize:         64,
-		PeerTimeout:      30 * core.Second,
-		SweepInterval:    core.Second,
-		MaxEventsPerWait: 1024,
+		Backend:       "poll",
+		PongSize:      64,
+		PeerTimeout:   30 * core.Second,
+		SweepInterval: core.Second,
 	}
 }
 
@@ -105,9 +102,6 @@ func New(k *simkernel.Kernel, net *netsim.Network, cfg Config) *Server {
 	if cfg.SweepInterval <= 0 {
 		cfg.SweepInterval = core.Second
 	}
-	if cfg.MaxEventsPerWait <= 0 {
-		cfg.MaxEventsPerWait = 1024
-	}
 	p := k.NewProc("dhtnode")
 	api := netsim.NewSockAPI(k, p, net)
 	s := &Server{K: k, Net: net, P: p, cfg: cfg, api: api, sessions: make(map[netsim.Addr]*session)}
@@ -117,8 +111,7 @@ func New(k *simkernel.Kernel, net *netsim.Network, cfg Config) *Server {
 		panic("dhtnode: " + err.Error())
 	}
 	s.base = eventlib.NewWithPoller(k, p, poller, eventlib.Config{
-		MaxEventsPerWait: cfg.MaxEventsPerWait,
-		LoopCost:         k.Cost.ServerLoopOverhead,
+		LoopCost: k.Cost.ServerLoopOverhead,
 	})
 	return s
 }

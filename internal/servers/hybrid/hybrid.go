@@ -58,8 +58,6 @@ type Config struct {
 	// polling mode ("devpoll", "epoll", "epoll-et", "compio"); empty selects
 	// "devpoll".
 	BulkBackend string
-	// MaxEventsPerWait caps events per bulk-poller wait.
-	MaxEventsPerWait int
 	// WaitTimeout is the idle-sweep timer period bounding each wait.
 	WaitTimeout core.Duration
 }
@@ -77,13 +75,12 @@ const (
 // RT queue limit.
 func DefaultConfig() Config {
 	return Config{
-		IdleTimeout:      60 * core.Second,
-		QueueLimit:       rtsig.DefaultQueueLimit,
-		HighWater:        rtsig.DefaultQueueLimit / 2,
-		BatchDequeue:     false,
-		BulkBackend:      "devpoll",
-		MaxEventsPerWait: 1024,
-		WaitTimeout:      core.Second,
+		IdleTimeout:  60 * core.Second,
+		QueueLimit:   rtsig.DefaultQueueLimit,
+		HighWater:    rtsig.DefaultQueueLimit / 2,
+		BatchDequeue: false,
+		BulkBackend:  "devpoll",
+		WaitTimeout:  core.Second,
 	}
 }
 
@@ -122,9 +119,6 @@ func New(k *simkernel.Kernel, net *netsim.Network, cfg Config) *Server {
 	if cfg.HighWater <= 0 {
 		cfg.HighWater = cfg.QueueLimit / 2
 	}
-	if cfg.MaxEventsPerWait <= 0 {
-		cfg.MaxEventsPerWait = 1024
-	}
 	if cfg.WaitTimeout <= 0 {
 		cfg.WaitTimeout = core.Second
 	}
@@ -143,9 +137,8 @@ func New(k *simkernel.Kernel, net *netsim.Network, cfg Config) *Server {
 	// Both interest sets are kept up to date on every connection open/close
 	// (MirrorInterest), which is what makes switching modes nearly free.
 	s.base = eventlib.NewWithPoller(k, p, s.rtq, eventlib.Config{
-		MaxEventsPerWait: cfg.MaxEventsPerWait,
-		MirrorInterest:   true,
-		AfterDispatch:    s.evaluateSwitch,
+		MirrorInterest: true,
+		AfterDispatch:  s.evaluateSwitch,
 	})
 	s.base.AttachPoller(s.dp)
 	s.handler = httpcore.NewHandler(k, p, api)

@@ -48,7 +48,7 @@ func TestDefaultsAndModeString(t *testing.T) {
 	k := simkernel.NewKernel(nil)
 	n := netsim.New(k, netsim.DefaultConfig())
 	s := New(k, n, Config{})
-	if s.cfg.HighWater <= 0 || s.cfg.QueueLimit <= 0 || s.cfg.MaxEventsPerWait <= 0 {
+	if s.cfg.HighWater <= 0 || s.cfg.QueueLimit <= 0 {
 		t.Fatalf("fallbacks = %+v", s.cfg)
 	}
 	if s.DevPollSet().Name() != "devpoll" {

@@ -59,9 +59,6 @@ type Config struct {
 	// WaitTimeout is the idle-sweep timer period bounding each
 	// sigwaitinfo()/poll() wait.
 	WaitTimeout core.Duration
-	// MaxEventsPerWait caps events per wait in polling mode and, with
-	// BatchDequeue, per sigtimedwait4 call.
-	MaxEventsPerWait int
 }
 
 // PerConnOverhead is phhttpd's per-event bookkeeping cost per open
@@ -76,11 +73,10 @@ const PerConnOverhead = 600 * core.Nanosecond
 // paper's Figures 11-13.
 func DefaultConfig() Config {
 	return Config{
-		IdleTimeout:      60 * core.Second,
-		QueueLimit:       rtsig.DefaultQueueLimit,
-		BatchDequeue:     false,
-		WaitTimeout:      core.Second,
-		MaxEventsPerWait: 1024,
+		IdleTimeout:  60 * core.Second,
+		QueueLimit:   rtsig.DefaultQueueLimit,
+		BatchDequeue: false,
+		WaitTimeout:  core.Second,
 	}
 }
 
@@ -115,9 +111,6 @@ func New(k *simkernel.Kernel, net *netsim.Network, cfg Config) *Server {
 	if cfg.WaitTimeout <= 0 {
 		cfg.WaitTimeout = core.Second
 	}
-	if cfg.MaxEventsPerWait <= 0 {
-		cfg.MaxEventsPerWait = 1024
-	}
 	p := k.NewProc("phhttpd")
 	api := netsim.NewSockAPI(k, p, net)
 	s := &Server{K: k, Net: net, P: p, cfg: cfg, api: api, mode: ModeSignal}
@@ -130,9 +123,7 @@ func New(k *simkernel.Kernel, net *netsim.Network, cfg Config) *Server {
 	// receives no interests until overflow recovery re-registers everything
 	// (phhttpd does not maintain the pollfd array concurrently — the
 	// weakness §6 calls out).
-	s.base = eventlib.NewWithPoller(k, p, s.rtq, eventlib.Config{
-		MaxEventsPerWait: cfg.MaxEventsPerWait,
-	})
+	s.base = eventlib.NewWithPoller(k, p, s.rtq, eventlib.Config{})
 	s.base.AttachPoller(s.pollset)
 	s.handler = httpcore.NewHandler(k, p, api)
 	s.handler.IdleTimeout = cfg.IdleTimeout

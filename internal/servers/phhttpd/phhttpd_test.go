@@ -49,7 +49,7 @@ func TestModeStringAndDefaults(t *testing.T) {
 	k := simkernel.NewKernel(nil)
 	n := netsim.New(k, netsim.DefaultConfig())
 	s := New(k, n, Config{})
-	if s.cfg.QueueLimit <= 0 || s.cfg.MaxEventsPerWait <= 0 || s.cfg.WaitTimeout <= 0 {
+	if s.cfg.QueueLimit <= 0 || s.cfg.WaitTimeout <= 0 {
 		t.Fatalf("fallbacks = %+v", s.cfg)
 	}
 }
@@ -127,7 +127,6 @@ func TestQueueOverflowSwitchesToPollingAndStillServes(t *testing.T) {
 func TestBatchDequeueConfigurationServes(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.BatchDequeue = true
-	cfg.MaxEventsPerWait = 32
 	k, n, s := start(t, cfg)
 	const conns = 50
 	probes := make([]*probe, conns)

@@ -39,23 +39,16 @@ type Config struct {
 	TickInterval core.Duration
 	// Seed drives the deterministic member sampling.
 	Seed uint64
-	// MaxEventsPerWait caps how many events one wait delivers.
-	MaxEventsPerWait int
-	// SweepInterval is the granularity of the base's timer wheel wait; it
-	// exists so an otherwise-idle server still iterates (thttpd's one-second
-	// timer). Zero selects one second.
-	SweepInterval core.Duration
 }
 
 // DefaultConfig returns a small-chat shape: 6 KB-free 512-byte payloads to 32
 // members every 10 ms on stock poll.
 func DefaultConfig() Config {
 	return Config{
-		Backend:          "poll",
-		FanoutSize:       32,
-		Payload:          512,
-		TickInterval:     10 * core.Millisecond,
-		MaxEventsPerWait: 1024,
+		Backend:      "poll",
+		FanoutSize:   32,
+		Payload:      512,
+		TickInterval: 10 * core.Millisecond,
 	}
 }
 
@@ -131,12 +124,6 @@ func New(k *simkernel.Kernel, net *netsim.Network, cfg Config) *Server {
 	if cfg.TickInterval <= 0 {
 		cfg.TickInterval = 10 * core.Millisecond
 	}
-	if cfg.MaxEventsPerWait <= 0 {
-		cfg.MaxEventsPerWait = 1024
-	}
-	if cfg.SweepInterval <= 0 {
-		cfg.SweepInterval = core.Second
-	}
 	p := k.NewProc("pushcore")
 	api := netsim.NewSockAPI(k, p, net)
 	s := &Server{K: k, Net: net, P: p, cfg: cfg, api: api}
@@ -146,8 +133,7 @@ func New(k *simkernel.Kernel, net *netsim.Network, cfg Config) *Server {
 		panic("pushcore: " + err.Error())
 	}
 	s.base = eventlib.NewWithPoller(k, p, poller, eventlib.Config{
-		MaxEventsPerWait: cfg.MaxEventsPerWait,
-		LoopCost:         k.Cost.ServerLoopOverhead,
+		LoopCost: k.Cost.ServerLoopOverhead,
 	})
 	s.edgeStyle = backend.EdgeStyle
 	s.connReadyFn = s.connReady

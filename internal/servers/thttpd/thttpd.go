@@ -82,8 +82,6 @@ type Config struct {
 	// IdleTimeout closes connections with no activity for this long (thttpd's
 	// connection timeout). Zero disables idle sweeping.
 	IdleTimeout core.Duration
-	// MaxEventsPerWait caps how many events one wait delivers per worker.
-	MaxEventsPerWait int
 	// WaitTimeout is the per-worker idle-sweep timer period, mirroring
 	// thttpd's one-second timer granularity.
 	WaitTimeout core.Duration
@@ -97,11 +95,10 @@ type Config struct {
 // process on stock poll(), the 6 KB document, a 60-second connection timeout.
 func DefaultConfig() Config {
 	return Config{
-		Workers:          1,
-		Backend:          "poll",
-		IdleTimeout:      60 * core.Second,
-		MaxEventsPerWait: 1024,
-		WaitTimeout:      core.Second,
+		Workers:     1,
+		Backend:     "poll",
+		IdleTimeout: 60 * core.Second,
+		WaitTimeout: core.Second,
 	}
 }
 
@@ -156,9 +153,6 @@ func New(k *simkernel.Kernel, net *netsim.Network, cfg Config) *Server {
 	if cfg.Backend == "" {
 		cfg.Backend = "poll"
 	}
-	if cfg.MaxEventsPerWait <= 0 {
-		cfg.MaxEventsPerWait = 1024
-	}
 	if cfg.WaitTimeout <= 0 {
 		cfg.WaitTimeout = core.Second
 	}
@@ -182,7 +176,6 @@ func New(k *simkernel.Kernel, net *netsim.Network, cfg Config) *Server {
 			}
 		}
 		w.base = eventlib.NewWithPoller(k, p, poller, eventlib.Config{
-			MaxEventsPerWait: cfg.MaxEventsPerWait,
 			// thttpd's per-iteration bookkeeping: timer list scan,
 			// connection table management, fdwatch setup.
 			LoopCost: k.Cost.ServerLoopOverhead,

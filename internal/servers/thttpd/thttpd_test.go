@@ -94,7 +94,7 @@ func TestDefaultConfigFallbacks(t *testing.T) {
 	k := simkernel.NewKernel(nil)
 	n := netsim.New(k, netsim.DefaultConfig())
 	s := New(k, n, Config{})
-	if s.cfg.MaxEventsPerWait <= 0 || s.cfg.WaitTimeout <= 0 {
+	if s.cfg.WaitTimeout <= 0 {
 		t.Fatalf("config fallbacks not applied: %+v", s.cfg)
 	}
 	if s.Workers()[0].Poller().Name() != "poll" {

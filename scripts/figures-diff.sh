@@ -6,7 +6,9 @@
 # directory) and from the working tree, then runs both on the same set: every
 # figure 4..43 at -connections 600, the default sweep and -ablation. Runs whose
 # output differs are named together with their first differing table (tables
-# are separated by blank lines). Exits 1 if any run differs, 0 if all are
+# are separated by blank lines). It then builds and runs every examples/*
+# program present at both revisions and names each whose stdout differs,
+# with the diff. Exits 1 if any run or example differs, 0 if all are
 # byte-identical.
 #
 # Usage: scripts/figures-diff.sh BASE     (or: make figures-diff BASE=<rev>)
@@ -22,6 +24,18 @@ mkdir "$tmp/base"
 git -C "$root" archive "$base" | tar -x -C "$tmp/base"
 (cd "$tmp/base" && "$GO" build -o "$tmp/benchfig.base" ./cmd/benchfig)
 (cd "$root" && "$GO" build -o "$tmp/benchfig.work" ./cmd/benchfig)
+
+examples=()
+for dir in "$root"/examples/*/; do
+	name=$(basename "$dir")
+	if [ ! -d "$tmp/base/examples/$name" ]; then
+		echo "new example (absent at $base): examples/$name"
+		continue
+	fi
+	examples+=("$name")
+	(cd "$tmp/base" && "$GO" build -o "$tmp/example.$name.base" "./examples/$name")
+	(cd "$root" && "$GO" build -o "$tmp/example.$name.work" "./examples/$name")
+done
 
 runs=()
 for n in $(seq 4 43); do
@@ -60,8 +74,20 @@ for args in "${runs[@]}"; do
 	done
 done
 
-if [ "$differ" -gt 0 ]; then
-	echo "figures-diff: $differ of ${#runs[@]} runs differ from $base"
+xdiffer=0
+for name in "${examples[@]}"; do
+	"$tmp/example.$name.base" > "$tmp/base.out"
+	"$tmp/example.$name.work" > "$tmp/work.out"
+	if cmp -s "$tmp/base.out" "$tmp/work.out"; then
+		continue
+	fi
+	xdiffer=$((xdiffer + 1))
+	echo "DIFFERS: examples/$name"
+	diff "$tmp/base.out" "$tmp/work.out" | sed 's/^/    /' || true
+done
+
+if [ "$differ" -gt 0 ] || [ "$xdiffer" -gt 0 ]; then
+	echo "figures-diff: $differ of ${#runs[@]} runs and $xdiffer of ${#examples[@]} examples differ from $base"
 	exit 1
 fi
-echo "figures-diff: all ${#runs[@]} runs byte-identical to $base"
+echo "figures-diff: all ${#runs[@]} runs and ${#examples[@]} examples byte-identical to $base"
