@@ -2,6 +2,7 @@ package eventlib
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"unsafe"
@@ -42,15 +43,16 @@ func (r timerRef) expired(now core.Time) []*Event {
 	return due
 }
 
-// TestTimerListMatchesReferenceHeap drives randomized schedules through both
-// the timer list and the reference model, and requires pop order, pop
+// TestTimerWheelMatchesReferenceHeap (named for the timing wheel the list
+// replaced; the property is unchanged) drives randomized schedules through
+// both the timer list and the reference model, and requires pop order, pop
 // identity, exact MinDeadline and counts to match at every step. The inputs
 // include exact-deadline ties (among them clusters armed in reverse creation
 // order, which must pop in creation order), sub-millisecond offsets, cancels
 // and re-arms, deadlines hours apart, time jumps of hours, and advances to
 // one nanosecond before and exactly onto the earliest deadline (a timer fires
 // at, not before, its instant).
-func TestTimerListMatchesReferenceHeap(t *testing.T) {
+func TestTimerWheelMatchesReferenceHeap(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial + 1)))
 		var l timerList
@@ -188,6 +190,65 @@ func TestTimerListMatchesReferenceHeap(t *testing.T) {
 		if l.Len() != 0 {
 			t.Fatalf("trial %d: %d timers left after drain", trial, l.Len())
 		}
+	}
+}
+
+// TestTimerWheelSameTickFIFO pins the tie rule explicitly: timers sharing an
+// exact deadline fire in creation-sequence order, even when armed in reverse
+// and interleaved with a cancel — the heap's (deadline, seq) comparator.
+func TestTimerWheelSameTickFIFO(t *testing.T) {
+	var l timerList
+	deadline := core.Time(500 * core.Millisecond)
+	evs := make([]*Event, 6)
+	for i := range evs {
+		evs[i] = &Event{seq: uint64(i + 1)}
+	}
+	// Arm in reverse creation order; the pop must come back in seq order.
+	for i := len(evs) - 1; i >= 0; i-- {
+		l.Schedule(evs[i], deadline)
+	}
+	l.Cancel(evs[2])
+	want := []uint64{1, 2, 4, 5, 6}
+	var got []uint64
+	for {
+		ev := l.PopExpired(deadline)
+		if ev == nil {
+			break
+		}
+		got = append(got, ev.seq)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("popped %v, want seq order %v", got, want)
+	}
+}
+
+// TestTimerWheelFarFutureCascade pins far-future behavior: a deadline hours
+// ahead is reported exactly by MinDeadline, survives advancement in uneven
+// steps below its deadline, and fires at — not before — its exact instant.
+func TestTimerWheelFarFutureCascade(t *testing.T) {
+	var l timerList
+	far := &Event{seq: 1}
+	deadline := core.Time(540*core.Minute + 123*core.Millisecond + 45)
+	l.Schedule(far, deadline)
+	if min, ok := l.MinDeadline(); !ok || min != deadline {
+		t.Fatalf("MinDeadline = %d,%v; want exact far deadline %d", min, ok, deadline)
+	}
+	for _, at := range []core.Time{
+		core.Time(60 * core.Minute), core.Time(300 * core.Minute),
+		deadline - 1,
+	} {
+		if ev := l.PopExpired(at); ev != nil {
+			t.Fatalf("timer fired at %d, %d before its deadline", at, deadline-at)
+		}
+		if min, ok := l.MinDeadline(); !ok || min != deadline {
+			t.Fatalf("MinDeadline after advance to %d = %d,%v; want %d", at, min, ok, deadline)
+		}
+	}
+	if ev := l.PopExpired(deadline); ev != far {
+		t.Fatalf("timer did not fire at its exact deadline")
+	}
+	if l.Len() != 0 {
+		t.Fatalf("%d timers left", l.Len())
 	}
 }
 
