@@ -383,3 +383,30 @@ func TestWaitCostIndependentOfIdleDescriptors(t *testing.T) {
 			small, large)
 	}
 }
+
+// A wait that blocks and times out allocates nothing on the host: the
+// timeout's teardown batch, like the scan's, runs closures bound once per
+// engine.
+func TestTimedOutWaitAllocatesNothing(t *testing.T) {
+	env := simtest.NewEnv()
+	ep := open(env, DefaultOptions())
+	fd, _ := env.NewFD(0)
+	must(t, ep.Add(fd.Num, core.POLLIN))
+	timeouts := 0
+	handler := func(events []core.Event, _ core.Time) {
+		if len(events) == 0 {
+			timeouts++
+		}
+	}
+	wait := func() {
+		ep.Wait(16, core.Millisecond, handler)
+		env.Run()
+	}
+	wait() // warm-up: the timeout pool, batch records and result buffers grow once
+	if allocs := testing.AllocsPerRun(100, wait); allocs != 0 {
+		t.Fatalf("timed-out wait allocates %.1f objects, want 0", allocs)
+	}
+	if runs := 1 + 100 + 1; timeouts != runs {
+		t.Fatalf("%d of %d waits timed out", timeouts, runs)
+	}
+}

@@ -288,8 +288,8 @@ func (b *Base) Activate(p core.Poller, reregister bool) error {
 			if ev.what&EvSignal != 0 || !ev.added {
 				continue
 			}
-			if !p.Interested(ev.fd) {
-				_ = p.Add(ev.fd, ev.interestMask())
+			if fd := ev.FD(); !p.Interested(fd) {
+				_ = p.Add(fd, ev.interestMask())
 			}
 		}
 	}
@@ -338,7 +338,7 @@ func (b *Base) NewEvent(fd int, what What, cb Callback) *Event {
 		what |= EvSignal
 	}
 	ev := b.alloc()
-	*ev = Event{base: b, fd: fd, what: what, cb: cb, seq: b.nextSeq}
+	*ev = Event{base: b, fd: int32(fd), what: what, cb: cb, seq: b.nextSeq}
 	return ev
 }
 
@@ -563,7 +563,7 @@ func (b *Base) processActive(now core.Time) {
 			// whether by I/O or by expiry.
 			ev.schedule(now.Add(ev.timeout))
 		}
-		ev.cb(ev.fd, what, now)
+		ev.cb(ev.FD(), what, now)
 	}
 	b.activeq = queue[:0]
 }
@@ -574,7 +574,6 @@ func (b *Base) processActive(now core.Time) {
 type Event struct {
 	base     *Base
 	cb       Callback
-	fd       int
 	seq      uint64
 	timeout  core.Duration
 	deadline core.Time
@@ -586,9 +585,11 @@ type Event struct {
 	// for descriptors the process does not hold.
 	gen uint64
 
+	// fd is the watched descriptor (-1 for timers and signal events).
 	// queued counts the event's entries in the active queue; released
 	// marks a Release deferred until the last of them is drained.
-	queued   int
+	fd       int32
+	queued   int32
 	released bool
 
 	what      What
@@ -601,7 +602,7 @@ type Event struct {
 
 // FD returns the descriptor the event watches (negative for timers and signal
 // events).
-func (ev *Event) FD() int { return ev.fd }
+func (ev *Event) FD() int { return int(ev.fd) }
 
 // Pending reports whether the event is added.
 func (ev *Event) Pending() bool { return ev.added }
@@ -659,12 +660,13 @@ func (ev *Event) Add(timeout core.Duration) error {
 		return fmt.Errorf("eventlib: a pure timer needs a positive timeout")
 	}
 	if !ev.added {
+		fd := ev.FD()
 		if ev.what&EvSignal == 0 {
-			if existing, dup := b.eventFor(ev.fd); dup && existing != ev {
-				return fmt.Errorf("eventlib: descriptor %d already has an event", ev.fd)
+			if existing, dup := b.eventFor(fd); dup && existing != ev {
+				return fmt.Errorf("eventlib: descriptor %d already has an event", fd)
 			}
 			for _, p := range b.registrationTargets() {
-				if err := p.Add(ev.fd, ev.interestMask()); err != nil {
+				if err := p.Add(fd, ev.interestMask()); err != nil {
 					return err
 				}
 			}
@@ -672,15 +674,15 @@ func (ev *Event) Add(timeout core.Duration) error {
 			// number, so a report still in flight for a previous open (which
 			// carries the same raw fd) cannot fire this event's callback.
 			ev.gen = 0
-			if entry, ok := b.P.Get(ev.fd); ok {
+			if entry, ok := b.P.Get(fd); ok {
 				ev.gen = entry.Gen
 			}
-			b.setEvent(ev.fd, ev)
+			b.setEvent(fd, ev)
 		} else if !ev.timerOnly {
-			if existing, dup := b.eventFor(ev.fd); dup && existing != ev {
-				return fmt.Errorf("eventlib: descriptor %d already has an event", ev.fd)
+			if existing, dup := b.eventFor(fd); dup && existing != ev {
+				return fmt.Errorf("eventlib: descriptor %d already has an event", fd)
 			}
-			b.setEvent(ev.fd, ev)
+			b.setEvent(fd, ev)
 		}
 		ev.added = true
 	}
@@ -720,13 +722,14 @@ func (ev *Event) Del() error {
 	ev.added = false
 	ev.activeWhat = 0
 	b.timers.Cancel(ev)
+	fd := ev.FD()
 	if !ev.timerOnly {
-		b.clearEvent(ev.fd)
+		b.clearEvent(fd)
 	}
 	if ev.what&EvSignal == 0 {
 		for _, p := range b.pollers {
-			if p.Interested(ev.fd) {
-				_ = p.Remove(ev.fd)
+			if p.Interested(fd) {
+				_ = p.Remove(fd)
 			}
 		}
 	}

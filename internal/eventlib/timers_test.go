@@ -252,9 +252,10 @@ func TestTimerWheelFarFutureCascade(t *testing.T) {
 	}
 }
 
-// Event keeps its 72-byte layout: the one-byte flags share the final word.
+// Event keeps its 64-byte layout: the 32-bit descriptor and queue count share
+// a word, and the one-byte flags share the final one.
 func TestEventSize(t *testing.T) {
-	if got := unsafe.Sizeof(Event{}); got != 72 {
-		t.Fatalf("unsafe.Sizeof(Event{}) = %d, want 72", got)
+	if got := unsafe.Sizeof(Event{}); got != 64 {
+		t.Fatalf("unsafe.Sizeof(Event{}) = %d, want 64", got)
 	}
 }

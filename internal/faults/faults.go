@@ -162,7 +162,7 @@ func (c *Config) WriteEAGAIN(salt, seq uint64) bool {
 
 // ConnFate is a benchmark connection's injected destiny, fixed at connect time
 // from its driver-assigned id.
-type ConnFate int
+type ConnFate uint8
 
 // Connection fates.
 const (

@@ -108,6 +108,10 @@ type Engine struct {
 	scanReady   []core.Event
 	scanFn      func()
 	scanDoneFn  func(done core.Time)
+	// expireDoneFn completes a timed-out wait after its teardown batch. It
+	// is bound once like the scan's closures; the batch body needs no
+	// binding, since Batch runs it before returning and it does not escape.
+	expireDoneFn func(done core.Time)
 
 	// bufs is the double-buffered result area Collect appends into; cur
 	// selects the buffer the in-flight scan owns. Two buffers make the events
@@ -355,9 +359,13 @@ func (e *Engine) expire(now core.Time) {
 	}
 	e.state = stateExpiring
 	cost := e.TimeoutTeardown()
+	if e.expireDoneFn == nil {
+		e.expireDoneFn = e.expired
+	}
 	e.P.Batch(now, func() {
 		e.P.Charge(cost)
-	}, func(done core.Time) {
-		e.finish(nil, done)
-	})
+	}, e.expireDoneFn)
 }
+
+// expired delivers the empty result once the teardown batch completes.
+func (e *Engine) expired(done core.Time) { e.finish(nil, done) }

@@ -7,7 +7,7 @@ import "repro/internal/core"
 // storage instead of allocating: the hot interrupt path (every driver
 // notification lands here) performs no allocation at steady state.
 type ledgerNode struct {
-	fd         int
+	fd         int32 // descriptor numbers stay far below 2^31 (the slot array indexes them)
 	mask       core.EventMask
 	gen        uint64
 	prev, next int32
@@ -94,7 +94,7 @@ func (l *Ledger) Mark(fd int, mask core.EventMask, gen uint64) bool {
 		l.slot = append(l.slot, 0)
 	}
 	id := l.alloc()
-	l.nodes[id] = ledgerNode{fd: fd, mask: mask, gen: gen, prev: l.tail, next: none}
+	l.nodes[id] = ledgerNode{fd: int32(fd), mask: mask, gen: gen, prev: l.tail, next: none}
 	if l.tail == none {
 		l.head, l.tail = id, id
 	} else {
@@ -162,7 +162,7 @@ func (l *Ledger) Scan(fn func(fd int, mask core.EventMask, gen uint64) (keep boo
 	for id := l.head; id != none && !l.stop; {
 		n := &l.nodes[id]
 		next := n.next
-		if !fn(n.fd, n.mask, n.gen) {
+		if !fn(int(n.fd), n.mask, n.gen) {
 			l.unlink(id)
 		}
 		id = next

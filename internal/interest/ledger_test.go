@@ -3,6 +3,7 @@ package interest
 import (
 	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 )
@@ -154,5 +155,13 @@ func TestLedgerMarkNewGenerationReplacesStaleMask(t *testing.T) {
 	}
 	if l.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", l.Len())
+	}
+}
+
+// A ledger node keeps its 24-byte layout: a 32-bit descriptor number shares a
+// word with the mask.
+func TestLedgerNodeSize(t *testing.T) {
+	if got := unsafe.Sizeof(ledgerNode{}); got != 24 {
+		t.Fatalf("unsafe.Sizeof(ledgerNode{}) = %d, want 24", got)
 	}
 }

@@ -193,7 +193,7 @@ func (t *Table) EachMarked(l *Ledger, fn func(e *Entry) (keep bool)) {
 	}
 	marks := t.marks[:0]
 	for id := l.head; id != none; id = l.nodes[id].next {
-		if e := t.Lookup(l.nodes[id].fd); e != nil {
+		if e := t.Lookup(int(l.nodes[id].fd)); e != nil {
 			marks = append(marks, e)
 		}
 	}

@@ -887,7 +887,7 @@ func (a *activeConn) failOrRetry(now core.Time, reason ErrorReason) {
 	if lim := RetryBase << 5; backoff > lim {
 		backoff = lim
 	}
-	backoff = core.Duration(float64(backoff) * faults.RetryJitter(uint64(g.cfg.Seed), a.conn.ID, a.attempt))
+	backoff = core.Duration(float64(backoff) * faults.RetryJitter(uint64(g.cfg.Seed), a.conn.ID(), a.attempt))
 	// Connection launch state (ports, conn ids) lives on the driver lane;
 	// hop there, the same way the inactive population reopens itself.
 	a.conn.Q().Post(g.driverQ, now.Add(backoff), a.relaunch)

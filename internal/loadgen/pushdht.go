@@ -75,8 +75,8 @@ func (g *Generator) PushDeliver(now core.Time, sc *netsim.ServerConn) {
 type pushMember struct {
 	gen      *Generator
 	conn     *netsim.ClientConn
-	received int
 	pending  []core.Time // initiation instants of deliveries not yet received
+	received int32       // bytes received toward the oldest pending payload
 	resolved bool
 }
 
@@ -122,9 +122,9 @@ func (m *pushMember) Data(now core.Time, n int) {
 		return
 	}
 	g := m.gen
-	m.received += n
-	for len(m.pending) > 0 && m.received >= g.pushPayload {
-		m.received -= g.pushPayload
+	m.received += int32(n)
+	for len(m.pending) > 0 && int(m.received) >= g.pushPayload {
+		m.received -= int32(g.pushPayload)
 		anchor := m.pending[0]
 		// Shift within the backing array so the next PushDeliver reuses it;
 		// at most a few deliveries to one member overlap.

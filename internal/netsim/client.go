@@ -34,7 +34,7 @@ func (r RefuseReason) String() string {
 }
 
 // ConnState is the client's view of the connection lifecycle.
-type ConnState int
+type ConnState uint8
 
 // Client connection states.
 const (
@@ -79,7 +79,8 @@ type ConnectOptions struct {
 	// With a finite window the server's writes only progress as fast as the
 	// client application consumes: each delivered byte occupies the window
 	// until the client reads it, and the window update travels half an RTT
-	// back before the server sees POLLOUT again.
+	// back before the server sees POLLOUT again. It is held in 32 bits, so it
+	// must stay below 2 GiB.
 	RecvWindow int
 	// StallReads makes the client application never consume delivered bytes:
 	// the receive window, once filled, never reopens. Combined with a small
@@ -90,56 +91,58 @@ type ConnectOptions struct {
 	StallReads bool
 }
 
-// ClientConn is the client-side endpoint of a simulated TCP connection.
+// ClientConn is the client-side endpoint of a simulated TCP connection. The
+// facts both endpoints share — the network, the connection id, the RTT and
+// the home lane — live once on the pair.
 type ClientConn struct {
-	net  *Network
 	pair *connPair
-	ID   int64
-	rtt  core.Duration
+	h    ConnHandler
 
-	// q is the lane every event of this connection — client-side callbacks
-	// included — executes on: the lane of the server process whose listener
-	// the connection hashes to (the one lane of a sequential run). synQ is the same handle, kept separate only for the SYN of a
-	// connection that never establishes.
-	q    simkernel.Q
-	synQ simkernel.Q
-
-	h     ConnHandler
-	state ConnState
-
-	server *ServerConn
+	// StartedAt is when Connect was called; loadgen uses it for latency.
+	StartedAt core.Time
 
 	bytesReceived int
-	recvWindow    int
-	portHeld      bool
-	peerClosed    bool
-	closedLocal   bool
-	stallReads    bool
+	recvWindow    int32
+	state         ConnState
 
 	// fate is the fault plane's verdict for this connection, fixed at connect
 	// time from the driver-assigned id (thread-count invariant); fateFired
 	// records that the trigger has been pulled, vanished that the peer went
-	// silent (its eventual Close releases the port without a FIN). The two
-	// flags sit with the others above so the pair fits its size class.
+	// silent (its eventual Close releases the port without a FIN).
+	fate      faults.ConnFate
 	fateFired bool
 	vanished  bool
-	fate      faults.ConnFate
 
-	// StartedAt is when Connect was called; loadgen uses it for latency.
-	StartedAt core.Time
+	portHeld    bool
+	peerClosed  bool
+	closedLocal bool
+	stallReads  bool
+	// queued records that the SYN reached an accept queue: only then does
+	// the pair's ServerConn half stand for a server endpoint.
+	queued bool
+	// released records the client owner's Release.
+	released bool
 }
 
-// connPair holds both endpoints of one connection in a single allocation and
-// carries the bookkeeping that lets the pair be recycled for a later
-// connection. A pair returns to its lane's free list once three things hold:
-// both ends are closed (the server's descriptor closed, or the connection
-// never reached an accept queue; the client closed, refused or saw the peer
-// close), no scheduled connEvt still refers to it, and the client owner has
-// called Release. Pairs never released — the inactive population, push
-// members — are left to the collector.
+// connPair holds both endpoints of one connection in a single allocation,
+// the facts they share, and the bookkeeping that lets the pair be recycled
+// for a later connection. A pair returns to its lane's free list once three
+// things hold: both ends are closed (the server's descriptor closed, or the
+// connection never reached an accept queue; the client closed, refused or saw
+// the peer close), no scheduled connEvt still refers to it, and the client
+// owner has called Release. Pairs never released — the inactive population,
+// push members — are left to the collector.
 type connPair struct {
 	c  ClientConn
 	sc ServerConn
+
+	net *Network
+	id  int64
+	rtt core.Duration
+	// q is the lane every event of this connection — client-side callbacks
+	// included — executes on: the lane of the server process whose listener
+	// the connection hashes to (the one lane of a sequential run).
+	q simkernel.Q
 
 	// inc is the incarnation: odd while the pair serves a connection, even
 	// while it waits in a free list. Every connEvt is stamped with it when
@@ -148,8 +151,6 @@ type connPair struct {
 	inc uint32
 	// pending counts the scheduled connEvts that refer to the pair.
 	pending int32
-	// released records the client owner's Release.
-	released bool
 }
 
 // newPair returns a recycled pair from the driver lane's free list, or a
@@ -165,7 +166,7 @@ func (n *Network) newPair() *connPair {
 		p = n.pairSlab.New()
 	}
 	p.inc++
-	p.pending, p.released = 0, false
+	p.pending = 0
 	return p
 }
 
@@ -182,14 +183,14 @@ func (p *connPair) live() {
 // event.
 func (p *connPair) maybeRecycle() {
 	c := &p.c
-	if p.inc&1 == 0 || !p.released || p.pending > 0 ||
+	if p.inc&1 == 0 || !c.released || p.pending > 0 ||
 		(c.state != StateClosed && c.state != StateRefused) ||
-		(c.server != nil && !p.sc.closedLocal) {
+		(c.queued && !p.sc.closedLocal) {
 		return
 	}
 	p.inc++
-	lane := c.q.LaneIndex()
-	c.net.pairs[lane] = append(c.net.pairs[lane], p)
+	lane := p.q.LaneIndex()
+	p.net.pairs[lane] = append(p.net.pairs[lane], p)
 }
 
 // Release tells the network the owner is done with the connection and will
@@ -202,7 +203,7 @@ func (p *connPair) maybeRecycle() {
 func (c *ClientConn) Release() {
 	p := c.pair
 	p.live()
-	p.released = true
+	c.released = true
 	p.maybeRecycle()
 }
 
@@ -220,15 +221,14 @@ func (n *Network) ConnectWith(now core.Time, opts ConnectOptions, h ConnHandler)
 		rtt = DefaultRTT
 	}
 	p := n.newPair()
+	p.net, p.id, p.rtt, p.q = n, n.connID(), rtt, n.driverQ
 	c := &p.c
 	*c = ClientConn{
-		net: n, pair: p, ID: n.connID(), rtt: rtt, h: h, state: StateConnecting,
-		StartedAt: now, recvWindow: opts.RecvWindow, stallReads: opts.StallReads,
+		pair: p, h: h, state: StateConnecting, StartedAt: now,
+		recvWindow: int32(opts.RecvWindow), stallReads: opts.StallReads,
 	}
-	c.q = n.driverQ
-	c.synQ = c.q
 	if f := &n.K.Faults; f.ResetRate > 0 || f.VanishRate > 0 {
-		c.fate = f.FateOf(c.ID)
+		c.fate = f.FateOf(p.id)
 	}
 	st := n.statsAt(n.driverQ)
 	st.ConnAttempts++
@@ -247,17 +247,19 @@ func (n *Network) ConnectWith(now core.Time, opts ConnectOptions, h ConnHandler)
 	// connection id (Parallelize forbids round-robin sharding), so the home
 	// lane can be resolved at launch, before the SYN travels.
 	if n.parallel {
-		if l := n.pickListener(c.ID); l != nil && l.owner != nil {
-			c.q = l.owner.Q()
-			c.synQ = c.q
+		if l := n.pickListener(p.id); l != nil && l.owner != nil {
+			p.q = l.owner.Q()
 		}
 	}
 
 	// SYN reaches the server half an RTT from now; the handshake completes (or
 	// the refusal is learned) another half RTT later.
-	n.schedule(n.driverQ, c.synQ, now.Add(rtt/2), evtSYN, c, nil, 0, 0, nil)
+	n.schedule(n.driverQ, now.Add(rtt/2), evtSYN, p, 0, 0, nil)
 	return c
 }
+
+// ID returns the connection's driver-assigned identifier.
+func (c *ClientConn) ID() int64 { return c.pair.id }
 
 // State reports the client's view of the connection.
 func (c *ClientConn) State() ConnState { return c.state }
@@ -269,7 +271,7 @@ func (c *ClientConn) Transport() Transport { return Stream }
 // one lane of a sequential run). Client-side callbacks execute
 // on this lane; callers scheduling follow-up work against the connection
 // (timeouts, think times) must target it.
-func (c *ClientConn) Q() simkernel.Q { return c.q }
+func (c *ClientConn) Q() simkernel.Q { return c.pair.q }
 
 // Handler returns the ConnHandler the connection reports to, so a client
 // holding only the connection can reach its own per-connection state.
@@ -279,7 +281,7 @@ func (c *ClientConn) Handler() ConnHandler { return c.h }
 func (c *ClientConn) BytesReceived() int { return c.bytesReceived }
 
 // RTT returns the connection's round-trip time.
-func (c *ClientConn) RTT() core.Duration { return c.rtt }
+func (c *ClientConn) RTT() core.Duration { return c.pair.rtt }
 
 // Fate reports the fault plane's verdict for this connection (for tests and
 // the load generator's accounting).
@@ -288,12 +290,13 @@ func (c *ClientConn) Fate() faults.ConnFate { return c.fate }
 // synArrive handles the SYN reaching the server host. It executes on the
 // connection's home lane — the lane of the listener the id hashes to.
 func (c *ClientConn) synArrive(t core.Time) {
-	n := c.net
-	st := n.statsAt(c.synQ)
+	p := c.pair
+	n := p.net
+	st := n.statsAt(p.q)
 	// The sharding decision is made in the NIC/stack before the interrupt
 	// is raised, so the SYN's interrupt cost lands on the CPU of the
 	// worker whose accept queue receives the connection (IRQ steering).
-	l := n.pickListener(c.ID)
+	l := n.pickListener(p.id)
 	var irq *simkernel.CPU
 	if l != nil && l.owner != nil {
 		irq = l.owner.CPU()
@@ -303,19 +306,18 @@ func (c *ClientConn) synArrive(t core.Time) {
 	reason := RefusedClosed
 	if l != nil {
 		// The client's receive window is advertised in the handshake.
-		sc := &c.pair.sc
-		*sc = ServerConn{net: n, ID: c.ID, rtt: c.rtt, peer: c, owner: l.owner,
-			q: c.synQ, sndWindow: c.recvWindow, sndAvail: c.recvWindow}
+		sc := &p.sc
+		*sc = ServerConn{pair: p, owner: l.owner, sndWindow: c.recvWindow, sndAvail: c.recvWindow}
 		if l.deliverSYN(t, sc) {
-			c.server = sc
+			c.queued = true
 			st.ConnEstablished++
-			n.schedule(c.synQ, c.q, t.Add(c.rtt/2), evtEstablished, c, nil, 0, 0, nil)
+			n.schedule(p.q, t.Add(p.rtt/2), evtEstablished, p, 0, 0, nil)
 			return
 		}
 		reason = RefusedBacklog
 	}
 	st.ConnRefused++
-	n.schedule(c.synQ, c.q, t.Add(c.rtt/2), evtRefuse, c, nil, 0, reason, nil)
+	n.schedule(p.q, t.Add(p.rtt/2), evtRefuse, p, 0, reason, nil)
 }
 
 // established completes the handshake on the client side.
@@ -333,7 +335,8 @@ func (c *ClientConn) established(t core.Time) {
 // the server has read it and must not be mutated by the caller in the
 // meantime.
 func (c *ClientConn) Send(now core.Time, data []byte) {
-	c.pair.live()
+	p := c.pair
+	p.live()
 	if c.state != StateEstablished && c.state != StateConnecting {
 		return
 	}
@@ -352,7 +355,7 @@ func (c *ClientConn) Send(now core.Time, data []byte) {
 			// A deterministic fraction of the request escapes, then the RST
 			// chases it down the same path so the server reads a truncated
 			// request and then fails with ECONNRESET.
-			cut := int(c.net.K.Faults.CutFraction(c.ID) * float64(len(data)))
+			cut := int(p.net.K.Faults.CutFraction(p.id) * float64(len(data)))
 			if cut < 1 {
 				cut = 1
 			}
@@ -360,15 +363,14 @@ func (c *ClientConn) Send(now core.Time, data []byte) {
 				cut = len(data)
 			}
 			data = data[:cut:cut]
-			arrival := now.Add(c.rtt / 2).Add(c.net.TransmitDelay(cut))
-			c.net.schedule(c.q, c.synQ, arrival, evtDataToServer, c, nil, cut, 0, data)
+			arrival := now.Add(p.rtt / 2).Add(p.net.TransmitDelay(cut))
+			p.net.schedule(p.q, arrival, evtDataToServer, p, 0, 0, data)
 			c.abortWithReset(now, arrival)
 		}
 		return
 	}
-	n := len(data)
-	arrival := now.Add(c.rtt / 2).Add(c.net.TransmitDelay(n))
-	c.net.schedule(c.q, c.synQ, arrival, evtDataToServer, c, nil, n, 0, data)
+	arrival := now.Add(p.rtt / 2).Add(p.net.TransmitDelay(len(data)))
+	p.net.schedule(p.q, arrival, evtDataToServer, p, 0, 0, data)
 }
 
 // abortWithReset tears the connection down from the client side with an RST
@@ -382,29 +384,32 @@ func (c *ClientConn) abortWithReset(now core.Time, rstArrival core.Time) {
 	c.closedLocal = true
 	c.state = StateClosed
 	c.releasePort(now)
-	if c.server != nil {
-		c.net.schedule(c.q, c.server.q, rstArrival, evtRSTToServer, nil, c.server, 0, 0, nil)
+	if c.queued {
+		p := c.pair
+		p.net.schedule(p.q, rstArrival, evtRSTToServer, p, 0, 0, nil)
 	}
 	c.h.Refused(now, RefusedReset)
 }
 
 // dataArriveServer delivers sent bytes to the server host.
 func (c *ClientConn) dataArriveServer(t core.Time, data []byte) {
-	if c.server == nil {
+	if !c.queued {
 		return
 	}
-	net := c.net
-	st := net.statsAt(c.server.q)
-	net.K.InterruptOn(c.server.irqCPU(), t, net.K.Cost.NetRxIRQ, nil)
+	p := c.pair
+	sc, net := &p.sc, p.net
+	st := net.statsAt(p.q)
+	net.K.InterruptOn(sc.irqCPU(), t, net.K.Cost.NetRxIRQ, nil)
 	st.SegmentsRx++
 	st.BytesToServer += int64(len(data))
-	c.server.deliverData(t, data)
+	sc.deliverData(t, data)
 }
 
 // Close closes the client end at time now; the FIN reaches the server half an
 // RTT later. The client's ephemeral port enters TIME-WAIT.
 func (c *ClientConn) Close(now core.Time) {
-	c.pair.live()
+	p := c.pair
+	p.live()
 	if c.closedLocal {
 		return
 	}
@@ -412,14 +417,14 @@ func (c *ClientConn) Close(now core.Time) {
 	if c.state == StateEstablished || c.state == StateConnecting {
 		c.state = StateClosed
 	}
-	c.net.statsAt(c.q).ClientCloses++
+	p.net.statsAt(p.q).ClientCloses++
 	c.releasePort(now)
-	if c.server == nil || c.vanished {
+	if !c.queued || c.vanished {
 		// A vanished peer never announces the close: no FIN reaches the
 		// server, which reclaims the connection only through its idle sweep.
 		return
 	}
-	c.net.schedule(c.q, c.server.q, now.Add(c.rtt/2), evtFINToServer, c, c.server, 0, 0, nil)
+	p.net.schedule(p.q, now.Add(p.rtt/2), evtFINToServer, p, 0, 0, nil)
 }
 
 // refuse finalises a failed connection attempt on the client side.
@@ -432,40 +437,30 @@ func (c *ClientConn) refuse(now core.Time, reason RefuseReason) {
 	c.h.Refused(now, reason)
 }
 
-// scheduleData delivers response bytes to the client at the given instant.
+// dataArriveClient consumes delivered response bytes on the client host.
 // A draining client (the normal case) consumes the bytes on arrival, and the
 // window update announcing the freed space reaches the server half an RTT
 // later; a stalled reader leaves the window occupied forever.
-func (c *ClientConn) scheduleData(at core.Time, n int) {
-	c.net.schedule(c.server.q, c.q, at, evtDataToClient, c, nil, n, 0, nil)
-}
-
-// dataArriveClient consumes delivered response bytes on the client host.
 func (c *ClientConn) dataArriveClient(t core.Time, n int) {
 	if c.closedLocal {
 		return
 	}
+	p := c.pair
 	c.bytesReceived += n
 	if c.fate == faults.FateResetResponse && !c.fateFired {
 		// Mid-response reset: the first response bytes have arrived, more may
 		// be in flight, and the client slams the connection shut. The server's
 		// still-draining response fails with EPIPE when the RST lands.
 		c.fateFired = true
-		c.abortWithReset(t, t.Add(c.rtt/2))
+		c.abortWithReset(t, t.Add(p.rtt/2))
 		return
 	}
 	c.h.Data(t, n)
-	if !c.stallReads && c.server != nil && c.server.sndWindow > 0 {
+	if !c.stallReads && c.queued && p.sc.sndWindow > 0 {
 		// The window update is an ACK segment: it costs the server an RX
 		// interrupt like any other arriving segment.
-		c.net.schedule(c.q, c.server.q, t.Add(c.rtt/2), evtWindowUpdate, nil, c.server, n, 0, nil)
+		p.net.schedule(p.q, t.Add(p.rtt/2), evtWindowUpdate, p, n, 0, nil)
 	}
-}
-
-// schedulePeerClose delivers the server's FIN to the client at the given
-// instant.
-func (c *ClientConn) schedulePeerClose(at core.Time) {
-	c.net.schedule(c.server.q, c.q, at, evtPeerClose, c, nil, 0, 0, nil)
 }
 
 // peerCloseArrive handles the server's FIN on the client host.
@@ -483,11 +478,8 @@ func (c *ClientConn) peerCloseArrive(t core.Time) {
 // down, descriptor limit, ...), surfacing it to the client as a refusal. It
 // executes on the server lane the connection is homed on.
 func (c *ClientConn) scheduleReset(now core.Time) {
-	src := c.synQ
-	if c.server != nil {
-		src = c.server.q
-	}
-	c.net.schedule(src, c.q, now.Add(c.rtt/2), evtReset, c, nil, 0, 0, nil)
+	p := c.pair
+	p.net.schedule(p.q, now.Add(p.rtt/2), evtReset, p, 0, 0, nil)
 }
 
 // resetArrive handles a server-side reset on the client host.
@@ -519,99 +511,103 @@ func (c *ClientConn) releasePort(now core.Time) {
 		return
 	}
 	c.portHeld = false
-	n := c.net
+	q := c.pair.q
+	n := c.pair.net
 	if !n.parallel {
 		n.releasePort(now)
 		return
 	}
-	e := n.getEvt(c.q)
+	e := n.getEvt(q)
 	e.kind, e.when, e.lane = evtPortRelease, now.Add(n.Cfg.TimeWait), 0
-	c.q.Post(n.driverQ, now.Add(n.lookahead), e.fn)
+	q.Post(n.driverQ, now.Add(n.lookahead), e.fn)
 }
 
 // evtKind identifies what a pooled network event does when it fires.
-type evtKind int
+type evtKind uint8
 
 const (
-	evtSYN           evtKind = iota // SYN reaches the server host
-	evtEstablished                  // SYN-ACK reaches the client: handshake done
-	evtRefuse                       // refusal reaches the client
-	evtDataToServer                 // request bytes reach the server host
-	evtDataToClient                 // response bytes reach the client host
-	evtWindowUpdate                 // window-update ACK reaches the server host
-	evtPeerClose                    // server FIN reaches the client host
-	evtFINToServer                  // client FIN reaches the server host
-	evtReset                        // server reset reaches the client host
-	evtRSTToServer                  // client RST reaches the server host (fault plane)
-	evtXmit                         // server write leaves the host (batch completion)
-	evtSrvClose                     // server close's FIN leaves the host (batch completion)
-	evtPortRelease                  // deferred port release reaches the driver lane
-	evtDgramToServer                // datagram reaches a bound server socket
-	evtDgramToPeer                  // datagram reaches a client-host peer
-	evtDgramXmit                    // server SendTo leaves the host (batch completion)
-	evtPeerStart                    // peer registration reaches the datagram home lane
+	evtSYN          evtKind = iota // SYN reaches the server host
+	evtEstablished                 // SYN-ACK reaches the client: handshake done
+	evtRefuse                      // refusal reaches the client
+	evtDataToServer                // request bytes reach the server host
+	evtDataToClient                // response bytes reach the client host
+	evtWindowUpdate                // window-update ACK reaches the server host
+	evtPeerClose                   // server FIN reaches the client host
+	evtFINToServer                 // client FIN reaches the server host
+	evtReset                       // server reset reaches the client host
+	evtRSTToServer                 // client RST reaches the server host (fault plane)
+	evtXmit                        // server write leaves the host (batch completion)
+	evtSrvClose                    // server close's FIN leaves the host (batch completion)
+	evtPortRelease                 // deferred port release reaches the driver lane
 )
 
-// connEvt is one scheduled network delivery. Records are pooled on the
+// connEvt is one scheduled stream delivery. Records are pooled on the
 // Network and each carries a callback bound once for its life, so the
 // per-segment traffic of a run — the majority of all scheduled events —
-// allocates nothing at steady state. lane is the index of the lane the event
-// executes on (its pool of recycle); when carries the absolute TIME-WAIT
-// expiry of a deferred port release.
+// allocates nothing at steady state. The event's kind says which endpoint of
+// pair it acts on. lane is the index of the lane the event executes on (its
+// pool of recycle); when carries the absolute TIME-WAIT expiry of a deferred
+// port release, the one kind without a pair. Datagram traffic has records of
+// its own (dgramEvt).
 type connEvt struct {
-	net    *Network
-	kind   evtKind
-	lane   int
-	c      *ClientConn
-	sc     *ServerConn
-	pair   *connPair // the connection c or sc belongs to, nil for other kinds
-	inc    uint32    // pair's incarnation when the event was scheduled
-	n      int
-	reason RefuseReason
-	when   core.Time
-	data   []byte
-	fn     func(now core.Time)
+	net  *Network
+	fn   func(now core.Time)
+	pair *connPair // nil for a port release
+	data []byte
+	when core.Time
 
-	// Datagram-event payload: the socket or peer the event touches, the
-	// source/destination address and the descriptor capture checked at
-	// delivery (see datagram.go).
-	ds   *DgramSock
-	peer *Peer
-	addr Addr
-	fdn  int
-	gen  uint64
+	inc    uint32 // pair's incarnation when the event was scheduled
+	n      int32
+	lane   int32
+	kind   evtKind
+	reason uint8 // a RefuseReason
 }
 
-// getEvt pops a recycled delivery record from the scheduling lane's pool (or
-// carves one from that lane's slab and binds its callback) — the single home
-// of the pool discipline. Records return to the executing lane's pool, so
-// every pool and slab has exactly one touching goroutine per epoch.
-func (n *Network) getEvt(src simkernel.Q) *connEvt {
-	pool := n.pools[src.LaneIndex()]
-	if l := len(pool); l > 0 {
-		e := pool[l-1]
-		pool[l-1] = nil
-		n.pools[src.LaneIndex()] = pool[:l-1]
-		return e
+// evtPool is one lane's free list of pooled event records in front of the
+// slab that carves the records it lacks — the single home of the pool
+// discipline. A record is taken from the scheduling lane's pool and returned
+// to the executing lane's, so every pool and slab has exactly one touching
+// goroutine per epoch.
+type evtPool[T any] struct {
+	free []*T
+	slab core.Slab[T]
+}
+
+// get pops a recycled record, or carves a fresh one (fresh reports which, so
+// the caller binds a fresh record's callback).
+func (pl *evtPool[T]) get() (e *T, fresh bool) {
+	if l := len(pl.free); l > 0 {
+		e = pl.free[l-1]
+		pl.free[l-1] = nil
+		pl.free = pl.free[:l-1]
+		return e, false
 	}
-	e := n.evtSlabs[src.LaneIndex()].New()
-	e.net = n
-	e.fn = e.run
+	return pl.slab.New(), true
+}
+
+// put returns a record to the pool.
+func (pl *evtPool[T]) put(e *T) { pl.free = append(pl.free, e) }
+
+// getEvt pops a stream delivery record from the scheduling lane's pool.
+func (n *Network) getEvt(src simkernel.Q) *connEvt {
+	e, fresh := n.evts[src.LaneIndex()].get()
+	if fresh {
+		e.net = n
+		e.fn = e.run
+	}
 	return e
 }
 
-// schedule books a pooled delivery event at the given instant, from code
-// executing on src's lane, to execute on dst's lane. On a sequential run both
-// handles are the one lane and this is a plain At.
-func (n *Network) schedule(src, dst simkernel.Q, at core.Time, kind evtKind, c *ClientConn, sc *ServerConn, count int, reason RefuseReason, data []byte) {
+// schedule books a pooled delivery event for the connection at the given
+// instant, from code executing on src's lane, to execute on the connection's
+// home lane. On a sequential run both are the one lane and this is a plain
+// At.
+func (n *Network) schedule(src simkernel.Q, at core.Time, kind evtKind, p *connPair, count int, reason RefuseReason, data []byte) {
 	e := n.getEvt(src)
-	e.kind, e.c, e.sc, e.n, e.reason, e.data = kind, c, sc, count, reason, data
-	e.lane = dst.LaneIndex()
-	if c == nil {
-		c = sc.peer
-	}
-	e.hold(c.pair)
-	src.Post(dst, at, e.fn)
+	e.kind, e.n, e.reason, e.data = kind, int32(count), uint8(reason), data
+	e.lane = int32(p.q.LaneIndex())
+	e.hold(p)
+	src.Post(p.q, at, e.fn)
 }
 
 // hold stamps the event with its connection pair's incarnation and counts it
@@ -625,12 +621,12 @@ func (e *connEvt) hold(p *connPair) {
 // defer_ books a pooled delivery event as a deferred batch effect of the
 // given process (the transmit side of server syscalls); it executes on the
 // process's own lane at the batch's completion instant.
-func (n *Network) defer_(p *simkernel.Proc, kind evtKind, sc *ServerConn, count int) {
-	e := n.getEvt(p.Q())
-	e.kind, e.sc, e.n = kind, sc, count
-	e.lane = p.Q().LaneIndex()
-	e.hold(sc.peer.pair)
-	p.Defer(e.fn)
+func (n *Network) defer_(proc *simkernel.Proc, kind evtKind, sc *ServerConn, count int) {
+	e := n.getEvt(proc.Q())
+	e.kind, e.n = kind, int32(count)
+	e.lane = int32(proc.Q().LaneIndex())
+	e.hold(sc.pair)
+	proc.Defer(e.fn)
 }
 
 // run dispatches the event and recycles its record. The fields are extracted
@@ -640,23 +636,24 @@ func (n *Network) defer_(p *simkernel.Proc, kind evtKind, sc *ServerConn, count 
 // counting against its pair until the work is done, so a Release from inside
 // a callback cannot recycle the pair under the code still running on it.
 func (e *connEvt) run(t core.Time) {
-	net, kind, lane, c, sc, n, reason, when, data := e.net, e.kind, e.lane, e.c, e.sc, e.n, e.reason, e.when, e.data
-	p := e.pair
+	net, kind, p, n, reason, when, data := e.net, e.kind, e.pair, int(e.n), RefuseReason(e.reason), e.when, e.data
 	if p != nil && p.inc != e.inc {
 		panic("netsim: connection event outlived its connection: the pair was recycled")
 	}
-	switch kind {
-	case evtDgramToServer, evtDgramToPeer, evtDgramXmit, evtPeerStart:
-		// Datagram events keep their record through the dispatch (the
-		// handlers read the capture fields directly) and recycle afterwards;
-		// any event they schedule draws a fresh record from the pool first.
-		e.dispatchDgram(t)
-		e.c, e.sc, e.data, e.ds, e.peer = nil, nil, nil, nil, nil
-		net.pools[lane] = append(net.pools[lane], e)
+	e.data, e.pair = nil, nil
+	net.evts[e.lane].put(e)
+	if p == nil {
+		// The one kind without a pair: a deferred port release on the
+		// driver lane folds the port into TIME-WAIT at its original expiry.
+		// Pushes stay monotonic because every release is deferred by the
+		// same lookahead.
+		if net.portsInUse > 0 {
+			net.portsInUse--
+			net.timewait.push(when)
+		}
 		return
 	}
-	e.c, e.sc, e.data, e.pair = nil, nil, nil, nil
-	net.pools[lane] = append(net.pools[lane], e)
+	c, sc := &p.c, &p.sc
 	switch kind {
 	case evtSYN:
 		c.synArrive(t)
@@ -670,51 +667,37 @@ func (e *connEvt) run(t core.Time) {
 		c.dataArriveClient(t, n)
 	case evtWindowUpdate:
 		net.K.InterruptOn(sc.irqCPU(), t, net.K.Cost.NetRxIRQ, nil)
-		net.statsAt(sc.q).SegmentsRx++
+		net.statsAt(p.q).SegmentsRx++
 		sc.windowOpen(t, n)
 	case evtPeerClose:
 		c.peerCloseArrive(t)
 	case evtFINToServer:
 		net.K.InterruptOn(sc.irqCPU(), t, net.K.Cost.NetRxIRQ, nil)
-		net.statsAt(sc.q).SegmentsRx++
+		net.statsAt(p.q).SegmentsRx++
 		sc.deliverFIN(t)
 	case evtReset:
 		c.resetArrive(t)
 	case evtRSTToServer:
 		net.K.InterruptOn(sc.irqCPU(), t, net.K.Cost.NetRxIRQ, nil)
-		net.statsAt(sc.q).SegmentsRx++
+		net.statsAt(p.q).SegmentsRx++
 		sc.deliverRST(t)
-	case evtPortRelease:
-		// Driver lane: fold the released port into TIME-WAIT at its
-		// original expiry. Pushes stay monotonic because every release is
-		// deferred by the same lookahead.
-		if net.portsInUse > 0 {
-			net.portsInUse--
-			net.timewait.push(when)
-		}
 	case evtXmit:
-		arrival := t.Add(net.TransmitDelay(n)).Add(sc.rtt / 2)
+		arrival := t.Add(net.TransmitDelay(n)).Add(p.rtt / 2)
 		if arrival < sc.lastDeliveryAt {
 			arrival = sc.lastDeliveryAt
 		}
 		sc.lastDeliveryAt = arrival
-		net.statsAt(sc.q).BytesToClient += int64(n)
-		if sc.peer != nil {
-			sc.peer.scheduleData(arrival, n)
-		}
+		net.statsAt(p.q).BytesToClient += int64(n)
+		net.schedule(p.q, arrival, evtDataToClient, p, n, 0, nil)
 	case evtSrvClose:
-		net.statsAt(sc.q).ServerCloses++
-		arrival := t.Add(sc.rtt / 2)
+		net.statsAt(p.q).ServerCloses++
+		arrival := t.Add(p.rtt / 2)
 		if arrival < sc.lastDeliveryAt {
 			arrival = sc.lastDeliveryAt
 		}
 		sc.lastDeliveryAt = arrival
-		if sc.peer != nil {
-			sc.peer.schedulePeerClose(arrival)
-		}
+		net.schedule(p.q, arrival, evtPeerClose, p, 0, 0, nil)
 	}
-	if p != nil {
-		p.pending--
-		p.maybeRecycle()
-	}
+	p.pending--
+	p.maybeRecycle()
 }

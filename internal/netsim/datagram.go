@@ -217,8 +217,7 @@ func (a *SockAPI) SendTo(fd *simkernel.FD, to Addr, size int) bool {
 	if !isDgram || fd.Closed() || s.closed || size <= 0 {
 		return false
 	}
-	n := a.Net
-	e := n.getEvt(a.P.Q())
+	e := a.Net.getDgramEvt(a.P.Q())
 	e.kind, e.ds, e.addr, e.n = evtDgramXmit, s, to, size
 	e.lane = a.P.Q().LaneIndex()
 	a.P.Defer(e.fn)
@@ -297,7 +296,7 @@ func (n *Network) NewPeer(now core.Time, opts PeerOptions, h DgramHandler) *Peer
 	}
 	p := &Peer{net: n, ID: n.connID(), rtt: rtt, h: h}
 	p.addr = Addr(-p.ID)
-	e := n.getEvt(n.driverQ)
+	e := n.getDgramEvt(n.driverQ)
 	e.kind, e.peer = evtPeerStart, p
 	e.lane = n.dgramHome.LaneIndex()
 	n.driverQ.Post(n.dgramHome, now.Add(rtt/2), e.fn)
@@ -328,7 +327,7 @@ func (p *Peer) SendTo(now core.Time, to Addr, size int) {
 	st.DgramsSent++
 	delay := n.dgramWire(size, p.rtt)
 	if b, okB := n.dgramBinds[to]; okB {
-		e := n.getEvt(n.dgramHome)
+		e := n.getDgramEvt(n.dgramHome)
 		e.kind, e.ds, e.addr, e.n = evtDgramToServer, b.sock, p.addr, size
 		e.fdn, e.gen = b.fdn, b.gen
 		e.lane = n.dgramHome.LaneIndex()
@@ -354,7 +353,7 @@ func (p *Peer) Close(now core.Time) {
 
 // scheduleDgramToPeer books a delivery to a peer endpoint (home lane).
 func (n *Network) scheduleDgramToPeer(at core.Time, p *Peer, from Addr, size int) {
-	e := n.getEvt(n.dgramHome)
+	e := n.getDgramEvt(n.dgramHome)
 	e.kind, e.peer, e.addr, e.n = evtDgramToPeer, p, from, size
 	e.lane = n.dgramHome.LaneIndex()
 	n.dgramHome.Post(n.dgramHome, at, e.fn)
@@ -366,8 +365,55 @@ func (n *Network) dgramWire(size int, rtt core.Duration) core.Duration {
 	return rtt/2 + n.TransmitDelay(size)
 }
 
-// dispatchDgram routes a datagram-family pooled event (see connEvt.run).
-func (e *connEvt) dispatchDgram(t core.Time) {
+// dgramKind identifies what a pooled datagram event does when it fires.
+type dgramKind uint8
+
+const (
+	evtDgramToServer dgramKind = iota // datagram reaches a bound server socket
+	evtDgramToPeer                    // datagram reaches a client-host peer
+	evtDgramXmit                      // server SendTo leaves the host (batch completion)
+	evtPeerStart                      // peer registration reaches the datagram home lane
+)
+
+// dgramEvt is one scheduled datagram delivery, pooled like connEvt: the
+// socket or peer the event touches, the source/destination address and, for
+// an arrival at a bound socket, the descriptor capture checked at delivery.
+type dgramEvt struct {
+	net  *Network
+	fn   func(now core.Time)
+	ds   *DgramSock
+	peer *Peer
+	addr Addr
+	n    int
+	fdn  int
+	gen  uint64
+	lane int
+	kind dgramKind
+}
+
+// getDgramEvt pops a datagram delivery record from the scheduling lane's
+// pool.
+func (n *Network) getDgramEvt(src simkernel.Q) *dgramEvt {
+	e, fresh := n.dgrams[src.LaneIndex()].get()
+	if fresh {
+		e.net = n
+		e.fn = e.run
+	}
+	return e
+}
+
+// run dispatches the event and recycles its record. Unlike a stream event it
+// keeps its record through the dispatch (the handlers read the capture
+// fields directly) and recycles afterwards; any event they schedule draws a
+// fresh record from the pool first.
+func (e *dgramEvt) run(t core.Time) {
+	e.dispatch(t)
+	e.ds, e.peer = nil, nil
+	e.net.dgrams[e.lane].put(e)
+}
+
+// dispatch routes a datagram event.
+func (e *dgramEvt) dispatch(t core.Time) {
 	switch e.kind {
 	case evtDgramToServer:
 		e.dgramArriveServer(t)
@@ -392,7 +438,7 @@ func (e *connEvt) dispatchDgram(t core.Time) {
 // the datagram mirror of the stream path's stale-readiness defence: the
 // capture taken at send time must still resolve to the same descriptor
 // generation and the same socket, or the datagram dies here as stale.
-func (e *connEvt) dgramArriveServer(t core.Time) {
+func (e *dgramEvt) dgramArriveServer(t core.Time) {
 	n, s := e.net, e.ds
 	st := n.statsAt(n.dgramHome)
 	n.K.InterruptOn(s.owner.CPU(), t, n.K.Cost.NetRxIRQ+n.K.Cost.DgramDemux, nil)
@@ -409,7 +455,7 @@ func (e *connEvt) dgramArriveServer(t core.Time) {
 // dgramXmit is the deferred batch effect of a server SendTo: the datagram
 // leaves the host at the batch's completion instant, and routing happens now,
 // against the tables as they stand when the packet hits the wire.
-func (e *connEvt) dgramXmit(t core.Time) {
+func (e *dgramEvt) dgramXmit(t core.Time) {
 	n, s := e.net, e.ds
 	st := n.statsAt(n.dgramHome)
 	st.DgramsSent++
@@ -420,7 +466,7 @@ func (e *connEvt) dgramXmit(t core.Time) {
 	if b, okB := n.dgramBinds[e.addr]; okB && b.sock != s {
 		// Server→server loopback between two bound sockets (a DHT node
 		// talking to a sibling service) travels the default LAN RTT.
-		e2 := n.getEvt(n.dgramHome)
+		e2 := n.getDgramEvt(n.dgramHome)
 		e2.kind, e2.ds, e2.addr, e2.n = evtDgramToServer, b.sock, s.addr, e.n
 		e2.fdn, e2.gen = b.fdn, b.gen
 		e2.lane = n.dgramHome.LaneIndex()

@@ -147,12 +147,12 @@ type Network struct {
 	portsInUse int
 	timewait   timewaitRing
 
-	// pools recycles the scheduled-delivery records of client.go, one pool
-	// per lane: a record is taken from the scheduling lane's pool and
-	// returned to the executing lane's, so each pool has a single writer.
-	// evtSlabs, one per lane too, carve the records a lane's pool lacks.
-	pools    [][]*connEvt
-	evtSlabs []core.Slab[connEvt]
+	// evts recycles the stream delivery records of client.go and dgrams the
+	// datagram ones of datagram.go, one pool per lane each: a record is
+	// taken from the scheduling lane's pool and returned to the executing
+	// lane's, so each pool has a single writer.
+	evts   []evtPool[connEvt]
+	dgrams []evtPool[dgramEvt]
 
 	// pairs recycles connection endpoint pairs (see connPair), one free list
 	// per lane: a pair returns to the list of the lane its connection lives
@@ -199,8 +199,8 @@ func New(k *simkernel.Kernel, cfg Config) *Network {
 	n := &Network{
 		K: k, Cfg: cfg,
 		lstats:        make([]Stats, 1),
-		pools:         make([][]*connEvt, 1),
-		evtSlabs:      make([]core.Slab[connEvt], 1),
+		evts:          make([]evtPool[connEvt], 1),
+		dgrams:        make([]evtPool[dgramEvt], 1),
 		pairs:         make([][]*connPair, 1),
 		driverQ:       k.Sim.LaneQ(0),
 		dgramBinds:    make(map[Addr]*dgramBind),
@@ -245,8 +245,8 @@ func (n *Network) Parallelize() {
 	n.driverQ = sim.LaneQ(0)
 	n.dgramHome = n.driverQ
 	n.lstats = make([]Stats, sim.NumLanes())
-	n.pools = make([][]*connEvt, sim.NumLanes())
-	n.evtSlabs = make([]core.Slab[connEvt], sim.NumLanes())
+	n.evts = make([]evtPool[connEvt], sim.NumLanes())
+	n.dgrams = make([]evtPool[dgramEvt], sim.NumLanes())
 	n.pairs = make([][]*connPair, sim.NumLanes())
 	sim.OnBarrier(n.gatherPairs)
 }

@@ -117,32 +117,17 @@ func (l *Listener) pop() (*ServerConn, bool) {
 
 // ServerConn is the server-side endpoint of an established connection. It
 // implements simkernel.File: readable when request bytes are buffered or the
-// peer has closed, writable while open.
+// peer has closed, writable while open. The network, id, RTT and home lane
+// (its listener owner's lane, the one lane of a sequential run) are the
+// pair's, shared with the peer ClientConn, so both endpoints of a connection
+// execute on one lane.
 type ServerConn struct {
-	net   *Network
-	ID    int64
-	rtt   core.Duration
-	peer  *ClientConn
+	pair  *connPair
 	owner *simkernel.Proc // whose CPU receives this connection's interrupts
 
-	// q is the lane the connection is homed on (its listener owner's lane;
-	// the one lane of a sequential run). It matches the peer
-	// ClientConn's home, so both endpoints of a connection execute on one
-	// lane.
-	q simkernel.Q
+	rcvBuf []byte // request bytes buffered, not yet read by the server
 
-	rcvBuf      []byte // request bytes buffered, not yet read by the server
-	peerClosed  bool   // client sent FIN
-	closedLocal bool   // server closed its end
-	resetPeer   bool   // client sent RST (fault plane): reads fail ECONNRESET, writes EPIPE
-	accepted    bool
-
-	// sndWindow is the peer's advertised receive window (0 = unlimited, the
-	// paper's always-draining clients); sndAvail is how much of it is free.
-	// Writes only accept up to sndAvail bytes, POLLOUT is withheld while the
-	// window is closed, and window updates from a draining client reopen it.
-	sndWindow int
-	sndAvail  int
+	notifier simkernel.Notifier
 
 	// lastDeliveryAt is the client-side arrival time of the last response data
 	// scheduled, used to keep FIN delivery ordered after the data.
@@ -154,7 +139,17 @@ type ServerConn struct {
 	// loops) or only once request data has arrived (edge-style RT signals).
 	EstablishedAt core.Time
 
-	notifier simkernel.Notifier
+	// sndWindow is the peer's advertised receive window (0 = unlimited, the
+	// paper's always-draining clients); sndAvail is how much of it is free.
+	// Writes only accept up to sndAvail bytes, POLLOUT is withheld while the
+	// window is closed, and window updates from a draining client reopen it.
+	sndWindow int32
+	sndAvail  int32
+
+	peerClosed  bool // client sent FIN
+	closedLocal bool // server closed its end
+	resetPeer   bool // client sent RST (fault plane): reads fail ECONNRESET, writes EPIPE
+	accepted    bool
 }
 
 // Poll implements simkernel.File.
@@ -201,13 +196,13 @@ func (c *ServerConn) ResetPeer() bool { return c.resetPeer }
 func (c *ServerConn) Accepted() bool { return c.accepted }
 
 // Peer returns the client endpoint (used by tests and the load generator).
-func (c *ServerConn) Peer() *ClientConn { return c.peer }
+func (c *ServerConn) Peer() *ClientConn { return &c.pair.c }
 
 // Transport implements Socket.
 func (c *ServerConn) Transport() Transport { return Stream }
 
 // Q implements Socket: the lane the connection is homed on.
-func (c *ServerConn) Q() simkernel.Q { return c.q }
+func (c *ServerConn) Q() simkernel.Q { return c.pair.q }
 
 // Owner returns the process whose CPU this connection's interrupts are
 // steered to (the accepting worker once accepted, its listener's owner before
@@ -251,7 +246,7 @@ func (c *ServerConn) SendWindowAvail() int {
 	if c.sndWindow == 0 {
 		return -1
 	}
-	return c.sndAvail
+	return int(c.sndAvail)
 }
 
 // windowOpen is called by the network when a window update arrives: the
@@ -262,7 +257,7 @@ func (c *ServerConn) windowOpen(now core.Time, n int) {
 		return
 	}
 	was := c.sndAvail
-	c.sndAvail += n
+	c.sndAvail += int32(n)
 	if c.sndAvail > c.sndWindow {
 		c.sndAvail = c.sndWindow
 	}
@@ -296,9 +291,7 @@ func (c *ServerConn) deliverFIN(now core.Time) {
 // resetFromServer aborts a connection that was never accepted (listener
 // closed underneath it).
 func (c *ServerConn) resetFromServer(now core.Time) {
-	if c.peer != nil {
-		c.peer.scheduleReset(now)
-	}
+	c.pair.c.scheduleReset(now)
 }
 
 // SockAPI exposes the socket system calls to a simulated server process. Every
@@ -493,10 +486,10 @@ func (a *SockAPI) Write(fd *simkernel.FD, n int) int {
 	}
 	accepted := n
 	if conn.sndWindow > 0 {
-		if accepted > conn.sndAvail {
-			accepted = conn.sndAvail
+		if accepted > int(conn.sndAvail) {
+			accepted = int(conn.sndAvail)
 		}
-		conn.sndAvail -= accepted
+		conn.sndAvail -= int32(accepted)
 	}
 	a.P.ChargeSyscall(a.K.Cost.WriteCost(accepted))
 	if accepted <= 0 {
@@ -541,10 +534,10 @@ func (a *SockAPI) Sendfile(fd *simkernel.FD, n int) int {
 	}
 	accepted := n
 	if conn.sndWindow > 0 {
-		if accepted > conn.sndAvail {
-			accepted = conn.sndAvail
+		if accepted > int(conn.sndAvail) {
+			accepted = int(conn.sndAvail)
 		}
-		conn.sndAvail -= accepted
+		conn.sndAvail -= int32(accepted)
 	}
 	a.P.ChargeSyscall(a.K.Cost.SendfileCost(accepted))
 	if accepted <= 0 {
@@ -573,7 +566,7 @@ func (a *SockAPI) Close(fd *simkernel.FD) {
 	if conn.resetPeer {
 		// The peer already tore the connection down; there is no one to FIN,
 		// and with nothing in flight the pair may be recyclable right away.
-		conn.peer.pair.maybeRecycle()
+		conn.pair.maybeRecycle()
 		return
 	}
 	a.Net.defer_(a.P, evtSrvClose, conn, 0)

@@ -11,7 +11,8 @@
 // The server reuses the eventlib backend registry, so it runs unchanged on
 // stock poll, /dev/poll, RT signals, epoll (either trigger mode) and the
 // completion ring. It deliberately does not reuse httpcore: the subscribe
-// exchange is not HTTP, and the per-connection state is two integers.
+// exchange is not HTTP, and the per-connection state is three words: the
+// descriptor, its registered event, and two 32-bit counters.
 package pushcore
 
 import (
@@ -64,16 +65,16 @@ type Stats struct {
 	Closed     int64
 }
 
-// conn is the per-connection state: a descriptor, its registered event and
-// the draining state of an in-flight push.
+// conn is the per-connection state: a descriptor (whose file is the
+// connection's netsim.ServerConn), its registered event and the draining
+// state of an in-flight push.
 type conn struct {
 	fd  *simkernel.FD
-	sc  *netsim.ServerConn
 	ev  *eventlib.Event
-	idx int // index in members, -1 before the subscribe
+	idx int32 // index in members, -1 before the subscribe
 	// pending is how many push bytes the socket has not yet accepted; while
 	// positive the descriptor holds read+write interest.
-	pending int
+	pending int32
 }
 
 // Server is a running pushcore instance inside the simulation.
@@ -89,7 +90,7 @@ type Server struct {
 	lfd       *simkernel.FD
 
 	conns   []*conn // fd-indexed; nil = closed
-	members []int   // fd numbers of subscribed members
+	members []int32 // fd numbers of subscribed members
 	free    []*conn
 	slab    core.Slab[conn] // fresh conns: members are held for the whole run
 
@@ -222,7 +223,7 @@ func (s *Server) setConn(fd int, c *conn) {
 // further transition.
 func (s *Server) onAcceptable(_ int, _ eventlib.What, now core.Time) {
 	for {
-		fd, sc, err := s.api.Accept(s.lfd)
+		fd, _, err := s.api.Accept(s.lfd)
 		if err != nil {
 			return
 		}
@@ -235,7 +236,7 @@ func (s *Server) onAcceptable(_ int, _ eventlib.What, now core.Time) {
 		} else {
 			c = s.slab.New()
 		}
-		c.fd, c.sc, c.idx, c.pending = fd, sc, -1, 0
+		c.fd, c.idx, c.pending = fd, -1, 0
 		c.ev = s.base.NewEvent(fd.Num, eventlib.EvRead|eventlib.EvPersist, s.connReadyFn)
 		s.setConn(fd.Num, c)
 		_ = c.ev.Add(0)
@@ -269,8 +270,8 @@ func (s *Server) connReady(fd int, what eventlib.What, now core.Time) {
 func (s *Server) readConn(now core.Time, c *conn) {
 	data, eof := s.api.Read(c.fd, 0)
 	if len(data) > 0 && c.idx < 0 {
-		c.idx = len(s.members)
-		s.members = append(s.members, c.fd.Num)
+		c.idx = int32(len(s.members))
+		s.members = append(s.members, int32(c.fd.Num))
 		s.stats.Subscribed++
 	}
 	if eof {
@@ -290,7 +291,7 @@ func (s *Server) onTick(_ int, _ eventlib.What, now core.Time) {
 	}
 	for i := 0; i < s.cfg.FanoutSize; i++ {
 		h := Mix(s.cfg.Seed ^ (s.tickNo*0x9e3779b97f4a7c15 + uint64(i)*0xbf58476d1ce4e5b9))
-		c := s.getConn(s.members[int(h%uint64(m))])
+		c := s.getConn(int(s.members[int(h%uint64(m))]))
 		if c == nil {
 			continue
 		}
@@ -310,14 +311,14 @@ func (s *Server) onTick(_ int, _ eventlib.What, now core.Time) {
 func (s *Server) push(now core.Time, c *conn) {
 	s.stats.Pushed++
 	if s.OnDeliver != nil {
-		s.OnDeliver(now, c.sc)
+		s.OnDeliver(now, c.fd.File().(*netsim.ServerConn))
 	}
 	wrote := s.api.Write(c.fd, s.cfg.Payload)
 	s.stats.BytesSent += int64(wrote)
 	if wrote >= s.cfg.Payload {
 		return
 	}
-	c.pending = s.cfg.Payload - wrote
+	c.pending = int32(s.cfg.Payload - wrote)
 	s.stats.WriteBlock++
 	// Upgrade to read+write interest (one event per descriptor, so the read
 	// event is replaced — epoll_ctl(MOD) in a real server).
@@ -333,9 +334,9 @@ func (s *Server) drain(now core.Time, c *conn) {
 	if c.pending <= 0 {
 		return
 	}
-	wrote := s.api.Write(c.fd, c.pending)
+	wrote := s.api.Write(c.fd, int(c.pending))
 	s.stats.BytesSent += int64(wrote)
-	c.pending -= wrote
+	c.pending -= int32(wrote)
 	if c.pending > 0 {
 		return
 	}
@@ -358,8 +359,8 @@ func (s *Server) closeConn(c *conn) {
 		moved := s.members[last]
 		s.members[c.idx] = moved
 		s.members = s.members[:last]
-		if c.idx <= last-1 {
-			if mc := s.getConn(moved); mc != nil {
+		if int(c.idx) <= last-1 {
+			if mc := s.getConn(int(moved)); mc != nil {
 				mc.idx = c.idx
 			}
 		}
@@ -367,7 +368,7 @@ func (s *Server) closeConn(c *conn) {
 	}
 	s.api.Close(c.fd)
 	s.stats.Closed++
-	c.fd, c.sc, c.ev = nil, nil, nil
+	c.fd, c.ev = nil, nil
 	s.free = append(s.free, c)
 }
 

@@ -140,18 +140,27 @@ type FD struct {
 	Gen  uint64
 	Proc *Proc
 
+	file File
+
+	// watcher is the first registered watcher: a descriptor almost always
+	// has exactly one (its mechanism), which therefore costs nothing beyond
+	// the FD. more holds the rare later ones in registration order (the
+	// hybrid's mirrored interest adds a second).
+	watcher Watcher
+	more    *watcherList
+
 	// BufferRegistered marks the descriptor as having a fixed buffer
 	// registered with the kernel (compio's registered-buffer reads): socket
 	// reads skip the Cost.SockReadCopy component while it is set. Only the
 	// compio mechanism sets it; it dies with the descriptor on close.
 	BufferRegistered bool
+	closed           bool
+}
 
-	file     File
-	watchers []Watcher
-	closed   bool
-
-	// inline backs watchers for the common single watcher (one mechanism per
-	// descriptor), so registering it allocates nothing beyond the FD.
+// watcherList holds a descriptor's watchers past the first. Its inline slot
+// backs the list for a second watcher, so spilling costs one allocation.
+type watcherList struct {
+	ws     []Watcher
 	inline [1]Watcher
 }
 
@@ -180,52 +189,83 @@ func (fd *FD) DriverPoll() core.EventMask {
 
 // AddWatcher registers w to be notified of readiness transitions on fd.
 func (fd *FD) AddWatcher(w Watcher) {
-	for _, existing := range fd.watchers {
+	switch {
+	case fd.watcher == nil:
+		fd.watcher = w
+		return
+	case fd.watcher == w:
+		return
+	case fd.more == nil:
+		l := &watcherList{}
+		l.ws = append(l.inline[:0], w)
+		fd.more = l
+		return
+	}
+	for _, existing := range fd.more.ws {
 		if existing == w {
 			return
 		}
 	}
-	if fd.watchers == nil {
-		fd.watchers = fd.inline[:0]
-	}
-	fd.watchers = append(fd.watchers, w)
+	fd.more.ws = append(fd.more.ws, w)
 }
 
-// RemoveWatcher unregisters w.
+// RemoveWatcher unregisters w, keeping the others in registration order.
 func (fd *FD) RemoveWatcher(w Watcher) {
-	for i, existing := range fd.watchers {
+	if fd.watcher == nil {
+		return
+	}
+	var more []Watcher
+	if fd.more != nil {
+		more = fd.more.ws
+	}
+	if fd.watcher == w {
+		if len(more) == 0 {
+			fd.watcher = nil
+			return
+		}
+		fd.watcher = more[0]
+		fd.more.ws = append(more[:0], more[1:]...)
+		return
+	}
+	for i, existing := range more {
 		if existing == w {
-			fd.watchers = append(fd.watchers[:i], fd.watchers[i+1:]...)
+			fd.more.ws = append(more[:i], more[i+1:]...)
 			return
 		}
 	}
 }
 
 // Watchers reports the number of registered watchers (used by tests).
-func (fd *FD) Watchers() int { return len(fd.watchers) }
+func (fd *FD) Watchers() int {
+	switch {
+	case fd.watcher == nil:
+		return 0
+	case fd.more == nil:
+		return 1
+	}
+	return 1 + len(fd.more.ws)
+}
 
 // Notify implements Notifier: it fans a readiness transition out to all
 // registered watchers. Files call it (via SetNotifier's installed target)
 // whenever their readiness changes.
 func (fd *FD) Notify(now core.Time, mask core.EventMask) {
-	if fd.closed {
+	if fd.closed || fd.watcher == nil {
 		return
 	}
-	switch len(fd.watchers) {
-	case 0:
-	case 1:
+	if fd.more == nil || len(fd.more.ws) == 0 {
 		// The overwhelmingly common case: deliver directly. The watcher may
 		// remove itself — there is no further iteration to disturb.
-		fd.watchers[0].ReadinessChanged(now, fd, mask)
-	default:
-		// Copy: watchers may remove themselves during delivery. A small stack
-		// buffer covers every configuration the servers build (at most one
-		// mechanism per fd plus the hybrid's mirrored pair).
-		var buf [4]Watcher
-		ws := append(buf[:0], fd.watchers...)
-		for _, w := range ws {
-			w.ReadinessChanged(now, fd, mask)
-		}
+		fd.watcher.ReadinessChanged(now, fd, mask)
+		return
+	}
+	// Copy: watchers may remove themselves during delivery. A small stack
+	// buffer covers every configuration the servers build (at most one
+	// mechanism per fd plus the hybrid's mirrored pair).
+	var buf [4]Watcher
+	ws := append(append(buf[:0], fd.watcher), fd.more.ws...)
+	for _, w := range ws {
+		w.ReadinessChanged(now, fd, mask)
 	}
 }
 
@@ -378,13 +418,17 @@ func (p *Proc) CloseFD(now core.Time, fd int) error {
 		p.freeFD = fd
 	}
 	e.closed = true
-	for _, w := range e.watchers {
-		if cw, ok := w.(CloseWatcher); ok {
-			cw.FDClosed(e)
+	if cw, ok := e.watcher.(CloseWatcher); ok {
+		cw.FDClosed(e)
+	}
+	if e.more != nil {
+		for _, w := range e.more.ws {
+			if cw, ok := w.(CloseWatcher); ok {
+				cw.FDClosed(e)
+			}
 		}
 	}
-	e.watchers = nil
-	e.inline[0] = nil
+	e.watcher, e.more = nil, nil
 	e.file.SetNotifier(nil)
 	e.file.Close(now)
 	return nil

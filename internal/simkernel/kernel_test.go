@@ -1,8 +1,10 @@
 package simkernel
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/core"
 )
@@ -318,6 +320,39 @@ func TestFDWatchersFanOutAndRemoval(t *testing.T) {
 	fd.RemoveWatcher(w1)
 }
 
+// Removing the inline watcher promotes the first spilled one: delivery keeps
+// registration order among the rest, and a removed watcher hears nothing.
+func TestFDWatcherOrderSurvivesRemovingTheFirst(t *testing.T) {
+	k := NewKernel(nil)
+	p := k.NewProc("test")
+	f := &fakeFile{}
+	fd := p.Install(f)
+	var order []string
+	mk := func(name string) Watcher {
+		return &namedWatcher{func() { order = append(order, name) }}
+	}
+	a, b, c := mk("a"), mk("b"), mk("c")
+	fd.AddWatcher(a)
+	fd.AddWatcher(b)
+	fd.AddWatcher(c)
+	fd.AddWatcher(b) // duplicate of a spilled watcher is a no-op
+	fd.RemoveWatcher(a)
+	if fd.Watchers() != 2 {
+		t.Fatalf("Watchers = %d, want 2", fd.Watchers())
+	}
+	f.setReady(0, core.POLLIN)
+	fd.AddWatcher(a)
+	f.setReady(1, core.POLLIN)
+	if got := fmt.Sprint(order); got != "[b c b c a]" {
+		t.Fatalf("delivery order %s, want [b c b c a]", got)
+	}
+}
+
+// namedWatcher calls fn on every delivery; each one is a distinct watcher.
+type namedWatcher struct{ fn func() }
+
+func (w *namedWatcher) ReadinessChanged(core.Time, *FD, core.EventMask) { w.fn() }
+
 func TestClosedFDDoesNotNotify(t *testing.T) {
 	k := NewKernel(nil)
 	p := k.NewProc("test")
@@ -423,5 +458,13 @@ func TestDriverPollChargesCost(t *testing.T) {
 	}
 	if p.TotalCharged != k.Cost.DriverPoll {
 		t.Fatalf("TotalCharged = %v, want %v", p.TotalCharged, k.Cost.DriverPoll)
+	}
+}
+
+// An FD keeps one watcher inline and spills only the rare extra ones, so a
+// held descriptor costs 72 bytes.
+func TestFDSize(t *testing.T) {
+	if got := unsafe.Sizeof(FD{}); got != 72 {
+		t.Fatalf("unsafe.Sizeof(FD{}) = %d, want 72", got)
 	}
 }
