@@ -10,6 +10,10 @@ GOVULNCHECK_VERSION ?= v1.1.4
 # uploads it as a workflow artifact when the diff fails.
 DETERMINISM_OUT ?= determinism-out
 
+# File the bench-gate target writes its emitted candidate into, kept after the
+# gate so its per-point allocs/op and event counts can be read; CI uploads it.
+BENCH_CANDIDATE ?= bench-candidate.json
+
 .PHONY: all fmt-check vet build test bench-test test-race staticcheck \
 	govulncheck bench-smoke ablation-smoke determinism bench-json bench-gate \
 	bench-crosscheck profile figures-diff ci
@@ -149,12 +153,11 @@ bench-json:
 # wall clock jitters even same-machine), and it only means anything when the
 # baseline was emitted on this machine; CI runs
 # `make bench-gate TIME_TOLERANCE=0` to disable it (different hardware).
+# The candidate stays in $(BENCH_CANDIDATE).
 TIME_TOLERANCE ?= 1.0
 bench-gate:
-	@tmp=$$(mktemp); \
-	$(GO) run ./cmd/benchgate -emit $$tmp -quiet && \
-	$(GO) run ./cmd/benchgate -baseline BENCH_PR21.json -candidate $$tmp -time-tolerance $(TIME_TOLERANCE); \
-	status=$$?; rm -f $$tmp; exit $$status
+	$(GO) run ./cmd/benchgate -emit $(BENCH_CANDIDATE) -quiet
+	$(GO) run ./cmd/benchgate -baseline BENCH_PR21.json -candidate $(BENCH_CANDIDATE) -time-tolerance $(TIME_TOLERANCE)
 
 # Zero-tolerance parallel determinism gate on the benchmark set: every gated
 # point runs once sequentially and once on the sharded kernel with 4 threads,

@@ -210,6 +210,7 @@ type Generator struct {
 	lanes    []laneAcc
 	psamples []float64
 	pbase    bool
+	latCache latSummary
 
 	inactive []*inactiveClient
 
@@ -235,6 +236,12 @@ type Generator struct {
 	running  bool
 	done     bool
 	onDone   func(Result)
+}
+
+// latSummary is latencySummary's result for the first n latency samples.
+type latSummary struct {
+	n                   int
+	mean, p50, p90, max float64
 }
 
 // laneAcc is one lane's share of the run bookkeeping: written only by
@@ -696,22 +703,37 @@ func (g *Generator) Result() Result {
 	if elapsed := end.Sub(g.started); elapsed > 0 {
 		res.OfferedRate = float64(g.issued) / elapsed.Seconds()
 	}
+	res.MeanLatencyMs, res.MedianLatencyMs, res.P90LatencyMs, res.MaxLatencyMs = g.latencySummary()
+	res.Latency = hist.Percentiles()
+	return res
+}
+
+// latencySummary returns the mean, median, 90th percentile and maximum of the
+// per-reply latencies. Result runs at least twice per run (for OnDone and for
+// the harness), and samples are only ever appended, so the four values are
+// kept with the sample count they were computed from and reused while that
+// count holds.
+func (g *Generator) latencySummary() (mean, p50, p90, max float64) {
+	n := 0
+	for i := range g.lanes {
+		n += len(g.lanes[i].latenciesMs)
+	}
+	c := &g.latCache
+	if c.n == n { // also no samples yet: the zero cache
+		return c.mean, c.p50, c.p90, c.max
+	}
 	// A 1-lane run reads its lane's samples in place; only the multi-lane
 	// merge needs a concatenated copy.
 	lat := g.lanes[0].latenciesMs
 	if len(g.lanes) > 1 {
-		lat = nil
+		lat = make([]float64, 0, n)
 		for i := range g.lanes {
 			lat = append(lat, g.lanes[i].latenciesMs...)
 		}
 	}
-	if len(lat) > 0 {
-		res.MeanLatencyMs = metrics.Summarize(lat).Mean
-		q := metrics.Percentiles(lat, 50, 90, 100)
-		res.MedianLatencyMs, res.P90LatencyMs, res.MaxLatencyMs = q[0], q[1], q[2]
-	}
-	res.Latency = hist.Percentiles()
-	return res
+	q := metrics.Percentiles(lat, 50, 90, 100)
+	*c = latSummary{n: n, mean: metrics.Summarize(lat).Mean, p50: q[0], p90: q[1], max: q[2]}
+	return c.mean, c.p50, c.p90, c.max
 }
 
 // mergedSamples reproduces metrics.RateSampler's output from the merged

@@ -3,6 +3,7 @@ package loadgen
 import (
 	"repro/internal/core"
 	"repro/internal/netsim"
+	"repro/internal/simkernel"
 )
 
 // This file holds the two non-request traffic families of the
@@ -63,6 +64,9 @@ func (g *Generator) launchMember(now core.Time) {
 // finishes arriving, so the measured latency spans eventlib arming, the write
 // (including any window jam and drain) and the wire.
 func (g *Generator) PushDeliver(now core.Time, sc *netsim.ServerConn) {
+	if g.pushClosing {
+		return
+	}
 	m, _ := sc.Peer().Handler().(*pushMember)
 	if m == nil || m.resolved {
 		return
@@ -118,10 +122,10 @@ func (m *pushMember) Refused(now core.Time, reason netsim.RefuseReason) {
 // delivery (pushes to one member never overlap — the server skips a member
 // whose previous push is still draining).
 func (m *pushMember) Data(now core.Time, n int) {
-	if m.resolved {
+	g := m.gen
+	if m.resolved || g.pushClosing {
 		return
 	}
-	g := m.gen
 	m.received += int32(n)
 	for len(m.pending) > 0 && int(m.received) >= g.pushPayload {
 		m.received -= int32(g.pushPayload)
@@ -135,7 +139,7 @@ func (m *pushMember) Data(now core.Time, n int) {
 		g.recordReply(m.conn.Q(), anchor, now)
 		g.pushDone++
 		if g.pushDone >= g.cfg.Connections {
-			g.finishPush(now)
+			g.finishPush(m.conn.Q(), now)
 			return
 		}
 	}
@@ -144,28 +148,43 @@ func (m *pushMember) Data(now core.Time, n int) {
 // PeerClosed implements netsim.ConnHandler: the server never closes a member
 // mid-run, so an unexpected close is an error (server shutdown, reset).
 func (m *pushMember) PeerClosed(now core.Time) {
-	if m.resolved {
+	if m.resolved || m.gen.pushClosing {
 		return
 	}
 	m.resolved = true
 	m.gen.recordError(m.conn.Q(), ErrReset, now)
 }
 
-// finishPush ends the run once the delivery budget is spent: every live
-// member closes (all of them live on the executing lane) and resolves as a
-// completed connection.
-func (g *Generator) finishPush(now core.Time) {
-	if g.pushClosing {
+// finishPush ends the run once the delivery budget is spent. Every live
+// member resolves as a completed connection at once: they all live on the
+// executing lane q, so one update of that lane's books stands for the
+// per-member resolutions. If that completes the run, nothing is torn down —
+// once the generator is done it closes nothing, as with the inactive
+// population, because the engine stops inside this event and no close could
+// ever reach the server. Otherwise the run goes on (a member's SYN is still
+// in flight, or a multi-lane run detects the end a barrier later), and every
+// live member closes as a finished client would. Callbacks arriving after
+// this point test pushClosing.
+func (g *Generator) finishPush(q simkernel.Q, now core.Time) {
+	g.pushClosing = true
+	live := 0
+	for _, m := range g.pushMembers {
+		if !m.resolved {
+			live++
+		}
+	}
+	ln := &g.lanes[q.LaneIndex()]
+	ln.completed += live
+	ln.resolved += live
+	ln.lastResolveAt = now
+	g.resolvedOne()
+	if g.done {
 		return
 	}
-	g.pushClosing = true
 	for _, m := range g.pushMembers {
-		if m.resolved {
-			continue
+		if !m.resolved {
+			m.conn.Close(now)
 		}
-		m.resolved = true
-		m.conn.Close(now)
-		g.resolveKeepAlive(m.conn.Q(), now)
 	}
 }
 

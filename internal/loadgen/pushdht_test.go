@@ -59,6 +59,121 @@ func TestPushWorkloadDeliversBudget(t *testing.T) {
 	}
 }
 
+// pushTestbed is TestPushWorkloadDeliversBudget's testbed: a pushcore server
+// on epoll, 100 members, 1600 deliveries/s, the run stopping when the
+// generator is done. With two lanes the server runs on lane 1 and the
+// generator launches from lane 0, as a -threads 2 run does.
+func pushTestbed(t *testing.T, lanes int) (*simkernel.Kernel, *netsim.Network, *Generator) {
+	t.Helper()
+	k := simkernel.NewKernel(nil)
+	if lanes > 1 {
+		k.EnableParallel(lanes, lanes, 100*core.Microsecond)
+	}
+	n := netsim.New(k, netsim.DefaultConfig())
+	if lanes > 1 {
+		n.Parallelize()
+	}
+	wl, _ := LookupWorkload("push")
+	wl.FanoutSize = 8
+	scfg := pushcore.DefaultConfig()
+	scfg.Backend = "epoll"
+	scfg.FanoutSize = wl.FanoutSize
+	scfg.Payload = wl.PushPayload
+	scfg.TickInterval = 5 * core.Millisecond
+	srv := pushcore.New(k, n, scfg)
+	cfg := DefaultConfig(1600, 0)
+	cfg.Connections = 100
+	cfg.Workload = wl
+	gen := New(k, n, cfg)
+	srv.OnDeliver = gen.PushDeliver
+	gen.OnDone(func(Result) { srv.Stop(); k.Sim.Stop() })
+	srv.Start()
+	gen.Start(0)
+	return k, n, gen
+}
+
+// A 1-lane push run that spends its delivery budget is done inside that very
+// event, so it closes no member: no client close is counted, no port enters
+// TIME-WAIT and no FIN is left queued behind the stopped engine. Before, every
+// member closed at that instant, leaving 100 closes, 100 TIME-WAIT ports and
+// 100 undelivered FINs.
+func TestPushBudgetEndsRunWithoutTeardown(t *testing.T) {
+	k, n, gen := pushTestbed(t, 1)
+	k.Sim.RunUntil(core.Time(30 * core.Second))
+	if !gen.Done() {
+		t.Fatalf("push run never finished: %+v", gen.Result())
+	}
+	if r := gen.Result(); r.Completed != 100 || r.Replies != 100 || r.Errors != 0 {
+		t.Fatalf("completed %d replies %d errors %d, want 100 100 0", r.Completed, r.Replies, r.Errors)
+	}
+	if c := n.Stats().ClientCloses; c != 0 {
+		t.Errorf("%d members closed after the run was done", c)
+	}
+	if tw := n.PortsInTimeWait(k.Now()); tw != 0 {
+		t.Errorf("%d ports in TIME-WAIT after the run was done", tw)
+	}
+	if p := k.Sim.Pending(); p >= 100 {
+		t.Errorf("%d events pending after the run was done, want fewer than one per member", p)
+	}
+}
+
+// When the budget is spent while a member's SYN is still in flight, the run
+// goes on until that member connects, so the live members close as before,
+// and the late member closes and resolves when it connects.
+func TestPushBudgetWithSYNInFlightClosesMembers(t *testing.T) {
+	k, n, gen := pushTestbed(t, 1)
+	// One extra member, launched as measurement starts, whose handshake
+	// takes two seconds: the budget (100 deliveries at 1600/s) is spent
+	// long before it connects.
+	gen.driverQ.At(gen.started, func(now core.Time) {
+		gen.issued++
+		m := gen.memberSlab.New()
+		m.gen = gen
+		m.conn = n.ConnectWith(now, netsim.ConnectOptions{RTT: 2 * core.Second}, m)
+	})
+	k.Sim.RunUntil(core.Time(30 * core.Second))
+	if !gen.Done() {
+		t.Fatalf("push run never finished: %+v", gen.Result())
+	}
+	r := gen.Result()
+	if r.Issued != 101 || r.Completed != 101 || r.Replies != 100 || r.Errors != 0 {
+		t.Fatalf("issued %d completed %d replies %d errors %d, want 101 101 100 0",
+			r.Issued, r.Completed, r.Replies, r.Errors)
+	}
+	if r.Finished < gen.started.Add(2*core.Second) {
+		t.Fatalf("run finished at %v, before the late member connected", r.Finished)
+	}
+	if c := n.Stats().ClientCloses; c != 101 {
+		t.Errorf("%d members closed, want all 101", c)
+	}
+	if tw := n.PortsInTimeWait(k.Now()); tw != 101 {
+		t.Errorf("%d ports in TIME-WAIT, want 101", tw)
+	}
+}
+
+// A 2-lane push run finds the end of the run a barrier after the budget is
+// spent, so the run goes on past finishPush and every member closes there,
+// as a finished client would; its books equal the 1-lane run's.
+func TestPushBudgetOnTwoLanesClosesMembers(t *testing.T) {
+	k1, _, seq := pushTestbed(t, 1)
+	k1.Sim.RunUntil(core.Time(30 * core.Second))
+	k, n, gen := pushTestbed(t, 2)
+	k.Sim.RunUntil(core.Time(30 * core.Second))
+	if !gen.Done() {
+		t.Fatalf("push run never finished: %+v", gen.Result())
+	}
+	want, got := seq.Result(), gen.Result()
+	if got.Completed != want.Completed || got.Replies != want.Replies || got.Errors != want.Errors ||
+		got.Finished != want.Finished || got.MaxLatencyMs != want.MaxLatencyMs {
+		t.Fatalf("2 lanes: completed %d replies %d errors %d finished %v max %v; 1 lane: %d %d %d %v %v",
+			got.Completed, got.Replies, got.Errors, got.Finished, got.MaxLatencyMs,
+			want.Completed, want.Replies, want.Errors, want.Finished, want.MaxLatencyMs)
+	}
+	if c := n.Stats().ClientCloses; c != 100 {
+		t.Errorf("%d members closed, want all 100", c)
+	}
+}
+
 func TestDHTChurnWorkloadPingsQuota(t *testing.T) {
 	k := simkernel.NewKernel(nil)
 	n := netsim.New(k, netsim.DefaultConfig())

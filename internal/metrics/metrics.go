@@ -62,14 +62,22 @@ func Percentile(samples []float64, p float64) float64 { return Percentiles(sampl
 // Percentiles returns Percentile(samples, p) for every p in ps. Each requested
 // order statistic is found by selection on one copy of the samples (the
 // extremes by a linear scan), so a call costs a few linear passes instead of a
-// full sort; the values are exactly the ones a sorted copy would give.
+// full sort; the values are exactly the ones a sorted copy would give. Ranks
+// asked in ascending order, as callers do, each search only the part right of
+// the previous one, which the earlier selection left holding every larger
+// sample.
 func Percentiles(samples []float64, ps ...float64) []float64 {
 	out := make([]float64, len(ps))
 	if len(samples) == 0 {
 		return out
 	}
 	var work []float64 // selection reorders; the caller's slice stays untouched
+	from := 0          // work[:from] holds the from smallest samples
 	for i, p := range ps {
+		if p >= 100 && work != nil {
+			out[i] = extreme(work[from:], true)
+			continue
+		}
 		if p <= 0 || p >= 100 || len(samples) == 1 {
 			out[i] = extreme(samples, p >= 100)
 			continue
@@ -80,7 +88,11 @@ func Percentiles(samples []float64, ps ...float64) []float64 {
 		rank := p / 100 * float64(len(work)-1)
 		lo := int(math.Floor(rank))
 		hi := int(math.Ceil(rank))
-		v := selectRank(work, lo)
+		if lo < from {
+			from = 0
+		}
+		v := selectRank(work[from:], lo-from)
+		from = lo
 		if lo == hi {
 			out[i] = v
 			continue

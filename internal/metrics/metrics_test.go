@@ -132,6 +132,49 @@ func TestPercentilesMatchSortReference(t *testing.T) {
 	}
 }
 
+// Several ranks in one call must each equal the sorted copy's value, in any
+// order the ranks are asked: ascending calls search right of the previous
+// rank, and a lower rank after a higher one searches the whole copy again.
+// The inputs mix ties and NaNs, which a sort places first.
+func TestPercentilesManyRanksMatchSortReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || a != a && b != b
+	}
+	for trial := 0; trial < 300; trial++ {
+		in := make([]float64, 1+rng.Intn(200))
+		for i := range in {
+			switch r := rng.Intn(10); {
+			case r == 0:
+				in[i] = math.NaN()
+			case r < 5:
+				in[i] = float64(rng.Intn(5)) // ties
+			default:
+				in[i] = rng.NormFloat64() * 100
+			}
+		}
+		ps := make([]float64, 1+rng.Intn(6))
+		for i := range ps {
+			ps[i] = float64(rng.Intn(1101))/10 - 5 // -5..105, clamped to 0..100
+		}
+		if trial%2 == 0 {
+			sort.Float64s(ps)
+		}
+		orig := append([]float64(nil), in...)
+		got := Percentiles(in, ps...)
+		for i, p := range ps {
+			if want := sortedPercentile(orig, p); !same(got[i], want) {
+				t.Fatalf("trial %d: %d samples, ranks %v: p%v = %v, want %v", trial, len(in), ps, p, got[i], want)
+			}
+		}
+		for i := range in {
+			if !same(in[i], orig[i]) {
+				t.Fatalf("trial %d: Percentiles mutated its input", trial)
+			}
+		}
+	}
+}
+
 func TestRateSampler(t *testing.T) {
 	r := NewRateSampler(core.Second)
 	r.Start(0)
