@@ -6,8 +6,9 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-# Directory the determinism target writes its paired run outputs into; CI
-# uploads it as a workflow artifact when the diff fails.
+# Directory the determinism target writes its benchfig build and its
+# -threads outputs into; CI uploads it as a workflow artifact when a diff
+# fails.
 DETERMINISM_OUT ?= determinism-out
 
 # File the bench-gate target writes its emitted candidate into, kept after the
@@ -16,7 +17,7 @@ BENCH_CANDIDATE ?= bench-candidate.json
 
 .PHONY: all fmt-check vet build test bench-test test-race staticcheck \
 	govulncheck bench-smoke ablation-smoke determinism bench-json bench-gate \
-	bench-crosscheck profile figures-diff ci
+	bench-crosscheck profile ci
 
 all: ci
 
@@ -74,72 +75,40 @@ bench-smoke:
 ablation-smoke:
 	$(GO) run ./cmd/benchfig -ablation -connections 600 -quiet > /dev/null
 
-# The simulation promises byte-identical output for identical inputs AND for
-# any kernel thread count; run one rate figure, the two multi-worker figures
-# (at 2000 connections, so every worker count's run outlasts the sample
-# interval and prints non-zero rates), one overload-workload figure, one
-# server-push figure and one chaos figure (fig 41: seeded fault injection is
-# part of the promise) twice each, plus every ablation, and diff, then re-run
-# the rate, overload, push and chaos figures and the ablations on the sharded
-# parallel kernel at -threads 2 and 8 and diff those against the sequential
-# output. Fig 18 also runs at -threads 2: its round-robin sharding and
-# handoff curves must fall back to the sequential engine unchanged. Any map iteration,
-# wall-clock dependency or cross-shard ordering leak sneaking into the event
-# machinery fails this before it can corrupt a figure comparison. Outputs
-# stay in $(DETERMINISM_OUT) so CI can attach them to the failed workflow run.
+# The simulation promises byte-identical output for any kernel thread count.
+# TestFigureGoldens already compares every sequential run with committed
+# bytes; this target re-runs a rate figure (fig 12), a flash-crowd figure with
+# percentiles (fig 20), a pipelining figure (fig 33), a server-push figure
+# (fig 37), a chaos figure at its own size (fig 41: seeded fault injection is
+# part of the promise, and at 600 connections its fault axis is flat) and
+# every ablation on the sharded parallel kernel at -threads 2 and 8, and fig
+# 18 at -threads 2 (its round-robin sharding and handoff curves must fall
+# back to the sequential engine unchanged). Each output is diffed against the
+# golden of the same invocation in $(GOLDENS). Any map iteration, wall-clock
+# dependency or cross-shard ordering leak in the event machinery fails this
+# before it can corrupt a figure. Outputs stay in $(DETERMINISM_OUT) so CI can
+# attach them to the failed workflow run.
+GOLDENS = internal/experiments/testdata/figures
 determinism:
 	@rm -rf $(DETERMINISM_OUT) && mkdir -p $(DETERMINISM_OUT)
-	$(GO) run ./cmd/benchfig -fig 12 -connections 600 -quiet > $(DETERMINISM_OUT)/fig12-a.txt
-	$(GO) run ./cmd/benchfig -fig 12 -connections 600 -quiet > $(DETERMINISM_OUT)/fig12-b.txt
-	$(GO) run ./cmd/benchfig -fig 17 -connections 2000 -quiet > $(DETERMINISM_OUT)/fig17-a.txt
-	$(GO) run ./cmd/benchfig -fig 17 -connections 2000 -quiet > $(DETERMINISM_OUT)/fig17-b.txt
-	$(GO) run ./cmd/benchfig -fig 18 -connections 2000 -quiet > $(DETERMINISM_OUT)/fig18-a.txt
-	$(GO) run ./cmd/benchfig -fig 18 -connections 2000 -quiet > $(DETERMINISM_OUT)/fig18-b.txt
-	$(GO) run ./cmd/benchfig -fig 18 -connections 2000 -threads 2 -quiet > $(DETERMINISM_OUT)/fig18-t2.txt
-	$(GO) run ./cmd/benchfig -fig 20 -connections 600 -percentiles -quiet > $(DETERMINISM_OUT)/fig20-a.txt
-	$(GO) run ./cmd/benchfig -fig 20 -connections 600 -percentiles -quiet > $(DETERMINISM_OUT)/fig20-b.txt
-	$(GO) run ./cmd/benchfig -fig 33 -connections 600 -quiet > $(DETERMINISM_OUT)/fig33-a.txt
-	$(GO) run ./cmd/benchfig -fig 33 -connections 600 -quiet > $(DETERMINISM_OUT)/fig33-b.txt
-	$(GO) run ./cmd/benchfig -fig 12 -connections 600 -threads 2 -quiet > $(DETERMINISM_OUT)/fig12-t2.txt
-	$(GO) run ./cmd/benchfig -fig 12 -connections 600 -threads 8 -quiet > $(DETERMINISM_OUT)/fig12-t8.txt
-	$(GO) run ./cmd/benchfig -fig 20 -connections 600 -percentiles -threads 2 -quiet > $(DETERMINISM_OUT)/fig20-t2.txt
-	$(GO) run ./cmd/benchfig -fig 20 -connections 600 -percentiles -threads 8 -quiet > $(DETERMINISM_OUT)/fig20-t8.txt
-	$(GO) run ./cmd/benchfig -fig 33 -connections 600 -threads 2 -quiet > $(DETERMINISM_OUT)/fig33-t2.txt
-	$(GO) run ./cmd/benchfig -fig 33 -connections 600 -threads 8 -quiet > $(DETERMINISM_OUT)/fig33-t8.txt
-	$(GO) run ./cmd/benchfig -fig 37 -connections 2000 -quiet > $(DETERMINISM_OUT)/fig37-a.txt
-	$(GO) run ./cmd/benchfig -fig 37 -connections 2000 -quiet > $(DETERMINISM_OUT)/fig37-b.txt
-	$(GO) run ./cmd/benchfig -fig 37 -connections 2000 -threads 2 -quiet > $(DETERMINISM_OUT)/fig37-t2.txt
-	$(GO) run ./cmd/benchfig -fig 37 -connections 2000 -threads 8 -quiet > $(DETERMINISM_OUT)/fig37-t8.txt
-	$(GO) run ./cmd/benchfig -fig 41 -connections 2000 -quiet > $(DETERMINISM_OUT)/fig41-a.txt
-	$(GO) run ./cmd/benchfig -fig 41 -connections 2000 -quiet > $(DETERMINISM_OUT)/fig41-b.txt
-	$(GO) run ./cmd/benchfig -fig 41 -connections 2000 -threads 2 -quiet > $(DETERMINISM_OUT)/fig41-t2.txt
-	$(GO) run ./cmd/benchfig -fig 41 -connections 2000 -threads 8 -quiet > $(DETERMINISM_OUT)/fig41-t8.txt
-	$(GO) run ./cmd/benchfig -ablation -connections 600 -quiet > $(DETERMINISM_OUT)/ablation-a.txt
-	$(GO) run ./cmd/benchfig -ablation -connections 600 -quiet > $(DETERMINISM_OUT)/ablation-b.txt
-	$(GO) run ./cmd/benchfig -ablation -connections 600 -threads 2 -quiet > $(DETERMINISM_OUT)/ablation-t2.txt
-	$(GO) run ./cmd/benchfig -ablation -connections 600 -threads 8 -quiet > $(DETERMINISM_OUT)/ablation-t8.txt
-	@diff $(DETERMINISM_OUT)/fig12-a.txt $(DETERMINISM_OUT)/fig12-b.txt \
-		&& diff $(DETERMINISM_OUT)/fig17-a.txt $(DETERMINISM_OUT)/fig17-b.txt \
-		&& diff $(DETERMINISM_OUT)/fig18-a.txt $(DETERMINISM_OUT)/fig18-b.txt \
-		&& diff $(DETERMINISM_OUT)/fig18-a.txt $(DETERMINISM_OUT)/fig18-t2.txt \
-		&& diff $(DETERMINISM_OUT)/fig20-a.txt $(DETERMINISM_OUT)/fig20-b.txt \
-		&& diff $(DETERMINISM_OUT)/fig33-a.txt $(DETERMINISM_OUT)/fig33-b.txt \
-		&& diff $(DETERMINISM_OUT)/fig12-a.txt $(DETERMINISM_OUT)/fig12-t2.txt \
-		&& diff $(DETERMINISM_OUT)/fig12-a.txt $(DETERMINISM_OUT)/fig12-t8.txt \
-		&& diff $(DETERMINISM_OUT)/fig20-a.txt $(DETERMINISM_OUT)/fig20-t2.txt \
-		&& diff $(DETERMINISM_OUT)/fig20-a.txt $(DETERMINISM_OUT)/fig20-t8.txt \
-		&& diff $(DETERMINISM_OUT)/fig33-a.txt $(DETERMINISM_OUT)/fig33-t2.txt \
-		&& diff $(DETERMINISM_OUT)/fig33-a.txt $(DETERMINISM_OUT)/fig33-t8.txt \
-		&& diff $(DETERMINISM_OUT)/fig37-a.txt $(DETERMINISM_OUT)/fig37-b.txt \
-		&& diff $(DETERMINISM_OUT)/fig37-a.txt $(DETERMINISM_OUT)/fig37-t2.txt \
-		&& diff $(DETERMINISM_OUT)/fig37-a.txt $(DETERMINISM_OUT)/fig37-t8.txt \
-		&& diff $(DETERMINISM_OUT)/fig41-a.txt $(DETERMINISM_OUT)/fig41-b.txt \
-		&& diff $(DETERMINISM_OUT)/fig41-a.txt $(DETERMINISM_OUT)/fig41-t2.txt \
-		&& diff $(DETERMINISM_OUT)/fig41-a.txt $(DETERMINISM_OUT)/fig41-t8.txt \
-		&& diff $(DETERMINISM_OUT)/ablation-a.txt $(DETERMINISM_OUT)/ablation-b.txt \
-		&& diff $(DETERMINISM_OUT)/ablation-a.txt $(DETERMINISM_OUT)/ablation-t2.txt \
-		&& diff $(DETERMINISM_OUT)/ablation-a.txt $(DETERMINISM_OUT)/ablation-t8.txt \
-		&& echo "determinism: OK (incl. -threads 2/8 matrix)"
+	$(GO) build -o $(DETERMINISM_OUT)/benchfig ./cmd/benchfig
+	@set -e; out=$(DETERMINISM_OUT); \
+	run() { golden=$$1; threads=$$2; shift 2; \
+		echo "benchfig $$* -threads $$threads -percentiles -quiet"; \
+		$$out/benchfig "$$@" -threads $$threads -percentiles -quiet > $$out/$$golden-t$$threads.txt; \
+		diff $(GOLDENS)/$$golden.golden $$out/$$golden-t$$threads.txt; }; \
+	for t in 2 8; do \
+		run fig12-600 $$t -fig 12 -connections 600; \
+		run fig20-600 $$t -fig 20 -connections 600; \
+		run fig33-600 $$t -fig 33 -connections 600; \
+		run fig37-2000 $$t -fig 37 -connections 2000; \
+		run fig41 $$t -fig 41; \
+		for a in $$($$out/benchfig -list | awk '$$1 !~ /^fig/ {print $$1}'); do \
+			run $$a $$t -fig $$a; \
+		done; \
+	done; \
+	run fig18-2000 2 -fig 18 -connections 2000; \
+	echo "determinism: OK (-threads 2/8 equal the goldens)"
 
 # Refresh the committed benchmark baseline: the key figure points' reply
 # rates, p99 latencies and ns/op. Run this (and commit the result) in any PR
@@ -166,17 +135,6 @@ bench-gate:
 # byte diffs.
 bench-crosscheck:
 	$(GO) run ./cmd/benchgate -crosscheck 4
-
-# Byte-identity check for a change that must not move a figure: build
-# cmd/benchfig at git revision BASE and in the working tree, run figures
-# 4..43 at 600 connections, the default sweep and -ablation on both, and name
-# the first differing table of each run that differs; then run every
-# examples/* program at both revisions and name each whose stdout differs.
-# Not part of `ci`: it
-# needs the repository history. Usage: make figures-diff BASE=<rev>
-figures-diff:
-	@test -n "$(BASE)" || { echo "usage: make figures-diff BASE=<rev>"; exit 2; }
-	GO=$(GO) scripts/figures-diff.sh $(BASE)
 
 # Profile the hot paths: regenerate a representative figure under the CPU,
 # heap, mutex-contention and blocking profilers — on the sharded parallel
