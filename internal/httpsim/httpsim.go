@@ -27,12 +27,15 @@ var (
 // thttpd-era servers.
 const MaxRequestBytes = 8192
 
-// Request is a parsed HTTP request.
+// Request is a parsed HTTP request. Of its headers only Connection is kept,
+// the one header a server reads (KeepAlive): the value of the last
+// Connection line, empty when the request sent none. Other header lines are
+// still checked for a colon.
 type Request struct {
-	Method  string
-	Path    string
-	Version string
-	Headers map[string]string
+	Method     string
+	Path       string
+	Version    string
+	Connection string
 }
 
 // HTTP11 reports whether the request was made with HTTP/1.1.
@@ -43,11 +46,10 @@ func (r *Request) HTTP11() bool { return r.Version == "HTTP/1.1" }
 // `Connection: close`; HTTP/1.0 persists only on an explicit
 // `Connection: keep-alive`.
 func (r *Request) KeepAlive() bool {
-	conn := r.Headers["connection"]
 	if r.HTTP11() {
-		return conn != "close"
+		return r.Connection != "close"
 	}
-	return conn == "keep-alive"
+	return r.Connection == "keep-alive"
 }
 
 // FormatRequest renders a well-formed HTTP/1.0 GET request for path, as the
@@ -81,10 +83,9 @@ func FormatPartialRequest(path string) []byte {
 // completed request and advances to them.
 //
 // The parser is built for reuse on the server's hottest path: Reset keeps the
-// accumulated buffer's storage and the parsed request's header map, the
-// terminator search resumes where the previous Feed left off (so trickled
-// bytes cost O(new bytes), not O(buffer)), and the tokens every benchmark
-// request carries are interned. Parsing a well-formed benchmark request
+// accumulated buffer's storage, the terminator search resumes where the
+// previous Feed left off (so trickled bytes cost O(new bytes), not
+// O(buffer)), and the tokens every benchmark request carries are interned. Parsing a well-formed benchmark request
 // allocates nothing at steady state.
 type Parser struct {
 	buf      []byte
@@ -154,10 +155,7 @@ func (p *Parser) Consume() (complete bool, err error) {
 	p.end = 0
 	p.complete = false
 	p.req = nil
-	p.store.Method, p.store.Path, p.store.Version = "", "", ""
-	if p.store.Headers != nil {
-		clear(p.store.Headers)
-	}
+	p.store = Request{}
 	if len(p.buf) == 0 {
 		return false, nil
 	}
@@ -177,18 +175,15 @@ func (p *Parser) Request() *Request { return p.req }
 // Err returns the parse error, if any.
 func (p *Parser) Err() error { return p.err }
 
-// Reset clears the parser for reuse, keeping the buffer and header-map
-// storage so a pooled connection's next request parses without allocating.
+// Reset clears the parser for reuse, keeping the buffer's storage so a pooled
+// connection's next request parses without allocating.
 func (p *Parser) Reset() {
 	p.buf = p.buf[:0]
 	p.end = 0
 	p.complete = false
 	p.req = nil
 	p.err = nil
-	p.store.Method, p.store.Path, p.store.Version = "", "", ""
-	if p.store.Headers != nil {
-		clear(p.store.Headers)
-	}
+	p.store = Request{}
 }
 
 // parseHead parses the request line and headers (everything before the blank
@@ -212,9 +207,6 @@ func (p *Parser) parseHead(head []byte) error {
 	if len(method) == 0 || len(path) == 0 || path[0] != '/' || !bytes.HasPrefix(version, []byte("HTTP/")) {
 		return ErrMalformed
 	}
-	if p.store.Headers == nil {
-		p.store.Headers = make(map[string]string, 4)
-	}
 	p.store.Method = intern(method)
 	p.store.Path = intern(path)
 	p.store.Version = intern(version)
@@ -227,8 +219,9 @@ func (p *Parser) parseHead(head []byte) error {
 		if colon <= 0 {
 			return ErrMalformed
 		}
-		key := internHeaderKey(bytes.TrimSpace(line[:colon]))
-		p.store.Headers[key] = intern(bytes.TrimSpace(line[colon+1:]))
+		if internHeaderKey(bytes.TrimSpace(line[:colon])) == "connection" {
+			p.store.Connection = intern(bytes.TrimSpace(line[colon+1:]))
+		}
 	}
 	return nil
 }

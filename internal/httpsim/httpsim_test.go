@@ -17,8 +17,14 @@ func TestFormatRequestIsParseable(t *testing.T) {
 	if req.Method != "GET" || req.Path != "/index.html" || req.Version != "HTTP/1.0" {
 		t.Fatalf("req = %+v", req)
 	}
-	if req.Headers["host"] == "" || req.Headers["user-agent"] == "" {
-		t.Fatalf("headers = %v", req.Headers)
+	if req.Connection != "" || req.KeepAlive() {
+		t.Fatalf("Connection = %q, KeepAlive = %v; the benchmark request sends no Connection header",
+			req.Connection, req.KeepAlive())
+	}
+	// Every header line needs a colon, even one the parser does not keep.
+	bad := strings.Replace(string(raw), "Host:", "Host", 1)
+	if _, err := NewParser().Feed([]byte(bad)); err != ErrMalformed {
+		t.Fatalf("header line without a colon: err = %v, want ErrMalformed", err)
 	}
 }
 
@@ -218,27 +224,77 @@ func TestResponseSizeVersionMatchesFormattedHead(t *testing.T) {
 	}
 }
 
-// TestKeepAliveNegotiation covers the version-dependent Connection defaults.
+// TestKeepAliveNegotiation covers the version-dependent Connection defaults
+// field by field: the kept Connection value and the KeepAlive it implies.
 func TestKeepAliveNegotiation(t *testing.T) {
 	cases := []struct {
-		raw  []byte
+		name string
+		raw  string
+		conn string
 		keep bool
 	}{
-		{FormatRequest("/index.html"), false},         // 1.0, no header
-		{FormatRequest11("/index.html", false), true}, // 1.1 default persistent
-		{FormatRequest11("/index.html", true), false}, // 1.1 + Connection: close
-		{[]byte("GET / HTTP/1.0\r\nConnection: keep-alive\r\n\r\n"), true},
-		{[]byte("GET / HTTP/1.1\r\nConnection: keep-alive\r\n\r\n"), true},
+		{"1.0/none", "GET / HTTP/1.0\r\nHost: h\r\n\r\n", "", false},
+		{"1.0/close", "GET / HTTP/1.0\r\nConnection: close\r\n\r\n", "close", false},
+		{"1.0/keep-alive", "GET / HTTP/1.0\r\nConnection: keep-alive\r\n\r\n", "keep-alive", true},
+		{"1.1/none", "GET / HTTP/1.1\r\nHost: h\r\n\r\n", "", true},
+		{"1.1/close", "GET / HTTP/1.1\r\nConnection: close\r\n\r\n", "close", false},
+		{"1.1/keep-alive", "GET / HTTP/1.1\r\nConnection: keep-alive\r\n\r\n", "keep-alive", true},
+		{"lower-case-name", "GET / HTTP/1.0\r\nconnection: keep-alive\r\n\r\n", "keep-alive", true},
+		{"padded-value", "GET / HTTP/1.1\r\nConnection:   close  \r\n\r\n", "close", false},
+		{"last-line-wins/close", "GET / HTTP/1.1\r\nConnection: keep-alive\r\nHost: h\r\nConnection: close\r\n\r\n", "close", false},
+		{"last-line-wins/keep-alive", "GET / HTTP/1.0\r\nConnection: close\r\nConnection: keep-alive\r\n\r\n", "keep-alive", true},
+		{"formatted-1.0", string(FormatRequest("/index.html")), "", false},
+		{"formatted-1.1", string(FormatRequest11("/index.html", false)), "", true},
+		{"formatted-1.1-close", string(FormatRequest11("/index.html", true)), "close", false},
 	}
-	for i, c := range cases {
-		p := NewParser()
-		complete, err := p.Feed(c.raw)
-		if err != nil || !complete {
-			t.Fatalf("case %d: complete=%v err=%v", i, complete, err)
-		}
-		if got := p.Request().KeepAlive(); got != c.keep {
-			t.Fatalf("case %d (%q): KeepAlive = %v, want %v", i, c.raw, got, c.keep)
-		}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			p := NewParser()
+			complete, err := p.Feed([]byte(c.raw))
+			if err != nil || !complete {
+				t.Fatalf("complete=%v err=%v", complete, err)
+			}
+			req := p.Request()
+			if req.Connection != c.conn {
+				t.Errorf("Connection = %q, want %q", req.Connection, c.conn)
+			}
+			if got := req.KeepAlive(); got != c.keep {
+				t.Errorf("KeepAlive = %v, want %v", got, c.keep)
+			}
+		})
+	}
+}
+
+// TestConnectionNotInherited: a pipelined request without a Connection
+// header must not inherit the previous request's value, neither after
+// Consume nor after Reset.
+func TestConnectionNotInherited(t *testing.T) {
+	first := "GET / HTTP/1.1\r\nConnection: close\r\n\r\n"
+	second := "GET /small.html HTTP/1.1\r\nHost: h\r\n\r\n"
+	p := NewParser()
+	if complete, err := p.Feed([]byte(first + second)); err != nil || !complete {
+		t.Fatalf("Feed: complete=%v err=%v", complete, err)
+	}
+	if req := p.Request(); req.Connection != "close" || req.KeepAlive() {
+		t.Fatalf("first request: Connection = %q, KeepAlive = %v", req.Connection, req.KeepAlive())
+	}
+	if complete, err := p.Consume(); err != nil || !complete {
+		t.Fatalf("Consume: complete=%v err=%v", complete, err)
+	}
+	if req := p.Request(); req.Path != "/small.html" || req.Connection != "" || !req.KeepAlive() {
+		t.Fatalf("second request after Consume: %+v, KeepAlive = %v", req, req.KeepAlive())
+	}
+
+	p.Reset()
+	if _, err := p.Feed([]byte(first)); err != nil {
+		t.Fatal(err)
+	}
+	p.Reset()
+	if complete, err := p.Feed([]byte(second)); err != nil || !complete {
+		t.Fatalf("Feed after Reset: complete=%v err=%v", complete, err)
+	}
+	if req := p.Request(); req.Connection != "" || !req.KeepAlive() {
+		t.Fatalf("request after Reset: Connection = %q, KeepAlive = %v", req.Connection, req.KeepAlive())
 	}
 }
 
@@ -327,8 +383,8 @@ func TestParserReuse(t *testing.T) {
 		if req.Path != path || req.Method != "GET" || req.Version != "HTTP/1.0" {
 			t.Fatalf("round %d: req = %+v", i, req)
 		}
-		if req.Headers["host"] != "server.citi.umich.edu" {
-			t.Fatalf("round %d: headers = %v", i, req.Headers)
+		if req.Connection != "" {
+			t.Fatalf("round %d: Connection = %q", i, req.Connection)
 		}
 		p.Reset()
 		if p.Complete() || p.Buffered() != 0 || p.Request() != nil || p.Err() != nil {

@@ -10,7 +10,7 @@ package interest_test
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -317,7 +317,7 @@ type scanSide struct {
 	env   *simtest.Env
 	pl    scanPoller
 	files map[int]*simtest.FakeFile
-	waits []string // one line per completed wait
+	waits []simtest.Collector // one per completed wait
 }
 
 func newScanSide(open func(env *simtest.Env) scanPoller) *scanSide {
@@ -331,13 +331,22 @@ func (s *scanSide) install() int {
 	return fd.Num
 }
 
-func (s *scanSide) state() string {
-	return fmt.Sprintf("stats=%+v charged=%d busy=%d now=%d", s.pl.MechanismStats(),
-		s.env.P.TotalCharged, s.env.K.CPU.BusyUntil(), s.env.K.Now())
+// scanState is what the two sides of a run must agree on after every step.
+type scanState struct {
+	stats   core.Stats
+	charged core.Duration
+	busy    core.Time
+	now     core.Time
 }
 
-// scanOp is one step of a random sequence, applied identically to both sides
-// (fd numbers agree because both sides install and close in the same order).
+func (s *scanSide) state() scanState {
+	return scanState{s.pl.MechanismStats(), s.env.P.TotalCharged, s.env.K.CPU.BusyUntil(), s.env.K.Now()}
+}
+
+// scanOp is one step of a random sequence, drawn once and applied to both
+// sides (fd numbers agree because both sides install and close in the same
+// order). An op captures only values, never the generator, so the two
+// applications run the same operation.
 type scanOp func(s *scanSide)
 
 var scanMasks = []core.EventMask{core.POLLIN, core.POLLOUT, core.POLLIN | core.POLLOUT}
@@ -368,13 +377,14 @@ func randomScanOp(rng *rand.Rand, s *scanSide) scanOp {
 	case r < 24:
 		return func(s *scanSide) { _ = s.pl.Remove(fd) }
 	case r < 29:
-		// Close a descriptor, then reopen the lowest free number.
+		// Close a descriptor, then maybe reopen the lowest free number.
+		reopen := rng.Intn(2) == 0
 		return func(s *scanSide) {
 			if _, ok := s.files[fd]; ok {
 				_ = s.env.P.CloseFD(s.env.K.Now(), fd)
 				delete(s.files, fd)
 			}
-			if rng.Intn(2) == 0 {
+			if reopen {
 				s.install()
 			}
 		}
@@ -421,7 +431,7 @@ func randomScanOp(rng *rand.Rand, s *scanSide) scanOp {
 			var col simtest.Collector
 			s.pl.Wait(max, timeout, col.Handler())
 			s.env.Run()
-			s.waits = append(s.waits, fmt.Sprintf("calls=%d at=%d events=%v", col.Calls, col.At, col.Events))
+			s.waits = append(s.waits, col)
 		}
 	}
 }
@@ -462,13 +472,17 @@ func TestScanMatchesFullWalkReference(t *testing.T) {
 				}
 				gen := rand.New(rand.NewSource(seed))
 				for step := 0; step < 300; step++ {
-					// Draw the op once per side from identically seeded
-					// generators, so closures never share state.
-					state := gen.Int63()
-					randomScanOp(rand.New(rand.NewSource(state)), ref)(ref)
-					randomScanOp(rand.New(rand.NewSource(state)), real)(real)
-					if !reflect.DeepEqual(ref.waits, real.waits) || ref.state() != real.state() {
-						t.Fatalf("seed %d step %d diverged:\nref  %s\n     %v\nreal %s\n     %v",
+					// Each step's op comes from a generator seeded by the
+					// sequence, drawn once against the reference side and
+					// applied to both.
+					op := randomScanOp(rand.New(rand.NewSource(gen.Int63())), ref)
+					op(ref)
+					op(real)
+					// Waits only append, so the earlier ones were compared
+					// at earlier steps.
+					if len(ref.waits) != len(real.waits) || !sameWait(last(ref.waits), last(real.waits)) ||
+						ref.state() != real.state() {
+						t.Fatalf("seed %d step %d diverged:\nref  %+v\n     %v\nreal %+v\n     %v",
 							seed, step, ref.state(), last(ref.waits), real.state(), last(real.waits))
 					}
 				}
@@ -477,9 +491,14 @@ func TestScanMatchesFullWalkReference(t *testing.T) {
 	}
 }
 
-func last(s []string) string {
-	if len(s) == 0 {
-		return ""
+// last returns the latest completed wait, the zero one before any.
+func last(waits []simtest.Collector) simtest.Collector {
+	if len(waits) == 0 {
+		return simtest.Collector{}
 	}
-	return s[len(s)-1]
+	return waits[len(waits)-1]
+}
+
+func sameWait(a, b simtest.Collector) bool {
+	return a.Calls == b.Calls && a.At == b.At && slices.Equal(a.Events, b.Events)
 }

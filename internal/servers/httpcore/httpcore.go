@@ -24,7 +24,6 @@ package httpcore
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/httpsim"
@@ -161,9 +160,8 @@ func (s *Stats) Add(o Stats) {
 }
 
 // Conn is the per-connection state a server keeps. Closed connections return
-// to a pool on the handler, and the embedded parser keeps its buffer and
-// header-map storage across reuses, so the accept path allocates nothing at
-// steady state.
+// to a pool on the handler, and the embedded parser keeps its buffer storage
+// across reuses, so the accept path allocates nothing at steady state.
 type Conn struct {
 	FD     *simkernel.FD
 	SC     *netsim.ServerConn
@@ -252,8 +250,15 @@ type Handler struct {
 	// queue is re-drained without spinning.
 	OnAcceptStall func()
 
-	Conns map[int]*Conn
 	Stats Stats
+
+	// conns is the connection table, indexed by descriptor number (nil =
+	// no connection). Lowest-unused descriptor allocation keeps it dense, so
+	// a lookup is a bounds check and an index, and walking it visits the
+	// open connections in ascending descriptor order. open counts its
+	// non-nil entries.
+	conns []*Conn
+	open  int
 
 	// reserve is the descriptor held back for the EMFILE accept-drain trick:
 	// when accept fails on the descriptor limit, the reserve is closed to make
@@ -280,7 +285,7 @@ type Handler struct {
 // NewHandler builds a handler serving the default content store (the
 // paper's 6 KB index.html) with an empty connection table.
 func NewHandler(k *simkernel.Kernel, p *simkernel.Proc, api *netsim.SockAPI) *Handler {
-	return &Handler{K: k, P: p, API: api, Content: httpsim.DefaultContentStore(), Conns: make(map[int]*Conn)}
+	return &Handler{K: k, P: p, API: api, Content: httpsim.DefaultContentStore()}
 }
 
 // SetOptions installs the persistent-connection options, building the
@@ -296,12 +301,34 @@ func (h *Handler) SetOptions(opts Options) {
 
 // OpenConns returns the open connection descriptors in ascending order.
 func (h *Handler) OpenConns() []int {
-	out := make([]int, 0, len(h.Conns))
-	for fd := range h.Conns {
-		out = append(out, fd)
+	out := make([]int, 0, h.open)
+	for fd, c := range h.conns {
+		if c != nil {
+			out = append(out, fd)
+		}
 	}
-	sort.Ints(out)
 	return out
+}
+
+// Open reports the number of open connections.
+func (h *Handler) Open() int { return h.open }
+
+// getConn returns fd's connection, nil when there is none (a stale event, or
+// a descriptor that is not a connection).
+func (h *Handler) getConn(fd int) *Conn {
+	if fd < 0 || fd >= len(h.conns) {
+		return nil
+	}
+	return h.conns[fd]
+}
+
+// addConn installs a fresh connection record for fd in the table.
+func (h *Handler) addConn(now core.Time, fd *simkernel.FD, sc *netsim.ServerConn) {
+	for fd.Num >= len(h.conns) {
+		h.conns = append(h.conns, nil)
+	}
+	h.conns[fd.Num] = h.newConn(now, fd, sc)
+	h.open++
 }
 
 // newConn pops a pooled connection record (or allocates one) and initialises
@@ -357,7 +384,7 @@ func (h *Handler) AcceptAll(now core.Time, lfd *simkernel.FD) []int {
 			break
 		}
 		h.Stats.Accepted++
-		h.Conns[fd.Num] = h.newConn(now, fd, sc)
+		h.addConn(now, fd, sc)
 		accepted = append(accepted, fd.Num)
 		if h.OnConnOpen != nil {
 			h.OnConnOpen(fd.Num)
@@ -413,7 +440,7 @@ func (h *Handler) shedOverLimit(now core.Time, lfd *simkernel.FD) bool {
 // covers request data delivered before the registration existed.
 func (h *Handler) AdoptConn(now core.Time, fd *simkernel.FD, sc *netsim.ServerConn) {
 	h.Stats.Accepted++
-	h.Conns[fd.Num] = h.newConn(now, fd, sc)
+	h.addConn(now, fd, sc)
 	if h.OnConnOpen != nil {
 		h.OnConnOpen(fd.Num)
 	}
@@ -425,8 +452,8 @@ func (h *Handler) AdoptConn(now core.Time, fd *simkernel.FD, sc *netsim.ServerCo
 // persistent connection. Events for unknown descriptors (stale RT signals,
 // for example) are ignored, as the paper notes real servers must do.
 func (h *Handler) HandleReadable(now core.Time, fd int) {
-	c, ok := h.Conns[fd]
-	if !ok {
+	c := h.getConn(fd)
+	if c == nil {
 		return
 	}
 	data, eof := h.API.Read(c.FD, 0)
@@ -451,8 +478,8 @@ func (h *Handler) HandleReadable(now core.Time, fd int) {
 // Unknown descriptors — the connection closed between deferral and
 // continuation — are ignored.
 func (h *Handler) Continue(now core.Time, fd int) {
-	c, ok := h.Conns[fd]
-	if !ok || c.writeBlocked {
+	c := h.getConn(fd)
+	if c == nil || c.writeBlocked {
 		return
 	}
 	if h.pump(now, c, nil) {
@@ -577,8 +604,8 @@ func (h *Handler) releaseCache(c *Conn) {
 // interest when the window reopens. Pushes to unknown descriptors or to a
 // connection still draining an earlier write report false and write nothing.
 func (h *Handler) Push(now core.Time, fd int, n int) bool {
-	c, ok := h.Conns[fd]
-	if !ok || n <= 0 || c.PendingWrite > 0 {
+	c := h.getConn(fd)
+	if c == nil || n <= 0 || c.PendingWrite > 0 {
 		return false
 	}
 	wrote := h.API.Write(c.FD, n)
@@ -609,8 +636,8 @@ func (h *Handler) Push(now core.Time, fd int, n int) bool {
 // resumes the parked pipeline. Events for unknown descriptors or connections
 // with nothing pending are ignored.
 func (h *Handler) HandleWritable(now core.Time, fd int) {
-	c, ok := h.Conns[fd]
-	if !ok || c.PendingWrite <= 0 {
+	c := h.getConn(fd)
+	if c == nil || c.PendingWrite <= 0 {
 		return
 	}
 	wrote := h.retryWrite(c)
@@ -790,23 +817,24 @@ func (h *Handler) writeResponse(c *Conn, head, body int) {
 // CloseConn closes the connection for descriptor fd with the given reason, if
 // it is still open.
 func (h *Handler) CloseConn(now core.Time, fd int, reason CloseReason) {
-	if c, ok := h.Conns[fd]; ok {
+	if c := h.getConn(fd); c != nil {
 		h.closeConn(c, reason)
 	}
 }
 
 func (h *Handler) closeConn(c *Conn, reason CloseReason) {
 	// The identity check (not just presence) keeps a stale double-close from
-	// tearing down a pooled record that has since been reissued for a new
-	// connection on a recycled descriptor number.
-	if cur, ok := h.Conns[c.FD.Num]; !ok || cur != c {
+	// tearing down the connection that now holds a recycled descriptor
+	// number; a closed record waiting in the pool has no descriptor at all.
+	if c.FD == nil || h.getConn(c.FD.Num) != c {
 		return
 	}
 	h.releaseCache(c)
 	if h.OnConnClose != nil {
 		h.OnConnClose(c.FD.Num)
 	}
-	delete(h.Conns, c.FD.Num)
+	h.conns[c.FD.Num] = nil
+	h.open--
 	h.API.Close(c.FD)
 	c.FD, c.SC = nil, nil
 	h.free = append(h.free, c)
@@ -822,23 +850,21 @@ func (h *Handler) closeConn(c *Conn, reason CloseReason) {
 }
 
 // SweepIdle closes connections that have been inactive longer than
-// IdleTimeout and returns how many were closed. thttpd performs this from its
-// timer callbacks; the simulated servers call it when their wait times out.
+// IdleTimeout, in ascending descriptor order, and returns how many were
+// closed. thttpd performs this from its timer callbacks; the simulated
+// servers call it when their wait times out.
 func (h *Handler) SweepIdle(now core.Time) int {
 	if h.IdleTimeout <= 0 {
 		return 0
 	}
-	var victims []*Conn
-	for _, c := range h.Conns {
-		if now.Sub(c.LastActivity) >= h.IdleTimeout {
-			victims = append(victims, c)
+	closed := 0
+	for _, c := range h.conns {
+		if c != nil && now.Sub(c.LastActivity) >= h.IdleTimeout {
+			h.closeConn(c, CloseIdle)
+			closed++
 		}
 	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i].FD.Num < victims[j].FD.Num })
-	for _, c := range victims {
-		h.closeConn(c, CloseIdle)
-	}
-	return len(victims)
+	return closed
 }
 
 // CloseAll tears down every open connection (server shutdown).

@@ -100,7 +100,7 @@ func TestAcceptAllAndServeCompleteRequest(t *testing.T) {
 	if !probe.closed {
 		t.Fatal("server did not close after the response (HTTP/1.0)")
 	}
-	if len(e.handler.Conns) != 0 {
+	if e.handler.Open() != 0 {
 		t.Fatal("connection table not cleaned up")
 	}
 }
@@ -118,7 +118,7 @@ func TestPartialRequestKeepsConnectionOpen(t *testing.T) {
 	if e.handler.Stats.Served != 0 || e.handler.Stats.Closed != 0 {
 		t.Fatalf("partial request should not be served: %+v", e.handler.Stats)
 	}
-	if len(e.handler.Conns) != 1 {
+	if e.handler.Open() != 1 {
 		t.Fatal("inactive connection should remain in the table")
 	}
 	if probe.bytes != 0 {
@@ -127,7 +127,7 @@ func TestPartialRequestKeepsConnectionOpen(t *testing.T) {
 
 	// Completing the request later serves it.
 	conns := e.handler.OpenConns()
-	cc := e.handler.Conns[conns[0]].SC.Peer()
+	cc := e.handler.getConn(conns[0]).SC.Peer()
 	cc.Send(e.k.Now(), []byte("\r\n"))
 	e.k.Sim.Run()
 	e.p.Batch(e.k.Now(), func() { e.handler.HandleReadable(e.k.Now(), conns[0]) }, nil)
@@ -182,8 +182,8 @@ func TestEOFBeforeRequestClosesConnection(t *testing.T) {
 	}
 	e.p.Batch(e.k.Now(), func() { e.handler.HandleReadable(e.k.Now(), fds[0]) }, nil)
 	e.k.Sim.Run()
-	if e.handler.Stats.EOFCloses != 1 || len(e.handler.Conns) != 0 {
-		t.Fatalf("stats = %+v conns = %d", e.handler.Stats, len(e.handler.Conns))
+	if e.handler.Stats.EOFCloses != 1 || e.handler.Open() != 0 {
+		t.Fatalf("stats = %+v conns = %d", e.handler.Stats, e.handler.Open())
 	}
 }
 
@@ -209,8 +209,8 @@ func TestSweepIdleClosesOnlyStaleConnections(t *testing.T) {
 		}
 	}, nil)
 	e.k.Sim.Run()
-	if len(e.handler.Conns) != 2 {
-		t.Fatalf("conns = %d", len(e.handler.Conns))
+	if e.handler.Open() != 2 {
+		t.Fatalf("conns = %d", e.handler.Open())
 	}
 
 	// A sweep before the timeout closes nothing.
@@ -230,7 +230,7 @@ func TestSweepIdleClosesOnlyStaleConnections(t *testing.T) {
 		}
 	}, nil)
 	e.k.Sim.Run()
-	if e.handler.Stats.IdleCloses != 2 || len(e.handler.Conns) != 0 {
+	if e.handler.Stats.IdleCloses != 2 || e.handler.Open() != 0 {
 		t.Fatalf("stats = %+v", e.handler.Stats)
 	}
 
@@ -257,7 +257,7 @@ func TestCloseAllAndCloseConnIdempotent(t *testing.T) {
 		e.handler.CloseAll(e.k.Now())
 	}, nil)
 	e.k.Sim.Run()
-	if len(e.handler.Conns) != 0 {
+	if e.handler.Open() != 0 {
 		t.Fatal("CloseAll left connections")
 	}
 	if e.handler.Stats.Closed != 2 {

@@ -199,7 +199,7 @@ func TestStalledWindowParksPipelineAndResumes(t *testing.T) {
 		t.Fatalf("OnWriteBlocked calls = %v", blocked)
 	}
 	fd := blocked[0]
-	c := e.handler.Conns[fd]
+	c := e.handler.getConn(fd)
 	if c.PendingWrite <= 0 || !c.writeBlocked || !c.keepOpen {
 		t.Fatalf("conn not parked: pending=%d blocked=%v keepOpen=%v",
 			c.PendingWrite, c.writeBlocked, c.keepOpen)
@@ -207,7 +207,7 @@ func TestStalledWindowParksPipelineAndResumes(t *testing.T) {
 
 	// The draining client reopens the window batch by batch; each writable
 	// dispatch pushes another window's worth until both responses are out.
-	for i := 0; i < 64 && len(e.handler.Conns) > 0; i++ {
+	for i := 0; i < 64 && e.handler.Open() > 0; i++ {
 		e.p.Batch(e.k.Now(), func() { e.handler.HandleWritable(e.k.Now(), fd) }, nil)
 		e.k.Sim.Run()
 	}
@@ -248,7 +248,7 @@ func TestStaleEventsAfterKeepAliveCloseAreSafe(t *testing.T) {
 		t.Fatalf("OpenConns = %v", fds)
 	}
 	stale := fds[0]
-	if e.handler.Conns[stale].PendingWrite <= 0 {
+	if e.handler.getConn(stale).PendingWrite <= 0 {
 		t.Fatal("response should have jammed against the stalled window")
 	}
 
@@ -272,7 +272,7 @@ func TestStaleEventsAfterKeepAliveCloseAreSafe(t *testing.T) {
 	if st := e.handler.Stats; st.Served != served || st.Closed != closed {
 		t.Fatalf("stale events changed stats: %+v", st)
 	}
-	if got := len(e.handler.Conns); got != 1 {
+	if got := e.handler.Open(); got != 1 {
 		t.Fatalf("connections = %d, want the fresh one intact", got)
 	}
 }

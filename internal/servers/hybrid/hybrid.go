@@ -236,7 +236,7 @@ func (s *Server) DevPollSet() core.Poller { return s.dp }
 func (s *Server) Base() *eventlib.Base { return s.base }
 
 // OpenConnections reports how many connections the server currently holds.
-func (s *Server) OpenConnections() int { return len(s.handler.Conns) }
+func (s *Server) OpenConnections() int { return s.handler.Open() }
 
 // Loops counts event-loop iterations.
 func (s *Server) Loops() int64 { return s.base.Iterations() }

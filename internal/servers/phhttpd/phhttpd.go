@@ -191,7 +191,7 @@ func (s *Server) PollSet() *stockpoll.Poller { return s.pollset }
 func (s *Server) Base() *eventlib.Base { return s.base }
 
 // OpenConnections reports how many connections the server currently holds.
-func (s *Server) OpenConnections() int { return len(s.handler.Conns) }
+func (s *Server) OpenConnections() int { return s.handler.Open() }
 
 // Loops counts event-loop iterations.
 func (s *Server) Loops() int64 { return s.base.Iterations() }
@@ -201,7 +201,7 @@ func (s *Server) Loops() int64 { return s.base.Iterations() }
 // its open connection count whenever it handles activity on a descriptor (see
 // PerConnOverhead and the paper's Figures 12-13 discussion).
 func (s *Server) handleReadable(now core.Time, fd int) {
-	s.P.Charge(PerConnOverhead.Scale(float64(len(s.handler.Conns))))
+	s.P.Charge(PerConnOverhead.Scale(float64(s.handler.Open())))
 	s.handler.HandleReadable(now, fd)
 }
 
@@ -226,7 +226,7 @@ func (s *Server) recoverFromOverflow(now core.Time) {
 		s.P.Charge(cost.ConnHandoff)
 		s.Handoffs++
 	}
-	for range s.handler.OpenConns() {
+	for range s.handler.Open() {
 		s.P.Charge(cost.ConnHandoff)
 		s.Handoffs++
 	}

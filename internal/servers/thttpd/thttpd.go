@@ -332,7 +332,7 @@ func (s *Server) Loops() int64 {
 func (s *Server) OpenConnections() int {
 	total := 0
 	for _, w := range s.workers {
-		total += len(w.handler.Conns)
+		total += w.handler.Open()
 	}
 	return total
 }

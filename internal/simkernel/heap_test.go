@@ -123,11 +123,13 @@ func (h *refHarness) label(seq uint64) uint64 {
 	return seq
 }
 
-// observe checks Pending against the reference count and records the heap's
-// high-water mark and any run compaction since the previous pop. It runs
-// right after a pop and before the callback schedules anything, so a head
-// that moved back on a non-empty run can only be a compaction (a drained run
-// is still empty here).
+// observe checks Pending against the reference count and the lane's cached
+// run keys against the runs themselves (live has a bit exactly for each
+// non-empty run, whose head and tail keys are those of its first pending and
+// last event), and records the heap's high-water mark and any run compaction
+// since the previous pop. It runs right after a pop and before the callback
+// schedules anything, so a head that moved back on a non-empty run can only
+// be a compaction (a drained run is still empty here).
 func (h *refHarness) observe() {
 	ln := &h.sim.lane
 	if want := int(h.refSeq) - len(h.got); h.sim.Pending() != want {
@@ -136,6 +138,19 @@ func (h *refHarness) observe() {
 	h.maxHeap = max(h.maxHeap, len(ln.heap))
 	for i := range ln.runs {
 		r := &ln.runs[i]
+		nonEmpty := r.head < len(r.ev)
+		if live := ln.live&(1<<i) != 0; live != nonEmpty {
+			h.t.Fatalf("trial %d: run %d holds %d events but its live bit is %v",
+				h.trial, i, len(r.ev)-r.head, live)
+		}
+		if nonEmpty {
+			if first := r.ev[r.head].key; ln.head[i] != first {
+				h.t.Fatalf("trial %d: run %d head key %+v, first event %+v", h.trial, i, ln.head[i], first)
+			}
+			if last := r.ev[len(r.ev)-1].key; ln.tail[i] != last {
+				h.t.Fatalf("trial %d: run %d tail key %+v, last event %+v", h.trial, i, ln.tail[i], last)
+			}
+		}
 		if r.head < h.heads[i] && len(r.ev) > 0 {
 			h.compactions++
 		}

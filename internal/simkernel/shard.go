@@ -330,7 +330,7 @@ func (e *shardEngine) drainLane(j int) {
 					r.at, j, ln.now))
 			}
 			ln.seq++
-			ln.push(event{at: r.at, seq: ln.seq, fn: r.fn})
+			ln.push(event{key{r.at, ln.seq}, r.fn})
 			r.fn = nil // release the closure for the collector
 		}
 		ring.recs = ring.recs[:0]

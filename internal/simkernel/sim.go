@@ -20,6 +20,7 @@ package simkernel
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"repro/internal/core"
@@ -31,19 +32,24 @@ import (
 // (every syscall batch, every network segment and every timer goes through
 // it). Only the callback closure itself may allocate, at the caller's site.
 type event struct {
-	at  core.Time
-	seq uint64
-	fn  func(now core.Time)
+	key
+	fn func(now core.Time)
 }
 
-// eventBefore is the queue ordering: time first, then insertion order, so the
-// simulation is deterministic. Sequence numbers are unique, which makes the
-// order total.
-func eventBefore(a, b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
+// key is an event's place in the queue ordering: time first, then insertion
+// order, so the simulation is deterministic. Sequence numbers are unique,
+// which makes the order total.
+type key struct {
+	at  core.Time
+	seq uint64
+}
+
+// before reports whether k orders before o.
+func (k key) before(o key) bool {
+	if k.at != o.at {
+		return k.at < o.at
 	}
-	return a.seq < b.seq
+	return k.seq < o.seq
 }
 
 // lane is one event queue with its own virtual clock: the whole pending set
@@ -70,8 +76,15 @@ type shardLane struct {
 	// comparisons inside one or two cache lines of the inline event values.
 	heap []event
 
-	// runs are the sorted FIFO runs; see push.
+	// runs are the sorted FIFO runs; see push. head and tail cache the keys
+	// of each live run's first pending and last event, and bit i of live is
+	// set exactly when run i is non-empty, so push's best-fit search and
+	// min's scan read one packed array over the live runs instead of eight
+	// backing arrays; each push or pop touches only the run it changes.
 	runs [numRuns]run
+	head [numRuns]key
+	tail [numRuns]key
+	live uint32
 
 	// deferred counts AtEach instants not yet queued (see series).
 	deferred int
@@ -91,6 +104,9 @@ type shardLane struct {
 // random delays, where no stream is sorted, a schedule and pop cost about
 // 15% more than on a bare heap. DESIGN.md §11 has the measurements.
 const numRuns = 8
+
+// allRuns is the live mask with every run non-empty.
+const allRuns = 1<<numRuns - 1
 
 // run is one sorted FIFO run: ev[head:] in ascending (at, seq) order.
 type run struct {
@@ -116,7 +132,7 @@ func (ln *shardLane) at(t core.Time, fn func(now core.Time)) {
 	}
 	ln.checkPast(t)
 	ln.seq++
-	ln.push(event{at: t, seq: ln.seq, fn: fn})
+	ln.push(event{key{t, ln.seq}, fn})
 }
 
 // checkPast panics if t lies before the lane clock.
@@ -127,59 +143,58 @@ func (ln *shardLane) checkPast(t core.Time) {
 }
 
 // push queues e: onto the run whose last event is the latest one still
-// (at, seq)-before e (an empty run qualifies, as a last resort), or onto the
-// heap when every run already ends after e. Choosing the latest qualifying
-// tail (best fit, as in patience sorting) keeps the runs with earlier tails
-// free for events that arrive later but fall due sooner — a same-instant
-// completion scheduled after a timeout, say — so each interleaved stream
-// keeps a run of its own.
+// (at, seq)-before e (an empty run qualifies, as a last resort: the lowest
+// numbered one), or onto the heap when every run already ends after e.
+// Choosing the latest qualifying tail (best fit, as in patience sorting)
+// keeps the runs with earlier tails free for events that arrive later but
+// fall due sooner — a same-instant completion scheduled after a timeout, say
+// — so each interleaved stream keeps a run of its own.
 func (ln *shardLane) push(e event) {
+	k := e.key
 	best := -1
-	var bestTail *event
-	for i := range ln.runs {
-		r := &ln.runs[i]
-		if r.head == len(r.ev) {
-			if best < 0 {
-				best = i
-			}
-			continue
-		}
-		tail := &r.ev[len(r.ev)-1]
-		if eventBefore(tail, &e) && (bestTail == nil || eventBefore(bestTail, tail)) {
-			best, bestTail = i, tail
+	var bestTail key
+	for m := ln.live; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros32(m)
+		if t := ln.tail[i]; t.before(k) && (best < 0 || bestTail.before(t)) {
+			best, bestTail = i, t
 		}
 	}
 	if best < 0 {
-		ln.heapPush(e)
-		return
+		if ln.live == allRuns {
+			ln.heapPush(e)
+			return
+		}
+		best = bits.TrailingZeros32(^ln.live)
+		ln.live |= 1 << best
+		ln.head[best] = k
 	}
+	ln.tail[best] = k
 	ln.runs[best].ev = append(ln.runs[best].ev, e)
 }
 
 // peekNext returns the earliest pending instant, or farFuture when empty.
 func (ln *shardLane) peekNext() core.Time {
-	if m, _ := ln.min(); m != nil {
+	if m, _, ok := ln.min(); ok {
 		return m.at
 	}
 	return farFuture
 }
 
-// min locates the lane's (at, seq) minimum: the heap root or a run head. src
-// is the run index, or -1 for the heap; m is nil on an empty lane.
-func (ln *shardLane) min() (m *event, src int) {
+// min locates the lane's (at, seq) minimum: the heap root or a live run's
+// head. src is the run index, or -1 for the heap; ok is false on an empty
+// lane.
+func (ln *shardLane) min() (m key, src int, ok bool) {
 	src = -1
 	if len(ln.heap) > 0 {
-		m = &ln.heap[0]
+		m, ok = ln.heap[0].key, true
 	}
-	for i := range ln.runs {
-		r := &ln.runs[i]
-		if r.head < len(r.ev) {
-			if h := &r.ev[r.head]; m == nil || eventBefore(h, m) {
-				m, src = h, i
-			}
+	for b := ln.live; b != 0; b &= b - 1 {
+		i := bits.TrailingZeros32(b)
+		if h := ln.head[i]; !ok || h.before(m) {
+			m, src, ok = h, i, true
 		}
 	}
-	return m, src
+	return m, src, ok
 }
 
 // pending reports the number of scheduled, not yet executed events on the
@@ -196,28 +211,31 @@ func (ln *shardLane) pending() int {
 // bound; otherwise (or on an empty lane) ok is false and nothing changes. The
 // lane clock is the caller's to advance.
 func (ln *shardLane) pop(bound core.Time) (e event, ok bool) {
-	m, src := ln.min()
-	if m == nil || m.at > bound {
+	m, src, ok := ln.min()
+	if !ok || m.at > bound {
 		return event{}, false
 	}
 	if src < 0 {
 		return ln.heapPop(), true
 	}
 	r := &ln.runs[src]
-	e = *m
-	*m = event{} // release the closure for the collector
+	e = r.ev[r.head]
+	r.ev[r.head] = event{} // release the closure for the collector
 	r.head++
 	switch {
 	case r.head == len(r.ev):
 		// Drained: rewind so the backing array is reused.
 		r.ev = r.ev[:0]
 		r.head = 0
+		ln.live &^= 1 << src
+		return e, true
 	case r.head >= compactMin && 2*r.head >= len(r.ev):
 		n := copy(r.ev, r.ev[r.head:])
 		clear(r.ev[n:]) // the moved events' old slots
 		r.ev = r.ev[:n]
 		r.head = 0
 	}
+	ln.head[src] = r.ev[r.head].key
 	return e, true
 }
 
@@ -237,7 +255,7 @@ func (ln *shardLane) atEach(times []core.Time, fn func(now core.Time)) {
 	sr.fire = sr.step
 	ln.seq += uint64(len(times))
 	ln.deferred += len(times) - 1
-	ln.push(event{at: times[0], seq: sr.seq, fn: sr.fire})
+	ln.push(event{key{times[0], sr.seq}, sr.fire})
 }
 
 // series is an AtEach schedule: sorted instants whose sequence numbers were
@@ -261,7 +279,7 @@ func (sr *series) step(now core.Time) {
 	sr.i++
 	if sr.i < len(sr.times) {
 		sr.ln.deferred--
-		sr.ln.push(event{at: sr.times[sr.i], seq: sr.seq + uint64(sr.i), fn: sr.fire})
+		sr.ln.push(event{key{sr.times[sr.i], sr.seq + uint64(sr.i)}, sr.fire})
 	} else {
 		sr.times = nil
 	}
@@ -275,7 +293,7 @@ func (ln *shardLane) heapPush(e event) {
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) >> 2
-		if eventBefore(&h[p], &e) {
+		if h[p].before(e.key) {
 			break
 		}
 		h[i] = h[p]
@@ -307,11 +325,11 @@ func (ln *shardLane) heapPop() event {
 			}
 			m := c
 			for j := c + 1; j < end; j++ {
-				if eventBefore(&h[j], &h[m]) {
+				if h[j].before(h[m].key) {
 					m = j
 				}
 			}
-			if eventBefore(&last, &h[m]) {
+			if last.before(h[m].key) {
 				break
 			}
 			h[i] = h[m]
