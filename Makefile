@@ -16,7 +16,7 @@ DETERMINISM_OUT ?= determinism-out
 BENCH_CANDIDATE ?= bench-candidate.json
 
 .PHONY: all fmt-check vet build test bench-test test-race staticcheck \
-	govulncheck bench-smoke ablation-smoke determinism bench-json bench-gate \
+	govulncheck bench-smoke determinism bench-json bench-gate \
 	bench-crosscheck profile ci
 
 all: ci
@@ -68,12 +68,6 @@ govulncheck:
 # benchmark plumbing end to end without the full sweep.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Figure/fig0[45]/|Figure/fig15/|Point/ext-compio-load501|Figure/keepalive/|Point/ext-cached-sendfile|Figure/fig19/normal_poll/rate=(700|1300)$$|Figure/fig22/(normal_poll|devpoll)/rate=1000$$|Point/scale-10000-(poll|epoll)-rate|Point/scale-100000-epoll-rate' -benchtime 1x -figconns 800 .
-
-# Every ablation at a small connection count: a fast end-to-end pass through
-# all server families and both dual-mechanism switching paths, so
-# dispatch-loop regressions fail the workflow even when unit tests miss them.
-ablation-smoke:
-	$(GO) run ./cmd/benchfig -ablation -connections 600 -quiet > /dev/null
 
 # The simulation promises byte-identical output for any kernel thread count.
 # TestFigureGoldens already compares every sequential run with committed
@@ -154,4 +148,4 @@ profile:
 		> $(PROFILE_OUT)/fig16.txt
 	@echo "profiles written to $(PROFILE_OUT)/ (cpu.pprof, mem.pprof, mutex.pprof, block.pprof)"
 
-ci: fmt-check vet staticcheck govulncheck build test bench-test bench-smoke ablation-smoke determinism
+ci: fmt-check vet staticcheck govulncheck build test bench-test bench-smoke determinism

@@ -56,7 +56,6 @@ package compio
 
 import (
 	"repro/internal/core"
-	"repro/internal/faults"
 	"repro/internal/interest"
 	"repro/internal/simkernel"
 )
@@ -91,31 +90,23 @@ func DefaultOptions() Options {
 
 // Compio is one ring pair: the user-side submission queue accumulator, the
 // kernel-resident armed-interest set, and the completion ring.
+//
+// Its counters read differently from the other mechanisms': Enqueued counts
+// submission entries, Overflows counts CQ overflow episodes, and Dropped
+// counts completions lost to a full CQ (all repaired by recovery). CopiedOut
+// stays zero: results are reaped from the shared ring, never copied out.
 type Compio struct {
-	k    *simkernel.Kernel
-	p    *simkernel.Proc
+	interest.Set // kernel-side armed interests (drained SQEs)
+
 	opts Options
-
-	table *interest.Table  // kernel-side armed interests (drained SQEs)
-	cq    *interest.Ledger // the completion ring, one slot per descriptor
-
-	eng interest.Engine
+	cq   *interest.Ledger // the completion ring, one slot per descriptor
 
 	sqPending  int  // submission entries enqueued and not yet drained
 	overflowed bool // CQ overflowed; next wait must rescan the interest set
 
-	// stormSalt / stormSeq key the injected CQ-overflow-storm decision stream
-	// (faults.Config.OverflowStormRate): one lane-local sequence per
-	// interrupt-context post, salted by the owning process.
-	stormSalt uint64
-	stormSeq  uint64
-
 	sqFlushes   int64 // forced SQ-full flushes (backpressure enters)
 	cqRecovered int64 // overflow recovery rescans performed
 	doorbells   int64 // interrupt-context CQ doorbells actually charged
-
-	stats  core.Stats
-	closed bool
 }
 
 // Open creates a compio ring pair for process p (io_uring_setup). With
@@ -128,25 +119,23 @@ func Open(k *simkernel.Kernel, p *simkernel.Proc, opts Options) *Compio {
 	if opts.CQSize <= 0 {
 		opts.CQSize = 4096
 	}
-	c := &Compio{
-		k:     k,
-		p:     p,
-		opts:  opts,
-		table: interest.NewTable(),
-		cq:    interest.NewLedger(),
-	}
+	c := &Compio{opts: opts, cq: interest.NewLedger()}
 	if opts.RegisteredBuffers {
 		p.ChargeSyscall(k.Cost.RingRegisterBuf)
 	}
-	c.eng = interest.Engine{
+	c.Init(k, p, c, interest.Engine{
 		Name:    c.Name(),
-		K:       k,
-		P:       p,
 		Collect: c.collect,
 		// Blocking joins the ring's single CQ wait queue.
-		OnBlock:         func(bool) { c.p.Charge(c.k.Cost.WaitQueueOp) },
-		TimeoutTeardown: func() core.Duration { return c.k.Cost.WaitQueueOp },
-		Stats:           &c.stats,
+		OnBlock:         func(bool) { c.P.Charge(c.K.Cost.WaitQueueOp) },
+		TimeoutTeardown: func() core.Duration { return c.K.Cost.WaitQueueOp },
+	})
+	// Tearing down the ring releases the registered buffers, the CQ and
+	// any unsubmitted SQEs.
+	c.OnClose = func() {
+		c.Table.Each(func(e *interest.Entry) { e.File.BufferRegistered = false })
+		c.cq.Reset()
+		c.sqPending = 0
 	}
 	return c
 }
@@ -156,9 +145,6 @@ func (c *Compio) Name() string { return "compio" }
 
 // Options returns the active option set.
 func (c *Compio) Options() Options { return c.opts }
-
-// Table exposes the kernel-resident armed-interest set (for tests).
-func (c *Compio) Table() *interest.Table { return c.table }
 
 // SQPending reports the submission entries awaiting the next Enter.
 func (c *Compio) SQPending() int { return c.sqPending }
@@ -179,31 +165,15 @@ func (c *Compio) Recoveries() int64 { return c.cqRecovered }
 // one per posting batch, however many completions the batch coalesced.
 func (c *Compio) Doorbells() int64 { return c.doorbells }
 
-// MechanismStats implements core.StatsSource. Enqueued counts submission
-// entries, Overflows counts CQ overflow episodes, Dropped counts completions
-// lost to a full CQ (all repaired by recovery). CopiedOut stays zero: results
-// are reaped from the shared ring, never copied out.
-func (c *Compio) MechanismStats() core.Stats { return c.stats }
-
 // Add implements core.Poller: append a multishot poll-add submission for fd.
 // The entry is armed immediately (validation is synchronous, as the SQE would
 // fail at Enter otherwise) but nothing is charged here beyond the arm — the
 // syscall cost is paid per batch when the SQ drains.
 func (c *Compio) Add(fd int, events core.EventMask) error {
-	if c.closed {
-		return core.ErrClosed
+	e, err := c.Bind(fd, events)
+	if err != nil {
+		return err
 	}
-	if c.table.Contains(fd) {
-		return core.ErrExists
-	}
-	entry, ok := c.p.Get(fd)
-	if !ok {
-		return core.ErrBadFD
-	}
-	e, _ := c.table.Upsert(fd)
-	e.Events = events
-	e.File = entry
-	entry.AddWatcher(c)
 	c.arm(e)
 	c.enqueueSQE()
 	return nil
@@ -211,12 +181,9 @@ func (c *Compio) Add(fd int, events core.EventMask) error {
 
 // Modify implements core.Poller: re-arm the multishot poll with a new mask.
 func (c *Compio) Modify(fd int, events core.EventMask) error {
-	if c.closed {
-		return core.ErrClosed
-	}
-	e := c.table.Lookup(fd)
-	if e == nil {
-		return core.ErrNotFound
+	e, err := c.Find(fd)
+	if err != nil {
+		return err
 	}
 	e.Events = events
 	c.arm(e)
@@ -227,46 +194,14 @@ func (c *Compio) Modify(fd int, events core.EventMask) error {
 // Remove implements core.Poller: a poll-remove submission. Any completion
 // still in the CQ for the descriptor is cancelled with the interest.
 func (c *Compio) Remove(fd int) error {
-	if c.closed {
-		return core.ErrClosed
+	e, err := c.Find(fd)
+	if err != nil {
+		return err
 	}
-	e := c.table.Lookup(fd)
-	if e == nil {
-		return core.ErrNotFound
-	}
-	if e.File != nil {
-		e.File.BufferRegistered = false
-		e.File.RemoveWatcher(c)
-	}
-	c.table.Delete(fd)
+	e.File.BufferRegistered = false
+	c.Drop(e)
 	c.cq.Clear(fd)
 	c.enqueueSQE()
-	return nil
-}
-
-// Interested implements core.Poller.
-func (c *Compio) Interested(fd int) bool { return c.table.Contains(fd) }
-
-// Len implements core.Poller.
-func (c *Compio) Len() int { return c.table.Len() }
-
-// Close implements core.Poller: tearing down the ring releases the armed
-// interests and the CQ. A wait blocked on the CQ completes immediately with
-// no events.
-func (c *Compio) Close() error {
-	if c.closed {
-		return core.ErrClosed
-	}
-	c.table.Each(func(e *interest.Entry) {
-		if e.File != nil {
-			e.File.BufferRegistered = false
-			e.File.RemoveWatcher(c)
-		}
-	})
-	c.cq.Reset()
-	c.sqPending = 0
-	c.closed = true
-	c.eng.Abort(c.k.Now())
 	return nil
 }
 
@@ -274,14 +209,10 @@ func (c *Compio) Close() error {
 // there is something to submit or nothing to reap. The handler is invoked at
 // the virtual instant the reap would have returned.
 func (c *Compio) Wait(max int, timeout core.Duration, handler func(events []core.Event, now core.Time)) {
-	if c.closed {
-		handler(nil, c.k.Now())
-		return
-	}
 	if max <= 0 {
 		max = MaxEvents
 	}
-	c.eng.Wait(max, timeout, handler)
+	c.Set.Wait(max, timeout, handler)
 }
 
 // arm records the SQE's kernel-side effect: the registered-buffer binding for
@@ -289,12 +220,9 @@ func (c *Compio) Wait(max int, timeout core.Duration, handler func(events []core
 // arm races the driver exactly like epoll_ctl does, so pre-existing readiness
 // posts a completion immediately and consumers need no unprompted reads).
 func (c *Compio) arm(e *interest.Entry) {
-	if e.File == nil {
-		return
-	}
 	e.File.BufferRegistered = c.opts.RegisteredBuffers && e.Events.Any(core.POLLIN)
 	revents := e.File.DriverPoll()
-	c.stats.DriverPolls++
+	c.Stats.DriverPolls++
 	if revents.Any(e.Events | core.POLLERR | core.POLLHUP) {
 		// Posted from syscall context: the app is about to reap anyway, so
 		// no doorbell fires (and overflow here is repaired like any other).
@@ -307,7 +235,7 @@ func (c *Compio) arm(e *interest.Entry) {
 // the explicit backpressure path.
 func (c *Compio) enqueueSQE() {
 	c.sqPending++
-	c.stats.Enqueued++
+	c.Stats.Enqueued++
 	if c.sqPending >= c.opts.SQSize {
 		c.sqFlushes++
 		c.flushSQ()
@@ -320,7 +248,7 @@ func (c *Compio) flushSQ() {
 	if c.sqPending == 0 {
 		return
 	}
-	c.p.ChargeSyscall(c.k.Cost.RingEnter + c.k.Cost.RingSubmit.Scale(float64(c.sqPending)))
+	c.P.ChargeSyscall(c.K.Cost.RingEnter + c.K.Cost.RingSubmit.Scale(float64(c.sqPending)))
 	c.sqPending = 0
 }
 
@@ -334,11 +262,7 @@ func (c *Compio) post(fd int, mask core.EventMask, gen uint64) (doorbell bool) {
 		return false
 	}
 	if c.cq.Len() >= c.opts.CQSize {
-		c.stats.Dropped++
-		if !c.overflowed {
-			c.overflowed = true
-			c.stats.Overflows++
-		}
+		c.drop()
 		return false
 	}
 	wasEmpty := c.cq.Len() == 0
@@ -346,22 +270,31 @@ func (c *Compio) post(fd int, mask core.EventMask, gen uint64) (doorbell bool) {
 	return wasEmpty
 }
 
+// drop loses one completion to a full CQ and raises the overflow flag.
+func (c *Compio) drop() {
+	c.Stats.Dropped++
+	if !c.overflowed {
+		c.overflowed = true
+		c.Stats.Overflows++
+	}
+}
+
 // collect performs one reap pass over the CQ ring. The syscall is conditional
 // — the headline property of the mechanism: when completions are already
 // visible in the shared ring and nothing is pending submission, the reap is
 // pure user-space work.
 func (c *Compio) collect(firstPass bool, max int, buf []core.Event) []core.Event {
-	cost := c.k.Cost
-	c.stats.Waits++
+	cost := c.K.Cost
+	c.Stats.Waits++
 	if !firstPass {
-		c.p.Charge(cost.SchedWakeup)
+		c.P.Charge(cost.SchedWakeup)
 	}
 	if c.overflowed {
 		c.recover()
 	} else if firstPass && (c.sqPending > 0 || c.cq.Len() == 0) {
 		// Enter the kernel: submit the pending batch and/or prepare to block
 		// (io_uring_enter with GETEVENTS). One entry charge for the batch.
-		c.p.Charge(cost.SyscallEntry + cost.RingEnter + cost.RingSubmit.Scale(float64(c.sqPending)))
+		c.P.Charge(cost.SyscallEntry + cost.RingEnter + cost.RingSubmit.Scale(float64(c.sqPending)))
 		c.sqPending = 0
 	}
 	events := buf
@@ -371,7 +304,7 @@ func (c *Compio) collect(firstPass bool, max int, buf []core.Event) []core.Event
 			c.cq.Stop()
 			return true
 		}
-		e := c.table.Lookup(fd)
+		e := c.Table.Lookup(fd)
 		if e == nil {
 			// Interest cancelled while the completion was in flight.
 			return false
@@ -386,8 +319,8 @@ func (c *Compio) collect(firstPass bool, max int, buf []core.Event) []core.Event
 		return false
 	})
 	if n := len(events); n > 0 {
-		c.p.Charge(cost.RingCQReap.Scale(float64(n)))
-		c.stats.EventsReturned += int64(n)
+		c.P.Charge(cost.RingCQReap.Scale(float64(n)))
+		c.Stats.EventsReturned += int64(n)
 	}
 	return events
 }
@@ -399,15 +332,12 @@ func (c *Compio) collect(firstPass bool, max int, buf []core.Event) []core.Event
 // into the ring without the capacity check: it is authoritative, and the
 // Ledger coalesces per descriptor so it cannot grow past the interest set.
 func (c *Compio) recover() {
-	cost := c.k.Cost
-	c.p.Charge(cost.SyscallEntry + cost.RingEnter + cost.RingSubmit.Scale(float64(c.sqPending)))
+	cost := c.K.Cost
+	c.P.Charge(cost.SyscallEntry + cost.RingEnter + cost.RingSubmit.Scale(float64(c.sqPending)))
 	c.sqPending = 0
-	c.table.Each(func(e *interest.Entry) {
-		if e.File == nil {
-			return
-		}
+	c.Table.Each(func(e *interest.Entry) {
 		revents := e.File.DriverPoll()
-		c.stats.DriverPolls++
+		c.Stats.DriverPolls++
 		if revents.Any(e.Events | core.POLLERR | core.POLLHUP) {
 			c.cq.Mark(e.FD, revents, e.File.Gen)
 		}
@@ -422,41 +352,24 @@ func (c *Compio) recover() {
 // — and lands on the owning process's own CPU, so per-lane rings stay
 // lane-local on a sharded run.
 func (c *Compio) ReadinessChanged(now core.Time, fd *simkernel.FD, mask core.EventMask) {
-	if c.closed {
-		return
-	}
-	e := c.table.Lookup(fd.Num)
-	if e == nil {
-		return
-	}
-	if !mask.Any(e.Events | core.POLLERR | core.POLLHUP) {
+	if c.Wants(fd, mask) == nil {
 		return
 	}
 	// An injected overflow storm swallows this post as if a kernel-side burst
 	// had already filled the ring: the completion is dropped, the overflow
 	// flag raises, and the next wait runs the recovery rescan.
-	if f := &c.k.Faults; f.OverflowStormRate > 0 {
-		if c.stormSalt == 0 {
-			c.stormSalt = faults.SaltString(c.p.Name)
-		}
-		c.stormSeq++
-		if f.OverflowStorm(c.stormSalt, c.stormSeq) {
-			c.stats.Dropped++
-			if !c.overflowed {
-				c.overflowed = true
-				c.stats.Overflows++
-			}
-			c.eng.Wake()
-			return
-		}
+	if c.Storm() {
+		c.drop()
+		c.Wake()
+		return
 	}
 	if c.post(fd.Num, mask, fd.Gen) {
 		c.doorbells++
-		c.k.InterruptOn(c.p.CPU(), now, c.k.Cost.RingCQPost, nil)
+		c.K.InterruptOn(c.P.CPU(), now, c.K.Cost.RingCQPost, nil)
 	}
 	// Always wake — on overflow the dropped completion still must not strand
 	// a blocked waiter; the wake's collect pass runs the recovery.
-	c.eng.Wake()
+	c.Wake()
 }
 
 var _ core.Poller = (*Compio)(nil)

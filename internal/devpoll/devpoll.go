@@ -60,11 +60,10 @@ func DefaultOptions() Options {
 // kernel-resident interest set. A process may open /dev/poll more than once to
 // maintain several independent sets.
 type DevPoll struct {
-	k    *simkernel.Kernel
-	p    *simkernel.Proc
+	interest.Set // kernel-resident interest set; Entry.File is the driver backmap
+
 	opts Options
 
-	table  *interest.Table  // kernel-resident interest set; Entry.File is the driver backmap
 	hinted *interest.Ledger // descriptors whose driver posted a hint since the last scan
 	cache  []cachedPoll     // last result returned by the driver poll, fd-indexed
 	// cand names the entries the next scan must visit on the host. It is
@@ -73,8 +72,6 @@ type DevPoll struct {
 
 	mmapDone bool
 
-	eng interest.Engine
-
 	// Per-scan state of visit, bound once so a scan allocates nothing.
 	visitFn    func(e *interest.Entry) bool
 	scanMax    int
@@ -82,9 +79,6 @@ type DevPoll struct {
 	visited    int
 	hintChecks int
 	drvPolls   int
-
-	stats  core.Stats
-	closed bool
 }
 
 // Open opens /dev/poll for process p. It mirrors open("/dev/poll") plus, when
@@ -92,24 +86,18 @@ type DevPoll struct {
 // lazily on the first DP_POLL).
 func Open(k *simkernel.Kernel, p *simkernel.Proc, opts Options) *DevPoll {
 	d := &DevPoll{
-		k:      k,
-		p:      p,
 		opts:   opts,
-		table:  interest.NewTable(),
 		hinted: interest.NewLedger(),
 		cand:   interest.NewLedger(),
 	}
 	d.visitFn = d.visit
-	d.eng = interest.Engine{
+	d.Init(k, p, d, interest.Engine{
 		Name:    "devpoll",
-		K:       k,
-		P:       p,
 		Collect: d.collect,
 		// Block on the single /dev/poll wait queue.
-		OnBlock:         func(bool) { d.p.Charge(d.k.Cost.WaitQueueOp) },
-		TimeoutTeardown: func() core.Duration { return d.k.Cost.WaitQueueOp },
-		Stats:           &d.stats,
-	}
+		OnBlock:         func(bool) { d.P.Charge(d.K.Cost.WaitQueueOp) },
+		TimeoutTeardown: func() core.Duration { return d.K.Cost.WaitQueueOp },
+	})
 	return d
 }
 
@@ -119,19 +107,11 @@ func (d *DevPoll) Name() string { return "devpoll" }
 // Options returns the active option set.
 func (d *DevPoll) Options() Options { return d.opts }
 
-// Table exposes the kernel-resident interest table (for tests and ablations).
-func (d *DevPoll) Table() *interest.Table { return d.table }
-
-// MechanismStats implements core.StatsSource.
-func (d *DevPoll) MechanismStats() core.Stats { return d.stats }
-
-// Add implements core.Poller: a single-entry write() to /dev/poll.
+// Add implements core.Poller: a single-entry write() to /dev/poll. The
+// descriptor need not be open; its first DP_POLL reports POLLNVAL.
 func (d *DevPoll) Add(fd int, events core.EventMask) error {
-	if d.closed {
-		return core.ErrClosed
-	}
-	if d.table.Contains(fd) {
-		return core.ErrExists
+	if err := d.Admit(fd); err != nil {
+		return err
 	}
 	return d.Update([]core.PollFD{{FD: fd, Events: events}})
 }
@@ -139,47 +119,35 @@ func (d *DevPoll) Add(fd int, events core.EventMask) error {
 // Modify implements core.Poller: re-writing an existing descriptor replaces
 // its interest (the paper's semantics; Solaris would OR the events in).
 func (d *DevPoll) Modify(fd int, events core.EventMask) error {
-	if d.closed {
-		return core.ErrClosed
-	}
-	if !d.table.Contains(fd) {
-		return core.ErrNotFound
+	if _, err := d.Find(fd); err != nil {
+		return err
 	}
 	return d.Update([]core.PollFD{{FD: fd, Events: events}})
 }
 
 // Remove implements core.Poller: a write() carrying POLLREMOVE.
 func (d *DevPoll) Remove(fd int) error {
-	if d.closed {
-		return core.ErrClosed
-	}
-	if !d.table.Contains(fd) {
-		return core.ErrNotFound
+	if _, err := d.Find(fd); err != nil {
+		return err
 	}
 	return d.Update([]core.PollFD{{FD: fd, Events: core.POLLREMOVE}})
 }
-
-// Interested implements core.Poller.
-func (d *DevPoll) Interested(fd int) bool { return d.table.Contains(fd) }
-
-// Len implements core.Poller.
-func (d *DevPoll) Len() int { return d.table.Len() }
 
 // Update applies a batch of pollfd updates with a single write() to
 // /dev/poll, which is how an application amortises the syscall cost when it
 // changes many interests at once (the hybrid server relies on this).
 func (d *DevPoll) Update(changes []core.PollFD) error {
-	if d.closed {
+	if d.Closed() {
 		return core.ErrClosed
 	}
-	cost := d.k.Cost
-	d.p.ChargeSyscall(cost.InterestUpdate.Scale(float64(len(changes))))
+	cost := d.K.Cost
+	d.P.ChargeSyscall(cost.InterestUpdate.Scale(float64(len(changes))))
 	for _, ch := range changes {
 		if ch.Events.Has(core.POLLREMOVE) {
 			d.removeLocked(ch.FD)
 			continue
 		}
-		e, isNew := d.table.Upsert(ch.FD)
+		e, isNew := d.Table.Upsert(ch.FD)
 		d.cand.Mark(ch.FD, 0, 0)
 		e.Events = ch.Events
 		if isNew {
@@ -187,7 +155,7 @@ func (d *DevPoll) Update(changes []core.PollFD) error {
 			// so its current state is examined on the next DP_POLL even though
 			// no hint has been posted yet.
 			var gen uint64
-			if entry, ok := d.p.Get(ch.FD); ok {
+			if entry, ok := d.P.Get(ch.FD); ok {
 				entry.AddWatcher(d)
 				e.File = entry
 				gen = entry.Gen
@@ -200,14 +168,11 @@ func (d *DevPoll) Update(changes []core.PollFD) error {
 
 // removeLocked drops one interest, its backmap entry, hint and cached result.
 func (d *DevPoll) removeLocked(fd int) {
-	e := d.table.Lookup(fd)
+	e := d.Table.Lookup(fd)
 	if e == nil {
 		return
 	}
-	if e.File != nil {
-		e.File.RemoveWatcher(d)
-	}
-	d.table.Delete(fd)
+	d.Drop(e)
 	d.hinted.Clear(fd)
 	d.cand.Clear(fd)
 	if fd < len(d.cache) {
@@ -240,36 +205,16 @@ func (d *DevPoll) cachePut(fd int, mask core.EventMask) {
 	d.cache[fd] = cachedPoll{mask: mask, valid: true}
 }
 
-// Close implements core.Poller: closing /dev/poll releases the interest set.
-// A wait blocked on DP_POLL completes immediately with no events.
-func (d *DevPoll) Close() error {
-	if d.closed {
-		return core.ErrClosed
-	}
-	d.table.Each(func(e *interest.Entry) {
-		if e.File != nil {
-			e.File.RemoveWatcher(d)
-		}
-	})
-	d.closed = true
-	d.eng.Abort(d.k.Now())
-	return nil
-}
-
 // Wait implements core.Poller: one ioctl(DP_POLL). The handler is invoked at
 // the virtual instant the ioctl would have returned.
 func (d *DevPoll) Wait(max int, timeout core.Duration, handler func(events []core.Event, now core.Time)) {
-	if d.closed {
-		handler(nil, d.k.Now())
-		return
-	}
 	if max <= 0 {
 		max = ResultAreaSize
 	}
 	if d.opts.UseMmap && max > ResultAreaSize {
 		max = ResultAreaSize
 	}
-	d.eng.Wait(max, timeout, handler)
+	d.Set.Wait(max, timeout, handler)
 }
 
 // collect performs one DP_POLL pass over the kernel-resident interest table,
@@ -278,44 +223,44 @@ func (d *DevPoll) Wait(max int, timeout core.Duration, handler func(events []cor
 // entries are visited on the host; every other entry costs what the walk
 // would charge an unhinted, not-ready interest.
 func (d *DevPoll) collect(firstPass bool, max int, buf []core.Event) []core.Event {
-	cost := d.k.Cost
-	d.stats.Waits++
+	cost := d.K.Cost
+	d.Stats.Waits++
 	if firstPass {
-		d.p.Charge(cost.SyscallEntry)
+		d.P.Charge(cost.SyscallEntry)
 	} else {
-		d.p.Charge(cost.SchedWakeup)
+		d.P.Charge(cost.SchedWakeup)
 	}
 	if d.opts.UseMmap && !d.mmapDone {
 		// Lazily perform DP_ALLOC + mmap() the first time results are
 		// collected through the shared area.
-		d.p.Charge(cost.MmapSetup)
+		d.P.Charge(cost.MmapSetup)
 		d.mmapDone = true
 	}
 	// The backmap lock is taken for reading once per scan.
-	d.p.Charge(cost.BackmapLock)
+	d.P.Charge(cost.BackmapLock)
 
 	d.scanMax, d.scanReady = max, buf
 	d.visited, d.hintChecks, d.drvPolls = 0, 0, 0
-	d.table.EachMarked(d.cand, d.visitFn)
+	d.Table.EachMarked(d.cand, d.visitFn)
 	ready := d.scanReady
 	d.scanReady = nil
-	if idle := d.table.Len() - d.visited; d.opts.UseHints {
+	if idle := d.Table.Len() - d.visited; d.opts.UseHints {
 		// The hint system lets the scan skip the driver entirely.
 		d.hintChecks += idle
-		d.stats.HintHits += int64(idle)
+		d.Stats.HintHits += int64(idle)
 	} else {
 		d.drvPolls += idle
-		d.stats.DriverPolls += int64(idle)
+		d.Stats.DriverPolls += int64(idle)
 	}
-	d.p.Charge(cost.HintCheck * core.Duration(d.hintChecks))
-	d.p.Charge(cost.DriverPoll * core.Duration(d.drvPolls))
+	d.P.Charge(cost.HintCheck * core.Duration(d.hintChecks))
+	d.P.Charge(cost.DriverPoll * core.Duration(d.drvPolls))
 
 	if len(ready) > 0 {
 		if !d.opts.UseMmap {
-			d.p.Charge(cost.PollCopyOut.Scale(float64(len(ready))))
-			d.stats.CopiedOut += int64(len(ready))
+			d.P.Charge(cost.PollCopyOut.Scale(float64(len(ready))))
+			d.Stats.CopiedOut += int64(len(ready))
 		}
-		d.stats.EventsReturned += int64(len(ready))
+		d.Stats.EventsReturned += int64(len(ready))
 	}
 	return ready
 }
@@ -327,7 +272,7 @@ func (d *DevPoll) collect(firstPass bool, max int, buf []core.Event) []core.Even
 func (d *DevPoll) visit(e *interest.Entry) bool {
 	d.visited++
 	fd, want := e.FD, e.Events
-	entry, ok := d.p.Get(fd)
+	entry, ok := d.P.Get(fd)
 	if !ok {
 		d.scanReady = interest.AppendEvent(d.scanReady, d.scanMax, core.Event{FD: fd, Ready: core.POLLNVAL})
 		return true
@@ -338,16 +283,16 @@ func (d *DevPoll) visit(e *interest.Entry) bool {
 		// A cached result that indicated readiness must be re-validated
 		// every time; there is no ready→not-ready hint.
 		needDriver = true
-		d.stats.CacheHits++
+		d.Stats.CacheHits++
 	}
 	if !needDriver {
 		d.hintChecks++
-		d.stats.HintHits++
+		d.Stats.HintHits++
 		return entry != e.File
 	}
 	revents := entry.Poll()
 	d.drvPolls++
-	d.stats.DriverPolls++
+	d.Stats.DriverPolls++
 	d.cachePut(fd, revents)
 	d.hinted.Clear(fd)
 	revents &= want | core.POLLERR | core.POLLHUP | core.POLLNVAL
@@ -362,16 +307,16 @@ func (d *DevPoll) visit(e *interest.Entry) bool {
 // hint to our backmapping list and wakes DP_POLL if it is blocked. Posting the
 // hint costs interrupt-context CPU time.
 func (d *DevPoll) ReadinessChanged(now core.Time, fd *simkernel.FD, mask core.EventMask) {
-	if d.closed {
+	if d.Closed() {
 		return
 	}
 	if d.opts.UseHints {
 		if d.hinted.Mark(fd.Num, mask, fd.Gen) {
-			d.k.Interrupt(now, d.k.Cost.HintPost, nil)
+			d.K.Interrupt(now, d.K.Cost.HintPost, nil)
 		}
 	}
 	d.cand.Mark(fd.Num, 0, 0)
-	d.eng.Wake()
+	d.Wake()
 }
 
 // FDClosed implements simkernel.CloseWatcher: the next scan revisits the

@@ -95,7 +95,7 @@ func TestModifyReplacesInterest(t *testing.T) {
 		must(t, d.Modify(fd.Num, core.POLLOUT))
 	}, nil)
 	env.Run()
-	if ev, _ := d.Table().Get(fd.Num); ev != core.POLLOUT {
+	if ev, _ := d.Table.Get(fd.Num); ev != core.POLLOUT {
 		t.Fatalf("replace semantics: got %v", ev)
 	}
 }

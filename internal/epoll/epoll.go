@@ -52,38 +52,24 @@ func DefaultOptions() Options {
 // Epoll is one epoll instance: the kernel-resident interest set plus the
 // ready list, as created by epoll_create(2).
 type Epoll struct {
-	k    *simkernel.Kernel
-	p    *simkernel.Proc
-	opts Options
+	interest.Set // interest set (epoll_ctl ADD/MOD/DEL)
 
-	table *interest.Table  // interest set (epoll_ctl ADD/MOD/DEL)
+	opts  Options
 	ready *interest.Ledger // the kernel ready list drivers append to
-
-	eng interest.Engine
-
-	stats  core.Stats
-	closed bool
 }
 
 // Open creates an epoll instance for process p, mirroring epoll_create(2).
 func Open(k *simkernel.Kernel, p *simkernel.Proc, opts Options) *Epoll {
-	ep := &Epoll{
-		k:     k,
-		p:     p,
-		opts:  opts,
-		table: interest.NewTable(),
-		ready: interest.NewLedger(),
-	}
-	ep.eng = interest.Engine{
+	ep := &Epoll{opts: opts, ready: interest.NewLedger()}
+	ep.Init(k, p, ep, interest.Engine{
 		Name:    ep.Name(),
-		K:       k,
-		P:       p,
 		Collect: ep.collect,
 		// Blocking joins the single epoll wait queue.
-		OnBlock:         func(bool) { ep.p.Charge(ep.k.Cost.WaitQueueOp) },
-		TimeoutTeardown: func() core.Duration { return ep.k.Cost.WaitQueueOp },
-		Stats:           &ep.stats,
-	}
+		OnBlock:         func(bool) { ep.P.Charge(ep.K.Cost.WaitQueueOp) },
+		TimeoutTeardown: func() core.Duration { return ep.K.Cost.WaitQueueOp },
+	})
+	// Closing the epoll descriptor releases the ready list too.
+	ep.OnClose = ep.ready.Reset
 	return ep
 }
 
@@ -98,35 +84,19 @@ func (ep *Epoll) Name() string {
 // Options returns the active option set.
 func (ep *Epoll) Options() Options { return ep.opts }
 
-// Table exposes the kernel-resident interest set (for tests and ablations).
-func (ep *Epoll) Table() *interest.Table { return ep.table }
-
 // ReadyLen reports the current ready-list length (for tests).
 func (ep *Epoll) ReadyLen() int { return ep.ready.Len() }
-
-// MechanismStats implements core.StatsSource.
-func (ep *Epoll) MechanismStats() core.Stats { return ep.stats }
 
 // Add implements core.Poller: epoll_ctl(EPOLL_CTL_ADD). Registration charges
 // the kernel-resident update once; as in the real kernel, the descriptor's
 // current readiness is checked at registration time so pre-existing data is
 // not lost (important for edge-triggered consumers).
 func (ep *Epoll) Add(fd int, events core.EventMask) error {
-	if ep.closed {
-		return core.ErrClosed
+	e, err := ep.Bind(fd, events)
+	if err != nil {
+		return err
 	}
-	if ep.table.Contains(fd) {
-		return core.ErrExists
-	}
-	entry, ok := ep.p.Get(fd)
-	if !ok {
-		return core.ErrBadFD
-	}
-	ep.p.ChargeSyscall(ep.k.Cost.InterestUpdate)
-	e, _ := ep.table.Upsert(fd)
-	e.Events = events
-	e.File = entry
-	entry.AddWatcher(ep)
+	ep.P.ChargeSyscall(ep.K.Cost.InterestUpdate)
 	ep.primeReadiness(e)
 	return nil
 }
@@ -134,14 +104,11 @@ func (ep *Epoll) Add(fd int, events core.EventMask) error {
 // Modify implements core.Poller: epoll_ctl(EPOLL_CTL_MOD). The readiness
 // check is repeated with the new mask, as ep_modify does.
 func (ep *Epoll) Modify(fd int, events core.EventMask) error {
-	if ep.closed {
-		return core.ErrClosed
+	e, err := ep.Find(fd)
+	if err != nil {
+		return err
 	}
-	e := ep.table.Lookup(fd)
-	if e == nil {
-		return core.ErrNotFound
-	}
-	ep.p.ChargeSyscall(ep.k.Cost.InterestUpdate)
+	ep.P.ChargeSyscall(ep.K.Cost.InterestUpdate)
 	e.Events = events
 	ep.primeReadiness(e)
 	return nil
@@ -150,68 +117,31 @@ func (ep *Epoll) Modify(fd int, events core.EventMask) error {
 // Remove implements core.Poller: epoll_ctl(EPOLL_CTL_DEL). Any pending entry
 // on the ready list is discarded with the interest.
 func (ep *Epoll) Remove(fd int) error {
-	if ep.closed {
-		return core.ErrClosed
+	e, err := ep.Find(fd)
+	if err != nil {
+		return err
 	}
-	e := ep.table.Lookup(fd)
-	if e == nil {
-		return core.ErrNotFound
-	}
-	ep.p.ChargeSyscall(ep.k.Cost.InterestUpdate)
-	if e.File != nil {
-		e.File.RemoveWatcher(ep)
-	}
-	ep.table.Delete(fd)
+	ep.P.ChargeSyscall(ep.K.Cost.InterestUpdate)
+	ep.Drop(e)
 	ep.ready.Clear(fd)
-	return nil
-}
-
-// Interested implements core.Poller.
-func (ep *Epoll) Interested(fd int) bool { return ep.table.Contains(fd) }
-
-// Len implements core.Poller.
-func (ep *Epoll) Len() int { return ep.table.Len() }
-
-// Close implements core.Poller: closing the epoll descriptor releases the
-// interest set and the ready list. A wait blocked in epoll_wait completes
-// immediately with no events.
-func (ep *Epoll) Close() error {
-	if ep.closed {
-		return core.ErrClosed
-	}
-	ep.table.Each(func(e *interest.Entry) {
-		if e.File != nil {
-			e.File.RemoveWatcher(ep)
-		}
-	})
-	ep.ready.Reset()
-	ep.closed = true
-	ep.eng.Abort(ep.k.Now())
 	return nil
 }
 
 // Wait implements core.Poller: one epoll_wait(2). The handler is invoked at
 // the virtual instant the call would have returned.
 func (ep *Epoll) Wait(max int, timeout core.Duration, handler func(events []core.Event, now core.Time)) {
-	if ep.closed {
-		handler(nil, ep.k.Now())
-		return
-	}
 	if max <= 0 {
 		max = MaxEvents
 	}
-	ep.eng.Wait(max, timeout, handler)
+	ep.Set.Wait(max, timeout, handler)
 }
 
 // primeReadiness performs the registration-time readiness check of
 // epoll_ctl: the driver poll callback runs once and, if the descriptor is
 // already ready for the requested events, it is placed on the ready list.
 func (ep *Epoll) primeReadiness(e *interest.Entry) {
-	if e.File == nil {
-		return
-	}
 	revents := e.File.DriverPoll()
-	ep.stats.DriverPolls++
+	ep.Stats.DriverPolls++
 	if revents.Any(e.Events | core.POLLERR | core.POLLHUP) {
 		ep.ready.Mark(e.FD, revents, e.File.Gen)
 	}
@@ -223,12 +153,12 @@ func (ep *Epoll) primeReadiness(e *interest.Entry) {
 // The walk ends once max events are collected, so a backlog longer than the
 // result buffer costs the host nothing until a later wait reaches it.
 func (ep *Epoll) collect(firstPass bool, max int, buf []core.Event) []core.Event {
-	cost := ep.k.Cost
-	ep.stats.Waits++
+	cost := ep.K.Cost
+	ep.Stats.Waits++
 	if firstPass {
-		ep.p.Charge(cost.SyscallEntry)
+		ep.P.Charge(cost.SyscallEntry)
 	} else {
-		ep.p.Charge(cost.SchedWakeup)
+		ep.P.Charge(cost.SchedWakeup)
 	}
 	events := buf
 	ep.ready.Scan(func(fd int, pending core.EventMask, gen uint64) (keep bool) {
@@ -238,7 +168,7 @@ func (ep *Epoll) collect(firstPass bool, max int, buf []core.Event) []core.Event
 			ep.ready.Stop()
 			return true
 		}
-		e := ep.table.Lookup(fd)
+		e := ep.Table.Lookup(fd)
 		if e == nil {
 			// Interest vanished while queued; drop the stale ready entry.
 			return false
@@ -257,13 +187,13 @@ func (ep *Epoll) collect(firstPass bool, max int, buf []core.Event) []core.Event
 		}
 		// Level-triggered: re-validate with the driver, exactly like
 		// ep_send_events re-polling each ready-list entry.
-		entry, ok := ep.p.Get(fd)
+		entry, ok := ep.P.Get(fd)
 		if !ok {
 			events = append(events, core.Event{FD: fd, Ready: core.POLLNVAL, Gen: gen})
 			return false
 		}
 		revents := entry.DriverPoll() & want
-		ep.stats.DriverPolls++
+		ep.Stats.DriverPolls++
 		if revents == 0 {
 			// No longer ready (consumed since it was queued): off the list.
 			return false
@@ -275,9 +205,9 @@ func (ep *Epoll) collect(firstPass bool, max int, buf []core.Event) []core.Event
 	})
 	if len(events) > 0 {
 		// epoll_wait copies the result array out to user space.
-		ep.p.Charge(cost.PollCopyOut.Scale(float64(len(events))))
-		ep.stats.CopiedOut += int64(len(events))
-		ep.stats.EventsReturned += int64(len(events))
+		ep.P.Charge(cost.PollCopyOut.Scale(float64(len(events))))
+		ep.Stats.CopiedOut += int64(len(events))
+		ep.Stats.EventsReturned += int64(len(events))
 	}
 	return events
 }
@@ -286,20 +216,13 @@ func (ep *Epoll) collect(firstPass bool, max int, buf []core.Event) []core.Event
 // callback appends the descriptor to the ready list (ep_poll_callback) in
 // interrupt context and wakes epoll_wait if it is blocked.
 func (ep *Epoll) ReadinessChanged(now core.Time, fd *simkernel.FD, mask core.EventMask) {
-	if ep.closed {
-		return
-	}
-	e := ep.table.Lookup(fd.Num)
-	if e == nil {
-		return
-	}
-	if !mask.Any(e.Events | core.POLLERR | core.POLLHUP) {
+	if ep.Wants(fd, mask) == nil {
 		return
 	}
 	if ep.ready.Mark(fd.Num, mask, fd.Gen) {
-		ep.k.Interrupt(now, ep.k.Cost.HintPost, nil)
+		ep.K.Interrupt(now, ep.K.Cost.HintPost, nil)
 	}
-	ep.eng.Wake()
+	ep.Wake()
 }
 
 var _ core.Poller = (*Epoll)(nil)

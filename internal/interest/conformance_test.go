@@ -5,10 +5,12 @@ package interest_test
 // epoll in both trigger modes, and the compio completion rings). It pins the contract every mechanism must
 // honour so refactors of the shared interest engine are provably
 // behaviour-preserving: error cases on interest management (ErrExists,
-// ErrNotFound, ErrClosed), Interested/Len bookkeeping, readiness delivery,
-// wait-with-timeout, non-blocking waits, and close-while-waiting.
+// ErrNotFound, ErrBadFD, ErrClosed), Interested/Len bookkeeping, watcher-list
+// bookkeeping, readiness delivery, wait-with-timeout, non-blocking waits, and
+// close-while-waiting.
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/compio"
@@ -23,30 +25,33 @@ import (
 	"repro/internal/stockpoll"
 )
 
-// mechanism names one Poller implementation under test.
+// mechanism names one Poller implementation under test. heldOnly marks the
+// mechanisms that watch a descriptor from registration on, so Add requires
+// the process to hold it.
 type mechanism struct {
-	name string
-	open func(env *simtest.Env) core.Poller
+	name     string
+	heldOnly bool
+	open     func(env *simtest.Env) core.Poller
 }
 
 func mechanisms() []mechanism {
 	return []mechanism{
-		{"stockpoll", func(env *simtest.Env) core.Poller {
+		{"stockpoll", false, func(env *simtest.Env) core.Poller {
 			return stockpoll.New(env.K, env.P)
 		}},
-		{"devpoll", func(env *simtest.Env) core.Poller {
+		{"devpoll", false, func(env *simtest.Env) core.Poller {
 			return devpoll.Open(env.K, env.P, devpoll.DefaultOptions())
 		}},
-		{"rtsig", func(env *simtest.Env) core.Poller {
+		{"rtsig", true, func(env *simtest.Env) core.Poller {
 			return rtsig.New(env.K, env.P, rtsig.DefaultOptions())
 		}},
-		{"epoll-lt", func(env *simtest.Env) core.Poller {
+		{"epoll-lt", true, func(env *simtest.Env) core.Poller {
 			return epoll.Open(env.K, env.P, epoll.Options{EdgeTriggered: false})
 		}},
-		{"epoll-et", func(env *simtest.Env) core.Poller {
+		{"epoll-et", true, func(env *simtest.Env) core.Poller {
 			return epoll.Open(env.K, env.P, epoll.Options{EdgeTriggered: true})
 		}},
-		{"compio", func(env *simtest.Env) core.Poller {
+		{"compio", true, func(env *simtest.Env) core.Poller {
 			return compio.Open(env.K, env.P, compio.DefaultOptions())
 		}},
 	}
@@ -56,11 +61,17 @@ func mechanisms() []mechanism {
 // simulation environment each time.
 func forEachMechanism(t *testing.T, fn func(t *testing.T, env *simtest.Env, p core.Poller)) {
 	t.Helper()
+	forEachMechanismOf(t, func(t *testing.T, _ mechanism, env *simtest.Env, p core.Poller) { fn(t, env, p) })
+}
+
+// forEachMechanismOf is forEachMechanism for a test whose expectations
+// depend on the mechanism.
+func forEachMechanismOf(t *testing.T, fn func(t *testing.T, m mechanism, env *simtest.Env, p core.Poller)) {
+	t.Helper()
 	for _, m := range mechanisms() {
-		m := m
 		t.Run(m.name, func(t *testing.T) {
 			env := simtest.NewEnv()
-			fn(t, env, m.open(env))
+			fn(t, m, env, m.open(env))
 		})
 	}
 }
@@ -90,6 +101,61 @@ func TestConformanceInterestErrors(t *testing.T) {
 		}
 		if err := p.Remove(fdA.Num); err != core.ErrNotFound {
 			t.Fatalf("double Remove = %v, want ErrNotFound", err)
+		}
+	})
+}
+
+// TestConformanceAddUnheldDescriptor pins Add of a descriptor the process
+// does not hold. The mechanisms that watch from registration refuse it with
+// ErrBadFD; stock poll and /dev/poll take it, as poll() and write() to
+// /dev/poll do, and their first wait reports POLLNVAL for it.
+func TestConformanceAddUnheldDescriptor(t *testing.T) {
+	forEachMechanismOf(t, func(t *testing.T, m mechanism, env *simtest.Env, p core.Poller) {
+		held, _ := env.NewFD(0)
+		unheld := held.Num + 1
+		err := p.Add(unheld, core.POLLIN)
+		if m.heldOnly {
+			if err != core.ErrBadFD {
+				t.Fatalf("Add of an unheld fd = %v, want ErrBadFD", err)
+			}
+			if p.Interested(unheld) || p.Len() != 0 {
+				t.Fatalf("refused Add registered: Interested=%v Len=%d", p.Interested(unheld), p.Len())
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("Add of an unheld fd = %v, want nil", err)
+		}
+		var col simtest.Collector
+		p.Wait(0, 0, col.Handler())
+		env.Run()
+		want := []core.Event{{FD: unheld, Ready: core.POLLNVAL}}
+		if col.Calls != 1 || !slices.Equal(col.Events, want) {
+			t.Fatalf("first wait: %+v, want events %+v", col, want)
+		}
+	})
+}
+
+// TestConformanceRemoveLeavesWatchers pins that Remove takes the poller off
+// the descriptor's watcher list. Stock poll joins the list at its first scan,
+// so the wait comes before the check.
+func TestConformanceRemoveLeavesWatchers(t *testing.T) {
+	forEachMechanism(t, func(t *testing.T, env *simtest.Env, p core.Poller) {
+		fd, _ := env.NewFD(0)
+		if err := p.Add(fd.Num, core.POLLIN); err != nil {
+			t.Fatal(err)
+		}
+		var col simtest.Collector
+		p.Wait(0, 0, col.Handler())
+		env.Run()
+		if fd.Watchers() != 1 {
+			t.Fatalf("watchers after Add and a wait = %d, want 1", fd.Watchers())
+		}
+		if err := p.Remove(fd.Num); err != nil {
+			t.Fatal(err)
+		}
+		if fd.Watchers() != 0 {
+			t.Fatalf("watchers leaked after Remove: %d", fd.Watchers())
 		}
 	})
 }

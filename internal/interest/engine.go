@@ -69,8 +69,8 @@ type Engine struct {
 	TimeoutTeardown func() core.Duration
 
 	// Stats, if non-nil, receives the engine-level counters the mechanism
-	// exposes (currently the EINTR interrupt count). Mechanisms point it at
-	// their core.Stats block.
+	// exposes (currently the EINTR interrupt count). Set.Init points it at
+	// the set's core.Stats block.
 	Stats *core.Stats
 
 	state      engineState
@@ -121,9 +121,6 @@ type Engine struct {
 	bufs [2][]core.Event
 	cur  int
 }
-
-// Idle reports whether no Wait is in flight.
-func (e *Engine) Idle() bool { return e.state == stateIdle }
 
 // Wait starts one blocking wait: at most max events, blocking for at most
 // timeout (core.Forever blocks indefinitely, 0 never blocks). The handler is

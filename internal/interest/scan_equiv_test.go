@@ -470,12 +470,12 @@ func TestScanMatchesFullWalkReference(t *testing.T) {
 						_ = real.pl.Add(real.install(), core.POLLIN)
 					}
 				}
-				gen := rand.New(rand.NewSource(seed))
+				rng := rand.New(rand.NewSource(seed))
 				for step := 0; step < 300; step++ {
-					// Each step's op comes from a generator seeded by the
-					// sequence, drawn once against the reference side and
-					// applied to both.
-					op := randomScanOp(rand.New(rand.NewSource(gen.Int63())), ref)
+					// Each step's op is drawn once, from the run's one
+					// generator, against the reference side, and applied
+					// to both.
+					op := randomScanOp(rng, ref)
 					op(ref)
 					op(real)
 					// Waits only append, so the earlier ones were compared

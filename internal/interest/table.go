@@ -4,11 +4,12 @@
 // that /dev/poll and RT signals beat stock poll() because the interest set
 // lives inside the kernel instead of being copied in on every call; this
 // package is that kernel-resident state, factored out so the mechanisms
-// (stock poll, /dev/poll, RT signals, epoll) differ only in what they charge
-// the cost model and how they present readiness, not in how they store
-// interests or run a blocking wait.
+// (stock poll, /dev/poll, RT signals, epoll, compio) differ only in what they
+// charge the cost model and how they present readiness, not in how they store
+// interests, keep the core.Poller registration contract or run a blocking
+// wait.
 //
-// It provides three pieces:
+// It provides four pieces:
 //
 //   - Table: the kernel-resident interest set of §3.1, generalized with
 //     insertion-order iteration so the same structure can also stand in for
@@ -18,7 +19,11 @@
 //     O(ready) rather than O(registered);
 //   - Engine: the common blocking-wait state machine (first-pass fast path,
 //     rescan-on-wakeup, timeout, handler dispatch at the correct virtual
-//     time).
+//     time);
+//   - Set: the core.Poller registration contract every mechanism embeds
+//     (error order, watcher bookkeeping, Interested, Len, MechanismStats,
+//     Close, the closed guard of Wait, the notification filter and the
+//     overflow-storm draw), around one Table and one Engine.
 package interest
 
 import (

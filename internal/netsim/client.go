@@ -44,9 +44,8 @@ const (
 	StateClosed
 )
 
-// ConnHandler receives the client-side connection callbacks — the stream
-// specialization of the Socket consumer surface (Peer/DgramHandler is the
-// datagram one). The client host has unbounded CPU, so methods run exactly at
+// ConnHandler receives the client-side connection callbacks (Peer and
+// DgramHandler are the datagram counterpart). The client host has unbounded CPU, so methods run exactly at
 // the event's virtual time. Implementing the interface directly is the
 // allocation-free path the load generator uses: one interface value per
 // connection instead of a closure per callback; closure-based callers adapt
@@ -264,9 +263,6 @@ func (c *ClientConn) ID() int64 { return c.pair.id }
 // State reports the client's view of the connection.
 func (c *ClientConn) State() ConnState { return c.state }
 
-// Transport implements Socket.
-func (c *ClientConn) Transport() Transport { return Stream }
-
 // Q returns the scheduling handle of the lane the connection is homed on (the
 // one lane of a sequential run). Client-side callbacks execute
 // on this lane; callers scheduling follow-up work against the connection
@@ -282,10 +278,6 @@ func (c *ClientConn) BytesReceived() int { return c.bytesReceived }
 
 // RTT returns the connection's round-trip time.
 func (c *ClientConn) RTT() core.Duration { return c.pair.rtt }
-
-// Fate reports the fault plane's verdict for this connection (for tests and
-// the load generator's accounting).
-func (c *ClientConn) Fate() faults.ConnFate { return c.fate }
 
 // synArrive handles the SYN reaching the server host. It executes on the
 // connection's home lane — the lane of the listener the id hashes to.

@@ -7,52 +7,6 @@ import (
 	"repro/internal/simkernel"
 )
 
-// Transport distinguishes the socket families netsim simulates.
-type Transport int
-
-// The two transports.
-const (
-	// Stream is connection-oriented TCP: ConnectOptions/ConnHandler on the
-	// client side, Listener/ServerConn behind accept() on the server side.
-	Stream Transport = iota
-	// Datagram is connectionless UDP: OpenDatagram/SendTo/RecvFrom on the
-	// server side, Peer on the client side; the wire neither loses nor
-	// reorders.
-	Datagram
-)
-
-// String names the transport.
-func (t Transport) String() string {
-	if t == Datagram {
-		return "dgram"
-	}
-	return "stream"
-}
-
-// Socket is the transport-generic face of a netsim endpoint: everything the
-// simulation hands a consumer — stream connections on either end, datagram
-// sockets, datagram peers — reports which transport it speaks and which lane
-// its events execute on. The stream-specific surfaces (ConnectOptions,
-// ConnHandler, SockAPI's accept/read/write) and the datagram-specific ones
-// (OpenDatagram/SendTo/RecvFrom, DgramHandler) are specializations over this
-// common shape, which is what a future real-kernel backend implements behind
-// the same interface.
-type Socket interface {
-	// Transport reports the socket family.
-	Transport() Transport
-	// Q returns the scheduling handle of the lane the socket's events
-	// execute on (the one lane of a sequential run).
-	Q() simkernel.Q
-}
-
-// Compile-time checks: every consumer-facing endpoint is a Socket.
-var (
-	_ Socket = (*ClientConn)(nil)
-	_ Socket = (*ServerConn)(nil)
-	_ Socket = (*DgramSock)(nil)
-	_ Socket = (*Peer)(nil)
-)
-
 // Addr identifies a datagram endpoint: positive addresses are server-side
 // bound sockets (well-known services bind low addresses explicitly,
 // OpenDatagram(0) auto-allocates from dgramAutoAddrBase up), negative
@@ -101,17 +55,11 @@ type DgramSock struct {
 	Drops int64
 }
 
-// Transport implements Socket.
-func (s *DgramSock) Transport() Transport { return Datagram }
-
-// Q implements Socket.
+// Q returns the scheduling handle of the lane the socket's events execute on.
 func (s *DgramSock) Q() simkernel.Q { return s.q }
 
 // Addr returns the bound address.
 func (s *DgramSock) Addr() Addr { return s.addr }
-
-// Queued reports how many datagrams are waiting to be read.
-func (s *DgramSock) Queued() int { return len(s.rcvQ) }
 
 // Poll implements simkernel.File.
 func (s *DgramSock) Poll() core.EventMask {
@@ -271,11 +219,8 @@ type Peer struct {
 	closed bool
 }
 
-// Transport implements Socket.
-func (p *Peer) Transport() Transport { return Datagram }
-
-// Q implements Socket: the datagram home lane, where every callback of every
-// peer executes.
+// Q returns the datagram home lane, where every callback of every peer
+// executes.
 func (p *Peer) Q() simkernel.Q { return p.net.dgramHome }
 
 // Addr returns the peer's address, the from seen by the server's RecvFrom.

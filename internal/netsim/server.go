@@ -198,10 +198,7 @@ func (c *ServerConn) Accepted() bool { return c.accepted }
 // Peer returns the client endpoint (used by tests and the load generator).
 func (c *ServerConn) Peer() *ClientConn { return &c.pair.c }
 
-// Transport implements Socket.
-func (c *ServerConn) Transport() Transport { return Stream }
-
-// Q implements Socket: the lane the connection is homed on.
+// Q returns the scheduling handle of the lane the connection is homed on.
 func (c *ServerConn) Q() simkernel.Q { return c.pair.q }
 
 // Owner returns the process whose CPU this connection's interrupts are
@@ -570,10 +567,4 @@ func (a *SockAPI) Close(fd *simkernel.FD) {
 		return
 	}
 	a.Net.defer_(a.P, evtSrvClose, conn, 0)
-}
-
-// Fcntl models fcntl() calls such as F_SETSIG/F_SETOWN/O_ASYNC, charging their
-// cost; the RT-signal mechanism calls it when registering descriptors.
-func (a *SockAPI) Fcntl(fd *simkernel.FD) {
-	a.P.ChargeSyscall(a.K.Cost.FcntlSetSig)
 }

@@ -23,7 +23,6 @@ package rtsig
 
 import (
 	"repro/internal/core"
-	"repro/internal/faults"
 	"repro/internal/interest"
 	"repro/internal/simkernel"
 )
@@ -58,30 +57,16 @@ func DefaultOptions() Options {
 // assignments. It implements core.Poller so servers can treat it like the
 // other mechanisms, with Wait mapping to sigwaitinfo()/sigtimedwait4().
 type Queue struct {
-	k    *simkernel.Kernel
-	p    *simkernel.Proc
-	opts Options
-
-	// registered holds the F_SETSIG assignments: Entry.Events is the mask of
+	// Set holds the F_SETSIG assignments: Entry.Events is the mask of
 	// completions that raise a signal, Entry.File the descriptor whose fasync
 	// list we joined.
-	registered *interest.Table
-	pending    sigFIFO // queued siginfo, oldest first
+	interest.Set
+
+	opts    Options
+	pending sigFIFO // queued siginfo, oldest first
 
 	overflowed       bool
 	overflowReported bool
-
-	// stormSalt / stormSeq key the injected overflow-storm decision stream
-	// (faults.Config.OverflowStormRate): one lane-local sequence per enqueue
-	// attempt, salted by the owning process so sibling queues draw
-	// independent storms.
-	stormSalt uint64
-	stormSeq  uint64
-
-	eng interest.Engine
-
-	stats  core.Stats
-	closed bool
 }
 
 // New creates an RT signal queue for process p.
@@ -89,21 +74,10 @@ func New(k *simkernel.Kernel, p *simkernel.Proc, opts Options) *Queue {
 	if opts.QueueLimit <= 0 {
 		opts.QueueLimit = DefaultQueueLimit
 	}
-	q := &Queue{
-		k:          k,
-		p:          p,
-		opts:       opts,
-		registered: interest.NewTable(),
-	}
-	q.eng = interest.Engine{
-		Name:    "rtsig",
-		K:       k,
-		P:       p,
-		Collect: q.collect,
-		// Blocking in sigwaitinfo() joins no per-descriptor wait queues and a
-		// timeout tears nothing down, so OnBlock and TimeoutTeardown stay nil.
-		Stats: &q.stats,
-	}
+	q := &Queue{opts: opts}
+	// Blocking in sigwaitinfo() joins no per-descriptor wait queues and a
+	// timeout tears nothing down, so OnBlock and TimeoutTeardown stay nil.
+	q.Init(k, p, q, interest.Engine{Name: "rtsig", Collect: q.collect})
 	return q
 }
 
@@ -112,9 +86,6 @@ func (q *Queue) Name() string { return "rtsig" }
 
 // Options returns the active option set.
 func (q *Queue) Options() Options { return q.opts }
-
-// MechanismStats implements core.StatsSource.
-func (q *Queue) MechanismStats() core.Stats { return q.stats }
 
 // QueueLength reports the number of pending siginfo entries; the hybrid server
 // uses it as its load threshold (§4).
@@ -129,35 +100,21 @@ func (q *Queue) Overflowed() bool { return q.overflowed }
 // Add implements core.Poller by assigning SIGRTMIN to fd, mirroring
 // fcntl(fd, F_SETSIG, SIGRTMIN) plus F_SETOWN and O_ASYNC.
 func (q *Queue) Add(fd int, events core.EventMask) error {
-	if q.closed {
-		return core.ErrClosed
+	if _, err := q.Bind(fd, events); err != nil {
+		return err
 	}
-	if q.registered.Contains(fd) {
-		return core.ErrExists
-	}
-	entry, ok := q.p.Get(fd)
-	if !ok {
-		return core.ErrBadFD
-	}
-	q.p.ChargeSyscall(q.k.Cost.FcntlSetSig)
-	e, _ := q.registered.Upsert(fd)
-	e.Events = events
-	e.File = entry
-	entry.AddWatcher(q)
+	q.P.ChargeSyscall(q.K.Cost.FcntlSetSig)
 	return nil
 }
 
 // Modify implements core.Poller: it updates the event mask used to filter
 // completions for fd.
 func (q *Queue) Modify(fd int, events core.EventMask) error {
-	if q.closed {
-		return core.ErrClosed
+	e, err := q.Find(fd)
+	if err != nil {
+		return err
 	}
-	e := q.registered.Lookup(fd)
-	if e == nil {
-		return core.ErrNotFound
-	}
-	q.p.ChargeSyscall(q.k.Cost.FcntlSetSig)
+	q.P.ChargeSyscall(q.K.Cost.FcntlSetSig)
 	e.Events = events
 	return nil
 }
@@ -167,37 +124,11 @@ func (q *Queue) Modify(fd int, events core.EventMask) error {
 // connection will remain on the RT signal queue, and must be processed and/or
 // ignored by applications").
 func (q *Queue) Remove(fd int) error {
-	if q.closed {
-		return core.ErrClosed
+	e, err := q.Find(fd)
+	if err != nil {
+		return err
 	}
-	e := q.registered.Lookup(fd)
-	if e == nil {
-		return core.ErrNotFound
-	}
-	e.File.RemoveWatcher(q)
-	q.registered.Delete(fd)
-	return nil
-}
-
-// Interested implements core.Poller.
-func (q *Queue) Interested(fd int) bool { return q.registered.Contains(fd) }
-
-// Len implements core.Poller: the number of registered descriptors.
-func (q *Queue) Len() int { return q.registered.Len() }
-
-// Close implements core.Poller. A wait blocked in sigwaitinfo() completes
-// immediately with no events.
-func (q *Queue) Close() error {
-	if q.closed {
-		return core.ErrClosed
-	}
-	q.registered.Each(func(e *interest.Entry) {
-		if e.File != nil {
-			e.File.RemoveWatcher(q)
-		}
-	})
-	q.closed = true
-	q.eng.Abort(q.k.Now())
+	q.Drop(e)
 	return nil
 }
 
@@ -206,7 +137,7 @@ func (q *Queue) Close() error {
 // returns the number of entries flushed; the caller is expected to follow up
 // with a poll() over its descriptors to find any remaining activity.
 func (q *Queue) Recover() int {
-	q.p.ChargeSyscall(q.k.Cost.SigMaskChange)
+	q.P.ChargeSyscall(q.K.Cost.SigMaskChange)
 	flushed := q.pending.len()
 	// The flush keeps the ring storage: phhttpd recovers after every
 	// overflow, and reallocating the queue each time was measurable.
@@ -222,43 +153,39 @@ func (q *Queue) Recover() int {
 // events in one system call. A pending overflow is reported first, as the
 // SIGIO sentinel event.
 func (q *Queue) Wait(max int, timeout core.Duration, handler func(events []core.Event, now core.Time)) {
-	if q.closed {
-		handler(nil, q.k.Now())
-		return
-	}
 	if max <= 0 || !q.opts.BatchDequeue {
 		max = 1
 	}
-	q.eng.Wait(max, timeout, handler)
+	q.Set.Wait(max, timeout, handler)
 }
 
 // collect performs one sigwaitinfo()/sigtimedwait4() dequeue attempt.
 func (q *Queue) collect(firstPass bool, max int, buf []core.Event) []core.Event {
-	cost := q.k.Cost
-	q.stats.Waits++
+	cost := q.K.Cost
+	q.Stats.Waits++
 	if firstPass {
-		q.p.Charge(cost.SyscallEntry)
+		q.P.Charge(cost.SyscallEntry)
 	} else {
-		q.p.Charge(cost.SchedWakeup)
+		q.P.Charge(cost.SchedWakeup)
 	}
 	if q.overflowed && !q.overflowReported {
 		// SIGIO announces the overflow; the application learns nothing else
 		// from this delivery.
-		q.p.Charge(cost.SigDequeue)
+		q.P.Charge(cost.SigDequeue)
 		q.overflowReported = true
-		q.stats.EventsReturned++
+		q.Stats.EventsReturned++
 		return append(buf, OverflowEvent)
 	}
 	events := buf
 	for len(events) < max && !q.pending.empty() {
 		si := q.pending.pop()
 		if len(events) == 0 {
-			q.p.Charge(cost.SigDequeue)
+			q.P.Charge(cost.SigDequeue)
 		} else {
-			q.p.Charge(cost.SigDequeueBatch)
+			q.P.Charge(cost.SigDequeueBatch)
 		}
 		events = append(events, core.Event{FD: si.FD, Ready: si.Band, Gen: si.Gen})
-		q.stats.EventsReturned++
+		q.Stats.EventsReturned++
 	}
 	return events
 }
@@ -302,46 +229,23 @@ func (f *sigFIFO) reset() {
 // which is what makes a large population of idle connections slow the signal
 // path down — the effect the paper observed in Figures 12 and 13.
 func (q *Queue) ReadinessChanged(now core.Time, fd *simkernel.FD, mask core.EventMask) {
-	if q.closed {
+	if q.Wants(fd, mask) == nil {
 		return
 	}
-	reg := q.registered.Lookup(fd.Num)
-	if reg == nil {
-		return
-	}
-	if !mask.Any(reg.Events | core.POLLERR | core.POLLHUP) {
-		return
-	}
-	cost := q.k.Cost
-	enqueueCost := cost.SigEnqueue + cost.SigEnqueuePerFD.Scale(float64(q.registered.Len()))
-	q.k.Interrupt(now, enqueueCost, nil)
+	cost := q.K.Cost
+	enqueueCost := cost.SigEnqueue + cost.SigEnqueuePerFD.Scale(float64(q.Len()))
+	q.K.Interrupt(now, enqueueCost, nil)
 
-	// An injected overflow storm swallows this enqueue as if a kernel-side
-	// burst had already filled the queue: the signal is dropped, SIGIO raises,
-	// and the application must run its recovery rescan.
-	if f := &q.k.Faults; f.OverflowStormRate > 0 {
-		if q.stormSalt == 0 {
-			q.stormSalt = faults.SaltString(q.p.Name)
-		}
-		q.stormSeq++
-		if f.OverflowStorm(q.stormSalt, q.stormSeq) {
-			q.stats.Dropped++
-			if !q.overflowed {
-				q.overflowed = true
-				q.stats.Overflows++
-				q.k.Interrupt(now, cost.SigOverflow, nil)
-			}
-			q.eng.Wake()
-			return
-		}
-	}
-
-	if q.pending.len() >= q.opts.QueueLimit {
-		q.stats.Dropped++
+	// The overflow-storm draw comes first, on every enqueue attempt: an
+	// injected storm swallows this enqueue as if a kernel-side burst had
+	// already filled the queue, so the signal is dropped, SIGIO raises, and
+	// the application must run its recovery rescan.
+	if q.Storm() || q.pending.len() >= q.opts.QueueLimit {
+		q.Stats.Dropped++
 		if !q.overflowed {
 			q.overflowed = true
-			q.stats.Overflows++
-			q.k.Interrupt(now, cost.SigOverflow, nil)
+			q.Stats.Overflows++
+			q.K.Interrupt(now, cost.SigOverflow, nil)
 		}
 	} else {
 		// The generation records which open of fd.Num this completion belongs
@@ -349,10 +253,10 @@ func (q *Queue) ReadinessChanged(now core.Time, fd *simkernel.FD, mask core.Even
 		// the RT signal queue", §4), and by the time it is dequeued the number
 		// may name a different connection.
 		q.pending.push(core.Siginfo{Signo: core.SIGRTMIN, Band: mask, FD: fd.Num, Gen: fd.Gen})
-		q.stats.Enqueued++
+		q.Stats.Enqueued++
 	}
 
-	q.eng.Wake()
+	q.Wake()
 }
 
 var _ core.Poller = (*Queue)(nil)

@@ -35,55 +35,45 @@ import (
 
 // Poller is a stock poll()-based implementation of core.Poller.
 type Poller struct {
-	k *simkernel.Kernel
-	p *simkernel.Proc
-
-	// table holds the interest set. Insertion-order iteration stands in for
+	// Set holds the interest set. Insertion-order iteration stands in for
 	// the application's pollfd array order; Entry.File is the descriptor
 	// whose wait queue the poller watches, from the scan that first resolves
 	// the entry until Remove or Close.
-	table *interest.Table
+	interest.Set
+
 	// cand names the entries the next scan must visit (host-only
 	// bookkeeping, never charged): added or modified since the last scan,
 	// notified, closed, or ready or not open at their last visit.
 	cand  *interest.Ledger
 	armed bool // poll() is blocked or about to: readiness changes wake it
 
-	eng interest.Engine
-
 	// Per-scan state of visit, bound once so a scan allocates nothing.
 	visitFn   func(e *interest.Entry) bool
 	scanMax   int
 	scanReady []core.Event
 	notOpen   int
-
-	stats  core.Stats
-	closed bool
 }
 
 // New creates a poll()-based poller for process p.
 func New(k *simkernel.Kernel, p *simkernel.Proc) *Poller {
-	pl := &Poller{k: k, p: p, table: interest.NewTable(), cand: interest.NewLedger()}
+	pl := &Poller{cand: interest.NewLedger()}
 	pl.visitFn = pl.visit
-	pl.eng = interest.Engine{
+	pl.Init(k, p, pl, interest.Engine{
 		Name:    "stockpoll",
-		K:       k,
-		P:       p,
 		Collect: pl.collect,
 		// Nothing ready: join each file's wait queue before sleeping. The
 		// rescan path already paid its wait-queue teardown inside collect.
 		OnBlock: func(firstPass bool) {
 			if firstPass {
-				pl.p.Charge(pl.k.Cost.WaitQueueOp.Scale(float64(pl.table.Len())))
+				pl.P.Charge(pl.K.Cost.WaitQueueOp.Scale(float64(pl.Len())))
 			}
 			pl.armed = true
 		},
 		OnFinish: func() { pl.armed = false },
 		TimeoutTeardown: func() core.Duration {
-			return pl.k.Cost.WaitQueueOp.Scale(float64(pl.table.Len()))
+			return pl.K.Cost.WaitQueueOp.Scale(float64(pl.Len()))
 		},
-		Stats: &pl.stats,
-	}
+	})
 	return pl
 }
 
@@ -92,88 +82,49 @@ func (pl *Poller) Name() string { return "poll" }
 
 // Add implements core.Poller. Maintaining the pollfd array is a user-space
 // operation for stock poll, so it costs nothing in the kernel; the price is
-// paid on every Wait instead.
+// paid on every Wait instead. The descriptor need not be open: its first
+// scan reports POLLNVAL.
 func (pl *Poller) Add(fd int, events core.EventMask) error {
-	if pl.closed {
-		return core.ErrClosed
+	if err := pl.Admit(fd); err != nil {
+		return err
 	}
-	if pl.table.Contains(fd) {
-		return core.ErrExists
-	}
-	pl.table.Set(fd, events)
+	pl.Table.Set(fd, events)
 	pl.cand.Mark(fd, 0, 0)
 	return nil
 }
 
 // Modify implements core.Poller.
 func (pl *Poller) Modify(fd int, events core.EventMask) error {
-	if pl.closed {
-		return core.ErrClosed
+	e, err := pl.Find(fd)
+	if err != nil {
+		return err
 	}
-	if !pl.table.Contains(fd) {
-		return core.ErrNotFound
-	}
-	pl.table.Set(fd, events)
+	e.Events = events
 	pl.cand.Mark(fd, 0, 0)
 	return nil
 }
 
 // Remove implements core.Poller.
 func (pl *Poller) Remove(fd int) error {
-	if pl.closed {
-		return core.ErrClosed
-	}
-	e := pl.table.Lookup(fd)
-	if e == nil {
-		return core.ErrNotFound
-	}
-	if e.File != nil {
-		e.File.RemoveWatcher(pl)
+	e, err := pl.Find(fd)
+	if err != nil {
+		return err
 	}
 	pl.cand.Clear(fd)
-	pl.table.Delete(fd)
+	pl.Drop(e)
 	return nil
 }
-
-// Interested implements core.Poller.
-func (pl *Poller) Interested(fd int) bool { return pl.table.Contains(fd) }
-
-// Len implements core.Poller.
-func (pl *Poller) Len() int { return pl.table.Len() }
 
 // FDs returns the interest set in pollfd-array order (for tests).
-func (pl *Poller) FDs() []int { return pl.table.FDs() }
-
-// MechanismStats implements core.StatsSource.
-func (pl *Poller) MechanismStats() core.Stats { return pl.stats }
-
-// Close implements core.Poller. A wait blocked in poll() completes
-// immediately with no events.
-func (pl *Poller) Close() error {
-	if pl.closed {
-		return core.ErrClosed
-	}
-	pl.table.Each(func(e *interest.Entry) {
-		if e.File != nil {
-			e.File.RemoveWatcher(pl)
-		}
-	})
-	pl.closed = true
-	pl.eng.Abort(pl.k.Now())
-	return nil
-}
+func (pl *Poller) FDs() []int { return pl.Table.FDs() }
 
 // Wait implements core.Poller: one poll() invocation over the whole interest
 // set. The handler runs at the virtual instant the call would have returned.
 func (pl *Poller) Wait(max int, timeout core.Duration, handler func(events []core.Event, now core.Time)) {
-	if pl.closed {
-		handler(nil, pl.k.Now())
-		return
-	}
 	if max <= 0 {
-		max = pl.table.Len() + 1
+		max = pl.Len() + 1
 	}
-	pl.eng.Wait(max, timeout, handler)
+	pl.Set.Wait(max, timeout, handler)
 }
 
 // collect performs one pass over the pollfd array, charging the per-call
@@ -181,38 +132,38 @@ func (pl *Poller) Wait(max int, timeout core.Duration, handler func(events []cor
 // driver poll callback per open descriptor, ready or not. Only the candidate
 // entries are visited on the host; the rest poll as not ready.
 func (pl *Poller) collect(firstPass bool, max int, buf []core.Event) []core.Event {
-	pl.stats.Waits++
-	cost := pl.k.Cost
-	n := pl.table.Len()
+	pl.Stats.Waits++
+	cost := pl.K.Cost
+	n := pl.Len()
 	if firstPass {
-		pl.p.Charge(cost.SyscallEntry)
+		pl.P.Charge(cost.SyscallEntry)
 		// The entire pollfd array is copied into the kernel and parsed.
-		pl.p.Charge(cost.PollCopyIn.Scale(float64(n)))
-		pl.stats.CopiedIn += int64(n)
+		pl.P.Charge(cost.PollCopyIn.Scale(float64(n)))
+		pl.Stats.CopiedIn += int64(n)
 	} else {
 		// Wakeup path: the process is rescheduled and the wait queues it
 		// joined are torn down.
-		pl.p.Charge(cost.SchedWakeup)
-		pl.p.Charge(cost.WaitQueueOp.Scale(float64(n)))
+		pl.P.Charge(cost.SchedWakeup)
+		pl.P.Charge(cost.WaitQueueOp.Scale(float64(n)))
 	}
 	pl.scanMax, pl.scanReady, pl.notOpen = max, buf, 0
-	pl.table.EachMarked(pl.cand, pl.visitFn)
+	pl.Table.EachMarked(pl.cand, pl.visitFn)
 	ready := pl.scanReady
 	pl.scanReady = nil
 	// Every open descriptor's driver poll callback ran, candidate or not.
 	polled := n - pl.notOpen
-	pl.p.Charge(cost.DriverPoll * core.Duration(polled))
-	pl.stats.DriverPolls += int64(polled)
+	pl.P.Charge(cost.DriverPoll * core.Duration(polled))
+	pl.Stats.DriverPolls += int64(polled)
 	if len(ready) > 0 {
 		// Results are copied back to user space.
-		pl.p.Charge(cost.PollCopyOut.Scale(float64(len(ready))))
+		pl.P.Charge(cost.PollCopyOut.Scale(float64(len(ready))))
 		// The non-amortising part of the 2.2 poll path: for each readiness
 		// transition that woke us, the wait queues and interest set were
 		// re-walked (see CostModel.PollReadyRescan). This is the cost the
 		// /dev/poll hints eliminate.
-		pl.p.Charge(cost.PollReadyRescan.Scale(float64(n) * float64(len(ready))))
-		pl.stats.CopiedOut += int64(len(ready))
-		pl.stats.EventsReturned += int64(len(ready))
+		pl.P.Charge(cost.PollReadyRescan.Scale(float64(n) * float64(len(ready))))
+		pl.Stats.CopiedOut += int64(len(ready))
+		pl.Stats.EventsReturned += int64(len(ready))
 	}
 	return ready
 }
@@ -221,7 +172,7 @@ func (pl *Poller) collect(firstPass bool, max int, buf []core.Event) []core.Even
 // wait queue on first sight, and reports whether the entry must stay a
 // candidate: its descriptor is not open, or it is ready.
 func (pl *Poller) visit(e *interest.Entry) bool {
-	f, ok := pl.p.Get(e.FD)
+	f, ok := pl.P.Get(e.FD)
 	if !ok {
 		pl.notOpen++
 		pl.scanReady = interest.AppendEvent(pl.scanReady, pl.scanMax, core.Event{FD: e.FD, Ready: core.POLLNVAL})
@@ -248,7 +199,7 @@ func (pl *Poller) visit(e *interest.Entry) bool {
 func (pl *Poller) ReadinessChanged(now core.Time, fd *simkernel.FD, mask core.EventMask) {
 	pl.cand.Mark(fd.Num, 0, 0)
 	if pl.armed {
-		pl.eng.Wake()
+		pl.Wake()
 	}
 }
 
