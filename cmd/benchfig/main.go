@@ -21,7 +21,7 @@
 //	benchfig -fig 16 -keepalive     # re-run a figure on the persistent hot path
 //	benchfig -fig 10 -connections 35000   # the paper's full-size procedure
 //	benchfig -fig 37                # server push at 100k mostly-idle members
-//	benchfig -fig 39 -churn-rate 400      # datagram churn, custom join rate
+//	benchfig -fig 38 -churn-rate 400      # datagram churn, custom join rate
 //	benchfig -ablation              # the ablation studies instead of figures
 //	benchfig -fig hints             # one ablation
 //	benchfig -fig hints -seed 2 -fault-reset 0.05   # an ablation under another seed and a fault

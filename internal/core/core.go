@@ -134,12 +134,11 @@ func (m EventMask) Has(want EventMask) bool { return m&want == want }
 // Any reports whether any bit of want is set in m.
 func (m EventMask) Any(want EventMask) bool { return m&want != 0 }
 
-// PollFD mirrors struct pollfd from Figure 1 of the paper: the descriptor, the
-// requested interest mask, and the returned events.
+// PollFD mirrors struct pollfd from Figure 1 of the paper: the descriptor and
+// the requested interest mask (the returned events come back as Event).
 type PollFD struct {
-	FD      int
-	Events  EventMask
-	Revents EventMask
+	FD     int
+	Events EventMask
 }
 
 // Event is a single readiness report delivered to a server: descriptor FD is
@@ -156,39 +155,26 @@ type Event struct {
 	Gen   uint64
 }
 
-// DVPoll mirrors struct dvpoll from Figure 3 of the paper. It is the argument
-// block for the DP_POLL ioctl on /dev/poll: where to deposit results, how many
-// results fit, and how long to wait. A nil Results slice together with
-// UseMapped selects the mmap'd result area (DP_ALLOC).
-type DVPoll struct {
-	Results   []PollFD // dp_fds: caller-supplied result area (nil with UseMapped)
-	NFDs      int      // dp_nfds: capacity of the result area
-	Timeout   Duration // dp_timeout: how long to block for events
-	UseMapped bool     // deposit results into the mmap'd kernel/user shared area
-}
-
 // Siginfo mirrors the simplified siginfo struct from Figure 2 of the paper:
-// the signal number and the sigpoll payload carrying the descriptor and the
-// band (event mask) that changed. Gen records the generation of the descriptor
-// the completion was queued for; the real kernel has no such field, which is
-// exactly why the paper warns that "events queued before an application closes
-// a connection will remain on the RT signal queue, and must be processed
-// and/or ignored by applications" — the simulation carries it so the
-// application layer can do that ignoring reliably.
+// the sigpoll payload carrying the descriptor and the band (event mask) that
+// changed. Every queued signal is SIGRTMIN, so the number is not stored. Gen
+// records the generation of the descriptor the completion was queued for; the
+// real kernel has no such field, which is exactly why the paper warns that
+// "events queued before an application closes a connection will remain on the
+// RT signal queue, and must be processed and/or ignored by applications" — the
+// simulation carries it so the application layer can do that ignoring
+// reliably.
 type Siginfo struct {
-	Signo int
-	Code  int
-	Band  EventMask // si_band: same information as pollfd.revents
-	FD    int       // si_fd: the descriptor whose state changed
-	Gen   uint64    // generation of the descriptor at enqueue time
+	Band EventMask // si_band: same information as pollfd.revents
+	FD   int       // si_fd: the descriptor whose state changed
+	Gen  uint64    // generation of the descriptor at enqueue time
 }
 
 // Signal numbers used by the RT-signal mechanism. SIGIO is raised when the
-// RT signal queue overflows; SIGRTMIN..SIGRTMAX are available for F_SETSIG.
+// RT signal queue overflows; SIGRTMIN is the signal F_SETSIG assigns.
 const (
 	SIGIO    = 29
 	SIGRTMIN = 33
-	SIGRTMAX = 64
 )
 
 // Errors shared by the event mechanisms.
@@ -201,10 +187,6 @@ var (
 	ErrNotFound = errors.New("core: interest not found")
 	// ErrClosed is returned for operations on a closed poller or queue.
 	ErrClosed = errors.New("core: use of closed poller")
-	// ErrOverflow is returned when a bounded queue (the RT signal queue) is full.
-	ErrOverflow = errors.New("core: queue overflow")
-	// ErrNoSpace is returned when a result area is too small for the ready set.
-	ErrNoSpace = errors.New("core: result area too small")
 )
 
 // Poller is the server-facing event-notification API. Stock poll(), /dev/poll

@@ -84,9 +84,6 @@ func (ep *Epoll) Name() string {
 // Options returns the active option set.
 func (ep *Epoll) Options() Options { return ep.opts }
 
-// ReadyLen reports the current ready-list length (for tests).
-func (ep *Epoll) ReadyLen() int { return ep.ready.Len() }
-
 // Add implements core.Poller: epoll_ctl(EPOLL_CTL_ADD). Registration charges
 // the kernel-resident update once; as in the real kernel, the descriptor's
 // current readiness is checked at registration time so pre-existing data is

@@ -134,8 +134,8 @@ func TestLevelTriggeredRedeliversUntilDrained(t *testing.T) {
 	if len(col.Events) != 0 {
 		t.Fatalf("events after drain = %+v", col.Events)
 	}
-	if ep.ReadyLen() != 0 {
-		t.Fatalf("ready list not cleaned: %d", ep.ReadyLen())
+	if ep.ready.Len() != 0 {
+		t.Fatalf("ready list not cleaned: %d", ep.ready.Len())
 	}
 }
 

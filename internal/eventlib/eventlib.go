@@ -114,7 +114,6 @@ type Config struct {
 // Base is the event loop: one active poller (plus optional attached pollers),
 // the armed timers, the active-event queue, and the dispatch state.
 type Base struct {
-	K *simkernel.Kernel
 	P *simkernel.Proc
 
 	cfg     Config
@@ -181,7 +180,6 @@ func New(k *simkernel.Kernel, p *simkernel.Proc, cfg Config) (*Base, error) {
 // open.
 func NewWithPoller(k *simkernel.Kernel, p *simkernel.Proc, poller core.Poller, cfg Config) *Base {
 	b := &Base{
-		K:       k,
 		P:       p,
 		cfg:     cfg,
 		pollers: []core.Poller{poller},
@@ -400,9 +398,6 @@ func (b *Base) Dispatch() {
 // Stop halts the loop after the current iteration, leaving all events
 // registered; Dispatch may be called again.
 func (b *Base) Stop() { b.stopped = true }
-
-// Running reports whether the dispatch loop is active.
-func (b *Base) Running() bool { return b.running }
 
 // Close deletes every event, closes registry-owned pollers, and completes any
 // in-flight wait (the poller's close aborts it, delivering an empty result, so

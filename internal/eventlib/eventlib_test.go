@@ -38,7 +38,10 @@ func (r *recorder) cb(label string) eventlib.Callback {
 }
 
 func TestBackendRegistry(t *testing.T) {
-	names := eventlib.BackendNames()
+	var names []string
+	for _, b := range eventlib.Backends() {
+		names = append(names, b.Name)
+	}
 	if len(names) < 4 || names[0] != "epoll" || names[len(names)-1] != "poll" {
 		t.Fatalf("backend preference order = %v", names)
 	}

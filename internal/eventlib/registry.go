@@ -111,15 +111,6 @@ func Backends() []Backend {
 	return out
 }
 
-// BackendNames returns the registered names in preference order.
-func BackendNames() []string {
-	out := make([]string, len(backends))
-	for i, b := range backends {
-		out[i] = b.Name
-	}
-	return out
-}
-
 // Register appends a backend to the registry (lowest preference). It replaces
 // an existing backend with the same name in place, preserving its preference
 // rank.

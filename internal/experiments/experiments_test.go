@@ -322,8 +322,8 @@ func TestFigureDefinitionsCoverPaper(t *testing.T) {
 		}
 	}
 	for _, want := range []ServerKind{
-		ServerThttpdEpoll, ServerThttpdEpollET, ServerThttpdRtsig,
-		ServerHybridEpoll, ServerHybridEpollET,
+		ServerThttpdEpoll, ServerThttpdEpollET, ServerKind("thttpd-rtsig"),
+		ServerHybridEpoll, ServerKind("hybrid-epoll-et"),
 		ServerThttpdCompio, ServerKind("hybrid-compio"),
 		ServerKind("push-poll"), ServerKind("push-compio"),
 		ServerKind("dht-poll"), ServerKind("dht-epoll-et"),

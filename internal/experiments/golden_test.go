@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/faults"
+	"repro/internal/servers/httpcore"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/figures from the current code and delete stale goldens")
@@ -30,20 +31,19 @@ var smallConnections = map[int]int{
 }
 
 // figureGolden is one benchfig invocation whose stdout a golden file holds
-// byte for byte.
+// byte for byte: the figure and the sweep flags it sets. Zero fields of opts
+// keep benchfig's defaults; zero Connections keeps the figure's own size.
 type figureGolden struct {
-	fig         Figure
-	connections int       // -connections; zero keeps the figure's own size
-	rates       []float64 // -rates
-	workers     []int     // -workers
+	fig  Figure
+	opts SweepOptions
 }
 
 // figureGoldens lists every golden: each figure at its small size, each
 // figure of the default sweep and each ablation at its own size, and the
 // sweep options no figure golden runs (-rates on a rate and an errors
-// figure, -workers on a workers figure). Fig 41's fault axis is flat at 600
-// connections (every fdlimit row is identical); its own-size golden is what
-// pins that axis.
+// figure, -workers on a workers figure, and sweepOverrideGoldens). Fig 41's
+// fault axis is flat at 600 connections (every fdlimit row is identical); its
+// own-size golden is what pins that axis.
 func figureGoldens() []figureGolden {
 	var gs []figureGolden
 	for _, f := range Figures() {
@@ -51,7 +51,7 @@ func figureGoldens() []figureGolden {
 		if c == 0 {
 			c = 600
 		}
-		gs = append(gs, figureGolden{fig: f, connections: c})
+		gs = append(gs, figureGolden{fig: f, opts: SweepOptions{Connections: c}})
 	}
 	for _, f := range Figures() {
 		if !f.Pinned() {
@@ -61,18 +61,72 @@ func figureGoldens() []figureGolden {
 	for _, a := range Ablations() {
 		gs = append(gs, figureGolden{fig: a})
 	}
-	fig := func(id string) Figure {
-		f, err := FigureByID(id)
-		if err != nil {
-			panic(err)
-		}
-		return f
-	}
-	return append(gs,
-		figureGolden{fig: fig("5"), connections: 300, rates: []float64{600, 900}},
-		figureGolden{fig: fig("10"), connections: 400, rates: []float64{1000, 1100}},
-		figureGolden{fig: fig("17"), connections: 3000, workers: []int{1, 2}},
+	gs = append(gs,
+		figureGolden{fig: figureByID("5"), opts: SweepOptions{Connections: 300, Rates: []float64{600, 900}}},
+		figureGolden{fig: figureByID("10"), opts: SweepOptions{Connections: 400, Rates: []float64{1000, 1100}}},
+		figureGolden{fig: figureByID("17"), opts: SweepOptions{Connections: 3000, Workers: []int{1, 2}}},
 	)
+	return append(gs, sweepOverrideGoldens()...)
+}
+
+// sweepOverrideGoldens runs each remaining sweep override on a figure where
+// it changes the output: TestSweepOverridesReachTheRun checks that each
+// golden differs from its figure's small-size golden. The fault golden sets
+// every -fault-* knob; its fd limit stays above the figure's 501 inactive
+// connections, or every request would fail.
+func sweepOverrideGoldens() []figureGolden {
+	return []figureGolden{
+		{fig: figureByID("8"), opts: SweepOptions{Connections: 600, Backend: "epoll"}},
+		{fig: figureByID("12"), opts: SweepOptions{Connections: 600, Workload: "slowloris"}},
+		{fig: figureByID("16"), opts: SweepOptions{Connections: 600, RequestsPerConn: 4, PipelineDepth: 2, CacheKB: 64, WriteMode: httpcore.WriteSendfile}},
+		{fig: figureByID("37"), opts: SweepOptions{Connections: 2000, Fanout: 50}},
+		{fig: figureByID("38"), opts: SweepOptions{Connections: 600, ChurnRate: 400}},
+		{fig: figureByID("12"), opts: SweepOptions{Connections: 600, Seed: 2, Retry: true, Faults: faults.Config{
+			EINTRRate: 0.01, AcceptEAGAINRate: 0.01, ReadEAGAINRate: 0.01, WriteEAGAINRate: 0.01,
+			FDLimit: 900, ResetRate: 0.01, VanishRate: 0.01, OverflowStormRate: 0.01,
+		}}},
+	}
+}
+
+func figureByID(id string) Figure {
+	f, err := FigureByID(id)
+	if err != nil {
+		panic(err)
+	}
+	return f
+}
+
+// flags lists the benchfig flags the invocation sets after -fig and
+// -connections, in benchfig's order, each with its value ("" for a bool).
+func (g figureGolden) flags() [][2]string {
+	o, f := g.opts, g.opts.Faults
+	var out [][2]string
+	add := func(set bool, name, value string) {
+		if set {
+			out = append(out, [2]string{name, value})
+		}
+	}
+	add(len(o.Rates) > 0, "rates", join(o.Rates, formatRate))
+	add(len(o.Workers) > 0, "workers", join(o.Workers, strconv.Itoa))
+	add(o.Backend != "", "backend", o.Backend)
+	add(o.Workload != "", "workload", o.Workload)
+	add(o.RequestsPerConn > 0, "requests-per-conn", strconv.Itoa(o.RequestsPerConn))
+	add(o.PipelineDepth > 0, "pipeline-depth", strconv.Itoa(o.PipelineDepth))
+	add(o.CacheKB > 0, "cache-kb", strconv.Itoa(o.CacheKB))
+	add(o.WriteMode != httpcore.WriteWritev, "write-mode", o.WriteMode.String())
+	add(o.Fanout > 0, "fanout", strconv.Itoa(o.Fanout))
+	add(o.ChurnRate > 0, "churn-rate", formatRate(o.ChurnRate))
+	add(o.Seed != 0, "seed", strconv.FormatInt(o.Seed, 10))
+	add(o.Retry, "retry", "")
+	add(f.EINTRRate > 0, "fault-eintr", formatRate(f.EINTRRate))
+	add(f.AcceptEAGAINRate > 0, "fault-accept-eagain", formatRate(f.AcceptEAGAINRate))
+	add(f.ReadEAGAINRate > 0, "fault-read-eagain", formatRate(f.ReadEAGAINRate))
+	add(f.WriteEAGAINRate > 0, "fault-write-eagain", formatRate(f.WriteEAGAINRate))
+	add(f.FDLimit > 0, "fault-fdlimit", strconv.Itoa(f.FDLimit))
+	add(f.ResetRate > 0, "fault-reset", formatRate(f.ResetRate))
+	add(f.VanishRate > 0, "fault-vanish", formatRate(f.VanishRate))
+	add(f.OverflowStormRate > 0, "fault-overflow-storm", formatRate(f.OverflowStormRate))
+	return out
 }
 
 // args renders the benchfig invocation.
@@ -82,29 +136,27 @@ func (g figureGolden) args() string {
 		id = strconv.Itoa(g.fig.Number)
 	}
 	s := "-fig " + id
-	if g.connections > 0 {
-		s += " -connections " + strconv.Itoa(g.connections)
+	if g.opts.Connections > 0 {
+		s += " -connections " + strconv.Itoa(g.opts.Connections)
 	}
-	if len(g.rates) > 0 {
-		s += " -rates " + join(g.rates, formatRate)
-	}
-	if len(g.workers) > 0 {
-		s += " -workers " + join(g.workers, strconv.Itoa)
+	for _, fl := range g.flags() {
+		s += " -" + fl[0]
+		if fl[1] != "" {
+			s += " " + fl[1]
+		}
 	}
 	return s + " -percentiles -quiet"
 }
 
-// name names the golden: the figure's id, then each flag's value.
+// name names the golden: the figure's id, the connection count, then each
+// flag's name and value.
 func (g figureGolden) name() string {
 	name := g.fig.ID
-	if g.connections > 0 {
-		name += "-" + strconv.Itoa(g.connections)
+	if g.opts.Connections > 0 {
+		name += "-" + strconv.Itoa(g.opts.Connections)
 	}
-	if len(g.rates) > 0 {
-		name += "-rates" + join(g.rates, formatRate)
-	}
-	if len(g.workers) > 0 {
-		name += "-workers" + join(g.workers, strconv.Itoa)
+	for _, fl := range g.flags() {
+		name += "-" + fl[0] + fl[1]
 	}
 	return name
 }
@@ -124,10 +176,13 @@ func join[T any](xs []T, format func(T) string) string {
 // output is what benchfig prints for the invocation: the table, then the
 // percentile table.
 func (g figureGolden) output() string {
-	res := RunFigure(g.fig, SweepOptions{
-		Connections: g.connections, Rates: g.rates, Workers: g.workers,
-		Seed: 1, Threads: 1, Faults: faults.Config{Seed: 1}, // benchfig's defaults
-	})
+	opts := g.opts
+	opts.Threads = 1 // benchfig's defaults
+	if opts.Seed == 0 {
+		opts.Seed = 1
+	}
+	opts.Faults.Seed = 1
+	res := RunFigure(g.fig, opts)
 	return Format(res) + FormatPercentiles(res.Runs)
 }
 
@@ -173,7 +228,7 @@ func TestFigureGoldens(t *testing.T) {
 	for _, g := range goldens {
 		g := g
 		t.Run(g.name(), func(t *testing.T) {
-			if g.connections == 0 && (testing.Short() || raceEnabled) {
+			if g.opts.Connections == 0 && (testing.Short() || raceEnabled) {
 				t.Skip("own-size golden: skipped under -short and -race")
 			}
 			t.Parallel()
@@ -195,6 +250,26 @@ func TestFigureGoldens(t *testing.T) {
 				t.Errorf("benchfig %s: output differs from %s\n%s", g.args(), g.path(), firstDifferingTable(string(want), got))
 			}
 		})
+	}
+}
+
+// TestSweepOverridesReachTheRun requires each sweepOverrideGoldens golden to
+// differ from the golden of the same figure and size without the override:
+// a flag that never reached the run would print the base figure unchanged.
+func TestSweepOverridesReachTheRun(t *testing.T) {
+	for _, g := range sweepOverrideGoldens() {
+		base := figureGolden{fig: g.fig, opts: SweepOptions{Connections: g.opts.Connections}}
+		got, err := os.ReadFile(g.path())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(base.path())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) == string(want) {
+			t.Errorf("benchfig %s prints what benchfig %s prints: the override does not reach the run", g.args(), base.args())
+		}
 	}
 }
 

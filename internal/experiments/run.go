@@ -43,9 +43,7 @@ const (
 	ServerHybrid        ServerKind = "hybrid"          // the paper's hypothetical hybrid
 	ServerThttpdEpoll   ServerKind = "thttpd-epoll"    // thttpd on level-triggered epoll
 	ServerThttpdEpollET ServerKind = "thttpd-epoll-et" // thttpd on edge-triggered epoll
-	ServerThttpdRtsig   ServerKind = "thttpd-rtsig"    // thttpd on the RT signal queue
 	ServerHybridEpoll   ServerKind = "hybrid-epoll"    // hybrid with epoll as the bulk poller
-	ServerHybridEpollET ServerKind = "hybrid-epoll-et" // hybrid with edge-triggered epoll bulk
 	ServerThttpdCompio  ServerKind = "thttpd-compio"   // thttpd on the completion rings
 )
 

@@ -75,13 +75,6 @@ type Config struct {
 	VanishRate float64
 }
 
-// Enabled reports whether any fault class is configured.
-func (c *Config) Enabled() bool {
-	return c.EINTRRate > 0 || c.AcceptEAGAINRate > 0 || c.ReadEAGAINRate > 0 ||
-		c.WriteEAGAINRate > 0 || c.FDLimit > 0 || c.OverflowStormRate > 0 ||
-		c.ResetRate > 0 || c.VanishRate > 0
-}
-
 // Stream salts separate the decision streams so one knob's rate change cannot
 // shift another knob's decisions.
 const (

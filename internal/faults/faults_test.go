@@ -8,9 +8,6 @@ import (
 
 func TestZeroConfigInjectsNothing(t *testing.T) {
 	var c Config
-	if c.Enabled() {
-		t.Fatal("zero config reports Enabled")
-	}
 	for seq := uint64(0); seq < 100; seq++ {
 		if fire, _ := c.EINTR(1, seq); fire {
 			t.Fatal("zero config fired EINTR")
@@ -21,27 +18,6 @@ func TestZeroConfigInjectsNothing(t *testing.T) {
 		if c.FateOf(int64(seq)) != FateNone {
 			t.Fatal("zero config doomed a connection")
 		}
-	}
-}
-
-func TestEnabledPerKnob(t *testing.T) {
-	knobs := []Config{
-		{EINTRRate: 0.1},
-		{AcceptEAGAINRate: 0.1},
-		{ReadEAGAINRate: 0.1},
-		{WriteEAGAINRate: 0.1},
-		{FDLimit: 100},
-		{OverflowStormRate: 0.1},
-		{ResetRate: 0.1},
-		{VanishRate: 0.1},
-	}
-	for i, c := range knobs {
-		if !c.Enabled() {
-			t.Errorf("knob %d not reported by Enabled: %+v", i, c)
-		}
-	}
-	if (&Config{Seed: 99}).Enabled() {
-		t.Error("a bare seed must not enable the plane")
 	}
 }
 

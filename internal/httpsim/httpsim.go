@@ -10,7 +10,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -32,7 +31,6 @@ const MaxRequestBytes = 8192
 // Connection line, empty when the request sent none. Other header lines are
 // still checked for a colon.
 type Request struct {
-	Method     string
 	Path       string
 	Version    string
 	Connection string
@@ -162,18 +160,9 @@ func (p *Parser) Consume() (complete bool, err error) {
 	return p.scan(0)
 }
 
-// Complete reports whether a full request has been assembled.
-func (p *Parser) Complete() bool { return p.complete }
-
-// Buffered reports how many bytes are held while waiting for completion.
-func (p *Parser) Buffered() int { return len(p.buf) }
-
-// Request returns the parsed request once Complete is true. The returned
-// value is owned by the parser and is invalidated by Reset.
+// Request returns the parsed request once Feed has reported it complete. The
+// returned value is owned by the parser and is invalidated by Reset.
 func (p *Parser) Request() *Request { return p.req }
-
-// Err returns the parse error, if any.
-func (p *Parser) Err() error { return p.err }
 
 // Reset clears the parser for reuse, keeping the buffer's storage so a pooled
 // connection's next request parses without allocating.
@@ -207,7 +196,6 @@ func (p *Parser) parseHead(head []byte) error {
 	if len(method) == 0 || len(path) == 0 || path[0] != '/' || !bytes.HasPrefix(version, []byte("HTTP/")) {
 		return ErrMalformed
 	}
-	p.store.Method = intern(method)
 	p.store.Path = intern(path)
 	p.store.Version = intern(version)
 	for len(rest) > 0 {
@@ -245,8 +233,6 @@ func internHeaderKey(b []byte) string {
 // not allocate. The switch's string conversions do not allocate.
 func intern(b []byte) string {
 	switch string(b) {
-	case "GET":
-		return "GET"
 	case "HTTP/1.0":
 		return "HTTP/1.0"
 	case "HTTP/1.1":
@@ -309,13 +295,6 @@ func versionToken(http11 bool) string {
 	return "HTTP/1.0"
 }
 
-// ResponseHead renders the HTTP/1.0 response status line and headers for a
-// body of contentLength bytes. The servers charge the CPU for writing
-// len(ResponseHead) + contentLength bytes.
-func ResponseHead(code, contentLength int) []byte {
-	return ResponseHeadVersion(code, contentLength, false, false)
-}
-
 // ResponseHeadVersion renders the response status line and headers with the
 // given protocol version and Connection disposition. With http11 and
 // keepAlive both false it produces exactly the historical HTTP/1.0 head.
@@ -364,12 +343,6 @@ func ResponseSizeVersion(code, contentLength int, keepAlive bool) int {
 		decimalDigits(contentLength) + contentLength
 }
 
-// Document is one entry in the content store.
-type Document struct {
-	Path string
-	Size int
-}
-
 // ContentStore is the static document tree the server exports. Only sizes are
 // stored; the simulation never ships document bodies.
 type ContentStore struct {
@@ -413,13 +386,3 @@ func (c *ContentStore) Lookup(path string) (int, bool) {
 
 // Len reports the number of documents.
 func (c *ContentStore) Len() int { return len(c.docs) }
-
-// Documents lists the store's contents sorted by path.
-func (c *ContentStore) Documents() []Document {
-	out := make([]Document, 0, len(c.docs))
-	for p, s := range c.docs {
-		out = append(out, Document{Path: p, Size: s})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
-	return out
-}

@@ -200,9 +200,9 @@ func TestDenseLedgerMatchesMapModel(t *testing.T) {
 					t.Fatalf("trial %d step %d: Ready(%d) mismatch", trial, step, fd)
 				}
 				if n := ref.nodes[fd]; n != nil {
-					if dense.Mask(fd) != n.mask || dense.Gen(fd) != n.gen {
+					if pendingOf(dense, fd).mask != n.mask || pendingOf(dense, fd).gen != n.gen {
 						t.Fatalf("trial %d step %d: fd %d mask/gen mismatch: %v/%d vs %v/%d",
-							trial, step, fd, dense.Mask(fd), dense.Gen(fd), n.mask, n.gen)
+							trial, step, fd, pendingOf(dense, fd).mask, pendingOf(dense, fd).gen, n.mask, n.gen)
 					}
 				}
 			}

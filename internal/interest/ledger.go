@@ -109,23 +109,6 @@ func (l *Ledger) Mark(fd int, mask core.EventMask, gen uint64) bool {
 // Ready reports whether fd has undelivered readiness.
 func (l *Ledger) Ready(fd int) bool { return l.lookup(fd) >= 0 }
 
-// Mask returns the accumulated readiness mask pending for fd (zero if none).
-func (l *Ledger) Mask(fd int) core.EventMask {
-	if id := l.lookup(fd); id >= 0 {
-		return l.nodes[id].mask
-	}
-	return 0
-}
-
-// Gen returns the generation recorded for fd's pending readiness (zero if
-// none is pending).
-func (l *Ledger) Gen(fd int) uint64 {
-	if id := l.lookup(fd); id >= 0 {
-		return l.nodes[id].gen
-	}
-	return 0
-}
-
 // Clear drops any pending readiness for fd, reporting whether there was any.
 func (l *Ledger) Clear(fd int) bool {
 	id := l.lookup(fd)

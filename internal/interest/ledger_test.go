@@ -16,8 +16,8 @@ func TestLedgerMarkAccumulatesAndReportsNewness(t *testing.T) {
 	if l.Mark(4, core.POLLOUT, 1) {
 		t.Fatal("second Mark of same fd should not be new")
 	}
-	if l.Mask(4) != core.POLLIN|core.POLLOUT {
-		t.Fatalf("Mask = %v", l.Mask(4))
+	if pendingOf(l, 4).mask != core.POLLIN|core.POLLOUT {
+		t.Fatalf("Mask = %v", pendingOf(l, 4).mask)
 	}
 	if !l.Ready(4) || l.Ready(5) || l.Len() != 1 {
 		t.Fatal("Ready/Len wrong")
@@ -25,7 +25,7 @@ func TestLedgerMarkAccumulatesAndReportsNewness(t *testing.T) {
 	if !l.Clear(4) || l.Clear(4) {
 		t.Fatal("Clear wrong")
 	}
-	if l.Len() != 0 || l.Mask(4) != 0 {
+	if l.Len() != 0 || pendingOf(l, 4).mask != 0 {
 		t.Fatal("ledger not empty after Clear")
 	}
 }
@@ -147,11 +147,11 @@ func TestLedgerMarkNewGenerationReplacesStaleMask(t *testing.T) {
 	if !l.Mark(5, core.POLLOUT, 2) {
 		t.Fatal("mark with a new generation should report newly marked")
 	}
-	if l.Mask(5) != core.POLLOUT {
-		t.Fatalf("stale generation's mask leaked through: %v", l.Mask(5))
+	if pendingOf(l, 5).mask != core.POLLOUT {
+		t.Fatalf("stale generation's mask leaked through: %v", pendingOf(l, 5).mask)
 	}
-	if l.Gen(5) != 2 {
-		t.Fatalf("Gen = %d, want 2", l.Gen(5))
+	if pendingOf(l, 5).gen != 2 {
+		t.Fatalf("Gen = %d, want 2", pendingOf(l, 5).gen)
 	}
 	if l.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", l.Len())
@@ -164,4 +164,12 @@ func TestLedgerNodeSize(t *testing.T) {
 	if got := unsafe.Sizeof(ledgerNode{}); got != 24 {
 		t.Fatalf("unsafe.Sizeof(ledgerNode{}) = %d, want 24", got)
 	}
+}
+
+// pendingOf returns the readiness node pending for fd, the zero node if none.
+func pendingOf(l *Ledger, fd int) ledgerNode {
+	if id := l.lookup(fd); id >= 0 {
+		return l.nodes[id]
+	}
+	return ledgerNode{}
 }

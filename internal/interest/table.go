@@ -56,7 +56,7 @@ type Entry struct {
 // allocation-free equivalent. No charge depends on the bucket count, so the
 // hash table's growth is not modelled.
 //
-// Iteration (Each, ForEach, FDs, EachMarked) runs in insertion order, which
+// Iteration (Each, FDs, EachMarked) runs in insertion order, which
 // keeps simulation runs deterministic and lets stock poll reuse the table as
 // its ordered pollfd array. Deleted entries return to an internal pool, making
 // Set/Upsert allocation-free at steady state; fresh entries are carved from a
@@ -209,12 +209,6 @@ func (t *Table) EachMarked(l *Ledger, fn func(e *Entry) (keep bool)) {
 		}
 	}
 	t.marks = marks[:0]
-}
-
-// ForEach visits every interest in insertion order. Iteration order is
-// deterministic so simulation runs are repeatable.
-func (t *Table) ForEach(fn func(fd int, events core.EventMask)) {
-	t.Each(func(e *Entry) { fn(e.FD, e.Events) })
 }
 
 // FDs returns all registered descriptors in insertion order.

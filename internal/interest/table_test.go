@@ -89,16 +89,16 @@ func TestTableIteratesInInsertionOrder(t *testing.T) {
 	}
 }
 
-func TestTableForEachAndFDs(t *testing.T) {
+func TestTableEachAndFDs(t *testing.T) {
 	tb := NewTable()
 	want := map[int]core.EventMask{10: core.POLLIN, 20: core.POLLOUT, 30: core.POLLIN | core.POLLOUT}
 	for fd, ev := range want {
 		tb.Set(fd, ev)
 	}
 	got := map[int]core.EventMask{}
-	tb.ForEach(func(fd int, ev core.EventMask) { got[fd] = ev })
+	tb.Each(func(e *Entry) { got[e.FD] = e.Events })
 	if len(got) != len(want) {
-		t.Fatalf("ForEach visited %d entries", len(got))
+		t.Fatalf("Each visited %d entries", len(got))
 	}
 	for fd, ev := range want {
 		if got[fd] != ev {
@@ -156,9 +156,9 @@ func TestTableMatchesModelProperty(t *testing.T) {
 			}
 		}
 		visited := 0
-		tb.ForEach(func(fd int, ev core.EventMask) {
+		tb.Each(func(e *Entry) {
 			visited++
-			if model[fd] != ev {
+			if model[e.FD] != e.Events {
 				visited = -1 << 20
 			}
 		})

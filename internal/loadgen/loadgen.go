@@ -126,7 +126,6 @@ func DefaultConfig(rate float64, inactive int) Config {
 type Result struct {
 	Config Config
 
-	Started  core.Time
 	Finished core.Time
 
 	Issued    int
@@ -211,8 +210,6 @@ type Generator struct {
 	psamples []float64
 	pbase    bool
 	latCache latSummary
-
-	inactive []*inactiveClient
 
 	// Push-family state (KindPush). The member registry and the delivery
 	// budget are owned by the push server's lane — every member's home lane,
@@ -336,15 +333,6 @@ func (g *Generator) OnDone(fn func(Result)) { g.onDone = fn }
 // Done reports whether the run has finished.
 func (g *Generator) Done() bool { return g.done }
 
-// Progress reports issued and resolved connection counts. On a multi-lane
-// run it is only meaningful between runs or after the engine stops.
-func (g *Generator) Progress() (issued, resolved int) {
-	for i := range g.lanes {
-		resolved += g.lanes[i].resolved
-	}
-	return g.issued, resolved
-}
-
 // Start launches the inactive-connection population and schedules the
 // benchmark connections at the configured rate.
 func (g *Generator) Start(now core.Time) {
@@ -370,8 +358,7 @@ func (g *Generator) Start(now core.Time) {
 	}
 
 	for i := 0; i < g.cfg.InactiveConnections; i++ {
-		ic := &inactiveClient{gen: g, id: i, kind: g.cfg.Workload.Background}
-		g.inactive = append(g.inactive, ic)
+		ic := &inactiveClient{gen: g, kind: g.cfg.Workload.Background}
 		// Stagger inactive connection setup over the first 200 ms so the
 		// listener backlog is not hit by a synchronised burst.
 		delay := core.Duration(g.rng.Int63n(int64(200 * core.Millisecond)))
@@ -686,7 +673,6 @@ func (g *Generator) Result() Result {
 	}
 	res := Result{
 		Config:           g.cfg,
-		Started:          g.started,
 		Finished:         end,
 		Issued:           g.issued,
 		Completed:        completed,
@@ -982,11 +968,9 @@ func (a *activeConn) timeout(attempt int, now core.Time) (rearmed bool) {
 // (slow-loris), or request the document and never drain the response
 // (stalled reader).
 type inactiveClient struct {
-	gen     *Generator
-	id      int
-	kind    BackgroundKind
-	conn    *netsim.ClientConn
-	reopens int
+	gen  *Generator
+	kind BackgroundKind
+	conn *netsim.ClientConn
 }
 
 func (ic *inactiveClient) open(now core.Time) {
@@ -1065,7 +1049,6 @@ func (ic *inactiveClient) onClosedOrRefused(now core.Time, _ netsim.RefuseReason
 	if ic.gen.done {
 		return
 	}
-	ic.reopens++
 	// Reopen after a short pause, keeping the inactive population constant.
 	// The refusal/close callback executes on the dead connection's lane;
 	// open must run on the driver, where connection launch state lives.
@@ -1074,14 +1057,4 @@ func (ic *inactiveClient) onClosedOrRefused(now core.Time, _ netsim.RefuseReason
 		q = ic.conn.Q()
 	}
 	q.Post(ic.gen.driverQ, now.Add(250*core.Millisecond), ic.open)
-}
-
-// InactiveReopens reports how many times inactive clients had to reconnect
-// (server idle timeouts, refusals); exposed for tests and experiment logs.
-func (g *Generator) InactiveReopens() int {
-	total := 0
-	for _, ic := range g.inactive {
-		total += ic.reopens
-	}
-	return total
 }

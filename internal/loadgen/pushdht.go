@@ -235,7 +235,6 @@ type churnPeer struct {
 	ponged   int
 	pingAt   core.Time // in-flight ping's dispatch; zero = none outstanding
 	epoch    int       // invalidates stale watchdogs
-	rejoins  int
 	resolved bool
 }
 
@@ -300,7 +299,6 @@ func (cp *churnPeer) onPingTimeout(now core.Time, epoch int) {
 	}
 	if cp.session != 0 {
 		cp.session = 0
-		cp.rejoins++
 		cp.ping(now)
 		return
 	}

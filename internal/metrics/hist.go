@@ -18,13 +18,12 @@ import (
 // The struct holds its buckets inline: Observe performs no allocation, no
 // sorting and no floating-point work, so it can sit on the dispatch hot path
 // (one observation per served request) without perturbing either run time or
-// determinism. All derived statistics (quantiles, mean) are computed from the
-// integer bucket counts with fixed arithmetic, so two runs that observe the
-// same virtual-time latencies produce bit-identical percentile output.
+// determinism. The quantiles are computed from the integer bucket counts with
+// fixed arithmetic, so two runs that observe the same virtual-time latencies
+// produce bit-identical percentile output.
 type LatencyHist struct {
 	counts [histBuckets]int64
 	total  int64
-	sumUs  int64
 	minUs  int64
 	maxUs  int64
 }
@@ -69,7 +68,6 @@ func (h *LatencyHist) Observe(d core.Duration) {
 		us = 0
 	}
 	h.counts[histIndex(us)]++
-	h.sumUs += us
 	if h.total == 0 || us < h.minUs {
 		h.minUs = us
 	}
@@ -81,14 +79,6 @@ func (h *LatencyHist) Observe(d core.Duration) {
 
 // Count reports the number of observations.
 func (h *LatencyHist) Count() int64 { return h.total }
-
-// MeanMs reports the mean observed latency in milliseconds.
-func (h *LatencyHist) MeanMs() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.sumUs) / float64(h.total) / 1000
-}
 
 // MinMs and MaxMs report the exact extremes in milliseconds (the extremes are
 // tracked outside the buckets, so they carry no quantisation error).
@@ -113,7 +103,6 @@ func (h *LatencyHist) Merge(o *LatencyHist) {
 		h.maxUs = o.maxUs
 	}
 	h.total += o.total
-	h.sumUs += o.sumUs
 }
 
 // QuantileMs returns the q-th quantile (0..1) in milliseconds, interpolating
@@ -167,7 +156,6 @@ type LatencyPercentiles struct {
 	P90   float64
 	P99   float64
 	P999  float64
-	Mean  float64
 	Max   float64
 }
 
@@ -182,7 +170,6 @@ func (h *LatencyHist) Percentiles() LatencyPercentiles {
 		P90:   h.QuantileMs(0.90),
 		P99:   h.QuantileMs(0.99),
 		P999:  h.QuantileMs(0.999),
-		Mean:  h.MeanMs(),
 		Max:   h.MaxMs(),
 	}
 }

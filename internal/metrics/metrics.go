@@ -55,17 +55,14 @@ func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.1f sd=%.1f min=%.1f max=%.1f", s.Count, s.Mean, s.StdDev, s.Min, s.Max)
 }
 
-// Percentile returns the p-th percentile (0..100) of the samples using
-// nearest-rank interpolation. It returns 0 for an empty slice.
-func Percentile(samples []float64, p float64) float64 { return Percentiles(samples, p)[0] }
-
-// Percentiles returns Percentile(samples, p) for every p in ps. Each requested
-// order statistic is found by selection on one copy of the samples (the
-// extremes by a linear scan), so a call costs a few linear passes instead of a
-// full sort; the values are exactly the ones a sorted copy would give. Ranks
-// asked in ascending order, as callers do, each search only the part right of
-// the previous one, which the earlier selection left holding every larger
-// sample.
+// Percentiles returns the p-th percentile (0..100) of the samples, using
+// nearest-rank interpolation, for every p in ps; every value is 0 for an empty
+// slice. Each requested order statistic is found by selection on one copy of
+// the samples (the extremes by a linear scan), so a call costs a few linear
+// passes instead of a full sort; the values are exactly the ones a sorted copy
+// would give. Ranks asked in ascending order, as callers do, each search only
+// the part right of the previous one, which the earlier selection left holding
+// every larger sample.
 func Percentiles(samples []float64, ps ...float64) []float64 {
 	out := make([]float64, len(ps))
 	if len(samples) == 0 {
@@ -167,9 +164,6 @@ func selectRank(s []float64, k int) float64 {
 	return s[k]
 }
 
-// Median returns the 50th percentile.
-func Median(samples []float64) float64 { return Percentile(samples, 50) }
-
 // RateSampler accumulates completion events and converts them into
 // per-interval rates, the way httperf samples reply rate every few seconds and
 // then reports the average, standard deviation, minimum and maximum of those
@@ -240,11 +234,9 @@ func (r *RateSampler) Samples() []float64 { return r.samples }
 
 // Series is a labelled (x, y) series, one per curve in a figure.
 type Series struct {
-	Label  string
-	XLabel string
-	YLabel string
-	X      []float64
-	Y      []float64
+	Label string
+	X     []float64
+	Y     []float64
 }
 
 // Append adds one point.
@@ -264,15 +256,4 @@ func (s *Series) YAt(x float64) (float64, bool) {
 		}
 	}
 	return 0, false
-}
-
-// MaxY returns the largest y value (0 for an empty series).
-func (s *Series) MaxY() float64 {
-	max := 0.0
-	for _, y := range s.Y {
-		if y > max {
-			max = y
-		}
-	}
-	return max
 }

@@ -28,29 +28,29 @@ func TestSummarize(t *testing.T) {
 
 func TestPercentileAndMedian(t *testing.T) {
 	samples := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	if got := Median(samples); !almost(got, 5.5) {
+	if got := Percentiles(samples, 50)[0]; !almost(got, 5.5) {
 		t.Fatalf("median = %v", got)
 	}
-	if got := Percentile(samples, 0); got != 1 {
+	if got := Percentiles(samples, 0)[0]; got != 1 {
 		t.Fatalf("p0 = %v", got)
 	}
-	if got := Percentile(samples, 100); got != 10 {
+	if got := Percentiles(samples, 100)[0]; got != 10 {
 		t.Fatalf("p100 = %v", got)
 	}
-	if got := Percentile(samples, 25); !almost(got, 3.25) {
+	if got := Percentiles(samples, 25)[0]; !almost(got, 3.25) {
 		t.Fatalf("p25 = %v", got)
 	}
-	if got := Percentile(nil, 50); got != 0 {
+	if got := Percentiles(nil, 50)[0]; got != 0 {
 		t.Fatalf("empty percentile = %v", got)
 	}
-	if got := Percentile([]float64{42}, 75); got != 42 {
+	if got := Percentiles([]float64{42}, 75)[0]; got != 42 {
 		t.Fatalf("single-sample percentile = %v", got)
 	}
-	// Percentile must not mutate its input.
+	// Percentiles must not mutate its input.
 	unsorted := []float64{9, 1, 5}
-	Percentile(unsorted, 50)
+	Percentiles(unsorted, 50)
 	if unsorted[0] != 9 {
-		t.Fatal("Percentile mutated its input")
+		t.Fatal("Percentiles mutated its input")
 	}
 }
 
@@ -232,7 +232,7 @@ func TestRateSamplerPartialTail(t *testing.T) {
 }
 
 func TestSeries(t *testing.T) {
-	s := &Series{Label: "devpoll", XLabel: "request rate", YLabel: "reply rate"}
+	s := &Series{Label: "devpoll"}
 	s.Append(500, 499)
 	s.Append(600, 597)
 	s.Append(700, 650)
@@ -244,12 +244,6 @@ func TestSeries(t *testing.T) {
 	}
 	if _, ok := s.YAt(9999); ok {
 		t.Fatal("YAt of missing x succeeded")
-	}
-	if s.MaxY() != 650 {
-		t.Fatalf("MaxY = %v", s.MaxY())
-	}
-	if (&Series{}).MaxY() != 0 {
-		t.Fatal("empty MaxY")
 	}
 }
 
@@ -282,7 +276,7 @@ func TestSummaryBoundsProperty(t *testing.T) {
 	}
 }
 
-// Property: Percentile is monotone in p and bounded by the sample range.
+// Property: Percentiles is monotone in p and bounded by the sample range.
 func TestPercentileMonotoneProperty(t *testing.T) {
 	f := func(raw []int16, a, b uint8) bool {
 		if len(raw) == 0 {
@@ -297,8 +291,8 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 		if p1 > p2 {
 			p1, p2 = p2, p1
 		}
-		v1 := Percentile(samples, p1)
-		v2 := Percentile(samples, p2)
+		v1 := Percentiles(samples, p1)[0]
+		v2 := Percentiles(samples, p2)[0]
 		sorted := append([]float64(nil), samples...)
 		sort.Float64s(sorted)
 		return v1 <= v2+1e-9 && v1 >= sorted[0]-1e-9 && v2 <= sorted[len(sorted)-1]+1e-9

@@ -97,12 +97,8 @@ type ClientConn struct {
 	pair *connPair
 	h    ConnHandler
 
-	// StartedAt is when Connect was called; loadgen uses it for latency.
-	StartedAt core.Time
-
-	bytesReceived int
-	recvWindow    int32
-	state         ConnState
+	recvWindow int32
+	state      ConnState
 
 	// fate is the fault plane's verdict for this connection, fixed at connect
 	// time from the driver-assigned id (thread-count invariant); fateFired
@@ -223,7 +219,7 @@ func (n *Network) ConnectWith(now core.Time, opts ConnectOptions, h ConnHandler)
 	p.net, p.id, p.rtt, p.q = n, n.connID(), rtt, n.driverQ
 	c := &p.c
 	*c = ClientConn{
-		pair: p, h: h, state: StateConnecting, StartedAt: now,
+		pair: p, h: h, state: StateConnecting,
 		recvWindow: int32(opts.RecvWindow), stallReads: opts.StallReads,
 	}
 	if f := &n.K.Faults; f.ResetRate > 0 || f.VanishRate > 0 {
@@ -272,12 +268,6 @@ func (c *ClientConn) Q() simkernel.Q { return c.pair.q }
 // Handler returns the ConnHandler the connection reports to, so a client
 // holding only the connection can reach its own per-connection state.
 func (c *ClientConn) Handler() ConnHandler { return c.h }
-
-// BytesReceived reports how many response bytes have arrived.
-func (c *ClientConn) BytesReceived() int { return c.bytesReceived }
-
-// RTT returns the connection's round-trip time.
-func (c *ClientConn) RTT() core.Duration { return c.pair.rtt }
 
 // synArrive handles the SYN reaching the server host. It executes on the
 // connection's home lane — the lane of the listener the id hashes to.
@@ -438,7 +428,6 @@ func (c *ClientConn) dataArriveClient(t core.Time, n int) {
 		return
 	}
 	p := c.pair
-	c.bytesReceived += n
 	if c.fate == faults.FateResetResponse && !c.fateFired {
 		// Mid-response reset: the first response bytes have arrived, more may
 		// be in flight, and the client slams the connection shut. The server's

@@ -55,12 +55,6 @@ type DgramSock struct {
 	Drops int64
 }
 
-// Q returns the scheduling handle of the lane the socket's events execute on.
-func (s *DgramSock) Q() simkernel.Q { return s.q }
-
-// Addr returns the bound address.
-func (s *DgramSock) Addr() Addr { return s.addr }
-
 // Poll implements simkernel.File.
 func (s *DgramSock) Poll() core.EventMask {
 	if s.closed {
@@ -222,12 +216,6 @@ type Peer struct {
 // Q returns the datagram home lane, where every callback of every peer
 // executes.
 func (p *Peer) Q() simkernel.Q { return p.net.dgramHome }
-
-// Addr returns the peer's address, the from seen by the server's RecvFrom.
-func (p *Peer) Addr() Addr { return p.addr }
-
-// RTT returns the peer's round-trip time.
-func (p *Peer) RTT() core.Duration { return p.rtt }
 
 // NewPeer creates a datagram peer at virtual time now. Like ConnectWith it
 // must be called from driver-lane code on a parallelized network (peer-id

@@ -89,9 +89,9 @@ func TestDatagramGenerationStress(t *testing.T) {
 				if !ok {
 					break
 				}
-				if from != peer.Addr() || sz != size {
+				if from != peer.addr || sz != size {
 					t.Errorf("round %d: datagram from %d size %d, want from %d size %d",
-						round, from, sz, peer.Addr(), size)
+						round, from, sz, peer.addr, size)
 				}
 				got++
 			}

@@ -10,8 +10,8 @@ import (
 // pinned: the shared facts (network, id, RTT, lane) live once on the pair,
 // and a stream event carries no datagram fields.
 func TestConnPairSize(t *testing.T) {
-	if got := unsafe.Sizeof(connPair{}); got != 192 {
-		t.Fatalf("unsafe.Sizeof(connPair{}) = %d, want 192", got)
+	if got := unsafe.Sizeof(connPair{}); got != 176 {
+		t.Fatalf("unsafe.Sizeof(connPair{}) = %d, want 176", got)
 	}
 }
 

@@ -262,9 +262,6 @@ func (n *Network) gatherPairs(core.Time) {
 	}
 }
 
-// Parallel reports whether the network has been homed onto sharded lanes.
-func (n *Network) Parallel() bool { return n.parallel }
-
 // statsAt returns the counter block for the lane q is bound to (the single
 // block on a sequential run).
 func (n *Network) statsAt(q simkernel.Q) *Stats {
@@ -291,15 +288,6 @@ func (n *Network) Stats() Stats {
 		s.DgramsStale += ls.DgramsStale
 	}
 	return s
-}
-
-// Listener returns the first registered listening socket, if any — the only
-// one on every single-worker server.
-func (n *Network) Listener() *Listener {
-	if len(n.listeners) == 0 {
-		return nil
-	}
-	return n.listeners[0]
 }
 
 // Listeners returns all listening sockets sharing the served port, in

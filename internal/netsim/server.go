@@ -28,7 +28,6 @@ var (
 // (one per prefork worker); the network shards new connections across them
 // (Config.Shard).
 type Listener struct {
-	net     *Network
 	owner   *simkernel.Proc // the process that opened the socket (IRQ target)
 	backlog int
 
@@ -149,7 +148,6 @@ type ServerConn struct {
 	peerClosed  bool // client sent FIN
 	closedLocal bool // server closed its end
 	resetPeer   bool // client sent RST (fault plane): reads fail ECONNRESET, writes EPIPE
-	accepted    bool
 }
 
 // Poll implements simkernel.File.
@@ -192,19 +190,8 @@ func (c *ServerConn) PeerClosed() bool { return c.peerClosed }
 // ResetPeer reports whether the client reset the connection (fault plane).
 func (c *ServerConn) ResetPeer() bool { return c.resetPeer }
 
-// Accepted reports whether the server has accepted the connection.
-func (c *ServerConn) Accepted() bool { return c.accepted }
-
 // Peer returns the client endpoint (used by tests and the load generator).
 func (c *ServerConn) Peer() *ClientConn { return &c.pair.c }
-
-// Q returns the scheduling handle of the lane the connection is homed on.
-func (c *ServerConn) Q() simkernel.Q { return c.pair.q }
-
-// Owner returns the process whose CPU this connection's interrupts are
-// steered to (the accepting worker once accepted, its listener's owner before
-// that).
-func (c *ServerConn) Owner() *simkernel.Proc { return c.owner }
 
 // irqCPU resolves the CPU that receives this connection's interrupts; nil
 // selects the kernel's default (CPU 0), the uniprocessor behaviour.
@@ -235,15 +222,6 @@ func (c *ServerConn) deliverData(now core.Time, data []byte) {
 		c.rcvBuf = append(c.rcvBuf, data...)
 	}
 	c.notify(now, core.POLLIN)
-}
-
-// SendWindowAvail reports the free send-window space (-1 for an unlimited
-// window), exposed for tests.
-func (c *ServerConn) SendWindowAvail() int {
-	if c.sndWindow == 0 {
-		return -1
-	}
-	return int(c.sndAvail)
 }
 
 // windowOpen is called by the network when a window update arrives: the
@@ -332,7 +310,7 @@ func NewSockAPI(k *simkernel.Kernel, p *simkernel.Proc, net *Network) *SockAPI {
 // shards new connections across all registered listeners.
 func (a *SockAPI) Listen() (*simkernel.FD, *Listener) {
 	a.P.ChargeSyscall(a.K.Cost.Accept) // socket+bind+listen lumped together
-	l := &Listener{net: a.Net, owner: a.P, backlog: a.Net.Cfg.ListenBacklog}
+	l := &Listener{owner: a.P, backlog: a.Net.Cfg.ListenBacklog}
 	fd := a.P.Install(l)
 	a.Net.listeners = append(a.Net.listeners, l)
 	return fd, l
@@ -363,7 +341,6 @@ func (a *SockAPI) Accept(lfd *simkernel.FD) (fd *simkernel.FD, conn *ServerConn,
 	if !ok {
 		return nil, nil, ErrAgain
 	}
-	c.accepted = true
 	c.owner = a.P
 	a.Net.statsAt(a.P.Q()).Accepted++
 	fd = a.P.Install(c)
@@ -386,7 +363,6 @@ func (a *SockAPI) AcceptDetach(lfd *simkernel.FD) (conn *ServerConn, ok bool) {
 	if !ok {
 		return nil, false
 	}
-	c.accepted = true
 	c.owner = a.P
 	a.Net.statsAt(a.P.Q()).Accepted++
 	a.P.Charge(a.K.Cost.ConnHandoff)

@@ -116,7 +116,7 @@ func TestAcceptDetachAndAdopt(t *testing.T) {
 		}
 	}, nil)
 	k.Sim.Run()
-	if !sc.Accepted() || sc.Owner() != apis[acceptor].P {
+	if sc.owner != apis[acceptor].P {
 		t.Fatal("detached connection not owned by the acceptor")
 	}
 	if apis[acceptor].P.NumFDs() != 1 { // just the listener
@@ -131,7 +131,7 @@ func TestAcceptDetachAndAdopt(t *testing.T) {
 	if fd == nil || fd.Proc != apis[adopter].P {
 		t.Fatal("adopted descriptor not in the adopter's table")
 	}
-	if sc.Owner() != apis[adopter].P {
+	if sc.owner != apis[adopter].P {
 		t.Fatal("adoption did not re-steer the connection's interrupts")
 	}
 	// The request bytes that arrived in between are waiting on the connection.

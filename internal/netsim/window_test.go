@@ -36,8 +36,8 @@ func TestStalledReaderJamsResponse(t *testing.T) {
 	k.Sim.Run()
 	fd, conn := accept(t, k, p, api, lfd)
 
-	if conn.SendWindowAvail() != 512 {
-		t.Fatalf("SendWindowAvail = %d, want 512", conn.SendWindowAvail())
+	if conn.sndAvail != 512 {
+		t.Fatalf("free send window = %d, want 512", conn.sndAvail)
 	}
 	var first, second int
 	p.Batch(k.Now(), func() {
@@ -49,8 +49,8 @@ func TestStalledReaderJamsResponse(t *testing.T) {
 	if first != 512 || second != 0 {
 		t.Fatalf("writes accepted %d then %d bytes, want 512 then 0", first, second)
 	}
-	if conn.SendWindowAvail() != 0 {
-		t.Fatalf("window not exhausted: %d", conn.SendWindowAvail())
+	if conn.sndAvail != 0 {
+		t.Fatalf("window not exhausted: %d", conn.sndAvail)
 	}
 	if conn.Poll()&core.POLLOUT != 0 {
 		t.Fatal("POLLOUT reported while the window is closed")
@@ -91,8 +91,8 @@ func TestDrainingClientReopensWindow(t *testing.T) {
 	if !pollout {
 		t.Fatal("no POLLOUT notification after window update")
 	}
-	if conn.SendWindowAvail() != 1024 {
-		t.Fatalf("window did not reopen: %d", conn.SendWindowAvail())
+	if conn.sndAvail != 1024 {
+		t.Fatalf("window did not reopen: %d", conn.sndAvail)
 	}
 
 	var rest int
@@ -116,8 +116,8 @@ func TestUnlimitedWindowUnchanged(t *testing.T) {
 	})
 	k.Sim.Run()
 	fd, conn := accept(t, k, p, api, lfd)
-	if conn.SendWindowAvail() != -1 {
-		t.Fatalf("SendWindowAvail = %d, want -1 (unlimited)", conn.SendWindowAvail())
+	if conn.sndWindow != 0 {
+		t.Fatalf("send window = %d, want 0 (unlimited)", conn.sndWindow)
 	}
 	var wrote int
 	p.Batch(k.Now(), func() { wrote = api.Write(fd, 64*1024) }, nil)
@@ -204,8 +204,8 @@ func TestSendfileSkipsCopyAndChargesPages(t *testing.T) {
 	if first != 512 || second != 0 {
 		t.Fatalf("windowed sendfile accepted %d then %d, want 512 then 0", first, second)
 	}
-	if conn2.SendWindowAvail() != 0 {
-		t.Fatalf("window not exhausted: %d", conn2.SendWindowAvail())
+	if conn2.sndAvail != 0 {
+		t.Fatalf("window not exhausted: %d", conn2.sndAvail)
 	}
 }
 

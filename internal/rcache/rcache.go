@@ -122,12 +122,6 @@ func (c *Cache) Contains(path string) bool { _, ok := c.entries[path]; return ok
 // Len reports the number of resident entries.
 func (c *Cache) Len() int { return len(c.entries) }
 
-// UsedBytes reports the resident body total.
-func (c *Cache) UsedBytes() int { return c.used }
-
-// Capacity reports the configured byte capacity.
-func (c *Cache) Capacity() int { return c.capacity }
-
 // Stats returns the traffic counters.
 func (c *Cache) Stats() Stats { return c.stats }
 

@@ -27,8 +27,8 @@ func TestMissThenHit(t *testing.T) {
 	if st.Hits != 1 || st.Misses != 1 || st.Inserts != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if c.Len() != 1 || c.UsedBytes() != 6144 {
-		t.Fatalf("len=%d used=%d", c.Len(), c.UsedBytes())
+	if c.Len() != 1 || c.used != 6144 {
+		t.Fatalf("len=%d used=%d", c.Len(), c.used)
 	}
 }
 
@@ -102,8 +102,8 @@ func TestOversizedBodyStaysUncached(t *testing.T) {
 		}
 		c.Release("/huge") // must be a no-op
 	}
-	if c.Len() != 0 || c.UsedBytes() != 0 {
-		t.Fatalf("len=%d used=%d", c.Len(), c.UsedBytes())
+	if c.Len() != 0 || c.used != 0 {
+		t.Fatalf("len=%d used=%d", c.Len(), c.used)
 	}
 	if st := c.Stats(); st.Uncacheable != 2 || st.Inserts != 0 {
 		t.Fatalf("stats = %+v", st)

@@ -91,9 +91,6 @@ func (q *Queue) Options() Options { return q.opts }
 // uses it as its load threshold (§4).
 func (q *Queue) QueueLength() int { return q.pending.len() }
 
-// QueueLimit reports the configured maximum queue length.
-func (q *Queue) QueueLimit() int { return q.opts.QueueLimit }
-
 // Overflowed reports whether the queue has overflowed since the last Recover.
 func (q *Queue) Overflowed() bool { return q.overflowed }
 
@@ -252,7 +249,7 @@ func (q *Queue) ReadinessChanged(now core.Time, fd *simkernel.FD, mask core.Even
 		// to: the siginfo outlives a close of the descriptor (it "remains on
 		// the RT signal queue", §4), and by the time it is dequeued the number
 		// may name a different connection.
-		q.pending.push(core.Siginfo{Signo: core.SIGRTMIN, Band: mask, FD: fd.Num, Gen: fd.Gen})
+		q.pending.push(core.Siginfo{Band: mask, FD: fd.Num, Gen: fd.Gen})
 		q.Stats.Enqueued++
 	}
 

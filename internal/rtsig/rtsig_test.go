@@ -23,8 +23,8 @@ func TestDefaults(t *testing.T) {
 	if q.Name() != "rtsig" {
 		t.Fatalf("Name = %q", q.Name())
 	}
-	if q.QueueLimit() != DefaultQueueLimit {
-		t.Fatalf("QueueLimit = %d", q.QueueLimit())
+	if q.opts.QueueLimit != DefaultQueueLimit {
+		t.Fatalf("QueueLimit = %d", q.opts.QueueLimit)
 	}
 	o := DefaultOptions()
 	if o.QueueLimit != DefaultQueueLimit || o.BatchDequeue {

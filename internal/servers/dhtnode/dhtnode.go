@@ -51,34 +51,29 @@ func DefaultConfig() Config {
 
 // Stats tallies the node's application events.
 type Stats struct {
-	Received int64 // datagrams read
-	Joins    int64 // new peers admitted
-	Pongs    int64 // replies sent
-	Expired  int64 // peers expired by the sweep
-	Orphans  int64 // datagrams on the well-known socket rejected mid-join race
+	Joins   int64 // new peers admitted
+	Pongs   int64 // replies sent
+	Expired int64 // peers expired by the sweep
 }
 
 // session is one live peer: its dedicated socket and liveness state.
 type session struct {
 	peer     netsim.Addr
 	fd       *simkernel.FD
-	sock     *netsim.DgramSock
 	ev       *eventlib.Event
 	lastSeen core.Time
 }
 
 // Server is a running dhtnode instance inside the simulation.
 type Server struct {
-	K   *simkernel.Kernel
-	Net *netsim.Network
-	P   *simkernel.Proc
+	K *simkernel.Kernel
+	P *simkernel.Proc
 
 	cfg  Config
 	api  *netsim.SockAPI
 	base *eventlib.Base
 
-	mainFD   *simkernel.FD
-	mainSock *netsim.DgramSock
+	mainFD *simkernel.FD
 
 	sessions map[netsim.Addr]*session
 	byFD     []*session // fd-indexed; nil = not a session socket
@@ -104,7 +99,7 @@ func New(k *simkernel.Kernel, net *netsim.Network, cfg Config) *Server {
 	}
 	p := k.NewProc("dhtnode")
 	api := netsim.NewSockAPI(k, p, net)
-	s := &Server{K: k, Net: net, P: p, cfg: cfg, api: api, sessions: make(map[netsim.Addr]*session)}
+	s := &Server{K: k, P: p, cfg: cfg, api: api, sessions: make(map[netsim.Addr]*session)}
 
 	poller, _, err := eventlib.OpenBackend(k, p, cfg.Backend)
 	if err != nil {
@@ -124,7 +119,7 @@ func (s *Server) Start() {
 	}
 	s.started = true
 	s.P.Batch(s.K.Now(), func() {
-		s.mainFD, s.mainSock = s.api.OpenDatagram(WellKnownAddr)
+		s.mainFD, _ = s.api.OpenDatagram(WellKnownAddr)
 		main := s.base.NewEvent(s.mainFD.Num, eventlib.EvRead|eventlib.EvPersist, s.onReadable)
 		if err := main.Add(0); err != nil {
 			panic("dhtnode: registering the well-known socket: " + err.Error())
@@ -161,9 +156,6 @@ func (s *Server) LivePeers() int { return len(s.sessions) }
 // Poller exposes the event mechanism (for experiment statistics).
 func (s *Server) Poller() core.Poller { return s.base.Poller() }
 
-// Base exposes the event base (for tests).
-func (s *Server) Base() *eventlib.Base { return s.base }
-
 // Loops counts completed event-loop iterations.
 func (s *Server) Loops() int64 { return s.base.Iterations() }
 
@@ -199,7 +191,6 @@ func (s *Server) onReadable(fd int, _ eventlib.What, now core.Time) {
 		if !ok {
 			return
 		}
-		s.stats.Received++
 		sess.lastSeen = now
 		s.pong(sess, from)
 	}
@@ -213,7 +204,6 @@ func (s *Server) drainMain(now core.Time) {
 		if !ok {
 			return
 		}
-		s.stats.Received++
 		if sess, known := s.sessions[from]; known {
 			sess.lastSeen = now
 			s.pong(sess, from)
@@ -235,8 +225,8 @@ func (s *Server) join(now core.Time, peer netsim.Addr) {
 	} else {
 		sess = &session{}
 	}
-	fd, sock := s.api.OpenDatagram(0)
-	sess.peer, sess.fd, sess.sock, sess.lastSeen = peer, fd, sock, now
+	fd, _ := s.api.OpenDatagram(0)
+	sess.peer, sess.fd, sess.lastSeen = peer, fd, now
 	sess.ev = s.base.NewEvent(fd.Num, eventlib.EvRead|eventlib.EvPersist, s.onReadable)
 	s.sessions[peer] = sess
 	s.setByFD(fd.Num, sess)
@@ -277,7 +267,7 @@ func (s *Server) expire(sess *session) {
 	_ = sess.ev.Del()
 	s.api.Close(sess.fd)
 	s.stats.Expired++
-	sess.fd, sess.sock, sess.ev = nil, nil, nil
+	sess.fd, sess.ev = nil, nil
 	s.free = append(s.free, sess)
 }
 

@@ -105,7 +105,6 @@ const (
 	CloseBadRequest
 	CloseEOF // client closed before sending a complete request
 	CloseIdle
-	CloseShutdown
 	// CloseReset: the peer reset the connection (ECONNRESET on read or EPIPE
 	// on write); any response in flight is discarded.
 	CloseReset
@@ -814,14 +813,6 @@ func (h *Handler) writeResponse(c *Conn, head, body int) {
 	}
 }
 
-// CloseConn closes the connection for descriptor fd with the given reason, if
-// it is still open.
-func (h *Handler) CloseConn(now core.Time, fd int, reason CloseReason) {
-	if c := h.getConn(fd); c != nil {
-		h.closeConn(c, reason)
-	}
-}
-
 func (h *Handler) closeConn(c *Conn, reason CloseReason) {
 	// The identity check (not just presence) keeps a stale double-close from
 	// tearing down the connection that now holds a recycled descriptor
@@ -865,11 +856,4 @@ func (h *Handler) SweepIdle(now core.Time) int {
 		}
 	}
 	return closed
-}
-
-// CloseAll tears down every open connection (server shutdown).
-func (h *Handler) CloseAll(now core.Time) {
-	for _, fd := range h.OpenConns() {
-		h.CloseConn(now, fd, CloseShutdown)
-	}
 }

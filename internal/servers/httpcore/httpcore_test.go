@@ -241,7 +241,7 @@ func TestSweepIdleClosesOnlyStaleConnections(t *testing.T) {
 	}
 }
 
-func TestCloseAllAndCloseConnIdempotent(t *testing.T) {
+func TestCloseConnIdempotent(t *testing.T) {
 	e := newEnv(t)
 	e.connectAndSend(t, httpsim.FormatPartialRequest("/index.html"))
 	e.connectAndSend(t, httpsim.FormatPartialRequest("/index.html"))
@@ -251,14 +251,9 @@ func TestCloseAllAndCloseConnIdempotent(t *testing.T) {
 	if len(fds) != 2 {
 		t.Fatalf("OpenConns = %v", fds)
 	}
-	e.p.Batch(e.k.Now(), func() {
-		e.handler.CloseConn(e.k.Now(), fds[0], CloseShutdown)
-		e.handler.CloseConn(e.k.Now(), fds[0], CloseShutdown) // second close is a no-op
-		e.handler.CloseAll(e.k.Now())
-	}, nil)
-	e.k.Sim.Run()
+	e.closeFDs(fds[0], fds[0], fds[1]) // the second close of fds[0] is a no-op
 	if e.handler.Open() != 0 {
-		t.Fatal("CloseAll left connections")
+		t.Fatal("closing every connection left some open")
 	}
 	if e.handler.Stats.Closed != 2 {
 		t.Fatalf("Closed = %d", e.handler.Stats.Closed)

@@ -255,8 +255,7 @@ func TestStaleEventsAfterKeepAliveCloseAreSafe(t *testing.T) {
 	// Shut the connection down with the response still pending, then open a
 	// fresh one (the pooled record is reissued) that has request bytes in
 	// flight — not yet served, not idle.
-	e.p.Batch(e.k.Now(), func() { e.handler.CloseConn(e.k.Now(), stale, CloseShutdown) }, nil)
-	e.k.Sim.Run()
+	e.closeFDs(stale)
 	e.connectAndSend(t, httpsim.FormatPartialRequest("/index.html"))
 	e.p.Batch(e.k.Now(), func() { e.handler.AcceptAll(e.k.Now(), e.lfd) }, nil)
 	e.k.Sim.Run()

@@ -122,9 +122,6 @@ func (h *Handler) Attach(base *eventlib.Base, lfd *simkernel.FD, cfg ServeConfig
 	return loop
 }
 
-// Base returns the event base the loop runs on.
-func (l *EventLoop) Base() *eventlib.Base { return l.base }
-
 // ConnEvent returns the read event registered for a connection (tests).
 func (l *EventLoop) ConnEvent(fd int) *eventlib.Event {
 	if fd < 0 || fd >= len(l.conns) {

@@ -27,11 +27,19 @@ func (e *env) acceptIdle(t *testing.T, n int) ([]int, []*netsim.ClientConn) {
 	return fds, clients
 }
 
+// closeFD closes the connection on fd, if one is open, with a reason no
+// Stats tally counts.
+func (e *env) closeFD(fd int) {
+	if c := e.handler.getConn(fd); c != nil {
+		e.handler.closeConn(c, CloseServed)
+	}
+}
+
 // closeFDs closes the given connections, in the given order, in one batch.
 func (e *env) closeFDs(fds ...int) {
 	e.p.Batch(e.k.Now(), func() {
 		for _, fd := range fds {
-			e.handler.CloseConn(e.k.Now(), fd, CloseShutdown)
+			e.closeFD(fd)
 		}
 	}, nil)
 	e.k.Sim.Run()
@@ -105,8 +113,8 @@ func TestStaleCloseOnRecycledDescriptor(t *testing.T) {
 	}
 	closed, calls := e.handler.Stats.Closed, len(e.closed)
 	e.p.Batch(e.k.Now(), func() {
-		e.handler.closeConn(stale, CloseShutdown)
-		e.handler.CloseConn(e.k.Now(), fds[1], CloseShutdown) // number no longer open
+		e.handler.closeConn(stale, CloseServed)
+		e.closeFD(fds[1]) // number no longer open
 	}, nil)
 	e.k.Sim.Run()
 	if e.handler.getConn(fds[0]) != fresh || fresh.FD == nil {
@@ -135,11 +143,10 @@ func TestOpenCountsLiveRecordsThroughChurn(t *testing.T) {
 		e.closeFDs(victims...)
 		e.checkTable(t)
 	}
-	e.p.Batch(e.k.Now(), func() { e.handler.CloseAll(e.k.Now()) }, nil)
-	e.k.Sim.Run()
+	e.closeFDs(e.handler.OpenConns()...)
 	e.checkTable(t)
 	if e.handler.Open() != 0 {
-		t.Fatalf("Open() = %d after CloseAll", e.handler.Open())
+		t.Fatalf("Open() = %d after closing every connection", e.handler.Open())
 	}
 }
 

@@ -86,9 +86,7 @@ func DefaultConfig() Config {
 
 // Server is a running hybrid instance inside the simulation.
 type Server struct {
-	K   *simkernel.Kernel
-	Net *netsim.Network
-	P   *simkernel.Proc
+	P *simkernel.Proc
 
 	cfg     Config
 	api     *netsim.SockAPI
@@ -127,7 +125,7 @@ func New(k *simkernel.Kernel, net *netsim.Network, cfg Config) *Server {
 	}
 	p := k.NewProc("hybrid")
 	api := netsim.NewSockAPI(k, p, net)
-	s := &Server{K: k, Net: net, P: p, cfg: cfg, api: api, mode: ModeSignal}
+	s := &Server{P: p, cfg: cfg, api: api, mode: ModeSignal}
 	s.rtq = rtsig.New(k, p, rtsig.Options{QueueLimit: cfg.QueueLimit, BatchDequeue: cfg.BatchDequeue})
 	poller, _, err := eventlib.OpenBackend(k, p, cfg.BulkBackend)
 	if err != nil {
@@ -231,9 +229,6 @@ func (s *Server) SignalQueue() *rtsig.Queue { return s.rtq }
 // DevPollSet exposes the bulk poller Config.BulkBackend selected, /dev/poll
 // by default (for tests and experiments).
 func (s *Server) DevPollSet() core.Poller { return s.dp }
-
-// Base exposes the event base (for tests).
-func (s *Server) Base() *eventlib.Base { return s.base }
 
 // OpenConnections reports how many connections the server currently holds.
 func (s *Server) OpenConnections() int { return s.handler.Open() }

@@ -82,9 +82,8 @@ func DefaultConfig() Config {
 
 // Server is a running phhttpd instance inside the simulation.
 type Server struct {
-	K   *simkernel.Kernel
-	Net *netsim.Network
-	P   *simkernel.Proc
+	K *simkernel.Kernel
+	P *simkernel.Proc
 
 	cfg     Config
 	api     *netsim.SockAPI
@@ -113,7 +112,7 @@ func New(k *simkernel.Kernel, net *netsim.Network, cfg Config) *Server {
 	}
 	p := k.NewProc("phhttpd")
 	api := netsim.NewSockAPI(k, p, net)
-	s := &Server{K: k, Net: net, P: p, cfg: cfg, api: api, mode: ModeSignal}
+	s := &Server{K: k, P: p, cfg: cfg, api: api, mode: ModeSignal}
 	s.rtq = rtsig.New(k, p, rtsig.Options{
 		QueueLimit:   cfg.QueueLimit,
 		BatchDequeue: cfg.BatchDequeue,
@@ -186,9 +185,6 @@ func (s *Server) SignalQueue() *rtsig.Queue { return s.rtq }
 
 // PollSet exposes the overflow sibling's poll set (for tests).
 func (s *Server) PollSet() *stockpoll.Poller { return s.pollset }
-
-// Base exposes the event base (for tests).
-func (s *Server) Base() *eventlib.Base { return s.base }
 
 // OpenConnections reports how many connections the server currently holds.
 func (s *Server) OpenConnections() int { return s.handler.Open() }

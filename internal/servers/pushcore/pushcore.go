@@ -79,9 +79,8 @@ type conn struct {
 
 // Server is a running pushcore instance inside the simulation.
 type Server struct {
-	K   *simkernel.Kernel
-	Net *netsim.Network
-	P   *simkernel.Proc
+	K *simkernel.Kernel
+	P *simkernel.Proc
 
 	cfg       Config
 	api       *netsim.SockAPI
@@ -127,7 +126,7 @@ func New(k *simkernel.Kernel, net *netsim.Network, cfg Config) *Server {
 	}
 	p := k.NewProc("pushcore")
 	api := netsim.NewSockAPI(k, p, net)
-	s := &Server{K: k, Net: net, P: p, cfg: cfg, api: api}
+	s := &Server{K: k, P: p, cfg: cfg, api: api}
 
 	poller, backend, err := eventlib.OpenBackend(k, p, cfg.Backend)
 	if err != nil {
@@ -182,22 +181,8 @@ func (s *Server) Stats() Stats { return s.stats }
 // Members reports the current member count (the interest-set size).
 func (s *Server) Members() int { return len(s.members) }
 
-// OpenConnections reports how many connections the server currently holds.
-func (s *Server) OpenConnections() int {
-	open := 0
-	for _, c := range s.conns {
-		if c != nil {
-			open++
-		}
-	}
-	return open
-}
-
 // Poller exposes the event mechanism (for experiment statistics).
 func (s *Server) Poller() core.Poller { return s.base.Poller() }
-
-// Base exposes the event base (for tests).
-func (s *Server) Base() *eventlib.Base { return s.base }
 
 // Loops counts completed event-loop iterations.
 func (s *Server) Loops() int64 { return s.base.Iterations() }

@@ -115,9 +115,6 @@ type Worker struct {
 	lfd       *simkernel.FD
 }
 
-// Base exposes the worker's event base (for tests and experiments).
-func (w *Worker) Base() *eventlib.Base { return w.base }
-
 // Poller exposes the worker's event mechanism (for tests and experiments).
 func (w *Worker) Poller() core.Poller { return w.base.Poller() }
 
@@ -126,8 +123,7 @@ func (w *Worker) Handler() *httpcore.Handler { return w.handler }
 
 // Server is a running thttpd instance inside the simulation.
 type Server struct {
-	K   *simkernel.Kernel
-	Net *netsim.Network
+	K *simkernel.Kernel
 
 	cfg     Config
 	workers []*Worker
@@ -156,7 +152,7 @@ func New(k *simkernel.Kernel, net *netsim.Network, cfg Config) *Server {
 	if cfg.WaitTimeout <= 0 {
 		cfg.WaitTimeout = core.Second
 	}
-	s := &Server{K: k, Net: net, cfg: cfg}
+	s := &Server{K: k, cfg: cfg}
 	for i := 0; i < cfg.Workers; i++ {
 		// The process name salts the fault plane's per-process draws, so a
 		// lone worker keeps the paper's process name.

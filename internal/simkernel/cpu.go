@@ -13,16 +13,11 @@ import "repro/internal/core"
 // host is a Scheduler over several CPUs: work bound to different CPUs overlaps
 // in virtual time, while contention within one core still serialises.
 type CPU struct {
-	sim *Simulator
-
 	// q is the scheduling handle completion events go through: the one lane
 	// of an unsharded simulator, the CPU's home lane on a sharded one
 	// (assigned by Kernel.EnableParallel). Everything that runs "on" this CPU
 	// — batches, interrupts, their completions — executes on that lane.
 	q Q
-
-	// Index is the CPU's position in its Scheduler (0 on a uniprocessor).
-	Index int
 
 	// busyUntil is the instant at which all currently accepted work completes.
 	busyUntil core.Time
@@ -36,7 +31,7 @@ type CPU struct {
 
 // NewCPU returns a CPU bound to the given simulator.
 func NewCPU(sim *Simulator) *CPU {
-	return &CPU{sim: sim, q: sim.LaneQ(0)}
+	return &CPU{q: sim.LaneQ(0)}
 }
 
 // Q returns the CPU's scheduling handle (its home lane on a sharded run).
@@ -89,13 +84,4 @@ func (c *CPU) WorkWindow(now core.Time) core.Duration {
 		now = c.busyUntil
 	}
 	return now.Sub(0)
-}
-
-// QueueDelay reports how long newly submitted work would wait before starting
-// if submitted at time now.
-func (c *CPU) QueueDelay(now core.Time) core.Duration {
-	if c.busyUntil <= now {
-		return 0
-	}
-	return c.busyUntil.Sub(now)
 }

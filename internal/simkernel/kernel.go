@@ -434,9 +434,6 @@ func (p *Proc) CloseFD(now core.Time, fd int) error {
 	return nil
 }
 
-// InBatch reports whether a batch is currently being accumulated.
-func (p *Proc) InBatch() bool { return p.inBatch }
-
 // Charge adds d to the cost of the current batch. Outside a batch the cost is
 // still accounted in TotalCharged but not scheduled; mechanisms always operate
 // inside batches, so this path is only taken by unit tests poking at internals.

@@ -80,12 +80,6 @@ func TestCPUIdleGap(t *testing.T) {
 	if finish != core.Time(105*core.Microsecond) {
 		t.Fatalf("finish = %v", finish)
 	}
-	if got := cpu.QueueDelay(core.Time(101 * core.Microsecond)); got != 4*core.Microsecond {
-		t.Fatalf("QueueDelay = %v", got)
-	}
-	if got := cpu.QueueDelay(core.Time(200 * core.Microsecond)); got != 0 {
-		t.Fatalf("QueueDelay idle = %v", got)
-	}
 }
 
 func TestCPUNegativeCostTreatedAsZero(t *testing.T) {
@@ -392,7 +386,7 @@ func TestProcBatchChargesCPUAndRunsDeferred(t *testing.T) {
 	if p.TotalCharged != 100*core.Microsecond+k.Cost.SyscallEntry {
 		t.Fatalf("TotalCharged = %v", p.TotalCharged)
 	}
-	if p.InBatch() {
+	if p.inBatch {
 		t.Fatal("InBatch should be false after completion")
 	}
 }

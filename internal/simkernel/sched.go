@@ -29,7 +29,6 @@ func NewScheduler(sim *Simulator, n int) *Scheduler {
 	s := &Scheduler{cpus: make([]*CPU, n)}
 	for i := range s.cpus {
 		c := NewCPU(sim)
-		c.Index = i
 		s.cpus[i] = c
 	}
 	return s

@@ -42,9 +42,6 @@ type Q struct {
 	lane *shardLane
 }
 
-// Sim returns the underlying simulator.
-func (q Q) Sim() *Simulator { return q.s }
-
 // Now returns the lane's virtual clock. During a window a lane's clock is the
 // timestamp of its currently executing event, which may differ between lanes
 // by up to the lookahead window.

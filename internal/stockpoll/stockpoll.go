@@ -26,8 +26,6 @@
 package stockpoll
 
 import (
-	"sort"
-
 	"repro/internal/core"
 	"repro/internal/interest"
 	"repro/internal/simkernel"
@@ -206,12 +204,6 @@ func (pl *Poller) ReadinessChanged(now core.Time, fd *simkernel.FD, mask core.Ev
 // FDClosed implements simkernel.CloseWatcher: the next scan revisits the
 // entry, which then reports POLLNVAL (or resolves the reopened number).
 func (pl *Poller) FDClosed(fd *simkernel.FD) { pl.cand.Mark(fd.Num, 0, 0) }
-
-// SortEvents orders events by descriptor, which keeps golden outputs stable in
-// tests and examples.
-func SortEvents(events []core.Event) {
-	sort.Slice(events, func(i, j int) bool { return events[i].FD < events[j].FD })
-}
 
 var _ core.Poller = (*Poller)(nil)
 var _ core.StatsSource = (*Poller)(nil)
