@@ -5,7 +5,9 @@
 // rate or a fault knob) for every curve and prints the data series as a text
 // table, suitable for pasting into EXPERIMENTS.md. An ablation is a figure
 // whose curves are its variants, each run once; it prints one row per
-// variant, and every sweep flag reaches it.
+// variant, and every sweep flag reaches it. -cell runs one point of one
+// figure, resolved with every sweep flag applied, and prints it in full: the
+// spec as run and what the table folds away.
 //
 // Usage:
 //
@@ -25,6 +27,8 @@
 //	benchfig -ablation              # the ablation studies instead of figures
 //	benchfig -fig hints             # one ablation
 //	benchfig -fig hints -seed 2 -fault-reset 0.05   # an ablation under another seed and a fault
+//	benchfig -fig 8 -cell 'thttpd-poll@1000'        # one point of Figure 8, in full
+//	benchfig -fig hints -cell hints-off             # one ablation variant, in full
 //	benchfig -list                  # list available figures and ablations
 package main
 
@@ -47,6 +51,7 @@ func main() {
 	figs := experiments.Figures()
 	first, last := figs[0].Number, figs[len(figs)-1].Number
 	fig := flag.String("fig", "", fmt.Sprintf("comma-separated figures to regenerate (%d..%d, fig%02d..fig%d or an ablation id; default: every figure that does not pin its own connection count)", first, last, first, last))
+	cell := flag.String("cell", "", "run one point of the one -fig figure and print it in full: '<curve>@<x>', or an ablation's variant label")
 	list := flag.Bool("list", false, "list available figures and ablations and exit")
 	ablation := flag.Bool("ablation", false, "run the ablation studies instead of the figures")
 	connections := flag.Int("connections", 0, "benchmark connections per point (0 = the figure's own default: 4000 for most figures and the ablations, 10000-30000 for the scale family, 100000-1000000 for the massive-scale family; paper: 35000)")
@@ -98,11 +103,6 @@ func main() {
 			fmt.Printf("%-11s %s\n", w.Name, w.Description)
 		}
 		return
-	}
-	if *backend != "" {
-		if _, ok := eventlib.Lookup(*backend); !ok {
-			fail(eventlib.UnknownBackendError(*backend))
-		}
 	}
 	if *workload != "" {
 		if _, ok := loadgen.LookupWorkload(*workload); !ok {
@@ -180,13 +180,27 @@ func main() {
 
 	// Resolve the work before starting the profilers, so an input error
 	// cannot leave a truncated profile behind.
+	var point experiments.Point
+	if *cell != "" {
+		if point, err = experiments.ResolveCell(*fig, *ablation, *cell, opts); err != nil {
+			fail(err)
+		}
+	}
 	for _, f := range selected {
-		if err := experiments.ValidateSweep(f, opts); err != nil {
+		if _, err := f.Points(opts); err != nil {
 			fail(err)
 		}
 	}
 	prof := profiling.Config{CPU: *cpuprofile, Mem: *memprofile, Mutex: *mutexprofile, Block: *blockprofile}
 	defer profiling.StartAll(prof)()
+	if *cell != "" {
+		res := experiments.Run(point.Spec)
+		fmt.Print(experiments.FormatCell(res))
+		if *percentiles {
+			fmt.Print(experiments.FormatPercentiles([]experiments.RunResult{res}))
+		}
+		return
+	}
 	// A single figure prints bare; a set follows every table with a blank
 	// line.
 	sep := ""

@@ -293,7 +293,7 @@ func TestFigureDefinitionsCoverPaper(t *testing.T) {
 			t.Fatalf("incomplete figure: %+v", f)
 		}
 		for _, c := range f.Curves {
-			if err := ValidateServerKind(c.Spec.Server); err != nil {
+			if _, err := resolveKind(c.Spec.Server); err != nil {
 				t.Fatalf("%s curve %q: %v", f.ID, c.Label, err)
 			}
 			if _, ok := loadgen.LookupWorkload(c.Spec.Workload); !ok {
@@ -317,7 +317,7 @@ func TestFigureDefinitionsCoverPaper(t *testing.T) {
 	kinds := map[ServerKind]bool{}
 	for _, k := range ServerKinds() {
 		kinds[k] = true
-		if err := ValidateServerKind(k); err != nil {
+		if _, err := resolveKind(k); err != nil {
 			t.Fatalf("listed kind %q does not validate: %v", k, err)
 		}
 	}
@@ -332,7 +332,7 @@ func TestFigureDefinitionsCoverPaper(t *testing.T) {
 			t.Fatalf("ServerKinds missing %q", want)
 		}
 	}
-	if err := ValidateServerKind("thttpd-kqueue"); err == nil ||
+	if _, err := resolveKind("thttpd-kqueue"); err == nil ||
 		!strings.Contains(err.Error(), "choices") {
 		t.Fatalf("unknown kind error = %v, want listed choices", err)
 	}
@@ -515,7 +515,7 @@ func TestSweepRejectsDroppedMechanismOptions(t *testing.T) {
 		{"8", SweepOptions{Rates: []float64{600, 1e6}, Connections: 1}, nil},
 	}
 	for _, c := range cases {
-		err := ValidateSweep(mustFigure(t, c.fig), c.opts)
+		_, err := mustFigure(t, c.fig).Points(c.opts)
 		if c.want == nil {
 			if err != nil {
 				t.Errorf("%s with %+v: %v", c.fig, c.opts, err)

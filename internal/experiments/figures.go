@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -173,7 +174,7 @@ type SweepOptions struct {
 	// Backend, when non-empty, re-parameterises each curve's server onto the
 	// named eventlib backend (see RetargetKind). The name must be valid and
 	// the retarget must keep every curve's mechanism options — callers check
-	// with ValidateSweep first; RunFigure panics otherwise.
+	// with Points first; RunFigure panics otherwise.
 	Backend string
 	// Workload, when non-empty, runs every point under the named loadgen
 	// workload scenario instead of the figure's own. The name must be valid
@@ -277,6 +278,58 @@ func (f Figure) Points(opts SweepOptions) ([]Point, error) {
 	return out, nil
 }
 
+// Point returns the point the figure runs on curve at x under the sweep
+// options: the one lookup behind the gated table and benchfig -cell. It
+// returns Points' error, or one naming the figure that lists its curves for
+// an unknown curve and the curve's axis values for an x off the axis.
+func (f Figure) Point(opts SweepOptions, curve string, x float64) (Point, error) {
+	points, err := f.Points(opts)
+	if err != nil {
+		return Point{}, err
+	}
+	var curves, xs []string
+	for i, p := range points {
+		if i == 0 || p.curve != points[i-1].curve {
+			curves = append(curves, strconv.Quote(p.Curve))
+		}
+		if p.Curve != curve {
+			continue
+		}
+		if p.X == x {
+			return p, nil
+		}
+		xs = append(xs, strconv.FormatFloat(p.X, 'g', -1, 64))
+	}
+	if len(xs) == 0 {
+		return Point{}, fmt.Errorf("experiments: figure %s has no curve %q (choices: %s)", f.ID, curve, strings.Join(curves, ", "))
+	}
+	return Point{}, fmt.Errorf("experiments: figure %s, curve %q has no point at %s=%g (choices: %s)",
+		f.ID, curve, f.Axis, x, strings.Join(xs, ", "))
+}
+
+// ResolveCell returns the point benchfig -fig figs -cell cell runs: cell is
+// "<curve>@<x>", or an ablation's bare variant label, resolved by Point
+// under the sweep options. It returns an error naming the values when figs
+// is not exactly one figure or ablation is set, and Point's when the cell
+// is not a point of the figure.
+func ResolveCell(figs string, ablation bool, cell string, opts SweepOptions) (Point, error) {
+	if ablation || strings.TrimSpace(figs) == "" || strings.Contains(figs, ",") {
+		return Point{}, fmt.Errorf("experiments: -cell %q is a point of exactly one figure, not of -fig %q with -ablation=%t", cell, figs, ablation)
+	}
+	f, err := FigureByID(figs)
+	if err != nil {
+		return Point{}, err
+	}
+	curve, at, found := strings.Cut(cell, "@")
+	x := 0.0
+	if found || f.Axis != AxisVariant {
+		if x, err = strconv.ParseFloat(at, 64); err != nil {
+			return Point{}, fmt.Errorf("experiments: figure %s: bad cell %q (want <curve>@<%s>)", f.ID, cell, f.Axis)
+		}
+	}
+	return f.Point(opts, curve, x)
+}
+
 // RunFigure regenerates one figure: it runs every point Points returns and
 // draws the metric's columns for each curve in turn. It panics on the error
 // Points reports.
@@ -309,14 +362,6 @@ func RunFigure(fig Figure, opts SweepOptions) FigureResult {
 		}
 	}
 	return out
-}
-
-// ValidateSweep reports whether the sweep options can run every point of
-// fig: the error Points returns. Command-line tools call it before
-// RunFigure.
-func ValidateSweep(fig Figure, opts SweepOptions) error {
-	_, err := fig.Points(opts)
-	return err
 }
 
 // sweepSpec applies the sweep options to a curve's template and returns the
@@ -535,6 +580,73 @@ func FormatPercentiles(runs []RunResult) string {
 			r.ServiceLatency.P99, r.ServiceLatency.P999)
 	}
 	return b.String()
+}
+
+// FormatCell renders one run in full, as benchfig -cell prints it: the spec
+// as run, then what a figure table folds away — the executed events and the
+// final virtual time, the reply-rate samples, the latency summary, the
+// errors by reason, the mechanism's counters, the CPU utilisation and, on a
+// multi-worker run, the served balance across the workers.
+func FormatCell(r RunResult) string {
+	var b strings.Builder
+	b.WriteString("spec as run:\n")
+	writeFields(&b, "", reflect.ValueOf(r.Spec))
+	load := r.Load
+	fmt.Fprintf(&b, "server            %s (final mode %s)\n", r.Spec.Server, r.FinalMode)
+	fmt.Fprintf(&b, "workload          rate=%.0f req/s, %d connections, %d inactive\n",
+		r.Spec.RequestRate, r.Spec.Connections, r.Spec.Inactive)
+	fmt.Fprintf(&b, "virtual duration  %v   events %d   CPU utilisation %.0f%%   event loops %d\n",
+		r.VirtualTime, r.Events, 100*r.CPUUtilization, r.EventLoops)
+	fmt.Fprintf(&b, "replies           %d of %d issued (%.1f%% errors)\n",
+		load.Completed, load.Issued, load.ErrorPercent)
+	fmt.Fprintf(&b, "reply rate        avg=%.1f sd=%.1f min=%.1f max=%.1f replies/s\n",
+		load.ReplyRate.Mean, load.ReplyRate.StdDev, load.ReplyRate.Min, load.ReplyRate.Max)
+	fmt.Fprintf(&b, "latency           median=%.2fms mean=%.2fms p90=%.2fms max=%.2fms\n",
+		load.MedianLatencyMs, load.MeanLatencyMs, load.P90LatencyMs, load.MaxLatencyMs)
+	// A line starts with its reason, so sorted lines are sorted reasons.
+	reasons := make([]string, 0, len(load.ErrorsBy))
+	for r, n := range load.ErrorsBy {
+		reasons = append(reasons, fmt.Sprintf("  %-14s %d\n", r, n))
+	}
+	sort.Strings(reasons)
+	if len(reasons) > 0 {
+		b.WriteString("errors by reason:\n" + strings.Join(reasons, ""))
+	}
+	b.WriteString("reply-rate samples (replies/s per interval):\n")
+	for i, s := range load.ReplyRateSamples {
+		fmt.Fprintf(&b, "  interval %2d: %8.1f\n", i, s)
+	}
+	fmt.Fprintf(&b, "mechanism stats   waits=%d events=%d driver-polls=%d hint-hits=%d copied-out=%d enqueued=%d overflows=%d\n",
+		r.Primary.Waits, r.Primary.EventsReturned, r.Primary.DriverPolls, r.Primary.HintHits,
+		r.Primary.CopiedOut, r.Primary.Enqueued, r.Primary.Overflows)
+	if r.Overflows > 0 || r.Handoffs > 0 { // phhttpd's overflow recovery, prefork's handoff mode
+		fmt.Fprintf(&b, "overflow/handoff  overflows=%d handoffs=%d\n", r.Overflows, r.Handoffs)
+	}
+	if r.SwitchesToPoll > 0 || r.SwitchesToSignal > 0 {
+		fmt.Fprintf(&b, "hybrid switches   to-devpoll=%d to-signal=%d\n", r.SwitchesToPoll, r.SwitchesToSignal)
+	}
+	fmt.Fprintf(&b, "server stats      accepted=%d served=%d closed=%d idle-closes=%d bad-requests=%d\n",
+		r.Server.Accepted, r.Server.Served, r.Server.Closed, r.Server.IdleCloses, r.Server.BadRequests)
+	if r.Workers > 1 {
+		fmt.Fprintf(&b, "workers           %d, served per worker %v\n", r.Workers, r.PerWorkerServed)
+	}
+	return b.String()
+}
+
+// writeFields prints each non-zero field of the struct v on its own line,
+// named by its path from the spec: a pointer prints what it points to and a
+// nested struct its own non-zero fields, so no address is printed.
+func writeFields(b *strings.Builder, prefix string, v reflect.Value) {
+	for i := 0; i < v.NumField(); i++ {
+		f, name := reflect.Indirect(v.Field(i)), prefix+v.Type().Field(i).Name
+		switch {
+		case v.Field(i).IsZero():
+		case f.Kind() == reflect.Struct:
+			writeFields(b, name+".", f)
+		default:
+			fmt.Fprintf(b, "  %-24s %v\n", name, f)
+		}
+	}
 }
 
 // ParseWorkerCounts parses a comma-separated worker-count list ("1,2,4,8")

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -31,17 +32,20 @@ var smallConnections = map[int]int{
 }
 
 // figureGolden is one benchfig invocation whose stdout a golden file holds
-// byte for byte: the figure and the sweep flags it sets. Zero fields of opts
-// keep benchfig's defaults; zero Connections keeps the figure's own size.
+// byte for byte: the figure, the sweep flags it sets and, for a -cell
+// invocation, the cell. Zero fields of opts keep benchfig's defaults; zero
+// Connections keeps the figure's own size.
 type figureGolden struct {
 	fig  Figure
 	opts SweepOptions
+	cell string
 }
 
 // figureGoldens lists every golden: each figure at its small size, each
-// figure of the default sweep and each ablation at its own size, and the
-// sweep options no figure golden runs (-rates on a rate and an errors
-// figure, -workers on a workers figure, and sweepOverrideGoldens). Fig 41's
+// figure of the default sweep and each ablation at its own size, the sweep
+// options no figure golden runs (-rates on a rate and an errors figure,
+// -workers on a workers figure, and sweepOverrideGoldens) and -cell on a
+// rate figure, an ablation and a multi-worker point. Fig 41's
 // fault axis is flat at 600 connections (every fdlimit row is identical); its
 // own-size golden is what pins that axis.
 func figureGoldens() []figureGolden {
@@ -65,6 +69,9 @@ func figureGoldens() []figureGolden {
 		figureGolden{fig: figureByID("5"), opts: SweepOptions{Connections: 300, Rates: []float64{600, 900}}},
 		figureGolden{fig: figureByID("10"), opts: SweepOptions{Connections: 400, Rates: []float64{1000, 1100}}},
 		figureGolden{fig: figureByID("17"), opts: SweepOptions{Connections: 3000, Workers: []int{1, 2}}},
+		figureGolden{fig: figureByID("8"), opts: SweepOptions{Connections: 600}, cell: "thttpd-poll@1000"},
+		figureGolden{fig: figureByID("hints"), cell: "hints-off"},
+		figureGolden{fig: figureByID("17"), opts: SweepOptions{Connections: 2000}, cell: "reuseport-hash@2"},
 	)
 	return append(gs, sweepOverrideGoldens()...)
 }
@@ -106,6 +113,7 @@ func (g figureGolden) flags() [][2]string {
 			out = append(out, [2]string{name, value})
 		}
 	}
+	add(g.cell != "", "cell", g.cell)
 	add(len(o.Rates) > 0, "rates", join(o.Rates, formatRate))
 	add(len(o.Workers) > 0, "workers", join(o.Workers, strconv.Itoa))
 	add(o.Backend != "", "backend", o.Backend)
@@ -140,9 +148,13 @@ func (g figureGolden) args() string {
 		s += " -connections " + strconv.Itoa(g.opts.Connections)
 	}
 	for _, fl := range g.flags() {
-		s += " -" + fl[0]
-		if fl[1] != "" {
-			s += " " + fl[1]
+		switch {
+		case fl[0] == "cell":
+			s += " -cell '" + fl[1] + "'"
+		case fl[1] != "":
+			s += " -" + fl[0] + " " + fl[1]
+		default:
+			s += " -" + fl[0]
 		}
 	}
 	return s + " -percentiles -quiet"
@@ -173,22 +185,58 @@ func join[T any](xs []T, format func(T) string) string {
 	return strings.Join(parts, ",")
 }
 
-// output is what benchfig prints for the invocation: the table, then the
-// percentile table.
-func (g figureGolden) output() string {
+// output is what benchfig prints for the invocation: the table (or the cell
+// view), then the percentile table. For a figure it also checks, on the
+// runs it already holds, that the cell view of the last point prints the
+// value the table draws there.
+func (g figureGolden) output(t *testing.T) string {
 	opts := g.opts
 	opts.Threads = 1 // benchfig's defaults
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
 	opts.Faults.Seed = 1
+	if g.cell != "" {
+		p, err := ResolveCell(g.fig.ID, false, g.cell, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := Run(p.Spec)
+		return FormatCell(res) + FormatPercentiles([]RunResult{res})
+	}
 	res := RunFigure(g.fig, opts)
+	if err := cellMatchesTable(res); err != nil {
+		t.Errorf("benchfig %s: %v", g.args(), err)
+	}
 	return Format(res) + FormatPercentiles(res.Runs)
 }
 
-// TestFigureGoldens pins the bytes of every figure, ablation and sweep
-// option that figureGoldens lists: each golden under testdata/figures is the
-// stdout of the benchfig invocation its subtest names. A change that moves a
+// cellMatchesTable reports whether the cell view of the figure's last run
+// prints the value the table draws at that point: the reply average, or
+// the error percentage or median the figure draws instead, each at the
+// cell view's precision.
+func cellMatchesTable(res FigureResult) error {
+	cols := res.Figure.Metric.columns()
+	series := res.Series[len(res.Series)-len(cols)] // the last curve's first column
+	y, _ := series.YAt(series.X[len(series.X)-1])
+	key, format := `reply rate +avg=(\S+) `, "%.1f"
+	switch res.Figure.Metric {
+	case MetricErrorPercent:
+		key = `\((\S+)% errors\)`
+	case MetricMedianLatency:
+		key, format = `median=(\S+)ms`, "%.2f"
+	}
+	view := FormatCell(res.Runs[len(res.Runs)-1])
+	m := regexp.MustCompile(key).FindStringSubmatch(view)
+	if want := fmt.Sprintf(format, y); m == nil || m[1] != want {
+		return fmt.Errorf("cell view of %s does not print the table's %s %s:\n%s", series.Label, res.Figure.Metric, want, view)
+	}
+	return nil
+}
+
+// TestFigureGoldens pins the bytes of every figure, ablation, sweep option
+// and cell that figureGoldens lists: each golden under testdata/figures is
+// the stdout of the benchfig invocation its subtest names. A change that moves a
 // figure fails here with the first differing table and its diff; a change
 // that means to move one reruns with -update and shows every moved number in
 // the golden diff. The "complete" subtest fails when an invocation has no
@@ -232,7 +280,7 @@ func TestFigureGoldens(t *testing.T) {
 				t.Skip("own-size golden: skipped under -short and -race")
 			}
 			t.Parallel()
-			got := g.output()
+			got := g.output(t)
 			if *update {
 				if err := os.MkdirAll(goldenDir, 0o755); err != nil {
 					t.Fatal(err)

@@ -96,7 +96,7 @@ func TestMostlyIdleFiguresRegistered(t *testing.T) {
 			t.Fatalf("%s has no pinned connection count; the default sweep would run it", fig.ID)
 		}
 		for _, c := range fig.Curves {
-			if err := ValidateServerKind(c.Spec.Server); err != nil {
+			if _, err := resolveKind(c.Spec.Server); err != nil {
 				t.Fatalf("%s curve %q: %v", fig.ID, c.Label, err)
 			}
 		}

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"repro/internal/faults"
 	"repro/internal/loadgen"
 	"repro/internal/servers/httpcore"
@@ -38,8 +36,7 @@ func explicit(id string, spec RunSpec) benchEntry {
 }
 
 // resolve returns the entry's spec: its explicit one, or the spec its figure
-// runs at (curve, x) under the figure's own configuration. An unknown curve
-// or an x off the curve is an error naming the figure and the curve.
+// runs at (curve, x) under the figure's own configuration (Figure.Point).
 func (e benchEntry) resolve() (RunSpec, error) {
 	if e.fig == "" {
 		return e.spec, nil
@@ -48,23 +45,8 @@ func (e benchEntry) resolve() (RunSpec, error) {
 	if err != nil {
 		return RunSpec{}, err
 	}
-	points, err := fig.Points(SweepOptions{})
-	if err != nil {
-		return RunSpec{}, err
-	}
-	found := false
-	for _, p := range points {
-		if p.Curve == e.curve {
-			if p.X == e.x {
-				return p.Spec, nil
-			}
-			found = true
-		}
-	}
-	if !found {
-		return RunSpec{}, fmt.Errorf("experiments: figure %s has no curve %q", fig.ID, e.curve)
-	}
-	return RunSpec{}, fmt.Errorf("experiments: figure %s, curve %q has no point at %s=%g", fig.ID, e.curve, fig.Axis, e.x)
+	p, err := fig.Point(SweepOptions{}, e.curve, e.x)
+	return p.Spec, err
 }
 
 // benchTable is the gated set: each mechanism at the paper's heaviest

@@ -76,27 +76,51 @@ func TestBenchPoints(t *testing.T) {
 	}
 }
 
-// TestFigurePointErrors pins that a figure point the figure does not draw
-// is an error naming the figure and the curve. (A retarget the figure cannot
+// TestFigurePointErrors pins that a point the figure does not draw is an
+// error naming the figure and the curve, listing the figure's curves for an
+// unknown curve and the axis values for an x off the axis, whether the
+// gated table or benchfig -cell asks; and that -cell without exactly one
+// figure, or with -ablation, names the value. (A retarget the figure cannot
 // run is TestSweepRejectsDroppedMechanismOptions's.)
 func TestFigurePointErrors(t *testing.T) {
+	// result is one failing lookup: the call as the error message names it.
+	type result struct {
+		call string
+		err  error
+	}
+	ref := func(fig, curve string, x float64) result {
+		_, err := drawn("x", fig, curve, x).resolve()
+		return result{fmt.Sprintf("gated point %s %q at %g", fig, curve, x), err}
+	}
+	cell := func(figs string, ablation bool, cell string) result {
+		_, err := ResolveCell(figs, ablation, cell, SweepOptions{})
+		return result{fmt.Sprintf("benchfig -fig %q -ablation=%t -cell %q", figs, ablation, cell), err}
+	}
 	cases := []struct {
-		ref  benchEntry
+		got  result
 		want []string
 	}{
-		{drawn("x", "fig08", "nope", 1000), []string{"fig08", `"nope"`}},
-		{drawn("x", "fig08", "thttpd-poll", 1050), []string{"fig08", `"thttpd-poll"`, "rate=1050"}},
-		{drawn("x", "hints", "hints-on", 1), []string{"hints", `"hints-on"`, "variant=1"}},
+		{ref("fig08", "nope", 1000), []string{"fig08", `"nope"`, `choices: "thttpd-poll"`}},
+		{ref("fig08", "thttpd-poll", 1050), []string{"fig08", `"thttpd-poll"`, "rate=1050", "choices: 500, 600, 700, 800, 900, 1000, 1100"}},
+		{ref("hints", "hints-on", 1), []string{"hints", `"hints-on"`, "variant=1", "choices: 0"}},
+		{cell("10", false, "nope@500"), []string{"fig10", `"nope"`, `"normal poll, load 251", "devpoll, load 251", "normal poll, load 501", "devpoll, load 501"`}},
+		{cell("17", false, "handoff@2"), []string{"fig17", `"handoff"`, `choices: "reuseport-hash"`}},
+		{cell("17", false, "reuseport-hash@3"), []string{"fig17", `"reuseport-hash"`, "workers=3", "choices: 1, 2, 4, 8"}},
+		{cell("8", false, "thttpd-poll"), []string{"fig08", `"thttpd-poll"`, "<curve>@<rate>"}},
+		{cell("8", false, "thttpd-poll@fast"), []string{"fig08", `"thttpd-poll@fast"`}},
+		{cell("8,9", false, "thttpd-poll@1000"), []string{`"8,9"`, `"thttpd-poll@1000"`}},
+		{cell("", false, "thttpd-poll@1000"), []string{"-fig", `"thttpd-poll@1000"`}},
+		{cell("hints", true, "hints-off"), []string{"-ablation", `"hints-off"`}},
+		{cell("99", false, "thttpd-poll@1000"), []string{`"99"`, "choices: 4..43"}},
 	}
 	for _, c := range cases {
-		_, err := c.ref.resolve()
-		if err == nil {
-			t.Errorf("%s %q at %g: no error, want one naming %v", c.ref.fig, c.ref.curve, c.ref.x, c.want)
+		if c.got.err == nil {
+			t.Errorf("%s: no error, want one naming %v", c.got.call, c.want)
 			continue
 		}
 		for _, w := range c.want {
-			if !strings.Contains(err.Error(), w) {
-				t.Errorf("%s %q at %g: error %q does not name %s", c.ref.fig, c.ref.curve, c.ref.x, err, w)
+			if !strings.Contains(c.got.err.Error(), w) {
+				t.Errorf("%s: error %q does not name %s", c.got.call, c.got.err, w)
 			}
 		}
 	}

@@ -38,8 +38,8 @@ func TestResolvePreforkKinds(t *testing.T) {
 		}
 	}
 	for _, bad := range []ServerKind{"prefork-0", "prefork-65", "prefork-x", "prefork-2-kqueue", "prefork-"} {
-		if err := ValidateServerKind(bad); err == nil || !strings.Contains(err.Error(), "choices") {
-			t.Fatalf("ValidateServerKind(%q) = %v, want listed-choices error", bad, err)
+		if _, err := resolveKind(bad); err == nil || !strings.Contains(err.Error(), "choices") {
+			t.Fatalf("resolveKind(%q) = %v, want listed-choices error", bad, err)
 		}
 	}
 	if kind, err := RetargetKind("prefork-4", "epoll-et"); err != nil || kind != "prefork-4-epoll-et" {

@@ -165,14 +165,6 @@ func unknownServerKindError(kind ServerKind) error {
 		kind, strings.Join(names, ", "))
 }
 
-// ValidateServerKind reports whether kind names a runnable server, returning
-// the listed-choices error otherwise. Command-line tools call it before
-// building specs.
-func ValidateServerKind(kind ServerKind) error {
-	_, err := resolveKind(kind)
-	return err
-}
-
 // RetargetKind re-parameterises kind onto the named eventlib backend: thttpd
 // kinds switch their event backend, hybrid kinds switch their bulk poller
 // when the backend is bulk-capable, and other kinds (phhttpd, a hybrid asked
@@ -570,9 +562,9 @@ func applyHTTP(dst *httpcore.Options, spec RunSpec) {
 	}
 }
 
-// Run executes one benchmark point to completion and returns its results. The
-// spec's ServerKind must be valid; Run panics with the listed-choices error
-// otherwise. Callers handling user input use RunE or ValidateServerKind.
+// Run executes one benchmark point to completion and returns its results. It
+// panics on the error RunE returns (an unknown ServerKind, a spec it cannot
+// run as asked); callers handling user input use RunE.
 func Run(spec RunSpec) RunResult {
 	res, err := RunE(spec)
 	if err != nil {
