@@ -199,9 +199,7 @@ func (d *DevPoll) cacheGet(fd int) (core.EventMask, bool) {
 
 // cachePut records the driver result for fd.
 func (d *DevPoll) cachePut(fd int, mask core.EventMask) {
-	for fd >= len(d.cache) {
-		d.cache = append(d.cache, cachedPoll{})
-	}
+	d.cache = core.GrowTo(d.cache, fd)
 	d.cache[fd] = cachedPoll{mask: mask, valid: true}
 }
 

@@ -205,9 +205,7 @@ func (b *Base) eventFor(fd int) (*Event, bool) {
 // setEvent registers ev as fd's event.
 func (b *Base) setEvent(fd int, ev *Event) {
 	if fd >= 0 {
-		for fd >= len(b.evs) {
-			b.evs = append(b.evs, nil)
-		}
+		b.evs = core.GrowTo(b.evs, fd)
 		b.evs[fd] = ev
 	} else {
 		if b.evNeg == nil {

@@ -238,8 +238,9 @@ type Point struct {
 // Points returns every point the figure runs under the sweep options, curve
 // by curve in sweep order. It returns an error naming the figure (and the
 // curve, where one is at fault) for a rate that is not finite and positive,
-// a negative connection count, an unknown backend, or a retarget that would
-// drop a curve's mechanism options.
+// a negative connection count, an unknown backend, a retarget that would
+// drop a curve's mechanism options, or a curve whose server family the
+// workload cannot drive (a push workload on an HTTP server).
 func (f Figure) Points(opts SweepOptions) ([]Point, error) {
 	if opts.Connections < 0 {
 		return nil, fmt.Errorf("experiments: figure %s: bad connection count %d (want > 0, or 0 for the figure's own)", f.ID, opts.Connections)
@@ -266,6 +267,9 @@ func (f Figure) Points(opts SweepOptions) ([]Point, error) {
 	out := make([]Point, 0, len(curves)*len(xs))
 	for i, c := range curves {
 		spec, label, err := sweepSpec(c, f.Axis, opts)
+		if err == nil {
+			_, _, err = resolvePairing(spec)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("experiments: figure %s, curve %q: %w", f.ID, c.Label, err)
 		}

@@ -123,3 +123,26 @@ func TestPushRunEndHeapBound(t *testing.T) {
 		t.Fatalf("the end of the run adds %.0f bytes of live heap per member, bound 40", perMember)
 	}
 }
+
+// The 20,000-member join ramp allocates a bounded number of host bytes per
+// member: MemStats.TotalAlloc across newPushBed and runToPlateau, divided by
+// the member count (the run is deterministic, so the count is too). Tables
+// indexed by descriptor number grow by doubling (core.GrowTo), the ledger
+// keeps one node per descriptor in place of a node arena it re-copied, and a
+// member's first pending delivery lives in the member. Measured: 756 bytes
+// per member before, 664 after; the budget sits between the two.
+func TestPushRampAllocBudget(t *testing.T) {
+	heldHeap(1000) // first-run package state (registries, tables)
+	const members = 20000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b := newPushBed(members)
+	b.runToPlateau()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(b)
+	perMember := float64(after.TotalAlloc-before.TotalAlloc) / members
+	t.Logf("join ramp: %.0f bytes allocated per member", perMember)
+	if perMember > 720 {
+		t.Fatalf("the join ramp allocates %.0f bytes per member, budget 720", perMember)
+	}
+}

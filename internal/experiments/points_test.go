@@ -96,6 +96,12 @@ func TestFigurePointErrors(t *testing.T) {
 		_, err := ResolveCell(figs, ablation, cell, SweepOptions{})
 		return result{fmt.Sprintf("benchfig -fig %q -ablation=%t -cell %q", figs, ablation, cell), err}
 	}
+	// The push workload on figure 8's HTTP server, for the whole figure and
+	// for one cell: both fail before anything runs, naming the pairing.
+	push := SweepOptions{Connections: 300, Workload: "push"}
+	_, pushSweepErr := mustFigure(t, "8").Points(push)
+	_, pushCellErr := ResolveCell("8", false, "thttpd-poll@1000", push)
+	pairing := []string{"fig08", `"thttpd-poll"`, `server family "thttpd"`, `workload "push"`}
 	cases := []struct {
 		got  result
 		want []string
@@ -112,6 +118,8 @@ func TestFigurePointErrors(t *testing.T) {
 		{cell("", false, "thttpd-poll@1000"), []string{"-fig", `"thttpd-poll@1000"`}},
 		{cell("hints", true, "hints-off"), []string{"-ablation", `"hints-off"`}},
 		{cell("99", false, "thttpd-poll@1000"), []string{`"99"`, "choices: 4..43"}},
+		{result{"benchfig -fig 8 -connections 300 -workload push", pushSweepErr}, pairing},
+		{result{`benchfig -fig 8 -connections 300 -workload push -cell "thttpd-poll@1000"`, pushCellErr}, pairing},
 	}
 	for _, c := range cases {
 		if c.got.err == nil {

@@ -579,15 +579,8 @@ func Run(spec RunSpec) RunResult {
 // negative connection or inactive count, or mechanism options the kind
 // would drop. A zero rate or connection count selects the default.
 func RunE(spec RunSpec) (RunResult, error) {
-	rk, err := resolveKind(spec.Server)
+	rk, workload, err := resolvePairing(spec)
 	if err != nil {
-		return RunResult{}, err
-	}
-	workload, ok := loadgen.LookupWorkload(spec.Workload)
-	if !ok {
-		return RunResult{}, loadgen.UnknownWorkloadError(spec.Workload)
-	}
-	if err := checkFamilyPairing(rk, workload); err != nil {
 		return RunResult{}, err
 	}
 	if opt := droppedOption(spec, rk); opt != "" {
@@ -742,6 +735,21 @@ func RunE(spec RunSpec) (RunResult, error) {
 	res.Latency = res.Load.Latency
 	srv.fill(&res)
 	return res, nil
+}
+
+// resolvePairing resolves a spec's server kind and workload and checks that
+// the two pair (checkFamilyPairing): what RunE and Figure.Points both reject
+// before anything runs.
+func resolvePairing(spec RunSpec) (resolvedKind, loadgen.Workload, error) {
+	rk, err := resolveKind(spec.Server)
+	if err != nil {
+		return rk, loadgen.Workload{}, err
+	}
+	wl, ok := loadgen.LookupWorkload(spec.Workload)
+	if !ok {
+		return rk, wl, loadgen.UnknownWorkloadError(spec.Workload)
+	}
+	return rk, wl, checkFamilyPairing(rk, wl)
 }
 
 // checkFamilyPairing rejects a server kind driven by the wrong traffic

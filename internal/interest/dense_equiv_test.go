@@ -3,6 +3,7 @@ package interest
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -207,5 +208,59 @@ func TestDenseLedgerMatchesMapModel(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestDenseLedgerResetThenReuse marks, clears and scans a random subset of a
+// small descriptor space, resets the ledger and reuses the same numbers, as
+// phhttpd's recovery flush and repeated runs do. After each Reset no
+// descriptor is ready and every first Mark is a new transition; after each
+// round the scan order, masks and generations match the map reference, so no
+// link or mark of a previous round survives into the next.
+func TestDenseLedgerResetThenReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	dense := NewLedger()
+	const fdSpace = 24
+	for round := 0; round < 200; round++ {
+		ref := newRefLedger()
+		for step := 0; step < 40; step++ {
+			fd := rng.Intn(fdSpace)
+			if rng.Intn(4) == 0 {
+				if got, want := dense.Clear(fd), ref.clear(fd); got != want {
+					t.Fatalf("round %d step %d: Clear(%d)=%v, reference %v", round, step, fd, got, want)
+				}
+				continue
+			}
+			mask := core.EventMask(1 << rng.Intn(3))
+			gen := uint64(round*4 + rng.Intn(2))
+			if got, want := dense.Mark(fd, mask, gen), ref.mark(fd, mask, gen); got != want {
+				t.Fatalf("round %d step %d: Mark(%d,gen=%d)=%v, reference %v", round, step, fd, gen, got, want)
+			}
+		}
+		var scanned []int
+		dense.Scan(func(fd int, mask core.EventMask, gen uint64) bool {
+			if n := ref.nodes[fd]; n == nil || n.mask != mask || n.gen != gen {
+				t.Fatalf("round %d: scan visits fd %d mask %v gen %d, reference %+v", round, fd, mask, gen, n)
+			}
+			scanned = append(scanned, fd)
+			return true
+		})
+		if !slices.Equal(scanned, ref.order) || dense.Len() != len(ref.order) {
+			t.Fatalf("round %d: scan order %v (Len %d), reference %v", round, scanned, dense.Len(), ref.order)
+		}
+
+		dense.Reset()
+		if dense.Len() != 0 {
+			t.Fatalf("round %d: Len %d after Reset", round, dense.Len())
+		}
+		for fd := 0; fd < fdSpace; fd++ {
+			if dense.Ready(fd) || dense.Clear(fd) {
+				t.Fatalf("round %d: fd %d still marked after Reset", round, fd)
+			}
+		}
+		dense.Scan(func(fd int, _ core.EventMask, _ uint64) bool {
+			t.Fatalf("round %d: scan after Reset visits fd %d", round, fd)
+			return true
+		})
 	}
 }

@@ -2,18 +2,21 @@ package interest
 
 import "repro/internal/core"
 
-// ledgerNode is one marked descriptor, linked in arrival order. Nodes live in
-// the Ledger's arena and link by index, so marking and clearing recycle
-// storage instead of allocating: the hot interrupt path (every driver
-// notification lands here) performs no allocation at steady state.
+// ledgerNode is one descriptor's readiness state, linked in arrival order
+// while marked. The ledger keeps one node per descriptor number, indexed by
+// it, and links nodes by descriptor number, so marking and clearing touch
+// only the nodes involved and never allocate once the table covers the
+// descriptor: the hot interrupt path (every driver notification lands here)
+// performs no allocation at steady state. An unmarked node's other fields are
+// stale; Mark rewrites them all.
 type ledgerNode struct {
-	fd         int32 // descriptor numbers stay far below 2^31 (the slot array indexes them)
-	mask       core.EventMask
 	gen        uint64
-	prev, next int32
+	prev, next int32 // neighbours' descriptor numbers; none at either end
+	mask       core.EventMask
+	marked     bool
 }
 
-// none is the nil value of an arena link.
+// none is the nil value of a link; descriptor numbers stay far below 2^31.
 const none int32 = -1
 
 // Ledger is the readiness side of the kernel-resident interest engine: the set
@@ -21,21 +24,19 @@ const none int32 = -1
 // arrival order. Device drivers update it once per readiness notification
 // (Mark), and a mechanism's wait path scans only the marked descriptors —
 // O(ready) work — instead of walking the whole interest set. Mark and Clear
-// are O(1) (a dense fd-indexed slot table plus an intrusive list over a node
-// arena), so hot paths never pay for the ledger's size, and recycled nodes
-// make both allocation-free after warm-up.
+// are O(1) (an intrusive list threaded through a dense fd-indexed node
+// table), so hot paths never pay for the ledger's size, and neither allocates
+// once the table covers the descriptor.
 //
-// Descriptors are non-negative, as POSIX allocates them; the dense slot table
-// is indexed by descriptor number directly, which PR 3's lowest-unused
-// allocation keeps compact.
+// Descriptors are non-negative, as POSIX allocates them; the node table is
+// indexed by descriptor number directly, which the kernel's lowest-unused
+// allocation keeps compact, and grows by doubling (core.GrowTo).
 //
 // /dev/poll uses it as the §3.2 hint backmap (a marked descriptor is one whose
 // driver posted a hint since the last scan); epoll uses it as the ready list
 // behind epoll_wait.
 type Ledger struct {
-	nodes []ledgerNode // arena; a node id is an index into it
-	slot  []int32      // fd -> node id + 1; 0 = not marked
-	free  []int32      // recycled node ids
+	nodes []ledgerNode // indexed by descriptor number
 	head  int32
 	tail  int32
 	count int
@@ -47,23 +48,12 @@ func NewLedger() *Ledger {
 	return &Ledger{head: none, tail: none}
 }
 
-// lookup returns the node id marked for fd, or none.
-func (l *Ledger) lookup(fd int) int32 {
-	if fd < 0 || fd >= len(l.slot) {
-		return none
+// node returns fd's node if fd is marked, else nil.
+func (l *Ledger) node(fd int) *ledgerNode {
+	if fd < 0 || fd >= len(l.nodes) || !l.nodes[fd].marked {
+		return nil
 	}
-	return l.slot[fd] - 1
-}
-
-// alloc returns a free node id, growing the arena if the free list is empty.
-func (l *Ledger) alloc() int32 {
-	if n := len(l.free); n > 0 {
-		id := l.free[n-1]
-		l.free = l.free[:n-1]
-		return id
-	}
-	l.nodes = append(l.nodes, ledgerNode{})
-	return int32(len(l.nodes) - 1)
+	return &l.nodes[fd]
 }
 
 // Mark records readiness mask for fd, OR-ing it into any mask already pending,
@@ -77,8 +67,7 @@ func (l *Ledger) alloc() int32 {
 // open of the same descriptor number, whose readiness means nothing for the
 // new one. The replacement counts as a new transition.
 func (l *Ledger) Mark(fd int, mask core.EventMask, gen uint64) bool {
-	if id := l.lookup(fd); id >= 0 {
-		n := &l.nodes[id]
+	if n := l.node(fd); n != nil {
 		if n.gen != gen {
 			n.gen = gen
 			n.mask = mask
@@ -90,45 +79,42 @@ func (l *Ledger) Mark(fd int, mask core.EventMask, gen uint64) bool {
 	if fd < 0 {
 		panic("interest: Ledger.Mark with negative descriptor")
 	}
-	for fd >= len(l.slot) {
-		l.slot = append(l.slot, 0)
-	}
-	id := l.alloc()
-	l.nodes[id] = ledgerNode{fd: int32(fd), mask: mask, gen: gen, prev: l.tail, next: none}
+	l.nodes = core.GrowTo(l.nodes, fd)
+	l.nodes[fd] = ledgerNode{gen: gen, prev: l.tail, next: none, mask: mask, marked: true}
 	if l.tail == none {
-		l.head, l.tail = id, id
+		l.head = int32(fd)
 	} else {
-		l.nodes[l.tail].next = id
-		l.tail = id
+		l.nodes[l.tail].next = int32(fd)
 	}
-	l.slot[fd] = id + 1
+	l.tail = int32(fd)
 	l.count++
 	return true
 }
 
 // Ready reports whether fd has undelivered readiness.
-func (l *Ledger) Ready(fd int) bool { return l.lookup(fd) >= 0 }
+func (l *Ledger) Ready(fd int) bool { return l.node(fd) != nil }
 
 // Clear drops any pending readiness for fd, reporting whether there was any.
 func (l *Ledger) Clear(fd int) bool {
-	id := l.lookup(fd)
-	if id < 0 {
+	if l.node(fd) == nil {
 		return false
 	}
-	l.unlink(id)
+	l.unlink(int32(fd))
 	return true
 }
 
 // Len reports the number of descriptors with undelivered readiness.
 func (l *Ledger) Len() int { return l.count }
 
-// Reset empties the ledger, keeping the arena, slot table and free list so a
-// reused ledger (phhttpd's recovery flush, repeated experiment runs) does not
-// reallocate its storage.
+// Reset empties the ledger, keeping the node table so a reused ledger
+// (phhttpd's recovery flush, repeated experiment runs) does not reallocate
+// its storage. It unmarks only the marked nodes: O(ready), like a Scan.
 func (l *Ledger) Reset() {
-	l.nodes = l.nodes[:0]
-	l.free = l.free[:0]
-	clear(l.slot)
+	for fd := l.head; fd != none; {
+		n := &l.nodes[fd]
+		fd = n.next
+		n.marked = false
+	}
 	l.head, l.tail = none, none
 	l.count = 0
 }
@@ -142,13 +128,13 @@ func (l *Ledger) Reset() {
 // must not call Mark or Clear during the scan.
 func (l *Ledger) Scan(fn func(fd int, mask core.EventMask, gen uint64) (keep bool)) {
 	l.stop = false
-	for id := l.head; id != none && !l.stop; {
-		n := &l.nodes[id]
+	for fd := l.head; fd != none && !l.stop; {
+		n := &l.nodes[fd]
 		next := n.next
-		if !fn(int(n.fd), n.mask, n.gen) {
-			l.unlink(id)
+		if !fn(int(fd), n.mask, n.gen) {
+			l.unlink(fd)
 		}
-		id = next
+		fd = next
 	}
 }
 
@@ -156,9 +142,9 @@ func (l *Ledger) Scan(fn func(fd int, mask core.EventMask, gen uint64) (keep boo
 // a Scan it has no effect.
 func (l *Ledger) Stop() { l.stop = true }
 
-// unlink removes a node from the list and the slot table, recycling its id.
-func (l *Ledger) unlink(id int32) {
-	n := &l.nodes[id]
+// unlink removes fd's node from the list and unmarks it.
+func (l *Ledger) unlink(fd int32) {
+	n := &l.nodes[fd]
 	if n.prev == none {
 		l.head = n.next
 	} else {
@@ -169,8 +155,6 @@ func (l *Ledger) unlink(id int32) {
 	} else {
 		l.nodes[n.next].prev = n.prev
 	}
-	l.slot[n.fd] = 0
-	n.prev, n.next = none, none
-	l.free = append(l.free, id)
+	n.marked = false
 	l.count--
 }

@@ -1,6 +1,7 @@
 package interest
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 	"unsafe"
@@ -158,18 +159,22 @@ func TestLedgerMarkNewGenerationReplacesStaleMask(t *testing.T) {
 	}
 }
 
-// A ledger node keeps its 24-byte layout: a 32-bit descriptor number shares a
-// word with the mask.
+// A ledger node keeps its 24-byte layout: the generation, the two 32-bit
+// links, and the mask and marked flag sharing the last word. The descriptor
+// number is the node's index, so the node does not store it.
 func TestLedgerNodeSize(t *testing.T) {
 	if got := unsafe.Sizeof(ledgerNode{}); got != 24 {
 		t.Fatalf("unsafe.Sizeof(ledgerNode{}) = %d, want 24", got)
+	}
+	if _, ok := reflect.TypeOf(ledgerNode{}).FieldByName("fd"); ok {
+		t.Fatal("ledgerNode stores its descriptor number; its index is the number")
 	}
 }
 
 // pendingOf returns the readiness node pending for fd, the zero node if none.
 func pendingOf(l *Ledger, fd int) ledgerNode {
-	if id := l.lookup(fd); id >= 0 {
-		return l.nodes[id]
+	if n := l.node(fd); n != nil {
+		return *n
 	}
 	return ledgerNode{}
 }

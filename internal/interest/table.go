@@ -116,9 +116,7 @@ func (t *Table) Upsert(fd int) (*Entry, bool) {
 		e = t.slab.New()
 		e.FD = fd
 	}
-	for fd >= len(t.slots) {
-		t.slots = append(t.slots, nil)
-	}
+	t.slots = core.GrowTo(t.slots, fd)
 	t.slots[fd] = e
 	if t.seq == math.MaxUint32 {
 		t.renumber()
@@ -197,8 +195,8 @@ func (t *Table) EachMarked(l *Ledger, fn func(e *Entry) (keep bool)) {
 		return
 	}
 	marks := t.marks[:0]
-	for id := l.head; id != none; id = l.nodes[id].next {
-		if e := t.Lookup(int(l.nodes[id].fd)); e != nil {
+	for fd := l.head; fd != none; fd = l.nodes[fd].next {
+		if e := t.Lookup(int(fd)); e != nil {
 			marks = append(marks, e)
 		}
 	}

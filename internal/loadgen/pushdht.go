@@ -71,16 +71,30 @@ func (g *Generator) PushDeliver(now core.Time, sc *netsim.ServerConn) {
 	if m == nil || m.resolved {
 		return
 	}
-	m.pending = append(m.pending, now)
+	switch {
+	case !m.waiting:
+		m.anchor, m.waiting = now, true
+	case m.spill == nil:
+		m.spill = &[]core.Time{now}
+	default:
+		*m.spill = append(*m.spill, now)
+	}
 }
 
 // pushMember is one subscribed connection: it subscribes on connect, then
 // only ever receives. It implements netsim.ConnHandler.
 type pushMember struct {
-	gen      *Generator
-	conn     *netsim.ClientConn
-	pending  []core.Time // initiation instants of deliveries not yet received
-	received int32       // bytes received toward the oldest pending payload
+	gen  *Generator
+	conn *netsim.ClientConn
+	// anchor is the initiation instant of the oldest delivery not yet
+	// received, valid while waiting; spill holds the later ones in order.
+	// Deliveries to one member seldom overlap (a few members in a run), so
+	// nearly every member keeps a nil spill, and a pointer costs it 8 bytes
+	// where a slice header would cost 24.
+	anchor   core.Time
+	spill    *[]core.Time
+	received int32 // bytes received toward the oldest pending payload
+	waiting  bool
 	resolved bool
 }
 
@@ -119,20 +133,25 @@ func (m *pushMember) Refused(now core.Time, reason netsim.RefuseReason) {
 
 // Data implements netsim.ConnHandler: payload boundaries are recognised by
 // cumulative size, and each completed payload closes out the oldest pending
-// delivery (pushes to one member never overlap — the server skips a member
-// whose previous push is still draining).
+// delivery (the server skips a member whose previous push is still draining,
+// so deliveries to one member seldom overlap).
 func (m *pushMember) Data(now core.Time, n int) {
 	g := m.gen
 	if m.resolved || g.pushClosing {
 		return
 	}
 	m.received += int32(n)
-	for len(m.pending) > 0 && int(m.received) >= g.pushPayload {
+	for m.waiting && int(m.received) >= g.pushPayload {
 		m.received -= int32(g.pushPayload)
-		anchor := m.pending[0]
-		// Shift within the backing array so the next PushDeliver reuses it;
-		// at most a few deliveries to one member overlap.
-		m.pending = m.pending[:copy(m.pending, m.pending[1:])]
+		anchor := m.anchor
+		if m.spill != nil && len(*m.spill) > 0 {
+			// Shift within the backing array so the next overlap reuses it.
+			q := *m.spill
+			m.anchor = q[0]
+			*m.spill = q[:copy(q, q[1:])]
+		} else {
+			m.waiting = false
+		}
 		if anchor < g.started {
 			continue // warmup delivery: the population was still ramping
 		}

@@ -2,6 +2,7 @@ package loadgen
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/netsim"
@@ -277,5 +278,109 @@ func TestProfileNormalisation(t *testing.T) {
 	bare := New(k, n, Config{Profile: ClientProfile{Retry: true}}).cfg.Profile
 	if bare.Timeout != 5*core.Second || bare.RequestsPerConn != 1 || bare.Jitter != 0 {
 		t.Fatalf("zero profile not defaulted: %+v", bare)
+	}
+}
+
+// pushRig is a push generator whose members connect to a bare listener in
+// place of a push server, so a test drives PushDeliver and Data by hand. It
+// returns the connected members and, in the same order, their server ends;
+// measurement starts at virtual time 0, so every delivery is booked.
+func pushRig(t *testing.T, members int) (*simkernel.Kernel, *Generator, []*pushMember, []*netsim.ServerConn) {
+	t.Helper()
+	k := simkernel.NewKernel(nil)
+	n := netsim.New(k, netsim.DefaultConfig())
+	p := k.NewProc("rig")
+	api := netsim.NewSockAPI(k, p, n)
+	var lfd *simkernel.FD
+	p.Batch(0, func() { lfd, _ = api.Listen() }, nil)
+	wl, _ := LookupWorkload("push")
+	cfg := DefaultConfig(1000, 0)
+	cfg.Connections = 10 * members // a budget the test never spends
+	cfg.Workload = wl
+	gen := New(k, n, cfg)
+	gen.pushPayload = wl.PushPayload
+	ms := make([]*pushMember, members)
+	gen.driverQ.At(0, func(now core.Time) {
+		for i := range ms {
+			ms[i] = gen.memberSlab.New()
+			ms[i].gen = gen
+			ms[i].conn = n.ConnectWith(now, netsim.ConnectOptions{}, ms[i])
+		}
+	})
+	k.Sim.RunUntil(core.Time(core.Second))
+	var scs []*netsim.ServerConn
+	p.Batch(k.Now(), func() {
+		for {
+			sc, ok := api.AcceptDetach(lfd)
+			if !ok {
+				break
+			}
+			scs = append(scs, sc)
+		}
+	}, nil)
+	k.Sim.RunUntil(core.Time(2 * core.Second))
+	if len(scs) != members || len(gen.pushMembers) != members {
+		t.Fatalf("%d members accepted, %d connected, want %d", len(scs), len(gen.pushMembers), members)
+	}
+	for i, sc := range scs {
+		if sc.Peer() != ms[i].conn {
+			t.Fatalf("server end %d belongs to another member", i)
+		}
+	}
+	return k, gen, ms, scs
+}
+
+// Two deliveries to one member that overlap — the second initiated before the
+// first has arrived — resolve in initiation order, each measured from its own
+// initiation instant: the first from the member's inline anchor, the second
+// from the spill behind it.
+func TestPushOverlappingDeliveriesKeepTheirAnchors(t *testing.T) {
+	k, gen, ms, scs := pushRig(t, 1)
+	m, sc := ms[0], scs[0]
+	t0 := k.Now()
+	at := func(d core.Duration) core.Time { return t0.Add(d) }
+	gen.PushDeliver(at(1*core.Millisecond), sc)
+	gen.PushDeliver(at(3*core.Millisecond), sc)
+	payload := gen.pushPayload
+	m.Data(at(4*core.Millisecond), payload/2)
+	m.Data(at(5*core.Millisecond), payload) // completes the first, half the second
+	m.Data(at(9*core.Millisecond), payload-payload/2)
+	lat := gen.lanes[0].latenciesMs
+	if want := []float64{4, 6}; len(lat) != 2 || lat[0] != want[0] || lat[1] != want[1] {
+		t.Fatalf("latencies %v ms, want %v: each delivery measured from its own initiation", lat, want)
+	}
+	if m.waiting || m.spill == nil || len(*m.spill) != 0 || m.received != 0 {
+		t.Fatalf("member left waiting=%v spill=%v received=%d, want an empty spill and nothing pending", m.waiting, m.spill, m.received)
+	}
+}
+
+// A delivery that does not overlap another costs the host no allocation:
+// its anchor lives in the member, so PushDeliver and the Data that completes
+// it allocate nothing, even for a member's first delivery.
+func TestPushDeliveryDoesNotAllocate(t *testing.T) {
+	const runs = 40
+	k, gen, ms, scs := pushRig(t, runs+1) // AllocsPerRun adds one warm-up run
+	gen.lanes[0].latenciesMs = make([]float64, 0, runs+1)
+	now := k.Now()
+	i := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		gen.PushDeliver(now, scs[i])
+		ms[i].Data(now.Add(core.Millisecond), gen.pushPayload)
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("PushDeliver plus Data: %v allocations per delivery, want 0", allocs)
+	}
+	if got := len(gen.lanes[0].latenciesMs); got != runs+1 {
+		t.Fatalf("%d deliveries booked, want %d", got, runs+1)
+	}
+}
+
+// A held member is 40 bytes: the generator, the connection, the oldest
+// pending delivery's anchor, a pointer to the rare spill, and the received
+// count beside the two flags.
+func TestPushMemberSize(t *testing.T) {
+	if got := unsafe.Sizeof(pushMember{}); got != 40 {
+		t.Fatalf("unsafe.Sizeof(pushMember{}) = %d, want 40", got)
 	}
 }

@@ -168,9 +168,7 @@ func (s *Server) sessionAt(fd int) *session {
 }
 
 func (s *Server) setByFD(fd int, e *session) {
-	for fd >= len(s.byFD) {
-		s.byFD = append(s.byFD, nil)
-	}
+	s.byFD = core.GrowTo(s.byFD, fd)
 	s.byFD[fd] = e
 }
 

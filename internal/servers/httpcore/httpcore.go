@@ -323,9 +323,7 @@ func (h *Handler) getConn(fd int) *Conn {
 
 // addConn installs a fresh connection record for fd in the table.
 func (h *Handler) addConn(now core.Time, fd *simkernel.FD, sc *netsim.ServerConn) {
-	for fd.Num >= len(h.conns) {
-		h.conns = append(h.conns, nil)
-	}
+	h.conns = core.GrowTo(h.conns, fd.Num)
 	h.conns[fd.Num] = h.newConn(now, fd, sc)
 	h.open++
 }

@@ -132,9 +132,7 @@ func (l *EventLoop) ConnEvent(fd int) *eventlib.Event {
 
 // setConn records fd's registered event in the dense table.
 func (l *EventLoop) setConn(fd int, ev *eventlib.Event) {
-	for fd >= len(l.conns) {
-		l.conns = append(l.conns, nil)
-	}
+	l.conns = core.GrowTo(l.conns, fd)
 	l.conns[fd] = ev
 }
 

@@ -196,9 +196,7 @@ func (s *Server) getConn(fd int) *conn {
 }
 
 func (s *Server) setConn(fd int, c *conn) {
-	for fd >= len(s.conns) {
-		s.conns = append(s.conns, nil)
-	}
+	s.conns = core.GrowTo(s.conns, fd)
 	s.conns[fd] = c
 }
 

@@ -374,9 +374,7 @@ func (p *Proc) Install(f File) *FD {
 	p.nextGen++
 	fd := p.fdSlab.New()
 	*fd = FD{Num: num, Gen: p.nextGen, Proc: p, file: f}
-	for num >= len(p.fds) {
-		p.fds = append(p.fds, nil)
-	}
+	p.fds = core.GrowTo(p.fds, num)
 	p.fds[num] = fd
 	p.nfds++
 	f.SetNotifier(fd)
