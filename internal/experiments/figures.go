@@ -589,8 +589,9 @@ func FormatPercentiles(runs []RunResult) string {
 // FormatCell renders one run in full, as benchfig -cell prints it: the spec
 // as run, then what a figure table folds away — the executed events and the
 // final virtual time, the reply-rate samples, the latency summary, the
-// errors by reason, the mechanism's counters, the CPU utilisation and, on a
-// multi-worker run, the served balance across the workers.
+// errors by reason, the mechanism's counters, the CPU utilisation, on a
+// push run the fan-out tick's books and, on a multi-worker run, the served
+// balance across the workers.
 func FormatCell(r RunResult) string {
 	var b strings.Builder
 	b.WriteString("spec as run:\n")
@@ -628,6 +629,10 @@ func FormatCell(r RunResult) string {
 	}
 	if r.SwitchesToPoll > 0 || r.SwitchesToSignal > 0 {
 		fmt.Fprintf(&b, "hybrid switches   to-devpoll=%d to-signal=%d\n", r.SwitchesToPoll, r.SwitchesToSignal)
+	}
+	if r.Ticks > 0 { // the push server's fan-out
+		fmt.Fprintf(&b, "push ticks        ticks=%d pushed=%d busy-skips=%d write-blocks=%d\n",
+			r.Ticks, r.Server.Pushed, r.PushBusy, r.WriteBlock)
 	}
 	fmt.Fprintf(&b, "server stats      accepted=%d served=%d closed=%d idle-closes=%d bad-requests=%d\n",
 		r.Server.Accepted, r.Server.Served, r.Server.Closed, r.Server.IdleCloses, r.Server.BadRequests)

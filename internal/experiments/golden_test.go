@@ -45,7 +45,7 @@ type figureGolden struct {
 // figure of the default sweep and each ablation at its own size, the sweep
 // options no figure golden runs (-rates on a rate and an errors figure,
 // -workers on a workers figure, and sweepOverrideGoldens) and -cell on a
-// rate figure, an ablation and a multi-worker point. Fig 41's
+// rate figure, an ablation, a multi-worker point and a push point. Fig 41's
 // fault axis is flat at 600 connections (every fdlimit row is identical); its
 // own-size golden is what pins that axis.
 func figureGoldens() []figureGolden {
@@ -72,6 +72,7 @@ func figureGoldens() []figureGolden {
 		figureGolden{fig: figureByID("8"), opts: SweepOptions{Connections: 600}, cell: "thttpd-poll@1000"},
 		figureGolden{fig: figureByID("hints"), cell: "hints-off"},
 		figureGolden{fig: figureByID("17"), opts: SweepOptions{Connections: 2000}, cell: "reuseport-hash@2"},
+		figureGolden{fig: figureByID("36"), opts: SweepOptions{Connections: 8000}, cell: "epoll@1000"},
 	)
 	return append(gs, sweepOverrideGoldens()...)
 }

@@ -318,6 +318,14 @@ type RunResult struct {
 	SwitchesToPoll   int64
 	SwitchesToSignal int64
 
+	// The push server's tick books: fan-out ticks fired, pushes skipped
+	// because the member's previous push was still draining, and pushes
+	// that jammed against the peer's window (Server.Pushed counts the
+	// pushes made).
+	Ticks      int64
+	PushBusy   int64
+	WriteBlock int64
+
 	// Latency is the client-observed connection-latency percentile summary
 	// (identical to Load.Latency, surfaced here so figure and gate tooling
 	// need not reach into the loadgen result); ServiceLatency is the
@@ -433,6 +441,8 @@ func (r pushRun) fill(res *RunResult) {
 	}
 	res.EventLoops = r.Loops()
 	res.FinalMode = r.Poller().Name()
+	st := r.Server.Stats()
+	res.Ticks, res.PushBusy, res.WriteBlock = st.Ticks, st.PushBusy, st.WriteBlock
 }
 
 // dhtRun adapts the datagram rendezvous node: Accepted counts peer joins,

@@ -77,6 +77,13 @@ type conn struct {
 	pending int32
 }
 
+// tickSlot is one sampled member of a tick, resolved before any push: its
+// conn (nil when the descriptor is gone) and the conn's netsim.ServerConn.
+type tickSlot struct {
+	c  *conn
+	sc *netsim.ServerConn
+}
+
 // Server is a running pushcore instance inside the simulation.
 type Server struct {
 	K *simkernel.Kernel
@@ -95,6 +102,9 @@ type Server struct {
 
 	tick   *eventlib.Event
 	tickNo uint64
+	// slots is the tick's scratch, FanoutSize long and reused every tick:
+	// the resolve pass fills it, the push pass reads it.
+	slots []tickSlot
 
 	// connReadyFn is connReady bound once, so registering a connection's
 	// event does not build a fresh method value per connection.
@@ -126,7 +136,7 @@ func New(k *simkernel.Kernel, net *netsim.Network, cfg Config) *Server {
 	}
 	p := k.NewProc("pushcore")
 	api := netsim.NewSockAPI(k, p, net)
-	s := &Server{K: k, P: p, cfg: cfg, api: api}
+	s := &Server{K: k, P: p, cfg: cfg, api: api, slots: make([]tickSlot, cfg.FanoutSize)}
 
 	poller, backend, err := eventlib.OpenBackend(k, p, cfg.Backend)
 	if err != nil {
@@ -254,7 +264,8 @@ func (s *Server) readConn(now core.Time, c *conn) {
 	data, eof := s.api.Read(c.fd, 0)
 	if len(data) > 0 && c.idx < 0 {
 		c.idx = int32(len(s.members))
-		s.members = append(s.members, int32(c.fd.Num))
+		s.members = core.GrowTo(s.members, int(c.idx))
+		s.members[c.idx] = int32(c.fd.Num)
 		s.stats.Subscribed++
 	}
 	if eof {
@@ -266,35 +277,52 @@ func (s *Server) readConn(now core.Time, c *conn) {
 // from the member set. The sampling hashes (seed, tick, slot) through
 // splitmix64, so it is a pure function of the configuration — identical runs
 // push to identical members, on any thread count.
+//
+// The tick runs in two passes. The resolve pass only reads the member set:
+// for every slot it loads the member's conn, the conn's descriptor and the
+// descriptor's ServerConn, each of them likely a cache miss on a large member
+// set, and with no push in between the CPU overlaps the misses of successive
+// slots.
+// The push pass then visits the slots in order. The busy test stays there:
+// a member drawn twice in one tick is skipped the second time only if its
+// first push jammed, which the resolve pass cannot know yet.
 func (s *Server) onTick(_ int, _ eventlib.What, now core.Time) {
 	s.stats.Ticks++
 	m := len(s.members)
 	if m == 0 {
 		return
 	}
-	for i := 0; i < s.cfg.FanoutSize; i++ {
+	for i := range s.slots {
 		h := Mix(s.cfg.Seed ^ (s.tickNo*0x9e3779b97f4a7c15 + uint64(i)*0xbf58476d1ce4e5b9))
-		c := s.getConn(int(s.members[int(h%uint64(m))]))
-		if c == nil {
+		sl := &s.slots[i]
+		sl.c = s.getConn(int(s.members[int(h%uint64(m))]))
+		if sl.c != nil {
+			sl.sc = sl.c.fd.File().(*netsim.ServerConn)
+		}
+	}
+	for i := range s.slots {
+		sl := &s.slots[i]
+		if sl.c == nil {
 			continue
 		}
-		if c.pending > 0 {
+		if sl.c.pending > 0 {
 			// The member's previous push is still draining: skip rather than
 			// queue unboundedly behind a slow consumer.
 			s.stats.PushBusy++
 			continue
 		}
-		s.push(now, c)
+		s.push(now, sl.c, sl.sc)
 	}
 	s.tickNo++
 }
 
-// push writes one payload to a member, parking the remainder on write
-// interest when the peer's receive window jams it.
-func (s *Server) push(now core.Time, c *conn) {
+// push writes one payload to a member, whose ServerConn the tick has already
+// resolved, parking the remainder on write interest when the peer's receive
+// window jams it.
+func (s *Server) push(now core.Time, c *conn, sc *netsim.ServerConn) {
 	s.stats.Pushed++
 	if s.OnDeliver != nil {
-		s.OnDeliver(now, c.fd.File().(*netsim.ServerConn))
+		s.OnDeliver(now, sc)
 	}
 	wrote := s.api.Write(c.fd, s.cfg.Payload)
 	s.stats.BytesSent += int64(wrote)

@@ -31,7 +31,6 @@ var readerAllowlist = map[string]string{
 	"loadgen.Result.Retries":   "faults/example_test.go: ExampleConfig",
 	"dhtnode.Server.LivePeers": "dhtnode/example_test.go: Example",
 	"pushcore.SubscribeSize":   "pushcore/example_test.go: Example",
-	"pushcore.Stats.Ticks":     "pushcore/example_test.go: Example",
 
 	// Invariant probes and counters that tests read.
 	"core.SIGIO":                      "core/core_test.go: TestSignalConstants",
@@ -57,8 +56,6 @@ var readerAllowlist = map[string]string{
 	"phhttpd.Server.OpenConnections":  "phhttpd/phhttpd_test.go: TestServesRequestsViaRTSignals",
 	"thttpd.Server.OpenConnections":   "thttpd/thttpd_test.go: TestServesRequestsOnStockPoll",
 	"pushcore.Server.Members":         "experiments/heap_test.go: TestHeldMemberHeapBudget",
-	"pushcore.Stats.PushBusy":         "pushcore/pushcore_test.go: TestPushParksOnClosedWindow",
-	"pushcore.Stats.WriteBlock":       "pushcore/pushcore_test.go: TestPushParksOnClosedWindow",
 	"simkernel.CostModel.Clone":       "simkernel/kernel_test.go: TestCostModelClone",
 	"simkernel.CPU.Jobs":              "thttpd/workers_test.go: TestWorkersSpreadAcrossCPUs",
 	"simkernel.FD.Watchers":           "interest/conformance_test.go: TestConformanceRemoveLeavesWatchers",
