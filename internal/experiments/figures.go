@@ -602,8 +602,16 @@ func FormatCell(r RunResult) string {
 		r.Spec.RequestRate, r.Spec.Connections, r.Spec.Inactive)
 	fmt.Fprintf(&b, "virtual duration  %v   events %d   CPU utilisation %.0f%%   event loops %d\n",
 		r.VirtualTime, r.Events, 100*r.CPUUtilization, r.EventLoops)
-	fmt.Fprintf(&b, "replies           %d of %d issued (%.1f%% errors)\n",
-		load.Completed, load.Issued, load.ErrorPercent)
+	// A push run's replies are its deliveries: Completed counts members
+	// resolved when the delivery budget is spent, so a run that stops at its
+	// virtual-time deadline completes none although it delivered.
+	if rk, _ := resolveKind(r.Spec.Server); rk.family == "push" {
+		fmt.Fprintf(&b, "replies           %d pushes delivered, %d members issued (%.1f%% errors)\n",
+			load.Replies, load.Issued, load.ErrorPercent)
+	} else {
+		fmt.Fprintf(&b, "replies           %d of %d issued (%.1f%% errors)\n",
+			load.Completed, load.Issued, load.ErrorPercent)
+	}
 	fmt.Fprintf(&b, "reply rate        avg=%.1f sd=%.1f min=%.1f max=%.1f replies/s\n",
 		load.ReplyRate.Mean, load.ReplyRate.StdDev, load.ReplyRate.Min, load.ReplyRate.Max)
 	fmt.Fprintf(&b, "latency           median=%.2fms mean=%.2fms p90=%.2fms max=%.2fms\n",

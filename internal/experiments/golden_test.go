@@ -73,6 +73,7 @@ func figureGoldens() []figureGolden {
 		figureGolden{fig: figureByID("hints"), cell: "hints-off"},
 		figureGolden{fig: figureByID("17"), opts: SweepOptions{Connections: 2000}, cell: "reuseport-hash@2"},
 		figureGolden{fig: figureByID("36"), opts: SweepOptions{Connections: 8000}, cell: "epoll@1000"},
+		figureGolden{fig: figureByID("36"), opts: SweepOptions{Connections: 8000}, cell: "poll@1000"},
 	)
 	return append(gs, sweepOverrideGoldens()...)
 }

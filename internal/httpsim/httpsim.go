@@ -42,12 +42,13 @@ func (r *Request) HTTP11() bool { return r.Version == "HTTP/1.1" }
 // KeepAlive reports whether the client asked for the connection to persist
 // after the response: HTTP/1.1 defaults to persistent unless the client sent
 // `Connection: close`; HTTP/1.0 persists only on an explicit
-// `Connection: keep-alive`.
+// `Connection: keep-alive`. Connection options are case-insensitive (RFC 9110
+// §7.6.1), so `Close` and `Keep-Alive` count too.
 func (r *Request) KeepAlive() bool {
 	if r.HTTP11() {
-		return r.Connection != "close"
+		return !strings.EqualFold(r.Connection, "close")
 	}
-	return r.Connection == "keep-alive"
+	return strings.EqualFold(r.Connection, "keep-alive")
 }
 
 // FormatRequest renders a well-formed HTTP/1.0 GET request for path, as the
@@ -85,6 +86,15 @@ func FormatPartialRequest(path string) []byte {
 // previous Feed left off (so trickled bytes cost O(new bytes), not
 // O(buffer)), and the tokens every benchmark request carries are interned. Parsing a well-formed benchmark request
 // allocates nothing at steady state.
+//
+// A parser also remembers the last head it parsed successfully, with its
+// terminator, and the result. The parse is a pure function of the head's
+// bytes (parseHead writes only store, which is zero before every parse), so a
+// buffer that starts with a byte-identical head and terminator takes the
+// remembered Request without a search or a parse. A failed parse is never
+// remembered. The memo survives Reset and Consume: a pooled connection record
+// keeps its parser, and a benchmark client sends the same head on every
+// connection.
 type Parser struct {
 	buf      []byte
 	end      int // one past the completed request's terminator
@@ -92,6 +102,8 @@ type Parser struct {
 	req      *Request // points at store once complete, nil before
 	store    Request
 	err      error
+	memoReq  []byte  // the last head parsed successfully and its terminator
+	memo     Request // memoReq's parse
 }
 
 // NewParser returns an empty request parser.
@@ -125,17 +137,27 @@ func (p *Parser) Feed(data []byte) (complete bool, err error) {
 }
 
 // scan searches for the request terminator at or after from and parses the
-// head on a match.
+// head on a match. A buffer that starts with the memo's request is a hit
+// without a search: the memo's terminator was the first in its buffer, so its
+// head holds none and does not end in "\r\n", and no terminator here can
+// start before the memo's does.
 func (p *Parser) scan(from int) (bool, error) {
-	idx := bytes.Index(p.buf[from:], crlf2)
-	if idx < 0 {
-		return false, nil
+	if len(p.memoReq) > 0 && bytes.HasPrefix(p.buf, p.memoReq) {
+		p.store = p.memo
+		p.end = len(p.memoReq)
+	} else {
+		idx := bytes.Index(p.buf[from:], crlf2)
+		if idx < 0 {
+			return false, nil
+		}
+		if perr := p.parseHead(p.buf[:from+idx]); perr != nil {
+			p.err = perr
+			return false, perr
+		}
+		p.end = from + idx + len(crlf2)
+		p.memoReq = append(p.memoReq[:0], p.buf[:p.end]...)
+		p.memo = p.store
 	}
-	if perr := p.parseHead(p.buf[:from+idx]); perr != nil {
-		p.err = perr
-		return false, perr
-	}
-	p.end = from + idx + len(crlf2)
 	p.req = &p.store
 	p.complete = true
 	return true, nil
@@ -251,8 +273,12 @@ func intern(b []byte) string {
 		return "server.citi.umich.edu"
 	case "keep-alive":
 		return "keep-alive"
+	case "Keep-Alive":
+		return "Keep-Alive"
 	case "close":
 		return "close"
+	case "Close":
+		return "Close"
 	}
 	return string(b)
 }

@@ -233,6 +233,8 @@ func TestKeepAliveNegotiation(t *testing.T) {
 		{"1.1/none", "GET / HTTP/1.1\r\nHost: h\r\n\r\n", "", true},
 		{"1.1/close", "GET / HTTP/1.1\r\nConnection: close\r\n\r\n", "close", false},
 		{"1.1/keep-alive", "GET / HTTP/1.1\r\nConnection: keep-alive\r\n\r\n", "keep-alive", true},
+		{"1.1/Close", "GET / HTTP/1.1\r\nConnection: Close\r\n\r\n", "Close", false},
+		{"1.0/Keep-Alive", "GET / HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n", "Keep-Alive", true},
 		{"lower-case-name", "GET / HTTP/1.0\r\nconnection: keep-alive\r\n\r\n", "keep-alive", true},
 		{"padded-value", "GET / HTTP/1.1\r\nConnection:   close  \r\n\r\n", "close", false},
 		{"last-line-wins/close", "GET / HTTP/1.1\r\nConnection: keep-alive\r\nHost: h\r\nConnection: close\r\n\r\n", "close", false},

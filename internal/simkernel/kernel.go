@@ -2,6 +2,7 @@ package simkernel
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/core"
 	"repro/internal/faults"
@@ -282,9 +283,18 @@ type Proc struct {
 	// fds is the descriptor table, indexed by descriptor number (nil = free).
 	// POSIX lowest-unused allocation keeps it dense, so lookups are a bounds
 	// check and an index — no hashing on the per-syscall path.
-	fds     []*FD
+	fds []*FD
+	// open is the open-descriptor bitmap (Linux's fdtable.open_fds): bit n
+	// is set while descriptor n is open, so Install finds the lowest free
+	// number a word at a time instead of a slot at a time. Bits 0-2 are set
+	// from the start: those numbers belong to stdin/stdout/stderr and are
+	// never installed. One level is enough here: Linux's second level
+	// (full_fds_bits, one bit per full word) pays off only when a search
+	// crosses thousands of full words, on the order of 100k open descriptors
+	// between one free number and the next.
+	open    []uint64
 	nfds    int    // open descriptors
-	freeFD  int    // lowest descriptor number that may be unused
+	freeFD  int    // every descriptor number below it is open
 	nextGen uint64 // generation counter stamped onto installed descriptors
 	// fdSlab carves new descriptor entries. An FD is never reissued (a stale
 	// interest entry must keep seeing its POLLNVAL), so there is no free list.
@@ -345,7 +355,7 @@ func (k *Kernel) NewProcOn(name string, cpu *CPU) *Proc {
 	if cpu == nil {
 		cpu = k.CPU
 	}
-	return &Proc{K: k, Name: name, cpu: cpu, freeFD: 3}
+	return &Proc{K: k, Name: name, cpu: cpu, open: []uint64{0b111}, freeFD: 3}
 }
 
 // CPU returns the processor the process is pinned to.
@@ -366,10 +376,8 @@ func (p *Proc) Now() core.Time { return p.cpu.q.Now() }
 // readiness reports for a previous open of the same number remain
 // distinguishable.
 func (p *Proc) Install(f File) *FD {
-	num := p.freeFD
-	for num < len(p.fds) && p.fds[num] != nil {
-		num++
-	}
+	num := p.lowestFree()
+	p.open[num>>6] |= 1 << (num & 63)
 	p.freeFD = num + 1
 	p.nextGen++
 	fd := p.fdSlab.New()
@@ -379,6 +387,22 @@ func (p *Proc) Install(f File) *FD {
 	p.nfds++
 	f.SetNotifier(fd)
 	return fd
+}
+
+// lowestFree returns the lowest descriptor number whose open bit is clear.
+// Every number below freeFD is open, so the search starts at the word holding
+// freeFD: the bits below freeFD in that word are already set and need no
+// mask. When every tracked number is open it grows the bitmap by one word;
+// freeFD never lies past the tracked range, because it is at most one past an
+// open number.
+func (p *Proc) lowestFree() int {
+	for w := p.freeFD >> 6; w < len(p.open); w++ {
+		if word := p.open[w]; word != ^uint64(0) {
+			return w<<6 + bits.TrailingZeros64(^word)
+		}
+	}
+	p.open = append(p.open, 0)
+	return (len(p.open) - 1) << 6
 }
 
 // Get returns the descriptor table entry for fd.
@@ -411,6 +435,7 @@ func (p *Proc) CloseFD(now core.Time, fd int) error {
 		return core.ErrBadFD
 	}
 	p.fds[fd] = nil
+	p.open[fd>>6] &^= 1 << (fd & 63)
 	p.nfds--
 	if fd < p.freeFD {
 		p.freeFD = fd
