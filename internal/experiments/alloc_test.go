@@ -5,14 +5,15 @@ import (
 	"testing"
 )
 
-// mallocsOf reports the heap allocations one sequential run makes.
-func mallocsOf(spec RunSpec) uint64 {
+// mallocsOf reports the heap allocations one sequential run makes, and the
+// run's result.
+func mallocsOf(spec RunSpec) (uint64, RunResult) {
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	Run(spec)
+	res := Run(spec)
 	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs
+	return after.Mallocs - before.Mallocs, res
 }
 
 // perConnMallocs is the marginal allocation count of one more connection:
@@ -20,8 +21,8 @@ func mallocsOf(spec RunSpec) uint64 {
 // fixed setup cost and the pools' warm-up cancel.
 func perConnMallocs(mk func(n int) RunSpec, n int) float64 {
 	mallocsOf(mk(n / 4)) // first-run package state (registries, tables)
-	small := mallocsOf(mk(n))
-	large := mallocsOf(mk(2 * n))
+	small, _ := mallocsOf(mk(n))
+	large, _ := mallocsOf(mk(2 * n))
 	return (float64(large) - float64(small)) / float64(n)
 }
 

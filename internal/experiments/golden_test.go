@@ -14,7 +14,7 @@ import (
 	"repro/internal/servers/httpcore"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/figures from the current code and delete stale goldens")
+var update = flag.Bool("update", false, "rewrite testdata/figures and testdata/benchpoints.golden from the current code and delete stale goldens")
 
 // goldenDir holds one golden per figureGolden.
 const goldenDir = "testdata/figures"

@@ -7,8 +7,7 @@ import (
 )
 
 // BenchPoint is one gated benchmark point: a stable id and the spec that
-// runs it. A zero Connections leaves the run size to the caller; a non-zero
-// one is the point's own (the scale and mostly-idle anchors).
+// runs it, run size included.
 type BenchPoint struct {
 	ID   string
 	Spec RunSpec
@@ -140,6 +139,10 @@ func benchTable() []benchEntry {
 	}
 }
 
+// benchConnections is the run size of a gated point that pins none of its
+// own (the scale and mostly-idle anchors pin theirs).
+const benchConnections = 1500
+
 // BenchPoints returns the gated benchmark set in table order. A point some
 // figure draws is resolved through that figure, so it cannot drift from
 // what the figure runs. It panics on a reference that does not resolve;
@@ -151,6 +154,9 @@ func BenchPoints() []BenchPoint {
 		spec, err := e.resolve()
 		if err != nil {
 			panic(err)
+		}
+		if spec.Connections == 0 {
+			spec.Connections = benchConnections
 		}
 		out[i] = BenchPoint{ID: e.id, Spec: spec}
 	}

@@ -2,7 +2,11 @@ package experiments
 
 import (
 	"fmt"
+	"math"
+	"os"
 	"reflect"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -131,5 +135,155 @@ func TestFigurePointErrors(t *testing.T) {
 				t.Errorf("%s: error %q does not name %s", c.got.call, c.got.err, w)
 			}
 		}
+	}
+}
+
+// benchPinsPath is TestBenchPointPins's golden: the Go release that wrote it,
+// then one line per gated point in table order.
+const benchPinsPath = "testdata/benchpoints.golden"
+
+// benchPin is one gated point's pinned run: the simulated fields (reply rate,
+// p99 ms and err% at full precision, then executed events) and the heap
+// allocation count.
+type benchPin struct {
+	id     string
+	sim    string
+	allocs uint64
+}
+
+func pinOf(id string, res RunResult, allocs uint64) benchPin {
+	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	sim := fmt.Sprintf("%s %s %s %d", g(res.Load.ReplyRate.Mean), g(res.Latency.P99), g(res.Load.ErrorPercent), res.Events)
+	return benchPin{id: id, sim: sim, allocs: allocs}
+}
+
+func (p benchPin) String() string { return fmt.Sprintf("%-44s %s %d", p.id, p.sim, p.allocs) }
+
+// goRelease is the running Go release without its patch number ("go1.24"):
+// allocation counts are a property of the code and of the compiler and
+// runtime that build it.
+func goRelease() string {
+	v := runtime.Version()
+	if parts := strings.SplitN(v, ".", 3); len(parts) == 3 {
+		return parts[0] + "." + parts[1]
+	}
+	return v
+}
+
+// readBenchPins parses benchPinsPath.
+func readBenchPins(t *testing.T) (release string, pins []benchPin) {
+	t.Helper()
+	data, err := os.ReadFile(benchPinsPath)
+	if err != nil {
+		t.Fatalf("%v (go test -run TestBenchPointPins -update writes it)", err)
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		f := strings.Fields(line)
+		switch {
+		case len(f) == 0 || f[0] == "#":
+		case len(f) == 2 && f[0] == "release":
+			release = f[1]
+		case len(f) == 6:
+			allocs, err := strconv.ParseUint(f[5], 10, 64)
+			if err != nil {
+				t.Fatalf("%s: %q: %v", benchPinsPath, line, err)
+			}
+			pins = append(pins, benchPin{id: f[0], sim: strings.Join(f[1:5], " "), allocs: allocs})
+		default:
+			t.Fatalf("%s: malformed line %q", benchPinsPath, line)
+		}
+	}
+	return release, pins
+}
+
+// TestBenchPointPins runs every gated point once, at seed 1 on the sequential
+// engine, and holds it to its line in benchPinsPath. Reply rate, p99, err%
+// and executed events must match exactly. The run's heap allocation count
+// must stay within allocSlack of the pin either way, so a pin that has gone
+// stale fails as surely as a regression. A count outside the band is measured
+// twice more and the minimum kept, so one-time warm-up (a package table's
+// first use) does not fail it. Allocation counts move with the Go release, so
+// they are compared only on the release that wrote the golden and logged on
+// any other. -update rewrites the golden, pinning the minimum count of three
+// runs.
+//
+// Under -short and under the race detector, the points of 10,000 connections
+// or more are skipped and allocations are not compared. The test must not run
+// parallel with another: malloc counts are process-wide.
+func TestBenchPointPins(t *testing.T) {
+	const allocSlack = 0.10
+	reduced := testing.Short() || raceEnabled
+	if *update && reduced {
+		t.Fatal("-update pins every point: run it without -short and -race")
+	}
+	points := BenchPoints()
+	var release string
+	var pins []benchPin
+	if !*update {
+		release, pins = readBenchPins(t)
+		for i := 0; i < max(len(points), len(pins)); i++ {
+			if i >= len(points) || i >= len(pins) || pins[i].id != points[i].ID {
+				t.Fatalf("%s line %d does not pin BenchPoints()[%d]: %d pins for %d points (go test -run TestBenchPointPins -update rewrites it)",
+					benchPinsPath, i+1, i, len(pins), len(points))
+			}
+		}
+	}
+	checkAllocs := !reduced && release == goRelease()
+	var got []benchPin
+	for i, p := range points {
+		t.Run(p.ID, func(t *testing.T) {
+			if reduced && p.Spec.Connections >= 10000 {
+				t.Skip("10,000 connections or more: skipped under -short and -race")
+			}
+			spec := p.Spec
+			spec.Seed, spec.Threads = 1, 1
+			allocs, res := mallocsOf(spec)
+			remeasure := func() {
+				for k := 0; k < 2; k++ {
+					if a, _ := mallocsOf(spec); a < allocs {
+						allocs = a
+					}
+				}
+			}
+			if *update {
+				remeasure()
+				got = append(got, pinOf(p.ID, res, allocs))
+				return
+			}
+			want := pins[i]
+			if sim := pinOf(p.ID, res, allocs).sim; sim != want.sim {
+				t.Errorf("replies/s p99-ms err%% events = %s, pinned %s", sim, want.sim)
+			}
+			if !checkAllocs {
+				t.Logf("allocs %d, pinned %d on %s: not compared on %s", allocs, want.allocs, release, goRelease())
+				return
+			}
+			inBand := func() bool {
+				return math.Abs(float64(allocs)-float64(want.allocs)) <= allocSlack*float64(want.allocs)
+			}
+			if !inBand() {
+				remeasure()
+			}
+			if !inBand() {
+				t.Errorf("allocs = %d (least of three runs), pinned %d ±%.0f%% (a fall re-pins too: go test -run TestBenchPointPins -update)",
+					allocs, want.allocs, 100*allocSlack)
+			}
+		})
+	}
+	if !*update {
+		return
+	}
+	if len(got) != len(points) {
+		t.Fatalf("-update ran %d of %d points: run it without a subtest filter", len(got), len(points))
+	}
+	var b strings.Builder
+	b.WriteString("# go test -run TestBenchPointPins -update rewrites this file.\n")
+	fmt.Fprintf(&b, "release %s\n", goRelease())
+	fmt.Fprintf(&b, "# %-42s replies/s p99-ms err%% events allocs\n", "id")
+	for _, p := range got {
+		fmt.Fprintln(&b, p)
+	}
+	if err := os.WriteFile(benchPinsPath, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
