@@ -64,17 +64,11 @@ func benchTable() []benchEntry {
 		fc.Seed = 3
 		return RunSpec{Server: server, RequestRate: 1000, Inactive: 251, Faults: fc}
 	}
-	prefork := func(workers int) RunSpec {
-		return RunSpec{Server: PreforkKind(workers), RequestRate: 3000, Inactive: 500}
-	}
 	scaleKA := func(conns int) RunSpec {
 		s := epoll(1000, 251)
 		s.Connections, s.HTTP, s.Client = conns, ka, pipelined
 		return s
 	}
-	cachedSendfile := epoll(1300, 501)
-	cachedSendfile.HTTP = httpcore.Options{KeepAlive: true, CacheKB: 64, WriteMode: httpcore.WriteSendfile}
-	cachedSendfile.Client = pipelined
 	scaleKA100k := scaleKA(100000)
 	scaleKA100k.Network = massive
 
@@ -90,11 +84,9 @@ func benchTable() []benchEntry {
 		// No figure runs compio at 501 inactive below 1300 req/s.
 		explicit("ext-compio-load501-rate1000", RunSpec{Server: ServerThttpdCompio, RequestRate: 1000, Inactive: 501}),
 
-		// Prefork at 500 inactive under constant arrivals: fig17 runs 1500
-		// inactive, fig25 runs 500 under flash-crowd bursts.
-		explicit("ext-prefork1-rate3000", prefork(1)),
-		explicit("ext-prefork2-rate3000", prefork(2)),
-		explicit("ext-prefork4-rate3000", prefork(4)),
+		drawn("ext-prefork1-load1500-rate3000", "fig17", "reuseport-hash", 1),
+		drawn("ext-prefork2-load1500-rate3000", "fig17", "reuseport-hash", 2),
+		drawn("ext-prefork4-load1500-rate3000", "fig17", "reuseport-hash", 4),
 
 		drawn("scale-10000-epoll-rate1000", "fig26", "epoll", 1000),
 		drawn("scale-20000-epoll-rate1000", "fig27", "epoll", 1000),
@@ -123,8 +115,7 @@ func benchTable() []benchEntry {
 
 		drawn("ext-keepalive-epoll-load501-rate1300", "keepalive", "keepalive-8", 0),
 		drawn("ext-pipelined-epoll-load501-rate1300", "keepalive", "pipelined-8", 0),
-		// No figure combines the response cache with sendfile.
-		explicit("ext-cached-sendfile-epoll-load501-rate1300", cachedSendfile),
+		drawn("ext-sendfile-epoll-load251-rate1300", "fig35", "sendfile", 1300),
 		// No figure runs keep-alive at the scale anchors.
 		explicit("scale-10000-epoll-keepalive-rate1000", scaleKA(10000)),
 		explicit("scale-100000-epoll-keepalive-rate1000", scaleKA100k),
