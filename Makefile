@@ -11,13 +11,8 @@ GOVULNCHECK_VERSION ?= v1.1.4
 # fails.
 DETERMINISM_OUT ?= determinism-out
 
-# File the bench-gate target writes its emitted candidate into, kept after the
-# gate so its per-point allocs/op and event counts can be read; CI uploads it.
-BENCH_CANDIDATE ?= bench-candidate.json
-
 .PHONY: all fmt-check vet build test bench-test test-race staticcheck \
-	govulncheck bench-smoke determinism bench-json bench-gate \
-	bench-crosscheck profile ci
+	govulncheck bench-smoke determinism bench-crosscheck profile ci
 
 all: ci
 
@@ -70,7 +65,7 @@ govulncheck:
 # micro-benchmarks: a parse the request-head memo cannot serve, and descriptor
 # install/close churn beside 251 held descriptors.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'Figure/fig0[45]/|Figure/fig15/|Point/ext-compio-load501|Figure/keepalive/|Point/ext-cached-sendfile|Figure/fig19/normal_poll/rate=(700|1300)$$|Figure/fig22/(normal_poll|devpoll)/rate=1000$$|Point/scale-10000-(poll|epoll)-rate|Point/scale-100000-epoll-rate|Point/push-100k-idle-epoll-rate1000' -benchtime 1x -figconns 800 .
+	$(GO) test -run '^$$' -bench 'Figure/fig0[45]/|Figure/fig15/|Point/ext-compio-load501|Figure/keepalive/|Point/ext-sendfile|Figure/fig19/normal_poll/rate=(700|1300)$$|Figure/fig22/(normal_poll|devpoll)/rate=1000$$|Point/scale-10000-(poll|epoll)-rate|Point/scale-100000-epoll-rate|Point/push-100k-idle-epoll-rate1000' -benchtime 1x -figconns 800 .
 	$(GO) test -run '^$$' -bench 'ParseMiss|InstallClose' -benchtime 100x ./internal/httpsim ./internal/simkernel
 
 # The simulation promises byte-identical output for any kernel thread count.
@@ -108,31 +103,13 @@ determinism:
 	run fig18-2000 2 -fig 18 -connections 2000; \
 	echo "determinism: OK (-threads 2/8 equal the goldens)"
 
-# Refresh the committed benchmark baseline: the key figure points' reply
-# rates, p99 latencies and ns/op. Run this (and commit the result) in any PR
-# that intentionally moves performance.
-bench-json:
-	$(GO) run ./cmd/benchgate -emit BENCH_PR21.json
-
-# Gate the working tree against the committed baseline: emit a fresh
-# candidate and fail on >5% regression in any simulated metric (reply rate,
-# p99). Wall-clock ns/op is a gross-slowdown tripwire only (fail past 2x —
-# wall clock jitters even same-machine), and it only means anything when the
-# baseline was emitted on this machine; CI runs
-# `make bench-gate TIME_TOLERANCE=0` to disable it (different hardware).
-# The candidate stays in $(BENCH_CANDIDATE).
-TIME_TOLERANCE ?= 1.0
-bench-gate:
-	$(GO) run ./cmd/benchgate -emit $(BENCH_CANDIDATE) -quiet
-	$(GO) run ./cmd/benchgate -baseline BENCH_PR21.json -candidate $(BENCH_CANDIDATE) -time-tolerance $(TIME_TOLERANCE)
-
-# Zero-tolerance parallel determinism gate on the benchmark set: every gated
-# point runs once sequentially and once on the sharded kernel with 4 threads,
-# and any difference in a simulated metric (reply rate, p99, err%) fails.
-# This is the benchmark-level counterpart of `make determinism`'s figure-level
-# byte diffs.
+# Zero-tolerance parallel determinism check on the gated points: every point
+# runs on the sharded kernel with 4 threads, and any difference in a simulated
+# metric (reply rate, p99, err%) from its sequential pin in
+# internal/experiments/testdata/benchpoints.golden fails. This is the
+# benchmark-level counterpart of `make determinism`'s figure-level byte diffs.
 bench-crosscheck:
-	$(GO) run ./cmd/benchgate -crosscheck 4
+	$(GO) test -run '^$$' -bench PointThreads4 -benchtime 1x ./internal/experiments
 
 # Profile the hot paths: regenerate a representative figure under the CPU,
 # heap, mutex-contention and blocking profilers — on the sharded parallel
@@ -140,8 +117,8 @@ bench-crosscheck:
 # profiles — and leave the pprof files (plus the figure output) in
 # $(PROFILE_OUT). Inspect with `go tool pprof $(PROFILE_OUT)/cpu.pprof` (or
 # mutex.pprof / block.pprof for synchronization cost).
-# CI runs this after a bench-gate failure and uploads the directory, so a
-# regression report always ships with the evidence needed to chase it.
+# CI runs this after a failed `make ci` and uploads the directory, so a
+# failure report ships with the evidence needed to chase it.
 PROFILE_OUT ?= profile-out
 PROFILE_THREADS ?= 2
 profile:
@@ -152,4 +129,5 @@ profile:
 		> $(PROFILE_OUT)/fig16.txt
 	@echo "profiles written to $(PROFILE_OUT)/ (cpu.pprof, mem.pprof, mutex.pprof, block.pprof)"
 
-ci: fmt-check vet staticcheck govulncheck build test bench-test bench-smoke determinism
+ci: fmt-check vet staticcheck govulncheck build test bench-test bench-smoke determinism \
+	bench-crosscheck

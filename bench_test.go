@@ -2,7 +2,7 @@
 // inside the discrete-event simulation (server + load generator), one
 // complete point per iteration:
 //
-//	BenchmarkPoint/<id>                      the gated set benchgate records (experiments.BenchPoints)
+//	BenchmarkPoint/<id>                      the gated points TestBenchPointPins pins (experiments.BenchPoints)
 //	BenchmarkFigure/<fig>/<curve>/<axis>=<x> every point of every figure and ablation
 //	BenchmarkMechanismWaitCost               each mechanism's cost per wait as the idle set grows
 //
@@ -17,9 +17,9 @@
 //	cpu%           mean per-CPU utilisation (Figure 17)
 //
 // Reduced-size runs are used so a sweep finishes in minutes: every figure
-// point, and every gated point that pins no connection count of its own,
-// runs at -figconns (the paper used 35000 connections per point, cf.
-// cmd/benchfig).
+// point runs at -figconns (the paper used 35000 connections per point, cf.
+// cmd/benchfig). A gated point runs at its own size, seed 1 on the first
+// iteration: `-bench Point/<id> -benchtime 1x` times exactly the pinned run.
 package repro
 
 import (
@@ -30,7 +30,7 @@ import (
 	"repro/internal/experiments"
 )
 
-var figConns = flag.Int("figconns", 2500, "benchmark connections per figure point and per gated point that pins none")
+var figConns = flag.Int("figconns", 2500, "benchmark connections per figure point")
 
 // benchRun runs spec once per iteration, seeding iteration i with i+1,
 // reports the last run's metrics and returns it.
@@ -53,11 +53,7 @@ func benchRun(b *testing.B, spec experiments.RunSpec) experiments.RunResult {
 // BenchmarkPoint runs the gated point table, one sub-benchmark per id.
 func BenchmarkPoint(b *testing.B) {
 	for _, p := range experiments.BenchPoints() {
-		spec := p.Spec
-		if spec.Connections == 0 {
-			spec.Connections = *figConns
-		}
-		b.Run(p.ID, func(b *testing.B) { benchRun(b, spec) })
+		b.Run(p.ID, func(b *testing.B) { benchRun(b, p.Spec) })
 	}
 }
 

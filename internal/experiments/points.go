@@ -130,8 +130,7 @@ func benchTable() []benchEntry {
 	}
 }
 
-// benchConnections is the run size of a gated point that pins none of its
-// own (the scale and mostly-idle anchors pin theirs).
+// benchConnections sizes a gated point that pins no run size of its own.
 const benchConnections = 1500
 
 // BenchPoints returns the gated benchmark set in table order. A point some

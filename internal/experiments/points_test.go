@@ -171,7 +171,7 @@ func goRelease() string {
 }
 
 // readBenchPins parses benchPinsPath.
-func readBenchPins(t *testing.T) (release string, pins []benchPin) {
+func readBenchPins(t testing.TB) (release string, pins []benchPin) {
 	t.Helper()
 	data, err := os.ReadFile(benchPinsPath)
 	if err != nil {
@@ -285,5 +285,32 @@ func TestBenchPointPins(t *testing.T) {
 	}
 	if err := os.WriteFile(benchPinsPath, []byte(b.String()), 0o644); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkPointThreads4 runs every gated point on the sharded kernel at four
+// threads and fails when its reply rate, p99 or err% differs at all from the
+// sequential pin in benchPinsPath: the parallel engine promises bit-equal
+// simulated results. Events are not compared; sharded runs add lane events.
+// `make bench-crosscheck` runs it once per point.
+func BenchmarkPointThreads4(b *testing.B) {
+	// The simulated fields without the trailing event count.
+	noEvents := func(sim string) string { return sim[:strings.LastIndexByte(sim, ' ')] }
+	_, pins := readBenchPins(b)
+	pinned := map[string]string{}
+	for _, p := range pins {
+		pinned[p.id] = noEvents(p.sim)
+	}
+	for _, p := range BenchPoints() {
+		spec := p.Spec
+		spec.Seed, spec.Threads = 1, 4
+		b.Run(p.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				res := Run(spec)
+				if got := noEvents(pinOf(p.ID, res, 0).sim); got != pinned[p.ID] {
+					b.Fatalf("threads=%d: replies/s p99-ms err%% = %s, sequential pin %s", res.Threads, got, pinned[p.ID])
+				}
+			}
+		})
 	}
 }

@@ -41,14 +41,29 @@ func (r *Request) HTTP11() bool { return r.Version == "HTTP/1.1" }
 
 // KeepAlive reports whether the client asked for the connection to persist
 // after the response: HTTP/1.1 defaults to persistent unless the client sent
-// `Connection: close`; HTTP/1.0 persists only on an explicit
-// `Connection: keep-alive`. Connection options are case-insensitive (RFC 9110
-// §7.6.1), so `Close` and `Keep-Alive` count too.
+// the `close` option; HTTP/1.0 persists only on an explicit `keep-alive`, and
+// `close` wins over it. The Connection value is a comma-separated list of
+// case-insensitive options (RFC 9110 §7.6.1), so `Close` counts, and so does
+// `close, TE`.
 func (r *Request) KeepAlive() bool {
-	if r.HTTP11() {
-		return !strings.EqualFold(r.Connection, "close")
+	if hasOption(r.Connection, "close") {
+		return false
 	}
-	return strings.EqualFold(r.Connection, "keep-alive")
+	return r.HTTP11() || hasOption(r.Connection, "keep-alive")
+}
+
+// hasOption reports whether the comma-separated list names opt, ignoring
+// case and the whitespace around each option. A list without a comma is one
+// comparison.
+func hasOption(list, opt string) bool {
+	for list != "" {
+		var item string
+		item, list, _ = strings.Cut(list, ",")
+		if strings.EqualFold(strings.TrimSpace(item), opt) {
+			return true
+		}
+	}
+	return false
 }
 
 // FormatRequest renders a well-formed HTTP/1.0 GET request for path, as the

@@ -239,6 +239,10 @@ func TestKeepAliveNegotiation(t *testing.T) {
 		{"padded-value", "GET / HTTP/1.1\r\nConnection:   close  \r\n\r\n", "close", false},
 		{"last-line-wins/close", "GET / HTTP/1.1\r\nConnection: keep-alive\r\nHost: h\r\nConnection: close\r\n\r\n", "close", false},
 		{"last-line-wins/keep-alive", "GET / HTTP/1.0\r\nConnection: close\r\nConnection: keep-alive\r\n\r\n", "keep-alive", true},
+		{"1.1/close, TE", "GET / HTTP/1.1\r\nConnection: close, TE\r\n\r\n", "close, TE", false},
+		{"1.1/TE, close", "GET / HTTP/1.1\r\nConnection: TE,close\r\n\r\n", "TE,close", false},
+		{"1.0/TE, Keep-Alive", "GET / HTTP/1.0\r\nConnection: TE, Keep-Alive\r\n\r\n", "TE, Keep-Alive", true},
+		{"1.0/keep-alive, close", "GET / HTTP/1.0\r\nConnection: keep-alive, close\r\n\r\n", "keep-alive, close", false},
 		{"formatted-1.0", string(FormatRequest("/index.html")), "", false},
 		{"formatted-1.1", string(FormatRequest11("/index.html", false)), "", true},
 		{"formatted-1.1-close", string(FormatRequest11("/index.html", true)), "close", false},

@@ -138,8 +138,15 @@ func TestMemoMatchesFreshParse(t *testing.T) {
 
 // TestConnectionTokensDoNotAllocate: the Connection spellings a client is
 // likely to send are interned, so a parse that cannot take the memo (the two
-// heads alternate) still allocates nothing once the parser has grown.
+// heads alternate) still allocates nothing once the parser has grown; and
+// reading a Connection value, with or without a comma, allocates nothing.
 func TestConnectionTokensDoNotAllocate(t *testing.T) {
+	for _, conn := range []string{"", "close", "Keep-Alive", "close, TE", "TE, keep-alive"} {
+		req := Request{Version: "HTTP/1.1", Connection: conn}
+		if allocs := testing.AllocsPerRun(100, func() { req.KeepAlive() }); allocs != 0 {
+			t.Fatalf("KeepAlive on Connection %q allocates %.1f, want 0", conn, allocs)
+		}
+	}
 	heads := [][]byte{
 		[]byte("GET /index.html HTTP/1.1\r\nConnection: Close\r\n\r\n"),
 		[]byte("GET /index.html HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n"),

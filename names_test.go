@@ -17,8 +17,6 @@ import (
 // probes an invariant through it, or the tool that reads it by reflection.
 // Keys are package.Name, package.Type.Method or package.Type.Field.
 var readerAllowlist = map[string]string{
-	// Read by encoding/json when benchgate loads a baseline.
-	"main.File.Schema": "encoding/json, benchgate's baseline loader",
 
 	// Printed by an Example's output block.
 	"compio.Compio.SQPending":  "compio/example_test.go: Example",
@@ -37,6 +35,7 @@ var readerAllowlist = map[string]string{
 	"core.SIGRTMIN":                   "core/core_test.go: TestSignalConstants",
 	"core.Minute":                     "eventlib/timers_test.go: TestTimerWheelMatchesReferenceHeap",
 	"experiments.RunResult.Secondary": "experiments/chaos_test.go: TestChaosGracefulDegradation",
+	"experiments.BenchPoints":         "bench_test.go: BenchmarkPoint",
 	"loadgen.Result.Finished":         "loadgen/books_test.go: TestMergedSamplesMatchRateSampler",
 	"loadgen.Result.OfferedRate":      "loadgen/loadgen_test.go: TestGeneratorCompletesAgainstHealthyServer",
 	"loadgen.Generator.Done":          "loadgen/loadgen_test.go: TestGeneratorCompletesAgainstHealthyServer",
