@@ -62,11 +62,12 @@ govulncheck:
 # points at their own 10000 and 100000 connections, and the gated push point
 # at its 100000 held members — exercising the benchmark plumbing end to end
 # without the full sweep. The second line runs the accept-and-parse
-# micro-benchmarks: a parse the request-head memo cannot serve, and descriptor
-# install/close churn beside 251 held descriptors.
+# micro-benchmarks: a parse the request-head memo cannot serve, descriptor
+# install/close churn beside 251 held descriptors, and one descriptor lookup
+# in a table of 251 and of 300,000 held descriptors.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Figure/fig0[45]/|Figure/fig15/|Point/ext-compio-load501|Figure/keepalive/|Point/ext-sendfile|Figure/fig19/normal_poll/rate=(700|1300)$$|Figure/fig22/(normal_poll|devpoll)/rate=1000$$|Point/scale-10000-(poll|epoll)-rate|Point/scale-100000-epoll-rate|Point/push-100k-idle-epoll-rate1000' -benchtime 1x -figconns 800 .
-	$(GO) test -run '^$$' -bench 'ParseMiss|InstallClose' -benchtime 100x ./internal/httpsim ./internal/simkernel
+	$(GO) test -run '^$$' -bench 'ParseMiss|InstallClose|GetFD' -benchtime 100x ./internal/httpsim ./internal/simkernel
 
 # The simulation promises byte-identical output for any kernel thread count.
 # TestFigureGoldens already compares every sequential run with committed

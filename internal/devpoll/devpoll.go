@@ -64,8 +64,8 @@ type DevPoll struct {
 
 	opts Options
 
-	hinted *interest.Ledger // descriptors whose driver posted a hint since the last scan
-	cache  []cachedPoll     // last result returned by the driver poll, fd-indexed
+	hinted *interest.Ledger       // descriptors whose driver posted a hint since the last scan
+	cache  core.Paged[cachedPoll] // last result returned by the driver poll, fd-indexed
 	// cand names the entries the next scan must visit on the host. It is
 	// separate from hinted, whose Mark result decides HintPost charges.
 	cand *interest.Ledger
@@ -175,13 +175,13 @@ func (d *DevPoll) removeLocked(fd int) {
 	d.Drop(e)
 	d.hinted.Clear(fd)
 	d.cand.Clear(fd)
-	if fd < len(d.cache) {
-		d.cache[fd] = cachedPoll{}
+	if c := d.cache.At(fd); c != nil {
+		*c = cachedPoll{}
 	}
 }
 
-// cachedPoll is one fd's last driver-poll result. The slice replaces a per-fd
-// hash map: the result cache is consulted for every registered descriptor on
+// cachedPoll is one fd's last driver-poll result. The fd-indexed table
+// replaces a per-fd hash map: the result cache is consulted for every registered descriptor on
 // every DP_POLL scan, squarely on the hot path.
 type cachedPoll struct {
 	mask  core.EventMask
@@ -190,17 +190,13 @@ type cachedPoll struct {
 
 // cacheGet returns the cached driver result for fd, if any.
 func (d *DevPoll) cacheGet(fd int) (core.EventMask, bool) {
-	if fd < 0 || fd >= len(d.cache) {
-		return 0, false
-	}
-	c := d.cache[fd]
+	c := d.cache.Get(fd)
 	return c.mask, c.valid
 }
 
 // cachePut records the driver result for fd.
 func (d *DevPoll) cachePut(fd int, mask core.EventMask) {
-	d.cache = core.GrowTo(d.cache, fd)
-	d.cache[fd] = cachedPoll{mask: mask, valid: true}
+	d.cache.Set(fd, cachedPoll{mask: mask, valid: true})
 }
 
 // Wait implements core.Poller: one ioctl(DP_POLL). The handler is invoked at

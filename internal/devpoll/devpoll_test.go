@@ -95,8 +95,8 @@ func TestModifyReplacesInterest(t *testing.T) {
 		must(t, d.Modify(fd.Num, core.POLLOUT))
 	}, nil)
 	env.Run()
-	if ev, _ := d.Table.Get(fd.Num); ev != core.POLLOUT {
-		t.Fatalf("replace semantics: got %v", ev)
+	if e := d.Table.Lookup(fd.Num); e == nil || e.Events != core.POLLOUT {
+		t.Fatalf("replace semantics: got %+v", e)
 	}
 }
 

@@ -127,7 +127,7 @@ type Base struct {
 	// because the simulated kernel allocates descriptors lowest-unused; the
 	// rare negative descriptors (signal sentinels like the RT-signal overflow
 	// event) live in evNeg. evCount counts entries across both.
-	evs     []*Event
+	evs     core.Paged[*Event]
 	evNeg   map[int]*Event
 	evCount int
 	timers  timerList
@@ -193,10 +193,8 @@ func NewWithPoller(k *simkernel.Kernel, p *simkernel.Proc, poller core.Poller, c
 // eventFor returns the I/O or signal event registered on fd.
 func (b *Base) eventFor(fd int) (*Event, bool) {
 	if fd >= 0 {
-		if fd < len(b.evs) && b.evs[fd] != nil {
-			return b.evs[fd], true
-		}
-		return nil, false
+		ev := b.evs.Get(fd)
+		return ev, ev != nil
 	}
 	ev, ok := b.evNeg[fd]
 	return ev, ok
@@ -205,8 +203,7 @@ func (b *Base) eventFor(fd int) (*Event, bool) {
 // setEvent registers ev as fd's event.
 func (b *Base) setEvent(fd int, ev *Event) {
 	if fd >= 0 {
-		b.evs = core.GrowTo(b.evs, fd)
-		b.evs[fd] = ev
+		b.evs.Set(fd, ev)
 	} else {
 		if b.evNeg == nil {
 			b.evNeg = make(map[int]*Event)
@@ -219,8 +216,8 @@ func (b *Base) setEvent(fd int, ev *Event) {
 // clearEvent removes fd's event registration.
 func (b *Base) clearEvent(fd int) {
 	if fd >= 0 {
-		if fd < len(b.evs) && b.evs[fd] != nil {
-			b.evs[fd] = nil
+		if p := b.evs.At(fd); p != nil && *p != nil {
+			*p = nil
 			b.evCount--
 		}
 	} else if _, ok := b.evNeg[fd]; ok {
@@ -231,8 +228,8 @@ func (b *Base) clearEvent(fd int) {
 
 // eachEvent visits every registered fd event (in no particular order).
 func (b *Base) eachEvent(fn func(ev *Event)) {
-	for _, ev := range b.evs {
-		if ev != nil {
+	for fd := 0; fd < b.evs.Len(); fd++ {
+		if ev := b.evs.Get(fd); ev != nil {
 			fn(ev)
 		}
 	}

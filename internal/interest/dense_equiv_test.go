@@ -132,12 +132,12 @@ func TestDenseTableMatchesMapModel(t *testing.T) {
 				t.Fatalf("trial %d step %d: insertion order %v, reference %v", trial, step, got, ref.order)
 			}
 			for fd := 0; fd < fdSpace; fd++ {
-				gm, gok := dense.Get(fd)
+				ge := dense.Lookup(fd)
 				re, wok := ref.entries[fd]
-				if gok != wok {
+				if gok := ge != nil; gok != wok {
 					t.Fatalf("trial %d step %d: Contains(%d)=%v, reference %v", trial, step, fd, gok, wok)
 				}
-				if gok && gm != re.events {
+				if ge != nil && ge.Events != re.events {
 					t.Fatalf("trial %d step %d: fd %d state mismatch", trial, step, fd)
 				}
 			}

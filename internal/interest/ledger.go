@@ -30,13 +30,13 @@ const none int32 = -1
 //
 // Descriptors are non-negative, as POSIX allocates them; the node table is
 // indexed by descriptor number directly, which the kernel's lowest-unused
-// allocation keeps compact, and grows by doubling (core.GrowTo).
+// allocation keeps compact, and grows in pages (core.Paged).
 //
 // /dev/poll uses it as the §3.2 hint backmap (a marked descriptor is one whose
 // driver posted a hint since the last scan); epoll uses it as the ready list
 // behind epoll_wait.
 type Ledger struct {
-	nodes []ledgerNode // indexed by descriptor number
+	nodes core.Paged[ledgerNode] // indexed by descriptor number
 	head  int32
 	tail  int32
 	count int
@@ -50,10 +50,10 @@ func NewLedger() *Ledger {
 
 // node returns fd's node if fd is marked, else nil.
 func (l *Ledger) node(fd int) *ledgerNode {
-	if fd < 0 || fd >= len(l.nodes) || !l.nodes[fd].marked {
-		return nil
+	if n := l.nodes.At(fd); n != nil && n.marked {
+		return n
 	}
-	return &l.nodes[fd]
+	return nil
 }
 
 // Mark records readiness mask for fd, OR-ing it into any mask already pending,
@@ -79,12 +79,11 @@ func (l *Ledger) Mark(fd int, mask core.EventMask, gen uint64) bool {
 	if fd < 0 {
 		panic("interest: Ledger.Mark with negative descriptor")
 	}
-	l.nodes = core.GrowTo(l.nodes, fd)
-	l.nodes[fd] = ledgerNode{gen: gen, prev: l.tail, next: none, mask: mask, marked: true}
+	l.nodes.Set(fd, ledgerNode{gen: gen, prev: l.tail, next: none, mask: mask, marked: true})
 	if l.tail == none {
 		l.head = int32(fd)
 	} else {
-		l.nodes[l.tail].next = int32(fd)
+		l.nodes.At(int(l.tail)).next = int32(fd)
 	}
 	l.tail = int32(fd)
 	l.count++
@@ -111,7 +110,7 @@ func (l *Ledger) Len() int { return l.count }
 // its storage. It unmarks only the marked nodes: O(ready), like a Scan.
 func (l *Ledger) Reset() {
 	for fd := l.head; fd != none; {
-		n := &l.nodes[fd]
+		n := l.nodes.At(int(fd))
 		fd = n.next
 		n.marked = false
 	}
@@ -129,7 +128,7 @@ func (l *Ledger) Reset() {
 func (l *Ledger) Scan(fn func(fd int, mask core.EventMask, gen uint64) (keep bool)) {
 	l.stop = false
 	for fd := l.head; fd != none && !l.stop; {
-		n := &l.nodes[fd]
+		n := l.nodes.At(int(fd))
 		next := n.next
 		if !fn(int(fd), n.mask, n.gen) {
 			l.unlink(fd)
@@ -144,16 +143,16 @@ func (l *Ledger) Stop() { l.stop = true }
 
 // unlink removes fd's node from the list and unmarks it.
 func (l *Ledger) unlink(fd int32) {
-	n := &l.nodes[fd]
+	n := l.nodes.At(int(fd))
 	if n.prev == none {
 		l.head = n.next
 	} else {
-		l.nodes[n.prev].next = n.next
+		l.nodes.At(int(n.prev)).next = n.next
 	}
 	if n.next == none {
 		l.tail = n.prev
 	} else {
-		l.nodes[n.next].prev = n.prev
+		l.nodes.At(int(n.next)).prev = n.prev
 	}
 	n.marked = false
 	l.count--

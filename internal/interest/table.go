@@ -44,15 +44,17 @@ type Entry struct {
 	seq    uint32 // insertion sequence, EachMarked's order key; fills Events' padding
 	File   *simkernel.FD
 
-	prev, next *Entry // insertion-order list; next doubles as the pool link
+	// prev and next link the insertion order by descriptor number, as the
+	// ledger links its nodes; none at either end.
+	prev, next int32
 }
 
 // Table is the kernel-resident interest set described in §3.1 of the paper.
 // The paper implements it as a chained hash table ("when the average bucket
 // size is two, the number of buckets in the hash table is doubled. The hash
 // table is never shrunk"); this reproduction stores entries in a dense
-// descriptor-indexed slice instead — lowest-unused fd allocation keeps
-// descriptor numbers compact, so the slice is the cache-friendly,
+// descriptor-indexed table instead — lowest-unused fd allocation keeps
+// descriptor numbers compact, so the table is the cache-friendly,
 // allocation-free equivalent. No charge depends on the bucket count, so the
 // hash table's growth is not modelled.
 //
@@ -62,38 +64,25 @@ type Entry struct {
 // Set/Upsert allocation-free at steady state; fresh entries are carved from a
 // slab, so a large held interest set costs one allocation per chunk.
 type Table struct {
-	slots []*Entry // fd-indexed; nil = not registered
-	head  *Entry
-	tail  *Entry
+	slots core.Paged[*Entry] // fd-indexed; nil = not registered
+	head  int32
+	tail  int32
 	count int
-	pool  *Entry // recycled entries, linked through next
+	pool  []*Entry // recycled entries
 	slab  core.Slab[Entry]
 	seq   uint32   // last insertion sequence handed out
 	marks []*Entry // EachMarked's scratch list, reused across calls
 }
 
 // NewTable returns an empty interest table.
-func NewTable() *Table { return &Table{} }
+func NewTable() *Table { return &Table{head: none, tail: none} }
 
 // Len reports the number of registered interests.
 func (t *Table) Len() int { return t.count }
 
 // Lookup returns the entry registered for fd, or nil. The entry is owned by
 // the table: it is valid until the interest is deleted.
-func (t *Table) Lookup(fd int) *Entry {
-	if fd < 0 || fd >= len(t.slots) {
-		return nil
-	}
-	return t.slots[fd]
-}
-
-// Get returns the interest mask registered for fd.
-func (t *Table) Get(fd int) (core.EventMask, bool) {
-	if e := t.Lookup(fd); e != nil {
-		return e.Events, true
-	}
-	return 0, false
-}
+func (t *Table) Lookup(fd int) *Entry { return t.slots.Get(fd) }
 
 // Contains reports whether fd has a registered interest.
 func (t *Table) Contains(fd int) bool { return t.Lookup(fd) != nil }
@@ -108,28 +97,24 @@ func (t *Table) Upsert(fd int) (*Entry, bool) {
 		panic("interest: Table.Upsert with negative descriptor")
 	}
 	var e *Entry
-	if t.pool != nil {
-		e = t.pool
-		t.pool = e.next
-		*e = Entry{FD: fd}
+	if n := len(t.pool); n > 0 {
+		e = t.pool[n-1]
+		t.pool = t.pool[:n-1]
 	} else {
 		e = t.slab.New()
-		e.FD = fd
 	}
-	t.slots = core.GrowTo(t.slots, fd)
-	t.slots[fd] = e
 	if t.seq == math.MaxUint32 {
 		t.renumber()
 	}
 	t.seq++
-	e.seq = t.seq
-	if t.tail == nil {
-		t.head, t.tail = e, e
+	*e = Entry{FD: fd, seq: t.seq, prev: t.tail, next: none}
+	t.slots.Set(fd, e)
+	if t.tail == none {
+		t.head = int32(fd)
 	} else {
-		e.prev = t.tail
-		t.tail.next = e
-		t.tail = e
+		t.slots.Get(int(t.tail)).next = int32(fd)
 	}
+	t.tail = int32(fd)
 	t.count++
 	return e, true
 }
@@ -138,10 +123,10 @@ func (t *Table) Upsert(fd int) (*Entry, bool) {
 // sequence counter can restart below its wrap point without reordering.
 func (t *Table) renumber() {
 	t.seq = 0
-	for e := t.head; e != nil; e = e.next {
+	t.Each(func(e *Entry) {
 		t.seq++
 		e.seq = t.seq
-	}
+	})
 }
 
 // Set registers or replaces the interest mask for fd and reports whether the
@@ -159,28 +144,30 @@ func (t *Table) Delete(fd int) bool {
 	if e == nil {
 		return false
 	}
-	if e.prev == nil {
+	if e.prev == none {
 		t.head = e.next
 	} else {
-		e.prev.next = e.next
+		t.slots.Get(int(e.prev)).next = e.next
 	}
-	if e.next == nil {
+	if e.next == none {
 		t.tail = e.prev
 	} else {
-		e.next.prev = e.prev
+		t.slots.Get(int(e.next)).prev = e.prev
 	}
-	t.slots[fd] = nil
+	t.slots.Set(fd, nil)
 	t.count--
-	*e = Entry{next: t.pool}
-	t.pool = e
+	*e = Entry{}
+	t.pool = append(t.pool, e)
 	return true
 }
 
 // Each visits every entry in insertion order. fn must not add or remove table
 // entries during the walk.
 func (t *Table) Each(fn func(e *Entry)) {
-	for e := t.head; e != nil; e = e.next {
+	for fd := t.head; fd != none; {
+		e := t.slots.Get(int(fd))
 		fn(e)
+		fd = e.next
 	}
 }
 
@@ -195,7 +182,7 @@ func (t *Table) EachMarked(l *Ledger, fn func(e *Entry) (keep bool)) {
 		return
 	}
 	marks := t.marks[:0]
-	for fd := l.head; fd != none; fd = l.nodes[fd].next {
+	for fd := l.head; fd != none; fd = l.nodes.At(int(fd)).next {
 		if e := t.Lookup(int(fd)); e != nil {
 			marks = append(marks, e)
 		}

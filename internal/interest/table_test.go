@@ -23,11 +23,11 @@ func TestTableSetGetDelete(t *testing.T) {
 	if tb.Set(7, core.POLLOUT) {
 		t.Fatal("second Set of same fd should report replacement")
 	}
-	if ev, ok := tb.Get(7); !ok || ev != core.POLLOUT {
-		t.Fatalf("Get = %v %v", ev, ok)
+	if e := tb.Lookup(7); e == nil || e.Events != core.POLLOUT {
+		t.Fatalf("Lookup(7) = %+v", e)
 	}
-	if _, ok := tb.Get(8); ok {
-		t.Fatal("Get of missing fd succeeded")
+	if tb.Lookup(8) != nil {
+		t.Fatal("Lookup of missing fd succeeded")
 	}
 	if !tb.Contains(7) || tb.Contains(8) {
 		t.Fatal("Contains wrong")
@@ -150,8 +150,7 @@ func TestTableMatchesModelProperty(t *testing.T) {
 			}
 		}
 		for fd, ev := range model {
-			got, ok := tb.Get(fd)
-			if !ok || got != ev {
+			if e := tb.Lookup(fd); e == nil || e.Events != ev {
 				return false
 			}
 		}
@@ -169,11 +168,11 @@ func TestTableMatchesModelProperty(t *testing.T) {
 	}
 }
 
-// Entry keeps its 40-byte layout: the insertion sequence lives in the padding
-// after Events.
+// Entry keeps its 32-byte layout: the insertion sequence lives in the padding
+// after Events, and the insertion order links by descriptor number.
 func TestEntrySize(t *testing.T) {
-	if got := unsafe.Sizeof(Entry{}); got != 40 {
-		t.Fatalf("unsafe.Sizeof(Entry{}) = %d, want 40", got)
+	if got := unsafe.Sizeof(Entry{}); got != 32 {
+		t.Fatalf("unsafe.Sizeof(Entry{}) = %d, want 32", got)
 	}
 }
 

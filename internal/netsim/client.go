@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"unsafe"
+
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/simkernel"
@@ -92,10 +94,9 @@ type ConnectOptions struct {
 
 // ClientConn is the client-side endpoint of a simulated TCP connection. The
 // facts both endpoints share — the network, the connection id, the RTT and
-// the home lane — live once on the pair.
+// the home lane — live once on the pair, which the endpoint is a field of.
 type ClientConn struct {
-	pair *connPair
-	h    ConnHandler
+	h ConnHandler
 
 	recvWindow int32
 	state      ConnState
@@ -121,7 +122,9 @@ type ClientConn struct {
 
 // connPair holds both endpoints of one connection in a single allocation,
 // the facts they share, and the bookkeeping that lets the pair be recycled
-// for a later connection. A pair returns to its lane's free list once three
+// for a later connection. Neither endpoint points at the pair: each finds it
+// from its own address (see pair), so a held connection stores no word it
+// can compute. A pair returns to its lane's free list once three
 // things hold: both ends are closed (the server's descriptor closed, or the
 // connection never reached an accept queue; the client closed, refused or saw
 // the peer close), no scheduled connEvt still refers to it, and the client
@@ -146,6 +149,24 @@ type connPair struct {
 	inc uint32
 	// pending counts the scheduled connEvts that refer to the pair.
 	pending int32
+}
+
+// The endpoints' offsets within their pair.
+const (
+	cOffset  = unsafe.Offsetof(connPair{}.c)
+	scOffset = unsafe.Offsetof(connPair{}.sc)
+)
+
+// pair returns the pair c is a field of: the address cOffset bytes before c,
+// which lies in the same allocation. Every ClientConn lives in a connPair.
+func (c *ClientConn) pair() *connPair {
+	return (*connPair)(unsafe.Add(unsafe.Pointer(c), -int(cOffset)))
+}
+
+// pair returns the pair c is a field of: the address scOffset bytes before
+// c, which lies in the same allocation. Every ServerConn lives in a connPair.
+func (c *ServerConn) pair() *connPair {
+	return (*connPair)(unsafe.Add(unsafe.Pointer(c), -int(scOffset)))
 }
 
 // newPair returns a recycled pair from the driver lane's free list, or a
@@ -196,7 +217,7 @@ func (p *connPair) maybeRecycle() {
 // flight, so the handle must not be used again. Call it from code executing
 // on the connection's own lane.
 func (c *ClientConn) Release() {
-	p := c.pair
+	p := c.pair()
 	p.live()
 	c.released = true
 	p.maybeRecycle()
@@ -219,7 +240,7 @@ func (n *Network) ConnectWith(now core.Time, opts ConnectOptions, h ConnHandler)
 	p.net, p.id, p.rtt, p.q = n, n.connID(), rtt, n.driverQ
 	c := &p.c
 	*c = ClientConn{
-		pair: p, h: h, state: StateConnecting,
+		h: h, state: StateConnecting,
 		recvWindow: int32(opts.RecvWindow), stallReads: opts.StallReads,
 	}
 	if f := &n.K.Faults; f.ResetRate > 0 || f.VanishRate > 0 {
@@ -254,7 +275,7 @@ func (n *Network) ConnectWith(now core.Time, opts ConnectOptions, h ConnHandler)
 }
 
 // ID returns the connection's driver-assigned identifier.
-func (c *ClientConn) ID() int64 { return c.pair.id }
+func (c *ClientConn) ID() int64 { return c.pair().id }
 
 // State reports the client's view of the connection.
 func (c *ClientConn) State() ConnState { return c.state }
@@ -263,7 +284,7 @@ func (c *ClientConn) State() ConnState { return c.state }
 // one lane of a sequential run). Client-side callbacks execute
 // on this lane; callers scheduling follow-up work against the connection
 // (timeouts, think times) must target it.
-func (c *ClientConn) Q() simkernel.Q { return c.pair.q }
+func (c *ClientConn) Q() simkernel.Q { return c.pair().q }
 
 // Handler returns the ConnHandler the connection reports to, so a client
 // holding only the connection can reach its own per-connection state.
@@ -272,7 +293,7 @@ func (c *ClientConn) Handler() ConnHandler { return c.h }
 // synArrive handles the SYN reaching the server host. It executes on the
 // connection's home lane — the lane of the listener the id hashes to.
 func (c *ClientConn) synArrive(t core.Time) {
-	p := c.pair
+	p := c.pair()
 	n := p.net
 	st := n.statsAt(p.q)
 	// The sharding decision is made in the NIC/stack before the interrupt
@@ -289,7 +310,7 @@ func (c *ClientConn) synArrive(t core.Time) {
 	if l != nil {
 		// The client's receive window is advertised in the handshake.
 		sc := &p.sc
-		*sc = ServerConn{pair: p, owner: l.owner, sndWindow: c.recvWindow, sndAvail: c.recvWindow}
+		*sc = ServerConn{owner: l.owner, sndWindow: c.recvWindow, sndAvail: c.recvWindow}
 		if l.deliverSYN(t, sc) {
 			c.queued = true
 			st.ConnEstablished++
@@ -317,7 +338,7 @@ func (c *ClientConn) established(t core.Time) {
 // the server has read it and must not be mutated by the caller in the
 // meantime.
 func (c *ClientConn) Send(now core.Time, data []byte) {
-	p := c.pair
+	p := c.pair()
 	p.live()
 	if c.state != StateEstablished && c.state != StateConnecting {
 		return
@@ -367,7 +388,7 @@ func (c *ClientConn) abortWithReset(now core.Time, rstArrival core.Time) {
 	c.state = StateClosed
 	c.releasePort(now)
 	if c.queued {
-		p := c.pair
+		p := c.pair()
 		p.net.schedule(p.q, rstArrival, evtRSTToServer, p, 0, 0, nil)
 	}
 	c.h.Refused(now, RefusedReset)
@@ -378,7 +399,7 @@ func (c *ClientConn) dataArriveServer(t core.Time, data []byte) {
 	if !c.queued {
 		return
 	}
-	p := c.pair
+	p := c.pair()
 	sc, net := &p.sc, p.net
 	st := net.statsAt(p.q)
 	net.K.InterruptOn(sc.irqCPU(), t, net.K.Cost.NetRxIRQ, nil)
@@ -390,7 +411,7 @@ func (c *ClientConn) dataArriveServer(t core.Time, data []byte) {
 // Close closes the client end at time now; the FIN reaches the server half an
 // RTT later. The client's ephemeral port enters TIME-WAIT.
 func (c *ClientConn) Close(now core.Time) {
-	p := c.pair
+	p := c.pair()
 	p.live()
 	if c.closedLocal {
 		return
@@ -427,7 +448,7 @@ func (c *ClientConn) dataArriveClient(t core.Time, n int) {
 	if c.closedLocal {
 		return
 	}
-	p := c.pair
+	p := c.pair()
 	if c.fate == faults.FateResetResponse && !c.fateFired {
 		// Mid-response reset: the first response bytes have arrived, more may
 		// be in flight, and the client slams the connection shut. The server's
@@ -459,7 +480,7 @@ func (c *ClientConn) peerCloseArrive(t core.Time) {
 // down, descriptor limit, ...), surfacing it to the client as a refusal. It
 // executes on the server lane the connection is homed on.
 func (c *ClientConn) scheduleReset(now core.Time) {
-	p := c.pair
+	p := c.pair()
 	p.net.schedule(p.q, now.Add(p.rtt/2), evtReset, p, 0, 0, nil)
 }
 
@@ -492,8 +513,8 @@ func (c *ClientConn) releasePort(now core.Time) {
 		return
 	}
 	c.portHeld = false
-	q := c.pair.q
-	n := c.pair.net
+	q := c.pair().q
+	n := c.pair().net
 	if !n.parallel {
 		n.releasePort(now)
 		return
@@ -606,7 +627,7 @@ func (n *Network) defer_(proc *simkernel.Proc, kind evtKind, sc *ServerConn, cou
 	e := n.getEvt(proc.Q())
 	e.kind, e.n = kind, int32(count)
 	e.lane = int32(proc.Q().LaneIndex())
-	e.hold(sc.pair)
+	e.hold(sc.pair())
 	proc.Defer(e.fn)
 }
 

@@ -119,7 +119,7 @@ func TestRecycledConnUsePanics(t *testing.T) {
 func TestEventOutlivingItsPairPanics(t *testing.T) {
 	k, n, _, _, _, _ := testbed(t, DefaultConfig())
 	cc := n.ConnectWith(k.Now(), ConnectOptions{}, nil)
-	cc.pair.inc += 2 // the SYN is pending: pretend the pair moved on twice
+	cc.pair().inc += 2 // the SYN is pending: pretend the pair moved on twice
 	mustPanic(t, "SYN delivery", func() { k.Sim.Run() })
 }
 
@@ -128,7 +128,7 @@ func TestEventOutlivingItsPairPanics(t *testing.T) {
 // and allocates nothing once warm.
 func TestAcceptQueueKeepsItsArray(t *testing.T) {
 	l := &Listener{backlog: 1024}
-	sc := &ServerConn{}
+	sc := &(&connPair{}).sc
 	churn := func(rounds int) {
 		for i := 0; i < rounds; i++ {
 			// Arrivals outpace accepts until the queue nears its backlog,

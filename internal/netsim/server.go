@@ -119,9 +119,9 @@ func (l *Listener) pop() (*ServerConn, bool) {
 // peer has closed, writable while open. The network, id, RTT and home lane
 // (its listener owner's lane, the one lane of a sequential run) are the
 // pair's, shared with the peer ClientConn, so both endpoints of a connection
-// execute on one lane.
+// execute on one lane. The endpoint is a field of the pair and finds it from
+// its own address.
 type ServerConn struct {
-	pair  *connPair
 	owner *simkernel.Proc // whose CPU receives this connection's interrupts
 
 	rcvBuf []byte // request bytes buffered, not yet read by the server
@@ -191,7 +191,7 @@ func (c *ServerConn) PeerClosed() bool { return c.peerClosed }
 func (c *ServerConn) ResetPeer() bool { return c.resetPeer }
 
 // Peer returns the client endpoint (used by tests and the load generator).
-func (c *ServerConn) Peer() *ClientConn { return &c.pair.c }
+func (c *ServerConn) Peer() *ClientConn { return &c.pair().c }
 
 // irqCPU resolves the CPU that receives this connection's interrupts; nil
 // selects the kernel's default (CPU 0), the uniprocessor behaviour.
@@ -266,7 +266,7 @@ func (c *ServerConn) deliverFIN(now core.Time) {
 // resetFromServer aborts a connection that was never accepted (listener
 // closed underneath it).
 func (c *ServerConn) resetFromServer(now core.Time) {
-	c.pair.c.scheduleReset(now)
+	c.pair().c.scheduleReset(now)
 }
 
 // SockAPI exposes the socket system calls to a simulated server process. Every
@@ -539,7 +539,7 @@ func (a *SockAPI) Close(fd *simkernel.FD) {
 	if conn.resetPeer {
 		// The peer already tore the connection down; there is no one to FIN,
 		// and with nothing in flight the pair may be recyclable right away.
-		conn.pair.maybeRecycle()
+		conn.pair().maybeRecycle()
 		return
 	}
 	a.Net.defer_(a.P, evtSrvClose, conn, 0)

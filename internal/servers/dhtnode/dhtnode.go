@@ -76,7 +76,7 @@ type Server struct {
 	mainFD *simkernel.FD
 
 	sessions map[netsim.Addr]*session
-	byFD     []*session // fd-indexed; nil = not a session socket
+	byFD     core.Paged[*session] // fd-indexed; nil = not a session socket
 	free     []*session
 
 	stats   Stats
@@ -159,19 +159,6 @@ func (s *Server) Poller() core.Poller { return s.base.Poller() }
 // Loops counts completed event-loop iterations.
 func (s *Server) Loops() int64 { return s.base.Iterations() }
 
-// sessionAt resolves a readiness event's descriptor to its session.
-func (s *Server) sessionAt(fd int) *session {
-	if fd < 0 || fd >= len(s.byFD) {
-		return nil
-	}
-	return s.byFD[fd]
-}
-
-func (s *Server) setByFD(fd int, e *session) {
-	s.byFD = core.GrowTo(s.byFD, fd)
-	s.byFD[fd] = e
-}
-
 // onReadable drains whichever socket reported readable — the well-known
 // rendezvous socket admits unknown senders, a session socket refreshes its
 // peer.
@@ -180,7 +167,7 @@ func (s *Server) onReadable(fd int, _ eventlib.What, now core.Time) {
 		s.drainMain(now)
 		return
 	}
-	sess := s.sessionAt(fd)
+	sess := s.byFD.Get(fd)
 	if sess == nil {
 		return // stale event: the session expired before the callback ran
 	}
@@ -227,7 +214,7 @@ func (s *Server) join(now core.Time, peer netsim.Addr) {
 	sess.peer, sess.fd, sess.lastSeen = peer, fd, now
 	sess.ev = s.base.NewEvent(fd.Num, eventlib.EvRead|eventlib.EvPersist, s.onReadable)
 	s.sessions[peer] = sess
-	s.setByFD(fd.Num, sess)
+	s.byFD.Set(fd.Num, sess)
 	if err := sess.ev.Add(0); err != nil {
 		panic("dhtnode: registering a session socket: " + err.Error())
 	}
@@ -261,7 +248,7 @@ func (s *Server) onSweep(_ int, _ eventlib.What, now core.Time) {
 // expire tears one session down.
 func (s *Server) expire(sess *session) {
 	delete(s.sessions, sess.peer)
-	s.byFD[sess.fd.Num] = nil
+	s.byFD.Set(sess.fd.Num, nil)
 	_ = sess.ev.Del()
 	s.api.Close(sess.fd)
 	s.stats.Expired++
@@ -274,8 +261,8 @@ func (s *Server) expire(sess *session) {
 // descriptor order.
 func (s *Server) rescan(now core.Time) {
 	s.drainMain(now)
-	for fd := 0; fd < len(s.byFD); fd++ {
-		if s.byFD[fd] != nil {
+	for fd := 0; fd < s.byFD.Len(); fd++ {
+		if s.byFD.Get(fd) != nil {
 			s.onReadable(fd, 0, now)
 		}
 	}

@@ -252,11 +252,12 @@ type Handler struct {
 	Stats Stats
 
 	// conns is the connection table, indexed by descriptor number (nil =
-	// no connection). Lowest-unused descriptor allocation keeps it dense, so
-	// a lookup is a bounds check and an index, and walking it visits the
-	// open connections in ascending descriptor order. open counts its
-	// non-nil entries.
-	conns []*Conn
+	// no connection: a stale event, or a descriptor that is not a
+	// connection). Lowest-unused descriptor allocation keeps it dense, so a
+	// lookup is a bounds check and an index, and walking it visits the open
+	// connections in ascending descriptor order. open counts its non-nil
+	// entries.
+	conns core.Paged[*Conn]
 	open  int
 
 	// reserve is the descriptor held back for the EMFILE accept-drain trick:
@@ -301,8 +302,8 @@ func (h *Handler) SetOptions(opts Options) {
 // OpenConns returns the open connection descriptors in ascending order.
 func (h *Handler) OpenConns() []int {
 	out := make([]int, 0, h.open)
-	for fd, c := range h.conns {
-		if c != nil {
+	for fd := 0; fd < h.conns.Len(); fd++ {
+		if h.conns.Get(fd) != nil {
 			out = append(out, fd)
 		}
 	}
@@ -312,19 +313,9 @@ func (h *Handler) OpenConns() []int {
 // Open reports the number of open connections.
 func (h *Handler) Open() int { return h.open }
 
-// getConn returns fd's connection, nil when there is none (a stale event, or
-// a descriptor that is not a connection).
-func (h *Handler) getConn(fd int) *Conn {
-	if fd < 0 || fd >= len(h.conns) {
-		return nil
-	}
-	return h.conns[fd]
-}
-
 // addConn installs a fresh connection record for fd in the table.
 func (h *Handler) addConn(now core.Time, fd *simkernel.FD, sc *netsim.ServerConn) {
-	h.conns = core.GrowTo(h.conns, fd.Num)
-	h.conns[fd.Num] = h.newConn(now, fd, sc)
+	h.conns.Set(fd.Num, h.newConn(now, fd, sc))
 	h.open++
 }
 
@@ -449,7 +440,7 @@ func (h *Handler) AdoptConn(now core.Time, fd *simkernel.FD, sc *netsim.ServerCo
 // persistent connection. Events for unknown descriptors (stale RT signals,
 // for example) are ignored, as the paper notes real servers must do.
 func (h *Handler) HandleReadable(now core.Time, fd int) {
-	c := h.getConn(fd)
+	c := h.conns.Get(fd)
 	if c == nil {
 		return
 	}
@@ -475,7 +466,7 @@ func (h *Handler) HandleReadable(now core.Time, fd int) {
 // Unknown descriptors — the connection closed between deferral and
 // continuation — are ignored.
 func (h *Handler) Continue(now core.Time, fd int) {
-	c := h.getConn(fd)
+	c := h.conns.Get(fd)
 	if c == nil || c.writeBlocked {
 		return
 	}
@@ -601,7 +592,7 @@ func (h *Handler) releaseCache(c *Conn) {
 // interest when the window reopens. Pushes to unknown descriptors or to a
 // connection still draining an earlier write report false and write nothing.
 func (h *Handler) Push(now core.Time, fd int, n int) bool {
-	c := h.getConn(fd)
+	c := h.conns.Get(fd)
 	if c == nil || n <= 0 || c.PendingWrite > 0 {
 		return false
 	}
@@ -633,7 +624,7 @@ func (h *Handler) Push(now core.Time, fd int, n int) bool {
 // resumes the parked pipeline. Events for unknown descriptors or connections
 // with nothing pending are ignored.
 func (h *Handler) HandleWritable(now core.Time, fd int) {
-	c := h.getConn(fd)
+	c := h.conns.Get(fd)
 	if c == nil || c.PendingWrite <= 0 {
 		return
 	}
@@ -815,14 +806,14 @@ func (h *Handler) closeConn(c *Conn, reason CloseReason) {
 	// The identity check (not just presence) keeps a stale double-close from
 	// tearing down the connection that now holds a recycled descriptor
 	// number; a closed record waiting in the pool has no descriptor at all.
-	if c.FD == nil || h.getConn(c.FD.Num) != c {
+	if c.FD == nil || h.conns.Get(c.FD.Num) != c {
 		return
 	}
 	h.releaseCache(c)
 	if h.OnConnClose != nil {
 		h.OnConnClose(c.FD.Num)
 	}
-	h.conns[c.FD.Num] = nil
+	h.conns.Set(c.FD.Num, nil)
 	h.open--
 	h.API.Close(c.FD)
 	c.FD, c.SC = nil, nil
@@ -847,8 +838,8 @@ func (h *Handler) SweepIdle(now core.Time) int {
 		return 0
 	}
 	closed := 0
-	for _, c := range h.conns {
-		if c != nil && now.Sub(c.LastActivity) >= h.IdleTimeout {
+	for fd := 0; fd < h.conns.Len(); fd++ {
+		if c := h.conns.Get(fd); c != nil && now.Sub(c.LastActivity) >= h.IdleTimeout {
 			h.closeConn(c, CloseIdle)
 			closed++
 		}

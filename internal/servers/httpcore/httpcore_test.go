@@ -127,7 +127,7 @@ func TestPartialRequestKeepsConnectionOpen(t *testing.T) {
 
 	// Completing the request later serves it.
 	conns := e.handler.OpenConns()
-	cc := e.handler.getConn(conns[0]).SC.Peer()
+	cc := e.handler.conns.Get(conns[0]).SC.Peer()
 	cc.Send(e.k.Now(), []byte("\r\n"))
 	e.k.Sim.Run()
 	e.p.Batch(e.k.Now(), func() { e.handler.HandleReadable(e.k.Now(), conns[0]) }, nil)

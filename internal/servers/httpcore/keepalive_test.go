@@ -199,7 +199,7 @@ func TestStalledWindowParksPipelineAndResumes(t *testing.T) {
 		t.Fatalf("OnWriteBlocked calls = %v", blocked)
 	}
 	fd := blocked[0]
-	c := e.handler.getConn(fd)
+	c := e.handler.conns.Get(fd)
 	if c.PendingWrite <= 0 || !c.writeBlocked || !c.keepOpen {
 		t.Fatalf("conn not parked: pending=%d blocked=%v keepOpen=%v",
 			c.PendingWrite, c.writeBlocked, c.keepOpen)
@@ -248,7 +248,7 @@ func TestStaleEventsAfterKeepAliveCloseAreSafe(t *testing.T) {
 		t.Fatalf("OpenConns = %v", fds)
 	}
 	stale := fds[0]
-	if e.handler.getConn(stale).PendingWrite <= 0 {
+	if e.handler.conns.Get(stale).PendingWrite <= 0 {
 		t.Fatal("response should have jammed against the stalled window")
 	}
 

@@ -42,7 +42,7 @@ type EventLoop struct {
 
 	accept *eventlib.Event
 	sweep  *eventlib.Event
-	conns  []*eventlib.Event // fd-indexed; nil = no event registered
+	conns  core.Paged[*eventlib.Event] // fd-indexed; nil = no event registered
 
 	// connReadyFn is connReady bound once, so registering a connection's
 	// event does not build a fresh method value per connection.
@@ -123,18 +123,7 @@ func (h *Handler) Attach(base *eventlib.Base, lfd *simkernel.FD, cfg ServeConfig
 }
 
 // ConnEvent returns the read event registered for a connection (tests).
-func (l *EventLoop) ConnEvent(fd int) *eventlib.Event {
-	if fd < 0 || fd >= len(l.conns) {
-		return nil
-	}
-	return l.conns[fd]
-}
-
-// setConn records fd's registered event in the dense table.
-func (l *EventLoop) setConn(fd int, ev *eventlib.Event) {
-	l.conns = core.GrowTo(l.conns, fd)
-	l.conns[fd] = ev
-}
+func (l *EventLoop) ConnEvent(fd int) *eventlib.Event { return l.conns.Get(fd) }
 
 // onAcceptable is the listener callback: drain the accept queue, then let the
 // server perform its post-accept work (the edge-style immediate read).
@@ -199,7 +188,7 @@ func (l *EventLoop) connReady(fd int, what eventlib.What, now core.Time) {
 // accepted connection.
 func (l *EventLoop) openConn(fd int) {
 	ev := l.base.NewEvent(fd, eventlib.EvRead|eventlib.EvPersist, l.connReadyFn)
-	l.setConn(fd, ev)
+	l.conns.Set(fd, ev)
 	_ = ev.Add(0)
 }
 
@@ -216,7 +205,7 @@ func (l *EventLoop) blockOnWrite(fd int) {
 	_ = ev.Del()
 	ev.Release()
 	nev := l.base.NewEvent(fd, eventlib.EvRead|eventlib.EvWrite|eventlib.EvPersist, l.connReadyFn)
-	l.setConn(fd, nev)
+	l.conns.Set(fd, nev)
 	_ = nev.Add(0)
 }
 
@@ -231,7 +220,7 @@ func (l *EventLoop) drainedConn(fd int) {
 	_ = ev.Del()
 	ev.Release()
 	nev := l.base.NewEvent(fd, eventlib.EvRead|eventlib.EvPersist, l.connReadyFn)
-	l.setConn(fd, nev)
+	l.conns.Set(fd, nev)
 	_ = nev.Add(0)
 }
 
@@ -286,7 +275,7 @@ func (l *EventLoop) Rescan(now core.Time) {
 // discarded by eventlib's Del semantics.
 func (l *EventLoop) closeConn(fd int) {
 	if ev := l.ConnEvent(fd); ev != nil {
-		l.conns[fd] = nil
+		l.conns.Set(fd, nil)
 		_ = ev.Del()
 		ev.Release()
 	}

@@ -30,7 +30,7 @@ func (e *env) acceptIdle(t *testing.T, n int) ([]int, []*netsim.ClientConn) {
 // closeFD closes the connection on fd, if one is open, with a reason no
 // Stats tally counts.
 func (e *env) closeFD(fd int) {
-	if c := e.handler.getConn(fd); c != nil {
+	if c := e.handler.conns.Get(fd); c != nil {
 		e.handler.closeConn(c, CloseServed)
 	}
 }
@@ -49,7 +49,8 @@ func (e *env) closeFDs(fds ...int) {
 func (e *env) checkTable(t *testing.T) {
 	t.Helper()
 	live := 0
-	for fd, c := range e.handler.conns {
+	for fd := 0; fd < e.handler.conns.Len(); fd++ {
+		c := e.handler.conns.Get(fd)
 		if c == nil {
 			continue
 		}
@@ -99,7 +100,7 @@ func TestOpenConnsAscendingAfterOutOfOrderCloses(t *testing.T) {
 func TestStaleCloseOnRecycledDescriptor(t *testing.T) {
 	e := newEnv(t)
 	fds, _ := e.acceptIdle(t, 2)
-	stale := e.handler.getConn(fds[0])
+	stale := e.handler.conns.Get(fds[0])
 	// Closing fds[0] then fds[1] pools both records; the next accept takes
 	// fds[1]'s record and the lowest free number, fds[0].
 	e.closeFDs(fds[0], fds[1])
@@ -107,7 +108,7 @@ func TestStaleCloseOnRecycledDescriptor(t *testing.T) {
 	if reopened[0] != fds[0] {
 		t.Fatalf("reopened on %d, want recycled %d", reopened[0], fds[0])
 	}
-	fresh := e.handler.getConn(fds[0])
+	fresh := e.handler.conns.Get(fds[0])
 	if fresh == nil || fresh == stale {
 		t.Fatalf("recycled descriptor holds %p, want a record other than the stale %p", fresh, stale)
 	}
@@ -117,7 +118,7 @@ func TestStaleCloseOnRecycledDescriptor(t *testing.T) {
 		e.closeFD(fds[1]) // number no longer open
 	}, nil)
 	e.k.Sim.Run()
-	if e.handler.getConn(fds[0]) != fresh || fresh.FD == nil {
+	if e.handler.conns.Get(fds[0]) != fresh || fresh.FD == nil {
 		t.Fatal("stale close tore down the connection on the recycled descriptor")
 	}
 	if e.handler.Stats.Closed != closed || len(e.closed) != calls {

@@ -95,10 +95,11 @@ type Server struct {
 	edgeStyle bool
 	lfd       *simkernel.FD
 
-	conns   []*conn // fd-indexed; nil = closed
-	members []int32 // fd numbers of subscribed members
-	free    []*conn
-	slab    core.Slab[conn] // fresh conns: members are held for the whole run
+	conns    core.Paged[*conn] // fd-indexed; nil = closed
+	members  core.Paged[int32] // fd numbers of subscribed members, [0, nmembers)
+	nmembers int
+	free     []*conn
+	slab     core.Slab[conn] // fresh conns: members are held for the whole run
 
 	tick   *eventlib.Event
 	tickNo uint64
@@ -189,26 +190,13 @@ func (s *Server) Stop() { s.base.Stop() }
 func (s *Server) Stats() Stats { return s.stats }
 
 // Members reports the current member count (the interest-set size).
-func (s *Server) Members() int { return len(s.members) }
+func (s *Server) Members() int { return s.nmembers }
 
 // Poller exposes the event mechanism (for experiment statistics).
 func (s *Server) Poller() core.Poller { return s.base.Poller() }
 
 // Loops counts completed event-loop iterations.
 func (s *Server) Loops() int64 { return s.base.Iterations() }
-
-// getConn returns fd's state, nil when unknown (stale events).
-func (s *Server) getConn(fd int) *conn {
-	if fd < 0 || fd >= len(s.conns) {
-		return nil
-	}
-	return s.conns[fd]
-}
-
-func (s *Server) setConn(fd int, c *conn) {
-	s.conns = core.GrowTo(s.conns, fd)
-	s.conns[fd] = c
-}
 
 // onAcceptable drains the accept queue, registering a persistent read event
 // per new connection. Edge-style backends read each freshly accepted
@@ -231,7 +219,7 @@ func (s *Server) onAcceptable(_ int, _ eventlib.What, now core.Time) {
 		}
 		c.fd, c.idx, c.pending = fd, -1, 0
 		c.ev = s.base.NewEvent(fd.Num, eventlib.EvRead|eventlib.EvPersist, s.connReadyFn)
-		s.setConn(fd.Num, c)
+		s.conns.Set(fd.Num, c)
 		_ = c.ev.Add(0)
 		if s.edgeStyle {
 			s.readConn(now, c)
@@ -242,13 +230,13 @@ func (s *Server) onAcceptable(_ int, _ eventlib.What, now core.Time) {
 // connReady is the shared per-connection callback; write readiness first, as
 // draining a jammed push may close the connection.
 func (s *Server) connReady(fd int, what eventlib.What, now core.Time) {
-	c := s.getConn(fd)
+	c := s.conns.Get(fd) // nil when unknown (stale events)
 	if c == nil {
 		return
 	}
 	if what.Has(eventlib.EvWrite) {
 		s.drain(now, c)
-		if s.getConn(fd) != c {
+		if s.conns.Get(fd) != c {
 			return
 		}
 	}
@@ -263,9 +251,9 @@ func (s *Server) connReady(fd int, what eventlib.What, now core.Time) {
 func (s *Server) readConn(now core.Time, c *conn) {
 	data, eof := s.api.Read(c.fd, 0)
 	if len(data) > 0 && c.idx < 0 {
-		c.idx = int32(len(s.members))
-		s.members = core.GrowTo(s.members, int(c.idx))
-		s.members[c.idx] = int32(c.fd.Num)
+		c.idx = int32(s.nmembers)
+		s.members.Set(s.nmembers, int32(c.fd.Num))
+		s.nmembers++
 		s.stats.Subscribed++
 	}
 	if eof {
@@ -288,14 +276,14 @@ func (s *Server) readConn(now core.Time, c *conn) {
 // first push jammed, which the resolve pass cannot know yet.
 func (s *Server) onTick(_ int, _ eventlib.What, now core.Time) {
 	s.stats.Ticks++
-	m := len(s.members)
+	m := s.nmembers
 	if m == 0 {
 		return
 	}
 	for i := range s.slots {
 		h := Mix(s.cfg.Seed ^ (s.tickNo*0x9e3779b97f4a7c15 + uint64(i)*0xbf58476d1ce4e5b9))
 		sl := &s.slots[i]
-		sl.c = s.getConn(int(s.members[int(h%uint64(m))]))
+		sl.c = s.conns.Get(int(s.members.Get(int(h % uint64(m)))))
 		if sl.c != nil {
 			sl.sc = sl.c.fd.File().(*netsim.ServerConn)
 		}
@@ -359,19 +347,19 @@ func (s *Server) drain(now core.Time, c *conn) {
 
 // closeConn tears down a connection, swap-removing it from the member set.
 func (s *Server) closeConn(c *conn) {
-	if s.getConn(c.fd.Num) != c {
+	if s.conns.Get(c.fd.Num) != c {
 		return
 	}
-	s.conns[c.fd.Num] = nil
+	s.conns.Set(c.fd.Num, nil)
 	_ = c.ev.Del()
 	c.ev.Release()
 	if c.idx >= 0 {
-		last := len(s.members) - 1
-		moved := s.members[last]
-		s.members[c.idx] = moved
-		s.members = s.members[:last]
+		s.nmembers--
+		last := s.nmembers
+		moved := s.members.Get(last)
+		s.members.Set(int(c.idx), moved)
 		if int(c.idx) <= last-1 {
-			if mc := s.getConn(int(moved)); mc != nil {
+			if mc := s.conns.Get(int(moved)); mc != nil {
 				mc.idx = c.idx
 			}
 		}
@@ -388,13 +376,13 @@ func (s *Server) closeConn(c *conn) {
 // open connection once.
 func (s *Server) rescan(now core.Time) {
 	s.onAcceptable(0, 0, now)
-	for fd := 0; fd < len(s.conns); fd++ {
-		c := s.conns[fd]
+	for fd := 0; fd < s.conns.Len(); fd++ {
+		c := s.conns.Get(fd)
 		if c == nil {
 			continue
 		}
 		s.drain(now, c)
-		if s.getConn(fd) == c {
+		if s.conns.Get(fd) == c {
 			s.readConn(now, c)
 		}
 	}

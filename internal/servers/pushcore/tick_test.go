@@ -47,9 +47,10 @@ func newTickRig(t *testing.T, cfg Config, members, stalled int) *tickRig {
 
 // fdOf returns the descriptor number of the member whose ServerConn is sc.
 func (r *tickRig) fdOf(sc *netsim.ServerConn) int {
-	for _, fd := range r.s.members {
-		if r.s.conns[fd].fd.File() == sc {
-			return int(fd)
+	for i := 0; i < r.s.Members(); i++ {
+		fd := int(r.s.members.Get(i))
+		if r.s.conns.Get(fd).fd.File() == sc {
+			return fd
 		}
 	}
 	return -1
@@ -75,10 +76,13 @@ func TestTickPushesMatchOneAtATimeReference(t *testing.T) {
 			}
 			var got []push
 			r.s.OnDeliver = func(now core.Time, sc *netsim.ServerConn) { got = append(got, push{r.fdOf(sc), now}) }
-			order := append([]int32(nil), r.s.members...)
+			order := make([]int32, r.s.Members())
+			for i := range order {
+				order[i] = r.s.members.Get(i)
+			}
 			stalledFD := -1
 			for _, fd := range order {
-				if r.s.conns[fd].fd.File().(*netsim.ServerConn).Peer() == r.clients[stalled] {
+				if r.s.conns.Get(int(fd)).fd.File().(*netsim.ServerConn).Peer() == r.clients[stalled] {
 					stalledFD = int(fd)
 				}
 			}

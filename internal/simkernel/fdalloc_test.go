@@ -2,6 +2,7 @@ package simkernel
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 )
 
@@ -107,5 +108,39 @@ func BenchmarkInstallClose(b *testing.B) {
 			b.Fatal(err)
 		}
 		next = (next + 1) % len(live)
+	}
+}
+
+// BenchmarkGetFD times one descriptor lookup (Proc.Get, the first step of
+// every descriptor syscall) in a table of 251 held descriptors, the size of
+// the churn and poll-scan workloads' inactive population, and of 300,000,
+// the push-idle-epoll workload's held members. The looked-up numbers are
+// drawn at random from the open ones before the timer starts.
+func BenchmarkGetFD(b *testing.B) {
+	for _, n := range []int{251, 300000} {
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			var f fakeFile
+			p := NewKernel(nil).NewProc("bench")
+			for i := 0; i < n; i++ {
+				p.Install(&f)
+			}
+			rng := rand.New(rand.NewSource(1))
+			var nums [1024]int
+			for i := range nums {
+				nums[i] = 3 + rng.Intn(n)
+			}
+			found := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, ok := p.Get(nums[i&(len(nums)-1)]); ok {
+					found++
+				}
+			}
+			b.StopTimer()
+			if found != b.N {
+				b.Fatalf("found %d of %d open descriptors", found, b.N)
+			}
+		})
 	}
 }

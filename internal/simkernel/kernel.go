@@ -143,12 +143,12 @@ type FD struct {
 
 	file File
 
-	// watcher is the first registered watcher: a descriptor almost always
-	// has exactly one (its mechanism), which therefore costs nothing beyond
-	// the FD. more holds the rare later ones in registration order (the
-	// hybrid's mirrored interest adds a second).
+	// watcher is the registered watcher: a descriptor almost always has
+	// exactly one (its mechanism), which therefore costs nothing beyond the
+	// FD. A second registration (the hybrid's mirrored interest) replaces it
+	// with a *watcherList, which stands for all of them in registration order
+	// from then on.
 	watcher Watcher
-	more    *watcherList
 
 	// BufferRegistered marks the descriptor as having a fixed buffer
 	// registered with the kernel (compio's registered-buffer reads): socket
@@ -158,11 +158,32 @@ type FD struct {
 	closed           bool
 }
 
-// watcherList holds a descriptor's watchers past the first. Its inline slot
-// backs the list for a second watcher, so spilling costs one allocation.
+// watcherList is the watcher of a descriptor that has had more than one: it
+// fans each notification out to ws in registration order. Its inline slots
+// back the list for two watchers, so spilling costs one allocation.
 type watcherList struct {
 	ws     []Watcher
-	inline [1]Watcher
+	inline [2]Watcher
+}
+
+// ReadinessChanged implements Watcher. It delivers from a copy: watchers may
+// remove themselves during delivery. A small stack buffer covers every
+// configuration the servers build (at most one mechanism per fd plus the
+// hybrid's mirrored pair).
+func (l *watcherList) ReadinessChanged(now core.Time, fd *FD, mask core.EventMask) {
+	var buf [4]Watcher
+	for _, w := range append(buf[:0], l.ws...) {
+		w.ReadinessChanged(now, fd, mask)
+	}
+}
+
+// FDClosed implements CloseWatcher for every listed watcher that does.
+func (l *watcherList) FDClosed(fd *FD) {
+	for _, w := range l.ws {
+		if cw, ok := w.(CloseWatcher); ok {
+			cw.FDClosed(fd)
+		}
+	}
 }
 
 // File returns the underlying open file.
@@ -190,47 +211,39 @@ func (fd *FD) DriverPoll() core.EventMask {
 
 // AddWatcher registers w to be notified of readiness transitions on fd.
 func (fd *FD) AddWatcher(w Watcher) {
+	l, ok := fd.watcher.(*watcherList)
 	switch {
 	case fd.watcher == nil:
 		fd.watcher = w
 		return
 	case fd.watcher == w:
 		return
-	case fd.more == nil:
-		l := &watcherList{}
-		l.ws = append(l.inline[:0], w)
-		fd.more = l
+	case !ok:
+		l = &watcherList{}
+		l.ws = append(l.inline[:0], fd.watcher, w)
+		fd.watcher = l
 		return
 	}
-	for _, existing := range fd.more.ws {
+	for _, existing := range l.ws {
 		if existing == w {
 			return
 		}
 	}
-	fd.more.ws = append(fd.more.ws, w)
+	l.ws = append(l.ws, w)
 }
 
 // RemoveWatcher unregisters w, keeping the others in registration order.
 func (fd *FD) RemoveWatcher(w Watcher) {
-	if fd.watcher == nil {
-		return
-	}
-	var more []Watcher
-	if fd.more != nil {
-		more = fd.more.ws
-	}
-	if fd.watcher == w {
-		if len(more) == 0 {
+	l, ok := fd.watcher.(*watcherList)
+	if !ok {
+		if fd.watcher == w {
 			fd.watcher = nil
-			return
 		}
-		fd.watcher = more[0]
-		fd.more.ws = append(more[:0], more[1:]...)
 		return
 	}
-	for i, existing := range more {
+	for i, existing := range l.ws {
 		if existing == w {
-			fd.more.ws = append(more[:i], more[i+1:]...)
+			l.ws = append(l.ws[:i], l.ws[i+1:]...)
 			return
 		}
 	}
@@ -238,36 +251,23 @@ func (fd *FD) RemoveWatcher(w Watcher) {
 
 // Watchers reports the number of registered watchers (used by tests).
 func (fd *FD) Watchers() int {
-	switch {
-	case fd.watcher == nil:
-		return 0
-	case fd.more == nil:
-		return 1
+	if l, ok := fd.watcher.(*watcherList); ok {
+		return len(l.ws)
 	}
-	return 1 + len(fd.more.ws)
+	if fd.watcher == nil {
+		return 0
+	}
+	return 1
 }
 
-// Notify implements Notifier: it fans a readiness transition out to all
-// registered watchers. Files call it (via SetNotifier's installed target)
-// whenever their readiness changes.
+// Notify implements Notifier: it passes a readiness transition to the
+// registered watcher, which fans it out when it is a list. Files call it (via
+// SetNotifier's installed target) whenever their readiness changes.
 func (fd *FD) Notify(now core.Time, mask core.EventMask) {
 	if fd.closed || fd.watcher == nil {
 		return
 	}
-	if fd.more == nil || len(fd.more.ws) == 0 {
-		// The overwhelmingly common case: deliver directly. The watcher may
-		// remove itself — there is no further iteration to disturb.
-		fd.watcher.ReadinessChanged(now, fd, mask)
-		return
-	}
-	// Copy: watchers may remove themselves during delivery. A small stack
-	// buffer covers every configuration the servers build (at most one
-	// mechanism per fd plus the hybrid's mirrored pair).
-	var buf [4]Watcher
-	ws := append(append(buf[:0], fd.watcher), fd.more.ws...)
-	for _, w := range ws {
-		w.ReadinessChanged(now, fd, mask)
-	}
+	fd.watcher.ReadinessChanged(now, fd, mask)
 }
 
 // Proc is a simulated process: a descriptor table plus the batch accounting
@@ -283,7 +283,7 @@ type Proc struct {
 	// fds is the descriptor table, indexed by descriptor number (nil = free).
 	// POSIX lowest-unused allocation keeps it dense, so lookups are a bounds
 	// check and an index — no hashing on the per-syscall path.
-	fds []*FD
+	fds core.Paged[*FD]
 	// open is the open-descriptor bitmap (Linux's fdtable.open_fds): bit n
 	// is set while descriptor n is open, so Install finds the lowest free
 	// number a word at a time instead of a slot at a time. Bits 0-2 are set
@@ -382,8 +382,7 @@ func (p *Proc) Install(f File) *FD {
 	p.nextGen++
 	fd := p.fdSlab.New()
 	*fd = FD{Num: num, Gen: p.nextGen, Proc: p, file: f}
-	p.fds = core.GrowTo(p.fds, num)
-	p.fds[num] = fd
+	p.fds.Set(num, fd)
 	p.nfds++
 	f.SetNotifier(fd)
 	return fd
@@ -407,25 +406,12 @@ func (p *Proc) lowestFree() int {
 
 // Get returns the descriptor table entry for fd.
 func (p *Proc) Get(fd int) (*FD, bool) {
-	if fd < 0 || fd >= len(p.fds) || p.fds[fd] == nil {
-		return nil, false
-	}
-	return p.fds[fd], true
+	e := p.fds.Get(fd)
+	return e, e != nil
 }
 
 // NumFDs reports the number of open descriptors.
 func (p *Proc) NumFDs() int { return p.nfds }
-
-// FDs returns the open descriptor numbers in ascending order.
-func (p *Proc) FDs() []int {
-	out := make([]int, 0, p.nfds)
-	for n, e := range p.fds {
-		if e != nil {
-			out = append(out, n)
-		}
-	}
-	return out
-}
 
 // CloseFD removes fd from the table and closes the underlying file. The caller
 // is responsible for charging the close cost (Cost.SockClose + SyscallEntry).
@@ -434,7 +420,7 @@ func (p *Proc) CloseFD(now core.Time, fd int) error {
 	if !ok {
 		return core.ErrBadFD
 	}
-	p.fds[fd] = nil
+	p.fds.Set(fd, nil)
 	p.open[fd>>6] &^= 1 << (fd & 63)
 	p.nfds--
 	if fd < p.freeFD {
@@ -444,14 +430,7 @@ func (p *Proc) CloseFD(now core.Time, fd int) error {
 	if cw, ok := e.watcher.(CloseWatcher); ok {
 		cw.FDClosed(e)
 	}
-	if e.more != nil {
-		for _, w := range e.more.ws {
-			if cw, ok := w.(CloseWatcher); ok {
-				cw.FDClosed(e)
-			}
-		}
-	}
-	e.watcher, e.more = nil, nil
+	e.watcher = nil
 	e.file.SetNotifier(nil)
 	e.file.Close(now)
 	return nil

@@ -218,9 +218,13 @@ func TestProcInstallAndGet(t *testing.T) {
 	if _, ok := p.Get(99); ok {
 		t.Fatal("Get(99) should fail")
 	}
-	fds := p.FDs()
-	if len(fds) != 2 || fds[0] != 3 || fds[1] != 4 {
-		t.Fatalf("FDs = %v", fds)
+	if got, ok := p.Get(4); !ok || got != fd2 {
+		t.Fatal("Get(4) failed")
+	}
+	for _, n := range []int{-1, 0, 2, 5} {
+		if _, ok := p.Get(n); ok {
+			t.Fatalf("Get(%d) found a descriptor that was never installed", n)
+		}
 	}
 }
 
@@ -455,10 +459,10 @@ func TestDriverPollChargesCost(t *testing.T) {
 	}
 }
 
-// An FD keeps one watcher inline and spills only the rare extra ones, so a
-// held descriptor costs 72 bytes.
+// An FD keeps one watcher inline and spills only the rare extra ones into a
+// list that takes the watcher's place, so a held descriptor costs 64 bytes.
 func TestFDSize(t *testing.T) {
-	if got := unsafe.Sizeof(FD{}); got != 72 {
-		t.Fatalf("unsafe.Sizeof(FD{}) = %d, want 72", got)
+	if got := unsafe.Sizeof(FD{}); got != 64 {
+		t.Fatalf("unsafe.Sizeof(FD{}) = %d, want 64", got)
 	}
 }
