@@ -11,7 +11,7 @@
 //
 //	replies/s      average reply rate (what Figures 4-9 and 11-13 plot)
 //	err%           failed connection percentage (Figure 10)
-//	median-ms      median connection time (Figure 14)
+//	p50-ms         median connection time (Figure 14)
 //	p99-ms         p99 connection time (the overload figures 19+)
 //	svc-p99-ms     p99 server-side service time
 //	cpu%           mean per-CPU utilisation (Figure 17)
@@ -43,7 +43,7 @@ func benchRun(b *testing.B, spec experiments.RunSpec) experiments.RunResult {
 	}
 	b.ReportMetric(last.Load.ReplyRate.Mean, "replies/s")
 	b.ReportMetric(last.Load.ErrorPercent, "err%")
-	b.ReportMetric(last.Load.MedianLatencyMs, "median-ms")
+	b.ReportMetric(last.Latency.P50, "p50-ms")
 	b.ReportMetric(last.Latency.P99, "p99-ms")
 	b.ReportMetric(last.ServiceLatency.P99, "svc-p99-ms")
 	b.ReportMetric(100*last.CPUUtilization, "cpu%")

@@ -7,10 +7,9 @@ package core
 // append grows a large slice by about 1.25×, which on a long run copies a list
 // several times its final size). Within the capacity it does not reallocate.
 //
-// Only loadgen's two append-only lists use it, the per-interval completion
-// counts and the latency list: the result assembly reads them as flat slices
-// (latencySummary reads a 1-lane run's latencies in place). Tables indexed
-// by descriptor or member number use Paged, which grows without copying.
+// Only loadgen's append-only per-interval completion counts use it: the
+// result assembly reads them as a flat slice. Tables indexed by descriptor or
+// member number use Paged, which grows without copying.
 func GrowTo[S ~[]E, E any](s S, i int) S {
 	n := len(s)
 	if i < n {

@@ -122,9 +122,9 @@ func TestDevPollBeatsStockPollUnderInactiveLoad(t *testing.T) {
 		t.Fatalf("stock poll should fail a significant fraction of connections, got %v%%",
 			poll.Load.ErrorPercent)
 	}
-	if poll.Load.MedianLatencyMs < 5*dev.Load.MedianLatencyMs {
+	if poll.Latency.P50 < 5*dev.Latency.P50 {
 		t.Fatalf("stock poll median latency (%vms) should dwarf devpoll's (%vms)",
-			poll.Load.MedianLatencyMs, dev.Load.MedianLatencyMs)
+			poll.Latency.P50, dev.Latency.P50)
 	}
 	// The mechanism statistics explain why: every stock poll() call scans the
 	// whole interest set (≈500+ driver callbacks per wait), while /dev/poll
@@ -238,9 +238,9 @@ func TestPhhttpdSitsBetweenPollAndDevPollAt501(t *testing.T) {
 		t.Fatalf("phhttpd (%v) should beat stock poll (%v) at load 501",
 			ph.Load.ReplyRate.Mean, poll.Load.ReplyRate.Mean)
 	}
-	if ph.Load.MedianLatencyMs <= dev.Load.MedianLatencyMs {
+	if ph.Latency.P50 <= dev.Latency.P50 {
 		t.Fatalf("phhttpd median latency (%v) should exceed devpoll's (%v) under overload",
-			ph.Load.MedianLatencyMs, dev.Load.MedianLatencyMs)
+			ph.Latency.P50, dev.Latency.P50)
 	}
 }
 
@@ -369,8 +369,8 @@ func TestRunFigureAndFormat(t *testing.T) {
 		t.Fatalf("runs = %d", len(res.Runs))
 	}
 	for _, s := range res.Series {
-		if s.Len() != 2 {
-			t.Fatalf("series %q has %d points", s.Label, s.Len())
+		if len(s.X) != 2 {
+			t.Fatalf("series %q has %d points", s.Label, len(s.X))
 		}
 	}
 	out := Format(res)

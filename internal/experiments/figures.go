@@ -67,7 +67,7 @@ func (m MetricKind) columns() []column {
 		// rest of the row from the run itself.
 		return []column{{"", func(r RunResult) float64 { return r.Load.ReplyRate.Mean }}}
 	case MetricMedianLatency:
-		return []column{{"", func(r RunResult) float64 { return r.Load.MedianLatencyMs }}}
+		return []column{{"", func(r RunResult) float64 { return r.Latency.P50 }}}
 	case MetricReplyP99:
 		return []column{
 			{" (reply avg)", func(r RunResult) float64 { return r.Load.ReplyRate.Mean }},
@@ -559,7 +559,7 @@ func formatVariants(res FigureResult) string {
 		"variant", "reply/s", "err%", "median ms", "cpu%", "loops", "mode")
 	for i, r := range res.Runs {
 		fmt.Fprintf(&b, "%-18s %10.1f %8.1f %10.2f %8.0f %10d %12s\n",
-			res.Series[i].Label, r.Load.ReplyRate.Mean, r.Load.ErrorPercent, r.Load.MedianLatencyMs,
+			res.Series[i].Label, r.Load.ReplyRate.Mean, r.Load.ErrorPercent, r.Latency.P50,
 			100*r.CPUUtilization, r.EventLoops, r.FinalMode)
 	}
 	return b.String()
@@ -588,10 +588,10 @@ func FormatPercentiles(runs []RunResult) string {
 
 // FormatCell renders one run in full, as benchfig -cell prints it: the spec
 // as run, then what a figure table folds away — the executed events and the
-// final virtual time, the reply-rate samples, the latency summary, the
-// errors by reason, the mechanism's counters, the CPU utilisation, on a
-// push run the fan-out tick's books and, on a multi-worker run, the served
-// balance across the workers.
+// final virtual time, the reply-rate samples, the errors by reason, the
+// mechanism's counters, the CPU utilisation, on a push run the fan-out
+// tick's books and, on a multi-worker run, the served balance across the
+// workers. The latency distribution is FormatPercentiles' row.
 func FormatCell(r RunResult) string {
 	var b strings.Builder
 	b.WriteString("spec as run:\n")
@@ -614,8 +614,6 @@ func FormatCell(r RunResult) string {
 	}
 	fmt.Fprintf(&b, "reply rate        avg=%.1f sd=%.1f min=%.1f max=%.1f replies/s\n",
 		load.ReplyRate.Mean, load.ReplyRate.StdDev, load.ReplyRate.Min, load.ReplyRate.Max)
-	fmt.Fprintf(&b, "latency           median=%.2fms mean=%.2fms p90=%.2fms max=%.2fms\n",
-		load.MedianLatencyMs, load.MeanLatencyMs, load.P90LatencyMs, load.MaxLatencyMs)
 	// A line starts with its reason, so sorted lines are sorted reasons.
 	reasons := make([]string, 0, len(load.ErrorsBy))
 	for r, n := range load.ErrorsBy {

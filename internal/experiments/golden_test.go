@@ -213,10 +213,10 @@ func (g figureGolden) output(t *testing.T) string {
 	return Format(res) + FormatPercentiles(res.Runs)
 }
 
-// cellMatchesTable reports whether the cell view of the figure's last run
-// prints the value the table draws at that point: the reply average, or
-// the error percentage or median the figure draws instead, each at the
-// cell view's precision.
+// cellMatchesTable reports whether the cell view of the figure's last run,
+// with its percentile row, prints the value the table draws at that point:
+// the reply average, or the error percentage or median (the p50 column) the
+// figure draws instead, each at the cell view's precision.
 func cellMatchesTable(res FigureResult) error {
 	cols := res.Figure.Metric.columns()
 	series := res.Series[len(res.Series)-len(cols)] // the last curve's first column
@@ -226,9 +226,10 @@ func cellMatchesTable(res FigureResult) error {
 	case MetricErrorPercent:
 		key = `\((\S+)% errors\)`
 	case MetricMedianLatency:
-		key, format = `median=(\S+)ms`, "%.2f"
+		key, format = `\| +(\S+) +\S+ +\S+ +\S+ +\S+ +\|`, "%.2f"
 	}
-	view := FormatCell(res.Runs[len(res.Runs)-1])
+	last := res.Runs[len(res.Runs)-1]
+	view := FormatCell(last) + FormatPercentiles([]RunResult{last})
 	m := regexp.MustCompile(key).FindStringSubmatch(view)
 	if want := fmt.Sprintf(format, y); m == nil || m[1] != want {
 		return fmt.Errorf("cell view of %s does not print the table's %s %s:\n%s", series.Label, res.Figure.Metric, want, view)

@@ -31,8 +31,8 @@ func TestPushRunAccounting(t *testing.T) {
 	if res.Server.Pushed < 1000 {
 		t.Fatalf("server pushes = %d, want >= 1000", res.Server.Pushed)
 	}
-	if res.Load.MedianLatencyMs <= 0 {
-		t.Fatalf("median delivery latency = %v ms, want > 0", res.Load.MedianLatencyMs)
+	if res.Latency.P50 <= 0 {
+		t.Fatalf("median delivery latency = %v ms, want > 0", res.Latency.P50)
 	}
 	if res.FinalMode != "epoll" {
 		t.Fatalf("final mode = %q, want epoll", res.FinalMode)

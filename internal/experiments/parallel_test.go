@@ -13,10 +13,9 @@ import (
 // gatedMetrics renders every deterministic metric the figure and gate tooling
 // consumes. A parallel run must reproduce all of them byte-for-byte.
 func gatedMetrics(r RunResult) string {
-	return fmt.Sprintf("samples=%v reply=%+v err=%.6f errsBy=%v median=%v p90=%v max=%v lat=%+v svc=%+v offered=%v issued=%d completed=%d",
+	return fmt.Sprintf("samples=%v reply=%+v err=%.6f errsBy=%v lat=%+v svc=%+v offered=%v issued=%d completed=%d",
 		r.Load.ReplyRateSamples, r.Load.ReplyRate, r.Load.ErrorPercent,
-		r.Load.ErrorsBy, r.Load.MedianLatencyMs, r.Load.P90LatencyMs,
-		r.Load.MaxLatencyMs, r.Latency, r.ServiceLatency, r.Load.OfferedRate,
+		r.Load.ErrorsBy, r.Latency, r.ServiceLatency, r.Load.OfferedRate,
 		r.Load.Issued, r.Load.Completed)
 }
 

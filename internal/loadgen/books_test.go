@@ -77,9 +77,9 @@ func TestMergedSamplesMatchRateSampler(t *testing.T) {
 	}
 }
 
-// Result's latency figures are computed once per sample count and reused: a
-// second call with no new sample returns the same values, and a sample booked
-// between two calls, on any lane, is in the second call's figures.
+// Result's latency summary is the merged lane histograms: a second call with
+// no new sample returns the same values, and a sample booked between two
+// calls, on any lane, is in the second call's summary.
 func TestResultLatencyTracksNewSamples(t *testing.T) {
 	for _, lanes := range []int{1, 3} {
 		k := simkernel.NewKernel(nil)
@@ -87,19 +87,16 @@ func TestResultLatencyTracksNewSamples(t *testing.T) {
 			k.Sim.EnableSharding(lanes, 1, 100*core.Microsecond)
 		}
 		g := New(k, netsim.New(k, netsim.DefaultConfig()), Config{Connections: 1, SampleInterval: core.Second})
-		var lat []float64
+		var ref metrics.LatencyHist
 		book := func(i, ms int) {
-			g.recordReply(k.Sim.LaneQ(i%lanes), 0, core.Time(core.Duration(ms)*core.Millisecond))
-			lat = append(lat, float64(ms))
+			d := core.Duration(ms) * core.Millisecond
+			g.recordReply(k.Sim.LaneQ(i%lanes), 0, core.Time(d))
+			ref.Observe(d)
 		}
 		check := func(when string) {
 			t.Helper()
-			r := g.Result()
-			q := metrics.Percentiles(lat, 50, 90, 100)
-			got := []float64{r.MeanLatencyMs, r.MedianLatencyMs, r.P90LatencyMs, r.MaxLatencyMs}
-			want := []float64{metrics.Summarize(lat).Mean, q[0], q[1], q[2]}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%d lanes, %s: mean/p50/p90/max %v, want %v", lanes, when, got, want)
+			if got, want := g.Result().Latency, ref.Percentiles(); got != want {
+				t.Errorf("%d lanes, %s: latency %+v, want %+v", lanes, when, got, want)
 			}
 		}
 		for i, ms := range []int{7, 3, 9, 1, 4} {

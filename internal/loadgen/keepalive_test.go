@@ -52,8 +52,8 @@ func TestKeepAliveClientServesAllRequests(t *testing.T) {
 		t.Fatalf("server stats = %+v", st)
 	}
 	// One latency observation per reply.
-	if res.MedianLatencyMs <= 0 {
-		t.Fatalf("median latency = %v", res.MedianLatencyMs)
+	if res.Latency.Count != 200 || res.Latency.P50 <= 0 {
+		t.Fatalf("latency = %+v, want 200 observations above 0 ms", res.Latency)
 	}
 }
 

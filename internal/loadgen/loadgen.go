@@ -138,16 +138,9 @@ type Result struct {
 	ReplyRateSamples []float64
 	ReplyRate        metrics.Summary
 
-	// Latency of completed connections, in milliseconds.
-	MedianLatencyMs float64
-	MeanLatencyMs   float64
-	P90LatencyMs    float64
-	MaxLatencyMs    float64
-
-	// Latency is the percentile summary (p50/p90/p99/p999) of the same
-	// completed-connection latencies, derived from the generator's fixed
-	// bucket histogram — the distribution lens the overload figures plot
-	// next to reply rate.
+	// Latency summarises the per-reply latencies (p50/p90/p99/p999/max, in
+	// milliseconds) from the generator's fixed-bucket histogram: the median
+	// connection time of Figure 14 is its P50.
 	Latency metrics.LatencyPercentiles
 
 	// Replies counts completed responses across all connections: equal to
@@ -169,10 +162,10 @@ type Result struct {
 
 // String renders the one-line summary benchfig prints per point.
 func (r Result) String() string {
-	return fmt.Sprintf("rate=%4.0f load=%3d reply(avg=%6.1f min=%6.1f max=%6.1f sd=%5.1f) err=%5.1f%% median=%6.2fms",
+	return fmt.Sprintf("rate=%4.0f load=%3d reply(avg=%6.1f min=%6.1f max=%6.1f sd=%5.1f) err=%5.1f%% p50=%6.2fms",
 		r.Config.RequestRate, r.Config.InactiveConnections,
 		r.ReplyRate.Mean, r.ReplyRate.Min, r.ReplyRate.Max, r.ReplyRate.StdDev,
-		r.ErrorPercent, r.MedianLatencyMs)
+		r.ErrorPercent, r.Latency.P50)
 }
 
 // Generator drives one benchmark run against the simulated server.
@@ -209,7 +202,6 @@ type Generator struct {
 	lanes    []laneAcc
 	psamples []float64
 	pbase    bool
-	latCache latSummary
 
 	// Push-family state (KindPush). The member registry and the delivery
 	// budget are owned by the push server's lane — every member's home lane,
@@ -235,12 +227,6 @@ type Generator struct {
 	onDone   func(Result)
 }
 
-// latSummary is latencySummary's result for the first n latency samples.
-type latSummary struct {
-	n                   int
-	mean, p50, p90, max float64
-}
-
 // laneAcc is one lane's share of the run bookkeeping: written only by
 // callbacks executing on that lane, read by other code only in barrier serial
 // sections or after the run.
@@ -250,7 +236,6 @@ type laneAcc struct {
 	replies       int
 	errors        int
 	errorsBy      map[ErrorReason]int
-	latenciesMs   []float64
 	hist          metrics.LatencyHist
 	counts        []int // completions per sampling interval, by interval index
 	lastResolveAt core.Time
@@ -267,16 +252,6 @@ type laneAcc struct {
 func (ln *laneAcc) bump(idx int) {
 	ln.counts = core.GrowTo(ln.counts, idx)
 	ln.counts[idx]++
-}
-
-// observe books one reply latency. The list grows by doubling: a long run
-// books hundreds of thousands of latencies, which append would copy at
-// about 1.25× a step.
-func (ln *laneAcc) observe(d core.Duration) {
-	n := len(ln.latenciesMs)
-	ln.latenciesMs = core.GrowTo(ln.latenciesMs, n)
-	ln.latenciesMs[n] = d.Milliseconds()
-	ln.hist.Observe(d)
 }
 
 // New creates a generator for the given kernel, network and workload.
@@ -544,7 +519,7 @@ func (g *Generator) recordCompletion(q simkernel.Q, started, now core.Time) {
 	ln.replies++
 	ln.resolved++
 	ln.bump(g.sampleIdx(now))
-	ln.observe(now.Sub(started))
+	ln.hist.Observe(now.Sub(started))
 	ln.lastResolveAt = now
 	ln.lastRecordAt = now
 	g.resolvedOne()
@@ -558,7 +533,7 @@ func (g *Generator) recordReply(q simkernel.Q, reqStart, now core.Time) {
 	ln := &g.lanes[q.LaneIndex()]
 	ln.replies++
 	ln.bump(g.sampleIdx(now))
-	ln.observe(now.Sub(reqStart))
+	ln.hist.Observe(now.Sub(reqStart))
 	ln.lastRecordAt = now
 }
 
@@ -642,8 +617,8 @@ func (g *Generator) checkDone(core.Time) {
 
 // Result assembles the run summary. It may be called once Done is true (or at
 // any time for a partial view). It merges the per-lane books: every merged
-// quantity is either an order-free reduction (counts, sorted percentiles,
-// histogram buckets) or reconstructed with metrics.RateSampler's exact
+// quantity is either an order-free reduction (counts, histogram buckets) or
+// reconstructed with metrics.RateSampler's exact
 // arithmetic, so a sharded run's figures are byte-identical to the 1-lane
 // run's.
 func (g *Generator) Result() Result {
@@ -695,37 +670,8 @@ func (g *Generator) Result() Result {
 	if elapsed := end.Sub(g.started); elapsed > 0 {
 		res.OfferedRate = float64(g.issued) / elapsed.Seconds()
 	}
-	res.MeanLatencyMs, res.MedianLatencyMs, res.P90LatencyMs, res.MaxLatencyMs = g.latencySummary()
 	res.Latency = hist.Percentiles()
 	return res
-}
-
-// latencySummary returns the mean, median, 90th percentile and maximum of the
-// per-reply latencies. Result runs at least twice per run (for OnDone and for
-// the harness), and samples are only ever appended, so the four values are
-// kept with the sample count they were computed from and reused while that
-// count holds.
-func (g *Generator) latencySummary() (mean, p50, p90, max float64) {
-	n := 0
-	for i := range g.lanes {
-		n += len(g.lanes[i].latenciesMs)
-	}
-	c := &g.latCache
-	if c.n == n { // also no samples yet: the zero cache
-		return c.mean, c.p50, c.p90, c.max
-	}
-	// A 1-lane run reads its lane's samples in place; only the multi-lane
-	// merge needs a concatenated copy.
-	lat := g.lanes[0].latenciesMs
-	if len(g.lanes) > 1 {
-		lat = make([]float64, 0, n)
-		for i := range g.lanes {
-			lat = append(lat, g.lanes[i].latenciesMs...)
-		}
-	}
-	q := metrics.Percentiles(lat, 50, 90, 100)
-	*c = latSummary{n: n, mean: metrics.Summarize(lat).Mean, p50: q[0], p90: q[1], max: q[2]}
-	return c.mean, c.p50, c.p90, c.max
 }
 
 // mergedSamples reproduces metrics.RateSampler's output from the merged

@@ -58,10 +58,10 @@ func TestGeneratorCompletesAgainstHealthyServer(t *testing.T) {
 	if final.ReplyRate.Mean < 300 || final.ReplyRate.Mean > 500 {
 		t.Fatalf("reply rate mean = %v, want ≈400", final.ReplyRate.Mean)
 	}
-	if final.MedianLatencyMs <= 0 || final.MedianLatencyMs > 50 {
-		t.Fatalf("median latency = %v ms", final.MedianLatencyMs)
+	if l := final.Latency; l.P50 <= 0 || l.P50 > 50 {
+		t.Fatalf("median latency = %v ms", l.P50)
 	}
-	if final.MeanLatencyMs <= 0 || final.P90LatencyMs < final.MedianLatencyMs || final.MaxLatencyMs < final.P90LatencyMs {
+	if l := final.Latency; l.Count != int64(final.Replies) || l.P90 < l.P50 || l.P99 < l.P90 || l.Max < l.P999 {
 		t.Fatalf("latency summary inconsistent: %+v", final)
 	}
 	if final.OfferedRate < 300 || final.OfferedRate > 500 {

@@ -51,8 +51,8 @@ func TestPushWorkloadDeliversBudget(t *testing.T) {
 	if final.Replies != 100 {
 		t.Fatalf("replies = %d, want 100", final.Replies)
 	}
-	if final.MedianLatencyMs <= 0 {
-		t.Fatalf("median delivery latency = %v ms", final.MedianLatencyMs)
+	if final.Latency.P50 <= 0 {
+		t.Fatalf("median delivery latency = %v ms", final.Latency.P50)
 	}
 	// The member population was fully subscribed before measurement started.
 	if st := srv.Stats(); st.Subscribed != 100 {
@@ -165,10 +165,10 @@ func TestPushBudgetOnTwoLanesClosesMembers(t *testing.T) {
 	}
 	want, got := seq.Result(), gen.Result()
 	if got.Completed != want.Completed || got.Replies != want.Replies || got.Errors != want.Errors ||
-		got.Finished != want.Finished || got.MaxLatencyMs != want.MaxLatencyMs {
-		t.Fatalf("2 lanes: completed %d replies %d errors %d finished %v max %v; 1 lane: %d %d %d %v %v",
-			got.Completed, got.Replies, got.Errors, got.Finished, got.MaxLatencyMs,
-			want.Completed, want.Replies, want.Errors, want.Finished, want.MaxLatencyMs)
+		got.Finished != want.Finished || got.Latency != want.Latency {
+		t.Fatalf("2 lanes: completed %d replies %d errors %d finished %v latency %+v; 1 lane: %d %d %d %v %+v",
+			got.Completed, got.Replies, got.Errors, got.Finished, got.Latency,
+			want.Completed, want.Replies, want.Errors, want.Finished, want.Latency)
 	}
 	if c := n.Stats().ClientCloses; c != 100 {
 		t.Errorf("%d members closed, want all 100", c)
@@ -345,9 +345,9 @@ func TestPushOverlappingDeliveriesKeepTheirAnchors(t *testing.T) {
 	m.Data(at(4*core.Millisecond), payload/2)
 	m.Data(at(5*core.Millisecond), payload) // completes the first, half the second
 	m.Data(at(9*core.Millisecond), payload-payload/2)
-	lat := gen.lanes[0].latenciesMs
-	if want := []float64{4, 6}; len(lat) != 2 || lat[0] != want[0] || lat[1] != want[1] {
-		t.Fatalf("latencies %v ms, want %v: each delivery measured from its own initiation", lat, want)
+	h := &gen.lanes[0].hist
+	if h.Count() != 2 || h.MinMs() != 4 || h.MaxMs() != 6 {
+		t.Fatalf("%d latencies from %v to %v ms, want 4 and 6: each delivery measured from its own initiation", h.Count(), h.MinMs(), h.MaxMs())
 	}
 	if m.waiting || m.spill == nil || len(*m.spill) != 0 || m.received != 0 {
 		t.Fatalf("member left waiting=%v spill=%v received=%d, want an empty spill and nothing pending", m.waiting, m.spill, m.received)
@@ -360,7 +360,6 @@ func TestPushOverlappingDeliveriesKeepTheirAnchors(t *testing.T) {
 func TestPushDeliveryDoesNotAllocate(t *testing.T) {
 	const runs = 40
 	k, gen, ms, scs := pushRig(t, runs+1) // AllocsPerRun adds one warm-up run
-	gen.lanes[0].latenciesMs = make([]float64, 0, runs+1)
 	now := k.Now()
 	i := 0
 	allocs := testing.AllocsPerRun(runs, func() {
@@ -371,7 +370,7 @@ func TestPushDeliveryDoesNotAllocate(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("PushDeliver plus Data: %v allocations per delivery, want 0", allocs)
 	}
-	if got := len(gen.lanes[0].latenciesMs); got != runs+1 {
+	if got := gen.lanes[0].hist.Count(); got != runs+1 {
 		t.Fatalf("%d deliveries booked, want %d", got, runs+1)
 	}
 }

@@ -1,8 +1,8 @@
 // Package metrics implements the measurement side of the reproduction: the
-// per-interval reply-rate samples, min/max/average/standard deviation, median
-// and percentile latencies, and error percentages that the paper's figures
-// plot, plus the service-latency histogram (LatencyHist) and time-series
-// helpers used by the experiment harness.
+// per-interval reply-rate samples with their min/max/average/standard
+// deviation, the latency histogram (LatencyHist) whose percentiles give the
+// median connection time and the tail, and the time-series helpers used by
+// the experiment harness.
 package metrics
 
 import (
@@ -53,115 +53,6 @@ func Summarize(samples []float64) Summary {
 // String formats the summary the way the experiment tables print it.
 func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.1f sd=%.1f min=%.1f max=%.1f", s.Count, s.Mean, s.StdDev, s.Min, s.Max)
-}
-
-// Percentiles returns the p-th percentile (0..100) of the samples, using
-// nearest-rank interpolation, for every p in ps; every value is 0 for an empty
-// slice. Each requested order statistic is found by selection on one copy of
-// the samples (the extremes by a linear scan), so a call costs a few linear
-// passes instead of a full sort; the values are exactly the ones a sorted copy
-// would give. Ranks asked in ascending order, as callers do, each search only
-// the part right of the previous one, which the earlier selection left holding
-// every larger sample.
-func Percentiles(samples []float64, ps ...float64) []float64 {
-	out := make([]float64, len(ps))
-	if len(samples) == 0 {
-		return out
-	}
-	var work []float64 // selection reorders; the caller's slice stays untouched
-	from := 0          // work[:from] holds the from smallest samples
-	for i, p := range ps {
-		if p >= 100 && work != nil {
-			out[i] = extreme(work[from:], true)
-			continue
-		}
-		if p <= 0 || p >= 100 || len(samples) == 1 {
-			out[i] = extreme(samples, p >= 100)
-			continue
-		}
-		if work == nil {
-			work = append([]float64(nil), samples...)
-		}
-		rank := p / 100 * float64(len(work)-1)
-		lo := int(math.Floor(rank))
-		hi := int(math.Ceil(rank))
-		if lo < from {
-			from = 0
-		}
-		v := selectRank(work[from:], lo-from)
-		from = lo
-		if lo == hi {
-			out[i] = v
-			continue
-		}
-		// selectRank left every element right of lo ordered at or above it,
-		// so rank lo+1 is the smallest of them.
-		frac := rank - float64(lo)
-		out[i] = v*(1-frac) + extreme(work[hi:], false)*frac
-	}
-	return out
-}
-
-// sortLess is sort.Float64s's order: ascending, NaNs first. Selection uses it
-// so every order statistic matches the sorted copy's element at that rank.
-func sortLess(a, b float64) bool { return a < b || (a != a && b == b) }
-
-// extreme returns the largest or smallest element of a non-empty slice under
-// sortLess — the last or first element of its sorted copy.
-func extreme(s []float64, largest bool) float64 {
-	m := s[0]
-	for _, v := range s[1:] {
-		if largest && sortLess(m, v) || !largest && sortLess(v, m) {
-			m = v
-		}
-	}
-	return m
-}
-
-// selectRank reorders s so that s[k] holds the element a sort would place at
-// rank k, with no element ordered above it to its left and none below it to
-// its right, and returns it. It is quickselect with a median-of-three pivot
-// and a three-way partition, so runs of equal samples collapse in one pass.
-func selectRank(s []float64, k int) float64 {
-	lo, hi := 0, len(s) // the rank-k element lies in s[lo:hi]
-	for hi-lo > 1 {
-		a, b, c := s[lo], s[lo+(hi-lo)/2], s[hi-1]
-		if sortLess(b, a) {
-			a, b = b, a
-		}
-		if sortLess(c, b) {
-			b = c
-			if sortLess(b, a) {
-				b = a
-			}
-		}
-		pivot := b
-		// Dutch-flag partition: s[lo:lt] < pivot, s[lt:i] == pivot,
-		// s[gt:hi] > pivot.
-		lt, i, gt := lo, lo, hi
-		for i < gt {
-			switch v := s[i]; {
-			case sortLess(v, pivot):
-				s[lt], s[i] = v, s[lt]
-				lt++
-				i++
-			case sortLess(pivot, v):
-				gt--
-				s[gt], s[i] = v, s[gt]
-			default:
-				i++
-			}
-		}
-		switch {
-		case k < lt:
-			hi = lt
-		case k >= gt:
-			lo = gt
-		default:
-			return s[k]
-		}
-	}
-	return s[k]
 }
 
 // RateSampler accumulates completion events and converts them into
@@ -244,9 +135,6 @@ func (s *Series) Append(x, y float64) {
 	s.X = append(s.X, x)
 	s.Y = append(s.Y, y)
 }
-
-// Len reports the number of points.
-func (s *Series) Len() int { return len(s.X) }
 
 // YAt returns the y value for the given x, if present.
 func (s *Series) YAt(x float64) (float64, bool) {

@@ -2,8 +2,6 @@ package metrics
 
 import (
 	"math"
-	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -23,155 +21,6 @@ func TestSummarize(t *testing.T) {
 	empty := Summarize(nil)
 	if empty.Count != 0 || empty.Mean != 0 || empty.StdDev != 0 {
 		t.Fatalf("empty summary = %+v", empty)
-	}
-}
-
-func TestPercentileAndMedian(t *testing.T) {
-	samples := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	if got := Percentiles(samples, 50)[0]; !almost(got, 5.5) {
-		t.Fatalf("median = %v", got)
-	}
-	if got := Percentiles(samples, 0)[0]; got != 1 {
-		t.Fatalf("p0 = %v", got)
-	}
-	if got := Percentiles(samples, 100)[0]; got != 10 {
-		t.Fatalf("p100 = %v", got)
-	}
-	if got := Percentiles(samples, 25)[0]; !almost(got, 3.25) {
-		t.Fatalf("p25 = %v", got)
-	}
-	if got := Percentiles(nil, 50)[0]; got != 0 {
-		t.Fatalf("empty percentile = %v", got)
-	}
-	if got := Percentiles([]float64{42}, 75)[0]; got != 42 {
-		t.Fatalf("single-sample percentile = %v", got)
-	}
-	// Percentiles must not mutate its input.
-	unsorted := []float64{9, 1, 5}
-	Percentiles(unsorted, 50)
-	if unsorted[0] != 9 {
-		t.Fatal("Percentiles mutated its input")
-	}
-}
-
-// Percentiles answers several percentiles from one sorted copy of the
-// samples, clamping p to 0..100, and leaves its input unsorted.
-func TestPercentiles(t *testing.T) {
-	samples := []float64{7, 1, 10, 4, 3, 9, 2, 8, 6, 5}
-	want := []float64{1, 1, 3.25, 5.5, 9.1, 10, 10}
-	got := Percentiles(samples, -1, 0, 25, 50, 90, 100, 150)
-	for i := range want {
-		if !almost(got[i], want[i]) {
-			t.Fatalf("Percentiles = %v, want %v", got, want)
-		}
-	}
-	if samples[0] != 7 || samples[1] != 1 {
-		t.Fatal("Percentiles mutated its input")
-	}
-	if got := Percentiles(nil, 50, 90); len(got) != 2 || got[0] != 0 || got[1] != 0 {
-		t.Fatalf("empty Percentiles = %v", got)
-	}
-}
-
-// sortedPercentile is the sort-based reference Percentiles replaced: sort a
-// copy, then read the p-th percentile off it, interpolating linearly between
-// the two nearest ranks.
-func sortedPercentile(samples []float64, p float64) float64 {
-	sorted := append([]float64(nil), samples...)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Selection must give bit-identical results to the sort-based reference on
-// random input, input dominated by duplicates, and a single element, at the
-// ranks the harness asks for and the two extremes.
-func TestPercentilesMatchSortReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	random := make([]float64, 10001)
-	for i := range random {
-		random[i] = rng.ExpFloat64() * 40
-	}
-	dups := make([]float64, 5000)
-	for i := range dups {
-		dups[i] = float64(rng.Intn(4))
-	}
-	sortedRun := make([]float64, 999)
-	for i := range sortedRun {
-		sortedRun[i] = float64(i / 3)
-	}
-	ps := []float64{0, 50, 90, 99.9, 100}
-	for name, in := range map[string][]float64{
-		"random": random, "duplicates": dups, "single": {3.5}, "sorted": sortedRun, "pair": {2, 1},
-	} {
-		orig := append([]float64(nil), in...)
-		got := Percentiles(in, ps...)
-		for i, p := range ps {
-			want := sortedPercentile(orig, p)
-			if math.Float64bits(got[i]) != math.Float64bits(want) {
-				t.Errorf("%s p%v: got %v, want %v", name, p, got[i], want)
-			}
-		}
-		for i := range in {
-			if in[i] != orig[i] {
-				t.Fatalf("%s: Percentiles mutated its input", name)
-			}
-		}
-	}
-}
-
-// Several ranks in one call must each equal the sorted copy's value, in any
-// order the ranks are asked: ascending calls search right of the previous
-// rank, and a lower rank after a higher one searches the whole copy again.
-// The inputs mix ties and NaNs, which a sort places first.
-func TestPercentilesManyRanksMatchSortReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	same := func(a, b float64) bool {
-		return math.Float64bits(a) == math.Float64bits(b) || a != a && b != b
-	}
-	for trial := 0; trial < 300; trial++ {
-		in := make([]float64, 1+rng.Intn(200))
-		for i := range in {
-			switch r := rng.Intn(10); {
-			case r == 0:
-				in[i] = math.NaN()
-			case r < 5:
-				in[i] = float64(rng.Intn(5)) // ties
-			default:
-				in[i] = rng.NormFloat64() * 100
-			}
-		}
-		ps := make([]float64, 1+rng.Intn(6))
-		for i := range ps {
-			ps[i] = float64(rng.Intn(1101))/10 - 5 // -5..105, clamped to 0..100
-		}
-		if trial%2 == 0 {
-			sort.Float64s(ps)
-		}
-		orig := append([]float64(nil), in...)
-		got := Percentiles(in, ps...)
-		for i, p := range ps {
-			if want := sortedPercentile(orig, p); !same(got[i], want) {
-				t.Fatalf("trial %d: %d samples, ranks %v: p%v = %v, want %v", trial, len(in), ps, p, got[i], want)
-			}
-		}
-		for i := range in {
-			if !same(in[i], orig[i]) {
-				t.Fatalf("trial %d: Percentiles mutated its input", trial)
-			}
-		}
 	}
 }
 
@@ -236,8 +85,8 @@ func TestSeries(t *testing.T) {
 	s.Append(500, 499)
 	s.Append(600, 597)
 	s.Append(700, 650)
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d", s.Len())
+	if len(s.X) != 3 || len(s.Y) != 3 {
+		t.Fatalf("series holds %d x and %d y values, want 3", len(s.X), len(s.Y))
 	}
 	if y, ok := s.YAt(600); !ok || y != 597 {
 		t.Fatalf("YAt = %v %v", y, ok)
@@ -270,32 +119,6 @@ func TestSummaryBoundsProperty(t *testing.T) {
 			return false
 		}
 		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: Percentiles is monotone in p and bounded by the sample range.
-func TestPercentileMonotoneProperty(t *testing.T) {
-	f := func(raw []int16, a, b uint8) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		samples := make([]float64, len(raw))
-		for i, v := range raw {
-			samples[i] = float64(v)
-		}
-		p1 := float64(a%101) - 0
-		p2 := float64(b%101) - 0
-		if p1 > p2 {
-			p1, p2 = p2, p1
-		}
-		v1 := Percentiles(samples, p1)[0]
-		v2 := Percentiles(samples, p2)[0]
-		sorted := append([]float64(nil), samples...)
-		sort.Float64s(sorted)
-		return v1 <= v2+1e-9 && v1 >= sorted[0]-1e-9 && v2 <= sorted[len(sorted)-1]+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
