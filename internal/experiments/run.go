@@ -589,21 +589,44 @@ func Run(spec RunSpec) RunResult {
 // negative connection or inactive count, or mechanism options the kind
 // would drop. A zero rate or connection count selects the default.
 func RunE(spec RunSpec) (RunResult, error) {
-	rk, workload, err := resolvePairing(spec)
+	r, err := startRun(spec)
 	if err != nil {
 		return RunResult{}, err
 	}
+	r.k.Sim.RunUntil(r.deadline)
+	return r.result(), nil
+}
+
+// runState is one benchmark point built and started: what RunE drives to
+// the end and then reads its result from.
+type runState struct {
+	spec     RunSpec
+	k        *simkernel.Kernel
+	srv      benchServer
+	gen      *loadgen.Generator
+	deadline core.Time
+	threads  int
+	fallback string
+}
+
+// startRun checks the spec, builds the kernel, network, server and load
+// generator it names and starts the server and the generator.
+func startRun(spec RunSpec) (*runState, error) {
+	rk, workload, err := resolvePairing(spec)
+	if err != nil {
+		return nil, err
+	}
 	if opt := droppedOption(spec, rk); opt != "" {
-		return RunResult{}, fmt.Errorf("experiments: server kind %q does not apply RunSpec.%s (only the thttpd family on that mechanism's backend does)", spec.Server, opt)
+		return nil, fmt.Errorf("experiments: server kind %q does not apply RunSpec.%s (only the thttpd family on that mechanism's backend does)", spec.Server, opt)
 	}
 	if spec.RequestRate != 0 && !validRate(spec.RequestRate) {
-		return RunResult{}, fmt.Errorf("experiments: bad request rate %g (want a finite rate > 0, or 0 for the default)", spec.RequestRate)
+		return nil, fmt.Errorf("experiments: bad request rate %g (want a finite rate > 0, or 0 for the default)", spec.RequestRate)
 	}
 	if spec.Connections < 0 {
-		return RunResult{}, fmt.Errorf("experiments: bad connection count %d (want > 0, or 0 for the default)", spec.Connections)
+		return nil, fmt.Errorf("experiments: bad connection count %d (want > 0, or 0 for the default)", spec.Connections)
 	}
 	if spec.Inactive < 0 {
-		return RunResult{}, fmt.Errorf("experiments: bad inactive count %d (want >= 0)", spec.Inactive)
+		return nil, fmt.Errorf("experiments: bad inactive count %d (want >= 0)", spec.Inactive)
 	}
 	if spec.FanoutSize > 0 {
 		workload.FanoutSize = spec.FanoutSize
@@ -718,18 +741,23 @@ func RunE(spec RunSpec) (RunResult, error) {
 		// Work window plus a generous drain allowance.
 		deadline = (work + 30*core.Second) * 2
 	}
-	k.Sim.RunUntil(core.Time(deadline))
+	return &runState{spec: spec, k: k, srv: srv, gen: gen, deadline: core.Time(deadline), threads: threads, fallback: fallback}, nil
+}
 
+// result reads the point's result off the generator, the server and the
+// kernel. It only reads, so two calls return equal results.
+func (r *runState) result() RunResult {
+	k := r.k
 	res := RunResult{
-		Spec:              spec,
-		Load:              gen.Result(),
-		Server:            srv.Stats(),
+		Spec:              r.spec,
+		Load:              r.gen.Result(),
+		Server:            r.srv.Stats(),
 		VirtualTime:       k.Now().Sub(0),
 		Events:            k.Sim.Executed,
 		PerCPUUtilization: k.Sched.Utilizations(k.Now()),
 		Workers:           1,
-		Threads:           threads,
-		Fallback:          fallback,
+		Threads:           r.threads,
+		Fallback:          r.fallback,
 	}
 	for _, u := range res.PerCPUUtilization {
 		// CPU.Utilization no longer clamps, so a ratio above 1 over the work
@@ -743,8 +771,8 @@ func RunE(spec RunSpec) (RunResult, error) {
 	}
 	res.CPUUtilization /= float64(len(res.PerCPUUtilization))
 	res.Latency = res.Load.Latency
-	srv.fill(&res)
-	return res, nil
+	r.srv.fill(&res)
+	return res
 }
 
 // resolvePairing resolves a spec's server kind and workload and checks that

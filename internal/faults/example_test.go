@@ -108,7 +108,7 @@ func ExampleConfig() {
 	//
 	// Reset storm: thttpd/epoll, ResetRate 0.15, plain vs retrying clients:
 	//                                             plain  with -retry
-	//   replies/s                                 761.7        726.2
+	//   replies/s                                 759.9        801.8
 	//   completed                                  3377         4000
 	//   client errors                               623            0
 	//   client retries                                0          748

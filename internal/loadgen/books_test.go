@@ -10,18 +10,45 @@ import (
 	"repro/internal/simkernel"
 )
 
-// TestMergedSamplesMatchRateSampler checks the per-lane reply-rate books
-// against metrics.RateSampler, the reference implementation. The same reply
-// instants — some exactly on interval edges, with empty intervals between
-// them — are booked round-robin across 1 or 3 lanes, and the reply-rate
-// samples must equal the sampler's exactly: on a partial view of the running
-// generator, and on both Result calls of the finished run, each of which
-// appends the trailing partial interval once (as RateSampler.Finish does).
-func TestMergedSamplesMatchRateSampler(t *testing.T) {
+// refSamples is the reply-rate rule written out on its own: one sample per
+// interval closed by end, zero-count intervals included, and, when the run is
+// done, one sample for the trailing partial interval if it spans at least
+// half an interval and holds a reply.
+func refSamples(start, end core.Time, interval core.Duration, replies []core.Time, done bool) []float64 {
+	count := func(k int) int {
+		n := 0
+		for _, r := range replies {
+			if int(r.Sub(start)/interval) == k {
+				n++
+			}
+		}
+		return n
+	}
+	span := max(end.Sub(start), 0)
+	closed := int(span / interval)
+	var out []float64
+	for k := 0; k < closed; k++ {
+		out = append(out, float64(count(k))/interval.Seconds())
+	}
+	if tail := span - core.Duration(closed)*interval; done && tail >= interval/2 && count(closed) > 0 {
+		out = append(out, float64(count(closed))/tail.Seconds())
+	}
+	return out
+}
+
+// Result reads the generator's books and nothing else. The same replies —
+// some exactly on interval edges, with empty intervals between them, each
+// with its own latency — are booked round-robin across 1 or 3 lanes. A
+// partial view, a reply booked after it, and the finished run's summary must
+// each equal the reference samples and a reference histogram, and a second
+// call must return what the first did: the tail sample is counted once.
+func TestResultReadsTheBooks(t *testing.T) {
 	start := core.Time(2 * core.Second)
 	at := func(ms int) core.Time { return start.Add(core.Duration(ms) * core.Millisecond) }
-	// Intervals 0, 1, 3 and 6 hold replies; 2, 4 and 5 are empty.
+	// Intervals 0, 1, 3 and 6 hold replies; 2, 4 and 5 are empty. The last
+	// two are booked after the partial view.
 	replies := []core.Time{at(0), at(250), at(1000), at(1000), at(1500), at(3000), at(3999), at(6000), at(6200)}
+	const early = 7
 	for _, c := range []struct {
 		name string
 		end  core.Time
@@ -31,15 +58,6 @@ func TestMergedSamplesMatchRateSampler(t *testing.T) {
 		{"tail-dropped", at(6400)},
 		{"end-on-edge", at(7000)},
 	} {
-		ref := metrics.NewRateSampler(core.Second)
-		ref.Start(start)
-		for _, r := range replies {
-			ref.Record(r)
-		}
-		wantPartial := append([]float64(nil), ref.Samples()...)
-		wantFirst := append([]float64(nil), ref.Finish(c.end)...)
-		wantSecond := append([]float64(nil), ref.Finish(c.end)...)
-
 		for _, lanes := range []int{1, 3} {
 			k := simkernel.NewKernel(nil)
 			if lanes > 1 {
@@ -48,11 +66,40 @@ func TestMergedSamplesMatchRateSampler(t *testing.T) {
 			g := New(k, netsim.New(k, netsim.DefaultConfig()), Config{Connections: 1, SampleInterval: core.Second})
 			g.started = start
 			g.issued = 1
-			for i, r := range replies {
-				g.recordReply(k.Sim.LaneQ(i%lanes), start, r)
+			var ref metrics.LatencyHist
+			book := func(i int) {
+				lat := core.Duration(i+1) * core.Millisecond
+				g.recordReply(k.Sim.LaneQ(i%lanes), replies[i].Add(-lat), replies[i])
+				ref.Observe(lat)
 			}
-			if got := g.Result().ReplyRateSamples; !reflect.DeepEqual(got, wantPartial) {
-				t.Errorf("%s, %d lanes: partial samples %v, RateSampler %v", c.name, lanes, got, wantPartial)
+			check := func(when string, end core.Time, n int, done bool) {
+				t.Helper()
+				first, second := g.Result(), g.Result()
+				if !reflect.DeepEqual(first, second) {
+					t.Errorf("%s, %d lanes, %s: a second Result differs:\n%+v\n%+v", c.name, lanes, when, first, second)
+				}
+				if want := refSamples(start, end, core.Second, replies[:n], done); !reflect.DeepEqual(first.ReplyRateSamples, want) {
+					t.Errorf("%s, %d lanes, %s: samples %v, reference %v", c.name, lanes, when, first.ReplyRateSamples, want)
+				}
+				if want := ref.Percentiles(); first.Latency != want {
+					t.Errorf("%s, %d lanes, %s: latency %+v, reference %+v", c.name, lanes, when, first.Latency, want)
+				}
+				if first.Finished != end || first.Replies != n {
+					t.Errorf("%s, %d lanes, %s: finished %v with %d replies, want %v and %d", c.name, lanes, when, first.Finished, first.Replies, end, n)
+				}
+			}
+			for i := 0; i < early; i++ {
+				book(i)
+			}
+			// Park the clock in interval 4 for a partial view of the run.
+			view := at(4500)
+			k.Sim.LaneQ(0).At(view, func(core.Time) {})
+			if now := k.Sim.RunUntil(view); now != view {
+				t.Fatalf("%s, %d lanes: clock parked at %v, want %v", c.name, lanes, now, view)
+			}
+			check("partial view", view, early, false)
+			for i := early; i < len(replies); i++ {
+				book(i)
 			}
 			g.resolveKeepAlive(k.Sim.LaneQ(0), c.end)
 			if lanes > 1 {
@@ -61,50 +108,10 @@ func TestMergedSamplesMatchRateSampler(t *testing.T) {
 			if !g.Done() {
 				t.Fatalf("%s, %d lanes: run not done after its one connection resolved", c.name, lanes)
 			}
-			first := g.Result()
-			second := g.Result()
-			if !reflect.DeepEqual(first.ReplyRateSamples, wantFirst) {
-				t.Errorf("%s, %d lanes: first Result samples %v, RateSampler %v", c.name, lanes, first.ReplyRateSamples, wantFirst)
-			}
-			if !reflect.DeepEqual(second.ReplyRateSamples, wantSecond) {
-				t.Errorf("%s, %d lanes: second Result samples %v, RateSampler %v", c.name, lanes, second.ReplyRateSamples, wantSecond)
-			}
-			if first.Finished != c.end || first.Replies != len(replies) || first.Completed != 1 {
-				t.Errorf("%s, %d lanes: finished %v, replies %d, completed %d; want %v, %d, 1",
-					c.name, lanes, first.Finished, first.Replies, first.Completed, c.end, len(replies))
+			check("finished", c.end, len(replies), true)
+			if r := g.Result(); r.Completed != 1 {
+				t.Errorf("%s, %d lanes: completed %d, want 1", c.name, lanes, r.Completed)
 			}
 		}
-	}
-}
-
-// Result's latency summary is the merged lane histograms: a second call with
-// no new sample returns the same values, and a sample booked between two
-// calls, on any lane, is in the second call's summary.
-func TestResultLatencyTracksNewSamples(t *testing.T) {
-	for _, lanes := range []int{1, 3} {
-		k := simkernel.NewKernel(nil)
-		if lanes > 1 {
-			k.Sim.EnableSharding(lanes, 1, 100*core.Microsecond)
-		}
-		g := New(k, netsim.New(k, netsim.DefaultConfig()), Config{Connections: 1, SampleInterval: core.Second})
-		var ref metrics.LatencyHist
-		book := func(i, ms int) {
-			d := core.Duration(ms) * core.Millisecond
-			g.recordReply(k.Sim.LaneQ(i%lanes), 0, core.Time(d))
-			ref.Observe(d)
-		}
-		check := func(when string) {
-			t.Helper()
-			if got, want := g.Result().Latency, ref.Percentiles(); got != want {
-				t.Errorf("%d lanes, %s: latency %+v, want %+v", lanes, when, got, want)
-			}
-		}
-		for i, ms := range []int{7, 3, 9, 1, 4} {
-			book(i, ms)
-		}
-		check("first call")
-		check("repeated call")
-		book(5, 20)
-		check("after a late sample")
 	}
 }

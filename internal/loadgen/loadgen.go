@@ -196,12 +196,9 @@ type Generator struct {
 	// client callbacks execute on its home lane, so each lane books into its
 	// own accumulator (indexed by the connection's lane) and Result merges
 	// them; a sequential run is the 1-lane case. driverQ is lane 0, where the
-	// launch schedule, the rng and the port accounting live. psamples holds
-	// the closed reply-rate samples of a finished run (see mergedSamples).
-	driverQ  simkernel.Q
-	lanes    []laneAcc
-	psamples []float64
-	pbase    bool
+	// launch schedule, the rng and the port accounting live.
+	driverQ simkernel.Q
+	lanes   []laneAcc
 
 	// Push-family state (KindPush). The member registry and the delivery
 	// budget are owned by the push server's lane — every member's home lane,
@@ -239,7 +236,6 @@ type laneAcc struct {
 	hist          metrics.LatencyHist
 	counts        []int // completions per sampling interval, by interval index
 	lastResolveAt core.Time
-	lastRecordAt  core.Time
 
 	// free holds activeConn records released on this lane (see
 	// activeConn.onTimeout); launches draw from the driver lane's list, and
@@ -521,7 +517,6 @@ func (g *Generator) recordCompletion(q simkernel.Q, started, now core.Time) {
 	ln.bump(g.sampleIdx(now))
 	ln.hist.Observe(now.Sub(started))
 	ln.lastResolveAt = now
-	ln.lastRecordAt = now
 	g.resolvedOne()
 }
 
@@ -534,7 +529,6 @@ func (g *Generator) recordReply(q simkernel.Q, reqStart, now core.Time) {
 	ln.replies++
 	ln.bump(g.sampleIdx(now))
 	ln.hist.Observe(now.Sub(reqStart))
-	ln.lastRecordAt = now
 }
 
 // resolveKeepAlive books the end of a keep-alive connection whose final reply
@@ -616,11 +610,10 @@ func (g *Generator) checkDone(core.Time) {
 }
 
 // Result assembles the run summary. It may be called once Done is true (or at
-// any time for a partial view). It merges the per-lane books: every merged
-// quantity is either an order-free reduction (counts, histogram buckets) or
-// reconstructed with metrics.RateSampler's exact
-// arithmetic, so a sharded run's figures are byte-identical to the 1-lane
-// run's.
+// any time for a partial view). It is a pure read of the per-lane books, so
+// calls with nothing booked between them return equal summaries, and every
+// merged quantity is an order-free reduction (counts, histogram buckets), so
+// a sharded run's figures are byte-identical to the 1-lane run's.
 func (g *Generator) Result() Result {
 	end := g.finished
 	if end == 0 {
@@ -629,7 +622,6 @@ func (g *Generator) Result() Result {
 	completed, replies, errors := 0, 0, 0
 	errorsBy := make(map[ErrorReason]int)
 	var hist metrics.LatencyHist
-	var lastRecord core.Time
 	for i := range g.lanes {
 		ln := &g.lanes[i]
 		completed += ln.completed
@@ -639,18 +631,6 @@ func (g *Generator) Result() Result {
 			errorsBy[k] += v
 		}
 		hist.Merge(&ln.hist)
-		if ln.lastRecordAt > lastRecord {
-			lastRecord = ln.lastRecordAt
-		}
-	}
-	total := func(k int) int {
-		n := 0
-		for i := range g.lanes {
-			if k < len(g.lanes[i].counts) {
-				n += g.lanes[i].counts[k]
-			}
-		}
-		return n
 	}
 	res := Result{
 		Config:           g.cfg,
@@ -661,7 +641,7 @@ func (g *Generator) Result() Result {
 		Errors:           errors,
 		Retries:          g.retries,
 		ErrorsBy:         errorsBy,
-		ReplyRateSamples: g.mergedSamples(end, lastRecord, total),
+		ReplyRateSamples: g.mergedSamples(end),
 	}
 	res.ReplyRate = metrics.Summarize(res.ReplyRateSamples)
 	if g.issued > 0 {
@@ -674,43 +654,32 @@ func (g *Generator) Result() Result {
 	return res
 }
 
-// mergedSamples reproduces metrics.RateSampler's output from the merged
-// per-interval completion counts: one sample per closed interval (zero-count
-// intervals included), and the trailing partial interval when it is at least
-// half an interval long and non-empty. RateSampler.Finish appends that tail on
-// every call and Result is invoked once by the OnDone callback and once more
-// by the harness, so the same one-tail-per-call growth is reproduced here.
-func (g *Generator) mergedSamples(end, lastRecord core.Time, total func(int) int) []float64 {
+// mergedSamples turns the lanes' per-interval reply counts into httperf's
+// reply-rate samples: one per sampling interval closed by end, zero-count
+// intervals included, and, once the run is done, the trailing partial
+// interval when it is at least half an interval long and non-empty.
+func (g *Generator) mergedSamples(end core.Time) []float64 {
+	total := func(k int) int {
+		n := 0
+		for i := range g.lanes {
+			if k < len(g.lanes[i].counts) {
+				n += g.lanes[i].counts[k]
+			}
+		}
+		return n
+	}
 	interval := g.cfg.SampleInterval
-	if !g.done {
-		if lastRecord == 0 {
-			return nil
-		}
-		closed := int(lastRecord.Sub(g.started) / interval)
-		if closed < 0 {
-			closed = 0
-		}
-		var out []float64
-		for k := 0; k < closed; k++ {
-			out = append(out, float64(total(k))/interval.Seconds())
-		}
-		return out
+	span := max(end.Sub(g.started), 0)
+	closed := int(span / interval)
+	var out []float64
+	for k := 0; k < closed; k++ {
+		out = append(out, float64(total(k))/interval.Seconds())
 	}
-	closed := int(end.Sub(g.started) / interval)
-	if closed < 0 {
-		closed = 0
+	tail := span - core.Duration(closed)*interval
+	if cur := total(closed); g.done && tail >= interval/2 && cur > 0 {
+		out = append(out, float64(cur)/tail.Seconds())
 	}
-	if !g.pbase {
-		g.pbase = true
-		for k := 0; k < closed; k++ {
-			g.psamples = append(g.psamples, float64(total(k))/interval.Seconds())
-		}
-	}
-	tail := end.Sub(g.started) - core.Duration(closed)*interval
-	if cur := total(closed); tail >= interval/2 && cur > 0 {
-		g.psamples = append(g.psamples, float64(cur)/tail.Seconds())
-	}
-	return append([]float64(nil), g.psamples...)
+	return out
 }
 
 // activeConn is one benchmark connection's client-side state machine. It

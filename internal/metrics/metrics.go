@@ -8,8 +8,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/core"
 )
 
 // Summary describes a set of scalar samples.
@@ -54,74 +52,6 @@ func Summarize(samples []float64) Summary {
 func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.1f sd=%.1f min=%.1f max=%.1f", s.Count, s.Mean, s.StdDev, s.Min, s.Max)
 }
-
-// RateSampler accumulates completion events and converts them into
-// per-interval rates, the way httperf samples reply rate every few seconds and
-// then reports the average, standard deviation, minimum and maximum of those
-// samples.
-type RateSampler struct {
-	interval core.Duration
-	start    core.Time
-	nextEdge core.Time
-	current  int
-	samples  []float64
-	started  bool
-}
-
-// NewRateSampler creates a sampler with the given sampling interval (httperf
-// uses 5 seconds).
-func NewRateSampler(interval core.Duration) *RateSampler {
-	if interval <= 0 {
-		interval = 5 * core.Second
-	}
-	return &RateSampler{interval: interval}
-}
-
-// Start begins sampling at the given virtual time.
-func (r *RateSampler) Start(now core.Time) {
-	r.start = now
-	r.nextEdge = now.Add(r.interval)
-	r.started = true
-	r.current = 0
-	r.samples = nil
-}
-
-// Record notes one completion at the given virtual time, closing any sampling
-// intervals that have elapsed since the last event.
-func (r *RateSampler) Record(now core.Time) {
-	if !r.started {
-		r.Start(now)
-	}
-	r.advance(now)
-	r.current++
-}
-
-// advance closes all intervals that ended at or before now.
-func (r *RateSampler) advance(now core.Time) {
-	for now >= r.nextEdge {
-		r.samples = append(r.samples, float64(r.current)/r.interval.Seconds())
-		r.current = 0
-		r.nextEdge = r.nextEdge.Add(r.interval)
-	}
-}
-
-// Finish closes the final partial interval at the given end time and returns
-// the per-interval rate samples. Partial trailing intervals shorter than half
-// the sampling interval are discarded to avoid a misleading final sample.
-func (r *RateSampler) Finish(end core.Time) []float64 {
-	if !r.started {
-		return nil
-	}
-	r.advance(end)
-	tail := end.Sub(r.nextEdge.Add(-r.interval))
-	if tail >= r.interval/2 && r.current > 0 {
-		r.samples = append(r.samples, float64(r.current)/tail.Seconds())
-	}
-	return r.samples
-}
-
-// Samples returns the closed samples so far.
-func (r *RateSampler) Samples() []float64 { return r.samples }
 
 // Series is a labelled (x, y) series, one per curve in a figure.
 type Series struct {

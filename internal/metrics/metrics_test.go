@@ -4,8 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/core"
 )
 
 func almost(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
@@ -21,62 +19,6 @@ func TestSummarize(t *testing.T) {
 	empty := Summarize(nil)
 	if empty.Count != 0 || empty.Mean != 0 || empty.StdDev != 0 {
 		t.Fatalf("empty summary = %+v", empty)
-	}
-}
-
-func TestRateSampler(t *testing.T) {
-	r := NewRateSampler(core.Second)
-	r.Start(0)
-	// 10 completions in the first second, 5 in the second, none in the third.
-	for i := 0; i < 10; i++ {
-		r.Record(core.Time(i) * core.Time(100*core.Millisecond))
-	}
-	for i := 0; i < 5; i++ {
-		r.Record(core.Time(core.Second) + core.Time(i)*core.Time(100*core.Millisecond))
-	}
-	samples := r.Finish(core.Time(3 * core.Second))
-	if len(samples) != 3 {
-		t.Fatalf("samples = %v", samples)
-	}
-	if !almost(samples[0], 10) || !almost(samples[1], 5) || !almost(samples[2], 0) {
-		t.Fatalf("samples = %v", samples)
-	}
-}
-
-func TestRateSamplerAutoStartAndDefaults(t *testing.T) {
-	r := NewRateSampler(0) // defaults to 5 s
-	r.Record(core.Time(core.Second))
-	samples := r.Finish(core.Time(6 * core.Second))
-	if len(samples) != 1 || !almost(samples[0], 0.2) {
-		t.Fatalf("samples = %v", samples)
-	}
-	if len(r.Samples()) != 1 {
-		t.Fatalf("Samples = %v", r.Samples())
-	}
-	// Finishing an unstarted sampler yields nothing.
-	if got := NewRateSampler(core.Second).Finish(core.Time(core.Second)); got != nil {
-		t.Fatalf("unstarted Finish = %v", got)
-	}
-}
-
-func TestRateSamplerPartialTail(t *testing.T) {
-	r := NewRateSampler(core.Second)
-	r.Start(0)
-	r.Record(core.Time(2300 * core.Millisecond)) // falls in the third interval
-	samples := r.Finish(core.Time(2900 * core.Millisecond))
-	// Two full empty intervals plus a 0.9 s tail holding one completion.
-	if len(samples) != 3 {
-		t.Fatalf("samples = %v", samples)
-	}
-	if !almost(samples[2], 1/0.9) {
-		t.Fatalf("tail sample = %v", samples[2])
-	}
-	// A very short tail is discarded.
-	r2 := NewRateSampler(core.Second)
-	r2.Start(0)
-	r2.Record(core.Time(1100 * core.Millisecond))
-	if samples := r2.Finish(core.Time(1200 * core.Millisecond)); len(samples) != 1 {
-		t.Fatalf("short tail not discarded: %v", samples)
 	}
 }
 

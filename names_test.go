@@ -36,7 +36,7 @@ var readerAllowlist = map[string]string{
 	"core.Minute":                     "eventlib/timers_test.go: TestTimerWheelMatchesReferenceHeap",
 	"experiments.RunResult.Secondary": "experiments/chaos_test.go: TestChaosGracefulDegradation",
 	"experiments.BenchPoints":         "bench_test.go: BenchmarkPoint",
-	"loadgen.Result.Finished":         "loadgen/books_test.go: TestMergedSamplesMatchRateSampler",
+	"loadgen.Result.Finished":         "loadgen/books_test.go: TestResultReadsTheBooks",
 	"loadgen.Result.OfferedRate":      "loadgen/loadgen_test.go: TestGeneratorCompletesAgainstHealthyServer",
 	"loadgen.Generator.Done":          "loadgen/loadgen_test.go: TestGeneratorCompletesAgainstHealthyServer",
 	"loadgen.ArrivalConstant":         "loadgen/workload_test.go: TestLookupWorkload",
@@ -59,11 +59,6 @@ var readerAllowlist = map[string]string{
 	"simkernel.CPU.Jobs":              "thttpd/workers_test.go: TestWorkersSpreadAcrossCPUs",
 	"simkernel.FD.Watchers":           "interest/conformance_test.go: TestConformanceRemoveLeavesWatchers",
 	"simkernel.Proc.TotalCharged":     "devpoll/devpoll_test.go: TestInterestManagementChargesKernelCosts",
-
-	// The reference the merged reply-rate samples are compared against.
-	"metrics.NewRateSampler":     "loadgen/books_test.go: TestMergedSamplesMatchRateSampler",
-	"metrics.RateSampler.Record": "loadgen/books_test.go: TestMergedSamplesMatchRateSampler",
-	"metrics.RateSampler.Finish": "loadgen/books_test.go: TestMergedSamplesMatchRateSampler",
 }
 
 // declared is one checked declaration: its allowlist key, its bare name and
