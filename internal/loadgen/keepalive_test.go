@@ -59,7 +59,7 @@ func TestKeepAliveClientServesAllRequests(t *testing.T) {
 
 // TestPipelinedClientKeepsDepthOutstanding: the pipelined client bursts its
 // depth up front and refills as replies land; the server sees the same total
-// request count.
+// request count, and every reply's latency runs from its own request's send.
 func TestPipelinedClientKeepsDepthOutstanding(t *testing.T) {
 	k, n, s := testbedHTTP(t, httpcore.Options{KeepAlive: true})
 	cfg := DefaultConfig(400, 0)
@@ -78,6 +78,11 @@ func TestPipelinedClientKeepsDepthOutstanding(t *testing.T) {
 	}
 	if st := s.Stats(); st.Served != 240 {
 		t.Fatalf("server stats = %+v", st)
+	}
+	// Each reply is measured from its own request's send, so none of the
+	// replies that arrive together records 0 ms.
+	if h := &gen.lanes[0].hist; h.Count() != 240 || h.MinMs() <= 0 {
+		t.Fatalf("%d latencies, the least %v ms; want 240, each above 0", h.Count(), h.MinMs())
 	}
 }
 

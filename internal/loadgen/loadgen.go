@@ -472,7 +472,10 @@ func (g *Generator) launchOne(now core.Time) {
 		rtt = netsim.SampleRTT(g.cfg.Workload.RTTMix, g.rng.Float64())
 	}
 	ac := g.newActive()
-	ac.started, ac.reqStart, ac.lastProgress, ac.rtt = now, now, now, rtt
+	ac.started, ac.lastProgress, ac.rtt = now, now, rtt
+	if g.reqsPerConn > 1 && ac.stamps == nil {
+		ac.stamps = make([]core.Time, min(g.pipeDepth, g.reqsPerConn))
+	}
 	ac.conn = g.net.ConnectWith(now, netsim.ConnectOptions{RTT: rtt}, ac)
 	// httperf's client-side timeout, delivered on the connection's home lane
 	// (a plain same-lane event on a sequential run).
@@ -480,14 +483,15 @@ func (g *Generator) launchOne(now core.Time) {
 }
 
 // newActive returns a zeroed activeConn: a released one from the driver
-// lane's free list, or a fresh one with its watchdog callback bound once.
+// lane's free list, which keeps its stamp ring, or a fresh one with its
+// watchdog callback bound once.
 func (g *Generator) newActive() *activeConn {
 	ln := &g.lanes[0]
 	if n := len(ln.free); n > 0 {
 		a := ln.free[n-1]
 		ln.free[n-1] = nil
 		ln.free = ln.free[:n-1]
-		*a = activeConn{gen: g, onTimeoutFn: a.onTimeoutFn}
+		*a = activeConn{gen: g, onTimeoutFn: a.onTimeoutFn, stamps: a.stamps}
 		return a
 	}
 	a := &activeConn{gen: g}
@@ -521,9 +525,8 @@ func (g *Generator) recordCompletion(q simkernel.Q, started, now core.Time) {
 }
 
 // recordReply books one completed keep-alive reply: the reply-rate sample and
-// the per-reply latency (anchored at the request's dispatch — the previous
-// reply's arrival on a pipelined stream). Connection resolution is booked
-// separately once the final reply lands.
+// the per-reply latency, anchored at the request's send instant. Connection
+// resolution is booked separately once the final reply lands.
 func (g *Generator) recordReply(q simkernel.Q, reqStart, now core.Time) {
 	ln := &g.lanes[q.LaneIndex()]
 	ln.replies++
@@ -698,12 +701,13 @@ type activeConn struct {
 	// an earlier attempt compare their stamp against it and stand down.
 	attempt int
 
-	// Keep-alive state: requests sent and replies recognised so far, the
-	// in-flight request's dispatch time (the latency anchor) and the last
-	// instant of progress (the rolling watchdog's anchor).
+	// Keep-alive state: requests sent and replies recognised so far, each
+	// outstanding request's send instant (its latency anchor: request i's
+	// is in stamps[i%len(stamps)], a ring as long as the pipeline is deep)
+	// and the last instant of progress (the rolling watchdog's anchor).
 	sent         int
 	replied      int
-	reqStart     core.Time
+	stamps       []core.Time
 	lastProgress core.Time
 
 	// onTimeoutFn is onTimeout bound once for the record's whole life.
@@ -719,12 +723,9 @@ func (a *activeConn) Connected(now core.Time) {
 		a.conn.Send(now, a.gen.request)
 		return
 	}
-	a.reqStart, a.lastProgress = now, now
-	burst := a.gen.pipeDepth
-	if burst > a.gen.reqsPerConn {
-		burst = a.gen.reqsPerConn
-	}
-	for i := 0; i < burst; i++ {
+	// The first burst: one request per stamp slot, the pipeline's depth.
+	a.lastProgress = now
+	for range a.stamps {
 		a.sendNext(now)
 	}
 }
@@ -732,6 +733,7 @@ func (a *activeConn) Connected(now core.Time) {
 // sendNext issues the connection's next request; the last one carries
 // Connection: close.
 func (a *activeConn) sendNext(now core.Time) {
+	a.stamps[a.sent%len(a.stamps)] = now
 	a.sent++
 	if a.sent == a.gen.reqsPerConn {
 		a.conn.Send(now, a.gen.kaFinal)
@@ -765,9 +767,9 @@ func (a *activeConn) Data(now core.Time, n int) {
 	// Recognise completed replies by cumulative size, book each one, and keep
 	// the pipeline primed (or, serially, dispatch the next request).
 	for a.replied < a.sent && a.received >= a.gen.expectAfter(a.replied+1) {
+		a.gen.recordReply(a.conn.Q(), a.stamps[a.replied%len(a.stamps)], now)
 		a.replied++
-		a.gen.recordReply(a.conn.Q(), a.reqStart, now)
-		a.reqStart, a.lastProgress = now, now
+		a.lastProgress = now
 		if a.replied == a.gen.reqsPerConn {
 			a.resolved = true
 			a.conn.Close(now)
@@ -831,7 +833,7 @@ func (a *activeConn) relaunch(now core.Time) {
 	a.resolved = false
 	a.received = 0
 	a.sent, a.replied = 0, 0
-	a.reqStart, a.lastProgress = now, now
+	a.lastProgress = now
 	a.conn = g.net.ConnectWith(now, netsim.ConnectOptions{RTT: a.rtt}, a)
 	attempt := a.attempt
 	g.driverQ.Post(a.conn.Q(), now.Add(g.cfg.Profile.Timeout), func(t core.Time) { a.timeout(attempt, t) })
