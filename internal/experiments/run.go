@@ -326,9 +326,9 @@ type RunResult struct {
 	PushBusy   int64
 	WriteBlock int64
 
-	// Latency is the client-observed connection-latency percentile summary
-	// (identical to Load.Latency, surfaced here so figure and gate tooling
-	// need not reach into the loadgen result); ServiceLatency is the
+	// Latency is the client-observed per-reply latency percentile summary
+	// (Load.Latency, the run's one latency record: its P50 is the median
+	// connection time figure 14 plots); ServiceLatency is the
 	// server-side accept-to-response-written distribution measured inside
 	// the dispatch path, merged across prefork workers.
 	Latency        metrics.LatencyPercentiles
