@@ -10,11 +10,11 @@ import (
 	"repro/internal/simkernel"
 )
 
-// refSamples is the reply-rate rule written out on its own: one sample per
+// refRateSampler is the reply-rate rule written out on its own: one sample per
 // interval closed by end, zero-count intervals included, and, when the run is
 // done, one sample for the trailing partial interval if it spans at least
 // half an interval and holds a reply.
-func refSamples(start, end core.Time, interval core.Duration, replies []core.Time, done bool) []float64 {
+func refRateSampler(start, end core.Time, interval core.Duration, replies []core.Time, done bool) []float64 {
 	count := func(k int) int {
 		n := 0
 		for _, r := range replies {
@@ -36,13 +36,13 @@ func refSamples(start, end core.Time, interval core.Duration, replies []core.Tim
 	return out
 }
 
-// Result reads the generator's books and nothing else. The same replies —
-// some exactly on interval edges, with empty intervals between them, each
-// with its own latency — are booked round-robin across 1 or 3 lanes. A
-// partial view, a reply booked after it, and the finished run's summary must
-// each equal the reference samples and a reference histogram, and a second
-// call must return what the first did: the tail sample is counted once.
-func TestResultReadsTheBooks(t *testing.T) {
+// TestMergedSamplesMatchRateSampler checks the per-lane reply-rate books
+// against refRateSampler. The same reply instants — some exactly on interval
+// edges, with empty intervals between them — are booked round-robin across 1
+// or 3 lanes. A partial view, a reply booked after it, and both Result calls
+// of the finished run must each equal the reference samples: the tail sample
+// is counted once.
+func TestMergedSamplesMatchRateSampler(t *testing.T) {
 	start := core.Time(2 * core.Second)
 	at := func(ms int) core.Time { return start.Add(core.Duration(ms) * core.Millisecond) }
 	// Intervals 0, 1, 3 and 6 hold replies; 2, 4 and 5 are empty. The last
@@ -66,30 +66,22 @@ func TestResultReadsTheBooks(t *testing.T) {
 			g := New(k, netsim.New(k, netsim.DefaultConfig()), Config{Connections: 1, SampleInterval: core.Second})
 			g.started = start
 			g.issued = 1
-			var ref metrics.LatencyHist
-			book := func(i int) {
-				lat := core.Duration(i+1) * core.Millisecond
-				g.recordReply(k.Sim.LaneQ(i%lanes), replies[i].Add(-lat), replies[i])
-				ref.Observe(lat)
-			}
 			check := func(when string, end core.Time, n int, done bool) {
 				t.Helper()
 				first, second := g.Result(), g.Result()
-				if !reflect.DeepEqual(first, second) {
-					t.Errorf("%s, %d lanes, %s: a second Result differs:\n%+v\n%+v", c.name, lanes, when, first, second)
+				want := refRateSampler(start, end, core.Second, replies[:n], done)
+				if !reflect.DeepEqual(first.ReplyRateSamples, want) {
+					t.Errorf("%s, %d lanes, %s: first Result samples %v, reference %v", c.name, lanes, when, first.ReplyRateSamples, want)
 				}
-				if want := refSamples(start, end, core.Second, replies[:n], done); !reflect.DeepEqual(first.ReplyRateSamples, want) {
-					t.Errorf("%s, %d lanes, %s: samples %v, reference %v", c.name, lanes, when, first.ReplyRateSamples, want)
-				}
-				if want := ref.Percentiles(); first.Latency != want {
-					t.Errorf("%s, %d lanes, %s: latency %+v, reference %+v", c.name, lanes, when, first.Latency, want)
+				if !reflect.DeepEqual(second.ReplyRateSamples, want) {
+					t.Errorf("%s, %d lanes, %s: second Result samples %v, reference %v", c.name, lanes, when, second.ReplyRateSamples, want)
 				}
 				if first.Finished != end || first.Replies != n {
 					t.Errorf("%s, %d lanes, %s: finished %v with %d replies, want %v and %d", c.name, lanes, when, first.Finished, first.Replies, end, n)
 				}
 			}
 			for i := 0; i < early; i++ {
-				book(i)
+				g.recordReply(k.Sim.LaneQ(i%lanes), start, replies[i])
 			}
 			// Park the clock in interval 4 for a partial view of the run.
 			view := at(4500)
@@ -99,7 +91,7 @@ func TestResultReadsTheBooks(t *testing.T) {
 			}
 			check("partial view", view, early, false)
 			for i := early; i < len(replies); i++ {
-				book(i)
+				g.recordReply(k.Sim.LaneQ(i%lanes), start, replies[i])
 			}
 			g.resolveKeepAlive(k.Sim.LaneQ(0), c.end)
 			if lanes > 1 {
@@ -113,5 +105,48 @@ func TestResultReadsTheBooks(t *testing.T) {
 				t.Errorf("%s, %d lanes: completed %d, want 1", c.name, lanes, r.Completed)
 			}
 		}
+	}
+}
+
+// Result's latency summary is the merged lane histograms, read afresh on
+// each call: a second call with no new sample returns the same values, a
+// sample booked between two calls, on any lane, is in the second call's
+// summary, and the finished run's summary is the reference histogram's.
+func TestResultLatencyTracksNewSamples(t *testing.T) {
+	for _, lanes := range []int{1, 3} {
+		k := simkernel.NewKernel(nil)
+		if lanes > 1 {
+			k.Sim.EnableSharding(lanes, 1, 100*core.Microsecond)
+		}
+		g := New(k, netsim.New(k, netsim.DefaultConfig()), Config{Connections: 1, SampleInterval: core.Second})
+		g.issued = 1
+		var ref metrics.LatencyHist
+		book := func(i, ms int) {
+			d := core.Duration(ms) * core.Millisecond
+			g.recordReply(k.Sim.LaneQ(i%lanes), 0, core.Time(d))
+			ref.Observe(d)
+		}
+		check := func(when string) {
+			t.Helper()
+			if got, want := g.Result().Latency, ref.Percentiles(); got != want {
+				t.Errorf("%d lanes, %s: latency %+v, want %+v", lanes, when, got, want)
+			}
+		}
+		for i, ms := range []int{7, 3, 9, 1, 4} {
+			book(i, ms)
+		}
+		check("first call")
+		check("repeated call")
+		book(5, 20)
+		check("after a late sample")
+		g.resolveKeepAlive(k.Sim.LaneQ(0), core.Time(30*core.Millisecond))
+		if lanes > 1 {
+			g.checkDone(0)
+		}
+		if !g.Done() {
+			t.Fatalf("%d lanes: run not done after its one connection resolved", lanes)
+		}
+		check("finished")
+		check("finished, repeated call")
 	}
 }

@@ -36,7 +36,7 @@ var readerAllowlist = map[string]string{
 	"core.Minute":                     "eventlib/timers_test.go: TestTimerWheelMatchesReferenceHeap",
 	"experiments.RunResult.Secondary": "experiments/chaos_test.go: TestChaosGracefulDegradation",
 	"experiments.BenchPoints":         "bench_test.go: BenchmarkPoint",
-	"loadgen.Result.Finished":         "loadgen/books_test.go: TestResultReadsTheBooks",
+	"loadgen.Result.Finished":         "loadgen/books_test.go: TestMergedSamplesMatchRateSampler",
 	"loadgen.Result.OfferedRate":      "loadgen/loadgen_test.go: TestGeneratorCompletesAgainstHealthyServer",
 	"loadgen.Generator.Done":          "loadgen/loadgen_test.go: TestGeneratorCompletesAgainstHealthyServer",
 	"loadgen.ArrivalConstant":         "loadgen/workload_test.go: TestLookupWorkload",
